@@ -12,7 +12,7 @@ import (
 // reads, the global math/rand source, environment reads, and multi-way
 // selects among ready channels. Randomness must flow through the SplitMix64
 // purpose-tagged seed streams (PR 3's determinism contract) and wall-clock
-// belongs only to the serving/loadgen/mpisim-virtual-clock layers — a
+// belongs only to the serving/loadgen layers and the comm backends' Run — a
 // kernel that consults the clock or ambient state produces artifacts that
 // are no longer a pure function of their inputs, which the persistent
 // artifact tier would then cache forever.
@@ -26,12 +26,12 @@ var NonDeterm = &analysis.Analyzer{
 	Run: runNonDeterm,
 }
 
-// nonDetermScope is kernelScope minus mpisim and transport: their clocks
-// are native (mpisim's virtual clocks model time; transport measures real
-// wall clocks next to the modeled seconds by design), so time-shaped code
-// belongs there; the serving/ops layers are outside kernelScope to begin
-// with. comm is in scope: it owns the clock *arithmetic* both backends
-// share, which must itself never read the machine clock.
+// nonDetermScope is kernelScope minus mpisim and transport: their Run
+// methods stamp the measured wall clocks that sit next to the modeled
+// seconds, so time-shaped code belongs there; the serving/ops layers are
+// outside kernelScope to begin with. comm is in scope: it owns the rank
+// engine both backends run (delivery rule, collectives, virtual-clock
+// arithmetic), which must never read the machine clock.
 var nonDetermScope = scopeFlag{expr: `(^|/)(expr|chordal|mcode|analysis|sampling|pipeline|graph|ontology|cliques|centrality|datasets|experiments|api|comm|parsample)$`}
 
 func init() {
@@ -76,7 +76,7 @@ func checkNonDetermCall(pass *analysis.Pass, rep *reporter, call *ast.CallExpr) 
 	switch path {
 	case "time":
 		if name == "Now" || name == "Since" || name == "Until" {
-			rep.reportNode(call, "time.%s in kernel code: wall-clock belongs to server/loadgen/mpisim virtual clocks, never to artifact computation", name)
+			rep.reportNode(call, "time.%s in kernel code: wall-clock belongs to server/loadgen and the comm backends' Run, never to artifact computation", name)
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[name] {
@@ -113,7 +113,7 @@ func checkSelect(pass *analysis.Pass, rep *reporter, sel *ast.SelectStmt) {
 		}
 	}
 	if racy >= 2 {
-		rep.reportNode(sel, "select among %d ready channels resolves nondeterministically: kernel event order must be explicit (deliver by deterministic stamp, as mpisim.AnyRecv does)", racy)
+		rep.reportNode(sel, "select among %d ready channels resolves nondeterministically: kernel event order must be explicit (deliver by deterministic stamp, as comm.Engine.AnyRecv does)", racy)
 	}
 }
 

@@ -5,14 +5,18 @@
 // the four collectives the kernels use (Barrier, Bcast, Gatherv,
 // Allreduce), abort propagation, and byte/message accounting.
 //
-// Two implementations exist: internal/mpisim simulates all P ranks as
-// goroutines in one process under virtual clocks (the Figure-10 model),
-// and internal/transport runs each rank as a real process connected over
-// TCP. Both advance the same virtual clocks through the shared CostModel
-// helpers in this package and apply the same AnyRecv delivery rule, so a
-// sampler executed on either backend produces byte-identical edge sets,
-// identical per-rank clocks, and identical traffic counters — the
-// determinism contract the differential tests in internal/transport pin.
+// The runtime itself lives here once, as the per-rank Engine: its queues,
+// delivery rule, star-protocol collectives, clock advances, accounting and
+// abort handling are shared by both backends, which differ only in the
+// Link that carries an engine's frames. internal/mpisim hosts all P
+// engines in one process and hands frames between them by reference (the
+// Figure-10 model); internal/transport hosts one engine per process and
+// carries its frames over TCP. A sampler therefore produces byte-identical
+// edge sets, per-rank clocks and traffic counters on either backend by
+// construction; the differential tests in internal/transport check it.
+//
+// The engine never reads the machine clock: wall-clock stamps belong to
+// the backends' Run.
 package comm
 
 import "context"
@@ -108,15 +112,13 @@ type Comm interface {
 	P() int
 	// Run executes fn on every locally-hosted rank and waits for
 	// completion. An aborted run still returns once every local rank has
-	// finished or unwound; the error reports transport or abort causes
-	// (simulated runs return nil and leave cancellation to the caller's
-	// context check).
+	// finished or unwound; the error is the run's first failure (a
+	// transport error, a collective mismatch, a cancellation, or
+	// ErrAborted), nil for a clean run.
 	Run(fn func(r Rank)) error
 	// Abort marks the run as aborted and wakes every local rank blocked in
 	// a receive or collective. Safe to call from any goroutine, repeatedly.
 	Abort()
-	// Aborted reports whether Abort has been called.
-	Aborted() bool
 	// AbortOnCancel aborts the communicator when ctx is cancelled. The
 	// returned stop function releases the watcher; call it (typically via
 	// defer) after Run returns.

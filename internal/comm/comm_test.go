@@ -2,6 +2,8 @@ package comm
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,17 +34,27 @@ func TestPayloadBuiltinsRoundTrip(t *testing.T) {
 
 type testPayload struct{ A, B int32 }
 
+// The codec registry is process-global, so tests that register must stay
+// correct under -count=N: the round-trip codec registers once, and
+// TestRegisterCodecPanics takes a fresh kind on every run.
+var (
+	registerTestPayload sync.Once
+	nextTestKind        atomic.Uint32
+)
+
 func TestRegisteredCodecRoundTrip(t *testing.T) {
-	RegisterCodec(Codec{
-		Kind:  KindUserBase + 50,
-		Match: func(v any) bool { _, ok := v.(testPayload); return ok },
-		Encode: func(v any) []byte {
-			p := v.(testPayload)
-			return []byte{byte(p.A), byte(p.B)}
-		},
-		Decode: func(data []byte) (any, error) {
-			return testPayload{A: int32(data[0]), B: int32(data[1])}, nil
-		},
+	registerTestPayload.Do(func() {
+		RegisterCodec(Codec{
+			Kind:  KindUserBase + 50,
+			Match: func(v any) bool { _, ok := v.(testPayload); return ok },
+			Encode: func(v any) []byte {
+				p := v.(testPayload)
+				return []byte{byte(p.A), byte(p.B)}
+			},
+			Decode: func(data []byte) (any, error) {
+				return testPayload{A: int32(data[0]), B: int32(data[1])}, nil
+			},
+		})
 	})
 	kind, data, err := EncodePayload(testPayload{A: 5, B: 9})
 	if err != nil {
@@ -80,7 +92,7 @@ func TestRegisterCodecPanics(t *testing.T) {
 		f()
 	}
 	ok := Codec{
-		Kind:   KindUserBase + 51,
+		Kind:   KindUserBase + 51 + uint16(nextTestKind.Add(1)),
 		Match:  func(any) bool { return false },
 		Encode: func(any) []byte { return nil },
 		Decode: func([]byte) (any, error) { return nil, nil },

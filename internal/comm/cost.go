@@ -13,12 +13,10 @@ import (
 // latency (LatencySeconds), inverse bandwidth (SecondsPerByte), plus a
 // per-operation compute cost (SecondsPerOp).
 //
-// The *Advance methods are the single source of the clock arithmetic: both
-// the simulated runtime (internal/mpisim) and the TCP runtime
-// (internal/transport) advance their virtual clocks through them, so the
-// two backends cannot drift — identical inputs give bit-identical clocks,
-// which is what makes the modeled-arrival AnyRecv rule deliver in the same
-// order on both.
+// The *Advance methods are the Engine's clock arithmetic. Every rank of
+// either backend advances its virtual clock through them, so identical
+// programs give bit-identical clocks, which is what makes the
+// modeled-arrival AnyRecv rule deliver in the same order everywhere.
 type CostModel struct {
 	SecondsPerOp    float64 // per elementary graph operation
 	LatencySeconds  float64 // wire latency per point-to-point message

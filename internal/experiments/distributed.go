@@ -8,8 +8,8 @@ import (
 	"sort"
 	"time"
 
+	"parsample/internal/comm"
 	"parsample/internal/graph"
-	"parsample/internal/mpisim"
 	"parsample/internal/sampling"
 	"parsample/internal/transport"
 )
@@ -122,8 +122,8 @@ func StartLocalWorkers(n int) (addrs []string, stop func(), err error) {
 // both endpoints burn CPU on the same host, so half the per-message
 // stream cost is charged as endpoint overhead (the model bills it at each
 // end) and LatencySeconds stays zero — there is no wire.
-func CalibrateDistModel(ctx context.Context, g *graph.Graph) (mpisim.CostModel, error) {
-	var m mpisim.CostModel
+func CalibrateDistModel(ctx context.Context, g *graph.Graph) (comm.CostModel, error) {
+	var m comm.CostModel
 	secs := 0.0
 	var ops int64
 	for rep := 0; rep < DistReps; rep++ {
@@ -243,7 +243,7 @@ func loopbackProbe() (msgCost, secPerByte float64, err error) {
 // returned alongside the rows so reports can record the constants the
 // predictions were made with. The cluster must hold at least max(ps)-1
 // workers.
-func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []int) ([]DistRow, mpisim.CostModel, error) {
+func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []int) ([]DistRow, comm.CostModel, error) {
 	order := graph.NaturalOrder(g.N())
 	model, err := CalibrateDistModel(ctx, g)
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 	"sort"
 
 	"parsample/internal/analysis"
+	"parsample/internal/comm"
 	"parsample/internal/datasets"
 	"parsample/internal/graph"
-	"parsample/internal/mpisim"
 	"parsample/internal/pipeline"
 	"parsample/internal/sampling"
 )
@@ -272,7 +272,7 @@ var Fig10Processors = []int{1, 2, 4, 8, 16, 32, 64}
 // on the clocked runtime, so Time charges the critical path: the per-message
 // overhead (charged at both ends) is what makes the border-exchange
 // variant's receive loop dominate at high P.
-var fig10Model = mpisim.CostModel{
+var fig10Model = comm.CostModel{
 	SecondsPerOp:    12e-6, // 2012-era per-edge-operation cost incl. constants
 	LatencySeconds:  400e-6,
 	OverheadSeconds: 3000e-6,
@@ -284,7 +284,7 @@ var fig10Model = mpisim.CostModel{
 }
 
 // Fig10CostModel exposes the cost model used for the scalability study.
-func Fig10CostModel() mpisim.CostModel { return fig10Model }
+func Fig10CostModel() comm.CostModel { return fig10Model }
 
 // Fig10 reproduces the scalability figure on the paper's two representative
 // networks (YNG small, CRE large) for the three parallel algorithms. The

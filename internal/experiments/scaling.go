@@ -8,9 +8,9 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"parsample/internal/comm"
 	"parsample/internal/datasets"
 	"parsample/internal/graph"
-	"parsample/internal/mpisim"
 	"parsample/internal/sampling"
 )
 
@@ -45,7 +45,7 @@ type ScalingConfig struct {
 	Orderings  []graph.Ordering
 	Algorithms []sampling.Algorithm
 	Processors []int // must start with the baseline processor count
-	Model      mpisim.CostModel
+	Model      comm.CostModel
 }
 
 // DefaultScalingConfig is the published study: the paper's processor sweep,

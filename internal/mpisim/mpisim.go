@@ -1,490 +1,85 @@
-// Package mpisim is a deadlock-free simulated distributed-memory runtime —
-// the in-process implementation of the comm.Comm/comm.Rank surface. The
-// paper ran on the Firefly MPI cluster with 1–64 processors; here each
-// rank is a goroutine driven through a *Rank handle, point-to-point sends
-// are nonblocking posts into unbounded per-pair queues, and collectives
-// (Bcast, Gatherv, Allreduce, Barrier) rendezvous through a generation-
-// counted exchange area. Every rank carries a virtual clock in modeled
-// seconds: compute is charged explicitly (Rank.Compute), sends stamp each
-// message with its modeled arrival time, and receives advance the clock to
-// that arrival — so after a run the per-rank clocks give the critical path
-// (max over ranks of compute plus waited-on communication) that
-// CostModel.Time reports for the Figure 10 scalability study. The clock
-// arithmetic itself lives in comm.CostModel's *Advance helpers, shared
-// with the TCP runtime (internal/transport) so the two backends cannot
-// drift.
+// Package mpisim is the in-process implementation of comm.Comm: P
+// comm.Engine ranks, each driven by its own goroutine, joined by an
+// in-memory link that hands every frame by reference straight to the
+// destination engine. The paper ran on the Firefly MPI cluster with 1–64
+// processors; here the engines' virtual clocks give the critical path
+// that CostModel.Time reports for the Figure 10 scalability study.
 //
-// Deadlock freedom: a send can never block (queues are unbounded), so any
-// run in which every receive is eventually matched by a send terminates.
-// The earlier runtime used 64-deep bounded mailboxes, which wedged the
-// border-exchange chordal sampler at P ≥ 3 once a partition pair carried
-// more than ~4096 mutual border edges (sender chains filled each other's
-// mailboxes before anyone reached its receive loop).
-//
-// Determinism: virtual time, not wall time, decides delivery order.
-// AnyRecv waits until every candidate source has a pending message and
-// then delivers the one with the smallest modeled arrival stamp (sender
-// rank breaks ties), so results and modeled clocks are identical across
-// runs and GOMAXPROCS settings.
+// Everything rank-side — unbounded per-source queues (a send never
+// blocks, so no send/receive ordering can deadlock a run), the
+// deterministic AnyRecv rule, the star-protocol collectives and the clock
+// arithmetic — is internal/comm's Engine, the same code the TCP backend
+// (internal/transport) runs. This package only wires the engines together
+// and measures wall time.
 package mpisim
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsample/internal/comm"
 )
 
-// Message is a tagged payload between ranks.
-type Message = comm.Message
-
 // Comm is a communicator over P simulated ranks.
 type Comm struct {
-	p     int
-	model CostModel
-	ranks []*Rank
-	boxes []*inbox // boxes[to]
-	coll  *collective
-
-	msgs  atomic.Int64
-	bytes atomic.Int64
-
-	collMsgs  atomic.Int64
-	collBytes atomic.Int64
-
-	aborted atomic.Bool
-	wall    float64 // measured wall seconds of the last Run
+	comm.Engines
+	walls []float64 // measured wall seconds each rank goroutine spent in the last Run
+	wall  float64   // measured wall seconds of the last Run
 }
 
 var _ comm.Comm = (*Comm)(nil)
 
-// NewComm creates a communicator for p ranks using DefaultCostModel for the
-// virtual clocks.
-func NewComm(p int) *Comm { return NewCommModel(p, DefaultCostModel()) }
+// link delivers a frame by reference to the destination engine; its
+// embedded Engines.Fail fans a failure out to every engine.
+type link struct{ comm.Engines }
+
+func (l link) Post(to int, f *comm.Frame) error { return l.Engines[to].Deliver(f) }
+
+// NewComm creates a communicator for p ranks using comm.DefaultCostModel
+// for the virtual clocks.
+func NewComm(p int) *Comm { return NewCommModel(p, comm.DefaultCostModel()) }
 
 // NewCommModel creates a communicator for p ranks whose virtual clocks
 // advance under the given cost model.
-func NewCommModel(p int, m CostModel) *Comm {
+func NewCommModel(p int, m comm.CostModel) *Comm {
 	if p < 1 {
 		panic(fmt.Sprintf("mpisim: p = %d", p))
 	}
-	c := &Comm{p: p, model: m}
-	c.ranks = make([]*Rank, p)
-	c.boxes = make([]*inbox, p)
-	for r := 0; r < p; r++ {
-		c.ranks[r] = &Rank{c: c, id: r}
-		c.boxes[r] = newInbox(p)
+	es := make(comm.Engines, p)
+	for r := range es {
+		es[r] = comm.NewEngine(r, p, m, link{es})
 	}
-	c.coll = newCollective(p)
-	return c
+	return &Comm{Engines: es, walls: make([]float64, p)}
 }
 
-// P returns the number of ranks.
-func (c *Comm) P() int { return c.p }
-
-// Messages returns the total number of point-to-point messages sent.
-func (c *Comm) Messages() int64 { return c.msgs.Load() }
-
-// Bytes returns the total point-to-point payload bytes sent.
-func (c *Comm) Bytes() int64 { return c.bytes.Load() }
-
-// CollMessages returns the modeled message count of the collectives.
-func (c *Comm) CollMessages() int64 { return c.collMsgs.Load() }
-
-// CollBytes returns the modeled payload bytes moved by the collectives.
-func (c *Comm) CollBytes() int64 { return c.collBytes.Load() }
-
-// Run launches fn on every rank concurrently and waits for completion.
-// It always returns nil: simulated runs have no transport failures, and
-// cancellation is reported by the caller's own context check.
-//
-// A rank may abort mid-run (Rank.Abort, or any blocking primitive after
-// Comm.Abort): its goroutine unwinds via the comm.AbortSignal sentinel
-// that Run recovers, so an aborted run still returns once every rank has
-// either finished or unwound — no goroutine outlives Run.
+// Run launches fn on every rank concurrently and waits until each has
+// finished or unwound, so no goroutine outlives Run. It returns the run's
+// first failure — a collective mismatch, a cancellation via
+// AbortOnCancel, or comm.ErrAborted after Abort or Rank.Abort — and nil
+// for a clean run.
 func (c *Comm) Run(fn func(r comm.Rank)) error {
 	start := time.Now()
 	var wg sync.WaitGroup
-	wg.Add(c.p)
-	for r := 0; r < c.p; r++ {
-		go func(rk *Rank) {
+	for i, e := range c.Engines {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
 			rankStart := time.Now()
-			defer func() {
-				rk.wall = time.Since(rankStart).Seconds()
-				if e := recover(); e != nil {
-					if _, ok := e.(comm.AbortSignal); !ok {
-						panic(e)
-					}
-				}
-			}()
-			fn(rk)
-		}(c.ranks[r])
+			e.Exec(fn)
+			c.walls[i] = time.Since(rankStart).Seconds()
+		}()
 	}
 	wg.Wait()
 	c.wall = time.Since(start).Seconds()
-	return nil
+	return c.Err()
 }
 
-// Aborted reports whether Abort has been called on the communicator.
-func (c *Comm) Aborted() bool { return c.aborted.Load() }
-
-// Abort marks the run as aborted and wakes every rank blocked in a receive
-// or collective; woken ranks unwind out of Comm.Run. Compute loops that
-// poll a context must abort themselves via Rank.Abort. Safe to call from
-// any goroutine, more than once.
-func (c *Comm) Abort() {
-	c.aborted.Store(true)
-	for _, bx := range c.boxes {
-		bx.mu.Lock()
-		bx.cond.Broadcast()
-		bx.mu.Unlock()
-	}
-	c.coll.mu.Lock()
-	c.coll.cond.Broadcast()
-	c.coll.mu.Unlock()
-}
-
-// AbortOnCancel aborts the communicator when ctx is cancelled. The returned
-// stop function releases the watcher goroutine; call it (typically via
-// defer) after Run returns. A context that can never be cancelled installs
-// no watcher.
-func (c *Comm) AbortOnCancel(ctx context.Context) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.Abort()
-		case <-stopped:
-		}
-	}()
-	return func() { close(stopped) }
-}
-
-// Abort unwinds the calling rank goroutine with the abort sentinel; Comm.Run
-// recovers it. Rank compute loops call this when they observe a cancelled
-// context, so a cancelled run terminates promptly even between blocking
-// primitives. Must not be called while holding runtime locks (blocking
-// primitives handle their own abort checks, releasing locks first).
-func (r *Rank) Abort() { panic(comm.AbortSignal{}) }
-
-// FillStats copies the run's accounting into s: per-rank operation counts,
-// virtual clocks and measured wall clocks, point-to-point traffic, and
-// collective traffic. The wall fields of a simulated run are goroutine
-// scheduling time, not a measurement, so Measured stays false.
-func (c *Comm) FillStats(s *RunStats) {
-	s.P = c.p
-	s.RankOps = make([]int64, c.p)
-	s.RankSeconds = make([]float64, c.p)
-	s.RankWallSeconds = make([]float64, c.p)
-	for i, r := range c.ranks {
-		s.RankOps[i] = r.ops
-		s.RankSeconds[i] = r.clock
-		s.RankWallSeconds[i] = r.wall
-	}
-	s.Messages = c.msgs.Load()
-	s.Bytes = c.bytes.Load()
-	s.CollMessages = c.collMsgs.Load()
-	s.CollBytes = c.collBytes.Load()
+// FillStats copies the run's accounting into s. The wall fields of a
+// simulated run are goroutine scheduling time, not a measurement, so
+// Measured stays false.
+func (c *Comm) FillStats(s *comm.RunStats) {
+	c.Engines.FillStats(s)
+	copy(s.RankWallSeconds, c.walls)
 	s.WallSeconds = c.wall
-	s.Measured = false
-}
-
-// Rank is one simulated processor's handle inside Comm.Run. All methods
-// must be called only from the goroutine the handle was passed to.
-type Rank struct {
-	c     *Comm
-	id    int
-	ops   int64
-	clock float64
-	wall  float64 // measured wall seconds the rank goroutine spent in Run
-}
-
-var _ comm.Rank = (*Rank)(nil)
-
-// ID returns this rank's index in [0, P).
-func (r *Rank) ID() int { return r.id }
-
-// P returns the communicator size.
-func (r *Rank) P() int { return r.c.p }
-
-// Ops returns the operations charged so far via Compute.
-func (r *Rank) Ops() int64 { return r.ops }
-
-// Clock returns the rank's virtual time in modeled seconds.
-func (r *Rank) Clock() float64 { return r.clock }
-
-// Compute charges n elementary operations of local work, advancing the
-// virtual clock by n·SecondsPerOp.
-func (r *Rank) Compute(n int64) {
-	r.ops += n
-	r.clock += float64(n) * r.c.model.SecondsPerOp
-}
-
-// Send posts a message to rank `to`. It never blocks: the per-pair queue is
-// unbounded, so no send/receive ordering can deadlock the run. The sender's
-// clock pays the per-message overhead; the message is stamped with its
-// modeled arrival time (send time + latency + bytes/bandwidth).
-func (r *Rank) Send(to, tag int, payload any, size int) {
-	if to == r.id || to < 0 || to >= r.c.p {
-		panic(fmt.Sprintf("mpisim: rank %d sending to %d", r.id, to))
-	}
-	var arrive float64
-	r.clock, arrive = r.c.model.SendAdvance(r.clock, size)
-	r.c.msgs.Add(1)
-	r.c.bytes.Add(int64(size))
-	bx := r.c.boxes[to]
-	bx.mu.Lock()
-	bx.q[r.id] = append(bx.q[r.id], Message{From: r.id, Tag: tag, Payload: payload, Bytes: size, Arrive: arrive})
-	bx.cond.Broadcast()
-	bx.mu.Unlock()
-}
-
-// Recv blocks until a message from rank `from` is pending and returns the
-// oldest one. The receiver's clock advances to the message's arrival time
-// (if it was not already past it) plus the per-message overhead.
-func (r *Rank) Recv(from int) Message {
-	bx := r.c.boxes[r.id]
-	bx.mu.Lock()
-	for len(bx.q[from]) == 0 {
-		if r.c.aborted.Load() {
-			bx.mu.Unlock()
-			panic(comm.AbortSignal{})
-		}
-		bx.cond.Wait()
-	}
-	msg := bx.pop(from)
-	bx.mu.Unlock()
-	r.clock = r.c.model.RecvAdvance(r.clock, msg.Arrive)
-	return msg
-}
-
-// AnyRecv receives from any of the given sources: it returns the pending
-// message with the smallest modeled arrival time (sender rank breaks
-// ties). To keep delivery deterministic it waits until every listed source
-// has at least one pending message — only then is the earliest virtual
-// arrival decidable. Callers drop a source from the set once its
-// end-of-stream message arrives.
-func (r *Rank) AnyRecv(sources []int) Message {
-	if len(sources) == 0 {
-		panic("mpisim: AnyRecv with no sources")
-	}
-	bx := r.c.boxes[r.id]
-	bx.mu.Lock()
-	for {
-		ready := true
-		for _, s := range sources {
-			if len(bx.q[s]) == 0 {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
-		if r.c.aborted.Load() {
-			bx.mu.Unlock()
-			panic(comm.AbortSignal{})
-		}
-		bx.cond.Wait()
-	}
-	best := sources[0]
-	for _, s := range sources[1:] {
-		h, b := bx.q[s][0], bx.q[best][0]
-		if h.Arrive < b.Arrive || (h.Arrive == b.Arrive && s < best) {
-			best = s
-		}
-	}
-	msg := bx.pop(best)
-	bx.mu.Unlock()
-	r.clock = r.c.model.RecvAdvance(r.clock, msg.Arrive)
-	return msg
-}
-
-// Sendrecv posts the send (never blocking) and then receives from `from` —
-// the classic exchange primitive that is deadlock-safe even when every rank
-// calls it simultaneously toward every other.
-func (r *Rank) Sendrecv(to, tag int, payload any, size int, from int) Message {
-	r.Send(to, tag, payload, size)
-	return r.Recv(from)
-}
-
-// ------------------------------------------------------------- collectives
-
-// Barrier blocks until all P ranks have called it; every clock advances to
-// the latest arrival plus a dissemination round of log2(P) latencies.
-func (r *Rank) Barrier() {
-	res := r.c.coll.exchange(r, nil, 0)
-	r.clock = r.c.model.BarrierAdvance(r.c.p, r.clock, res.clocks)
-}
-
-// Bcast broadcasts root's payload to every rank (each caller passes its own
-// payload; only root's is delivered) and returns it. Modeled as a binomial
-// tree: non-root ranks advance to root's send time plus log2(P) hops of
-// latency, overhead and transfer.
-func (r *Rank) Bcast(root int, payload any, size int) any {
-	c := r.c
-	res := c.coll.exchange(r, payload, size)
-	val, sz := res.vals[root], res.sizes[root]
-	var msgs, bytes int64
-	r.clock, msgs, bytes = c.model.BcastAdvance(c.p, r.id, root, r.clock, res.clocks[root], sz)
-	c.collMsgs.Add(msgs)
-	c.collBytes.Add(bytes)
-	return val
-}
-
-// Gatherv gathers every rank's (variable-size) payload to root. At root the
-// returned slice holds rank i's payload at index i; every other rank gets
-// nil. Modeled as a binomial gather tree: root's clock advances to the
-// latest contributor plus log2(P) latency hops and the serialized transfer
-// of all non-root bytes; contributors just pay their send overhead.
-func (r *Rank) Gatherv(root int, payload any, size int) []any {
-	c := r.c
-	res := c.coll.exchange(r, payload, size)
-	if c.p == 1 {
-		return []any{res.vals[0]}
-	}
-	var msgs, bytes int64
-	r.clock, msgs, bytes = c.model.GathervAdvance(c.p, r.id, root, r.clock, res.clocks, res.sizes)
-	c.collMsgs.Add(msgs)
-	c.collBytes.Add(bytes)
-	if r.id != root {
-		return nil
-	}
-	out := make([]any, c.p)
-	copy(out, res.vals)
-	return out
-}
-
-// ReduceOp selects the Allreduce combiner.
-type ReduceOp = comm.ReduceOp
-
-const (
-	// ReduceSum adds contributions.
-	ReduceSum = comm.ReduceSum
-	// ReduceMax keeps the maximum contribution.
-	ReduceMax = comm.ReduceMax
-	// ReduceMin keeps the minimum contribution.
-	ReduceMin = comm.ReduceMin
-)
-
-// Allreduce combines every rank's contribution with op and returns the
-// result on all ranks. The fold runs in rank order on each rank, so the
-// result is bitwise identical everywhere regardless of scheduling. Modeled
-// as a butterfly: log2(P) rounds of latency, two overheads and one word.
-func (r *Rank) Allreduce(v float64, op ReduceOp) float64 {
-	c := r.c
-	res := c.coll.exchange(r, v, 8)
-	vals := make([]float64, c.p)
-	for i, x := range res.vals {
-		vals[i] = x.(float64)
-	}
-	out := comm.Reduce(op, vals)
-	var msgs, bytes int64
-	r.clock, msgs, bytes = c.model.AllreduceAdvance(c.p, r.id, r.clock, res.clocks)
-	c.collMsgs.Add(msgs)
-	c.collBytes.Add(bytes)
-	return out
-}
-
-// ---------------------------------------------------------------- plumbing
-
-// inbox is one receiver's set of unbounded per-source FIFO queues. The
-// single condition variable is the runtime's progress engine: senders post
-// and broadcast; receivers sleep until the queues they care about can
-// satisfy their (deterministic) delivery rule.
-type inbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    [][]Message // q[from]
-}
-
-func newInbox(p int) *inbox {
-	bx := &inbox{q: make([][]Message, p)}
-	bx.cond = sync.NewCond(&bx.mu)
-	return bx
-}
-
-// pop removes and returns the head of q[from]; caller holds mu.
-func (bx *inbox) pop(from int) Message {
-	msg := bx.q[from][0]
-	bx.q[from][0] = Message{} // release the payload
-	bx.q[from] = bx.q[from][1:]
-	if len(bx.q[from]) == 0 {
-		bx.q[from] = nil // let the grown backing array go
-	}
-	return msg
-}
-
-// collective is the generation-counted rendezvous area behind the
-// collectives: every rank deposits (value, size, clock); the last arriver
-// snapshots the generation's vectors, resets the area and wakes the rest.
-type collective struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	gen    uint64
-	count  int
-	vals   []any
-	sizes  []int
-	clocks []float64
-	result *collResult
-}
-
-type collResult struct {
-	vals   []any
-	sizes  []int
-	clocks []float64
-}
-
-func newCollective(p int) *collective {
-	cl := &collective{
-		vals:   make([]any, p),
-		sizes:  make([]int, p),
-		clocks: make([]float64, p),
-	}
-	cl.cond = sync.NewCond(&cl.mu)
-	return cl
-}
-
-// exchange performs an all-gather of (val, size, clock) with barrier
-// semantics and returns the completed generation's snapshot.
-func (cl *collective) exchange(r *Rank, val any, size int) *collResult {
-	cl.mu.Lock()
-	cl.vals[r.id] = val
-	cl.sizes[r.id] = size
-	cl.clocks[r.id] = r.clock
-	cl.count++
-	gen := cl.gen
-	if cl.count == len(cl.vals) {
-		res := &collResult{
-			vals:   append([]any(nil), cl.vals...),
-			sizes:  append([]int(nil), cl.sizes...),
-			clocks: append([]float64(nil), cl.clocks...),
-		}
-		cl.result = res
-		cl.count = 0
-		cl.gen++
-		for i := range cl.vals {
-			cl.vals[i] = nil
-		}
-		cl.cond.Broadcast()
-		cl.mu.Unlock()
-		return res
-	}
-	for gen == cl.gen {
-		if r.c.aborted.Load() {
-			cl.mu.Unlock()
-			panic(comm.AbortSignal{})
-		}
-		cl.cond.Wait()
-	}
-	res := cl.result
-	cl.mu.Unlock()
-	return res
 }

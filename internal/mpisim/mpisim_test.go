@@ -1,10 +1,12 @@
 package mpisim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -256,9 +258,9 @@ func TestAllreduce(t *testing.T) {
 	var sums, maxs, mins [p]float64
 	c.Run(func(r comm.Rank) {
 		v := float64(r.ID() + 1)
-		sums[r.ID()] = r.Allreduce(v, ReduceSum)
-		maxs[r.ID()] = r.Allreduce(v, ReduceMax)
-		mins[r.ID()] = r.Allreduce(v, ReduceMin)
+		sums[r.ID()] = r.Allreduce(v, comm.ReduceSum)
+		maxs[r.ID()] = r.Allreduce(v, comm.ReduceMax)
+		mins[r.ID()] = r.Allreduce(v, comm.ReduceMin)
 	})
 	for i := 0; i < p; i++ {
 		if sums[i] != 45 {
@@ -281,7 +283,7 @@ func TestAllreduceDeterministicFold(t *testing.T) {
 		c := NewComm(p)
 		var got [p]float64
 		c.Run(func(r comm.Rank) {
-			got[r.ID()] = r.Allreduce(vals[r.ID()], ReduceSum)
+			got[r.ID()] = r.Allreduce(vals[r.ID()], comm.ReduceSum)
 		})
 		for i := 1; i < p; i++ {
 			if got[i] != got[0] {
@@ -297,9 +299,9 @@ func TestAllreduceDeterministicFold(t *testing.T) {
 }
 
 func TestVirtualClockPointToPoint(t *testing.T) {
-	m := CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 1e-4, SecondsPerByte: 1e-7}
+	m := comm.CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 1e-4, SecondsPerByte: 1e-7}
 	c := NewCommModel(2, m)
-	var stats RunStats
+	var stats comm.RunStats
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
 			r.Compute(1000) // 1 ms
@@ -329,9 +331,9 @@ func TestVirtualClockOverlap(t *testing.T) {
 	// A receiver that is already past a message's arrival time pays only the
 	// receive overhead — waited-on communication, not all communication,
 	// lands on the critical path.
-	m := CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 0}
+	m := comm.CostModel{SecondsPerOp: 1e-6, LatencySeconds: 1e-3, OverheadSeconds: 0}
 	c := NewCommModel(2, m)
-	var stats RunStats
+	var stats comm.RunStats
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, "early", 0)
@@ -368,7 +370,7 @@ func TestRunClockDeterminism(t *testing.T) {
 			}
 			r.Barrier()
 		})
-		var s RunStats
+		var s comm.RunStats
 		c.FillStats(&s)
 		return s.RankSeconds
 	}
@@ -380,6 +382,43 @@ func TestRunClockDeterminism(t *testing.T) {
 				t.Fatalf("run %d rank %d clock %v != %v", i, r, got[r], ref[r])
 			}
 		}
+	}
+}
+
+// TestCollectiveMismatch: ranks that disagree on which collective they are
+// in fail the run with a structured error instead of silently exchanging
+// values, and every rank unwinds (TestMain's leak check covers the rest).
+func TestCollectiveMismatch(t *testing.T) {
+	c := NewComm(2)
+	var finished atomic.Int32
+	err := c.Run(func(r comm.Rank) {
+		if r.ID() == 0 {
+			r.Bcast(0, "x", 1)
+		} else {
+			r.Gatherv(0, "y", 1)
+		}
+		finished.Add(1)
+	})
+	if err == nil || !strings.Contains(err.Error(), "collective mismatch") ||
+		!strings.Contains(err.Error(), "Gatherv") || !strings.Contains(err.Error(), "Bcast") {
+		t.Fatalf("want a collective mismatch naming both ops, got %v", err)
+	}
+	if n := finished.Load(); n != 0 {
+		t.Fatalf("%d ranks completed a mismatched collective", n)
+	}
+}
+
+// TestAbortUnwindsRun: Comm.Abort wakes a rank blocked in a receive nobody
+// will satisfy, and Run reports the abort.
+func TestAbortUnwindsRun(t *testing.T) {
+	c := NewComm(2)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		c.Abort()
+	}()
+	err := c.Run(func(r comm.Rank) { r.Recv(1 - r.ID()) })
+	if !errors.Is(err, comm.ErrAborted) {
+		t.Fatalf("want comm.ErrAborted, got %v", err)
 	}
 }
 
@@ -408,8 +447,8 @@ func TestSendToSelfPanics(t *testing.T) {
 }
 
 func TestCostModelMonotonic(t *testing.T) {
-	m := DefaultCostModel()
-	base := RunStats{P: 4, RankOps: []int64{100, 200, 150, 120}, Messages: 10, Bytes: 1000, SerialOps: 50}
+	m := comm.DefaultCostModel()
+	base := comm.RunStats{P: 4, RankOps: []int64{100, 200, 150, 120}, Messages: 10, Bytes: 1000, SerialOps: 50}
 	t0 := m.Time(&base)
 	if t0 <= 0 {
 		t.Fatal("time must be positive")
@@ -434,14 +473,14 @@ func TestCostModelMonotonic(t *testing.T) {
 }
 
 func TestRunStatsAggregates(t *testing.T) {
-	s := RunStats{RankOps: []int64{3, 9, 1}}
+	s := comm.RunStats{RankOps: []int64{3, 9, 1}}
 	if s.MaxRankOps() != 9 {
 		t.Fatalf("max = %d", s.MaxRankOps())
 	}
 	if s.TotalOps() != 13 {
 		t.Fatalf("total = %d", s.TotalOps())
 	}
-	empty := RunStats{}
+	empty := comm.RunStats{}
 	if empty.MaxRankOps() != 0 || empty.TotalOps() != 0 || empty.CriticalPath() != 0 {
 		t.Fatal("empty stats should be zero")
 	}

@@ -10,7 +10,7 @@
 //
 // All parallel variants partition the vertex processing order into P
 // contiguous blocks (one per simulated processor) and report per-rank
-// operation counts plus communication volume, which internal/mpisim turns
+// operation counts plus communication volume, which the comm cost model turns
 // into modeled cluster execution times for the scalability study (Fig. 10).
 package sampling
 
@@ -91,10 +91,10 @@ type Options struct {
 	// Seed drives the random-walk filters.
 	Seed int64
 	// Model is the cost model driving the simulated runtime's virtual
-	// clocks (nil selects mpisim.DefaultCostModel). The resulting
+	// clocks (nil selects comm.DefaultCostModel). The resulting
 	// Stats.RankSeconds are in this model's units, so pass the same model
 	// to CostModel.Time.
-	Model *mpisim.CostModel
+	Model *comm.CostModel
 	// Comm overrides the communicator a parallel run executes on (nil
 	// builds a fresh mpisim simulation over P ranks). internal/transport
 	// passes its TCP communicator here so the same kernel closures run as
@@ -112,7 +112,7 @@ func newComm(opts Options, p int) comm.Comm {
 		}
 		return opts.Comm
 	}
-	model := mpisim.DefaultCostModel()
+	model := comm.DefaultCostModel()
 	if opts.Model != nil {
 		model = *opts.Model
 	}
@@ -129,9 +129,9 @@ type Result struct {
 	// merges use a dense bitset matrix on small vertex universes and a hash
 	// set on large ones (graph.NewAccumulator).
 	Edges graph.EdgeView
-	// Stats feeds the mpisim cost model (per-rank ops, message/byte counts,
+	// Stats feeds the comm cost model (per-rank ops, message/byte counts,
 	// serial post-processing ops).
-	Stats mpisim.RunStats
+	Stats comm.RunStats
 	// DuplicateBorderEdges counts border edges independently admitted by
 	// more than one processor (removed during the sequential merge, as in
 	// the paper).
@@ -150,7 +150,7 @@ func Run(alg Algorithm, g *graph.Graph, opts Options) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation. Sequential filters poll
 // ctx inside their traversal loops; parallel filters additionally tie the
-// simulated runtime to ctx (mpisim.Comm.AbortOnCancel), so ranks blocked in
+// simulated runtime to ctx (comm.Comm.AbortOnCancel), so ranks blocked in
 // receives or collectives unwind promptly when ctx is cancelled. A
 // cancelled run returns (nil, ctx.Err()) and leaks no goroutines; a
 // completed run is identical to Run (the determinism contract is

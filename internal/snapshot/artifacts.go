@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"parsample/internal/analysis"
+	"parsample/internal/comm"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
-	"parsample/internal/mpisim"
 )
 
 // ------------------------------------------------------------------ graphs
@@ -255,7 +255,7 @@ type FilteredParts struct {
 	Algorithm            int
 	BorderEdges          int
 	DuplicateBorderEdges int
-	Stats                mpisim.RunStats
+	Stats                comm.RunStats
 	Graph                *graph.Graph
 }
 

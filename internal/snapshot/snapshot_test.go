@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"parsample/internal/analysis"
+	"parsample/internal/comm"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
-	"parsample/internal/mpisim"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -141,7 +141,7 @@ func TestFilteredRoundTrip(t *testing.T) {
 		Algorithm:            2,
 		BorderEdges:          5,
 		DuplicateBorderEdges: 1,
-		Stats: mpisim.RunStats{
+		Stats: comm.RunStats{
 			P:           4,
 			RankOps:     []int64{10, 20, 30, 40},
 			RankSeconds: []float64{0.1, 0.2, 0.3, 0.4},

@@ -2,41 +2,24 @@ package transport
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsample/internal/comm"
 	"parsample/internal/faultinject"
 )
 
-// errAborted is the structured error a run returns when it was unwound by
-// a local abort (cancelled context, Rank.Abort) rather than a transport
-// failure.
-var errAborted = errors.New("transport: run aborted")
-
 // Default timeouts. Handshakes and teardown waits are bounded so a dead
 // peer fails the run instead of wedging it; in-run receives are unbounded
-// like mpisim's (cancellation arrives via ctx-driven abort or a peer
-// failure, either of which wakes every blocked primitive).
+// (cancellation arrives via ctx-driven abort or a peer failure, either of
+// which wakes every blocked primitive).
 const (
 	dialTimeout  = 10 * time.Second
 	helloTimeout = 10 * time.Second
 	writeTimeout = 30 * time.Second
 	drainTimeout = 30 * time.Second
-)
-
-// collective op codes carried in fColl frames; a mismatch between the
-// ranks of one generation is a protocol error, not a hang.
-const (
-	opBarrier byte = iota
-	opBcast
-	opGatherv
-	opAllreduce
 )
 
 // meshConfig describes one rank's seat in a job's mesh.
@@ -49,56 +32,29 @@ type meshConfig struct {
 }
 
 // Comm is the TCP communicator for one job: it hosts exactly one local
-// rank (self) and reaches the other P-1 over per-peer connections. It
-// implements comm.Comm; sampling kernels run on it unchanged.
+// rank engine (self) and reaches the other P-1 over per-peer connections.
+// It implements comm.Comm; sampling kernels run on it unchanged.
 type Comm struct {
-	cfg  meshConfig
-	rank *Rank
+	comm.Engines // the local rank's engine, alone
+	eng          *comm.Engine
+	cfg          meshConfig
 
 	peers []*peer // peers[r], nil at self
 	wg    sync.WaitGroup
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// Receive-side state, all guarded by mu.
-	q           [][]comm.Message // pending point-to-point messages, by source
-	seqIn       []int64          // next expected fData sequence, by source
-	collDeposit []*collDeposit   // rank 0: one pending deposit slot per source
-	collResp    *collSnapshot    // non-zero ranks: rank 0's snapshot for the open generation
-	collRespGen uint64
-	statsIn     []*remoteStats // rank 0: end-of-run accounting per source
-	statsAcked  bool           // non-zero ranks: rank 0 confirmed our stats
-	statsSent   bool           // non-zero ranks: our kernel is done and the counters shipped
-	aborted     bool
-	done        bool  // run complete; subsequent teardown EOFs are benign
-	failErr     error // first transport failure or abort cause
+	seqOut []int64 // next fData sequence number, by destination (rank goroutine only)
+	seqIn  []int64 // next expected fData sequence number, by source (that source's reader only)
 
-	msgs, bytes, collMsgs, collBytes atomic.Int64
-	wall                             float64
+	mu         sync.Mutex
+	cond       *sync.Cond
+	statsIn    []*remoteStats // rank 0: end-of-run accounting, by source
+	statsAcked bool           // non-zero ranks: rank 0 confirmed our stats
+	statsSent  bool           // non-zero ranks: our kernel is done and the counters shipped
+
+	rankWall, wall float64
 }
 
 var _ comm.Comm = (*Comm)(nil)
-
-// collDeposit is one rank's contribution to the collective generation
-// rank 0 is assembling.
-type collDeposit struct {
-	gen   uint64
-	op    byte
-	root  int
-	clock float64
-	size  int
-	val   any
-}
-
-// collSnapshot is the assembled generation every rank advances its clock
-// from: the deposit clock and size vectors, plus the payload values the
-// receiving rank needs for its op (root's value for Bcast, all values for
-// Gatherv-at-root and Allreduce).
-type collSnapshot struct {
-	clocks []float64
-	sizes  []int
-	vals   []any
-}
 
 // remoteStats is one remote rank's end-of-run accounting.
 type remoteStats struct {
@@ -113,21 +69,24 @@ type remoteStats struct {
 // torn down and an error returned.
 func newComm(cfg meshConfig, intake *meshIntake) (*Comm, error) {
 	c := &Comm{
-		cfg:   cfg,
-		peers: make([]*peer, cfg.p),
-		q:     make([][]comm.Message, cfg.p),
-		seqIn: make([]int64, cfg.p),
+		cfg:    cfg,
+		peers:  make([]*peer, cfg.p),
+		seqOut: make([]int64, cfg.p),
+		seqIn:  make([]int64, cfg.p),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.rank = &Rank{c: c, id: cfg.self, seqOut: make([]int64, cfg.p)}
+	c.eng = comm.NewEngine(cfg.self, cfg.p, cfg.model, link{c})
+	c.Engines = comm.Engines{c.eng}
 	if cfg.self == 0 {
-		c.collDeposit = make([]*collDeposit, cfg.p)
 		c.statsIn = make([]*remoteStats, cfg.p)
 	}
 
 	fail := func(err error) (*Comm, error) {
-		c.markDone()
-		c.Close()
+		for _, p := range c.peers {
+			if p != nil {
+				p.conn.Close() // no writer runs yet to close it
+			}
+		}
 		return nil, err
 	}
 	for r := 0; r < cfg.self; r++ {
@@ -201,59 +160,27 @@ func dialPeer(addr string, jobID uint64, fromRank int) (net.Conn, *bufio.Reader,
 	return conn, br, nil
 }
 
-// P returns the number of ranks in the job.
-func (c *Comm) P() int { return c.cfg.p }
-
-// Messages returns the point-to-point messages sent by the local rank.
-func (c *Comm) Messages() int64 { return c.msgs.Load() }
-
-// Bytes returns the point-to-point payload bytes sent by the local rank.
-func (c *Comm) Bytes() int64 { return c.bytes.Load() }
-
-// CollMessages returns the modeled collective messages booked locally.
-func (c *Comm) CollMessages() int64 { return c.collMsgs.Load() }
-
-// CollBytes returns the modeled collective bytes booked locally.
-func (c *Comm) CollBytes() int64 { return c.collBytes.Load() }
-
 // Run executes fn on the local rank. It returns once fn has finished or
 // unwound and — on a clean run — the end-of-run stats exchange completed,
 // so rank 0's FillStats sees every remote rank's accounting. The error is
 // the first transport failure or abort cause; a clean run returns nil.
 func (c *Comm) Run(fn func(r comm.Rank)) error {
 	start := time.Now()
-	func() {
-		defer func() {
-			if e := recover(); e != nil {
-				if _, ok := e.(comm.AbortSignal); ok {
-					c.fail(errAborted)
-					return
-				}
-				panic(e)
-			}
-		}()
-		fn(c.rank)
-	}()
-	c.rank.wall = time.Since(start).Seconds()
-	if c.runErr() == nil {
+	c.eng.Exec(fn)
+	c.rankWall = time.Since(start).Seconds()
+	if c.eng.Err() == nil {
 		if err := c.statsPhase(); err != nil {
-			c.fail(err)
+			c.eng.Fail(err)
 		}
 	}
-	c.mu.Lock()
 	c.wall = time.Since(start).Seconds()
-	err := c.failErr
-	if err == nil {
-		c.done = true // teardown EOFs from here on are benign
-	}
-	c.mu.Unlock()
-	return err
+	return c.eng.Seal() // teardown EOFs from here on are benign
 }
 
 // statsPhase runs the end-of-run accounting exchange: every non-zero rank
-// ships its counters to rank 0 and waits for the ack; rank 0 waits for
-// all counters and acks each sender. The ack doubles as the teardown
-// barrier — once it is through, both ends know no more frames are coming.
+// ships its counters to rank 0 and waits for the ack; rank 0 waits for all
+// counters and acks each sender. The ack doubles as the teardown barrier —
+// once it is through, both ends know no more frames are coming.
 func (c *Comm) statsPhase() error {
 	if c.cfg.p == 1 {
 		return nil
@@ -262,13 +189,13 @@ func (c *Comm) statsPhase() error {
 	if c.cfg.self != 0 {
 		var e wenc
 		e.u32(uint32(c.cfg.self))
-		e.i64(c.rank.ops)
-		e.f64(c.rank.clock)
-		e.f64(c.rank.wall)
-		e.i64(c.msgs.Load())
-		e.i64(c.bytes.Load())
-		e.i64(c.collMsgs.Load())
-		e.i64(c.collBytes.Load())
+		e.i64(c.eng.Ops())
+		e.f64(c.eng.Clock())
+		e.f64(c.rankWall)
+		e.i64(c.Messages())
+		e.i64(c.Bytes())
+		e.i64(c.CollMessages())
+		e.i64(c.CollBytes())
 		// Flag the teardown before the stats frame can reach rank 0: once
 		// it does, any peer may receive its ack and hang up, and that EOF
 		// must already read as benign here.
@@ -291,10 +218,10 @@ func (c *Comm) statsPhase() error {
 	if err != nil {
 		return err
 	}
-	// The run is complete from this rank's point of view: mark done BEFORE
+	// The run is complete from this rank's point of view: seal it BEFORE
 	// posting the acks, so a peer that receives its ack and closes cannot
 	// race an EOF into the reader and retroactively fail a clean run.
-	c.markDone()
+	c.eng.Seal()
 	for r := 1; r < c.cfg.p; r++ {
 		if err := c.post(r, fStatsAck, nil); err != nil {
 			return err
@@ -303,7 +230,7 @@ func (c *Comm) statsPhase() error {
 	return nil
 }
 
-// wait blocks under mu until pred holds, the run aborts, or the deadline
+// wait blocks under mu until pred holds, the run fails, or the deadline
 // passes.
 func (c *Comm) wait(pred func() bool, deadline time.Time, what string) error {
 	timer := time.AfterFunc(time.Until(deadline), func() {
@@ -315,11 +242,7 @@ func (c *Comm) wait(pred func() bool, deadline time.Time, what string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for !pred() {
-		if c.aborted {
-			err := c.failErr
-			if err == nil {
-				err = errAborted
-			}
+		if err := c.eng.Err(); err != nil {
 			return err
 		}
 		if !time.Now().Before(deadline) {
@@ -330,89 +253,15 @@ func (c *Comm) wait(pred func() bool, deadline time.Time, what string) error {
 	return nil
 }
 
-// Aborted reports whether the run has been aborted.
-func (c *Comm) Aborted() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aborted
-}
-
-// Abort marks the run as aborted and wakes the local rank out of any
-// blocking primitive; the abort fans out to peers as best-effort fAbort
-// frames. Safe to call from any goroutine, more than once.
-func (c *Comm) Abort() { c.fail(errAborted) }
-
-// AbortOnCancel aborts the communicator when ctx is cancelled; the
-// returned stop function releases the watcher.
-func (c *Comm) AbortOnCancel(ctx context.Context) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.fail(fmt.Errorf("transport: run cancelled: %w", context.Cause(ctx)))
-		case <-stopped:
-		}
-	}()
-	return func() { close(stopped) }
-}
-
-// fail records the first failure, aborts the run, fans the abort out to
-// peers, and unblocks everything. After a completed run it is a no-op, so
-// teardown connection EOFs cannot retroactively fail a clean result.
-func (c *Comm) fail(err error) {
-	c.mu.Lock()
-	if c.done || c.aborted {
-		c.mu.Unlock()
-		return
-	}
-	c.aborted = true
-	c.failErr = err
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	var e wenc
-	e.str(err.Error())
-	for _, p := range c.peers {
-		if p != nil {
-			p.enqueue(fAbort, e.buf) // best effort; the writer drains then closes
-		}
-	}
-	for _, p := range c.peers {
-		if p != nil {
-			p.close()
-		}
-	}
-}
-
-// runErr returns the recorded failure, if any.
-func (c *Comm) runErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failErr
-}
-
-// markDone suppresses failure recording (used by teardown paths that close
-// connections on purpose).
-func (c *Comm) markDone() {
-	c.mu.Lock()
-	c.done = true
-	c.mu.Unlock()
-}
-
 // Close tears the mesh down and joins the per-peer goroutines. It must be
 // called after Run (the Cluster and Worker job paths defer it); calling it
-// without markDone/Run aborts an in-flight run first.
+// on an unsealed run fails that run first.
 func (c *Comm) Close() {
 	for _, p := range c.peers {
 		if p != nil {
 			p.close()
 		}
 	}
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
 	c.wg.Wait()
 }
 
@@ -421,43 +270,29 @@ func (c *Comm) Close() {
 // stats exchange gathered every remote rank's accounting); on other ranks
 // only the local rank's column is meaningful.
 func (c *Comm) FillStats(s *comm.RunStats) {
+	c.Engines.FillStats(s)
+	s.RankWallSeconds[c.cfg.self] = c.rankWall
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.cfg.p
-	s.P = p
-	s.RankOps = make([]int64, p)
-	s.RankSeconds = make([]float64, p)
-	s.RankWallSeconds = make([]float64, p)
-	s.RankOps[c.cfg.self] = c.rank.ops
-	s.RankSeconds[c.cfg.self] = c.rank.clock
-	s.RankWallSeconds[c.cfg.self] = c.rank.wall
-	s.Messages = c.msgs.Load()
-	s.Bytes = c.bytes.Load()
-	s.CollMessages = c.collMsgs.Load()
-	s.CollBytes = c.collBytes.Load()
-	if c.cfg.self == 0 {
-		for r := 1; r < p; r++ {
-			st := c.statsIn[r]
-			if st == nil {
-				continue
-			}
-			s.RankOps[r] = st.ops
-			s.RankSeconds[r] = st.clock
-			s.RankWallSeconds[r] = st.wall
-			s.Messages += st.msgs
-			s.Bytes += st.bytes
-			s.CollMessages += st.collMsgs
-			s.CollBytes += st.collBytes
+	for r, st := range c.statsIn {
+		if st == nil {
+			continue
 		}
+		s.RankOps[r] = st.ops
+		s.RankSeconds[r] = st.clock
+		s.RankWallSeconds[r] = st.wall
+		s.Messages += st.msgs
+		s.Bytes += st.bytes
+		s.CollMessages += st.collMsgs
+		s.CollBytes += st.collBytes
 	}
+	c.mu.Unlock()
 	s.WallSeconds = c.wall
 	s.Measured = true
 }
 
-// post encodes and enqueues one frame to rank `to`, evaluating the
-// transport.send failpoints on the way (the fault drill's "kill a worker
-// mid-send" hook covers every data-bearing frame: point-to-point,
-// collective, and stats).
+// post enqueues one frame to rank `to`, evaluating the transport.send
+// failpoints on the way (the fault drill's "kill a worker mid-send" hook
+// covers every data-bearing frame: point-to-point, collective, and stats).
 func (c *Comm) post(to int, typ byte, body []byte) error {
 	if err := faultinject.Eval("transport.send"); err != nil {
 		return fmt.Errorf("transport: rank %d send to %d: %w", c.cfg.self, to, err)
@@ -475,12 +310,83 @@ func (c *Comm) post(to int, typ byte, body []byte) error {
 	return nil
 }
 
-// readLoop drains one peer connection, dispatching frames into the
-// receive-side state. Any read or protocol error fails the run; after a
-// completed run (done set) the teardown EOF is benign, as is a non-zero
-// peer hanging up once this rank has shipped its stats — that peer got
-// its ack and closed first, and only rank 0's channel still matters while
-// we wait for ours.
+// link is the local engine's comm.Link: it encodes engine frames onto the
+// wire (readLoop decodes the peers' frames back into the engine).
+type link struct{ c *Comm }
+
+// Post encodes f as an fData, fColl or fCollResp frame and queues it.
+func (l link) Post(to int, f *comm.Frame) error {
+	c := l.c
+	var e wenc
+	var typ byte
+	switch f.Kind {
+	case comm.FrameData:
+		typ = fData
+		e.u32(uint32(f.From))
+		e.i64(c.seqOut[to])
+		c.seqOut[to]++
+		e.u32(uint32(f.Tag))
+		e.f64(f.Arrive)
+		e.u32(uint32(f.Bytes))
+		e.payload(f.Payload)
+	case comm.FrameDeposit:
+		typ = fColl
+		e.u64(f.Gen)
+		e.u8(byte(f.Op))
+		e.u32(uint32(f.Root))
+		e.u32(uint32(f.From))
+		e.f64(f.Clock)
+		e.u32(uint32(f.Bytes))
+		e.payload(f.Payload)
+	case comm.FrameReply:
+		typ = fCollResp
+		e.u64(f.Gen)
+		e.f64s(f.Clocks)
+		e.ints(f.Sizes)
+		n := 0
+		for _, v := range f.Vals {
+			if v != nil {
+				n++
+			}
+		}
+		e.u32(uint32(n))
+		for rk, v := range f.Vals {
+			if v != nil {
+				e.u32(uint32(rk))
+				e.payload(v)
+			}
+		}
+	}
+	if e.err != nil {
+		return fmt.Errorf("transport: rank %d: %w", c.cfg.self, e.err)
+	}
+	return c.post(to, typ, e.buf)
+}
+
+// Fail wakes a stats-phase wait and fans the failure out to the peers as
+// best-effort fAbort frames; each writer flushes what is queued, then
+// closes its connection.
+func (l link) Fail(err error) {
+	c := l.c
+	c.mu.Lock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	var e wenc
+	e.str(err.Error())
+	for _, p := range c.peers {
+		if p != nil {
+			p.enqueue(fAbort, e.buf)
+			p.close()
+		}
+	}
+}
+
+// readLoop drains one peer connection, dispatching frames into the engine
+// and the stats state. Any read or protocol error fails the run; after a
+// sealed run the teardown EOF is benign (Fail ignores it), as is a
+// non-zero peer hanging up once this rank has shipped its stats — that
+// peer got its ack and closed first, and only rank 0's channel still
+// matters while we wait for ours.
 func (c *Comm) readLoop(p *peer) {
 	for {
 		typ, body, err := readFrame(p.br)
@@ -488,125 +394,88 @@ func (c *Comm) readLoop(p *peer) {
 			if p.rank != 0 && c.inTeardown() {
 				return
 			}
-			c.fail(fmt.Errorf("transport: rank %d lost rank %d: %w", c.cfg.self, p.rank, err))
+			c.eng.Fail(fmt.Errorf("transport: rank %d lost rank %d: %w", c.cfg.self, p.rank, err))
 			return
 		}
 		if err := c.dispatch(p, typ, body); err != nil {
-			c.fail(err)
+			c.eng.Fail(err)
 			return
 		}
 	}
 }
 
 // inTeardown reports whether this rank has finished its kernel and is only
-// waiting on rank 0's stats ack (or is fully done) — the window in which a
-// faster peer's hangup is expected, not a failure.
+// waiting on rank 0's stats ack — the window in which a faster peer's
+// hangup is expected, not a failure.
 func (c *Comm) inTeardown() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.statsSent || c.done
+	return c.statsSent
 }
 
+// dispatch decodes one frame from peer p: engine frames go to the engine
+// after the sender and sequence checks, stats frames to the stats phase.
 func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 	d := wdec{buf: body}
+	f := &comm.Frame{Message: comm.Message{From: p.rank}}
 	switch typ {
 	case fData:
+		f.Kind = comm.FrameData
 		from := int(d.u32())
 		seq := d.i64()
-		tag := int(d.u32())
-		arrive := d.f64()
-		size := int(d.u32())
-		kind := d.u16()
-		payload := d.bytes()
+		f.Tag = int(d.u32())
+		f.Arrive = d.f64()
+		f.Bytes = int(d.u32())
+		f.Payload = d.payload()
 		if err := d.finish(); err != nil {
 			return fmt.Errorf("transport: bad data frame from rank %d: %w", p.rank, err)
 		}
 		if from != p.rank {
 			return fmt.Errorf("transport: rank %d sent a data frame claiming rank %d", p.rank, from)
 		}
-		val, err := comm.DecodePayload(kind, payload)
-		if err != nil {
-			return fmt.Errorf("transport: payload from rank %d: %w", from, err)
-		}
-		c.mu.Lock()
 		if want := c.seqIn[from]; seq != want {
-			c.mu.Unlock()
 			return fmt.Errorf("transport: rank %d message sequence %d, want %d", from, seq, want)
 		}
 		c.seqIn[from]++
-		c.q[from] = append(c.q[from], comm.Message{From: from, Tag: tag, Payload: val, Bytes: size, Arrive: arrive})
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		return nil
 
 	case fColl:
-		gen := d.u64()
-		op := d.u8()
-		root := int(d.u32())
+		f.Kind = comm.FrameDeposit
+		f.Gen = d.u64()
+		f.Op = comm.CollOp(d.u8())
+		f.Root = int(d.u32())
 		from := int(d.u32())
-		clock := d.f64()
-		size := int(d.u32())
-		kind := d.u16()
-		payload := d.bytes()
+		f.Clock = d.f64()
+		f.Bytes = int(d.u32())
+		f.Payload = d.payload()
 		if err := d.finish(); err != nil {
 			return fmt.Errorf("transport: bad collective frame from rank %d: %w", p.rank, err)
 		}
-		if c.cfg.self != 0 || from != p.rank {
-			return fmt.Errorf("transport: unexpected collective deposit from rank %d at rank %d", from, c.cfg.self)
+		if from != p.rank {
+			return fmt.Errorf("transport: rank %d sent a collective deposit claiming rank %d", p.rank, from)
 		}
-		val, err := comm.DecodePayload(kind, payload)
-		if err != nil {
-			return fmt.Errorf("transport: collective payload from rank %d: %w", from, err)
-		}
-		c.mu.Lock()
-		if c.collDeposit[from] != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("transport: rank %d deposited generation %d before %d was consumed", from, gen, c.collDeposit[from].gen)
-		}
-		c.collDeposit[from] = &collDeposit{gen: gen, op: op, root: root, clock: clock, size: size, val: val}
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		return nil
 
 	case fCollResp:
-		gen := d.u64()
-		clocks := d.f64s()
-		sizes := d.ints()
-		nv := int(d.u32())
-		vals := make([]any, c.cfg.p)
-		for i := 0; i < nv; i++ {
+		f.Kind = comm.FrameReply
+		f.Gen = d.u64()
+		f.Clocks = d.f64s()
+		f.Sizes = d.ints()
+		f.Vals = make([]any, c.cfg.p)
+		for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
 			rk := int(d.u32())
-			kind := d.u16()
-			payload := d.bytes()
-			if d.err != nil || rk < 0 || rk >= c.cfg.p {
-				return fmt.Errorf("transport: bad collective response from rank 0: %w", ErrCorrupt)
+			v := d.payload()
+			if rk < 0 || rk >= c.cfg.p {
+				d.fail()
+				break
 			}
-			val, err := comm.DecodePayload(kind, payload)
-			if err != nil {
-				return fmt.Errorf("transport: collective response payload: %w", err)
-			}
-			vals[rk] = val
+			f.Vals[rk] = v
 		}
 		if err := d.finish(); err != nil {
-			return fmt.Errorf("transport: bad collective response: %w", err)
+			return fmt.Errorf("transport: bad collective response from rank %d: %w", p.rank, err)
 		}
-		if p.rank != 0 || c.cfg.self == 0 {
-			return fmt.Errorf("transport: unexpected collective response from rank %d", p.rank)
-		}
-		c.mu.Lock()
-		c.collResp = &collSnapshot{clocks: clocks, sizes: sizes, vals: vals}
-		c.collRespGen = gen
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		return nil
 
 	case fStats:
 		from := int(d.u32())
-		st := &remoteStats{
-			ops:   d.i64(),
-			clock: d.f64(),
-			wall:  d.f64(),
-		}
+		st := &remoteStats{ops: d.i64(), clock: d.f64(), wall: d.f64()}
 		st.msgs = d.i64()
 		st.bytes = d.i64()
 		st.collMsgs = d.i64()
@@ -627,30 +496,30 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 		if err := d.finish(); err != nil || p.rank != 0 {
 			return fmt.Errorf("transport: unexpected stats ack from rank %d", p.rank)
 		}
-		c.mu.Lock()
-		c.statsAcked = true
-		// The ack is the last frame of the run; setting done here — in the
+		// The ack is the last frame of the run; sealing here — in the
 		// reader, before the next readFrame — means the teardown EOF that
 		// follows on this stream can never race in as a failure.
-		c.done = true
+		c.eng.Seal()
+		c.mu.Lock()
+		c.statsAcked = true
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		return nil
 
 	case fAbort:
-		reason := d.str()
-		return fmt.Errorf("transport: rank %d aborted the run: %s", p.rank, reason)
+		return fmt.Errorf("transport: rank %d aborted the run: %s", p.rank, d.str())
 
 	default:
 		return fmt.Errorf("transport: unexpected frame type %d from rank %d", typ, p.rank)
 	}
+	return c.eng.Deliver(f)
 }
 
 // ----------------------------------------------------------------- peers
 
 // peer is one rank-to-rank connection: an unbounded outbound frame queue
-// drained by a writer goroutine (mirroring mpisim's nonblocking sends)
-// plus the buffered reader its readLoop consumes.
+// drained by a writer goroutine (so a send never blocks) plus the
+// buffered reader its readLoop consumes.
 type peer struct {
 	rank int
 	conn net.Conn
@@ -687,19 +556,21 @@ func (p *peer) enqueue(typ byte, body []byte) bool {
 	return true
 }
 
-// writeLoop drains the queue. Each frame write carries a deadline, so a
-// stalled peer cannot wedge the writer forever; write failures are left
-// for the read side to surface (the reader sees the broken connection).
+// writeLoop drains the queue. It is the only closer of the connection: it
+// closes once the peer is closed and every queued frame — including one it
+// has already dequeued — is flushed, or at the first write failure (the
+// reader then observes the broken connection). Each frame write carries a
+// deadline, so a stalled peer cannot hold the connection open forever.
 func (p *peer) writeLoop() {
+	defer p.conn.Close()
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 && p.closed {
+		if len(p.queue) == 0 {
 			p.mu.Unlock()
-			p.conn.Close()
-			return
+			return // closed and flushed
 		}
 		f := p.queue[0]
 		p.queue[0] = outFrame{}
@@ -707,49 +578,23 @@ func (p *peer) writeLoop() {
 		if len(p.queue) == 0 {
 			p.queue = nil
 		}
-		closed := p.closed
 		p.mu.Unlock()
 		p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(p.bw, f.typ, f.body); err != nil {
-			p.conn.Close() // the reader will observe and report the failure
-			p.drain()
-			return
-		}
-		if closed && p.queueEmpty() {
-			p.conn.Close()
+			p.mu.Lock()
+			p.closed = true
+			p.queue = nil
+			p.mu.Unlock()
 			return
 		}
 	}
 }
 
-func (p *peer) queueEmpty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue) == 0
-}
-
-// drain discards the remaining queue and marks the peer closed.
-func (p *peer) drain() {
-	p.mu.Lock()
-	p.closed = true
-	p.queue = nil
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// close marks the peer closed; the writer flushes what is queued, then
+// close refuses further frames; the writer flushes what is queued, then
 // closes the connection (unblocking the reader).
 func (p *peer) close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
 	p.closed = true
 	p.cond.Broadcast()
-	empty := len(p.queue) == 0
 	p.mu.Unlock()
-	if empty {
-		p.conn.Close() // writer may be mid-wait; closing here unblocks the reader immediately
-	}
 }

@@ -103,7 +103,7 @@ func makeMesh(t *testing.T, p int, model comm.CostModel) []*Comm {
 	}
 	t.Cleanup(func() {
 		for _, c := range comms {
-			c.markDone()
+			c.eng.Seal()
 			c.Close()
 		}
 		for i, ln := range lns {
@@ -481,5 +481,13 @@ func TestP1RunsLocally(t *testing.T) {
 	se, de := sortedEdges(sim.Edges), sortedEdges(res.Edges)
 	if len(se) != len(de) {
 		t.Fatalf("edge count %d vs %d", len(se), len(de))
+	}
+	for i := range se {
+		if se[i] != de[i] {
+			t.Fatalf("edge %d is (%d,%d) simulated, (%d,%d) local", i, se[i].U, se[i].V, de[i].U, de[i].V)
+		}
+	}
+	if !res.Stats.Measured {
+		t.Fatal("a one-rank cluster job ran for real: its stats must be marked measured")
 	}
 }

@@ -1,24 +1,22 @@
-// Package transport is the TCP implementation of the comm.Comm/comm.Rank
-// surface: each rank is a real process, point-to-point messages and
-// collective deposits travel as length-prefixed binary frames with CRC64
-// trailers (the internal/snapshot codec discipline), and per-peer
-// connections carry unbounded nonblocking send queues that mirror
-// mpisim's progress-driven semantics — a send enqueues and returns, a
-// dedicated writer goroutine drains, so no send/receive ordering can
-// deadlock a run.
+// Package transport is the TCP link for internal/comm's rank Engine: each
+// rank is a real process hosting one engine, and this package carries the
+// engine's frames between processes. Data frames, collective deposits and
+// collective replies travel as length-prefixed binary frames with CRC64
+// trailers (the internal/snapshot codec discipline); each per-peer
+// connection has an unbounded send queue drained by a writer goroutine, so
+// a send never blocks and no send/receive ordering can deadlock a run.
 //
-// Determinism: every data frame is stamped by the sender with the modeled
-// arrival time its virtual clock computed through the shared
-// comm.CostModel helpers — the same arithmetic mpisim runs. AnyRecv then
-// applies mpisim's exact delivery rule (wait until every candidate source
-// has a pending message; deliver the smallest stamp, sender rank breaking
-// ties), so a sampler run over real TCP produces byte-identical edge
-// sets, per-rank clocks, and traffic counters to the simulated run on the
-// same seed and partition. Wall time influences nothing but the measured
-// RunStats wall fields.
+// Everything rank-side — queues, the AnyRecv delivery rule, collectives,
+// clocks, accounting — is the same comm.Engine the simulator runs, so a
+// sampler run over TCP produces byte-identical edge sets, per-rank clocks
+// and traffic counters to the simulated run on the same seed and
+// partition. This package adds what only a network needs: framing, the
+// hello and mesh formation, job setup and shards, per-source sequence
+// checks, the end-of-run stats exchange, and teardown. Wall time
+// influences nothing but the measured RunStats wall fields.
 //
 // Failure model: a dead peer surfaces as a connection error in that
-// peer's reader; the first failure aborts the local run (waking every
+// peer's reader; the first failure fails the local engine (waking every
 // blocked primitive), best-effort fAbort frames fan the abort out to the
 // rest of the mesh, and Comm.Run returns a structured error instead of
 // wedging. The `transport.send` / `transport.send.rank<i>` failpoints
@@ -33,6 +31,8 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+
+	"parsample/internal/comm"
 )
 
 // protoVersion is negotiated in the hello exchange; a mismatch refuses the
@@ -123,8 +123,12 @@ func readFrame(r *bufio.Reader) (typ byte, body []byte, err error) {
 
 // ---------------------------------------------------------- body builders
 
-// wenc builds a frame body.
-type wenc struct{ buf []byte }
+// wenc builds a frame body. err records the first payload that has no
+// codec.
+type wenc struct {
+	buf []byte
+	err error
+}
 
 func (e *wenc) u8(v byte)     { e.buf = append(e.buf, v) }
 func (e *wenc) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
@@ -139,6 +143,16 @@ func (e *wenc) bytes(b []byte) {
 }
 
 func (e *wenc) str(s string) { e.bytes([]byte(s)) }
+
+// payload appends a kind-tagged comm payload.
+func (e *wenc) payload(v any) {
+	kind, data, err := comm.EncodePayload(v)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	e.u16(kind)
+	e.bytes(data)
+}
 
 func (e *wenc) f64s(v []float64) {
 	e.u32(uint32(len(v)))
@@ -240,6 +254,21 @@ func (d *wdec) count(elemSize int) int {
 
 func (d *wdec) bytes() []byte { return d.take(d.count(1)) }
 func (d *wdec) str() string   { return string(d.bytes()) }
+
+// payload reads a kind-tagged comm payload; a decode failure is sticky
+// like any other.
+func (d *wdec) payload() any {
+	kind := d.u16()
+	data := d.bytes()
+	if d.err != nil {
+		return nil
+	}
+	v, err := comm.DecodePayload(kind, data)
+	if err != nil {
+		d.err = err
+	}
+	return v
+}
 
 func (d *wdec) f64s() []float64 {
 	n := d.count(8)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsample/internal/comm"
 	"parsample/internal/sampling"
 )
 
@@ -284,7 +285,7 @@ func (w *Worker) runJob(ctx context.Context, js *jobSpec, in *meshIntake) (err e
 		Model: &model,
 		Comm:  c,
 	})
-	if err != nil && errors.Is(err, errAborted) && ctx.Err() != nil {
+	if err != nil && errors.Is(err, comm.ErrAborted) && ctx.Err() != nil {
 		err = fmt.Errorf("transport: worker shutting down: %w", ctx.Err())
 	}
 	return err
