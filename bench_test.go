@@ -385,6 +385,27 @@ func BenchmarkMCODEClusters(b *testing.B) {
 	}
 }
 
+// BenchmarkFindClustersChordal times MCODE on chordal-filtered dataset
+// networks: sparse, tree-like graphs where almost every seed grows a forest
+// that the haircut empties. The LD-ordered chordal-seq filters of YNG and
+// CRE are the slowest such cells of the paper's grid.
+func BenchmarkFindClustersChordal(b *testing.B) {
+	for _, ds := range []*datasets.Dataset{datasets.YNG(), datasets.CRE()} {
+		ord := graph.Order(ds.G, graph.LowDegree, ds.Seed)
+		res, err := sampling.Run(sampling.ChordalSeq, ds.G, sampling.Options{Order: ord, P: 1, Seed: ds.Seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := res.Graph(ds.G.N())
+		b.Run(ds.Name+"/chordal-seq/LD", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mcode.FindClusters(g, mcode.DefaultParams())
+			}
+		})
+	}
+}
+
 // BenchmarkBuildNetwork times the correlation front end — the z-scored,
 // register-blocked all-pairs engine behind expr.BuildNetwork — for both
 // statistics and both arena precisions on the two reference matrix shapes.

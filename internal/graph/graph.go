@@ -376,9 +376,8 @@ func (g *Graph) CompactSubgraph(keep []int32) (*Graph, []int32) {
 
 // Localizer relabels vertex subsets of one graph into compact local id
 // spaces. It owns O(N) scratch that is reused across Compact calls, making
-// per-vertex neighborhood extraction (the MCODE weight kernel) allocation-
-// cheap. A Localizer is not safe for concurrent use; give each worker its
-// own.
+// repeated subset extraction allocation-cheap. A Localizer is not safe for
+// concurrent use; give each worker its own.
 type Localizer struct {
 	g     *Graph
 	local []int32 // local id of v in the current Compact call

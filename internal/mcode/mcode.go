@@ -7,9 +7,10 @@
 package mcode
 
 import (
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"parsample/internal/graph"
@@ -96,42 +97,68 @@ func (c *Cluster) EdgeSet(g *graph.Graph) graph.EdgeSet {
 // CoreNumbers returns the k-core number of every vertex (standard peeling
 // in O(n + m)).
 func CoreNumbers(g *graph.Graph) []int {
-	n := g.N()
-	deg := make([]int, n)
-	maxDeg := 0
+	off, nbr := g.CSR()
+	var s peelScratch
+	core := s.coreNumbers(off, nbr, g.N())
+	out := make([]int, len(core))
+	for v, c := range core {
+		out[v] = int(c)
+	}
+	return out
+}
+
+// peelScratch holds the Batagelj–Zaversnik peel arrays, reused across
+// peels.
+type peelScratch struct {
+	deg, bin, pos, vert []int32
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+// The contents are not cleared.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// coreNumbers peels the CSR graph (off, adj) on n vertices — the
+// Batagelj–Zaversnik bucket peel, O(n + m) — and returns every vertex's
+// core number. The result aliases the scratch and is valid until the next
+// call.
+func (s *peelScratch) coreNumbers(off, adj []int32, n int) []int32 {
+	deg := resize(s.deg, n)
+	maxDeg := int32(0)
 	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(int32(v))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+		deg[v] = off[v+1] - off[v]
+		maxDeg = max(maxDeg, deg[v])
 	}
 	// Bucket sort vertices by degree.
-	bin := make([]int, maxDeg+2)
-	for v := 0; v < n; v++ {
-		bin[deg[v]]++
+	bin := resize(s.bin, int(maxDeg)+2)
+	clear(bin)
+	for _, d := range deg {
+		bin[d]++
 	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
+	start := int32(0)
+	for d := range bin[:maxDeg+1] {
 		c := bin[d]
 		bin[d] = start
 		start += c
 	}
-	pos := make([]int, n)
-	vert := make([]int32, n)
-	for v := 0; v < n; v++ {
-		pos[v] = bin[deg[v]]
+	pos, vert := resize(s.pos, n), resize(s.vert, n)
+	for v, d := range deg {
+		pos[v] = bin[d]
 		vert[pos[v]] = int32(v)
-		bin[deg[v]]++
+		bin[d]++
 	}
 	for d := maxDeg; d > 0; d-- {
 		bin[d] = bin[d-1]
 	}
 	bin[0] = 0
-	core := make([]int, n)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		core[v] = deg[v]
-		for _, u := range g.Neighbors(v) {
+	// A vertex's degree is final (its core number) once it is peeled: later
+	// peels only lower neighbors of strictly larger degree.
+	for _, v := range vert {
+		for _, u := range adj[off[v]:off[v+1]] {
 			if deg[u] > deg[v] {
 				du, pu := deg[u], pos[u]
 				pw := bin[du]
@@ -145,7 +172,8 @@ func CoreNumbers(g *graph.Graph) []int {
 			}
 		}
 	}
-	return core
+	s.deg, s.bin, s.pos, s.vert = deg, bin, pos, vert
+	return deg
 }
 
 // VertexWeights computes the MCODE weight of every vertex: the core number k
@@ -153,8 +181,7 @@ func CoreNumbers(g *graph.Graph) []int {
 // the density of that k-core subgraph. Vertices are independent, so the
 // computation is parallelized over GOMAXPROCS workers (deterministic: each
 // weight depends only on the input graph). Each worker owns one
-// graph.Localizer, so neighborhood extraction reuses O(N) scratch instead of
-// allocating it per vertex.
+// weightScratch, so no vertex allocates.
 func VertexWeights(g *graph.Graph) []float64 {
 	w, _ := vertexWeightsContext(context.Background(), g)
 	return w
@@ -179,15 +206,14 @@ func vertexWeightsContext(ctx context.Context, g *graph.Graph) ([]float64, error
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			loc := g.NewLocalizer()
-			region := make([]int32, 0, g.MaxDegree()+1)
+			s := newWeightScratch(g)
 			done := 0
 			for v := int32(k); int(v) < n; v += int32(workers) {
 				if done%64 == 0 && ctx.Err() != nil {
 					return
 				}
 				done++
-				w[v] = vertexWeight(g, loc, region, v)
+				w[v] = s.weight(v)
 			}
 		}(k)
 	}
@@ -198,49 +224,80 @@ func vertexWeightsContext(ctx context.Context, g *graph.Graph) ([]float64, error
 	return w, nil
 }
 
-// vertexWeight computes the MCODE weight of one vertex using the worker's
-// localizer and region scratch.
-func vertexWeight(g *graph.Graph, loc *graph.Localizer, region []int32, v int32) float64 {
-	nb := g.Neighbors(v)
-	if len(nb) == 0 {
+// weightScratch is one worker's reusable neighborhood state: a stamp/local
+// id relabelling of the current closed neighborhood, its induced subgraph
+// as a local CSR, and the peel arrays. Not safe for concurrent use.
+type weightScratch struct {
+	g        *graph.Graph
+	stamp    []int32 // stamp[v] == cur marks v as in the current neighborhood
+	local    []int32 // local id of a stamped vertex
+	cur      int32
+	region   []int32
+	off, adj []int32
+	peel     peelScratch
+}
+
+func newWeightScratch(g *graph.Graph) *weightScratch {
+	return &weightScratch{g: g, stamp: make([]int32, g.N()), local: make([]int32, g.N())}
+}
+
+// localize relabels the closed neighborhood N[v] to local ids (v first,
+// then its neighbors) and builds the induced subgraph into s.off/s.adj,
+// reading rows straight from the graph. It returns |N[v]|.
+func (s *weightScratch) localize(v int32) int {
+	s.region = append(append(s.region[:0], v), s.g.Neighbors(v)...)
+	s.cur++
+	for i, u := range s.region {
+		s.stamp[u] = s.cur
+		s.local[u] = int32(i)
+	}
+	s.off = append(s.off[:0], 0)
+	s.adj = s.adj[:0]
+	for _, u := range s.region {
+		for _, x := range s.g.Neighbors(u) {
+			if s.stamp[x] == s.cur {
+				s.adj = append(s.adj, s.local[x])
+			}
+		}
+		s.off = append(s.off, int32(len(s.adj)))
+	}
+	return len(s.region)
+}
+
+// weight computes the MCODE weight of v.
+func (s *weightScratch) weight(v int32) float64 {
+	if s.g.Degree(v) == 0 {
 		return 0
 	}
-	region = append(region[:0], v)
-	region = append(region, nb...)
-	sub, _ := loc.Compact(region)
-	cores := CoreNumbers(sub)
-	k := 0
-	for _, c := range cores {
-		if c > k {
-			k = c
-		}
-	}
+	nn := s.localize(v)
+	core := s.peel.coreNumbers(s.off, s.adj, nn)
+	k := slices.Max(core)
 	if k == 0 {
 		return 0
 	}
-	// Highest k-core subgraph.
-	var keep []int32
-	for lv, c := range cores {
-		if c == k {
-			keep = append(keep, int32(lv))
+	// The highest k-core: its vertices, and its edges counted from both
+	// ends.
+	verts, ends := 0, 0
+	for lv, c := range core {
+		if c != k {
+			continue
+		}
+		verts++
+		for _, x := range s.adj[s.off[lv]:s.off[lv+1]] {
+			if core[x] == k {
+				ends++
+			}
 		}
 	}
-	coreSub := sub.Subgraph(keep)
-	nn := len(keep)
-	if nn < 2 {
+	if verts < 2 {
 		return 0
 	}
-	density := 2 * float64(coreSub.M()) / (float64(nn) * float64(nn-1))
+	density := 2 * float64(ends/2) / (float64(verts) * float64(verts-1))
 	return float64(k) * density
 }
 
 // FindClusters runs MCODE complex prediction on g and returns clusters
-// passing the score/size filters, highest score first.
-//
-// On small vertex universes FindClusters builds g's dense adjacency rows
-// (graph.EnsureDense), a one-time mutation of the shared graph; callers
-// running concurrent HasEdge/HasEdgeFast readers on the same graph should
-// call g.EnsureDense() themselves before fanning out.
+// passing the score/size filters, highest score first. g is only read.
 func FindClusters(g *graph.Graph, p Params) []Cluster {
 	clusters, _ := FindClustersContext(context.Background(), g, p)
 	return clusters
@@ -254,162 +311,288 @@ func FindClusters(g *graph.Graph, p Params) []Cluster {
 func FindClustersContext(ctx context.Context, g *graph.Graph, p Params) ([]Cluster, error) {
 	p = p.withDefaults()
 	n := g.N()
-	// Dense adjacency rows (when the universe is small enough) turn the
-	// cluster-scoring edge counts into AND-popcounts over bitset rows.
-	g.EnsureDense()
 	weights, err := vertexWeightsContext(ctx, g)
 	if err != nil {
 		return nil, err
 	}
 
-	// Seeds in decreasing weight order.
+	// Seeds in decreasing weight order, ties by id.
 	seeds := make([]int32, n)
 	for i := range seeds {
 		seeds[i] = int32(i)
 	}
-	sort.SliceStable(seeds, func(i, j int) bool {
-		if weights[seeds[i]] != weights[seeds[j]] {
-			return weights[seeds[i]] > weights[seeds[j]]
+	slices.SortFunc(seeds, func(a, b int32) int {
+		if c := cmp.Compare(weights[b], weights[a]); c != 0 {
+			return c
 		}
-		return seeds[i] < seeds[j]
+		return cmp.Compare(a, b)
 	})
 
-	used := make([]bool, n)
-	var fluffLoc *graph.Localizer
+	// The forest skip needs thresholds that fall with the seed weights and,
+	// up to rounding, stay below them: 0 < VWP < 1. A seed that still fails
+	// its own threshold is never active and grows as usual. An empty
+	// haircut is only predictable when the haircut runs.
+	vwp := p.VertexWeightPercentage
+	l := newSeedLoop(g, weights, p.Haircut && vwp > 0 && vwp < 1)
+	var fluffer *weightScratch
 	if p.Fluff {
-		fluffLoc = g.NewLocalizer()
+		fluffer = newWeightScratch(g)
 	}
-	// One membership bitset shared by the grow/haircut/fluff/score stages of
-	// every seed; each stage leaves it clean (clearing by member list), so
-	// the per-seed cost stays O(|complex|), not O(n/8).
-	scratch := graph.NewBitset(n)
 	var clusters []Cluster
+	next := 0 // seeds[:next] are active unless used (forest skip only)
 	for si, seed := range seeds {
 		if si%256 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if used[seed] || weights[seed] == 0 {
+		if l.used[seed] || weights[seed] == 0 {
 			continue
 		}
-		threshold := weights[seed] * (1 - p.VertexWeightPercentage)
-		members := growComplex(g, seed, threshold, weights, used, scratch)
+		threshold := weights[seed] * (1 - vwp)
+		if l.forestSkip {
+			for ; next < n && weights[seeds[next]] > threshold; next++ {
+				if !l.used[seeds[next]] {
+					l.activate(seeds[next])
+				}
+			}
+			if l.inForest(seed) {
+				continue
+			}
+		}
+		grown := l.grow(seed, threshold)
+		members := grown
 		if p.Haircut {
-			members = haircut(g, members, scratch)
-		}
-		if len(members) == 0 {
-			continue
+			if members = l.haircut(grown); len(members) == 0 {
+				continue
+			}
 		}
 		for _, v := range members {
-			used[v] = true
+			l.used[v] = true
 		}
+		if l.forestSkip {
+			l.regroup(grown)
+		}
+		slices.Sort(members)
 		if p.Fluff {
 			// Fluffed vertices are not marked used: they may join several
 			// complexes, as in MCODE.
-			members = fluff(g, fluffLoc, members, p.FluffDensityThreshold, scratch)
+			members = fluff(g, fluffer, members, p.FluffDensityThreshold, l.in)
 		}
-		c := scoreCluster(g, members, scratch)
+		c := scoreCluster(g, members, l.in)
 		if len(c.Vertices) >= p.MinSize && c.Score >= p.MinScore {
+			c.Vertices = slices.Clone(c.Vertices)
 			c.Seed = seed
-			c.ID = len(clusters)
 			clusters = append(clusters, c)
 		}
 	}
-	sort.SliceStable(clusters, func(i, j int) bool { return clusters[i].Score > clusters[j].Score })
+	slices.SortStableFunc(clusters, func(a, b Cluster) int { return cmp.Compare(b.Score, a.Score) })
 	for i := range clusters {
 		clusters[i].ID = i
 	}
 	return clusters, nil
 }
 
-// growComplex BFS-expands from seed, admitting unused vertices whose weight
-// exceeds the threshold. Membership tracking uses the shared scratch bitset
-// (received clean, returned clean); admitted members are collected on the
-// fly, so no map or second pass is needed.
-func growComplex(g *graph.Graph, seed int32, threshold float64, weights []float64, used []bool, in graph.Bitset) []int32 {
+// seedLoop is the per-call state of the seed loop: the used marks, the
+// grow/haircut scratch, and — when the forest skip is on — a union-find
+// over the active vertices {u : !used[u], weight(u) > threshold}.
+//
+// The complex grown from an active seed is its union-find component, and
+// its haircut (the 2-core) is empty exactly when that component is a
+// forest, i.e. has fewer edges than vertices. Such seeds are skipped
+// without growing. Thresholds never rise (seeds run in weight-descending
+// order), so vertices only join the active set, lazily in seed order, or
+// leave it by being marked used; after a complex is marked used,
+// regroup rebuilds the union-find over the grown component alone, since
+// every active neighbor of that component lies inside it.
+type seedLoop struct {
+	g       *graph.Graph
+	weights []float64
+	used    []bool
+	in      graph.Bitset // membership scratch, received and returned clean
+	deg     []int32      // haircut degrees, indexed by vertex
+	members []int32      // the grown complex, reused across seeds
+	kept    []int32      // the haircut survivors, reused across seeds
+	stack   []int32      // haircut worklist
+
+	forestSkip bool
+	parent     []int32 // union-find parent; -1 marks an inactive vertex
+	verts      []int32 // vertex count of a root's component
+	edges      []int32 // edge count of a root's component
+}
+
+func newSeedLoop(g *graph.Graph, weights []float64, forestSkip bool) *seedLoop {
+	n := g.N()
+	l := &seedLoop{
+		g:          g,
+		weights:    weights,
+		used:       make([]bool, n),
+		in:         graph.NewBitset(n),
+		deg:        make([]int32, n),
+		forestSkip: forestSkip,
+	}
+	if forestSkip {
+		l.parent = make([]int32, n)
+		for i := range l.parent {
+			l.parent[i] = -1
+		}
+		l.verts = make([]int32, n)
+		l.edges = make([]int32, n)
+	}
+	return l
+}
+
+func (l *seedLoop) find(v int32) int32 {
+	for l.parent[v] != v {
+		l.parent[v] = l.parent[l.parent[v]]
+		v = l.parent[v]
+	}
+	return v
+}
+
+// join records the edge {a, b} between two active vertices.
+func (l *seedLoop) join(a, b int32) {
+	ra, rb := l.find(a), l.find(b)
+	if ra != rb {
+		if l.verts[ra] < l.verts[rb] {
+			ra, rb = rb, ra
+		}
+		l.parent[rb] = ra
+		l.verts[ra] += l.verts[rb]
+		l.edges[ra] += l.edges[rb]
+	}
+	l.edges[ra]++
+}
+
+// activate adds v to the active set, joining it to its active neighbors.
+func (l *seedLoop) activate(v int32) {
+	l.parent[v], l.verts[v], l.edges[v] = v, 1, 0
+	for _, u := range l.g.Neighbors(v) {
+		if l.parent[u] >= 0 {
+			l.join(v, u)
+		}
+	}
+}
+
+// inForest reports whether seed is active and its component is a forest,
+// so its complex would be haircut to nothing.
+func (l *seedLoop) inForest(seed int32) bool {
+	if l.parent[seed] < 0 {
+		return false
+	}
+	r := l.find(seed)
+	return l.edges[r] < l.verts[r]
+}
+
+// regroup rebuilds the union-find over a grown complex after part of it
+// was marked used: used vertices turn inactive and the rest re-form their
+// components. grown covers every component it touches, so no other
+// vertex's component changes.
+func (l *seedLoop) regroup(grown []int32) {
+	for _, v := range grown {
+		switch {
+		case l.parent[v] < 0:
+		case l.used[v]:
+			l.parent[v] = -1
+		default:
+			l.parent[v], l.verts[v], l.edges[v] = v, 1, 0
+		}
+	}
+	for _, v := range grown {
+		if l.parent[v] < 0 {
+			continue
+		}
+		for _, u := range l.g.Neighbors(v) {
+			if v < u && l.parent[u] >= 0 {
+				l.join(v, u)
+			}
+		}
+	}
+}
+
+// grow BFS-expands from seed, admitting unused vertices whose weight
+// exceeds the threshold, and returns the members in BFS order.
+func (l *seedLoop) grow(seed int32, threshold float64) []int32 {
+	in := l.in
 	in.Set(seed)
-	members := []int32{seed}
-	queue := []int32{seed}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
-			if used[u] || in.Has(u) {
+	members := append(l.members[:0], seed)
+	for i := 0; i < len(members); i++ {
+		for _, u := range l.g.Neighbors(members[i]) {
+			if l.used[u] || in.Has(u) || l.weights[u] <= threshold {
 				continue
 			}
-			if weights[u] > threshold {
-				in.Set(u)
-				members = append(members, u)
-				queue = append(queue, u)
-			}
+			in.Set(u)
+			members = append(members, u)
 		}
 	}
 	for _, v := range members {
 		in.Clear(v)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	l.members = members
 	return members
 }
 
-// haircut iteratively removes vertices with fewer than 2 connections inside
-// the complex. in is the shared scratch bitset (received clean, returned
-// clean).
-func haircut(g *graph.Graph, members []int32, in graph.Bitset) []int32 {
+// haircut returns the 2-core of the complex: vertices with fewer than 2
+// connections inside are peeled off a worklist, each once, so the cost is
+// O(|members| + internal edges). The 2-core is unique, so the peel order
+// does not matter. The survivors keep the order of members.
+func (l *seedLoop) haircut(members []int32) []int32 {
+	in, deg := l.in, l.deg
 	for _, v := range members {
 		in.Set(v)
 	}
-	for {
-		removed := false
-		for _, v := range members {
-			if !in.Has(v) {
-				continue
+	stack := l.stack[:0]
+	for _, v := range members {
+		d := int32(0)
+		for _, u := range l.g.Neighbors(v) {
+			if in.Has(u) {
+				d++
 			}
-			deg := 0
-			for _, u := range g.Neighbors(v) {
-				if in.Has(u) {
-					deg++
+		}
+		if deg[v] = d; d < 2 {
+			stack = append(stack, v)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		in.Clear(v)
+		for _, u := range l.g.Neighbors(v) {
+			if in.Has(u) {
+				// Push on the 2 → 1 drop only, so no vertex is pushed twice.
+				if deg[u]--; deg[u] == 1 {
+					stack = append(stack, u)
 				}
 			}
-			if deg < 2 {
-				in.Clear(v)
-				removed = true
-			}
-		}
-		if !removed {
-			break
 		}
 	}
-	out := members[:0]
+	kept := l.kept[:0]
 	for _, v := range members {
 		if in.Has(v) {
-			out = append(out, v)
+			kept = append(kept, v)
+			in.Clear(v)
 		}
-		in.Clear(v)
 	}
-	return out
+	l.stack, l.kept = stack, kept
+	return kept
 }
 
 // fluff adds complex neighbors whose closed-neighborhood density exceeds the
-// threshold. Returns a sorted, deduplicated member list. in is the shared
-// scratch bitset (received clean, returned clean).
-func fluff(g *graph.Graph, loc *graph.Localizer, members []int32, threshold float64, in graph.Bitset) []int32 {
+// threshold. Returns a fresh sorted, deduplicated member list. in is the
+// shared scratch bitset (received clean, returned clean).
+func fluff(g *graph.Graph, s *weightScratch, members []int32, threshold float64, in graph.Bitset) []int32 {
 	for _, v := range members {
 		in.Set(v)
 	}
-	out := append([]int32(nil), members...)
-	region := make([]int32, 0, g.MaxDegree()+1)
+	out := slices.Clone(members)
 	for _, v := range members {
 		for _, u := range g.Neighbors(v) {
 			if in.Has(u) {
 				continue
 			}
-			region = append(region[:0], u)
-			region = append(region, g.Neighbors(u)...)
-			sub, _ := loc.Compact(region)
-			nn := sub.N()
+			nn := s.localize(u)
 			if nn < 2 {
 				continue
 			}
-			density := 2 * float64(sub.M()) / (float64(nn) * float64(nn-1))
+			density := 2 * float64(len(s.adj)/2) / (float64(nn) * float64(nn-1))
 			if density > threshold {
 				in.Set(u)
 				out = append(out, u)
@@ -419,32 +602,22 @@ func fluff(g *graph.Graph, loc *graph.Localizer, members []int32, threshold floa
 	for _, v := range out {
 		in.Clear(v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// scoreCluster counts internal edges via bitset membership — a dense-row
-// AND-popcount when the graph carries dense adjacency rows, a bit probe per
-// neighbor otherwise. in is the shared scratch bitset (received clean,
-// returned clean).
+// scoreCluster counts internal edges with a membership bit probe per
+// neighbor. in is the shared scratch bitset (received clean, returned
+// clean). The returned Vertices alias members.
 func scoreCluster(g *graph.Graph, members []int32, in graph.Bitset) Cluster {
 	for _, v := range members {
 		in.Set(v)
 	}
 	edges := 0
-	if g.Row(0) != nil && len(members) > 0 {
-		// Σ_v |N(v) ∩ members| counts each internal edge twice.
-		total := 0
-		for _, v := range members {
-			total += g.Row(v).AndCount(in)
-		}
-		edges = total / 2
-	} else {
-		for _, v := range members {
-			for _, u := range g.Neighbors(v) {
-				if v < u && in.Has(u) {
-					edges++
-				}
+	for _, v := range members {
+		for _, u := range g.Neighbors(v) {
+			if v < u && in.Has(u) {
+				edges++
 			}
 		}
 	}

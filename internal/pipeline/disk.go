@@ -151,7 +151,7 @@ func decodeArtifact(key Key, data []byte) (any, int64, error) {
 			BorderEdges:          p.BorderEdges,
 		}
 		f := &Filtered{Result: res, Graph: p.Graph}
-		return f, graphBytes(p.Graph) + int64(16*res.Edges.Len()), nil
+		return f, graphBytes(p.Graph), nil
 	case StageCluster:
 		cs, err := snapshot.DecodeClusters(data)
 		if err != nil {

@@ -408,8 +408,12 @@ func (e *Engine) Filtered(ctx context.Context, in Input, v Variant) (*Filtered, 
 			return nil, 0, err
 		}
 		fg := res.Graph(g.N())
+		// Keep the edges as a view of fg, as a disk load does, rather than
+		// the sampler's accumulator: on small universes that is a bitset
+		// matrix of up to n²/8 bytes.
+		res.Edges = graph.GraphEdges{G: fg}
 		f := &Filtered{Result: res, Graph: fg}
-		return f, graphBytes(fg) + int64(16*res.Edges.Len()), nil
+		return f, graphBytes(fg), nil
 	})
 }
 
@@ -539,16 +543,11 @@ func (e *Engine) Warm(ctx context.Context, in Input, vs ...Variant) error {
 // ------------------------------------------------------------ byte estimates
 
 // graphBytes estimates a CSR graph's resident size: offsets plus both
-// directions of the neighbor arena, plus dense adjacency rows on universes
-// small enough that the kernels build them (mcode.FindClusters calls
-// EnsureDense below 2^14 vertices).
+// directions of the neighbor arena. No pipeline kernel builds dense
+// adjacency rows on a stored graph (mcode.FindClusters only reads it).
 func graphBytes(g *graph.Graph) int64 {
 	n, m := int64(g.N()), int64(g.M())
-	b := 4*(n+1) + 8*m
-	if g.N() <= 1<<14 {
-		b += n * n / 8
-	}
-	return b
+	return 4*(n+1) + 8*m
 }
 
 // clustersBytes estimates a cluster list's resident size.
