@@ -364,7 +364,7 @@ func BenchmarkChordalMaximalSubgraph(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := chordal.MaximalSubgraph(g, ord); res.Edges.Len() == 0 {
+				if res := chordal.MaximalSubgraph(g, ord); len(res.Edges) == 0 {
 					b.Fatal("empty chordal subgraph")
 				}
 			}

@@ -114,15 +114,15 @@ func main() {
 		defer f.Close()
 		out = f
 	}
-	if err := parsample.WriteNetwork(out, res.Graph(g.N())); err != nil {
+	if err := parsample.WriteNetwork(out, res.Subgraph); err != nil {
 		fatalf("write network: %v", err)
 	}
 
 	if *stats {
 		fmt.Fprintf(os.Stderr, "algorithm:     %s\n", res.Algorithm)
 		fmt.Fprintf(os.Stderr, "input:         %d vertices, %d edges\n", g.N(), g.M())
-		fmt.Fprintf(os.Stderr, "kept:          %d edges (%.1f%%)\n", res.Edges.Len(),
-			100*float64(res.Edges.Len())/float64(max(1, g.M())))
+		fmt.Fprintf(os.Stderr, "kept:          %d edges (%.1f%%)\n", res.Subgraph.M(),
+			100*float64(res.Subgraph.M())/float64(max(1, g.M())))
 		fmt.Fprintf(os.Stderr, "border edges:  %d (duplicated admissions: %d)\n",
 			res.BorderEdges, res.DuplicateBorderEdges)
 		fmt.Fprintf(os.Stderr, "ranks:         %d, bottleneck ops %d, messages %d, bytes %d\n",

@@ -98,12 +98,12 @@ func (p *Pipeline) Do(ctx context.Context, req *api.Request) (*api.Response, err
 			return nil, err
 		}
 		fi := &api.FilteredInfo{
-			Edges:       filt.Graph.M(),
-			BorderEdges: filt.Result.BorderEdges,
-			Duplicates:  filt.Result.DuplicateBorderEdges,
+			Edges:       filt.Subgraph.M(),
+			BorderEdges: filt.BorderEdges,
+			Duplicates:  filt.DuplicateBorderEdges,
 		}
 		if norm.Output.Edges {
-			fi.EdgeList = edgePairs(filt.Graph)
+			fi.EdgeList = edgePairs(filt.Subgraph)
 		}
 		resp.Filtered = fi
 	}

@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fg := res.Graph(g.N())
+	fg := res.Subgraph
 	filtClusters, err := parsample.ClustersContext(ctx, fg, parsample.ClusterParams{})
 	if err != nil {
 		log.Fatal(err)

@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	filtered := res.Graph(net.N())
+	filtered := res.Subgraph
 	fmt.Printf("chordal filter: kept %d/%d edges\n", filtered.M(), net.M())
 	if filtered.M() == net.M() {
 		// Section III: "Ideally, if the data is noise free, no reduction

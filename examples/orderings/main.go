@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fg := res.Graph(ds.G.N())
+		fg := res.Subgraph
 		clusters, err := parsample.ClustersContext(ctx, fg, parsample.ClusterParams{})
 		if err != nil {
 			log.Fatal(err)

@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	filtered := res.Graph(g.N())
+	filtered := res.Subgraph
 	fmt.Printf("chordal filter kept %d of %d edges (%.0f%%), %d border edges\n",
 		filtered.M(), g.M(), 100*float64(filtered.M())/float64(g.M()), res.BorderEdges)
 

@@ -55,13 +55,10 @@ func NodeOverlap(a, b []int32) float64 {
 	if len(b) == 0 {
 		return 0
 	}
-	set := make(map[int32]bool, len(a))
-	for _, v := range a {
-		set[v] = true
-	}
+	inA := members(a)
 	n := 0
 	for _, v := range b {
-		if set[v] {
+		if inA[v] {
 			n++
 		}
 	}
@@ -70,29 +67,34 @@ func NodeOverlap(a, b []int32) float64 {
 
 // EdgeOverlap returns |E(a) ∩ E(b)| / |E(b)| where E(x) are the
 // cluster-internal edges of x in its host graph (0 when b has no edges).
+// It walks b's cluster edges in gb once and probes ga for each; no edge
+// set is built. a and b hold distinct vertices.
 func EdgeOverlap(ga *graph.Graph, a []int32, gb *graph.Graph, b []int32) float64 {
-	ea := clusterEdges(ga, a)
-	eb := clusterEdges(gb, b)
-	if eb.Len() == 0 {
+	inA, inB := members(a), members(b)
+	shared, total := 0, 0
+	for _, u := range b {
+		for _, v := range gb.Neighbors(u) {
+			if u < v && inB[v] {
+				total++
+				if inA[u] && inA[v] && ga.HasEdge(u, v) {
+					shared++
+				}
+			}
+		}
+	}
+	if total == 0 {
 		return 0
 	}
-	return float64(ea.IntersectionSize(eb)) / float64(eb.Len())
+	return float64(shared) / float64(total)
 }
 
-func clusterEdges(g *graph.Graph, vs []int32) graph.EdgeSet {
+// members returns the vertex membership set of vs.
+func members(vs []int32) map[int32]bool {
 	in := make(map[int32]bool, len(vs))
 	for _, v := range vs {
 		in[v] = true
 	}
-	s := graph.NewEdgeSet(len(vs))
-	for _, u := range vs {
-		for _, v := range g.Neighbors(u) {
-			if u < v && in[v] {
-				s.Add(u, v)
-			}
-		}
-	}
-	return s
+	return in
 }
 
 // Match pairs a filtered cluster with its best-overlapping original cluster.

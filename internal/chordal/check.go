@@ -1,6 +1,8 @@
 package chordal
 
 import (
+	"slices"
+
 	"parsample/internal/graph"
 )
 
@@ -120,16 +122,14 @@ func IsMaximalChordalSubgraph(g, sub *graph.Graph) bool {
 	if !IsChordal(sub) {
 		return false
 	}
-	subSet := graph.EdgeSetOf(sub)
+	subEdges := sub.Edges()
 	maximal := true
 	g.ForEachEdge(func(u, v int32) {
-		if !maximal || subSet.Has(u, v) {
+		if !maximal || sub.HasEdge(u, v) {
 			return
 		}
-		trial := graph.NewEdgeSet(subSet.Len() + 1)
-		trial.AddSet(subSet)
-		trial.Add(u, v)
-		if IsChordal(trial.Graph(g.N())) {
+		// Clip forces append to copy, leaving subEdges intact.
+		if IsChordal(graph.FromEdges(g.N(), append(slices.Clip(subEdges), graph.Edge{U: u, V: v}))) {
 			maximal = false
 		}
 	})

@@ -13,11 +13,10 @@ import (
 
 // Result is the output of a maximal chordal subgraph extraction.
 type Result struct {
-	// Edges of the chordal subgraph. DSW commits every edge exactly once
-	// (v—w is emitted when v is visited with w ∈ B(v)), so the output is a
-	// duplicate-free flat list — no hash set is materialized anywhere in
-	// the extraction.
-	Edges graph.EdgeList
+	// Edges of the chordal subgraph, normalized (U < V), in commit order.
+	// DSW commits every edge exactly once (v—w is emitted when v is visited
+	// with w ∈ B(v)), so the list is duplicate free by construction.
+	Edges []graph.Edge
 	// VisitOrder is the order in which the algorithm committed vertices; its
 	// reverse is a perfect elimination ordering of the subgraph.
 	VisitOrder []int32
@@ -163,7 +162,7 @@ func MaximalSubgraphContext(ctx context.Context, g *graph.Graph, order []int32) 
 	if n == 0 {
 		return res, nil
 	}
-	res.Edges = make(graph.EdgeList, 0, g.M()/2)
+	res.Edges = make([]graph.Edge, 0, g.M()/2)
 	pos := graph.InversePerm(order)
 	bsize := make([]int32, n) // |B(v)|, shared with the heap
 	q := newVertexHeap(order, pos, bsize)
@@ -283,6 +282,3 @@ func maximalSparse(ctx context.Context, g *graph.Graph, q *vertexHeap, bsize []i
 	}
 	return nil
 }
-
-// SubgraphGraph materializes the chordal subgraph over n vertices.
-func (r *Result) SubgraphGraph(n int) *graph.Graph { return r.Edges.Graph(n) }

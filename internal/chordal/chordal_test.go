@@ -3,6 +3,7 @@ package chordal
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,8 +111,8 @@ func TestMaximalSubgraphOnChordalInput(t *testing.T) {
 	}
 	for _, g := range inputs {
 		res := MaximalSubgraph(g, natural(g))
-		if res.Edges.Len() != g.M() {
-			t.Fatalf("chordal input lost edges: got %d, want %d", res.Edges.Len(), g.M())
+		if len(res.Edges) != g.M() {
+			t.Fatalf("chordal input lost edges: got %d, want %d", len(res.Edges), g.M())
 		}
 	}
 }
@@ -122,10 +123,10 @@ func TestMaximalSubgraphCycle(t *testing.T) {
 	for _, n := range []int{4, 5, 8, 13} {
 		g := graph.Cycle(n)
 		res := MaximalSubgraph(g, natural(g))
-		if res.Edges.Len() != n-1 {
-			t.Fatalf("C%d: chordal subgraph has %d edges, want %d", n, res.Edges.Len(), n-1)
+		if len(res.Edges) != n-1 {
+			t.Fatalf("C%d: chordal subgraph has %d edges, want %d", n, len(res.Edges), n-1)
 		}
-		if !IsChordal(res.Edges.Graph(n)) {
+		if !IsChordal(graph.FromEdges(n, res.Edges)) {
 			t.Fatalf("C%d: result not chordal", n)
 		}
 	}
@@ -135,7 +136,7 @@ func TestMaximalSubgraphAlwaysChordal(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := graph.Gnm(80, 240, seed)
 		res := MaximalSubgraph(g, natural(g))
-		sub := res.Edges.Graph(g.N())
+		sub := graph.FromEdges(g.N(), res.Edges)
 		if !IsChordal(sub) {
 			t.Fatalf("seed %d: result not chordal", seed)
 		}
@@ -152,7 +153,7 @@ func TestMaximalSubgraphIsMaximal(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.Gnm(25, 70, seed)
 		res := MaximalSubgraph(g, natural(g))
-		sub := res.Edges.Graph(g.N())
+		sub := graph.FromEdges(g.N(), res.Edges)
 		if !IsMaximalChordalSubgraph(g, sub) {
 			t.Fatalf("seed %d: subgraph not maximal", seed)
 		}
@@ -162,7 +163,7 @@ func TestMaximalSubgraphIsMaximal(t *testing.T) {
 func TestMaximalSubgraphVisitOrderPEO(t *testing.T) {
 	g := graph.Gnm(60, 200, 3)
 	res := MaximalSubgraph(g, natural(g))
-	sub := res.Edges.Graph(g.N())
+	sub := graph.FromEdges(g.N(), res.Edges)
 	// Reverse of visit order is a PEO of the subgraph.
 	rev := make([]int32, len(res.VisitOrder))
 	for i, v := range res.VisitOrder {
@@ -181,22 +182,22 @@ func TestMaximalSubgraphOrderSensitivity(t *testing.T) {
 	for _, o := range graph.AllOrderings {
 		ord := graph.Order(g, o, 0)
 		res := MaximalSubgraph(g, ord)
-		if !IsChordal(res.Edges.Graph(g.N())) {
+		if !IsChordal(graph.FromEdges(g.N(), res.Edges)) {
 			t.Fatalf("%v: not chordal", o)
 		}
-		sizes[o.String()] = res.Edges.Len()
+		sizes[o.String()] = len(res.Edges)
 	}
 	t.Logf("sizes by ordering: %v", sizes)
 }
 
 func TestMaximalSubgraphEmptyAndTiny(t *testing.T) {
 	g := graph.FromEdges(0, nil)
-	if res := MaximalSubgraph(g, nil); res.Edges.Len() != 0 {
+	if res := MaximalSubgraph(g, nil); len(res.Edges) != 0 {
 		t.Fatal("empty graph should give empty subgraph")
 	}
 	g1 := graph.FromEdges(3, nil) // no edges
 	res := MaximalSubgraph(g1, natural(g1))
-	if res.Edges.Len() != 0 || len(res.VisitOrder) != 3 {
+	if len(res.Edges) != 0 || len(res.VisitOrder) != 3 {
 		t.Fatal("edgeless graph mishandled")
 	}
 }
@@ -209,11 +210,11 @@ func TestMaximalSubgraphPreservesCliques(t *testing.T) {
 	}, 5)
 	g := pr.G
 	mod := pr.Modules[0]
-	res := MaximalSubgraph(g, natural(g))
+	sub := graph.FromEdges(g.N(), MaximalSubgraph(g, natural(g)).Edges)
 	missing := 0
 	for i := 0; i < len(mod); i++ {
 		for j := i + 1; j < len(mod); j++ {
-			if !res.Edges.Has(mod[i], mod[j]) {
+			if !sub.HasEdge(mod[i], mod[j]) {
 				missing++
 			}
 		}
@@ -236,7 +237,7 @@ func TestMaximalSubgraphQuick(t *testing.T) {
 		g := graph.Gnm(n, m, seed)
 		ord := graph.Order(g, graph.RandomOrder, seed+1)
 		res := MaximalSubgraph(g, ord)
-		sub := res.Edges.Graph(n)
+		sub := graph.FromEdges(n, res.Edges)
 		if !IsChordal(sub) {
 			return false
 		}
@@ -262,7 +263,7 @@ func TestMaximalityQuick(t *testing.T) {
 		g := graph.Gnm(n, m, seed)
 		ord := graph.Order(g, graph.RandomOrder, seed+7)
 		res := MaximalSubgraph(g, ord)
-		return IsMaximalChordalSubgraph(g, res.Edges.Graph(n))
+		return IsMaximalChordalSubgraph(g, graph.FromEdges(n, res.Edges))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -288,7 +289,7 @@ func BenchmarkMaximalSubgraphGnm(b *testing.B) {
 }
 
 func BenchmarkIsChordal(b *testing.B) {
-	g := MaximalSubgraph(graph.Gnm(5000, 15000, 1), graph.NaturalOrder(5000)).Edges.Graph(5000)
+	g := graph.FromEdges(5000, MaximalSubgraph(graph.Gnm(5000, 15000, 1), graph.NaturalOrder(5000)).Edges)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -340,7 +341,7 @@ func TestFillInZeroIffChordalQuick(t *testing.T) {
 // result has small fill-in relative to the original network.
 func TestFillInOfFilterOutput(t *testing.T) {
 	g := graph.Gnm(200, 700, 3)
-	sub := MaximalSubgraph(g, graph.NaturalOrder(200)).Edges.Graph(200)
+	sub := graph.FromEdges(200, MaximalSubgraph(g, graph.NaturalOrder(200)).Edges)
 	if FillInCount(sub) != 0 {
 		t.Fatal("sequential chordal output must have zero fill-in")
 	}
@@ -391,14 +392,13 @@ func TestDensePathMatchesSparsePath(t *testing.T) {
 					t.Fatalf("graph %d/%v: visit order diverges at %d", gi, o, i)
 				}
 			}
-			if d.Edges.Len() != s.Edges.Len() {
-				t.Fatalf("graph %d/%v: dense %d edges, sparse %d", gi, o, d.Edges.Len(), s.Edges.Len())
+			if len(d.Edges) != len(s.Edges) {
+				t.Fatalf("graph %d/%v: dense %d edges, sparse %d", gi, o, len(d.Edges), len(s.Edges))
 			}
-			ss := s.Edges.Sorted()
-			for i, e := range d.Edges.Sorted() {
-				if ss[i] != e {
-					t.Fatalf("graph %d/%v: edge sets differ", gi, o)
-				}
+			slices.SortFunc(d.Edges, graph.CompareEdges)
+			slices.SortFunc(s.Edges, graph.CompareEdges)
+			if !slices.Equal(d.Edges, s.Edges) {
+				t.Fatalf("graph %d/%v: edge sets differ", gi, o)
 			}
 		}
 	}
@@ -409,7 +409,7 @@ func TestDensePathMatchesSparsePath(t *testing.T) {
 func TestDensePathInvariants(t *testing.T) {
 	g := graph.Gnm(120, 5000, 11) // mean degree 83 → forced via runPath
 	res := runPath(g, natural(g), true)
-	sub := res.Edges.Graph(g.N())
+	sub := graph.FromEdges(g.N(), res.Edges)
 	if !IsChordal(sub) {
 		t.Fatal("dense path produced a non-chordal subgraph")
 	}

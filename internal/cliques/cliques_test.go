@@ -84,7 +84,7 @@ func TestChordalAgreesWithBKQuick(t *testing.T) {
 		n := 5 + rng.Intn(25)
 		m := rng.Intn(3 * n)
 		g := graph.Gnm(n, m, seed)
-		sub := chordal.MaximalSubgraph(g, graph.NaturalOrder(n)).Edges.Graph(n)
+		sub := graph.FromEdges(n, chordal.MaximalSubgraph(g, graph.NaturalOrder(n)).Edges)
 		a := ChordalMaximalCliques(sub)
 		b := MaximalCliques(sub, 0)
 		return reflect.DeepEqual(a, b)
@@ -98,7 +98,7 @@ func TestCliqueCountBoundChordal(t *testing.T) {
 	// A chordal graph has at most n maximal cliques.
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.Gnm(60, 200, seed)
-		sub := chordal.MaximalSubgraph(g, graph.NaturalOrder(60)).Edges.Graph(60)
+		sub := graph.FromEdges(60, chordal.MaximalSubgraph(g, graph.NaturalOrder(60)).Edges)
 		cs := ChordalMaximalCliques(sub)
 		if len(cs) > 60 {
 			t.Fatalf("chordal graph with %d > n maximal cliques", len(cs))
@@ -113,7 +113,7 @@ func TestCliqueRetentionChordalFilterBeatsRandom(t *testing.T) {
 		Count: 6, MinSize: 5, MaxSize: 7, Density: 0.9, NoiseDeg: 0.4, Window: 3,
 	}, 9)
 	g := pr.G
-	sub := chordal.MaximalSubgraph(g, graph.NaturalOrder(g.N())).Edges.Graph(g.N())
+	sub := graph.FromEdges(g.N(), chordal.MaximalSubgraph(g, graph.NaturalOrder(g.N())).Edges)
 	chordalRet := CliqueRetention(g, sub, 3)
 
 	// Random subgraph with the same edge count.

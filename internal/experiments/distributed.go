@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"parsample/internal/comm"
@@ -259,7 +259,7 @@ func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []in
 			if err != nil {
 				return nil, model, fmt.Errorf("experiments: simulated %s P=%d: %w", alg, p, err)
 			}
-			want := sortedEdgeList(sim.Edges)
+			want := sim.Subgraph.Edges()
 
 			measured := 0.0
 			match := true
@@ -276,7 +276,7 @@ func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []in
 				if rep == 0 || dist.Stats.WallSeconds < measured {
 					measured = dist.Stats.WallSeconds
 				}
-				if !edgeListsEqual(want, sortedEdgeList(dist.Edges)) {
+				if !slices.Equal(want, dist.Subgraph.Edges()) {
 					match = false
 				}
 			}
@@ -297,7 +297,7 @@ func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []in
 				ModeledSpeedup:  baseModeled / modeled,
 				Efficiency:      baseMeasured / measured / float64(p),
 				Match:           match,
-				EdgesKept:       sim.Edges.Len(),
+				EdgesKept:       sim.Subgraph.M(),
 			}
 			if row.ModeledSpeedup != 0 {
 				row.ModelErrorPct = 100 * (row.ModeledSpeedup - row.MeasuredSpeedup) / row.ModeledSpeedup
@@ -306,32 +306,4 @@ func FigDist(ctx context.Context, cl *transport.Cluster, g *graph.Graph, ps []in
 		}
 	}
 	return rows, model, nil
-}
-
-// sortedEdgeList flattens an edge view into a canonically sorted list so
-// two runs' results can be compared edge for edge.
-func sortedEdgeList(v graph.EdgeView) []graph.Edge {
-	edges := make([]graph.Edge, 0, v.Len())
-	v.ForEach(func(u, w int32) {
-		edges = append(edges, graph.NormEdge(u, w))
-	})
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	return edges
-}
-
-func edgeListsEqual(a, b []graph.Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -38,7 +38,7 @@ func HubPreservation(ctx context.Context) ([]HubPreservationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fg := res.Graph(ds.G.N())
+		fg := res.Subgraph
 		fDeg := centrality.Degree(fg)
 		fClo := centrality.Closeness(fg)
 		rows = append(rows, HubPreservationRow{
@@ -70,27 +70,28 @@ type BorderRuleRow struct {
 func BorderRuleAblation(ctx context.Context) ([]BorderRuleRow, error) {
 	ds := datasets.CRE()
 	ord := graph.Order(ds.G, graph.Natural, ds.Seed)
-	moduleEdges := graph.NewEdgeSet(0)
+	mb := graph.NewBuilder(ds.G.N())
 	for _, mod := range ds.Modules {
 		for i := 0; i < len(mod); i++ {
 			for j := i + 1; j < len(mod); j++ {
 				if ds.G.HasEdge(mod[i], mod[j]) {
-					moduleEdges.Add(mod[i], mod[j])
+					mb.AddEdge(mod[i], mod[j])
 				}
 			}
 		}
 	}
-	frac := func(set graph.EdgeView) float64 {
-		if moduleEdges.Len() == 0 {
+	moduleEdges := mb.Build()
+	frac := func(sub *graph.Graph) float64 {
+		if moduleEdges.M() == 0 {
 			return 0
 		}
 		kept := 0
-		set.ForEach(func(u, v int32) {
-			if moduleEdges.Has(u, v) {
+		sub.ForEachEdge(func(u, v int32) {
+			if moduleEdges.HasEdgeFast(u, v) {
 				kept++
 			}
 		})
-		return float64(kept) / float64(moduleEdges.Len())
+		return float64(kept) / float64(moduleEdges.M())
 	}
 	var rows []BorderRuleRow
 	for _, p := range []int{8, 64} {
@@ -100,7 +101,7 @@ func BorderRuleAblation(ctx context.Context) ([]BorderRuleRow, error) {
 		}
 		rows = append(rows, BorderRuleRow{
 			Network: ds.Name, Rule: "triangle", P: p,
-			EdgesKept: tri.Edges.Len(), ModuleEdgesKept: frac(tri.Edges),
+			EdgesKept: tri.Subgraph.M(), ModuleEdgesKept: frac(tri.Subgraph),
 		})
 		// Coin rule: per-partition chordal interior + hash-coin border
 		// admission (the random walk's border policy grafted onto the
@@ -111,22 +112,23 @@ func BorderRuleAblation(ctx context.Context) ([]BorderRuleRow, error) {
 			return nil, err
 		}
 		pt := graph.BlockPartition(ord, p)
-		merged := graph.NewAccumulator(ds.G.N(), tri.Edges.Len())
+		mb := graph.NewBuilder(ds.G.N())
 		// Interior chordal edges from the triangle-rule run...
-		tri.Edges.ForEach(func(u, v int32) {
+		tri.Subgraph.ForEachEdge(func(u, v int32) {
 			if pt.Part[u] == pt.Part[v] {
-				merged.Add(u, v)
+				mb.AddEdge(u, v)
 			}
 		})
 		// ...plus coin-admitted border edges from the random-walk run.
-		coin.Edges.ForEach(func(u, v int32) {
+		coin.Subgraph.ForEachEdge(func(u, v int32) {
 			if pt.Part[u] != pt.Part[v] {
-				merged.Add(u, v)
+				mb.AddEdge(u, v)
 			}
 		})
+		merged := mb.Build()
 		rows = append(rows, BorderRuleRow{
 			Network: ds.Name, Rule: "coin", P: p,
-			EdgesKept: merged.Len(), ModuleEdgesKept: frac(merged),
+			EdgesKept: merged.M(), ModuleEdgesKept: frac(merged),
 		})
 	}
 	return rows, nil

@@ -310,7 +310,7 @@ func Fig10(ctx context.Context) ([]Fig10Row, error) {
 					MaxRankOps:     res.Stats.MaxRankOps(),
 					Messages:       res.Stats.Messages,
 					Bytes:          res.Stats.Bytes,
-					EdgesKept:      res.Edges.Len(),
+					EdgesKept:      res.Subgraph.M(),
 				})
 			}
 		}

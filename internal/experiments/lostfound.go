@@ -103,7 +103,7 @@ func CliqueRetentionStudy(ctx context.Context) ([]CliqueRetentionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fg := res.Graph(ds.G.N())
+		fg := res.Subgraph
 		rows = append(rows, CliqueRetentionRow{
 			Network:   ds.Name,
 			Algorithm: alg.String(),

@@ -99,7 +99,7 @@ func Filter(ds *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p in
 		Dataset:  ds,
 		Ordering: o,
 		Result:   res,
-		G:        res.Graph(ds.G.N()),
+		G:        res.Subgraph,
 	}, nil
 }
 

@@ -118,7 +118,7 @@ func Scaling(ctx context.Context, cfg ScalingConfig) ([]ScalingRow, error) {
 						Efficiency:     eff,
 						Messages:       res.Stats.Messages,
 						CollMessages:   res.Stats.CollMessages,
-						EdgesKept:      res.Edges.Len(),
+						EdgesKept:      res.Subgraph.M(),
 					})
 				}
 			}

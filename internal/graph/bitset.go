@@ -4,8 +4,8 @@ import "math/bits"
 
 // Bitset is a fixed-capacity set of vertex ids backed by a flat []uint64
 // word array. It is the membership structure behind the dense kernels: DSW
-// candidate sets, MCODE complex membership, dense adjacency rows and the
-// bitset-matrix edge accumulator. The zero value is an empty set of
+// candidate sets, MCODE complex membership and dense adjacency rows. The
+// zero value is an empty set of
 // capacity 0; use NewBitset to size one for a vertex universe.
 type Bitset []uint64
 

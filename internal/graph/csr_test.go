@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // ---------------------------------------------------------------- CSR core
@@ -271,67 +272,22 @@ func TestBitsetSubsetAndCount(t *testing.T) {
 	}
 }
 
-// --------------------------------------------------- dense edge accumulator
+// ------------------------------------------------------------ edge order
 
-func TestDenseEdgeSetMatchesSparse(t *testing.T) {
-	f := func(seed int64) bool {
-		g := Gnm(40, 100, seed)
-		dense := NewDenseEdgeSet(40)
-		sparse := NewEdgeSet(0)
-		g.ForEachEdge(func(u, v int32) {
-			dense.Add(u, v)
-			dense.Add(v, u) // duplicate in reverse: must be idempotent
-			sparse.Add(u, v)
-		})
-		if dense.Len() != sparse.Len() {
-			return false
-		}
-		ok := true
-		dense.ForEach(func(u, v int32) {
-			if u >= v || !sparse.Has(u, v) {
-				ok = false
-			}
-		})
-		dg, sg := dense.Graph(40), sparse.Graph(40)
-		return ok && dg.M() == sg.M()
+// CompareEdges is the one (U, V) order: sorting a shuffled edge list with
+// it reproduces the CSR's own edge order.
+func TestCompareEdges(t *testing.T) {
+	g := Gnm(60, 200, 3)
+	want := g.Edges()
+	got := slices.Clone(want)
+	rand.New(rand.NewSource(1)).Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+	slices.SortFunc(got, CompareEdges)
+	if !slices.Equal(got, want) {
+		t.Fatal("CompareEdges order differs from Graph.Edges")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDenseEdgeSetSelfLoopIgnored(t *testing.T) {
-	s := NewDenseEdgeSet(4)
-	s.Add(2, 2)
-	if s.Len() != 0 || s.Has(2, 2) {
-		t.Fatal("self loop accepted")
-	}
-}
-
-func TestNewAccumulatorSelection(t *testing.T) {
-	if _, ok := NewAccumulator(100, 10).(*DenseEdgeSet); !ok {
-		t.Fatal("small universe should select the dense accumulator")
-	}
-	if _, ok := NewAccumulator(denseRowLimit+1, 10).(EdgeSet); !ok {
-		t.Fatal("large universe should select the sparse accumulator")
-	}
-	if _, ok := NewAccumulator(0, 10).(EdgeSet); !ok {
-		t.Fatal("empty universe should select the sparse accumulator")
-	}
-}
-
-func TestEdgeListView(t *testing.T) {
-	l := EdgeList{{0, 3}, {1, 2}, {0, 1}}
-	if l.Len() != 3 || !l.Has(3, 0) || l.Has(2, 3) {
-		t.Fatal("EdgeList Has/Len broken")
-	}
-	g := l.Graph(4)
-	if g.M() != 3 || !g.HasEdge(0, 3) {
-		t.Fatal("EdgeList.Graph broken")
-	}
-	s := l.Sorted()
-	if s[0] != (Edge{0, 1}) || s[2] != (Edge{1, 2}) {
-		t.Fatalf("Sorted gave %v", s)
+	if CompareEdges(Edge{1, 5}, Edge{2, 0}) >= 0 || CompareEdges(Edge{1, 5}, Edge{1, 4}) <= 0 ||
+		CompareEdges(Edge{3, 4}, Edge{3, 4}) != 0 {
+		t.Fatal("CompareEdges is not the lexicographic (U, V) order")
 	}
 }
 

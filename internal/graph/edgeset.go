@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "cmp"
 
 // EdgeKey packs a normalized undirected edge into a comparable uint64.
 func EdgeKey(u, v int32) uint64 {
@@ -10,9 +10,12 @@ func EdgeKey(u, v int32) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// KeyEdge unpacks an EdgeKey back into a normalized Edge.
-func KeyEdge(k uint64) Edge {
-	return Edge{int32(k >> 32), int32(k & 0xffffffff)}
+// CompareEdges orders edges by (U, V), for slices.SortFunc and friends.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // SplitMix64 applies the SplitMix64 finalizer, the standard 64-bit mix for
@@ -25,274 +28,4 @@ func SplitMix64(z uint64) uint64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return z
-}
-
-// EdgeView is the read side of an edge container: the hash set (EdgeSet),
-// the dense bitset matrix (DenseEdgeSet) and the flat list (EdgeList) all
-// satisfy it. Filter results are exposed through this interface so a kernel
-// that emits duplicate-free edges can return its flat list without ever
-// materializing a set.
-type EdgeView interface {
-	// Has reports whether {u, v} is present.
-	Has(u, v int32) bool
-	// Len returns the number of edges.
-	Len() int
-	// ForEach calls fn once per edge with u < v, in unspecified order.
-	ForEach(fn func(u, v int32))
-	// Graph materializes the edges as a CSR graph over n vertices.
-	Graph(n int) *Graph
-}
-
-// EdgeCollection is a mutable EdgeView — the accumulator interface shared
-// by the sparse hash set (EdgeSet) and the dense bitset matrix
-// (DenseEdgeSet). Per-rank partial results and merges are accumulated
-// through it; NewAccumulator picks the representation.
-type EdgeCollection interface {
-	EdgeView
-	// Add inserts the undirected edge {u, v}; self loops are ignored.
-	Add(u, v int32)
-}
-
-// NewAccumulator returns an empty EdgeCollection for edges over n vertices,
-// expecting roughly capHint edges. Below the dense threshold it returns a
-// DenseEdgeSet — a bitset adjacency matrix with lazily allocated rows whose
-// Add/Has are single bit operations — and an EdgeSet hash set otherwise.
-// The dense variant pays off when n is small (row footprint n/8 bytes) or
-// the expected density is high; the hash set stays O(edges) regardless of n.
-func NewAccumulator(n, capHint int) EdgeCollection {
-	if n > 0 && n <= denseRowLimit {
-		return NewDenseEdgeSet(n)
-	}
-	return NewEdgeSet(capHint)
-}
-
-// EdgeSet is a sparse set of undirected edges backed by a hash map.
-type EdgeSet map[uint64]struct{}
-
-// NewEdgeSet returns an empty edge set with the given capacity hint.
-func NewEdgeSet(capHint int) EdgeSet { return make(EdgeSet, capHint) }
-
-// Add inserts the edge {u, v}. Self loops are ignored.
-func (s EdgeSet) Add(u, v int32) {
-	if u == v {
-		return
-	}
-	s[EdgeKey(u, v)] = struct{}{}
-}
-
-// Has reports whether the edge {u, v} is in the set.
-func (s EdgeSet) Has(u, v int32) bool {
-	_, ok := s[EdgeKey(u, v)]
-	return ok
-}
-
-// Len returns the number of edges in the set.
-func (s EdgeSet) Len() int { return len(s) }
-
-// ForEach calls fn once per edge with u < v, in unspecified order.
-func (s EdgeSet) ForEach(fn func(u, v int32)) {
-	for k := range s {
-		e := KeyEdge(k)
-		fn(e.U, e.V)
-	}
-}
-
-// AddSet inserts every edge of t into s.
-func (s EdgeSet) AddSet(t EdgeSet) {
-	for k := range t {
-		s[k] = struct{}{}
-	}
-}
-
-// Edges returns the edges of the set sorted by (U, V). The deterministic
-// order costs a sort but keeps every consumer of the set a pure function of
-// its contents — returning map order here leaked iteration order to callers
-// (caught by parsamplevet/maporder).
-func (s EdgeSet) Edges() []Edge {
-	out := make([]Edge, 0, len(s))
-	for k := range s {
-		out = append(out, KeyEdge(k))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
-// Graph materializes the edge set as a Graph over n vertices.
-func (s EdgeSet) Graph(n int) *Graph {
-	b := NewBuilder(n)
-	b.Grow(len(s))
-	for k := range s {
-		e := KeyEdge(k)
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
-}
-
-// EdgeSetOf collects all edges of g into a set.
-func EdgeSetOf(g *Graph) EdgeSet {
-	s := NewEdgeSet(g.M())
-	g.ForEachEdge(func(u, v int32) { s.Add(u, v) })
-	return s
-}
-
-// IntersectionSize returns |s ∩ t|.
-func (s EdgeSet) IntersectionSize(t EdgeSet) int {
-	if len(t) < len(s) {
-		s, t = t, s
-	}
-	n := 0
-	for k := range s {
-		if _, ok := t[k]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-// DenseEdgeSet is the Dense(n) variant of EdgeSet: a symmetric bitset
-// adjacency matrix over a fixed vertex universe. Rows are allocated lazily
-// on first touch, so the footprint is proportional to the number of
-// distinct endpoints rather than n² until the matrix actually fills. Add
-// and Has are single bit operations, which is what makes it the right
-// accumulator for the triangle-rule border test and the filter merge on
-// small, dense universes.
-type DenseEdgeSet struct {
-	n    int
-	m    int
-	rows []Bitset
-}
-
-// NewDenseEdgeSet returns an empty dense edge set over n vertices.
-// Endpoints passed to Add/Has must lie in [0, n).
-func NewDenseEdgeSet(n int) *DenseEdgeSet {
-	return &DenseEdgeSet{n: n, rows: make([]Bitset, n)}
-}
-
-func (s *DenseEdgeSet) row(v int32) Bitset {
-	if s.rows[v] == nil {
-		s.rows[v] = NewBitset(s.n)
-	}
-	return s.rows[v]
-}
-
-// Add inserts the edge {u, v}. Self loops are ignored. Panics if an
-// endpoint is outside [0, n).
-func (s *DenseEdgeSet) Add(u, v int32) {
-	if u == v {
-		return
-	}
-	ru := s.row(u)
-	if ru.Has(v) {
-		return
-	}
-	ru.Set(v)
-	s.row(v).Set(u)
-	s.m++
-}
-
-// Has reports whether the edge {u, v} is present.
-func (s *DenseEdgeSet) Has(u, v int32) bool {
-	r := s.rows[u]
-	return r != nil && u != v && r.Has(v)
-}
-
-// Len returns the number of edges.
-func (s *DenseEdgeSet) Len() int { return s.m }
-
-// ForEach calls fn once per edge with u < v, in ascending (u, v) order.
-func (s *DenseEdgeSet) ForEach(fn func(u, v int32)) {
-	for u, r := range s.rows {
-		if r == nil {
-			continue
-		}
-		u32 := int32(u)
-		r.ForEach(func(v int32) {
-			if u32 < v {
-				fn(u32, v)
-			}
-		})
-	}
-}
-
-// Graph materializes the edges as a CSR graph over n vertices (n may exceed
-// the accumulator's universe).
-func (s *DenseEdgeSet) Graph(n int) *Graph {
-	b := NewBuilder(n)
-	b.Grow(s.m)
-	s.ForEach(b.AddEdge)
-	return b.Build()
-}
-
-// GraphEdges presents a materialized graph's edge set as an EdgeView:
-// Has is the CSR edge probe, ForEach walks edges in sorted (u, v) order,
-// and Graph returns the backing graph itself when the universe matches.
-// Snapshot decoding uses it to rebuild a sampling result's edge view from
-// the persisted subgraph without materializing a separate edge list.
-type GraphEdges struct{ G *Graph }
-
-// Has reports whether {u, v} is an edge of the backing graph.
-func (ge GraphEdges) Has(u, v int32) bool { return ge.G.HasEdge(u, v) }
-
-// Len returns the backing graph's edge count.
-func (ge GraphEdges) Len() int { return ge.G.M() }
-
-// ForEach calls fn once per edge with u < v, in sorted (u, v) order.
-func (ge GraphEdges) ForEach(fn func(u, v int32)) { ge.G.ForEachEdge(fn) }
-
-// Graph returns the backing graph when n matches its universe, and a
-// rebuilt copy over n vertices otherwise.
-func (ge GraphEdges) Graph(n int) *Graph {
-	if n == ge.G.N() {
-		return ge.G
-	}
-	return FromEdges(n, ge.G.Edges())
-}
-
-// EdgeList is an append-only list of normalized undirected edges — the
-// natural output of kernels like DSW that emit every edge exactly once and
-// therefore need no dedup set. It implements the read-only half of
-// EdgeCollection cheaply; Has is a linear scan and is meant for tests and
-// small lists only.
-type EdgeList []Edge
-
-// Len returns the number of edges.
-func (l EdgeList) Len() int { return len(l) }
-
-// Has reports whether {u, v} is in the list. O(len); not for hot paths.
-func (l EdgeList) Has(u, v int32) bool {
-	e := NormEdge(u, v)
-	for _, x := range l {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
-// ForEach calls fn once per edge with u < v, in list order.
-func (l EdgeList) ForEach(fn func(u, v int32)) {
-	for _, e := range l {
-		fn(e.U, e.V)
-	}
-}
-
-// Graph materializes the list as a CSR graph over n vertices.
-func (l EdgeList) Graph(n int) *Graph { return FromEdges(n, l) }
-
-// Sorted returns the list sorted by (U, V), for deterministic output.
-func (l EdgeList) Sorted() EdgeList {
-	out := make(EdgeList, len(l))
-	copy(out, l)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
 }

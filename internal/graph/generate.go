@@ -9,18 +9,19 @@ import (
 func Gnm(n, m int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
-	seen := NewEdgeSet(m)
 	maxEdges := n * (n - 1) / 2
 	if m > maxEdges {
 		m = maxEdges
 	}
-	for seen.Len() < m {
+	seen := make(map[uint64]struct{}, m) // membership only, never iterated
+	for len(seen) < m {
 		u := int32(rng.Intn(n))
 		v := int32(rng.Intn(n))
-		if u == v || seen.Has(u, v) {
+		k := EdgeKey(u, v)
+		if _, dup := seen[k]; u == v || dup {
 			continue
 		}
-		seen.Add(u, v)
+		seen[k] = struct{}{}
 		b.AddEdge(u, v)
 	}
 	return b.Build()
@@ -211,11 +212,12 @@ type PlantedResult struct {
 func PlantedModules(n, bgEdges int, spec ModuleSpec, seed int64) *PlantedResult {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
-	seen := NewEdgeSet(bgEdges)
+	seen := make(map[uint64]struct{}, bgEdges) // membership only, never iterated
 
 	addRand := func(u, v int32) {
-		if u != v && !seen.Has(u, v) {
-			seen.Add(u, v)
+		k := EdgeKey(u, v)
+		if _, dup := seen[k]; u != v && !dup {
+			seen[k] = struct{}{}
 			b.AddEdge(u, v)
 		}
 	}
@@ -316,8 +318,8 @@ func PlantedModules(n, bgEdges int, spec ModuleSpec, seed int64) *PlantedResult 
 	}
 
 	// Background: sparse random edges among non-module vertices.
-	target := seen.Len() + bgEdges
-	for seen.Len() < target && len(free) >= 2 {
+	target := len(seen) + bgEdges
+	for len(seen) < target && len(free) >= 2 {
 		addRand(free[rng.Intn(len(free))], free[rng.Intn(len(free))])
 	}
 	return &PlantedResult{G: b.Build(), Modules: modules}

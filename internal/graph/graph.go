@@ -1,6 +1,6 @@
 // Package graph provides the undirected-graph substrate used by the
 // parallel adaptive sampling algorithms: a compact CSR adjacency
-// representation, edge sets, vertex orderings, partitioning, generators and
+// representation, vertex orderings, partitioning, generators and
 // edge-list I/O.
 //
 // Vertices are dense int32 identifiers in [0, N). All graphs are simple

@@ -188,47 +188,11 @@ func TestEdgeKeyRoundTrip(t *testing.T) {
 		if u == v {
 			return true
 		}
-		e := KeyEdge(EdgeKey(u, v))
-		return e == NormEdge(u, v)
+		k := EdgeKey(u, v)
+		return Edge{int32(k >> 32), int32(uint32(k))} == NormEdge(u, v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEdgeSetOps(t *testing.T) {
-	s := NewEdgeSet(4)
-	s.Add(1, 2)
-	s.Add(2, 1)
-	s.Add(3, 3) // ignored
-	if s.Len() != 1 || !s.Has(2, 1) {
-		t.Fatalf("set = %v", s.Edges())
-	}
-	tset := NewEdgeSet(2)
-	tset.Add(1, 2)
-	tset.Add(5, 6)
-	if got := s.IntersectionSize(tset); got != 1 {
-		t.Fatalf("intersection = %d, want 1", got)
-	}
-	s.AddSet(tset)
-	if s.Len() != 2 {
-		t.Fatalf("after AddSet len = %d, want 2", s.Len())
-	}
-	g := s.Graph(7)
-	if g.M() != 2 || !g.HasEdge(5, 6) {
-		t.Fatal("EdgeSet.Graph mismatch")
-	}
-}
-
-func TestEdgeSetOfInverse(t *testing.T) {
-	g := Gnm(40, 80, 7)
-	s := EdgeSetOf(g)
-	if s.Len() != g.M() {
-		t.Fatalf("EdgeSetOf len = %d, want %d", s.Len(), g.M())
-	}
-	g2 := s.Graph(g.N())
-	if g2.M() != g.M() {
-		t.Fatal("EdgeSet -> Graph lost edges")
 	}
 }
 
@@ -624,21 +588,6 @@ func TestWriteDOTIsolated(t *testing.T) {
 func TestGraphString(t *testing.T) {
 	if s := Path(3).String(); s != "graph{n=3 m=2}" {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestEdgeSetEdges(t *testing.T) {
-	s := NewEdgeSet(2)
-	s.Add(3, 1)
-	s.Add(0, 2)
-	es := s.Edges()
-	if len(es) != 2 {
-		t.Fatalf("edges = %v", es)
-	}
-	for _, e := range es {
-		if e.U >= e.V {
-			t.Fatalf("edge not normalized: %v", e)
-		}
 	}
 }
 

@@ -80,20 +80,6 @@ func (c *Cluster) NodeSet() map[int32]bool {
 	return s
 }
 
-// EdgeSet returns the cluster's internal edges as an edge set over g.
-func (c *Cluster) EdgeSet(g *graph.Graph) graph.EdgeSet {
-	in := c.NodeSet()
-	s := graph.NewEdgeSet(c.Edges)
-	for _, u := range c.Vertices {
-		for _, v := range g.Neighbors(u) {
-			if u < v && in[v] {
-				s.Add(u, v)
-			}
-		}
-	}
-	return s
-}
-
 // CoreNumbers returns the k-core number of every vertex (standard peeling
 // in O(n + m)).
 func CoreNumbers(g *graph.Graph) []int {

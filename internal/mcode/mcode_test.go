@@ -257,9 +257,8 @@ func TestClusterEdgeSetAndScore(t *testing.T) {
 	if c.Edges != 10 || math.Abs(c.Density-1) > 1e-12 || math.Abs(c.Score-5) > 1e-12 {
 		t.Fatalf("K5 cluster: edges=%d density=%v score=%v", c.Edges, c.Density, c.Score)
 	}
-	es := c.EdgeSet(g)
-	if es.Len() != 10 {
-		t.Fatalf("edge set len = %d", es.Len())
+	if m := g.Subgraph(c.Vertices).M(); m != c.Edges {
+		t.Fatalf("induced subgraph has %d edges, cluster reports %d", m, c.Edges)
 	}
 }
 

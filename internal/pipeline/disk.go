@@ -86,17 +86,11 @@ func encodeArtifact(key Key, val any) ([]byte, error) {
 		}
 		return snapshot.EncodeOrder(ord), nil
 	case StageFilter:
-		f, ok := val.(*Filtered)
-		if !ok || f.Result == nil || f.Graph == nil {
+		res, ok := val.(*sampling.Result)
+		if !ok || res == nil || res.Subgraph == nil {
 			return nil, fmt.Errorf("pipeline: filter artifact is %T", val)
 		}
-		return snapshot.EncodeFiltered(snapshot.FilteredParts{
-			Algorithm:            int(f.Result.Algorithm),
-			BorderEdges:          f.Result.BorderEdges,
-			DuplicateBorderEdges: f.Result.DuplicateBorderEdges,
-			Stats:                f.Result.Stats,
-			Graph:                f.Graph,
-		}), nil
+		return snapshot.EncodeFiltered(res), nil
 	case StageCluster:
 		cs, ok := val.([]mcode.Cluster)
 		if !ok {
@@ -139,19 +133,11 @@ func decodeArtifact(key Key, data []byte) (any, int64, error) {
 		}
 		return ord, int64(4 * len(ord)), nil
 	case StageFilter:
-		p, err := snapshot.DecodeFiltered(data)
+		res, err := snapshot.DecodeFiltered(data)
 		if err != nil {
 			return nil, 0, err
 		}
-		res := &sampling.Result{
-			Algorithm:            sampling.Algorithm(p.Algorithm),
-			Edges:                graph.GraphEdges{G: p.Graph},
-			Stats:                p.Stats,
-			DuplicateBorderEdges: p.DuplicateBorderEdges,
-			BorderEdges:          p.BorderEdges,
-		}
-		f := &Filtered{Result: res, Graph: p.Graph}
-		return f, graphBytes(p.Graph), nil
+		return res, graphBytes(res.Subgraph), nil
 	case StageCluster:
 		cs, err := snapshot.DecodeClusters(data)
 		if err != nil {

@@ -194,13 +194,6 @@ func (in Input) mcodeParams() mcode.Params {
 	return in.MCODE
 }
 
-// Filtered is the Filter stage's artifact: the sampling result plus the
-// materialized subgraph.
-type Filtered struct {
-	Result *sampling.Result
-	Graph  *graph.Graph
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	// MaxBytes is the artifact store budget (≤ 0 → DefaultStoreBytes).
@@ -380,12 +373,13 @@ func (e *Engine) Order(ctx context.Context, in Input, o graph.Ordering) ([]int32
 	})
 }
 
-// Filtered returns the sampled network of a non-original variant.
-func (e *Engine) Filtered(ctx context.Context, in Input, v Variant) (*Filtered, error) {
+// Filtered returns the sampling result of a non-original variant; its
+// Subgraph is the sampled network.
+func (e *Engine) Filtered(ctx context.Context, in Input, v Variant) (*sampling.Result, error) {
 	if v.IsOriginal() {
 		return nil, fmt.Errorf("pipeline: Filtered of the original network (input %q)", in.Name)
 	}
-	return get(ctx, e, in.key(StageFilter, v), func(ctx context.Context) (*Filtered, int64, error) {
+	return get(ctx, e, in.key(StageFilter, v), func(ctx context.Context) (*sampling.Result, int64, error) {
 		g, err := e.Network(ctx, in)
 		if err != nil {
 			return nil, 0, err
@@ -407,13 +401,7 @@ func (e *Engine) Filtered(ctx context.Context, in Input, v Variant) (*Filtered, 
 		if err != nil {
 			return nil, 0, err
 		}
-		fg := res.Graph(g.N())
-		// Keep the edges as a view of fg, as a disk load does, rather than
-		// the sampler's accumulator: on small universes that is a bitset
-		// matrix of up to n²/8 bytes.
-		res.Edges = graph.GraphEdges{G: fg}
-		f := &Filtered{Result: res, Graph: fg}
-		return f, graphBytes(fg), nil
+		return res, graphBytes(res.Subgraph), nil
 	})
 }
 
@@ -427,7 +415,7 @@ func (e *Engine) Graph(ctx context.Context, in Input, v Variant) (*graph.Graph, 
 	if err != nil {
 		return nil, err
 	}
-	return f.Graph, nil
+	return f.Subgraph, nil
 }
 
 // Clusters returns the MCODE complexes of the variant's network.

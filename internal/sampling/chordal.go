@@ -2,7 +2,9 @@ package sampling
 
 import (
 	"context"
-	"sort"
+	"errors"
+	"fmt"
+	"slices"
 
 	"parsample/internal/chordal"
 	"parsample/internal/comm"
@@ -10,34 +12,34 @@ import (
 )
 
 // chordalSequential runs the Dearing–Shier–Warner filter on the whole graph.
-// The DSW edge list is duplicate free by construction, so it is wrapped
-// directly — no set is materialized.
 func chordalSequential(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	cr, err := chordal.MaximalSubgraphContext(ctx, g, opts.Order)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Algorithm: ChordalSeq, Edges: cr.Edges}
-	res.Stats.P = 1
-	res.Stats.RankOps = []int64{cr.Ops}
-	return res, nil
+	return sequentialResult(ChordalSeq, g.N(), cr.Edges, cr.Ops, 0), nil
 }
 
 // localChordal computes the maximal chordal subgraph of the edges fully
-// inside one partition block, accumulating edges in global vertex ids into
-// out. The block's position in the global processing order is preserved.
-func localChordal(ctx context.Context, g *graph.Graph, block []int32, out graph.EdgeCollection) (int64, error) {
+// inside one partition block and returns its edges in global vertex ids,
+// normalized and duplicate free, plus a CSR over them for the border
+// rules' chordal-edge probes. The block's position in the global
+// processing order is preserved. Border admissions always pair an internal
+// vertex with an external one, so they never change a probe's answer and
+// the CSR is built once, before any of them.
+func localChordal(ctx context.Context, g *graph.Graph, block []int32) ([]graph.Edge, *graph.Graph, int64, error) {
 	sub, toGlobal := g.CompactSubgraph(block)
 	// CompactSubgraph labels block[i] as local vertex i, so the local natural
 	// order is exactly the block's slice of the global processing order.
 	cr, err := chordal.MaximalSubgraphContext(ctx, sub, graph.NaturalOrder(sub.N()))
 	if err != nil {
-		return 0, err
+		return nil, nil, 0, err
 	}
-	for _, e := range cr.Edges {
-		out.Add(toGlobal[e.U], toGlobal[e.V])
+	edges := cr.Edges
+	for i, e := range edges {
+		edges[i] = graph.NormEdge(toGlobal[e.U], toGlobal[e.V])
 	}
-	return cr.Ops, nil
+	return edges, graph.FromEdges(g.N(), edges), cr.Ops, nil
 }
 
 // chordalNoComm is the paper's improved communication-free parallel chordal
@@ -57,8 +59,7 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 	runErr := cm.Run(func(r comm.Rank) {
 		rank := r.ID()
 		block := pt.Parts[rank]
-		local := graph.NewAccumulator(g.N(), 0)
-		ops, err := localChordal(ctx, g, block, local)
+		edges, chordalG, ops, err := localChordal(ctx, g, block)
 		if err != nil {
 			r.Abort()
 		}
@@ -77,7 +78,8 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 				}
 			}
 		}
-		sortByExternal(borders)
+		slices.SortFunc(borders, graph.CompareEdges)
+		var admit []bool // admit[i]: border edge as[i] closes a chordal triangle
 		for lo, groups := 0, 0; lo < len(borders); groups++ {
 			if groups%1024 == 0 {
 				abortIfCancelled(ctx, r)
@@ -86,42 +88,29 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 			for hi < len(borders) && borders[hi].U == borders[lo].U {
 				hi++
 			}
-			x := borders[lo].U
 			as := borders[lo:hi]
+			admit = append(admit[:0], make([]bool, len(as))...)
 			for i := 0; i < len(as); i++ {
 				for j := i + 1; j < len(as); j++ {
 					ops++
 					// Triangle rule: the local closing edge must be chordal.
-					if local.Has(as[i].V, as[j].V) {
-						local.Add(as[i].V, x)
-						local.Add(as[j].V, x)
+					if chordalG.HasEdgeFast(as[i].V, as[j].V) {
+						admit[i], admit[j] = true, true
 					}
+				}
+			}
+			for i, ok := range admit {
+				if ok {
+					edges = append(edges, graph.NormEdge(as[i].V, as[i].U))
 				}
 			}
 			lo = hi
 		}
 		r.Compute(ops)
-		gatherParts(r, rankResult{edges: local}, parts)
+		gatherParts(r, newRankResult(edges, 0), parts)
 	})
 	_, border := pt.InternalEdgeCount(g)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return mergeRanks(ChordalNoComm, g.N(), parts, border, cm), nil
-}
-
-// sortByExternal sorts border records by their external endpoint (U), with
-// the internal endpoint (V) as a tiebreak for determinism.
-func sortByExternal(es []graph.Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
+	return finishParallel(ctx, ChordalNoComm, g.N(), parts, border, cm, runErr)
 }
 
 // borderMsg is the payload exchanged by chordalWithComm. An empty edge list
@@ -151,6 +140,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	pt := graph.BlockPartition(opts.Order, opts.P)
 	p := pt.P()
 	parts := make([]rankResult, p)
+	rankErrs := make([]error, p) // a rank's own reason for aborting the run
 	cm := newComm(opts, p)
 	defer cm.AbortOnCancel(ctx)()
 
@@ -175,8 +165,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	runErr := cm.Run(func(r comm.Rank) {
 		rank := r.ID()
 		block := pt.Parts[rank]
-		local := graph.NewAccumulator(g.N(), 0)
-		ops, err := localChordal(ctx, g, block, local)
+		edges, chordalG, ops, err := localChordal(ctx, g, block)
 		if err != nil {
 			r.Abort()
 		}
@@ -211,7 +200,6 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		// where the paper's O(b²/d) receiver cost comes from.
 		// Accepted border edges are grouped by external vertex in a per-rank
 		// slice table indexed lazily via a stamp array — no hash map.
-		accepted := graph.NewAccumulator(g.N(), 0)
 		acceptedNbrs := make([][]int32, 0, 16) // compact storage, see extSlot
 		extSlot := make([]int32, g.N())        // external vertex -> slot+1 (0 = none)
 		var sources []int
@@ -236,8 +224,19 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 			var ops int64
 			for _, e := range bm.edges {
 				ext, loc := e.U, e.V
+				// The payload may have crossed the wire: both endpoints
+				// must exist, the local one here and the external one on
+				// the sending rank, before anything is indexed by them.
+				if uint(ext) >= uint(g.N()) || uint(loc) >= uint(g.N()) {
+					rankErrs[rank] = fmt.Errorf("sampling: rank %d got border edge (%d,%d) outside the %d-vertex graph", rank, ext, loc, g.N())
+					r.Abort()
+				}
 				if pt.Part[ext] == int32(rank) {
 					ext, loc = loc, ext
+				}
+				if pt.Part[loc] != int32(rank) || pt.Part[ext] != int32(msg.From) {
+					rankErrs[rank] = fmt.Errorf("sampling: rank %d got border edge (%d,%d) that does not join it to rank %d", rank, e.U, e.V, msg.From)
+					r.Abort()
 				}
 				slot := extSlot[ext]
 				var bu []int32
@@ -247,7 +246,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 				ok := true
 				for _, w := range bu {
 					ops++
-					if !local.Has(w, loc) {
+					if !chordalG.HasEdgeFast(w, loc) {
 						ok = false
 						break
 					}
@@ -259,7 +258,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 				// large network).
 				ops += int64(g.Degree(loc)) + 1
 				if ok {
-					accepted.Add(ext, loc)
+					edges = append(edges, graph.NormEdge(ext, loc))
 					if slot == 0 {
 						acceptedNbrs = append(acceptedNbrs, nil)
 						slot = int32(len(acceptedNbrs))
@@ -272,16 +271,12 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 			// the virtual clock interleaves compute with the waits.
 			r.Compute(ops)
 		}
-		accepted.ForEach(local.Add)
-		gatherParts(r, rankResult{edges: local}, parts)
+		gatherParts(r, newRankResult(edges, 0), parts)
 	})
 
 	_, border := pt.InternalEdgeCount(g)
-	if err := ctx.Err(); err != nil {
+	if err := errors.Join(rankErrs...); err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return mergeRanks(ChordalComm, g.N(), parts, border, cm), nil
+	return finishParallel(ctx, ChordalComm, g.N(), parts, border, cm, runErr)
 }

@@ -3,7 +3,6 @@ package sampling
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"parsample/internal/comm"
 	"parsample/internal/graph"
@@ -18,9 +17,14 @@ import (
 //
 // Determinism: borderMsg edge order is semantic (the receiver's chordality
 // tests and ops accounting depend on processing order), so the codec
-// preserves slice order exactly. rankResult edges are a set; they are
-// encoded in sorted (U,V) order so the wire bytes of a given partial
+// preserves slice order exactly. rankResult edges are already sorted and
+// deduplicated (newRankResult), so the wire bytes of a given partial
 // result are reproducible run over run.
+//
+// Decoding treats the bytes as untrusted: every edge must be normalized
+// (0 ≤ U < V) and a rankResult's edges strictly ascending. Endpoints are
+// checked against the vertex universe where it is known — mergeRanks and
+// the chordal-comm receiver.
 
 // Payload kinds owned by this package.
 const (
@@ -34,9 +38,9 @@ func init() {
 		Match:  func(v any) bool { _, ok := v.(borderMsg); return ok },
 		Encode: func(v any) []byte { return appendEdges(nil, v.(borderMsg).edges) },
 		Decode: func(data []byte) (any, error) {
-			edges, rest, err := readEdges(data)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("sampling: borderMsg payload: %d trailing bytes, %w", len(rest), err)
+			edges, err := readEdges(data)
+			if err != nil {
+				return nil, fmt.Errorf("sampling: borderMsg payload: %w", err)
 			}
 			return borderMsg{edges: edges}, nil
 		},
@@ -46,71 +50,25 @@ func init() {
 		Match: func(v any) bool { _, ok := v.(rankResult); return ok },
 		Encode: func(v any) []byte {
 			pr := v.(rankResult)
-			edges := make([]graph.Edge, 0, pr.edges.Len())
-			pr.edges.ForEach(func(u, v int32) {
-				edges = append(edges, graph.Edge{U: u, V: v})
-			})
-			sort.Slice(edges, func(i, j int) bool {
-				if edges[i].U != edges[j].U {
-					return edges[i].U < edges[j].U
-				}
-				return edges[i].V < edges[j].V
-			})
-			buf := binary.LittleEndian.AppendUint64(nil, uint64(pr.restarts))
-			return appendEdges(buf, edges)
+			return appendEdges(binary.LittleEndian.AppendUint64(nil, uint64(pr.restarts)), pr.edges)
 		},
 		Decode: func(data []byte) (any, error) {
 			if len(data) < 8 {
 				return nil, fmt.Errorf("sampling: rankResult payload is %d bytes", len(data))
 			}
-			restarts := int64(binary.LittleEndian.Uint64(data))
-			edges, rest, err := readEdges(data[8:])
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("sampling: rankResult payload: %d trailing bytes, %w", len(rest), err)
+			edges, err := readEdges(data[8:])
+			if err != nil {
+				return nil, fmt.Errorf("sampling: rankResult payload: %w", err)
 			}
-			return rankResult{edges: (*edgeListCollection)(&edges), restarts: restarts}, nil
+			for i := 1; i < len(edges); i++ {
+				if graph.CompareEdges(edges[i-1], edges[i]) >= 0 {
+					return nil, fmt.Errorf("sampling: rankResult payload: edge %d (%d,%d) does not follow (%d,%d)",
+						i, edges[i].U, edges[i].V, edges[i-1].U, edges[i-1].V)
+				}
+			}
+			return rankResult{edges: edges, restarts: int64(binary.LittleEndian.Uint64(data))}, nil
 		},
 	})
-}
-
-// edgeListCollection adapts a flat edge list to graph.EdgeCollection so a
-// decoded partial result can flow through mergeRanks unchanged (the merge
-// only reads Len/ForEach; Add supports symmetry with the encoder side).
-type edgeListCollection []graph.Edge
-
-func (l *edgeListCollection) Add(u, v int32) {
-	if u > v {
-		u, v = v, u
-	}
-	*l = append(*l, graph.Edge{U: u, V: v})
-}
-
-func (l *edgeListCollection) Len() int { return len(*l) }
-
-func (l *edgeListCollection) Has(u, v int32) bool {
-	if u > v {
-		u, v = v, u
-	}
-	for _, e := range *l {
-		if e.U == u && e.V == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *edgeListCollection) ForEach(f func(u, v int32)) {
-	for _, e := range *l {
-		f(e.U, e.V)
-	}
-}
-
-func (l *edgeListCollection) Graph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for _, e := range *l {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
 }
 
 // appendEdges serializes a [count][u,v]* edge vector onto buf.
@@ -123,20 +81,24 @@ func appendEdges(buf []byte, edges []graph.Edge) []byte {
 	return buf
 }
 
-// readEdges reverses appendEdges, returning the remaining bytes.
-func readEdges(data []byte) (edges []graph.Edge, rest []byte, err error) {
+// readEdges reverses appendEdges. The vector must fill data exactly and
+// every edge must be normalized (0 ≤ U < V).
+func readEdges(data []byte) ([]graph.Edge, error) {
 	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("edge vector truncated (%d bytes)", len(data))
+		return nil, fmt.Errorf("edge vector truncated (%d bytes)", len(data))
 	}
-	n := int(binary.LittleEndian.Uint32(data))
+	n := uint64(binary.LittleEndian.Uint32(data))
 	data = data[4:]
-	if len(data) < 8*n {
-		return nil, nil, fmt.Errorf("edge vector truncated (%d of %d edges)", len(data)/8, n)
+	if uint64(len(data)) != 8*n {
+		return nil, fmt.Errorf("edge vector of %d edges in %d bytes", n, len(data))
 	}
-	edges = make([]graph.Edge, n)
+	edges := make([]graph.Edge, n)
 	for i := range edges {
-		edges[i].U = int32(binary.LittleEndian.Uint32(data[8*i:]))
-		edges[i].V = int32(binary.LittleEndian.Uint32(data[8*i+4:]))
+		e := graph.Edge{U: int32(binary.LittleEndian.Uint32(data[8*i:])), V: int32(binary.LittleEndian.Uint32(data[8*i+4:]))}
+		if e.U < 0 || e.U >= e.V {
+			return nil, fmt.Errorf("edge %d (%d,%d) is not normalized", i, e.U, e.V)
+		}
+		edges[i] = e
 	}
-	return edges, data[8*n:], nil
+	return edges, nil
 }

@@ -52,10 +52,10 @@ func TestChordalCommDenseBordersNoDeadlock(t *testing.T) {
 			t.Fatal(out.err)
 		}
 		res := out.res
-		if res.Edges.Len() == 0 {
+		if res.Subgraph.M() == 0 {
 			t.Fatal("empty result")
 		}
-		res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+		res.Subgraph.ForEachEdge(func(u, v int32) {
 			if !g.HasEdge(u, v) {
 				t.Fatalf("edge (%d,%d) not in input", u, v)
 			}

@@ -4,31 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"parsample/internal/graph"
 )
-
-// edgeKeySet flattens an edge view into a set of normalized keys.
-func edgeKeySet(v graph.EdgeView) map[uint64]bool {
-	out := make(map[uint64]bool, v.Len())
-	v.ForEach(func(u, w int32) { out[graph.EdgeKey(u, w)] = true })
-	return out
-}
-
-func sameEdges(a, b graph.EdgeView) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	bs := edgeKeySet(b)
-	same := true
-	a.ForEach(func(u, w int32) {
-		if !bs[graph.EdgeKey(u, w)] {
-			same = false
-		}
-	})
-	return same
-}
 
 // The runtime contract: parallel runs are pure functions of
 // (graph, order, P, seed, model). Scheduling must not leak into results —
@@ -53,9 +33,9 @@ func TestParallelSamplersDeterministic(t *testing.T) {
 				for _, gmp := range []int{1, 2, prev} {
 					runtime.GOMAXPROCS(gmp)
 					got := mustRun(t, alg, g, Options{P: p, Seed: 17})
-					if !sameEdges(ref.Edges, got.Edges) {
+					if !slices.Equal(ref.Subgraph.Edges(), got.Subgraph.Edges()) {
 						t.Fatalf("%v P=%d GOMAXPROCS=%d trial %d: merged edge set differs (%d vs %d edges)",
-							alg, p, gmp, trial, ref.Edges.Len(), got.Edges.Len())
+							alg, p, gmp, trial, ref.Subgraph.M(), got.Subgraph.M())
 					}
 					for r := range ref.Stats.RankSeconds {
 						if got.Stats.RankSeconds[r] != ref.Stats.RankSeconds[r] {
@@ -116,8 +96,8 @@ func TestRandomWalkRestartsNotCharged(t *testing.T) {
 func TestWalkEdgesEdgelessOnlyRestarts(t *testing.T) {
 	g := graph.NewBuilder(10).Build() // no edges
 	verts := graph.NaturalOrder(10)
-	set := graph.NewAccumulator(10, 0)
-	ops, restarts, err := walkEdges(context.Background(), verts, g.Neighbors, 5, rand.New(rand.NewSource(1)), set)
+	var edges []graph.Edge
+	ops, restarts, err := walkEdges(context.Background(), verts, g.Neighbors, 5, rand.New(rand.NewSource(1)), &edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +107,7 @@ func TestWalkEdgesEdgelessOnlyRestarts(t *testing.T) {
 	if restarts == 0 {
 		t.Fatal("expected restarts")
 	}
-	if set.Len() != 0 {
+	if len(edges) != 0 {
 		t.Fatal("selected edges out of nothing")
 	}
 }

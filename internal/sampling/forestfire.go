@@ -18,11 +18,12 @@ import (
 
 // forestFire runs fires over an adjacency view until `selections` edges have
 // been selected (repeat selections across fires count, as in the random
-// walk). pf is the forward-burning probability. Selected edges accumulate
-// into set; n is the vertex universe (for the burn-tag array).
+// walk). pf is the forward-burning probability. Selected edges are
+// appended, normalized, to *out; n is the vertex universe (for the
+// burn-tag array).
 // ctx is polled once per fire; a cancelled run returns early with ctx.Err().
 func forestFire(ctx context.Context, verts []int32, n int, neighbors func(int32) []int32, selections int,
-	pf float64, rng *rand.Rand, set graph.EdgeCollection) (int64, error) {
+	pf float64, rng *rand.Rand, out *[]graph.Edge) (int64, error) {
 	var ops int64
 	if len(verts) == 0 || selections <= 0 {
 		return ops, nil
@@ -66,7 +67,7 @@ func forestFire(ctx context.Context, verts []int32, n int, neighbors func(int32)
 					continue
 				}
 				burnedAt[u] = fire
-				set.Add(v, u)
+				*out = append(*out, graph.NormEdge(v, u))
 				sel++
 				k--
 				burnedAny = true
@@ -86,15 +87,12 @@ func forestFire(ctx context.Context, verts []int32, n int, neighbors func(int32)
 func forestFireSequential(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	verts := graph.NaturalOrder(g.N())
-	set := graph.NewAccumulator(g.N(), g.M()/4)
-	ops, err := forestFire(ctx, verts, g.N(), g.Neighbors, g.M()/2, defaultForwardProb, rng, set)
+	var edges []graph.Edge
+	ops, err := forestFire(ctx, verts, g.N(), g.Neighbors, g.M()/2, defaultForwardProb, rng, &edges)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Algorithm: ForestFireSeq, Edges: set}
-	res.Stats.P = 1
-	res.Stats.RankOps = []int64{ops}
-	return res, nil
+	return sequentialResult(ForestFireSeq, g.N(), edges, ops, 0), nil
 }
 
 // defaultForwardProb is Leskovec's recommended forward-burning probability.
@@ -124,8 +122,8 @@ func forestFireParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 			}
 			return out
 		}
-		set := graph.NewAccumulator(g.N(), internal[rank]/4)
-		ops, err := forestFire(ctx, block, g.N(), nb, internal[rank]/2, defaultForwardProb, rng, set)
+		var edges []graph.Edge
+		ops, err := forestFire(ctx, block, g.N(), nb, internal[rank]/2, defaultForwardProb, rng, &edges)
 		if err != nil {
 			r.Abort()
 		}
@@ -137,19 +135,13 @@ func forestFireParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 				if pt.Part[x] != int32(rank) {
 					ops++
 					if edgeCoin(a, x, opts.Seed) {
-						set.Add(a, x)
+						edges = append(edges, graph.NormEdge(a, x))
 					}
 				}
 			}
 		}
 		r.Compute(ops)
-		gatherParts(r, rankResult{edges: set}, parts)
+		gatherParts(r, newRankResult(edges, 0), parts)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return mergeRanks(ForestFirePar, g.N(), parts, border, cm), nil
+	return finishParallel(ctx, ForestFirePar, g.N(), parts, border, cm, runErr)
 }

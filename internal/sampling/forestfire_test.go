@@ -9,13 +9,13 @@ import (
 func TestForestFireSubsetAndSize(t *testing.T) {
 	g := graph.Gnm(300, 1200, 9)
 	res := mustRun(t, ForestFireSeq, g, Options{Seed: 3})
-	if res.Edges.Len() == 0 {
+	if res.Subgraph.M() == 0 {
 		t.Fatal("forest fire selected nothing")
 	}
-	if res.Edges.Len() > g.M()/2 {
-		t.Fatalf("selected %d > M/2 = %d", res.Edges.Len(), g.M()/2)
+	if res.Subgraph.M() > g.M()/2 {
+		t.Fatalf("selected %d > M/2 = %d", res.Subgraph.M(), g.M()/2)
 	}
-	res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+	res.Subgraph.ForEachEdge(func(u, v int32) {
 		if !g.HasEdge(u, v) {
 			t.Fatal("selected non-existent edge")
 		}
@@ -26,11 +26,11 @@ func TestForestFireDeterministicPerSeed(t *testing.T) {
 	g := graph.Gnm(150, 500, 2)
 	a := mustRun(t, ForestFireSeq, g, Options{Seed: 5})
 	b := mustRun(t, ForestFireSeq, g, Options{Seed: 5})
-	if a.Edges.Len() != b.Edges.Len() {
+	if a.Subgraph.M() != b.Subgraph.M() {
 		t.Fatal("not deterministic")
 	}
-	a.Edges.ForEach(func(u, v int32) {
-		if !b.Edges.Has(u, v) {
+	a.Subgraph.ForEachEdge(func(u, v int32) {
+		if !b.Subgraph.HasEdge(u, v) {
 			t.Fatal("edge sets differ for same seed")
 		}
 	})
@@ -38,11 +38,11 @@ func TestForestFireDeterministicPerSeed(t *testing.T) {
 
 func TestForestFireEmptyAndEdgeless(t *testing.T) {
 	res := mustRun(t, ForestFireSeq, graph.FromEdges(0, nil), Options{})
-	if res.Edges.Len() != 0 {
+	if res.Subgraph.M() != 0 {
 		t.Fatal("empty graph should select nothing")
 	}
 	res = mustRun(t, ForestFireSeq, graph.FromEdges(10, nil), Options{})
-	if res.Edges.Len() != 0 {
+	if res.Subgraph.M() != 0 {
 		t.Fatal("edgeless graph should select nothing")
 	}
 }
@@ -56,7 +56,7 @@ func TestForestFireParallelNoMessages(t *testing.T) {
 	if res.Stats.P != 8 {
 		t.Fatalf("P = %d", res.Stats.P)
 	}
-	res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+	res.Subgraph.ForEachEdge(func(u, v int32) {
 		if !g.HasEdge(u, v) {
 			t.Fatal("selected non-existent edge")
 		}
@@ -70,7 +70,7 @@ func TestForestFireTerminatesOnDisconnected(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.Build()
 	res := mustRun(t, ForestFireSeq, g, Options{Seed: 1})
-	if res.Edges.Len() > g.M() {
+	if res.Subgraph.M() > g.M() {
 		t.Fatal("overselected")
 	}
 }
@@ -93,10 +93,10 @@ func TestForestFireLikeRandomWalkKillsWeakClusters(t *testing.T) {
 					continue
 				}
 				total++
-				if ff.Edges.Has(mod[i], mod[j]) {
+				if ff.Subgraph.HasEdge(mod[i], mod[j]) {
 					ffKept++
 				}
-				if ch.Edges.Has(mod[i], mod[j]) {
+				if ch.Subgraph.HasEdge(mod[i], mod[j]) {
 					chKept++
 				}
 			}

@@ -16,16 +16,16 @@ import (
 // repeats). Vertices with no eligible edges cause a uniform restart.
 //
 // neighbors(v) returns the eligible neighbor list of v; verts is the pool of
-// restart vertices. Selected edges accumulate into set.
+// restart vertices. Selected edges are appended, normalized, to *out.
 //
 // Only successful selections are charged as compute ops; restarts are
 // counted separately so dead-end retries on sparse partitions do not
 // inflate the modeled per-rank work (they still show up in
 // RunStats.Restarts for diagnostics).
 // ctx is polled every 4096 selections; a cancelled walk returns early with
-// ctx.Err() (the partial edge set in `set` is then discarded by the caller).
+// ctx.Err() (the partial edges in *out are then discarded by the caller).
 func walkEdges(ctx context.Context, verts []int32, neighbors func(int32) []int32, selections int,
-	rng *rand.Rand, set graph.EdgeCollection) (ops, restarts int64, err error) {
+	rng *rand.Rand, out *[]graph.Edge) (ops, restarts int64, err error) {
 	if len(verts) == 0 || selections <= 0 {
 		return 0, 0, nil
 	}
@@ -51,7 +51,7 @@ func walkEdges(ctx context.Context, verts []int32, neighbors func(int32) []int32
 		failures = 0
 		ops++
 		next := nb[rng.Intn(len(nb))]
-		set.Add(cur, next)
+		*out = append(*out, graph.NormEdge(cur, next))
 		cur = next
 	}
 	return ops, restarts, nil
@@ -63,16 +63,12 @@ func walkEdges(ctx context.Context, verts []int32, neighbors func(int32) []int32
 func randomWalkSequential(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	verts := graph.NaturalOrder(g.N())
-	set := graph.NewAccumulator(g.N(), g.M()/4)
-	ops, restarts, err := walkEdges(ctx, verts, g.Neighbors, g.M()/2, rng, set)
+	var edges []graph.Edge
+	ops, restarts, err := walkEdges(ctx, verts, g.Neighbors, g.M()/2, rng, &edges)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Algorithm: RandomWalkSeq, Edges: set}
-	res.Stats.P = 1
-	res.Stats.RankOps = []int64{ops}
-	res.Stats.Restarts = restarts
-	return res, nil
+	return sequentialResult(RandomWalkSeq, g.N(), edges, ops, restarts), nil
 }
 
 // randomWalkParallel partitions the network like the chordal samplers; each
@@ -103,8 +99,8 @@ func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 			}
 			return out
 		}
-		set := graph.NewAccumulator(g.N(), internal[rank]/4)
-		ops, restarts, err := walkEdges(ctx, block, nb, internal[rank]/2, rng, set)
+		var edges []graph.Edge
+		ops, restarts, err := walkEdges(ctx, block, nb, internal[rank]/2, rng, &edges)
 		if err != nil {
 			r.Abort()
 		}
@@ -117,21 +113,15 @@ func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 				if pt.Part[x] != int32(rank) {
 					ops++
 					if edgeCoin(a, x, opts.Seed) {
-						set.Add(a, x)
+						edges = append(edges, graph.NormEdge(a, x))
 					}
 				}
 			}
 		}
 		r.Compute(ops)
-		gatherParts(r, rankResult{edges: set, restarts: restarts}, parts)
+		gatherParts(r, newRankResult(edges, restarts), parts)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return mergeRanks(RandomWalkPar, g.N(), parts, border, cm), nil
+	return finishParallel(ctx, RandomWalkPar, g.N(), parts, border, cm, runErr)
 }
 
 // edgeCoin is a deterministic fair coin on a normalized edge.

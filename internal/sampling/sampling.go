@@ -17,6 +17,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"parsample/internal/comm"
 	"parsample/internal/graph"
@@ -123,12 +124,9 @@ func newComm(opts Options, p int) comm.Comm {
 type Result struct {
 	// Algorithm that produced the result.
 	Algorithm Algorithm
-	// Edges of the sampled (filtered) subgraph, duplicates removed. The
-	// concrete representation is chosen per run: the sequential chordal
-	// filter returns its duplicate-free flat edge list directly; parallel
-	// merges use a dense bitset matrix on small vertex universes and a hash
-	// set on large ones (graph.NewAccumulator).
-	Edges graph.EdgeView
+	// Subgraph is the sampled (filtered) subgraph over the input's vertex
+	// universe, duplicates removed.
+	Subgraph *graph.Graph
 	// Stats feeds the comm cost model (per-rank ops, message/byte counts,
 	// serial post-processing ops).
 	Stats comm.RunStats
@@ -140,8 +138,24 @@ type Result struct {
 	BorderEdges int
 }
 
-// Graph materializes the sampled subgraph over n vertices.
-func (r *Result) Graph(n int) *graph.Graph { return r.Edges.Graph(n) }
+// Graph returns the sampled subgraph. n must be the input's vertex count,
+// the universe Subgraph already spans.
+func (r *Result) Graph(n int) *graph.Graph {
+	if n != r.Subgraph.N() {
+		panic(fmt.Sprintf("sampling: Graph(%d) of a result over %d vertices", n, r.Subgraph.N()))
+	}
+	return r.Subgraph
+}
+
+// sequentialResult wraps a one-rank run's edges, which may repeat, as a
+// Result.
+func sequentialResult(alg Algorithm, n int, edges []graph.Edge, ops, restarts int64) *Result {
+	res := &Result{Algorithm: alg, Subgraph: graph.FromEdges(n, edges)}
+	res.Stats.P = 1
+	res.Stats.RankOps = []int64{ops}
+	res.Stats.Restarts = restarts
+	return res
+}
 
 // Run applies the given filter to g.
 func Run(alg Algorithm, g *graph.Graph, opts Options) (*Result, error) {
@@ -199,13 +213,20 @@ func abortIfCancelled(ctx context.Context, r comm.Rank) {
 // runtime's Gatherv at the end of every parallel run. Operation counts and
 // virtual clocks live in the communicator (charged via Rank.Compute).
 type rankResult struct {
-	edges    graph.EdgeCollection
+	edges    []graph.Edge // normalized (U < V), strictly ascending by CompareEdges
 	restarts int64
+}
+
+// newRankResult sorts and deduplicates a rank's normalized edges once,
+// right before they are gathered.
+func newRankResult(edges []graph.Edge, restarts int64) rankResult {
+	slices.SortFunc(edges, graph.CompareEdges)
+	return rankResult{edges: slices.Compact(edges), restarts: restarts}
 }
 
 // payloadBytes is the modeled wire size of a gathered partial result: two
 // int32 endpoints per edge.
-func (pr rankResult) payloadBytes() int { return 8 * pr.edges.Len() }
+func (pr rankResult) payloadBytes() int { return 8 * len(pr.edges) }
 
 // gatherParts ends a rank's run: it gathers every rank's partial result to
 // rank 0 through the runtime (charging the collective's modeled cost) and,
@@ -220,34 +241,47 @@ func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) {
 	}
 }
 
-// mergeRanks unions per-rank edge sets sequentially (the paper notes the
-// duplicate removal is done during the sequential analysis phase), counts
-// duplicates, and copies the runtime's accounting (per-rank ops, virtual
-// clocks, point-to-point and collective traffic) into the result stats.
-// n is the vertex universe of the input graph.
-func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Comm) *Result {
+// finishParallel turns a finished parallel run into its result: a
+// cancellation wins over the runtime's failure, and only a clean run is
+// merged.
+func finishParallel(ctx context.Context, alg Algorithm, n int, parts []rankResult, border int,
+	cm comm.Comm, runErr error) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	return mergeRanks(alg, n, parts, border, cm)
+}
+
+// mergeRanks unions the per-rank edge lists sequentially into one CSR
+// subgraph (the paper notes the duplicate removal is done during the
+// sequential analysis phase), counts duplicates, and copies the runtime's
+// accounting (per-rank ops, virtual clocks, point-to-point and collective
+// traffic) into the result stats. n is the vertex universe of the input
+// graph. A remote rank's payload is untrusted: its decoder guarantees
+// 0 ≤ U < V, and an edge beyond n is an error here, not a panic.
+func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Comm) (*Result, error) {
 	total := 0
 	for _, pr := range parts {
-		if pr.edges == nil {
-			continue // non-root transport rank: Gatherv delivered nothing here
-		}
-		total += pr.edges.Len()
+		total += len(pr.edges)
 	}
-	merged := graph.NewAccumulator(n, total)
-	res := &Result{
-		Algorithm:   alg,
-		Edges:       merged,
-		BorderEdges: border,
-	}
+	b := graph.NewBuilder(n)
+	b.Grow(total)
+	res := &Result{Algorithm: alg, BorderEdges: border}
 	cm.FillStats(&res.Stats)
-	for _, pr := range parts {
+	for rk, pr := range parts {
 		res.Stats.Restarts += pr.restarts
-		if pr.edges == nil {
-			continue
+		for _, e := range pr.edges {
+			if int(e.V) >= n {
+				return nil, fmt.Errorf("sampling: rank %d returned edge (%d,%d) outside the %d-vertex graph", rk, e.U, e.V, n)
+			}
+			b.AddEdge(e.U, e.V)
 		}
-		pr.edges.ForEach(merged.Add)
 	}
-	res.DuplicateBorderEdges = total - merged.Len()
+	res.Subgraph = b.Build()
+	res.DuplicateBorderEdges = total - res.Subgraph.M()
 	res.Stats.SerialOps = int64(total)
-	return res
+	return res, nil
 }

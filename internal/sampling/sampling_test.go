@@ -51,8 +51,8 @@ func TestChordalSeqMatchesChordalPackage(t *testing.T) {
 	ord := graph.Order(g, graph.HighDegree, 0)
 	res := mustRun(t, ChordalSeq, g, Options{Order: ord})
 	want := chordal.MaximalSubgraph(g, ord)
-	if res.Edges.Len() != want.Edges.Len() {
-		t.Fatalf("got %d edges, want %d", res.Edges.Len(), want.Edges.Len())
+	if res.Subgraph.M() != len(want.Edges) {
+		t.Fatalf("got %d edges, want %d", res.Subgraph.M(), len(want.Edges))
 	}
 	if !chordal.IsChordal(res.Graph(g.N())) {
 		t.Fatal("sequential result not chordal")
@@ -63,7 +63,7 @@ func TestNoCommSubsetOfOriginal(t *testing.T) {
 	g := graph.Gnm(200, 700, 9)
 	for _, p := range []int{1, 2, 4, 8} {
 		res := mustRun(t, ChordalNoComm, g, Options{P: p})
-		res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+		res.Subgraph.ForEachEdge(func(u, v int32) {
 			if !g.HasEdge(u, v) {
 				t.Fatalf("P=%d: edge (%d,%d) not in original", p, u, v)
 			}
@@ -75,11 +75,11 @@ func TestNoCommOneProcessorEqualsSequential(t *testing.T) {
 	g := graph.Gnm(150, 500, 4)
 	seqr := mustRun(t, ChordalSeq, g, Options{})
 	par := mustRun(t, ChordalNoComm, g, Options{P: 1})
-	if par.Edges.Len() != seqr.Edges.Len() {
-		t.Fatalf("P=1 nocomm %d edges, sequential %d", par.Edges.Len(), seqr.Edges.Len())
+	if par.Subgraph.M() != seqr.Subgraph.M() {
+		t.Fatalf("P=1 nocomm %d edges, sequential %d", par.Subgraph.M(), seqr.Subgraph.M())
 	}
-	seqr.Edges.ForEach(func(u, v int32) {
-		if !par.Edges.Has(u, v) {
+	seqr.Subgraph.ForEachEdge(func(u, v int32) {
+		if !par.Subgraph.HasEdge(u, v) {
 			t.Fatal("P=1 nocomm differs from sequential")
 		}
 	})
@@ -123,10 +123,10 @@ func TestNoCommBorderTriangleRule(t *testing.T) {
 	}
 	g := b.Build()
 	res := mustRun(t, ChordalNoComm, g, Options{P: 2})
-	if !res.Edges.Has(0, 3) || !res.Edges.Has(1, 3) {
+	if !res.Subgraph.HasEdge(0, 3) || !res.Subgraph.HasEdge(1, 3) {
 		t.Fatal("border pair with chordal closing edge should be admitted")
 	}
-	if res.Edges.Has(2, 5) {
+	if res.Subgraph.HasEdge(2, 5) {
 		t.Fatal("border edge without a closing triangle was admitted")
 	}
 }
@@ -135,8 +135,8 @@ func TestCommMatchesSequentialAtP1(t *testing.T) {
 	g := graph.Gnm(100, 300, 5)
 	seqr := mustRun(t, ChordalSeq, g, Options{})
 	com := mustRun(t, ChordalComm, g, Options{P: 1})
-	if com.Edges.Len() != seqr.Edges.Len() {
-		t.Fatalf("P=1 comm %d edges, sequential %d", com.Edges.Len(), seqr.Edges.Len())
+	if com.Subgraph.M() != seqr.Subgraph.M() {
+		t.Fatalf("P=1 comm %d edges, sequential %d", com.Subgraph.M(), seqr.Subgraph.M())
 	}
 	if com.Stats.Messages != 0 {
 		t.Fatalf("P=1 should send no messages, sent %d", com.Stats.Messages)
@@ -172,12 +172,12 @@ func TestCommKeepsMoreOrEqualBorderStructure(t *testing.T) {
 	for r := 0; r < p; r++ {
 		sub, _ := g.CompactSubgraph(pt.Parts[r])
 		cr := chordal.MaximalSubgraph(sub, graph.NaturalOrder(sub.N()))
-		baseline += cr.Edges.Len()
+		baseline += len(cr.Edges)
 	}
 	for _, alg := range []Algorithm{ChordalComm, ChordalNoComm} {
 		res := mustRun(t, alg, g, Options{Order: ord, P: p})
-		if res.Edges.Len() < baseline {
-			t.Fatalf("%v: %d edges < internal baseline %d", alg, res.Edges.Len(), baseline)
+		if res.Subgraph.M() < baseline {
+			t.Fatalf("%v: %d edges < internal baseline %d", alg, res.Subgraph.M(), baseline)
 		}
 	}
 }
@@ -189,24 +189,24 @@ func TestMoreProcessorsFewerEdges(t *testing.T) {
 	prev := -1
 	for _, p := range []int{1, 8, 64} {
 		res := mustRun(t, ChordalNoComm, g, Options{P: p})
-		if prev >= 0 && res.Edges.Len() > prev+prev/10 {
-			t.Fatalf("P=%d retained %d edges, noticeably more than %d at smaller P", p, res.Edges.Len(), prev)
+		if prev >= 0 && res.Subgraph.M() > prev+prev/10 {
+			t.Fatalf("P=%d retained %d edges, noticeably more than %d at smaller P", p, res.Subgraph.M(), prev)
 		}
-		prev = res.Edges.Len()
+		prev = res.Subgraph.M()
 	}
 }
 
 func TestRandomWalkSelectsAboutHalf(t *testing.T) {
 	g := graph.Gnm(300, 1200, 2)
 	res := mustRun(t, RandomWalkSeq, g, Options{Seed: 1})
-	if res.Edges.Len() == 0 {
+	if res.Subgraph.M() == 0 {
 		t.Fatal("random walk selected nothing")
 	}
 	// With E/2 selections and repeats, unique edges < E/2.
-	if res.Edges.Len() > g.M()/2 {
-		t.Fatalf("random walk kept %d > M/2 = %d", res.Edges.Len(), g.M()/2)
+	if res.Subgraph.M() > g.M()/2 {
+		t.Fatalf("random walk kept %d > M/2 = %d", res.Subgraph.M(), g.M()/2)
 	}
-	res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+	res.Subgraph.ForEachEdge(func(u, v int32) {
 		if !g.HasEdge(u, v) {
 			t.Fatal("walk selected non-existent edge")
 		}
@@ -217,19 +217,19 @@ func TestRandomWalkDeterministicPerSeed(t *testing.T) {
 	g := graph.Gnm(100, 400, 3)
 	a := mustRun(t, RandomWalkSeq, g, Options{Seed: 7})
 	b := mustRun(t, RandomWalkSeq, g, Options{Seed: 7})
-	if a.Edges.Len() != b.Edges.Len() {
+	if a.Subgraph.M() != b.Subgraph.M() {
 		t.Fatal("same seed, different result")
 	}
-	a.Edges.ForEach(func(u, v int32) {
-		if !b.Edges.Has(u, v) {
+	a.Subgraph.ForEachEdge(func(u, v int32) {
+		if !b.Subgraph.HasEdge(u, v) {
 			t.Fatal("same seed, different edges")
 		}
 	})
 	c := mustRun(t, RandomWalkSeq, g, Options{Seed: 8})
-	same := c.Edges.Len() == a.Edges.Len()
+	same := c.Subgraph.M() == a.Subgraph.M()
 	if same {
-		a.Edges.ForEach(func(u, v int32) {
-			if !c.Edges.Has(u, v) {
+		a.Subgraph.ForEachEdge(func(u, v int32) {
+			if !c.Subgraph.HasEdge(u, v) {
 				same = false
 			}
 		})
@@ -245,7 +245,7 @@ func TestRandomWalkParallelNoMessages(t *testing.T) {
 	if res.Stats.Messages != 0 {
 		t.Fatal("parallel random walk must be communication free")
 	}
-	res.Edges.Graph(g.N()).ForEachEdge(func(u, v int32) {
+	res.Subgraph.ForEachEdge(func(u, v int32) {
 		if !g.HasEdge(u, v) {
 			t.Fatal("selected non-existent edge")
 		}
@@ -261,7 +261,7 @@ func TestRandomWalkParallelBorderCoinConsistent(t *testing.T) {
 	pt := graph.BlockPartition(ord, 4)
 	admitted, rejected := 0, 0
 	for _, e := range pt.BorderEdges(g) {
-		if res.Edges.Has(e.U, e.V) {
+		if res.Subgraph.HasEdge(e.U, e.V) {
 			admitted++
 		} else {
 			rejected++
@@ -318,7 +318,7 @@ func TestNoCommQuick(t *testing.T) {
 			return false
 		}
 		ok := true
-		res.Edges.Graph(n).ForEachEdge(func(u, v int32) {
+		res.Subgraph.ForEachEdge(func(u, v int32) {
 			if !g.HasEdge(u, v) {
 				ok = false
 			}
@@ -344,7 +344,7 @@ func TestCommQuickChordalSubsets(t *testing.T) {
 			return false
 		}
 		ok := true
-		res.Edges.Graph(n).ForEachEdge(func(u, v int32) {
+		res.Subgraph.ForEachEdge(func(u, v int32) {
 			if !g.HasEdge(u, v) {
 				ok = false
 			}

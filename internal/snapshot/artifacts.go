@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"parsample/internal/analysis"
-	"parsample/internal/comm"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
+	"parsample/internal/sampling"
 )
 
 // ------------------------------------------------------------------ graphs
@@ -245,64 +245,51 @@ func DecodeMatches(data []byte) ([]analysis.Match, error) {
 
 // ---------------------------------------------------------------- filtered
 
-// FilteredParts is the persistable form of a Filter-stage artifact: the
-// sampling telemetry plus the materialized subgraph. The in-memory
-// sampling.Result's EdgeView is not persisted — it is reconstructed from
-// the subgraph on decode (graph.GraphEdges), which is equivalent under the
-// determinism contract because the subgraph is exactly the admitted edge
-// set.
-type FilteredParts struct {
-	Algorithm            int
-	BorderEdges          int
-	DuplicateBorderEdges int
-	Stats                comm.RunStats
-	Graph                *graph.Graph
-}
-
-// EncodeFiltered snapshots a Filter-stage artifact.
-func EncodeFiltered(p FilteredParts) []byte {
+// EncodeFiltered snapshots a Filter-stage artifact: the sampling
+// telemetry plus the sampled subgraph.
+func EncodeFiltered(r *sampling.Result) []byte {
 	var e enc
-	e.i64(int64(p.Algorithm))
-	e.i64(int64(p.BorderEdges))
-	e.i64(int64(p.DuplicateBorderEdges))
-	e.i64(int64(p.Stats.P))
-	e.i64(p.Stats.Messages)
-	e.i64(p.Stats.Bytes)
-	e.i64(p.Stats.CollMessages)
-	e.i64(p.Stats.CollBytes)
-	e.i64(p.Stats.SerialOps)
-	e.i64(p.Stats.Restarts)
-	e.i64s(p.Stats.RankOps)
-	e.f64s(p.Stats.RankSeconds)
-	putGraph(&e, p.Graph)
+	e.i64(int64(r.Algorithm))
+	e.i64(int64(r.BorderEdges))
+	e.i64(int64(r.DuplicateBorderEdges))
+	e.i64(int64(r.Stats.P))
+	e.i64(r.Stats.Messages)
+	e.i64(r.Stats.Bytes)
+	e.i64(r.Stats.CollMessages)
+	e.i64(r.Stats.CollBytes)
+	e.i64(r.Stats.SerialOps)
+	e.i64(r.Stats.Restarts)
+	e.i64s(r.Stats.RankOps)
+	e.f64s(r.Stats.RankSeconds)
+	putGraph(&e, r.Subgraph)
 	return finish(TypeFiltered, e.buf)
 }
 
 // DecodeFiltered reconstructs a snapshotted Filter-stage artifact.
-func DecodeFiltered(data []byte) (FilteredParts, error) {
+func DecodeFiltered(data []byte) (*sampling.Result, error) {
 	d, err := open(data, TypeFiltered)
 	if err != nil {
-		return FilteredParts{}, err
+		return nil, err
 	}
-	var p FilteredParts
-	p.Algorithm = int(d.i64())
-	p.BorderEdges = int(d.i64())
-	p.DuplicateBorderEdges = int(d.i64())
-	p.Stats.P = int(d.i64())
-	p.Stats.Messages = d.i64()
-	p.Stats.Bytes = d.i64()
-	p.Stats.CollMessages = d.i64()
-	p.Stats.CollBytes = d.i64()
-	p.Stats.SerialOps = d.i64()
-	p.Stats.Restarts = d.i64()
-	p.Stats.RankOps = d.i64s()
-	p.Stats.RankSeconds = d.f64s()
-	p.Graph = getGraph(d)
+	r := &sampling.Result{}
+	r.Algorithm = sampling.Algorithm(d.i64())
+	r.BorderEdges = int(d.i64())
+	r.DuplicateBorderEdges = int(d.i64())
+	r.Stats.P = int(d.i64())
+	r.Stats.Messages = d.i64()
+	r.Stats.Bytes = d.i64()
+	r.Stats.CollMessages = d.i64()
+	r.Stats.CollBytes = d.i64()
+	r.Stats.SerialOps = d.i64()
+	r.Stats.Restarts = d.i64()
+	r.Stats.RankOps = d.i64s()
+	r.Stats.RankSeconds = d.f64s()
+	r.Subgraph = getGraph(d)
 	if err := d.done(); err != nil {
-		return FilteredParts{}, err
+		return nil, err
 	}
-	if p.Graph == nil {
-		return FilteredParts{}, fmt.Errorf("%w: filtered snapshot without a subgraph", ErrCorrupt)
+	if r.Subgraph == nil {
+		return nil, fmt.Errorf("%w: filtered snapshot without a subgraph", ErrCorrupt)
 	}
-	return p, nil
+	return r, nil
 }

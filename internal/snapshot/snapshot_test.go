@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"testing"
 
 	"parsample/internal/analysis"
 	"parsample/internal/comm"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
+	"parsample/internal/sampling"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -137,8 +139,8 @@ func TestScoredAndMatchesRoundTrip(t *testing.T) {
 }
 
 func TestFilteredRoundTrip(t *testing.T) {
-	p := FilteredParts{
-		Algorithm:            2,
+	r := &sampling.Result{
+		Algorithm:            sampling.ChordalNoComm,
 		BorderEdges:          5,
 		DuplicateBorderEdges: 1,
 		Stats: comm.RunStats{
@@ -148,26 +150,56 @@ func TestFilteredRoundTrip(t *testing.T) {
 			Messages:    7, Bytes: 512, CollMessages: 3, CollBytes: 64,
 			SerialOps: 11, Restarts: 2,
 		},
-		Graph: testGraph(t),
+		Subgraph: testGraph(t),
 	}
-	got, err := DecodeFiltered(EncodeFiltered(p))
+	got, err := DecodeFiltered(EncodeFiltered(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Algorithm != p.Algorithm || got.BorderEdges != p.BorderEdges ||
-		got.DuplicateBorderEdges != p.DuplicateBorderEdges ||
-		got.Stats.P != p.Stats.P || got.Stats.Messages != p.Stats.Messages ||
-		got.Stats.SerialOps != p.Stats.SerialOps || got.Stats.Restarts != p.Stats.Restarts {
-		t.Fatalf("filtered round trip mismatch: %+v vs %+v", got, p)
+	if got.Algorithm != r.Algorithm || got.BorderEdges != r.BorderEdges ||
+		got.DuplicateBorderEdges != r.DuplicateBorderEdges ||
+		got.Stats.P != r.Stats.P || got.Stats.Messages != r.Stats.Messages ||
+		got.Stats.SerialOps != r.Stats.SerialOps || got.Stats.Restarts != r.Stats.Restarts {
+		t.Fatalf("filtered round trip mismatch: %+v vs %+v", got, r)
 	}
-	for i := range p.Stats.RankOps {
-		if got.Stats.RankOps[i] != p.Stats.RankOps[i] ||
-			got.Stats.RankSeconds[i] != p.Stats.RankSeconds[i] {
+	for i := range r.Stats.RankOps {
+		if got.Stats.RankOps[i] != r.Stats.RankOps[i] ||
+			got.Stats.RankSeconds[i] != r.Stats.RankSeconds[i] {
 			t.Fatalf("rank telemetry mismatch at %d", i)
 		}
 	}
-	if !graphsEqual(p.Graph, got.Graph) {
+	if !graphsEqual(r.Subgraph, got.Subgraph) {
 		t.Fatal("subgraph mismatch")
+	}
+}
+
+// testdata/filtered_chordal_comm.snap was written by the encoder that
+// persisted the subgraph next to a separate edge container: chordal-comm,
+// P=4, seed 1, natural order, on Gnm(80, 240, 5). A disk tier filled
+// before results carried their subgraph directly must still decode to what
+// a fresh run computes, and both must encode to exactly those bytes.
+func TestFilteredGoldenBlob(t *testing.T) {
+	blob, err := os.ReadFile("testdata/filtered_chordal_comm.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFiltered(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Gnm(80, 240, 5)
+	want, err := sampling.Run(sampling.ChordalComm, g, sampling.Options{P: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graphsEqual(got.Subgraph, want.Subgraph) {
+		t.Fatal("decoded subgraph differs from a fresh run")
+	}
+	if !bytes.Equal(EncodeFiltered(got), blob) {
+		t.Fatal("decoded blob re-encodes to different bytes")
+	}
+	if !bytes.Equal(EncodeFiltered(want), blob) {
+		t.Fatal("a fresh run encodes to different bytes than the golden blob")
 	}
 }
 

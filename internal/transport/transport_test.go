@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -294,27 +293,12 @@ func startCluster(t *testing.T, n int) (*Cluster, []*Worker) {
 	return cl, workers
 }
 
-// sortedEdges canonicalizes an edge view for comparison.
-func sortedEdges(v graph.EdgeView) []graph.Edge {
-	out := make([]graph.Edge, 0, v.Len())
-	v.ForEach(func(u, w int32) {
-		out = append(out, graph.NormEdge(u, w))
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
 // assertResultsIdentical pins the full determinism contract between a
 // simulated and a distributed run: byte-identical edge sets and identical
 // modeled accounting (ops, clocks, traffic, restarts, duplicates).
 func assertResultsIdentical(t *testing.T, label string, sim, dist *sampling.Result) {
 	t.Helper()
-	se, de := sortedEdges(sim.Edges), sortedEdges(dist.Edges)
+	se, de := sim.Subgraph.Edges(), dist.Subgraph.Edges()
 	if len(se) != len(de) {
 		t.Fatalf("%s: edge count %d simulated, %d distributed", label, len(se), len(de))
 	}
@@ -478,7 +462,7 @@ func TestP1RunsLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, de := sortedEdges(sim.Edges), sortedEdges(res.Edges)
+	se, de := sim.Subgraph.Edges(), res.Subgraph.Edges()
 	if len(se) != len(de) {
 		t.Fatalf("edge count %d vs %d", len(se), len(de))
 	}

@@ -24,7 +24,7 @@
 //	        Ordering:  parsample.HighDegree,
 //	        P:         8,
 //	})
-//	clusters, _ := parsample.ClustersContext(ctx, filtered.Graph(g.N()), parsample.ClusterParams{})
+//	clusters, _ := parsample.ClustersContext(ctx, filtered.Subgraph, parsample.ClusterParams{})
 //
 // Networks built in memory go through NewBuilder:
 //
@@ -70,8 +70,6 @@ type (
 	Graph = graph.Graph
 	// Edge is a normalized undirected edge (U < V).
 	Edge = graph.Edge
-	// EdgeSet is a sparse set of undirected edges.
-	EdgeSet = graph.EdgeSet
 	// Bitset is a flat-word vertex set, the membership structure used by the
 	// dense kernels.
 	Bitset = graph.Bitset
@@ -219,11 +217,11 @@ func Filter(g *Graph, opts FilterOptions) (*Result, error) {
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // MaximalChordalSubgraph extracts a maximal chordal subgraph of g under the
-// given ordering and returns it as a CSR graph (built directly from the
-// DSW edge list; no intermediate edge set is materialized).
+// given ordering and returns it as a CSR graph built from the DSW edge
+// list.
 func MaximalChordalSubgraph(g *Graph, o Ordering, seed int64) *Graph {
 	res := chordal.MaximalSubgraph(g, graph.Order(g, o, seed))
-	return res.SubgraphGraph(g.N())
+	return graph.FromEdges(g.N(), res.Edges)
 }
 
 // IsChordal reports whether g is a chordal graph.
@@ -485,8 +483,8 @@ func (p *Pipeline) Run(ctx context.Context, in PipelineInput) (*PipelineResult, 
 	}
 	res := &PipelineResult{
 		Network:  net,
-		Filter:   filt.Result,
-		Filtered: filt.Graph,
+		Filter:   filt,
+		Filtered: filt.Subgraph,
 		Clusters: clusters,
 	}
 	if in.DAG != nil && in.Ann != nil {
