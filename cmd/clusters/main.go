@@ -95,8 +95,11 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
-		if err := parsample.WriteDOT(f, g, parsample.DOTOptions{Name: "clusters", Highlight: groups}); err != nil {
+		err = parsample.WriteDOT(f, g, parsample.DOTOptions{Name: "clusters", Highlight: groups})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatalf("write dot: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *dotPath)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -43,29 +44,40 @@ func main() {
 	}
 }
 
+// writeEdges writes g as an edge list to a new file at path.
 func writeEdges(path string, g *graph.Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return graph.WriteEdgeList(f, g)
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
+// writeModules writes one "module i: v v ..." line per module to a new
+// file at path. Write errors surface at Flush (bufio keeps the first one),
+// and a failed Close is reported too.
 func writeModules(path string, modules [][]int32) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	w := bufio.NewWriter(f)
 	for i, mod := range modules {
-		fmt.Fprintf(f, "module %d:", i)
+		fmt.Fprintf(w, "module %d:", i)
 		for _, v := range mod {
-			fmt.Fprintf(f, " %d", v)
+			fmt.Fprintf(w, " %d", v)
 		}
-		fmt.Fprintln(f)
+		fmt.Fprintln(w)
 	}
-	return nil
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

@@ -96,7 +96,7 @@ func main() {
 		return nil
 	})
 	run("7", func() error {
-		pts, err := experiments.Fig7(ctx)
+		pts, err := experiments.Fig6(ctx) // Figure 7 plots Figure 6's points on the edge-overlap axis
 		if err != nil {
 			return err
 		}

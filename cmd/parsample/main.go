@@ -16,17 +16,20 @@
 //	parsample serve ...      the HTTP daemon (alias of cmd/parsampled)
 //	parsample request ...    POST an api.Request JSON file to a daemon
 //
-// The pipeline subcommand executes a full end-to-end run on the pipeline
-// engine — network (from an edge list, or built from a synthesized
-// expression matrix) → ordering → filter → MCODE clusters → AEES scores —
-// and prints per-stage timings:
+// The pipeline subcommand builds one api.Request from its flags and runs it
+// end to end through Pipeline.Do, the path the daemon serves — network
+// (from an edge list, or built from a synthesized expression matrix) →
+// ordering → filter → MCODE clusters → AEES scores — and prints per-stage
+// timings:
 //
 //	parsample pipeline -in net.txt -alg chordal-nocomm -order HD -p 8
 //	parsample pipeline -synth 2048x64 -modules 16 -modsize 12
 //
 // Synthesized runs plant co-expression modules, generate a matching
 // ontology, and therefore include the scoring stage; edge-list runs stop at
-// clustering (no ontology). Ctrl-C cancels the run mid-kernel.
+// clustering (no ontology). -synth is subject to the service API's
+// synthesis caps (api.MaxSynthesisGenes, api.MaxSynthesisSamples and
+// api.MaxSynthesisCells). Ctrl-C cancels the run mid-kernel.
 package main
 
 import (
@@ -105,16 +108,12 @@ func main() {
 		fatalf("sampling: %v", err)
 	}
 
-	out := io.Writer(os.Stdout)
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatalf("create output: %v", err)
-		}
-		defer f.Close()
-		out = f
+		err = writeNetworkFile(*outPath, res.Subgraph)
+	} else {
+		err = parsample.WriteNetwork(os.Stdout, res.Subgraph)
 	}
-	if err := parsample.WriteNetwork(out, res.Subgraph); err != nil {
+	if err != nil {
 		fatalf("write network: %v", err)
 	}
 
@@ -128,6 +127,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ranks:         %d, bottleneck ops %d, messages %d, bytes %d\n",
 			res.Stats.P, res.Stats.MaxRankOps(), res.Stats.Messages, res.Stats.Bytes)
 	}
+}
+
+// writeNetworkFile writes g as an edge list to a new file at path. The
+// Close error is returned too: it is the last report of a failed write.
+func writeNetworkFile(path string, g *parsample.Graph) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := parsample.WriteNetwork(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

@@ -9,21 +9,21 @@ import (
 	"sort"
 
 	"parsample"
-	"parsample/internal/expr"
-	"parsample/internal/ontology"
+	"parsample/api"
+	"parsample/internal/pipeline"
 )
 
-// pipelineMain runs `parsample pipeline`: one end-to-end run on the engine
-// with per-stage timings.
+// pipelineMain runs `parsample pipeline`: one end-to-end api.Request on
+// the engine (Pipeline.Do) with per-stage timings.
 func pipelineMain(args []string) {
 	fs := flag.NewFlagSet("parsample pipeline", flag.ExitOnError)
 	var (
 		inPath    = fs.String("in", "", "input edge list (default stdin unless -synth)")
-		synth     = fs.String("synth", "", "synthesize a GENESxSAMPLES expression matrix (e.g. 2048x64) instead of reading a network")
+		synth     = fs.String("synth", "", fmt.Sprintf("synthesize a GENESxSAMPLES expression matrix (e.g. 2048x64) instead of reading a network; capped at %d genes, %d samples and %d cells", api.MaxSynthesisGenes, api.MaxSynthesisSamples, api.MaxSynthesisCells))
 		modules   = fs.Int("modules", 16, "planted co-expression modules (-synth)")
 		modSize   = fs.Int("modsize", 12, "genes per planted module (-synth)")
 		noise     = fs.Float64("noise", 0.1, "within-module noise std-dev (-synth)")
-		algName   = fs.String("alg", "chordal-nocomm", "algorithm: chordal-seq | chordal-comm | chordal-nocomm | randomwalk-seq | randomwalk-par | forestfire-seq | forestfire-par")
+		algName   = fs.String("alg", "chordal-nocomm", "algorithm: chordal-seq | chordal-comm | chordal-nocomm | randomwalk-seq | randomwalk-par | forestfire-seq | forestfire-par | none")
 		orderName = fs.String("order", "NO", "vertex ordering: NO | HD | LD | RCM | RAND")
 		p         = fs.Int("p", 1, "number of simulated processors")
 		seed      = fs.Int64("seed", 1, "random seed")
@@ -32,105 +32,79 @@ func pipelineMain(args []string) {
 	)
 	fs.Parse(args)
 
-	alg, ok := parsample.ParseAlgorithm(*algName)
-	if !ok {
-		fatalf("unknown algorithm %q", *algName)
+	req := &api.Request{
+		Filter: api.FilterSpec{Algorithm: *algName, Ordering: *orderName, P: *p, Seed: *seed},
+		Output: api.OutputSpec{Edges: *outPath != ""},
 	}
-	ord, ok := parsample.ParseOrdering(*orderName)
-	if !ok {
-		fatalf("unknown ordering %q", *orderName)
+	if *outPath != "" && *algName == api.AlgorithmNone {
+		fatalf("-out needs a filter algorithm (-alg none keeps the whole network)")
 	}
-
-	in := parsample.PipelineInput{
-		Filter: parsample.FilterOptions{Algorithm: alg, Ordering: ord, P: *p, Seed: *seed},
-	}
-	switch {
-	case *synth != "":
+	if *synth != "" {
 		var genes, samples int
 		if _, err := fmt.Sscanf(*synth, "%dx%d", &genes, &samples); err != nil {
 			fatalf("bad -synth %q (want GENESxSAMPLES, e.g. 2048x64)", *synth)
 		}
-		syn, err := expr.Synthesize(expr.SyntheticSpec{
+		// Synthesized sources carry a matching ontology over the planted
+		// modules, so the scoring stage has ground truth to work against.
+		req.Network.Synthesis = &api.SynthesisSpec{
 			Genes: genes, Samples: samples,
-			Modules: *modules, ModuleSize: *modSize, Noise: *noise, Seed: *seed,
-		})
-		if err != nil {
-			fatalf("synthesize: %v", err)
+			Modules: modules, ModuleSize: modSize, Noise: noise, Seed: *seed,
 		}
-		// A matching ontology over the planted modules, so the scoring stage
-		// has ground truth to work against (mirrors internal/datasets).
-		dag := ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: *seed + 1})
-		ann := ontology.AnnotateModules(dag, genes, syn.Modules, 6, *seed+2)
-		in.Name = fmt.Sprintf("synth:%s:m%d:s%d:n%g:seed%d", *synth, *modules, *modSize, *noise, *seed)
-		in.Matrix = syn.M
-		in.Network = parsample.DefaultNetworkOptions()
-		in.DAG = dag
-		in.Ann = ann
-	default:
-		r := os.Stdin
-		name := "stdin"
-		if *inPath != "" {
-			f, err := os.Open(*inPath)
-			if err != nil {
-				fatalf("open input: %v", err)
-			}
-			defer f.Close()
-			r = f
-			name = *inPath
-		}
-		g, err := parsample.ReadNetwork(r)
+	} else {
+		src, err := api.EdgeListFile(*inPath)
 		if err != nil {
 			fatalf("read network: %v", err)
 		}
-		in.Name = name
-		in.Graph = g
+		req.Network = src
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := parsample.RunPipeline(ctx, in)
+	ctx, trace := pipeline.WithTrace(ctx)
+	resp, err := parsample.New().Do(ctx, req)
 	if err != nil {
 		fatalf("pipeline: %v", err)
 	}
 
-	fmt.Printf("network:   %d vertices, %d edges\n", res.Network.N(), res.Network.M())
-	fmt.Printf("filtered:  %d edges (%.1f%%) via %s/%s P=%d\n",
-		res.Filtered.M(), 100*float64(res.Filtered.M())/float64(max(1, res.Network.M())),
-		*algName, *orderName, *p)
-	fmt.Printf("clusters:  %d\n", len(res.Clusters))
-	if res.Scored != nil {
-		scored := append([]parsample.ScoredCluster(nil), res.Scored...)
-		sort.SliceStable(scored, func(i, j int) bool { return scored[i].Score.AEES > scored[j].Score.AEES })
-		for i, sc := range scored {
-			if i >= *top {
-				break
-			}
-			fmt.Printf("  cluster %2d: %3d vertices, %4d edges, MCODE %.2f, AEES %.2f\n",
-				sc.Cluster.ID, len(sc.Cluster.Vertices), sc.Cluster.Edges, sc.Cluster.Score, sc.Score.AEES)
-		}
+	fmt.Printf("network:   %d vertices, %d edges\n", resp.Network.Vertices, resp.Network.Edges)
+	if f := resp.Filtered; f != nil {
+		fmt.Printf("filtered:  %d edges (%.1f%%) via %s/%s P=%d\n",
+			f.Edges, 100*float64(f.Edges)/float64(max(1, resp.Network.Edges)),
+			*algName, *orderName, *p)
 	} else {
-		for i, c := range res.Clusters {
-			if i >= *top {
-				break
-			}
-			fmt.Printf("  cluster %2d: %3d vertices, %4d edges, MCODE %.2f\n",
-				c.ID, len(c.Vertices), c.Edges, c.Score)
+		fmt.Printf("filtered:  none (clustering the whole network)\n")
+	}
+	fmt.Printf("clusters:  %d\n", len(resp.Clusters))
+	// Scores[i] scores Clusters[i]; a scored run lists the best AEES first.
+	scored := resp.Scores != nil
+	order := make([]int, len(resp.Clusters))
+	for i := range order {
+		order[i] = i
+	}
+	if scored {
+		sort.SliceStable(order, func(a, b int) bool { return resp.Scores[order[a]].AEES > resp.Scores[order[b]].AEES })
+	}
+	for _, i := range order[:max(0, min(*top, len(order)))] {
+		c := resp.Clusters[i]
+		fmt.Printf("  cluster %2d: %3d vertices, %4d edges, MCODE %.2f", c.ID, len(c.Vertices), c.Edges, c.Score)
+		if scored {
+			fmt.Printf(", AEES %.2f", resp.Scores[i].AEES)
 		}
+		fmt.Println()
 	}
 
 	fmt.Println("stage timings:")
-	for _, t := range res.Timings {
+	for _, e := range trace.Entries() {
 		fmt.Printf("  %-8s %-28s %-9s %10.3fms\n",
-			t.Stage, t.Variant, t.Source, float64(t.Duration.Microseconds())/1000)
+			e.Key.Stage, e.Key.Variant, e.Source, float64(e.Duration.Microseconds())/1000)
 	}
 
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatalf("create output: %v", err)
+		b := parsample.NewBuilder(resp.Network.Vertices)
+		for _, e := range resp.Filtered.EdgeList {
+			b.AddEdge(e[0], e[1])
 		}
-		defer f.Close()
-		if err := parsample.WriteNetwork(f, res.Filtered); err != nil {
+		if err := writeNetworkFile(*outPath, b.Build()); err != nil {
 			fatalf("write network: %v", err)
 		}
 	}

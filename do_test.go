@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"parsample/api"
+	"parsample/internal/expr"
 	"parsample/internal/graph"
 	"parsample/internal/ontology"
 )
@@ -130,6 +132,94 @@ func TestDoEdgeListWithInlineOntologyAndEdges(t *testing.T) {
 	}
 }
 
+// Do and the direct kernel chain compute the same thing from one
+// synthesized request: correlation network → FilterContext (with the
+// documented seed split) → ClustersContext → ScoreClustersContext, against
+// the ontology the synthesis source generates. This pins the seed-split
+// contract and the request→kernel parameter mapping through the single
+// request path.
+func TestDoMatchesDirectKernels(t *testing.T) {
+	ctx := context.Background()
+	minR, maxP := 0.5, 0.01
+	syn := &api.SynthesisSpec{Genes: 512, Samples: 32, Modules: intp(10), ModuleSize: intp(12), Noise: floatp(1), Seed: 5}
+	m, err := expr.Synthesize(expr.SyntheticSpec{
+		Genes: syn.Genes, Samples: syn.Samples, Modules: *syn.Modules, ModuleSize: *syn.ModuleSize, Noise: *syn.Noise, Seed: syn.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag := ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: syn.Seed + 1})
+	ann := ontology.AnnotateModules(dag, syn.Genes, m.Modules, 6, syn.Seed+2)
+	net, err := BuildCorrelationNetworkContext(ctx, m.M, NetworkOptions{Kind: PearsonCorr, MinAbsR: minR, MaxP: maxP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []FilterOptions{
+		{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4, Seed: 11},
+		{Algorithm: RandomWalkPar, Ordering: RandomOrder, P: 4, Seed: 11},
+	} {
+		t.Run(v.Algorithm.String(), func(t *testing.T) {
+			resp, err := New().Do(ctx, &api.Request{
+				Network: api.NetworkSource{
+					Synthesis:   syn,
+					Correlation: &api.CorrelationSpec{MinAbsR: &minR, MaxP: &maxP},
+				},
+				Filter: api.FilterSpec{Algorithm: v.Algorithm.String(), Ordering: v.Ordering.String(), P: v.P, Seed: v.Seed},
+				Output: api.OutputSpec{Edges: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filt, err := FilterContext(ctx, net, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clusters, err := ClustersContext(ctx, filt.Subgraph, ClusterParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scored, err := ScoreClustersContext(ctx, dag, ann, filt.Subgraph, clusters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Network.Vertices != net.N() || resp.Network.Edges != net.M() {
+				t.Fatalf("network = %+v, direct %d vertices %d edges", resp.Network, net.N(), net.M())
+			}
+			if filt.Subgraph.M() == net.M() || len(clusters) == 0 {
+				t.Fatalf("degenerate fixture: kept %d of %d edges, %d clusters", filt.Subgraph.M(), net.M(), len(clusters))
+			}
+			direct := filt.Subgraph.Edges()
+			if len(resp.Filtered.EdgeList) != len(direct) {
+				t.Fatalf("Do kept %d edges, direct %d", len(resp.Filtered.EdgeList), len(direct))
+			}
+			for i, e := range direct {
+				if resp.Filtered.EdgeList[i] != [2]int32{e.U, e.V} {
+					t.Fatalf("filtered edge %d: Do %v, direct %v", i, resp.Filtered.EdgeList[i], e)
+				}
+			}
+			if resp.Filtered.BorderEdges != filt.BorderEdges || resp.Filtered.Duplicates != filt.DuplicateBorderEdges {
+				t.Fatalf("border telemetry: Do %+v, direct %d/%d", resp.Filtered, filt.BorderEdges, filt.DuplicateBorderEdges)
+			}
+			if len(resp.Clusters) != len(clusters) || len(resp.Scores) != len(scored) {
+				t.Fatalf("Do found %d clusters/%d scores, direct %d/%d", len(resp.Clusters), len(resp.Scores), len(clusters), len(scored))
+			}
+			for i, c := range clusters {
+				got := resp.Clusters[i]
+				if got.ID != c.ID || !slices.Equal(got.Vertices, c.Vertices) || got.Edges != c.Edges ||
+					got.Density != c.Density || got.Score != c.Score {
+					t.Fatalf("cluster %d: Do %+v, direct %+v", i, got, c)
+				}
+				sc, ds := resp.Scores[i], scored[i]
+				if sc.ClusterID != ds.Cluster.ID || sc.AEES != ds.Score.AEES || sc.Edges != ds.Score.Edges {
+					t.Fatalf("score %d: Do %+v, direct %+v", i, sc, ds.Score)
+				}
+			}
+		})
+	}
+}
+
+func floatp(v float64) *float64 { return &v }
+
 func TestWithDatasetsRestriction(t *testing.T) {
 	p := New(WithDatasets("YNG"))
 	if _, err := p.Do(context.Background(), &api.Request{Network: api.NetworkSource{Dataset: "CRE"}}); err == nil {
@@ -155,69 +245,6 @@ func TestWithDatasetsRestriction(t *testing.T) {
 	}
 }
 
-// RunPipeline's shared engine: repeated one-shot runs over the same data
-// are warm hits with byte-identical outcomes, and the content fingerprint
-// keeps distinct data apart.
-func TestRunPipelineSharedEngine(t *testing.T) {
-	pr := graph.PlantedModules(400, 300, graph.ModuleSpec{
-		Count: 5, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.5, Window: 3,
-	}, 29)
-	in := PipelineInput{
-		Graph:  pr.G,
-		Filter: FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4, Seed: 9},
-	}
-	first, err := RunPipeline(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := sharedPipeline().Stats().Misses
-	second, err := RunPipeline(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := sharedPipeline().Stats().Misses; after != misses {
-		t.Fatalf("repeated one-shot run recomputed %d artifacts", after-misses)
-	}
-	if len(first.Clusters) != len(second.Clusters) || first.Filtered.M() != second.Filtered.M() {
-		t.Fatal("repeated one-shot run returned different results")
-	}
-	for _, tm := range second.Timings {
-		if tm.Source != "hit" {
-			t.Fatalf("repeated run stage %s/%s came from %s, want hit", tm.Stage, tm.Variant, tm.Source)
-		}
-	}
-}
-
-// Reusing a caller-supplied Name across one-shot runs with different data
-// was safe under the old fresh-engine-per-call RunPipeline; the shared
-// engine keeps it safe by folding the Name into the content fingerprint.
-func TestRunPipelineNameReuseDoesNotCollide(t *testing.T) {
-	mk := func(seed int64) *Graph {
-		pr := graph.PlantedModules(300, 250, graph.ModuleSpec{
-			Count: 4, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.4, Window: 3,
-		}, seed)
-		return pr.G
-	}
-	run := func(g *Graph) *PipelineResult {
-		res, err := RunPipeline(context.Background(), PipelineInput{
-			Name:   "reused",
-			Graph:  g,
-			Filter: FilterOptions{Algorithm: ChordalSeq, Ordering: HighDegree, Seed: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(mk(31)), run(mk(32))
-	if a.Network.M() == b.Network.M() && a.Filtered.M() == b.Filtered.M() {
-		t.Fatal("suspicious: different inputs produced identical outputs (likely a name collision)")
-	}
-	if b.Filtered.M() == 0 || b.Filtered.M() > b.Network.M() {
-		t.Fatalf("second run filtered %d of %d edges", b.Filtered.M(), b.Network.M())
-	}
-}
-
 func TestDoRejectsOversizedSynthesis(t *testing.T) {
 	req := &api.Request{Network: api.NetworkSource{Synthesis: &api.SynthesisSpec{
 		Genes: 100_000_000, Samples: 100_000, Seed: 1,
@@ -226,26 +253,6 @@ func TestDoRejectsOversizedSynthesis(t *testing.T) {
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeBadRequest {
 		t.Fatalf("err = %v, want bad_request (dimension cap)", err)
-	}
-}
-
-// The content fingerprint: equal content (even from a different object)
-// maps to one name; any content change maps away.
-func TestFingerprintInput(t *testing.T) {
-	g1 := graph.Gnm(200, 800, 5)
-	g2 := graph.Gnm(200, 800, 5) // same generator, same content, new object
-	g3 := graph.Gnm(200, 800, 6)
-	f1 := fingerprintInput(&PipelineInput{Graph: g1})
-	if f2 := fingerprintInput(&PipelineInput{Graph: g2}); f2 != f1 {
-		t.Fatal("equal graph content fingerprinted apart")
-	}
-	if f3 := fingerprintInput(&PipelineInput{Graph: g3}); f3 == f1 {
-		t.Fatal("different graph content collided")
-	}
-	dag := ontology.Generate(ontology.GenerateSpec{Depth: 6, Branch: 2, Seed: 1})
-	withDAG := fingerprintInput(&PipelineInput{Graph: g1, DAG: dag})
-	if withDAG == f1 {
-		t.Fatal("ontology did not change the fingerprint")
 	}
 }
 

@@ -115,7 +115,8 @@ func Fig5(ctx context.Context) ([]OverlapPoint, error) {
 }
 
 // Fig6 reproduces Figure 6 (node overlap vs AEES) over all four networks.
-// Lost/found clusters are excluded, as in the paper.
+// Lost/found clusters are excluded, as in the paper. Figure 7 (edge
+// overlap vs AEES) plots the same points on the edge-overlap axis.
 func Fig6(ctx context.Context) ([]OverlapPoint, error) {
 	var pts []OverlapPoint
 	for _, ds := range datasets.All() {
@@ -131,10 +132,6 @@ func Fig6(ctx context.Context) ([]OverlapPoint, error) {
 	}
 	return pts, nil
 }
-
-// Fig7 reproduces Figure 7 (edge overlap vs AEES); same points as Fig6,
-// plotted on the edge-overlap axis.
-func Fig7(ctx context.Context) ([]OverlapPoint, error) { return Fig6(ctx) }
 
 // ---------------------------------------------------------------- Figure 8
 

@@ -26,8 +26,7 @@ const diskNameVersion = 1
 // equal names across processes and replicas address interchangeable blobs —
 // provided the caller honored Input.Name's contract of uniquely identifying
 // the input data. Every api.Request path does by construction: Input.Name
-// is the request's content fingerprint (api.Request.Fingerprint), and
-// RunPipeline prefixes caller names with a data fingerprint.
+// is the request's content fingerprint (api.Request.Fingerprint).
 func diskName(key Key) string {
 	h := sha256.New()
 	var buf [8]byte

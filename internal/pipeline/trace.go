@@ -36,8 +36,8 @@ type traceCtxKey struct{}
 type observerCtxKey struct{}
 
 // WithTrace returns a context whose engine requests record into the
-// returned Trace — the per-request observability hook behind the facade's
-// stage timings and the CLI's timing table.
+// returned Trace — the per-request observability hook behind the
+// `parsample pipeline` stage-timing table.
 func WithTrace(ctx context.Context) (context.Context, *Trace) {
 	t := &Trace{}
 	return context.WithValue(ctx, traceCtxKey{}, t), t

@@ -8,10 +8,9 @@ import (
 	"parsample/internal/datasets"
 )
 
-// Option configures a Pipeline built by New. Options replace the older
-// PipelineConfig struct: they compose, read at call sites, and leave the
-// zero configuration unambiguous (every omitted option selects a documented
-// default).
+// Option configures a Pipeline built by New. Options compose, read at call
+// sites, and leave the zero configuration unambiguous (every omitted option
+// selects a documented default).
 type Option func(*pipelineSettings)
 
 // pipelineSettings is the resolved configuration behind New.

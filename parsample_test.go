@@ -8,17 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"parsample/api"
 	"parsample/internal/expr"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
 	"parsample/internal/ontology"
+	"parsample/internal/pipeline"
 )
 
 func TestFacadeFilterAndClusters(t *testing.T) {
 	pr := graph.PlantedModules(400, 300, graph.ModuleSpec{
 		Count: 5, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.5, Window: 3,
 	}, 11)
-	res, err := Filter(pr.G, FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4})
+	ctx := context.Background()
+	res, err := FilterContext(ctx, pr.G, FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,10 @@ func TestFacadeFilterAndClusters(t *testing.T) {
 	if fg.M() == 0 || fg.M() > pr.G.M() {
 		t.Fatalf("filtered edges = %d of %d", fg.M(), pr.G.M())
 	}
-	clusters := Clusters(fg)
+	clusters, err := ClustersContext(ctx, fg, ClusterParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(clusters) == 0 {
 		t.Fatal("no clusters after filtering planted modules")
 	}
@@ -35,7 +41,7 @@ func TestFacadeFilterAndClusters(t *testing.T) {
 func TestFacadeSeedStreamsIndependent(t *testing.T) {
 	g := graph.Gnm(200, 800, 5)
 	run := func(seed int64) *Result {
-		res, err := Filter(g, FilterOptions{Algorithm: RandomWalkPar, Ordering: RandomOrder, P: 4, Seed: seed})
+		res, err := FilterContext(context.Background(), g, FilterOptions{Algorithm: RandomWalkPar, Ordering: RandomOrder, P: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,19 +105,29 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := BuildCorrelationNetwork(syn.M, expr.DefaultNetworkOptions())
-	res, err := Filter(net, FilterOptions{Algorithm: ChordalSeq})
+	ctx := context.Background()
+	net, err := BuildCorrelationNetworkContext(ctx, syn.M, expr.DefaultNetworkOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := FilterContext(ctx, net, FilterOptions{Algorithm: ChordalSeq})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fg := res.Graph(net.N())
-	clusters := ClustersWithParams(fg, mcode.Params{MinScore: 3, MinSize: 4})
+	clusters, err := ClustersContext(ctx, fg, mcode.Params{MinScore: 3, MinSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(clusters) == 0 {
 		t.Fatal("pipeline found no clusters")
 	}
 	dag := ontology.Generate(ontology.GenerateSpec{Depth: 8, Branch: 3, Seed: 2})
 	ann := ontology.AnnotateModules(dag, 150, syn.Modules, 6, 3)
-	scored := ScoreClusters(dag, ann, fg, clusters)
+	scored, err := ScoreClustersContext(ctx, dag, ann, fg, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	foundRelevant := false
 	for _, sc := range scored {
 		if sc.Score.AEES >= 3 {
@@ -125,117 +141,105 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 
 // ------------------------------------------------------------- the pipeline
 
-// RunPipeline executes the end-to-end chain from a synthesized matrix:
-// correlation network, filter, clusters, scores, and stage timings.
-func TestRunPipelineEndToEnd(t *testing.T) {
-	syn, err := expr.Synthesize(expr.SyntheticSpec{
-		Genes: 512, Samples: 48, Modules: 8, ModuleSize: 10, Noise: 0.1, Seed: 3,
-	})
+// traceDo runs req on p under a stage trace.
+func traceDo(t *testing.T, p *Pipeline, req *api.Request) (*api.Response, []pipeline.TraceEntry) {
+	t.Helper()
+	ctx, trace := pipeline.WithTrace(context.Background())
+	resp, err := p.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dag := ontology.Generate(ontology.GenerateSpec{Depth: 8, Branch: 3, Seed: 4})
-	ann := ontology.AnnotateModules(dag, 512, syn.Modules, 5, 5)
-	res, err := RunPipeline(context.Background(), PipelineInput{
-		Matrix:  syn.M,
-		Network: DefaultNetworkOptions(),
-		Filter:  FilterOptions{Algorithm: ChordalNoComm, Ordering: HighDegree, P: 4, Seed: 3},
-		DAG:     dag,
-		Ann:     ann,
+	return resp, trace.Entries()
+}
+
+// Do executes the end-to-end chain from a synthesized matrix: correlation
+// network, filter, clusters, scores, and a trace entry for every stage.
+func TestDoTracesEveryStage(t *testing.T) {
+	resp, entries := traceDo(t, New(), &api.Request{
+		Network: api.NetworkSource{Synthesis: &api.SynthesisSpec{
+			Genes: 512, Samples: 48, Modules: intp(8), ModuleSize: intp(10), Seed: 3,
+		}},
+		Filter: api.FilterSpec{Algorithm: "chordal-nocomm", Ordering: "HD", P: 4, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Network.M() == 0 {
+	if resp.Network.Edges == 0 {
 		t.Fatal("empty correlation network")
 	}
-	if res.Filtered.M() == 0 || res.Filtered.M() > res.Network.M() {
-		t.Fatalf("filtered edges = %d of %d", res.Filtered.M(), res.Network.M())
+	if f := resp.Filtered; f.Edges == 0 || f.Edges > resp.Network.Edges {
+		t.Fatalf("filtered edges = %d of %d", f.Edges, resp.Network.Edges)
 	}
-	if len(res.Clusters) == 0 || len(res.Scored) != len(res.Clusters) {
-		t.Fatalf("clusters = %d, scored = %d", len(res.Clusters), len(res.Scored))
+	if len(resp.Clusters) == 0 || len(resp.Scores) != len(resp.Clusters) {
+		t.Fatalf("clusters = %d, scores = %d", len(resp.Clusters), len(resp.Scores))
 	}
 	stages := map[string]bool{}
-	for _, tm := range res.Timings {
-		stages[tm.Stage] = true
+	for _, e := range entries {
+		stages[e.Key.Stage.String()] = true
 	}
 	for _, s := range []string{"network", "order", "filter", "cluster", "score"} {
 		if !stages[s] {
-			t.Fatalf("stage %s missing from timings: %+v", s, res.Timings)
+			t.Fatalf("stage %s missing from trace: %+v", s, entries)
 		}
 	}
 }
 
-// A reusable Pipeline shares artifacts across runs: the second identical
-// run is served entirely from the store, and differently-parameterized runs
-// share the stages they have in common (the network and its ordering).
+// A reusable Pipeline shares artifacts across requests: the second
+// identical request is served entirely from the store, and
+// differently-parameterized requests share the stages they have in common
+// (the network and its ordering).
 func TestPipelineReuseSharesArtifacts(t *testing.T) {
 	pr := graph.PlantedModules(500, 900, graph.ModuleSpec{
 		Count: 8, MinSize: 6, MaxSize: 8, Density: 0.7, NoiseDeg: 0.5, Window: 3,
 	}, 21)
-	p := NewPipeline(PipelineConfig{})
-	in := PipelineInput{
-		Name:   "planted",
-		Graph:  pr.G,
-		Filter: FilterOptions{Algorithm: ChordalSeq, Ordering: HighDegree, P: 1, Seed: 9},
-	}
-	first, err := p.Run(context.Background(), in)
-	if err != nil {
+	var edges bytes.Buffer
+	if err := WriteNetwork(&edges, pr.G); err != nil {
 		t.Fatal(err)
 	}
+	p := New()
+	req := &api.Request{
+		Network: api.NetworkSource{EdgeList: edges.String()},
+		Filter:  api.FilterSpec{Algorithm: "chordal-seq", Ordering: "HD", P: 1, Seed: 9},
+	}
+	first, _ := traceDo(t, p, req)
 	misses := p.Stats().Misses
-	second, err := p.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second, entries := traceDo(t, p, req)
 	if after := p.Stats().Misses; after != misses {
 		t.Fatalf("identical rerun recomputed %d artifacts", after-misses)
 	}
 	if len(first.Clusters) != len(second.Clusters) {
 		t.Fatal("rerun returned different clusters")
 	}
-	for _, tm := range second.Timings {
-		if tm.Source != "hit" {
-			t.Fatalf("rerun stage %s/%s came from %s, want hit", tm.Stage, tm.Variant, tm.Source)
+	for _, e := range entries {
+		if e.Source.String() != "hit" {
+			t.Fatalf("rerun stage %s/%s came from %s, want hit", e.Key.Stage, e.Key.Variant, e.Source)
 		}
 	}
 	// Same ordering, different processor count: the order artifact is shared.
-	in.Filter.P = 4
-	in.Filter.Algorithm = ChordalNoComm
-	third, err := p.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Filtered.M() == 0 {
+	req.Filter.P = 4
+	req.Filter.Algorithm = "chordal-nocomm"
+	third, entries := traceDo(t, p, req)
+	if third.Filtered.Edges == 0 {
 		t.Fatal("empty filtered graph")
 	}
-	for _, tm := range third.Timings {
-		if tm.Stage == "order" && tm.Source != "hit" {
-			t.Fatalf("order stage recomputed on a shared network: %+v", tm)
+	for _, e := range entries {
+		if e.Key.Stage.String() == "order" && e.Source.String() != "hit" {
+			t.Fatalf("order stage recomputed on a shared network: %+v", e)
 		}
 	}
 }
 
-// Cancelling a pipeline run returns ctx.Err() promptly. The cancel delay
-// is scaled down from a measured uncancelled run and retried on a fresh
-// engine per attempt (RunPipeline now shares a process-wide store, which
-// would serve later attempts warm and outrun any cancel), so the test
-// cannot race the kernel on fast many-core machines.
+// Cancelling a request returns ctx.Err() promptly. The cancel delay is
+// scaled down from a measured uncancelled run and retried on a fresh
+// Pipeline per attempt (a shared one would serve later attempts warm and
+// outrun any cancel), so the test cannot race the kernel on fast many-core
+// machines.
 func TestPipelineCancellation(t *testing.T) {
-	syn, err := expr.Synthesize(expr.SyntheticSpec{
-		Genes: 4096, Samples: 100, Modules: 8, ModuleSize: 10, Noise: 0.1, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := PipelineInput{
-		Name:    "cancel",
-		Matrix:  syn.M,
-		Network: DefaultNetworkOptions(),
-		Filter:  FilterOptions{Algorithm: ChordalSeq, Seed: 6},
+	req := &api.Request{
+		Network: api.NetworkSource{Synthesis: &api.SynthesisSpec{
+			Genes: 4096, Samples: 100, Modules: intp(8), ModuleSize: intp(10), Seed: 6,
+		}},
+		Filter: api.FilterSpec{Algorithm: "chordal-seq", Seed: 6},
 	}
 	start := time.Now()
-	if _, err := New().Run(context.Background(), in); err != nil {
+	if _, err := New().Do(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(start)
@@ -247,7 +251,7 @@ func TestPipelineCancellation(t *testing.T) {
 		timer := time.AfterFunc(cold/div, cancel)
 		done := make(chan error, 1)
 		go func() {
-			_, err := New().Run(ctx, in)
+			_, err := New().Do(ctx, req)
 			done <- err
 		}()
 		select {
