@@ -30,7 +30,7 @@ var NonDeterm = &analysis.Analyzer{
 // methods stamp the measured wall clocks that sit next to the modeled
 // seconds, so time-shaped code belongs there; the serving/ops layers are
 // outside kernelScope to begin with. comm is in scope: it owns the rank
-// engine both backends run (delivery rule, collectives, virtual-clock
+// engine both backends run (delivery rule, gather, virtual-clock
 // arithmetic), which must never read the machine clock.
 var nonDetermScope = scopeFlag{expr: `(^|/)(expr|chordal|mcode|analysis|sampling|pipeline|graph|ontology|cliques|centrality|datasets|experiments|api|comm|parsample)$`}
 

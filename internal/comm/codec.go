@@ -1,44 +1,24 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 )
 
 // Payload codec registry. The simulated runtime passes payloads between
 // ranks as in-memory values, but the TCP transport has to serialize them.
 // Rather than teach the transport about sampler-private message types (an
-// import cycle: sampling depends on comm), packages that send custom
-// payloads register a Codec for each type at init time; the transport
-// encodes through EncodePayload and decodes through DecodePayload, so a
-// payload round-trips the wire as exactly the concrete type the receiving
-// kernel type-asserts on.
-//
-// Kinds below KindUserBase identify the built-in payloads every kernel
-// uses (nil markers, float64 reductions, plain byte strings); user kinds
-// start at KindUserBase and panic on collision at registration, so a kind
+// import cycle: sampling depends on comm), packages that send payloads
+// register a Codec for each type at init time; the transport encodes
+// through EncodePayload and decodes through DecodePayload, so a payload
+// round-trips the wire as exactly the concrete type the receiving kernel
+// type-asserts on. Kinds panic on collision at registration, so a kind
 // clash is a startup failure, not silent wire corruption.
-
-// KindUserBase is the first payload kind available to RegisterCodec
-// callers; smaller kinds are reserved for built-ins.
-const KindUserBase = 64
-
-// Built-in payload kinds.
-const (
-	kindNil uint16 = iota
-	kindFloat64
-	kindInt64
-	kindInt
-	kindString
-	kindBytes
-)
 
 // Codec (de)serializes one concrete payload type for the wire.
 type Codec struct {
-	// Kind tags the encoding on the wire; must be >= KindUserBase and
-	// unique across the process.
+	// Kind tags the encoding on the wire; it must be unique across the
+	// process.
 	Kind uint16
 	// Match reports whether v is this codec's concrete type.
 	Match func(v any) bool
@@ -56,12 +36,9 @@ var (
 )
 
 // RegisterCodec installs a payload codec, typically from an init function
-// of the package that owns the payload type. It panics on a reserved or
-// duplicate kind — codec registration is process wiring, not runtime input.
+// of the package that owns the payload type. It panics on a duplicate kind
+// or a nil hook — codec registration is process wiring, not runtime input.
 func RegisterCodec(c Codec) {
-	if c.Kind < KindUserBase {
-		panic(fmt.Sprintf("comm: codec kind %d is reserved (user kinds start at %d)", c.Kind, KindUserBase))
-	}
 	if c.Match == nil || c.Encode == nil || c.Decode == nil {
 		panic("comm: codec with nil hooks")
 	}
@@ -75,29 +52,8 @@ func RegisterCodec(c Codec) {
 }
 
 // EncodePayload serializes a payload for the wire, returning its kind tag
-// and encoded bytes. Built-in scalar types need no registration; anything
-// else must have a registered codec.
+// and encoded bytes. The payload's type must have a registered codec.
 func EncodePayload(v any) (kind uint16, data []byte, err error) {
-	switch x := v.(type) {
-	case nil:
-		return kindNil, nil, nil
-	case float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		return kindFloat64, b[:], nil
-	case int64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(x))
-		return kindInt64, b[:], nil
-	case int:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(x)))
-		return kindInt, b[:], nil
-	case string:
-		return kindString, []byte(x), nil
-	case []byte:
-		return kindBytes, x, nil
-	}
 	codecMu.RLock()
 	defer codecMu.RUnlock()
 	for _, c := range codecList {
@@ -110,29 +66,6 @@ func EncodePayload(v any) (kind uint16, data []byte, err error) {
 
 // DecodePayload reverses EncodePayload.
 func DecodePayload(kind uint16, data []byte) (any, error) {
-	switch kind {
-	case kindNil:
-		return nil, nil
-	case kindFloat64:
-		if len(data) != 8 {
-			return nil, fmt.Errorf("comm: float64 payload is %d bytes", len(data))
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
-	case kindInt64:
-		if len(data) != 8 {
-			return nil, fmt.Errorf("comm: int64 payload is %d bytes", len(data))
-		}
-		return int64(binary.LittleEndian.Uint64(data)), nil
-	case kindInt:
-		if len(data) != 8 {
-			return nil, fmt.Errorf("comm: int payload is %d bytes", len(data))
-		}
-		return int(int64(binary.LittleEndian.Uint64(data))), nil
-	case kindString:
-		return string(data), nil
-	case kindBytes:
-		return data, nil
-	}
 	codecMu.RLock()
 	c, ok := codecByKind[kind]
 	codecMu.RUnlock()

@@ -1,19 +1,20 @@
 // Package comm defines the rank-side communication surface the parallel
 // samplers run against: a Comm of P ranks, each driven through a Rank
-// handle offering nonblocking point-to-point sends, deterministic receives
-// (AnyRecv delivers by modeled arrival stamp, sender rank breaking ties),
-// the four collectives the kernels use (Barrier, Bcast, Gatherv,
-// Allreduce), abort propagation, and byte/message accounting.
+// handle offering exactly what the samplers call — nonblocking
+// point-to-point sends, a deterministic receive-from-any (AnyRecv
+// delivers by modeled arrival stamp, sender rank breaking ties), one
+// gather of every rank's partial result to rank 0 (Gatherv), abort
+// propagation, and byte/message accounting.
 //
 // The runtime itself lives here once, as the per-rank Engine: its queues,
-// delivery rule, star-protocol collectives, clock advances, accounting and
-// abort handling are shared by both backends, which differ only in the
-// Link that carries an engine's frames. internal/mpisim hosts all P
-// engines in one process and hands frames between them by reference (the
-// Figure-10 model); internal/transport hosts one engine per process and
-// carries its frames over TCP. A sampler therefore produces byte-identical
-// edge sets, per-rank clocks and traffic counters on either backend by
-// construction; the differential tests in internal/transport check it.
+// delivery rule, gather, clock advances, accounting and abort handling are
+// shared by both backends, which differ only in the Link that carries an
+// engine's frames. internal/mpisim hosts all P engines in one process and
+// hands frames between them by reference (the Figure-10 model);
+// internal/transport hosts one engine per process and carries its frames
+// over TCP. A sampler therefore produces byte-identical edge sets,
+// per-rank clocks and traffic counters on either backend by construction;
+// the differential tests in internal/transport check it.
 //
 // The engine never reads the machine clock: wall-clock stamps belong to
 // the backends' Run.
@@ -21,26 +22,13 @@ package comm
 
 import "context"
 
-// Message is a tagged payload between ranks.
+// Message is a payload between ranks.
 type Message struct {
 	From    int
-	Tag     int
 	Payload any
 	Bytes   int     // accounted payload size
 	Arrive  float64 // modeled arrival time at the receiver (seconds)
 }
-
-// ReduceOp selects the Allreduce combiner.
-type ReduceOp int
-
-const (
-	// ReduceSum adds contributions.
-	ReduceSum ReduceOp = iota
-	// ReduceMax keeps the maximum contribution.
-	ReduceMax
-	// ReduceMin keeps the minimum contribution.
-	ReduceMin
-)
 
 // AbortSignal is the sentinel a rank goroutine unwinds with when its run is
 // aborted. Comm implementations panic with it from blocking primitives
@@ -67,35 +55,23 @@ type Rank interface {
 	// are unbounded), so no send/receive ordering can deadlock a run. The
 	// sender's clock pays the per-message overhead; the message is stamped
 	// with its modeled arrival time (send time + latency + bytes/bandwidth).
-	Send(to, tag int, payload any, size int)
-	// Recv blocks until a message from rank `from` is pending and returns
-	// the oldest one, advancing the receiver's clock to the message's
-	// arrival (if not already past it) plus the per-message overhead.
-	Recv(from int) Message
+	Send(to int, payload any, size int)
 	// AnyRecv receives from any of the given sources: it returns the
 	// pending message with the smallest modeled arrival time (sender rank
-	// breaks ties). To keep delivery deterministic it waits until every
-	// listed source has at least one pending message — only then is the
-	// earliest virtual arrival decidable. Callers drop a source from the
-	// set once its end-of-stream message arrives.
+	// breaks ties) and advances the receiver's clock to that arrival (if
+	// not already past it) plus the per-message overhead. To keep delivery
+	// deterministic it waits until every listed source has at least one
+	// pending message — only then is the earliest virtual arrival
+	// decidable. Callers drop a source from the set once its end-of-stream
+	// message arrives.
 	AnyRecv(sources []int) Message
-	// Sendrecv posts the send (never blocking) and then receives from
-	// `from` — the classic deadlock-safe exchange primitive.
-	Sendrecv(to, tag int, payload any, size int, from int) Message
-
-	// Barrier blocks until all P ranks have called it.
-	Barrier()
-	// Bcast broadcasts root's payload to every rank (each caller passes
-	// its own payload; only root's is delivered) and returns it.
-	Bcast(root int, payload any, size int) any
-	// Gatherv gathers every rank's (variable-size) payload to root. At
-	// root the returned slice holds rank i's payload at index i; every
-	// other rank gets nil.
-	Gatherv(root int, payload any, size int) []any
-	// Allreduce combines every rank's contribution with op and returns the
-	// result on all ranks (folded in rank order, so bitwise identical
-	// everywhere).
-	Allreduce(v float64, op ReduceOp) float64
+	// Gatherv gathers every rank's (variable-size) payload to rank 0. On
+	// rank 0 the returned slice holds rank i's payload at index i; every
+	// other rank posts its contribution, pays the send overhead and gets
+	// nil back without waiting. Rank 0 takes each source's contributions
+	// in the order they were posted, so a kernel that gathers k times
+	// receives the k rounds in order.
+	Gatherv(payload any, size int) []any
 
 	// Abort unwinds the calling rank goroutine with AbortSignal; Comm.Run
 	// recovers it. Rank compute loops call this when they observe a
@@ -113,11 +89,11 @@ type Comm interface {
 	// Run executes fn on every locally-hosted rank and waits for
 	// completion. An aborted run still returns once every local rank has
 	// finished or unwound; the error is the run's first failure (a
-	// transport error, a collective mismatch, a cancellation, or
+	// transport error, a protocol violation, a cancellation, or
 	// ErrAborted), nil for a clean run.
 	Run(fn func(r Rank)) error
 	// Abort marks the run as aborted and wakes every local rank blocked in
-	// a receive or collective. Safe to call from any goroutine, repeatedly.
+	// a receive or gather. Safe to call from any goroutine, repeatedly.
 	Abort()
 	// AbortOnCancel aborts the communicator when ctx is cancelled. The
 	// returned stop function releases the watcher; call it (typically via
@@ -128,13 +104,13 @@ type Comm interface {
 	Messages() int64
 	// Bytes returns the total point-to-point payload bytes sent.
 	Bytes() int64
-	// CollMessages returns the modeled message count of the collectives.
+	// CollMessages returns the modeled message count of the gathers.
 	CollMessages() int64
-	// CollBytes returns the modeled payload bytes moved by the collectives.
+	// CollBytes returns the modeled payload bytes moved by the gathers.
 	CollBytes() int64
 	// FillStats copies the run's accounting into s: per-rank operation
 	// counts, virtual clocks and wall clocks, point-to-point traffic, and
-	// collective traffic. Complete only on a simulated communicator or on
+	// gather traffic. Complete only on a simulated communicator or on
 	// the distributed rank that gathers remote stats (rank 0).
 	FillStats(s *RunStats)
 }

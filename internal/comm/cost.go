@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // CostModel translates simulated work and communication into modeled
 // cluster execution time (seconds). The constants default to values
@@ -63,55 +60,21 @@ func (m CostModel) RecvAdvance(clock, arrive float64) float64 {
 	return clock + m.OverheadSeconds
 }
 
-// BarrierAdvance advances one rank's clock across a barrier: every clock
-// moves to the latest arrival plus a dissemination round of log2(P)
-// latencies.
-func (m CostModel) BarrierAdvance(p int, clock float64, clocks []float64) float64 {
-	t := MaxClock(clocks) + Hops(p)*m.LatencySeconds
-	if t > clock {
-		clock = t
-	}
-	return clock
-}
-
-// BcastAdvance advances one rank's clock across a broadcast of size bytes
-// from root (whose deposit clock is rootClock) and returns the collective
-// message/byte charge this rank books. Modeled as a pipelined binomial
-// tree: non-root ranks advance to root's send time plus log2(P) hops of
-// latency and transfer plus the two endpoint overheads; root pays its send
-// overhead and books the traffic.
-func (m CostModel) BcastAdvance(p, id, root int, clock, rootClock float64, size int) (newClock float64, collMsgs, collBytes int64) {
-	if p <= 1 {
-		return clock, 0, 0
-	}
-	if id == root {
-		return clock + m.OverheadSeconds, int64(p - 1), int64((p - 1) * size)
-	}
-	t := rootClock + Hops(p)*(m.LatencySeconds+float64(size)*m.SecondsPerByte) + 2*m.OverheadSeconds
-	if t > clock {
-		clock = t
-	}
-	return clock, 0, 0
-}
-
 // GathervAdvance advances one rank's clock across a variable-size gather
-// to root (clocks/sizes are the per-rank deposit vectors) and returns the
-// collective traffic charge this rank books. Modeled as a pipelined
-// binomial gather tree: root advances to the latest contributor plus
-// log2(P) latency hops and the serialized transfer of all non-root bytes;
-// contributors just pay their send overhead.
-func (m CostModel) GathervAdvance(p, id, root int, clock float64, clocks []float64, sizes []int) (newClock float64, collMsgs, collBytes int64) {
+// to rank 0 (clocks/sizes are the per-rank deposit vectors, read only on
+// rank 0) and returns the gather traffic charge this rank books. Modeled
+// as a pipelined binomial gather tree: rank 0 advances to the latest
+// contributor plus log2(P) latency hops and the serialized transfer of
+// all contributed bytes; contributors just pay their send overhead.
+func (m CostModel) GathervAdvance(p, id int, clock float64, clocks []float64, sizes []int) (newClock float64, collMsgs, collBytes int64) {
 	if p == 1 {
 		return clock, 0, 0
 	}
-	if id != root {
+	if id != 0 {
 		return clock + m.OverheadSeconds, 0, 0
 	}
 	latest, total := clock, 0
-	for i := 0; i < p; i++ {
-		if i == root {
-			continue
-		}
+	for i := 1; i < p; i++ {
 		total += sizes[i]
 		if t := clocks[i] + m.OverheadSeconds; t > latest {
 			latest = t
@@ -122,45 +85,6 @@ func (m CostModel) GathervAdvance(p, id, root int, clock float64, clocks []float
 		clock = t
 	}
 	return clock, int64(p - 1), int64(total)
-}
-
-// AllreduceAdvance advances one rank's clock across an 8-byte allreduce
-// (clocks is the per-rank deposit vector) and returns the collective
-// traffic charge this rank books (rank 0 books the butterfly's modeled
-// traffic once). Modeled as a butterfly: log2(P) rounds of latency, two
-// overheads and one word.
-func (m CostModel) AllreduceAdvance(p, id int, clock float64, clocks []float64) (newClock float64, collMsgs, collBytes int64) {
-	t := MaxClock(clocks) + Hops(p)*(m.LatencySeconds+2*m.OverheadSeconds+8*m.SecondsPerByte)
-	if t > clock {
-		clock = t
-	}
-	if id == 0 && p > 1 {
-		return clock, int64(2 * (p - 1)), int64(16 * (p - 1))
-	}
-	return clock, 0, 0
-}
-
-// Reduce folds vals in index (rank) order with op, so the result is
-// bitwise identical on every rank regardless of scheduling.
-func Reduce(op ReduceOp, vals []float64) float64 {
-	out := vals[0]
-	for _, x := range vals[1:] {
-		switch op {
-		case ReduceSum:
-			out += x
-		case ReduceMax:
-			if x > out {
-				out = x
-			}
-		case ReduceMin:
-			if x < out {
-				out = x
-			}
-		default:
-			panic(fmt.Sprintf("comm: unknown reduce op %d", int(op)))
-		}
-	}
-	return out
 }
 
 // MaxClock returns the latest clock in the vector (0 for an empty one).
@@ -184,8 +108,8 @@ type RunStats struct {
 	RankSeconds  []float64 // per-rank virtual clocks at run end (critical path)
 	Messages     int64     // point-to-point messages
 	Bytes        int64     // point-to-point payload bytes
-	CollMessages int64     // modeled messages moved by collectives
-	CollBytes    int64     // modeled payload bytes moved by collectives
+	CollMessages int64     // modeled messages moved by the gather
+	CollBytes    int64     // modeled payload bytes moved by the gather
 	SerialOps    int64     // post-processing done on one processor (dedup, merge)
 	Restarts     int64     // random-walk restarts (tracked, not charged as compute)
 

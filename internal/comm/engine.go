@@ -12,49 +12,23 @@ import (
 // AbortSignal (Rank.Abort, Comm.Abort) before any other cause was recorded.
 var ErrAborted = errors.New("comm: run aborted")
 
-// FrameKind tells apart the three frames engines exchange.
+// FrameKind tells apart the two frames engines exchange.
 type FrameKind uint8
 
 const (
 	// FrameData is a point-to-point message.
 	FrameData FrameKind = iota
-	// FrameDeposit is one rank's contribution to a collective, sent to rank 0.
+	// FrameDeposit is one rank's Gatherv contribution, sent to rank 0.
 	FrameDeposit
-	// FrameReply is rank 0's assembled collective, sent to every other rank.
-	FrameReply
 )
 
-// CollOp names the collective a deposit belongs to. Its values are part of
-// the TCP wire format.
-type CollOp uint8
-
-const (
-	opBarrier CollOp = iota
-	opBcast
-	opGatherv
-	opAllreduce
-)
-
-func (op CollOp) String() string {
-	if names := [...]string{"Barrier", "Bcast", "Gatherv", "Allreduce"}; int(op) < len(names) {
-		return names[op]
-	}
-	return fmt.Sprintf("CollOp(%d)", int(op))
-}
-
-// Frame is the unit an engine hands its Link. The embedded Message carries
-// the sender on every frame, the whole message on data frames, and the
-// contribution (Payload, Bytes) on deposits.
+// Frame is the unit an engine hands its Link: a message — the whole
+// point-to-point message on data frames, the contribution (Payload, Bytes)
+// on deposits — and, on deposits, the depositor's virtual clock.
 type Frame struct {
 	Kind FrameKind
 	Message
-	Gen    uint64    // deposit, reply: collective generation
-	Op     CollOp    // deposit
-	Root   int       // deposit
-	Clock  float64   // deposit: the depositor's virtual clock
-	Clocks []float64 // reply: every rank's deposit clock
-	Sizes  []int     // reply: every rank's deposit size
-	Vals   []any     // reply: by rank, only the payloads the receiver's op needs
+	Clock float64 // deposit: the depositor's virtual clock
 }
 
 // Link carries an engine's frames to its peers. The simulator's link hands
@@ -70,23 +44,21 @@ type Link interface {
 
 // Engine is one rank of a run: it implements Rank over a Link and holds
 // the single copy of the runtime's rules — the per-source queues and the
-// Recv/AnyRecv delivery rule, the star protocol behind the four
-// collectives, the virtual-clock advances, traffic accounting, and abort.
+// AnyRecv delivery rule, the gather to rank 0, the virtual-clock advances,
+// traffic accounting, and abort.
 type Engine struct {
 	id, p int
 	model CostModel
 	link  Link
 	ops   int64
 	clock float64
-	gen   uint64 // collective generation, advanced in lockstep on every rank
 
 	traffic [4]atomic.Int64 // indexed by msgs, bytes, collMsgs, collBytes
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        [][]Message // pending point-to-point messages, by source
-	deposits []*Frame    // rank 0: the open generation's deposits, by source
-	reply    *Frame      // other ranks: rank 0's reply for the open generation
+	deposits [][]*Frame  // rank 0: pending Gatherv deposits, by source, in posting order
 	err      error       // first recorded failure
 	sealed   bool        // run complete: later failures are teardown noise
 }
@@ -106,7 +78,7 @@ const (
 func NewEngine(id, p int, m CostModel, link Link) *Engine {
 	e := &Engine{id: id, p: p, model: m, link: link, q: make([][]Message, p)}
 	if id == 0 {
-		e.deposits = make([]*Frame, p)
+		e.deposits = make([][]*Frame, p)
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
@@ -134,7 +106,7 @@ func (e *Engine) Compute(n int64) {
 func (e *Engine) Abort() { panic(AbortSignal{}) }
 
 // Send posts a message to rank to; see Rank.Send.
-func (e *Engine) Send(to, tag int, payload any, size int) {
+func (e *Engine) Send(to int, payload any, size int) {
 	if to == e.id || to < 0 || to >= e.p {
 		panic(fmt.Sprintf("comm: rank %d sending to %d", e.id, to))
 	}
@@ -142,7 +114,7 @@ func (e *Engine) Send(to, tag int, payload any, size int) {
 	e.clock, arrive = e.model.SendAdvance(e.clock, size)
 	e.traffic[msgs].Add(1)
 	e.traffic[bytes].Add(int64(size))
-	e.post(to, &Frame{Kind: FrameData, Message: Message{From: e.id, Tag: tag, Payload: payload, Bytes: size, Arrive: arrive}})
+	e.post(to, &Frame{Kind: FrameData, Message: Message{From: e.id, Payload: payload, Bytes: size, Arrive: arrive}})
 }
 
 // post hands f to the link. A link failure fails the run and unwinds the
@@ -152,15 +124,6 @@ func (e *Engine) post(to int, f *Frame) {
 		e.Fail(err)
 		panic(AbortSignal{})
 	}
-}
-
-// Recv returns the oldest pending message from rank from; see Rank.Recv.
-func (e *Engine) Recv(from int) Message {
-	e.mu.Lock()
-	for len(e.q[from]) == 0 {
-		e.waitLocked()
-	}
-	return e.popLocked(from)
 }
 
 // AnyRecv waits until every listed source has a pending message, then
@@ -181,13 +144,10 @@ func (e *Engine) AnyRecv(sources []int) Message {
 			best = s
 		}
 	}
-	return e.popLocked(best)
-}
-
-// Sendrecv posts the send (never blocking) and then receives from from.
-func (e *Engine) Sendrecv(to, tag int, payload any, size int, from int) Message {
-	e.Send(to, tag, payload, size)
-	return e.Recv(from)
+	msg := pop(e.q, best)
+	e.mu.Unlock()
+	e.clock = e.model.RecvAdvance(e.clock, msg.Arrive)
+	return msg
 }
 
 func (e *Engine) pendingLocked(sources []int) bool {
@@ -199,18 +159,17 @@ func (e *Engine) pendingLocked(sources []int) bool {
 	return true
 }
 
-// popLocked removes the head of q[from], releases mu, and advances the
-// clock to the message's arrival plus the receive overhead.
-func (e *Engine) popLocked(from int) Message {
-	msg := e.q[from][0]
-	e.q[from][0] = Message{} // release the payload
-	e.q[from] = e.q[from][1:]
-	if len(e.q[from]) == 0 {
-		e.q[from] = nil // let the grown backing array go
+// pop removes and returns the head of q[from], letting a drained queue's
+// backing array go; the caller holds mu.
+func pop[T any](q [][]T, from int) T {
+	var zero T
+	v := q[from][0]
+	q[from][0] = zero // release the payload
+	q[from] = q[from][1:]
+	if len(q[from]) == 0 {
+		q[from] = nil
 	}
-	e.mu.Unlock()
-	e.clock = e.model.RecvAdvance(e.clock, msg.Arrive)
-	return msg
+	return v
 }
 
 // waitLocked sleeps until the next delivery or failure; caller holds mu.
@@ -223,121 +182,32 @@ func (e *Engine) waitLocked() {
 	e.cond.Wait()
 }
 
-// Barrier blocks until all P ranks have called it.
-func (e *Engine) Barrier() {
-	clocks, _, _ := e.collective(opBarrier, 0, nil, 0)
-	e.clock = e.model.BarrierAdvance(e.p, e.clock, clocks)
-}
-
-// Bcast returns root's payload on every rank.
-func (e *Engine) Bcast(root int, payload any, size int) any {
-	clocks, sizes, vals := e.collective(opBcast, root, payload, size)
-	var cm, cb int64
-	e.clock, cm, cb = e.model.BcastAdvance(e.p, e.id, root, e.clock, clocks[root], sizes[root])
-	e.book(cm, cb)
-	return vals[root]
-}
-
-// Gatherv returns every rank's payload, by rank, at root and nil elsewhere.
-func (e *Engine) Gatherv(root int, payload any, size int) []any {
-	clocks, sizes, vals := e.collective(opGatherv, root, payload, size)
-	var cm, cb int64
-	e.clock, cm, cb = e.model.GathervAdvance(e.p, e.id, root, e.clock, clocks, sizes)
-	e.book(cm, cb)
-	if e.id != root {
+// Gatherv gathers every rank's payload to rank 0; see Rank.Gatherv. A
+// contributor deposits its payload with its clock and moves on; rank 0
+// takes the oldest deposit of every source, then advances its clock and
+// books the gather's traffic through GathervAdvance.
+func (e *Engine) Gatherv(payload any, size int) []any {
+	if e.id != 0 {
+		e.post(0, &Frame{Kind: FrameDeposit, Message: Message{From: e.id, Payload: payload, Bytes: size}, Clock: e.clock})
+		e.clock, _, _ = e.model.GathervAdvance(e.p, e.id, e.clock, nil, nil)
 		return nil
 	}
-	return vals
-}
-
-// Allreduce folds every rank's contribution with op in rank order.
-func (e *Engine) Allreduce(v float64, op ReduceOp) float64 {
-	clocks, _, vals := e.collective(opAllreduce, 0, v, 8)
-	xs := make([]float64, e.p)
-	for i, x := range vals {
-		f, ok := x.(float64)
-		if !ok {
-			e.Fail(fmt.Errorf("comm: rank %d Allreduce contribution is %T, want float64", i, x))
-			panic(AbortSignal{})
-		}
-		xs[i] = f
-	}
-	var cm, cb int64
-	e.clock, cm, cb = e.model.AllreduceAdvance(e.p, e.id, e.clock, clocks)
-	e.book(cm, cb)
-	return Reduce(op, xs)
-}
-
-// book charges a collective's modeled traffic to this rank.
-func (e *Engine) book(cm, cb int64) {
-	e.traffic[collMsgs].Add(cm)
-	e.traffic[collBytes].Add(cb)
-}
-
-// collective runs one generation of the star protocol and returns every
-// rank's deposit clock and size plus the payloads this rank's op needs
-// (its own always included). Ranks call collectives in lockstep, so the
-// generation counter identifies the exchange. Rank 0 is the hub: it waits
-// for the P-1 deposits, fails the run if any disagrees on generation, op
-// or root, and replies to each peer with the clock and size vectors and
-// only the payloads that peer's op delivers there.
-func (e *Engine) collective(op CollOp, root int, payload any, size int) (clocks []float64, sizes []int, vals []any) {
-	gen := e.gen
-	e.gen++
-	if e.p == 1 {
-		return []float64{e.clock}, []int{size}, []any{payload}
-	}
-	if e.id != 0 {
-		e.post(0, &Frame{Kind: FrameDeposit, Message: Message{From: e.id, Payload: payload, Bytes: size},
-			Gen: gen, Op: op, Root: root, Clock: e.clock})
-		e.mu.Lock()
-		for e.reply == nil || e.reply.Gen != gen {
-			e.waitLocked()
-		}
-		r := e.reply
-		e.reply = nil
-		e.mu.Unlock()
-		if r.Vals[e.id] == nil {
-			r.Vals[e.id] = payload
-		}
-		return r.Clocks, r.Sizes, r.Vals
-	}
-
+	clocks, sizes, vals := make([]float64, e.p), make([]int, e.p), make([]any, e.p)
+	clocks[0], sizes[0], vals[0] = e.clock, size, payload
 	e.mu.Lock()
 	for peer := 1; peer < e.p; peer++ {
-		for e.deposits[peer] == nil {
+		for len(e.deposits[peer]) == 0 {
 			e.waitLocked()
 		}
-	}
-	clocks, sizes, vals = make([]float64, e.p), make([]int, e.p), make([]any, e.p)
-	clocks[0], sizes[0], vals[0] = e.clock, size, payload
-	var mismatch error
-	for peer := 1; peer < e.p; peer++ {
-		d := e.deposits[peer]
-		e.deposits[peer] = nil
-		if d.Gen != gen || d.Op != op || d.Root != root {
-			mismatch = fmt.Errorf("comm: collective mismatch: rank %d called %v(root %d) as generation %d, rank 0 called %v(root %d) as generation %d",
-				peer, d.Op, d.Root, d.Gen, op, root, gen)
-			continue
-		}
+		d := pop(e.deposits, peer)
 		clocks[peer], sizes[peer], vals[peer] = d.Clock, d.Bytes, d.Payload
 	}
 	e.mu.Unlock()
-	if mismatch != nil {
-		e.Fail(mismatch)
-		panic(AbortSignal{})
-	}
-	for peer := 1; peer < e.p; peer++ {
-		need := make([]any, e.p)
-		switch {
-		case op == opBcast:
-			need[root] = vals[root]
-		case op == opAllreduce, op == opGatherv && peer == root:
-			copy(need, vals)
-		}
-		e.post(peer, &Frame{Kind: FrameReply, Gen: gen, Clocks: clocks, Sizes: sizes, Vals: need})
-	}
-	return clocks, sizes, vals
+	var cm, cb int64
+	e.clock, cm, cb = e.model.GathervAdvance(e.p, e.id, e.clock, clocks, sizes)
+	e.traffic[collMsgs].Add(cm)
+	e.traffic[collBytes].Add(cb)
+	return vals
 }
 
 // Deliver accepts a frame the link received for this rank and wakes the
@@ -352,12 +222,7 @@ func (e *Engine) Deliver(f *Frame) error {
 	case f.Kind == FrameData:
 		e.q[f.From] = append(e.q[f.From], f.Message)
 	case f.Kind == FrameDeposit && e.id == 0:
-		if d := e.deposits[f.From]; d != nil {
-			return fmt.Errorf("comm: rank %d deposited generation %d before %d was consumed", f.From, f.Gen, d.Gen)
-		}
-		e.deposits[f.From] = f
-	case f.Kind == FrameReply && f.From == 0 && len(f.Vals) == e.p && len(f.Clocks) == e.p && len(f.Sizes) == e.p:
-		e.reply = f
+		e.deposits[f.From] = append(e.deposits[f.From], f)
 	default:
 		return fmt.Errorf("comm: rank %d got an unexpected frame (kind %d) from rank %d", e.id, f.Kind, f.From)
 	}
@@ -462,10 +327,10 @@ func (es Engines) Messages() int64 { return es.total(msgs) }
 // Bytes returns the point-to-point payload bytes the hosted ranks sent.
 func (es Engines) Bytes() int64 { return es.total(bytes) }
 
-// CollMessages returns the modeled collective messages the hosted ranks booked.
+// CollMessages returns the modeled gather messages the hosted ranks booked.
 func (es Engines) CollMessages() int64 { return es.total(collMsgs) }
 
-// CollBytes returns the modeled collective bytes the hosted ranks booked.
+// CollBytes returns the modeled gather bytes the hosted ranks booked.
 func (es Engines) CollBytes() int64 { return es.total(collBytes) }
 
 // FillStats resets s for a P-rank run and fills in the hosted ranks'

@@ -75,7 +75,7 @@ type ScalingRow struct {
 	Speedup        float64 // time at the baseline P over time at this P
 	Efficiency     float64 // speedup / (P / baseline P)
 	Messages       int64   // point-to-point (sampling phase)
-	CollMessages   int64   // collectives (result gather)
+	CollMessages   int64   // result gather
 	EdgesKept      int
 }
 

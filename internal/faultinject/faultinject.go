@@ -18,7 +18,7 @@
 //	diskstore.write        mid-snapshot, after half the blob is on disk
 //	expr.sweep.tile        every correlation-sweep tile claim
 //	server.sse.write       every SSE frame write
-//	transport.send         every outbound transport frame (data, collective,
+//	transport.send         every outbound transport frame (data, deposit,
 //	                       stats), on every rank — kills the whole mesh
 //	transport.send.rank<r> same, but only frames sent by rank r: the
 //	                       kill-one-worker-mid-Gatherv drill

@@ -7,7 +7,7 @@
 //
 // Everything rank-side — unbounded per-source queues (a send never
 // blocks, so no send/receive ordering can deadlock a run), the
-// deterministic AnyRecv rule, the star-protocol collectives and the clock
+// deterministic AnyRecv rule, the gather to rank 0 and the clock
 // arithmetic — is internal/comm's Engine, the same code the TCP backend
 // (internal/transport) runs. This package only wires the engines together
 // and measures wall time.
@@ -55,9 +55,8 @@ func NewCommModel(p int, m comm.CostModel) *Comm {
 
 // Run launches fn on every rank concurrently and waits until each has
 // finished or unwound, so no goroutine outlives Run. It returns the run's
-// first failure — a collective mismatch, a cancellation via
-// AbortOnCancel, or comm.ErrAborted after Abort or Rank.Abort — and nil
-// for a clean run.
+// first failure — a cancellation via AbortOnCancel, or comm.ErrAborted
+// after Abort or Rank.Abort — and nil for a clean run.
 func (c *Comm) Run(fn func(r comm.Rank)) error {
 	start := time.Now()
 	var wg sync.WaitGroup

@@ -6,7 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,10 +39,10 @@ func TestSendRecv(t *testing.T) {
 	c := NewComm(2)
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 7, "hello", 5)
+			r.Send(1, "hello", 5)
 		} else {
-			m := r.Recv(0)
-			if m.From != 0 || m.Tag != 7 || m.Payload.(string) != "hello" || m.Bytes != 5 {
+			m := r.AnyRecv([]int{0})
+			if m.From != 0 || m.Payload.(string) != "hello" || m.Bytes != 5 {
 				t.Errorf("bad message: %+v", m)
 			}
 		}
@@ -62,11 +62,11 @@ func TestUnboundedQueues(t *testing.T) {
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
-				r.Send(1, 0, i, 4)
+				r.Send(1, i, 4)
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				m := r.Recv(0)
+				m := r.AnyRecv([]int{0})
 				if m.Payload.(int) != i {
 					t.Errorf("out of order: got %d want %d", m.Payload.(int), i)
 					return
@@ -81,17 +81,23 @@ func TestUnboundedQueues(t *testing.T) {
 }
 
 func TestSendrecvFullExchange(t *testing.T) {
-	// Every rank exchanges with every other simultaneously — deadlock-prone
-	// under blocking sends, safe under Sendrecv.
+	// Every rank exchanges with every other simultaneously — the pattern
+	// MPI_Sendrecv exists for, deadlock-prone under blocking sends, safe
+	// here because Send never blocks: post every send, then drain every
+	// peer through AnyRecv.
 	const p = 8
 	c := NewComm(p)
 	var sum atomic.Int64
 	c.Run(func(r comm.Rank) {
+		var sources []int
 		for d := 1; d < p; d++ {
-			to := (r.ID() + d) % p
-			from := (r.ID() - d + p) % p
-			m := r.Sendrecv(to, 0, r.ID(), 8, from)
+			r.Send((r.ID()+d)%p, r.ID(), 8)
+			sources = append(sources, (r.ID()-d+p)%p)
+		}
+		for len(sources) > 0 {
+			m := r.AnyRecv(sources)
 			sum.Add(int64(m.Payload.(int)))
+			sources = slices.DeleteFunc(sources, func(s int) bool { return s == m.From })
 		}
 	})
 	want := int64((p - 1) * p * (p - 1) / 2) // each rank id counted p-1 times
@@ -110,9 +116,9 @@ func TestAnyRecvVirtualArrivalOrder(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			r.Compute(1_000_000)
-			r.Send(2, 0, "slow", 4)
+			r.Send(2, "slow", 4)
 		case 1:
-			r.Send(2, 0, "fast", 4)
+			r.Send(2, "fast", 4)
 		case 2:
 			sources := []int{0, 1}
 			for i := 0; i < 2; i++ {
@@ -129,39 +135,6 @@ func TestAnyRecvVirtualArrivalOrder(t *testing.T) {
 	})
 	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
 		t.Fatalf("delivery order %v, want [1 0]", order)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const p = 8
-	c := NewComm(p)
-	var before, after atomic.Int32
-	c.Run(func(r comm.Rank) {
-		before.Add(1)
-		r.Barrier()
-		if got := before.Load(); got != p {
-			t.Errorf("rank %d passed barrier with only %d arrivals", r.ID(), got)
-		}
-		after.Add(1)
-	})
-	if after.Load() != p {
-		t.Fatal("not all ranks finished")
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	const p = 4
-	c := NewComm(p)
-	var phase atomic.Int32
-	c.Run(func(r comm.Rank) {
-		for i := 0; i < 10; i++ {
-			r.Barrier()
-			phase.Add(1)
-			r.Barrier()
-		}
-	})
-	if phase.Load() != 10*p {
-		t.Fatalf("phase = %d, want %d", phase.Load(), 10*p)
 	}
 }
 
@@ -183,7 +156,7 @@ func TestManyToOneAnyRecv(t *testing.T) {
 				}
 			}
 		} else {
-			r.Send(0, 0, r.ID()*10, 8)
+			r.Send(0, r.ID()*10, 8)
 		}
 	})
 	if sum.Load() != 10+20+30+40+50 {
@@ -204,10 +177,10 @@ func TestGathervReassembly(t *testing.T) {
 		for j := range mine {
 			mine[j] = r.ID()*100 + j
 		}
-		all := r.Gatherv(3, mine, 8*len(mine))
-		if r.ID() != 3 {
+		all := r.Gatherv(mine, 8*len(mine))
+		if r.ID() != 0 {
 			if all != nil {
-				t.Errorf("rank %d: non-root got a gather result", r.ID())
+				t.Errorf("rank %d: a contributor got a gather result", r.ID())
 			}
 			return
 		}
@@ -217,7 +190,7 @@ func TestGathervReassembly(t *testing.T) {
 		}
 	})
 	if len(rootGot) != p {
-		t.Fatalf("root gathered %d slots", len(rootGot))
+		t.Fatalf("rank 0 gathered %d slots", len(rootGot))
 	}
 	for i, s := range rootGot {
 		if len(s) != i+1 {
@@ -234,67 +207,29 @@ func TestGathervReassembly(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	const p = 5
-	c := NewComm(p)
-	var got [p]string
-	c.Run(func(r comm.Rank) {
-		payload := fmt.Sprintf("from-%d", r.ID())
-		got[r.ID()] = r.Bcast(2, payload, len(payload)).(string)
-	})
-	for i, s := range got {
-		if s != "from-2" {
-			t.Fatalf("rank %d got %q", i, s)
-		}
-	}
-	if c.CollMessages() != p-1 {
-		t.Fatalf("collective messages = %d", c.CollMessages())
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	const p = 9
-	c := NewComm(p)
-	var sums, maxs, mins [p]float64
-	c.Run(func(r comm.Rank) {
-		v := float64(r.ID() + 1)
-		sums[r.ID()] = r.Allreduce(v, comm.ReduceSum)
-		maxs[r.ID()] = r.Allreduce(v, comm.ReduceMax)
-		mins[r.ID()] = r.Allreduce(v, comm.ReduceMin)
-	})
-	for i := 0; i < p; i++ {
-		if sums[i] != 45 {
-			t.Fatalf("rank %d sum = %v", i, sums[i])
-		}
-		if maxs[i] != 9 || mins[i] != 1 {
-			t.Fatalf("rank %d max/min = %v/%v", i, maxs[i], mins[i])
-		}
-	}
-}
-
-func TestAllreduceDeterministicFold(t *testing.T) {
-	// The fold runs in rank order on every rank, so floating-point sums are
-	// bitwise identical across ranks and across repeated runs — the
-	// "associativity" contract callers rely on.
-	const p = 8
-	vals := []float64{1e16, 1, -1e16, 3.5, 0.25, 1e-8, 7, -2}
-	var ref [p]float64
-	for trial := 0; trial < 3; trial++ {
-		c := NewComm(p)
-		var got [p]float64
-		c.Run(func(r comm.Rank) {
-			got[r.ID()] = r.Allreduce(vals[r.ID()], comm.ReduceSum)
-		})
-		for i := 1; i < p; i++ {
-			if got[i] != got[0] {
-				t.Fatalf("trial %d: rank %d disagrees: %v vs %v", trial, i, got[i], got[0])
+// TestGathervContributorsDoNotWait: a contributor deposits and moves on,
+// so it can still send to rank 0 after its Gatherv — a kernel shape that
+// would deadlock if contributors waited for rank 0 to finish the gather.
+func TestGathervContributorsDoNotWait(t *testing.T) {
+	c := NewComm(2)
+	var got []any
+	var after any
+	err := c.Run(func(r comm.Rank) {
+		if r.ID() == 1 {
+			if r.Gatherv("mine", 4) != nil {
+				t.Error("a contributor got a gather result")
 			}
+			r.Send(0, "after", 5)
+			return
 		}
-		if trial == 0 {
-			ref = got
-		} else if got != ref {
-			t.Fatalf("trial %d: result changed across runs: %v vs %v", trial, got, ref)
-		}
+		after = r.AnyRecv([]int{1}).Payload
+		got = r.Gatherv("root", 4)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != "after" || len(got) != 2 || got[0] != "root" || got[1] != "mine" {
+		t.Fatalf("rank 0 received %v, then gathered %v", after, got)
 	}
 }
 
@@ -305,9 +240,9 @@ func TestVirtualClockPointToPoint(t *testing.T) {
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
 			r.Compute(1000) // 1 ms
-			r.Send(1, 0, "x", 100)
+			r.Send(1, "x", 100)
 		} else {
-			r.Recv(0)
+			r.AnyRecv([]int{0})
 		}
 	})
 	c.FillStats(&stats)
@@ -336,10 +271,10 @@ func TestVirtualClockOverlap(t *testing.T) {
 	var stats comm.RunStats
 	c.Run(func(r comm.Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 0, "early", 0)
+			r.Send(1, "early", 0)
 		} else {
 			r.Compute(10_000) // 10 ms >> 1 ms arrival
-			r.Recv(0)
+			r.AnyRecv([]int{0})
 		}
 	})
 	c.FillStats(&stats)
@@ -354,7 +289,7 @@ func TestRunClockDeterminism(t *testing.T) {
 		c.Run(func(r comm.Rank) {
 			r.Compute(int64(100 * (r.ID() + 1)))
 			if r.ID() > 0 {
-				r.Send(0, 0, r.ID(), 8)
+				r.Send(0, r.ID(), 8)
 			} else {
 				sources := []int{1, 2, 3}
 				for len(sources) > 0 {
@@ -368,7 +303,7 @@ func TestRunClockDeterminism(t *testing.T) {
 					}
 				}
 			}
-			r.Barrier()
+			r.Gatherv(r.ID(), 8)
 		})
 		var s comm.RunStats
 		c.FillStats(&s)
@@ -385,29 +320,6 @@ func TestRunClockDeterminism(t *testing.T) {
 	}
 }
 
-// TestCollectiveMismatch: ranks that disagree on which collective they are
-// in fail the run with a structured error instead of silently exchanging
-// values, and every rank unwinds (TestMain's leak check covers the rest).
-func TestCollectiveMismatch(t *testing.T) {
-	c := NewComm(2)
-	var finished atomic.Int32
-	err := c.Run(func(r comm.Rank) {
-		if r.ID() == 0 {
-			r.Bcast(0, "x", 1)
-		} else {
-			r.Gatherv(0, "y", 1)
-		}
-		finished.Add(1)
-	})
-	if err == nil || !strings.Contains(err.Error(), "collective mismatch") ||
-		!strings.Contains(err.Error(), "Gatherv") || !strings.Contains(err.Error(), "Bcast") {
-		t.Fatalf("want a collective mismatch naming both ops, got %v", err)
-	}
-	if n := finished.Load(); n != 0 {
-		t.Fatalf("%d ranks completed a mismatched collective", n)
-	}
-}
-
 // TestAbortUnwindsRun: Comm.Abort wakes a rank blocked in a receive nobody
 // will satisfy, and Run reports the abort.
 func TestAbortUnwindsRun(t *testing.T) {
@@ -416,7 +328,7 @@ func TestAbortUnwindsRun(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		c.Abort()
 	}()
-	err := c.Run(func(r comm.Rank) { r.Recv(1 - r.ID()) })
+	err := c.Run(func(r comm.Rank) { r.AnyRecv([]int{1 - r.ID()}) })
 	if !errors.Is(err, comm.ErrAborted) {
 		t.Fatalf("want comm.ErrAborted, got %v", err)
 	}
@@ -442,7 +354,7 @@ func TestSendToSelfPanics(t *testing.T) {
 				t.Error("want panic on self-send")
 			}
 		}()
-		r.Send(0, 0, nil, 0)
+		r.Send(0, nil, 0)
 	})
 }
 

@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -52,16 +51,13 @@ func localChordal(ctx context.Context, g *graph.Graph, block []int32) ([]graph.E
 // Gatherv.
 func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	pt := graph.BlockPartition(opts.Order, opts.P)
-	p := pt.P()
-	parts := make([]rankResult, p)
-	cm := newComm(opts, p)
-	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
+	_, border := pt.InternalEdgeCount(g)
+	return runRanks(ctx, ChordalNoComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
 		block := pt.Parts[rank]
 		edges, chordalG, ops, err := localChordal(ctx, g, block)
 		if err != nil {
-			r.Abort()
+			return rankResult{}, err
 		}
 		// Group border edges by their external endpoint. External endpoints
 		// are collected per rank into a flat list sorted by endpoint — the
@@ -107,10 +103,8 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 			lo = hi
 		}
 		r.Compute(ops)
-		gatherParts(r, newRankResult(edges, 0), parts)
+		return newRankResult(edges, 0), nil
 	})
-	_, border := pt.InternalEdgeCount(g)
-	return finishParallel(ctx, ChordalNoComm, g.N(), parts, border, cm, runErr)
 }
 
 // borderMsg is the payload exchanged by chordalWithComm. An empty edge list
@@ -139,10 +133,6 @@ const msgChunk = 64
 func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	pt := graph.BlockPartition(opts.Order, opts.P)
 	p := pt.P()
-	parts := make([]rankResult, p)
-	rankErrs := make([]error, p) // a rank's own reason for aborting the run
-	cm := newComm(opts, p)
-	defer cm.AbortOnCancel(ctx)()
 
 	// Precompute, per ordered pair (sender < receiver), the mutual border
 	// edges as seen from the sender side.
@@ -162,12 +152,13 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		pairEdges[lo][hi] = append(pairEdges[lo][hi], graph.Edge{U: u, V: v})
 	})
 
-	runErr := cm.Run(func(r comm.Rank) {
+	_, border := pt.InternalEdgeCount(g)
+	return runRanks(ctx, ChordalComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
 		block := pt.Parts[rank]
 		edges, chordalG, ops, err := localChordal(ctx, g, block)
 		if err != nil {
-			r.Abort()
+			return rankResult{}, err
 		}
 		r.Compute(ops)
 
@@ -185,9 +176,9 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 					hi = len(edges)
 				}
 				chunk := edges[lo:hi]
-				r.Send(recv, recv, borderMsg{edges: chunk}, 8*len(chunk))
+				r.Send(recv, borderMsg{edges: chunk}, 8*len(chunk))
 			}
-			r.Send(recv, recv, borderMsg{}, 0)
+			r.Send(recv, borderMsg{}, 0)
 		}
 
 		// Receive candidate border edges from every lower-ranked partner
@@ -211,7 +202,10 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		for len(sources) > 0 {
 			abortIfCancelled(ctx, r)
 			msg := r.AnyRecv(sources)
-			bm := msg.Payload.(borderMsg)
+			bm, ok := msg.Payload.(borderMsg)
+			if !ok {
+				return rankResult{}, fmt.Errorf("sampling: rank %d got a %T from rank %d, want a border chunk", rank, msg.Payload, msg.From)
+			}
 			if len(bm.edges) == 0 {
 				for i, s := range sources {
 					if s == msg.From {
@@ -228,15 +222,13 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 				// must exist, the local one here and the external one on
 				// the sending rank, before anything is indexed by them.
 				if uint(ext) >= uint(g.N()) || uint(loc) >= uint(g.N()) {
-					rankErrs[rank] = fmt.Errorf("sampling: rank %d got border edge (%d,%d) outside the %d-vertex graph", rank, ext, loc, g.N())
-					r.Abort()
+					return rankResult{}, fmt.Errorf("sampling: rank %d got border edge (%d,%d) outside the %d-vertex graph", rank, ext, loc, g.N())
 				}
 				if pt.Part[ext] == int32(rank) {
 					ext, loc = loc, ext
 				}
 				if pt.Part[loc] != int32(rank) || pt.Part[ext] != int32(msg.From) {
-					rankErrs[rank] = fmt.Errorf("sampling: rank %d got border edge (%d,%d) that does not join it to rank %d", rank, e.U, e.V, msg.From)
-					r.Abort()
+					return rankResult{}, fmt.Errorf("sampling: rank %d got border edge (%d,%d) that does not join it to rank %d", rank, e.U, e.V, msg.From)
 				}
 				slot := extSlot[ext]
 				var bu []int32
@@ -271,12 +263,6 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 			// the virtual clock interleaves compute with the waits.
 			r.Compute(ops)
 		}
-		gatherParts(r, newRankResult(edges, 0), parts)
+		return newRankResult(edges, 0), nil
 	})
-
-	_, border := pt.InternalEdgeCount(g)
-	if err := errors.Join(rankErrs...); err != nil {
-		return nil, err
-	}
-	return finishParallel(ctx, ChordalComm, g.N(), parts, border, cm, runErr)
 }

@@ -28,8 +28,8 @@ import (
 
 // Payload kinds owned by this package.
 const (
-	kindBorderMsg  = comm.KindUserBase + iota // chordalWithComm border chunk
-	kindRankResult                            // gathered per-rank partial result
+	kindBorderMsg  uint16 = iota + 1 // chordalWithComm border chunk
+	kindRankResult                   // gathered per-rank partial result
 )
 
 func init() {

@@ -67,23 +67,66 @@ func TestPayloadDecodersRejectMalformedEdges(t *testing.T) {
 }
 
 // tamperComm runs a real communicator but passes every message a rank
-// receives through tamper first: a stand-in for a remote rank sending
+// receives through tamper, and every gather rank 0 receives through
+// gather, first (either may be nil): a stand-in for a remote rank sending
 // well-formed but hostile payloads.
 type tamperComm struct {
 	comm.Comm
 	tamper func(comm.Message) comm.Message
+	gather func(vals []any)
 }
 
 func (c tamperComm) Run(fn func(comm.Rank)) error {
-	return c.Comm.Run(func(r comm.Rank) { fn(tamperRank{r, c.tamper}) })
+	return c.Comm.Run(func(r comm.Rank) { fn(tamperRank{r, c}) })
 }
 
 type tamperRank struct {
 	comm.Rank
-	tamper func(comm.Message) comm.Message
+	c tamperComm
 }
 
-func (r tamperRank) AnyRecv(sources []int) comm.Message { return r.tamper(r.Rank.AnyRecv(sources)) }
+func (r tamperRank) AnyRecv(sources []int) comm.Message {
+	m := r.Rank.AnyRecv(sources)
+	if r.c.tamper != nil {
+		m = r.c.tamper(m)
+	}
+	return m
+}
+
+func (r tamperRank) Gatherv(payload any, size int) []any {
+	vals := r.Rank.Gatherv(payload, size)
+	if vals != nil && r.c.gather != nil {
+		r.c.gather(vals)
+	}
+	return vals
+}
+
+// A payload of the wrong type — well formed, since it decodes through a
+// registered codec, but not what the site expects — must fail the job
+// with a named error at both sites that type-assert on a received
+// payload, instead of panicking the rank. On TCP, rank 0 runs inside the
+// coordinator process, so such a panic would kill it.
+func TestWrongPayloadTypeFailsJob(t *testing.T) {
+	g := graph.Gnm(40, 160, 1)
+	for _, tc := range []struct {
+		name string
+		alg  Algorithm
+		cm   tamperComm
+		want string
+	}{
+		{"border chunk that is a partial result", ChordalComm, tamperComm{Comm: mpisim.NewComm(2),
+			tamper: func(m comm.Message) comm.Message { m.Payload = rankResult{}; return m }},
+			"want a border chunk"},
+		{"gathered partial result that is a border chunk", ChordalNoComm, tamperComm{Comm: mpisim.NewComm(2),
+			gather: func(vals []any) { vals[1] = borderMsg{} }},
+			"want a partial result"},
+	} {
+		res, err := Run(tc.alg, g, Options{P: 2, Comm: tc.cm})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: res=%v err=%v, want an error containing %q", tc.name, res, err, tc.want)
+		}
+	}
+}
 
 // The chordal-comm receiver indexes its partition table by the endpoints
 // of every incoming border edge. An edge that names a vertex outside the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"parsample/internal/comm"
 	"parsample/internal/graph"
 )
 
@@ -100,48 +99,11 @@ const defaultForwardProb = 0.7
 
 // forestFireParallel partitions the network like the other parallel filters:
 // local fires over internal edges, hash-coin admission for border edges
-// (communication-free, like the parallel random walk); partial results reach
-// the merge rank through one Gatherv.
+// (communication-free, like the parallel random walk; coinFlipParallel).
 func forestFireParallel(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	pt := graph.BlockPartition(opts.Order, opts.P)
-	p := pt.P()
-	internal, border := pt.InternalEdgeCount(g)
-	parts := make([]rankResult, p)
-	cm := newComm(opts, p)
-	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
-		rank := r.ID()
-		rng := rand.New(rand.NewSource(opts.Seed + int64(rank)*104729))
-		block := pt.Parts[rank]
-		nb := func(v int32) []int32 {
-			var out []int32
-			for _, w := range g.Neighbors(v) {
-				if pt.Part[w] == int32(rank) {
-					out = append(out, w)
-				}
-			}
-			return out
-		}
-		var edges []graph.Edge
-		ops, err := forestFire(ctx, block, g.N(), nb, internal[rank]/2, defaultForwardProb, rng, &edges)
-		if err != nil {
-			r.Abort()
-		}
-		for bi, a := range block {
-			if bi%4096 == 0 {
-				abortIfCancelled(ctx, r)
-			}
-			for _, x := range g.Neighbors(a) {
-				if pt.Part[x] != int32(rank) {
-					ops++
-					if edgeCoin(a, x, opts.Seed) {
-						edges = append(edges, graph.NormEdge(a, x))
-					}
-				}
-			}
-		}
-		r.Compute(ops)
-		gatherParts(r, newRankResult(edges, 0), parts)
-	})
-	return finishParallel(ctx, ForestFirePar, g.N(), parts, border, cm, runErr)
+	return coinFlipParallel(ctx, ForestFirePar, g, opts, 104729,
+		func(ctx context.Context, verts []int32, nb func(int32) []int32, budget int, rng *rand.Rand, out *[]graph.Edge) (int64, int64, error) {
+			ops, err := forestFire(ctx, verts, g.N(), nb, budget, defaultForwardProb, rng, out)
+			return ops, 0, err
+		})
 }

@@ -73,21 +73,34 @@ func randomWalkSequential(ctx context.Context, g *graph.Graph, opts Options) (*R
 
 // randomWalkParallel partitions the network like the chordal samplers; each
 // processor walks its internal edges until selections reach half its internal
-// edge count, and every border edge is admitted by an unbiased coin flip.
-// The coin flip is a deterministic hash of the edge and seed, so both sides
-// of a border make the same decision without communicating (the paper's
-// "binary random value"), keeping the filter perfectly scalable. The only
-// communication is the final Gatherv of partial results to the merge rank.
+// edge count, and every border edge is admitted by an unbiased coin flip
+// (coinFlipParallel).
 func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	return coinFlipParallel(ctx, RandomWalkPar, g, opts, 7919, walkEdges)
+}
+
+// localSampler is the per-rank kernel of a coin-flip sampler: it samples
+// up to budget edge selections over verts, restricted to the neighbors nb
+// returns, appending normalized edges to *out. walkEdges is one.
+type localSampler func(ctx context.Context, verts []int32, nb func(int32) []int32, budget int,
+	rng *rand.Rand, out *[]graph.Edge) (ops, restarts int64, err error)
+
+// coinFlipParallel is the driver the parallel random walk and forest fire
+// share. It block-partitions the processing order; each rank runs local
+// over its block's internal edges with budget half its internal edge
+// count and an rng seeded Seed + rank·seedMul, then admits every border
+// edge incident on its block by an unbiased coin flip. The coin is a
+// deterministic hash of the edge and seed, so both sides of a border make
+// the same decision without communicating (the paper's "binary random
+// value"), keeping the filter perfectly scalable. The only communication
+// is the final gather of partial results to the merge rank.
+func coinFlipParallel(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options, seedMul int64,
+	local localSampler) (*Result, error) {
 	pt := graph.BlockPartition(opts.Order, opts.P)
-	p := pt.P()
 	internal, border := pt.InternalEdgeCount(g)
-	parts := make([]rankResult, p)
-	cm := newComm(opts, p)
-	defer cm.AbortOnCancel(ctx)()
-	runErr := cm.Run(func(r comm.Rank) {
+	return runRanks(ctx, alg, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
-		rng := rand.New(rand.NewSource(opts.Seed + int64(rank)*7919))
+		rng := rand.New(rand.NewSource(opts.Seed + int64(rank)*seedMul))
 		block := pt.Parts[rank]
 		// Eligible neighbors: same-partition only.
 		nb := func(v int32) []int32 {
@@ -100,11 +113,10 @@ func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 			return out
 		}
 		var edges []graph.Edge
-		ops, restarts, err := walkEdges(ctx, block, nb, internal[rank]/2, rng, &edges)
+		ops, restarts, err := local(ctx, block, nb, internal[rank]/2, rng, &edges)
 		if err != nil {
-			r.Abort()
+			return rankResult{}, err
 		}
-		// Border edges incident on this partition: coin-flip admission.
 		for bi, a := range block {
 			if bi%4096 == 0 {
 				abortIfCancelled(ctx, r)
@@ -119,9 +131,8 @@ func randomWalkParallel(ctx context.Context, g *graph.Graph, opts Options) (*Res
 			}
 		}
 		r.Compute(ops)
-		gatherParts(r, newRankResult(edges, restarts), parts)
+		return newRankResult(edges, restarts), nil
 	})
-	return finishParallel(ctx, RandomWalkPar, g.N(), parts, border, cm, runErr)
 }
 
 // edgeCoin is a deterministic fair coin on a normalized edge.

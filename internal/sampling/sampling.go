@@ -16,6 +16,7 @@ package sampling
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -165,7 +166,7 @@ func Run(alg Algorithm, g *graph.Graph, opts Options) (*Result, error) {
 // RunContext is Run with cooperative cancellation. Sequential filters poll
 // ctx inside their traversal loops; parallel filters additionally tie the
 // simulated runtime to ctx (comm.Comm.AbortOnCancel), so ranks blocked in
-// receives or collectives unwind promptly when ctx is cancelled. A
+// receives or the gather unwind promptly when ctx is cancelled. A
 // cancelled run returns (nil, ctx.Err()) and leaks no goroutines; a
 // completed run is identical to Run (the determinism contract is
 // unaffected — ctx only decides whether the run finishes, never what it
@@ -228,37 +229,57 @@ func newRankResult(edges []graph.Edge, restarts int64) rankResult {
 // int32 endpoints per edge.
 func (pr rankResult) payloadBytes() int { return 8 * len(pr.edges) }
 
-// gatherParts ends a rank's run: it gathers every rank's partial result to
-// rank 0 through the runtime (charging the collective's modeled cost) and,
-// on rank 0, scatters the payloads into parts for the sequential merge.
-func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) {
-	gathered := r.Gatherv(0, mine, mine.payloadBytes())
-	if r.ID() != 0 {
-		return
-	}
-	for rk, v := range gathered {
-		parts[rk] = v.(rankResult)
-	}
-}
-
-// finishParallel turns a finished parallel run into its result: a
-// cancellation wins over the runtime's failure, and only a clean run is
-// merged.
-func finishParallel(ctx context.Context, alg Algorithm, n int, parts []rankResult, border int,
-	cm comm.Comm, runErr error) (*Result, error) {
+// runRanks executes kernel on every rank of partition pt and merges the
+// partial results gathered to rank 0; border is the input's cross-partition
+// edge count. A kernel returns its rank's partial result, or its own reason
+// to fail the job, which unwinds the rank and wins over the runtime's
+// failure; a cancellation wins over both, and only a clean run is merged.
+func runRanks(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options, pt *graph.Partition, border int,
+	kernel func(r comm.Rank) (rankResult, error)) (*Result, error) {
+	p := pt.P()
+	parts := make([]rankResult, p)
+	rankErrs := make([]error, p)
+	cm := newComm(opts, p)
+	defer cm.AbortOnCancel(ctx)()
+	runErr := cm.Run(func(r comm.Rank) {
+		mine, err := kernel(r)
+		if err != nil {
+			rankErrs[r.ID()] = err
+			r.Abort()
+		}
+		rankErrs[r.ID()] = gatherParts(r, mine, parts)
+	})
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := errors.Join(rankErrs...); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	return mergeRanks(alg, n, parts, border, cm)
+	return mergeRanks(alg, g.N(), parts, border, cm)
+}
+
+// gatherParts ends a rank's run: it gathers every rank's partial result to
+// rank 0 through the runtime (charging the gather's modeled cost) and, on
+// rank 0, scatters the payloads into parts for the sequential merge. A
+// gathered payload that is not a partial result fails the job.
+func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) error {
+	for rk, v := range r.Gatherv(mine, mine.payloadBytes()) {
+		pr, ok := v.(rankResult)
+		if !ok {
+			return fmt.Errorf("sampling: rank %d gathered a %T from rank %d, want a partial result", r.ID(), v, rk)
+		}
+		parts[rk] = pr
+	}
+	return nil
 }
 
 // mergeRanks unions the per-rank edge lists sequentially into one CSR
 // subgraph (the paper notes the duplicate removal is done during the
 // sequential analysis phase), counts duplicates, and copies the runtime's
-// accounting (per-rank ops, virtual clocks, point-to-point and collective
+// accounting (per-rank ops, virtual clocks, point-to-point and gather
 // traffic) into the result stats. n is the vertex universe of the input
 // graph. A remote rank's payload is untrusted: its decoder guarantees
 // 0 ≤ U < V, and an edge beyond n is an error here, not a panic.

@@ -56,13 +56,6 @@ type Comm struct {
 
 var _ comm.Comm = (*Comm)(nil)
 
-// remoteStats is one remote rank's end-of-run accounting.
-type remoteStats struct {
-	ops                              int64
-	clock, wall                      float64
-	msgs, bytes, collMsgs, collBytes int64
-}
-
 // newComm forms the mesh for one rank: it dials every lower rank and
 // waits for every higher rank to dial in through the intake the acceptor
 // routes data connections to. On any failure the partially-formed mesh is
@@ -187,22 +180,21 @@ func (c *Comm) statsPhase() error {
 	}
 	deadline := time.Now().Add(drainTimeout)
 	if c.cfg.self != 0 {
-		var e wenc
-		e.u32(uint32(c.cfg.self))
-		e.i64(c.eng.Ops())
-		e.f64(c.eng.Clock())
-		e.f64(c.rankWall)
-		e.i64(c.Messages())
-		e.i64(c.Bytes())
-		e.i64(c.CollMessages())
-		e.i64(c.CollBytes())
+		rf := rankFrame{typ: fStats, from: c.cfg.self, stats: remoteStats{
+			ops: c.eng.Ops(), clock: c.eng.Clock(), wall: c.rankWall,
+			msgs: c.Messages(), bytes: c.Bytes(), collMsgs: c.CollMessages(), collBytes: c.CollBytes(),
+		}}
+		body, err := rf.encode()
+		if err != nil {
+			return err
+		}
 		// Flag the teardown before the stats frame can reach rank 0: once
 		// it does, any peer may receive its ack and hang up, and that EOF
 		// must already read as benign here.
 		c.mu.Lock()
 		c.statsSent = true
 		c.mu.Unlock()
-		if err := c.post(0, fStats, e.buf); err != nil {
+		if err := c.post(0, fStats, body); err != nil {
 			return err
 		}
 		return c.wait(func() bool { return c.statsAcked }, deadline, "stats ack from rank 0")
@@ -292,7 +284,7 @@ func (c *Comm) FillStats(s *comm.RunStats) {
 
 // post enqueues one frame to rank `to`, evaluating the transport.send
 // failpoints on the way (the fault drill's "kill a worker mid-send" hook
-// covers every data-bearing frame: point-to-point, collective, and stats).
+// covers every data-bearing frame: point-to-point, deposit, and stats).
 func (c *Comm) post(to int, typ byte, body []byte) error {
 	if err := faultinject.Eval("transport.send"); err != nil {
 		return fmt.Errorf("transport: rank %d send to %d: %w", c.cfg.self, to, err)
@@ -314,53 +306,19 @@ func (c *Comm) post(to int, typ byte, body []byte) error {
 // wire (readLoop decodes the peers' frames back into the engine).
 type link struct{ c *Comm }
 
-// Post encodes f as an fData, fColl or fCollResp frame and queues it.
+// Post encodes f as an fData or fColl frame and queues it.
 func (l link) Post(to int, f *comm.Frame) error {
 	c := l.c
-	var e wenc
-	var typ byte
-	switch f.Kind {
-	case comm.FrameData:
-		typ = fData
-		e.u32(uint32(f.From))
-		e.i64(c.seqOut[to])
+	rf := rankFrame{typ: fColl, from: f.From, frame: *f}
+	if f.Kind == comm.FrameData {
+		rf.typ, rf.seq = fData, c.seqOut[to]
 		c.seqOut[to]++
-		e.u32(uint32(f.Tag))
-		e.f64(f.Arrive)
-		e.u32(uint32(f.Bytes))
-		e.payload(f.Payload)
-	case comm.FrameDeposit:
-		typ = fColl
-		e.u64(f.Gen)
-		e.u8(byte(f.Op))
-		e.u32(uint32(f.Root))
-		e.u32(uint32(f.From))
-		e.f64(f.Clock)
-		e.u32(uint32(f.Bytes))
-		e.payload(f.Payload)
-	case comm.FrameReply:
-		typ = fCollResp
-		e.u64(f.Gen)
-		e.f64s(f.Clocks)
-		e.ints(f.Sizes)
-		n := 0
-		for _, v := range f.Vals {
-			if v != nil {
-				n++
-			}
-		}
-		e.u32(uint32(n))
-		for rk, v := range f.Vals {
-			if v != nil {
-				e.u32(uint32(rk))
-				e.payload(v)
-			}
-		}
 	}
-	if e.err != nil {
-		return fmt.Errorf("transport: rank %d: %w", c.cfg.self, e.err)
+	body, err := rf.encode()
+	if err != nil {
+		return fmt.Errorf("transport: rank %d: %w", c.cfg.self, err)
 	}
-	return c.post(to, typ, e.buf)
+	return c.post(to, rf.typ, body)
 }
 
 // Fail wakes a stats-phase wait and fans the failure out to the peers as
@@ -413,87 +371,40 @@ func (c *Comm) inTeardown() bool {
 	return c.statsSent
 }
 
-// dispatch decodes one frame from peer p: engine frames go to the engine
-// after the sender and sequence checks, stats frames to the stats phase.
+// dispatch handles one frame from peer p: rank frames are decoded by
+// decodeRankFrame and checked against the connection's sender — data and
+// deposits then go to the engine (data after the sequence check), stats to
+// the stats phase.
 func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
-	d := wdec{buf: body}
-	f := &comm.Frame{Message: comm.Message{From: p.rank}}
 	switch typ {
-	case fData:
-		f.Kind = comm.FrameData
-		from := int(d.u32())
-		seq := d.i64()
-		f.Tag = int(d.u32())
-		f.Arrive = d.f64()
-		f.Bytes = int(d.u32())
-		f.Payload = d.payload()
-		if err := d.finish(); err != nil {
-			return fmt.Errorf("transport: bad data frame from rank %d: %w", p.rank, err)
+	case fData, fColl, fStats:
+		rf, err := decodeRankFrame(typ, body, c.cfg.p)
+		if err != nil {
+			return fmt.Errorf("transport: bad frame (type %d) from rank %d: %w", typ, p.rank, err)
 		}
-		if from != p.rank {
-			return fmt.Errorf("transport: rank %d sent a data frame claiming rank %d", p.rank, from)
+		if rf.from != p.rank {
+			return fmt.Errorf("transport: rank %d sent a frame claiming rank %d", p.rank, rf.from)
 		}
-		if want := c.seqIn[from]; seq != want {
-			return fmt.Errorf("transport: rank %d message sequence %d, want %d", from, seq, want)
-		}
-		c.seqIn[from]++
-
-	case fColl:
-		f.Kind = comm.FrameDeposit
-		f.Gen = d.u64()
-		f.Op = comm.CollOp(d.u8())
-		f.Root = int(d.u32())
-		from := int(d.u32())
-		f.Clock = d.f64()
-		f.Bytes = int(d.u32())
-		f.Payload = d.payload()
-		if err := d.finish(); err != nil {
-			return fmt.Errorf("transport: bad collective frame from rank %d: %w", p.rank, err)
-		}
-		if from != p.rank {
-			return fmt.Errorf("transport: rank %d sent a collective deposit claiming rank %d", p.rank, from)
-		}
-
-	case fCollResp:
-		f.Kind = comm.FrameReply
-		f.Gen = d.u64()
-		f.Clocks = d.f64s()
-		f.Sizes = d.ints()
-		f.Vals = make([]any, c.cfg.p)
-		for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-			rk := int(d.u32())
-			v := d.payload()
-			if rk < 0 || rk >= c.cfg.p {
-				d.fail()
-				break
+		switch typ {
+		case fData:
+			if want := c.seqIn[rf.from]; rf.seq != want {
+				return fmt.Errorf("transport: rank %d message sequence %d, want %d", rf.from, rf.seq, want)
 			}
-			f.Vals[rk] = v
+			c.seqIn[rf.from]++
+		case fStats:
+			if c.cfg.self != 0 {
+				return fmt.Errorf("transport: unexpected stats from rank %d at rank %d", rf.from, c.cfg.self)
+			}
+			c.mu.Lock()
+			c.statsIn[rf.from] = &rf.stats
+			c.cond.Broadcast()
+			c.mu.Unlock()
+			return nil
 		}
-		if err := d.finish(); err != nil {
-			return fmt.Errorf("transport: bad collective response from rank %d: %w", p.rank, err)
-		}
-
-	case fStats:
-		from := int(d.u32())
-		st := &remoteStats{ops: d.i64(), clock: d.f64(), wall: d.f64()}
-		st.msgs = d.i64()
-		st.bytes = d.i64()
-		st.collMsgs = d.i64()
-		st.collBytes = d.i64()
-		if err := d.finish(); err != nil {
-			return fmt.Errorf("transport: bad stats frame from rank %d: %w", p.rank, err)
-		}
-		if c.cfg.self != 0 || from != p.rank {
-			return fmt.Errorf("transport: unexpected stats from rank %d at rank %d", from, c.cfg.self)
-		}
-		c.mu.Lock()
-		c.statsIn[from] = st
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		return nil
+		return c.eng.Deliver(&rf.frame)
 
 	case fStatsAck:
-		if err := d.finish(); err != nil || p.rank != 0 {
+		if err := (&wdec{buf: body}).finish(); err != nil || p.rank != 0 {
 			return fmt.Errorf("transport: unexpected stats ack from rank %d", p.rank)
 		}
 		// The ack is the last frame of the run; sealing here — in the
@@ -507,12 +418,10 @@ func (c *Comm) dispatch(p *peer, typ byte, body []byte) error {
 		return nil
 
 	case fAbort:
+		d := wdec{buf: body}
 		return fmt.Errorf("transport: rank %d aborted the run: %s", p.rank, d.str())
-
-	default:
-		return fmt.Errorf("transport: unexpected frame type %d from rank %d", typ, p.rank)
 	}
-	return c.eng.Deliver(f)
+	return fmt.Errorf("transport: unexpected frame type %d from rank %d", typ, p.rank)
 }
 
 // ----------------------------------------------------------------- peers

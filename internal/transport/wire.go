@@ -1,12 +1,13 @@
 // Package transport is the TCP link for internal/comm's rank Engine: each
 // rank is a real process hosting one engine, and this package carries the
-// engine's frames between processes. Data frames, collective deposits and
-// collective replies travel as length-prefixed binary frames with CRC64
-// trailers (the internal/snapshot codec discipline); each per-peer
-// connection has an unbounded send queue drained by a writer goroutine, so
-// a send never blocks and no send/receive ordering can deadlock a run.
+// engine's two frames between processes — point-to-point data and the
+// Gatherv deposit each rank sends to rank 0 — as length-prefixed binary
+// frames with CRC64 trailers (the internal/snapshot codec discipline).
+// Each per-peer connection has an unbounded send queue drained by a
+// writer goroutine, so a send never blocks and no send/receive ordering
+// can deadlock a run.
 //
-// Everything rank-side — queues, the AnyRecv delivery rule, collectives,
+// Everything rank-side — queues, the AnyRecv delivery rule, the gather,
 // clocks, accounting — is the same comm.Engine the simulator runs, so a
 // sampler run over TCP produces byte-identical edge sets, per-rank clocks
 // and traffic counters to the simulated run on the same seed and
@@ -25,6 +26,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,7 +39,7 @@ import (
 
 // protoVersion is negotiated in the hello exchange; a mismatch refuses the
 // connection instead of corrupting a run.
-const protoVersion = 1
+const protoVersion = 2
 
 // maxFrame bounds a single frame (1 GiB): large enough for any shard or
 // gathered partial result the samplers produce, small enough to reject a
@@ -54,11 +56,10 @@ const (
 	fSetupAck byte = 4  // worker registered the job's mesh intake
 	fDone     byte = 5  // control: job finished on the worker (ok or error)
 	fData     byte = 6  // point-to-point message
-	fColl     byte = 7  // collective deposit (rank → rank 0)
-	fCollResp byte = 8  // collective snapshot (rank 0 → rank)
-	fStats    byte = 9  // end-of-run rank accounting (rank → rank 0)
-	fStatsAck byte = 10 // rank 0 collected all stats; teardown may begin
-	fAbort    byte = 11 // best-effort abort fan-out with a reason
+	fColl     byte = 7  // Gatherv deposit (rank → rank 0)
+	fStats    byte = 8  // end-of-run rank accounting (rank → rank 0)
+	fStatsAck byte = 9  // rank 0 collected all stats; teardown may begin
+	fAbort    byte = 10 // best-effort abort fan-out with a reason
 )
 
 // Hello connection kinds.
@@ -109,16 +110,104 @@ func readFrame(r *bufio.Reader) (typ byte, body []byte, err error) {
 	if n < 9 || n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The length prefix is untrusted: the buffer grows as bytes arrive
+	// instead of being allocated up front, so a corrupt prefix costs no
+	// more memory than the bytes the peer really sent.
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
 		return 0, nil, fmt.Errorf("transport: truncated frame: %w", err)
 	}
+	buf := b.Bytes()
 	typ, body = buf[0], buf[1:n-8]
 	want := binary.LittleEndian.Uint64(buf[n-8:])
 	if got := crc64.Update(0, crcTable, buf[:n-8]); got != want {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch on frame type %d", ErrCorrupt, typ)
 	}
 	return typ, body, nil
+}
+
+// ----------------------------------------------------------- rank frames
+
+// rankFrame is the decoded body of one rank-to-rank frame: a point-to-point
+// message (fData), a Gatherv deposit (fColl) or a rank's end-of-run
+// accounting (fStats). from is the sender the body names; the reader
+// checks it against the connection's peer.
+type rankFrame struct {
+	typ   byte
+	from  int
+	seq   int64       // fData: per-source sequence number
+	frame comm.Frame  // fData, fColl: the engine frame
+	stats remoteStats // fStats
+}
+
+// remoteStats is one remote rank's end-of-run accounting.
+type remoteStats struct {
+	ops                              int64
+	clock, wall                      float64
+	msgs, bytes, collMsgs, collBytes int64
+}
+
+// encode lays out rf's body. The only failure is a payload without a
+// registered codec.
+func (rf *rankFrame) encode() ([]byte, error) {
+	var e wenc
+	e.u32(uint32(rf.from))
+	switch rf.typ {
+	case fData:
+		e.i64(rf.seq)
+		e.f64(rf.frame.Arrive)
+		e.u32(uint32(rf.frame.Bytes))
+		e.payload(rf.frame.Payload)
+	case fColl:
+		e.f64(rf.frame.Clock)
+		e.u32(uint32(rf.frame.Bytes))
+		e.payload(rf.frame.Payload)
+	case fStats:
+		st := &rf.stats
+		e.i64(st.ops)
+		e.f64(st.clock)
+		e.f64(st.wall)
+		e.i64(st.msgs)
+		e.i64(st.bytes)
+		e.i64(st.collMsgs)
+		e.i64(st.collBytes)
+	}
+	return e.buf, e.err
+}
+
+// decodeRankFrame parses the body of an fData, fColl or fStats frame of a
+// p-rank job. It is pure: a body that is truncated, carries trailing
+// bytes, holds an undecodable payload or names a sender outside [0, p) is
+// an error, never a panic.
+func decodeRankFrame(typ byte, body []byte, p int) (*rankFrame, error) {
+	d := wdec{buf: body}
+	rf := &rankFrame{typ: typ, from: int(d.u32())}
+	switch typ {
+	case fData:
+		rf.frame.Kind = comm.FrameData
+		rf.seq = d.i64()
+		rf.frame.Arrive = d.f64()
+		rf.frame.Bytes = int(d.u32())
+		rf.frame.Payload = d.payload()
+	case fColl:
+		rf.frame.Kind = comm.FrameDeposit
+		rf.frame.Clock = d.f64()
+		rf.frame.Bytes = int(d.u32())
+		rf.frame.Payload = d.payload()
+	case fStats:
+		rf.stats = remoteStats{ops: d.i64(), clock: d.f64(), wall: d.f64(),
+			msgs: d.i64(), bytes: d.i64(), collMsgs: d.i64(), collBytes: d.i64()}
+	default:
+		return nil, fmt.Errorf("transport: frame type %d is not a rank frame", typ)
+	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	if rf.from < 0 || rf.from >= p {
+		return nil, fmt.Errorf("%w: sender rank %d in a %d-rank job", ErrCorrupt, rf.from, p)
+	}
+	rf.frame.From = rf.from
+	return rf, nil
 }
 
 // ---------------------------------------------------------- body builders
@@ -152,20 +241,6 @@ func (e *wenc) payload(v any) {
 	}
 	e.u16(kind)
 	e.bytes(data)
-}
-
-func (e *wenc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *wenc) ints(v []int) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.i64(int64(x))
-	}
 }
 
 func (e *wenc) i32s(v []int32) {
@@ -268,30 +343,6 @@ func (d *wdec) payload() any {
 		d.err = err
 	}
 	return v
-}
-
-func (d *wdec) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *wdec) ints() []int {
-	n := d.count(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.i64())
-	}
-	return out
 }
 
 func (d *wdec) i32s() []int32 {
