@@ -88,7 +88,8 @@ type SynthesisSpec struct {
 	Samples int `json:"samples"`
 	// Modules is the number of planted co-expression modules (default 16).
 	Modules *int `json:"modules,omitempty"`
-	// ModuleSize is the genes per module (default 12).
+	// ModuleSize is the genes per module (default 12). Modules ×
+	// ModuleSize, defaults included, must not exceed Genes.
 	ModuleSize *int `json:"moduleSize,omitempty"`
 	// Noise is the within-module noise std-dev (default 0.1).
 	Noise *float64 `json:"noise,omitempty"`

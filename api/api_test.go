@@ -104,6 +104,7 @@ func TestNormalizedPinsFluffThresholdWithoutFluff(t *testing.T) {
 func TestValidateRejections(t *testing.T) {
 	zero := 0.0
 	en := true
+	hugeModules, moduleSize := 1<<62, 4
 	cases := []struct {
 		name string
 		req  Request
@@ -122,6 +123,10 @@ func TestValidateRejections(t *testing.T) {
 		{"dag on dataset", Request{Network: NetworkSource{Dataset: "YNG"}, Score: ScoreSpec{DAG: "x", Annotations: "y"}}, "edge-list source"},
 		{"scoring without ontology", Request{Network: NetworkSource{EdgeList: "0 1"}, Score: ScoreSpec{Enabled: &en}}, "no ontology"},
 		{"tiny synthesis", Request{Network: NetworkSource{Synthesis: &SynthesisSpec{Genes: 10, Samples: 2}}}, "samples > 2"},
+		{"module genes overflow", Request{Network: NetworkSource{Synthesis: &SynthesisSpec{
+			Genes: 64, Samples: 8, Modules: &hugeModules, ModuleSize: &moduleSize,
+		}}}, "exceed"},
+		{"default modules exceed genes", Request{Network: NetworkSource{Synthesis: &SynthesisSpec{Genes: 64, Samples: 8}}}, "exceed"},
 		{"bad precision", Request{Network: NetworkSource{
 			Synthesis:   &SynthesisSpec{Genes: 256, Samples: 32},
 			Correlation: &CorrelationSpec{Precision: "float16"},

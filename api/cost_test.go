@@ -57,7 +57,7 @@ func TestEstimateCostEdgeList(t *testing.T) {
 }
 
 func TestDeadlineValidation(t *testing.T) {
-	r := costSynthReq(64, 8, "")
+	r := costSynthReq(192, 8, "")
 	r.DeadlineMillis = -1
 	if _, err := r.Normalized(); err == nil {
 		t.Fatal("negative deadline_ms accepted")
@@ -71,7 +71,7 @@ func TestDeadlineValidation(t *testing.T) {
 		t.Fatalf("deadline_ms = %d after normalization", n.DeadlineMillis)
 	}
 	// Deadlines are run parameters, not data identity.
-	r2 := costSynthReq(64, 8, "")
+	r2 := costSynthReq(192, 8, "")
 	n2, _ := r2.Normalized()
 	if n.Fingerprint() != n2.Fingerprint() {
 		t.Fatal("deadline_ms changed the content fingerprint")

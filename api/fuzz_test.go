@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"testing"
 )
 
@@ -12,7 +13,8 @@ import (
 //   - Normalized is idempotent: a normalized request re-marshalled,
 //     decoded and normalized again marshals to the same bytes;
 //   - Fingerprint is stable across that round trip;
-//   - Fingerprint ignores the Filter, Cluster and Output specs.
+//   - Fingerprint ignores the Filter, Cluster and Output specs;
+//   - an accepted synthesis plants at most genes module genes.
 //
 // The seed corpus lives in testdata/fuzz/FuzzRequestNormalize.
 func FuzzRequestNormalize(f *testing.F) {
@@ -26,6 +28,12 @@ func FuzzRequestNormalize(f *testing.F) {
 			return
 		}
 		fp := norm.Fingerprint()
+		if ns := norm.Network.Synthesis; ns != nil {
+			hi, lo := bits.Mul64(uint64(*ns.Modules), uint64(*ns.ModuleSize))
+			if hi != 0 || lo > uint64(ns.Genes) {
+				t.Fatalf("accepted %d modules of %d genes over %d genes", *ns.Modules, *ns.ModuleSize, ns.Genes)
+			}
+		}
 
 		b1, err := json.Marshal(norm)
 		if err != nil {

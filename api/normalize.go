@@ -21,6 +21,12 @@ const (
 	MaxSynthesisCells = 1 << 25
 )
 
+// Planted-module defaults of a synthesis source.
+const (
+	defaultModules    = 16
+	defaultModuleSize = 12
+)
+
 // Normalized validates r and returns a deep copy with every default
 // resolved into an explicit value: pointers are filled, names are spelled
 // out, and fields that the selected algorithm ignores are cleared. Two
@@ -37,8 +43,8 @@ func (r *Request) Normalized() (*Request, error) {
 	// Network source defaults.
 	if n.Network.Synthesis != nil {
 		s := n.Network.Synthesis
-		s.Modules = fillInt(s.Modules, 16)
-		s.ModuleSize = fillInt(s.ModuleSize, 12)
+		s.Modules = fillInt(s.Modules, defaultModules)
+		s.ModuleSize = fillInt(s.ModuleSize, defaultModuleSize)
 		s.Noise = fillFloat(s.Noise, 0.1)
 		s.Ontology = fillBool(s.Ontology, true)
 		if n.Network.Correlation == nil {
@@ -158,6 +164,12 @@ func (r *Request) validate() error {
 		}
 		if (s.Modules != nil && *s.Modules < 0) || (s.ModuleSize != nil && *s.ModuleSize < 0) {
 			return Errorf(CodeBadRequest, "synthesis modules and moduleSize must be non-negative")
+		}
+		// The planted modules, defaults included, must fit in the genes.
+		// Dividing instead of multiplying keeps the bound overflow-safe.
+		m, k := *fillInt(s.Modules, defaultModules), *fillInt(s.ModuleSize, defaultModuleSize)
+		if k > 0 && m > s.Genes/k {
+			return Errorf(CodeBadRequest, "synthesis modules (%d of %d genes) exceed its %d genes", m, k, s.Genes)
 		}
 		if s.Noise != nil && *s.Noise < 0 {
 			return Errorf(CodeBadRequest, "synthesis noise must be non-negative")

@@ -12,7 +12,7 @@
 // use WriteAnnotations ("gene<TAB>term" lines).
 //
 // The run is one api.Request with an inline edge-list source and the
-// filter algorithm "none" — the same typed request the parsampled daemon
+// filter algorithm "none" — the same typed request the `parsample serve` daemon
 // serves — so the CLI and the service share one schema, one option
 // vocabulary and one validation path.
 package main

@@ -1,4 +1,4 @@
-// Command loadgen drives a running parsampled daemon through the traffic
+// Command loadgen drives a running `parsample serve` daemon through the traffic
 // shapes the admission gate is built for and reports what came back:
 // latency quantiles (p50/p95/p99), cache-hit rate, and the structured
 // rejection breakdown by api.Error code.
@@ -35,7 +35,7 @@
 //
 // Quick start (two terminals):
 //
-//	parsampled -addr :8080 -capacity-units 200
+//	parsample serve -addr :8080 -capacity-units 200
 //	loadgen -addr http://localhost:8080 -duration 5s -require-429 -max-500 0
 package main
 

@@ -13,7 +13,7 @@
 //
 //	parsample pipeline ...   one end-to-end run on the pipeline engine, with
 //	                         per-stage timings (see `parsample pipeline -h`)
-//	parsample serve ...      the HTTP daemon (alias of cmd/parsampled)
+//	parsample serve ...      the HTTP daemon (see `parsample serve -h`)
 //	parsample request ...    POST an api.Request JSON file to a daemon
 //
 // The pipeline subcommand builds one api.Request from its flags and runs it
@@ -51,7 +51,7 @@ func main() {
 			pipelineMain(os.Args[2:])
 			return
 		case "serve":
-			if err := server.RunDaemon("parsample serve", os.Args[2:]); err != nil {
+			if err := server.RunDaemon(os.Args[2:]); err != nil {
 				fatalf("serve: %v", err)
 			}
 			return

@@ -1,10 +1,10 @@
-// Serving: the v1 service API end to end in one process — a parsampled
-// daemon over a shared pipeline, a synchronous request repeated to show
+// Serving: the v1 service API end to end in one process — the
+// `parsample serve` daemon over a shared pipeline, a synchronous request repeated to show
 // the artifact store turning a cold run into a microsecond warm hit, and
 // an async job followed over its SSE progress stream.
 //
-// In production the daemon runs standalone (`parsampled -addr :8080`, or
-// `parsample serve`) and clients speak plain HTTP/JSON; this example wires
+// In production the daemon runs standalone (`parsample serve -addr :8080`)
+// and clients speak plain HTTP/JSON; this example wires
 // the same pieces through httptest so it runs hermetically.
 package main
 

@@ -175,14 +175,14 @@ func TestFig10ScalabilityShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(net, alg string, p int) Fig10Row {
+	get := func(net, alg string, p int) ScalingRow {
 		for _, r := range rows {
 			if r.Network == net && r.Algorithm == alg && r.P == p {
 				return r
 			}
 		}
 		t.Fatalf("missing row %s/%s/%d", net, alg, p)
-		return Fig10Row{}
+		return ScalingRow{}
 	}
 	for _, net := range []string{"YNG", "CRE"} {
 		for _, p := range Fig10Processors {

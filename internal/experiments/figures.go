@@ -249,18 +249,6 @@ func Fig9(ctx context.Context) (Fig9Result, error) {
 
 // --------------------------------------------------------------- Figure 10
 
-// Fig10Row is one point of the scalability study.
-type Fig10Row struct {
-	Network        string
-	Algorithm      string
-	P              int
-	ModeledSeconds float64
-	MaxRankOps     int64
-	Messages       int64
-	Bytes          int64
-	EdgesKept      int
-}
-
 // Fig10Processors is the processor sweep of the paper's Figure 10.
 var Fig10Processors = []int{1, 2, 4, 8, 16, 32, 64}
 
@@ -280,39 +268,20 @@ var fig10Model = comm.CostModel{
 	SerialSecPerOp: 0,
 }
 
-// Fig10CostModel exposes the cost model used for the scalability study.
-func Fig10CostModel() comm.CostModel { return fig10Model }
-
-// Fig10 reproduces the scalability figure on the paper's two representative
-// networks (YNG small, CRE large) for the three parallel algorithms. The
-// sweep runs on the raw samplers (each point needs its own cost-model
-// telemetry, so there is nothing for the artifact store to share), but
-// honors ctx like the engine-backed figures.
-func Fig10(ctx context.Context) ([]Fig10Row, error) {
-	var rows []Fig10Row
-	algs := []sampling.Algorithm{sampling.ChordalComm, sampling.ChordalNoComm, sampling.RandomWalkPar}
-	for _, ds := range []*datasets.Dataset{datasets.YNG(), datasets.CRE()} {
-		ord := graph.Order(ds.G, graph.Natural, ds.Seed)
-		for _, alg := range algs {
-			for _, p := range Fig10Processors {
-				res, err := sampling.RunContext(ctx, alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed, Model: &fig10Model})
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, Fig10Row{
-					Network:        ds.Name,
-					Algorithm:      alg.String(),
-					P:              p,
-					ModeledSeconds: fig10Model.Time(&res.Stats),
-					MaxRankOps:     res.Stats.MaxRankOps(),
-					Messages:       res.Stats.Messages,
-					Bytes:          res.Stats.Bytes,
-					EdgesKept:      res.Subgraph.M(),
-				})
-			}
-		}
-	}
-	return rows, nil
+// Fig10 reproduces the scalability figure: the Scaling sweep over the
+// paper's two representative networks (YNG small, CRE large) in natural
+// order, for the three parallel algorithms. The sweep runs on the raw
+// samplers (each point needs its own cost-model telemetry, so there is
+// nothing for the artifact store to share), but honors ctx like the
+// engine-backed figures.
+func Fig10(ctx context.Context) ([]ScalingRow, error) {
+	return Scaling(ctx, ScalingConfig{
+		Networks:   paperScalingNetworks(),
+		Orderings:  []graph.Ordering{graph.Natural},
+		Algorithms: []sampling.Algorithm{sampling.ChordalComm, sampling.ChordalNoComm, sampling.RandomWalkPar},
+		Processors: Fig10Processors,
+		Model:      fig10Model,
+	})
 }
 
 // --------------------------------------------------------------- Figure 11

@@ -31,11 +31,18 @@ type ScalingNetwork struct {
 // uniform Gnm graph (no community structure, borders everywhere) and an
 // R-MAT graph (heavy-tailed degrees, the standard parallel-graph stressor).
 func ScalingNetworks() []ScalingNetwork {
+	return append(paperScalingNetworks(),
+		ScalingNetwork{Name: "GNM", G: graph.Gnm(16384, 65536, 1101), Seed: 1101},
+		ScalingNetwork{Name: "RMAT", G: graph.RMAT(14, 8, 0, 0, 0, 1102), Seed: 1102},
+	)
+}
+
+// paperScalingNetworks returns the paper's small and large evaluation
+// networks, the inputs of Figure 10.
+func paperScalingNetworks() []ScalingNetwork {
 	return []ScalingNetwork{
 		{Name: "YNG", G: datasets.YNG().G, Seed: datasets.YNG().Seed},
 		{Name: "CRE", G: datasets.CRE().G, Seed: datasets.CRE().Seed},
-		{Name: "GNM", G: graph.Gnm(16384, 65536, 1101), Seed: 1101},
-		{Name: "RMAT", G: graph.RMAT(14, 8, 0, 0, 0, 1102), Seed: 1102},
 	}
 }
 
@@ -74,8 +81,10 @@ type ScalingRow struct {
 	ModeledSeconds float64
 	Speedup        float64 // time at the baseline P over time at this P
 	Efficiency     float64 // speedup / (P / baseline P)
+	MaxRankOps     int64   // the busiest rank's operation count
 	Messages       int64   // point-to-point (sampling phase)
 	CollMessages   int64   // result gather
+	Bytes          int64   // point-to-point payload bytes
 	EdgesKept      int
 }
 
@@ -116,8 +125,10 @@ func Scaling(ctx context.Context, cfg ScalingConfig) ([]ScalingRow, error) {
 						ModeledSeconds: t,
 						Speedup:        speedup,
 						Efficiency:     eff,
+						MaxRankOps:     res.Stats.MaxRankOps(),
 						Messages:       res.Stats.Messages,
 						CollMessages:   res.Stats.CollMessages,
+						Bytes:          res.Stats.Bytes,
 						EdgesKept:      res.Subgraph.M(),
 					})
 				}

@@ -50,7 +50,7 @@ func WriteFig9(w io.Writer, r Fig9Result) {
 }
 
 // WriteFig10 renders the scalability series.
-func WriteFig10(w io.Writer, rows []Fig10Row) {
+func WriteFig10(w io.Writer, rows []ScalingRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "network\talgorithm\tP\tmodeled_s\tmax_rank_ops\tmsgs\tbytes\tedges_kept")
 	for _, r := range rows {

@@ -268,7 +268,9 @@ func Synthesize(spec SyntheticSpec) (*SyntheticResult, error) {
 	if spec.Genes <= 0 || spec.Samples <= 2 {
 		return nil, fmt.Errorf("expr: need genes > 0 and samples > 2, got %d, %d", spec.Genes, spec.Samples)
 	}
-	if spec.Modules*spec.ModuleSize > spec.Genes {
+	// Divide rather than multiply: a huge module count must not overflow
+	// past the bound.
+	if spec.Modules < 0 || spec.ModuleSize < 0 || (spec.ModuleSize > 0 && spec.Modules > spec.Genes/spec.ModuleSize) {
 		return nil, fmt.Errorf("expr: %d modules of %d genes exceed %d genes",
 			spec.Modules, spec.ModuleSize, spec.Genes)
 	}

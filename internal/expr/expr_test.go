@@ -223,6 +223,10 @@ func TestSynthesizeValidation(t *testing.T) {
 	if _, err := Synthesize(SyntheticSpec{Genes: 10, Samples: 10, Modules: 3, ModuleSize: 5}); err == nil {
 		t.Fatal("want error for oversubscribed modules")
 	}
+	// 2⁶² modules of 4 genes: the product overflows to 0.
+	if _, err := Synthesize(SyntheticSpec{Genes: 64, Samples: 8, Modules: 1 << 62, ModuleSize: 4}); err == nil {
+		t.Fatal("want error for a module count whose gene total overflows")
+	}
 }
 
 func TestSynthesizeModulesCorrelate(t *testing.T) {

@@ -47,7 +47,7 @@ import (
 // it under sustained load (graceful degradation — more coalescing, less
 // kernel work) and restores it when pressure drops.
 type sweepBatcher struct {
-	window   atomic.Int64 // nanoseconds; ≤ 0 disables coalescing
+	window   atomic.Int64 // nanoseconds; ≤ 0: the leader does not wait
 	mu       sync.Mutex
 	pending  map[sweepKey]*sweepBatch
 	batches  atomic.Int64 // kernel invocations through the batcher
@@ -83,7 +83,7 @@ func newSweepBatcher(window time.Duration) *sweepBatcher {
 	return b
 }
 
-// Window returns the current batch window (≤ 0: coalescing disabled).
+// Window returns the current batch window (≤ 0: the leader does not wait).
 func (b *sweepBatcher) Window() time.Duration { return time.Duration(b.window.Load()) }
 
 // SetWindow atomically replaces the batch window. In-flight batches keep
@@ -91,21 +91,9 @@ func (b *sweepBatcher) Window() time.Duration { return time.Duration(b.window.Lo
 func (b *sweepBatcher) SetWindow(d time.Duration) { b.window.Store(int64(d)) }
 
 // build produces the correlation network of in.Matrix under in.Net,
-// batching with concurrent builds over the same key when a batch window is
-// configured.
+// batching with concurrent builds over the same key. With no window the
+// leader closes its batch at once, so a lone build is a batch of one.
 func (b *sweepBatcher) build(ctx context.Context, e *Engine, in Input) (*graph.Graph, error) {
-	if b.Window() <= 0 {
-		// Batching disabled: the pre-batcher path, still counted so
-		// /statsz reports kernel invocations uniformly.
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		b.batches.Add(1)
-		b.requests.Add(1)
-		return expr.BuildNetworkContext(ctx, in.Matrix, in.Net)
-	}
 	key := sweepKey{name: in.Name, kind: in.Net.Kind, prec: in.Net.Precision}
 	for {
 		ch := make(chan sweepResult, 1)
@@ -144,16 +132,18 @@ func (b *sweepBatcher) build(ctx context.Context, e *Engine, in Input) (*graph.G
 	}
 }
 
-// lead runs the leader's side: hold the batch open for the window, close
-// it, run one multi-spec sweep under a worker slot, and deliver every
-// waiter its graph. The leader is itself a registered waiter; its result
-// arrives on its own channel like everyone else's.
+// lead runs the leader's side: hold the batch open for the window (if
+// any), close it, run one multi-spec sweep under a worker slot, and deliver
+// every waiter its graph. The leader is itself a registered waiter; its
+// result arrives on its own channel like everyone else's.
 func (b *sweepBatcher) lead(ctx context.Context, e *Engine, in Input, key sweepKey, batch *sweepBatch) {
-	timer := time.NewTimer(b.Window())
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-		timer.Stop()
+	if w := b.Window(); w > 0 {
+		timer := time.NewTimer(w)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+		}
 	}
 
 	b.mu.Lock()

@@ -71,12 +71,30 @@ func TestEngineWarmRestartFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Load the rest of what A holds (the dependencies a disk hit skipped),
+	// so both stores carry the same artifacts.
+	if _, err := b.Order(ctx, in, testVariant.Ordering); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Variant{Original, testVariant} {
+		if _, err := b.Clusters(ctx, in, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Scored(ctx, in, v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := b.Stats()
 	if st.Misses != 0 {
 		t.Fatalf("warm restart ran %d kernels, want 0; stats %+v", st.Misses, st)
 	}
 	if st.DiskHits == 0 {
 		t.Fatalf("warm restart loaded nothing from disk; stats %+v", st)
+	}
+	// Disk loads are sized like computes.
+	if sa := a.Stats(); st.Entries != sa.Entries || st.BytesUsed != sa.BytesUsed {
+		t.Fatalf("restarted store holds %d entries / %d bytes, computing store %d / %d",
+			st.Entries, st.BytesUsed, sa.Entries, sa.BytesUsed)
 	}
 	if !reflect.DeepEqual(wantMS, gotMS) {
 		t.Fatal("match table differs across restart")

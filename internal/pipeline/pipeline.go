@@ -5,11 +5,13 @@
 //	  ─Filter→ sampled network ─Cluster→ MCODE complexes ─Score→ AEES
 //	  ─Match→ original-vs-filtered match table
 //
-// Each stage declares its inputs and a deterministic cache key (a pure
-// function of the input name, the stage parameters and the seeds — see
-// Key), and the Engine executes requested artifacts on top of a keyed
-// artifact store with singleflight deduplication, LRU byte-budget eviction
-// and hit/miss counters (Store). Stage kernels run under a bounded
+// Each stage is one row of the stage table (its trace name, artifact size
+// estimate and snapshot codec) and one Engine method that names the
+// artifact's deterministic cache key (a pure function of the input name,
+// the stage parameters and the seeds — see Key), resolves its dependencies
+// and runs its kernel through stage(). The Engine serves artifacts from a
+// keyed artifact store with singleflight deduplication, LRU byte-budget
+// eviction and hit/miss counters (Store). Stage kernels run under a bounded
 // concurrency budget and take a context.Context end-to-end, so a request
 // can be cancelled mid-kernel without poisoning the store or leaking
 // goroutines. The figure drivers in internal/experiments, the public
@@ -32,6 +34,7 @@ import (
 	"parsample/internal/mcode"
 	"parsample/internal/ontology"
 	"parsample/internal/sampling"
+	"parsample/internal/snapshot"
 )
 
 // Stage identifies one node of the stage graph.
@@ -55,21 +58,56 @@ const (
 
 // String returns the stage name used in traces.
 func (s Stage) String() string {
-	switch s {
-	case StageNetwork:
-		return "network"
-	case StageOrder:
-		return "order"
-	case StageFilter:
-		return "filter"
-	case StageCluster:
-		return "cluster"
-	case StageScore:
-		return "score"
-	case StageMatch:
-		return "match"
+	if int(s) < len(stages) {
+		return stages[s].name
 	}
 	return fmt.Sprintf("Stage(%d)", int(s))
+}
+
+// stageDef is one row of the stage table: the stage's trace name, the
+// resident byte estimate of its artifacts, and their snapshot codec. The
+// store sizes computed and disk-loaded artifacts with the same size
+// function, so LRU accounting does not depend on where an artifact came
+// from.
+type stageDef struct {
+	name   string
+	size   func(any) int64
+	encode func(any) ([]byte, error)
+	decode func([]byte) (any, int64, error)
+}
+
+// def builds a table row from a stage's typed size and codec functions.
+// encode runs on the disk tier's write-behind goroutine, so a wrong-typed
+// value is an error there, never a panic.
+func def[T any](name string, size func(T) int64, enc func(T) []byte, dec func([]byte) (T, error)) stageDef {
+	return stageDef{
+		name: name,
+		size: func(v any) int64 { return size(v.(T)) },
+		encode: func(v any) ([]byte, error) {
+			t, ok := v.(T)
+			if !ok {
+				return nil, fmt.Errorf("pipeline: %s artifact is %T", name, v)
+			}
+			return enc(t), nil
+		},
+		decode: func(data []byte) (any, int64, error) {
+			t, err := dec(data)
+			if err != nil {
+				return nil, 0, err
+			}
+			return t, size(t), nil
+		},
+	}
+}
+
+// stages is the stage table, indexed by Stage.
+var stages = [...]stageDef{
+	StageNetwork: def("network", graphBytes, snapshot.EncodeGraph, snapshot.DecodeGraph),
+	StageOrder:   def("order", orderBytes, snapshot.EncodeOrder, snapshot.DecodeOrder),
+	StageFilter:  def("filter", filteredBytes, snapshot.EncodeFiltered, snapshot.DecodeFiltered),
+	StageCluster: def("cluster", clustersBytes, snapshot.EncodeClusters, snapshot.DecodeClusters),
+	StageScore:   def("score", scoredBytes, snapshot.EncodeScored, snapshot.DecodeScored),
+	StageMatch:   def("match", matchesBytes, snapshot.EncodeMatches, snapshot.DecodeMatches),
 }
 
 // Variant selects which network variant of an input an artifact describes:
@@ -171,10 +209,6 @@ func (in Input) key(s Stage, v Variant) Key {
 	net := in.Net
 	net.Workers = 0
 	net.Precision = 0
-	m := in.MCODE
-	if m == (mcode.Params{}) {
-		m = mcode.DefaultParams()
-	}
 	return Key{
 		Input:      in.Name,
 		Stage:      s,
@@ -182,7 +216,7 @@ func (in Input) key(s Stage, v Variant) Key {
 		OrderSeed:  in.OrderSeed,
 		FilterSeed: in.FilterSeed,
 		Net:        net,
-		MCODE:      m,
+		MCODE:      in.mcodeParams(),
 	}
 }
 
@@ -205,8 +239,9 @@ type Config struct {
 	// BatchWindow holds a matrix-backed network build open for this long so
 	// concurrent builds over the same input that differ only in admission
 	// parameters coalesce into one batched sweep (see sweepBatcher). Zero
-	// disables coalescing; results are identical either way, the window
-	// only trades a little first-build latency for shared kernel work.
+	// means no wait: the leader closes its batch at once. Results are
+	// identical at any width; the window only trades a little first-build
+	// latency for shared kernel work.
 	BatchWindow time.Duration
 	// CacheDir, when set, enables the persistent artifact tier: computed
 	// artifacts are written behind to content-addressed snapshot blobs
@@ -314,12 +349,17 @@ func (e *Engine) slot(ctx context.Context) (release func(), err error) {
 }
 
 // get is the typed request path: singleflight + cache via the store, with
-// per-request tracing.
-func get[T any](ctx context.Context, e *Engine, key Key, compute func(context.Context) (T, int64, error)) (T, error) {
+// per-request tracing. A computed artifact is sized by its stage's row.
+func get[T any](ctx context.Context, e *Engine, key Key, compute func(context.Context) (T, error)) (T, error) {
 	//parsamplevet:ignore nondeterm stage timings feed only the per-request trace (observability); cached artifacts and fingerprints never see them
 	start := time.Now()
 	v, src, err := e.store.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		return compute(ctx)
+		t, err := compute(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		v := any(t)
+		return v, stages[key.Stage].size(v), nil
 	})
 	//parsamplevet:ignore nondeterm trace-only duration, see above
 	traceRecord(ctx, key, src, time.Since(start), err)
@@ -328,6 +368,25 @@ func get[T any](ctx context.Context, e *Engine, key Key, compute func(context.Co
 		return zero, err
 	}
 	return v.(T), nil
+}
+
+// stage runs one computed stage: deps resolves the stage's inputs without
+// a worker slot, so nested stages cannot deadlock the budget, and kernel
+// then runs under one. deps hands its results to kernel through variables
+// both closures capture.
+func stage[T any](ctx context.Context, e *Engine, key Key, deps func(context.Context) error, kernel func(context.Context) (T, error)) (T, error) {
+	return get(ctx, e, key, func(ctx context.Context) (T, error) {
+		var zero T
+		if err := deps(ctx); err != nil {
+			return zero, err
+		}
+		release, err := e.slot(ctx)
+		if err != nil {
+			return zero, err
+		}
+		defer release()
+		return kernel(ctx)
+	})
 }
 
 // Network returns the input's network: Input.G when set, otherwise the
@@ -342,34 +401,22 @@ func (e *Engine) Network(ctx context.Context, in Input) (*graph.Graph, error) {
 	if in.Matrix == nil {
 		return nil, fmt.Errorf("pipeline: input %q has neither a network nor a matrix", in.Name)
 	}
-	return get(ctx, e, in.key(StageNetwork, Original), func(ctx context.Context) (*graph.Graph, int64, error) {
-		// The batcher takes its own worker slot around the kernel (and
-		// coalesces concurrent same-matrix builds when a window is set);
-		// identical keys never reach it — the store's singleflight merged
-		// them already.
-		g, err := e.sweeps.build(ctx, e, in)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, graphBytes(g), nil
+	// The batcher takes its own worker slot around the kernel and coalesces
+	// concurrent same-matrix builds; identical keys never reach it — the
+	// store's singleflight merged them already.
+	return get(ctx, e, in.key(StageNetwork, Original), func(ctx context.Context) (*graph.Graph, error) {
+		return e.sweeps.build(ctx, e, in)
 	})
 }
 
 // Order returns the vertex processing order of the input's network under o.
 func (e *Engine) Order(ctx context.Context, in Input, o graph.Ordering) ([]int32, error) {
-	v := Variant{Ordering: o, Algorithm: -1, P: 0}
-	return get(ctx, e, in.key(StageOrder, v), func(ctx context.Context) ([]int32, int64, error) {
-		g, err := e.Network(ctx, in)
-		if err != nil {
-			return nil, 0, err
-		}
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		ord := graph.Order(g, o, in.OrderSeed)
-		return ord, int64(4 * len(ord)), nil
+	var g *graph.Graph
+	return stage(ctx, e, in.key(StageOrder, Variant{Ordering: o, Algorithm: -1}), func(ctx context.Context) (err error) {
+		g, err = e.Network(ctx, in)
+		return err
+	}, func(context.Context) ([]int32, error) {
+		return graph.Order(g, o, in.OrderSeed), nil
 	})
 }
 
@@ -379,29 +426,16 @@ func (e *Engine) Filtered(ctx context.Context, in Input, v Variant) (*sampling.R
 	if v.IsOriginal() {
 		return nil, fmt.Errorf("pipeline: Filtered of the original network (input %q)", in.Name)
 	}
-	return get(ctx, e, in.key(StageFilter, v), func(ctx context.Context) (*sampling.Result, int64, error) {
-		g, err := e.Network(ctx, in)
-		if err != nil {
-			return nil, 0, err
+	var g *graph.Graph
+	var ord []int32
+	return stage(ctx, e, in.key(StageFilter, v), func(ctx context.Context) (err error) {
+		if g, err = e.Network(ctx, in); err != nil {
+			return err
 		}
-		ord, err := e.Order(ctx, in, v.Ordering)
-		if err != nil {
-			return nil, 0, err
-		}
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		res, err := sampling.RunContext(ctx, v.Algorithm, g, sampling.Options{
-			Order: ord,
-			P:     v.P,
-			Seed:  in.FilterSeed,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, graphBytes(res.Subgraph), nil
+		ord, err = e.Order(ctx, in, v.Ordering)
+		return err
+	}, func(ctx context.Context) (*sampling.Result, error) {
+		return sampling.RunContext(ctx, v.Algorithm, g, sampling.Options{Order: ord, P: v.P, Seed: in.FilterSeed})
 	})
 }
 
@@ -420,21 +454,12 @@ func (e *Engine) Graph(ctx context.Context, in Input, v Variant) (*graph.Graph, 
 
 // Clusters returns the MCODE complexes of the variant's network.
 func (e *Engine) Clusters(ctx context.Context, in Input, v Variant) ([]mcode.Cluster, error) {
-	return get(ctx, e, in.key(StageCluster, v), func(ctx context.Context) ([]mcode.Cluster, int64, error) {
-		g, err := e.Graph(ctx, in, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		cs, err := mcode.FindClustersContext(ctx, g, in.mcodeParams())
-		if err != nil {
-			return nil, 0, err
-		}
-		return cs, clustersBytes(cs), nil
+	var g *graph.Graph
+	return stage(ctx, e, in.key(StageCluster, v), func(ctx context.Context) (err error) {
+		g, err = e.Graph(ctx, in, v)
+		return err
+	}, func(ctx context.Context) ([]mcode.Cluster, error) {
+		return mcode.FindClustersContext(ctx, g, in.mcodeParams())
 	})
 }
 
@@ -443,25 +468,16 @@ func (e *Engine) Scored(ctx context.Context, in Input, v Variant) ([]analysis.Sc
 	if in.DAG == nil || in.Ann == nil {
 		return nil, fmt.Errorf("pipeline: input %q has no ontology to score against", in.Name)
 	}
-	return get(ctx, e, in.key(StageScore, v), func(ctx context.Context) ([]analysis.ScoredCluster, int64, error) {
-		cs, err := e.Clusters(ctx, in, v)
-		if err != nil {
-			return nil, 0, err
+	var cs []mcode.Cluster
+	var g *graph.Graph
+	return stage(ctx, e, in.key(StageScore, v), func(ctx context.Context) (err error) {
+		if cs, err = e.Clusters(ctx, in, v); err != nil {
+			return err
 		}
-		g, err := e.Graph(ctx, in, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		sc, err := analysis.ScoreClustersContext(ctx, in.DAG, in.Ann, g, cs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return sc, clustersBytes(cs) + int64(64*len(sc)), nil
+		g, err = e.Graph(ctx, in, v)
+		return err
+	}, func(ctx context.Context) ([]analysis.ScoredCluster, error) {
+		return analysis.ScoreClustersContext(ctx, in.DAG, in.Ann, g, cs)
 	})
 }
 
@@ -471,33 +487,22 @@ func (e *Engine) Matches(ctx context.Context, in Input, v Variant) ([]analysis.M
 	if v.IsOriginal() {
 		return nil, fmt.Errorf("pipeline: Matches of the original against itself (input %q)", in.Name)
 	}
-	return get(ctx, e, in.key(StageMatch, v), func(ctx context.Context) ([]analysis.Match, int64, error) {
-		orig, err := e.Scored(ctx, in, Original)
-		if err != nil {
-			return nil, 0, err
+	var orig, filt []analysis.ScoredCluster
+	var gOrig, gFilt *graph.Graph
+	return stage(ctx, e, in.key(StageMatch, v), func(ctx context.Context) (err error) {
+		if orig, err = e.Scored(ctx, in, Original); err != nil {
+			return err
 		}
-		filt, err := e.Scored(ctx, in, v)
-		if err != nil {
-			return nil, 0, err
+		if filt, err = e.Scored(ctx, in, v); err != nil {
+			return err
 		}
-		gOrig, err := e.Network(ctx, in)
-		if err != nil {
-			return nil, 0, err
+		if gOrig, err = e.Network(ctx, in); err != nil {
+			return err
 		}
-		gFilt, err := e.Graph(ctx, in, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		release, err := e.slot(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		ms, err := analysis.MatchClustersContext(ctx, gOrig, orig, gFilt, filt)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ms, int64(48 * len(ms)), nil
+		gFilt, err = e.Graph(ctx, in, v)
+		return err
+	}, func(ctx context.Context) ([]analysis.Match, error) {
+		return analysis.MatchClustersContext(ctx, gOrig, orig, gFilt, filt)
 	})
 }
 
@@ -538,6 +543,10 @@ func graphBytes(g *graph.Graph) int64 {
 	return 4*(n+1) + 8*m
 }
 
+func orderBytes(ord []int32) int64 { return int64(4 * len(ord)) }
+
+func filteredBytes(r *sampling.Result) int64 { return graphBytes(r.Subgraph) }
+
 // clustersBytes estimates a cluster list's resident size.
 func clustersBytes(cs []mcode.Cluster) int64 {
 	b := int64(64 * len(cs))
@@ -546,3 +555,15 @@ func clustersBytes(cs []mcode.Cluster) int64 {
 	}
 	return b
 }
+
+// scoredBytes is clustersBytes over the scored clusters plus a 64-byte
+// score summary each.
+func scoredBytes(sc []analysis.ScoredCluster) int64 {
+	b := int64(128 * len(sc))
+	for i := range sc {
+		b += int64(4 * len(sc[i].Cluster.Vertices))
+	}
+	return b
+}
+
+func matchesBytes(ms []analysis.Match) int64 { return int64(48 * len(ms)) }

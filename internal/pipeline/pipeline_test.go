@@ -197,6 +197,16 @@ func TestTrace(t *testing.T) {
 			t.Fatalf("stage %v not traced as computed; entries: %v", st, entries)
 		}
 	}
+	// Each stage prints its trace name; a Stage outside the table its number.
+	for st, want := range map[Stage]string{
+		StageNetwork: "network", StageOrder: "order", StageFilter: "filter",
+		StageCluster: "cluster", StageScore: "score", StageMatch: "match",
+		Stage(6): "Stage(6)",
+	} {
+		if got := st.String(); got != want {
+			t.Errorf("Stage %d prints %q, want %q", int(st), got, want)
+		}
+	}
 	// A second run through a fresh trace is all hits.
 	ctx2, tr2 := WithTrace(context.Background())
 	if _, err := e.Scored(ctx2, in, testVariant); err != nil {

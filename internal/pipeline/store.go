@@ -292,9 +292,10 @@ func (s *Store) Do(ctx context.Context, key Key, compute func(context.Context) (
 // checksum, decode. Every failure mode — no disk tier, absent blob,
 // truncation, corruption, version skew — returns nil, and a corrupt blob is
 // deleted so the whole fleet sees an ordinary miss where a poisoned entry
-// sat.
+// sat. The stage's row decodes the blob and sizes the artifact exactly as
+// a compute would have.
 func (s *Store) diskLoad(key Key) (any, int64, bool) {
-	if s.disk == nil {
+	if s.disk == nil || int(key.Stage) >= len(stages) {
 		return nil, 0, false
 	}
 	name := diskName(key)
@@ -303,7 +304,7 @@ func (s *Store) diskLoad(key Key) (any, int64, bool) {
 		s.diskMisses.Add(1)
 		return nil, 0, false
 	}
-	val, bytes, err := decodeArtifact(key, data)
+	val, bytes, err := stages[key.Stage].decode(data)
 	if err != nil {
 		s.disk.Drop(name)
 		s.diskMisses.Add(1)
@@ -402,7 +403,7 @@ func (s *Store) enqueueWrite(key Key, val any, pflag *atomic.Bool) {
 		return
 	}
 	s.disk.PutAsync(diskName(key),
-		func() ([]byte, error) { return encodeArtifact(key, val) },
+		func() ([]byte, error) { return stages[key.Stage].encode(val) },
 		func(err error) {
 			if err == nil && pflag != nil {
 				pflag.Store(true)

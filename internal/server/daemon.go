@@ -18,10 +18,10 @@ import (
 )
 
 // RunDaemon parses daemon flags and serves the v1 API until SIGINT/SIGTERM,
-// then drains in-flight requests (10 s grace). It is the shared main of
-// cmd/parsampled and `parsample serve`; prog names the flag set in usage
-// output.
-func RunDaemon(prog string, args []string) error {
+// then drains in-flight requests (10 s grace). It is the main of
+// `parsample serve`.
+func RunDaemon(args []string) error {
+	const prog = "parsample serve"
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
@@ -29,7 +29,7 @@ func RunDaemon(prog string, args []string) error {
 		workers   = fs.Int("workers", 0, "max concurrently executing stage kernels (0: GOMAXPROCS)")
 		datasets  = fs.String("datasets", "", "comma-separated datasets to serve, pre-built at startup (YNG,MID,UNT,CRE); empty serves all, built lazily")
 		maxBodyMB = fs.Int64("max-body-mb", 64, "request body limit in MiB")
-		batchWin  = fs.Duration("batch-window", 2*time.Millisecond, "how long a correlation-network build waits to coalesce concurrent same-data sweeps into one batched kernel pass (0 disables)")
+		batchWin  = fs.Duration("batch-window", 2*time.Millisecond, "how long a correlation-network build waits to coalesce concurrent same-data sweeps into one batched kernel pass (0: no wait)")
 		capacity  = fs.Float64("capacity-units", 0, "admission budget in cost units concurrently in flight (0: 2000; see api.EstimateCost)")
 		queueLim  = fs.Int("queue-limit", 0, "max requests queued at the admission gate before 429s (0: 64)")
 		clientRt  = fs.Float64("client-rate", 0, "per-client fair-share refill in cost units/second (0: capacity/2)")
@@ -43,7 +43,7 @@ func RunDaemon(prog string, args []string) error {
 	}
 	if *failpts != "" {
 		if err := faultinject.Configure(*failpts); err != nil {
-			return fmt.Errorf("%s: -failpoints: %w", prog, err)
+			return fmt.Errorf("-failpoints: %w", err)
 		}
 		log.Printf("%s: fault injection armed: %s", prog, *failpts)
 	}
@@ -70,7 +70,7 @@ func RunDaemon(prog string, args []string) error {
 		// facade's documented panic (after MkdirAll succeeds, New cannot
 		// fail on the directory).
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-			return fmt.Errorf("%s: -cache-dir: %w", prog, err)
+			return fmt.Errorf("-cache-dir: %w", err)
 		}
 		opts = append(opts, parsample.WithCacheDir(*cacheDir))
 		if *diskBytes > 0 {

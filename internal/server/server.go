@@ -270,8 +270,8 @@ func (s *Server) admit(r *http.Request, norm *api.Request, class classID) (*admi
 // applies its batch-window side effect: rung ≥ 1 widens the engine's
 // sweep-batch window 8× (concurrent cold sweeps coalesce harder, cutting
 // kernel work per admitted request), rung 0 restores the configured
-// window. A pipeline configured with batching disabled stays disabled —
-// the operator's choice outranks the ladder.
+// window. A pipeline configured with a zero window keeps it — the
+// operator's choice outranks the ladder.
 func (s *Server) applyPressure() {
 	lvl := int32(s.gate.level())
 	if s.lastLevel.Swap(lvl) == lvl || s.baseWindow <= 0 {

@@ -42,8 +42,9 @@ func WithWorkers(n int) Option {
 // of paying a full O(genes²) pass each. Responses are byte-identical with
 // or without batching; the window only trades up to d of added cold-build
 // latency for shared kernel work under concurrent load. The default (0 or
-// omitted) disables coalescing; servers typically want a few milliseconds
-// (parsampled's -batch-window defaults to 2ms).
+// omitted) means no wait: a build shares its sweep only with builds that
+// arrive while it is being set up. Servers typically want a few
+// milliseconds (`parsample serve -batch-window` defaults to 2ms).
 func WithBatchWindow(d time.Duration) Option {
 	return func(s *pipelineSettings) { s.batchWindow = d }
 }

@@ -44,7 +44,7 @@
 //	        Filter:  api.FilterSpec{Algorithm: "chordal-nocomm", Ordering: "HD", P: 8},
 //	})
 //
-// cmd/parsampled serves the same schema over HTTP.
+// `parsample serve` serves the same schema over HTTP.
 //
 // See the examples/ directory for full end-to-end programs and
 // internal/experiments for the drivers that regenerate every figure of the
