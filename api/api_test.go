@@ -117,6 +117,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad algorithm", Request{Network: NetworkSource{Dataset: "YNG"}, Filter: FilterSpec{Algorithm: "quantum"}}, "unknown algorithm"},
 		{"bad ordering", Request{Network: NetworkSource{Dataset: "YNG"}, Filter: FilterSpec{Ordering: "XX"}}, "unknown ordering"},
 		{"negative p", Request{Network: NetworkSource{Dataset: "YNG"}, Filter: FilterSpec{P: -1}}, "non-negative"},
+		{"huge p", Request{Network: NetworkSource{Dataset: "CRE"}, Filter: FilterSpec{Algorithm: "chordal-nocomm", P: 100000}}, "exceeds the cap"},
 		{"zero minScore", Request{Network: NetworkSource{Dataset: "YNG"}, Cluster: ClusterSpec{MinScore: &zero}}, "minScore"},
 		{"correlation on dataset", Request{Network: NetworkSource{Dataset: "YNG", Correlation: &CorrelationSpec{}}}, "matrix sources"},
 		{"dag without ann", Request{Network: NetworkSource{EdgeList: "0 1"}, Score: ScoreSpec{DAG: "x"}}, "together"},

@@ -14,7 +14,8 @@ import (
 //     decoded and normalized again marshals to the same bytes;
 //   - Fingerprint is stable across that round trip;
 //   - Fingerprint ignores the Filter, Cluster and Output specs;
-//   - an accepted synthesis plants at most genes module genes.
+//   - an accepted synthesis plants at most genes module genes;
+//   - an accepted filter runs on at most MaxFilterP ranks.
 //
 // The seed corpus lives in testdata/fuzz/FuzzRequestNormalize.
 func FuzzRequestNormalize(f *testing.F) {
@@ -28,6 +29,9 @@ func FuzzRequestNormalize(f *testing.F) {
 			return
 		}
 		fp := norm.Fingerprint()
+		if norm.Filter.P > MaxFilterP {
+			t.Fatalf("accepted filter p %d over the cap %d", norm.Filter.P, MaxFilterP)
+		}
 		if ns := norm.Network.Synthesis; ns != nil {
 			hi, lo := bits.Mul64(uint64(*ns.Modules), uint64(*ns.ModuleSize))
 			if hi != 0 || lo > uint64(ns.Genes) {

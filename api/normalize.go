@@ -21,6 +21,11 @@ const (
 	MaxSynthesisCells = 1 << 25
 )
 
+// MaxFilterP caps filter.p. Every simulated rank of a parallel filter
+// keeps one message queue per peer, so a run costs memory quadratic in P;
+// the cap is 4× the largest P any figure runs (64).
+const MaxFilterP = 256
+
 // Planted-module defaults of a synthesis source.
 const (
 	defaultModules    = 16
@@ -183,6 +188,9 @@ func (r *Request) validate() error {
 	}
 	if r.Filter.P < 0 {
 		return Errorf(CodeBadRequest, "filter p must be non-negative (got %d)", r.Filter.P)
+	}
+	if r.Filter.P > MaxFilterP {
+		return Errorf(CodeBadRequest, "filter p %d exceeds the cap of %d", r.Filter.P, MaxFilterP)
 	}
 	// The MCODE kernel treats zero as "use the default", so an explicit
 	// non-positive knob is rejected instead of silently remapped.

@@ -364,6 +364,23 @@ func BenchmarkChordalMaximalSubgraph(b *testing.B) {
 	}
 }
 
+// BenchmarkOrderings times the degree-keyed vertex orderings on CRE, the
+// largest evaluation network: HD and LD are counting sorts by degree, RCM
+// a BFS whose frontiers sort by (degree, id) rank.
+func BenchmarkOrderings(b *testing.B) {
+	g := datasets.CRE().G
+	for _, o := range []graph.Ordering{graph.HighDegree, graph.LowDegree, graph.RCM} {
+		b.Run(o.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ord := graph.Order(g, o, 0); len(ord) != g.N() {
+					b.Fatal("short ordering")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMCODEClusters times MCODE complex prediction on the generator
 // graphs (vertex weighting dominates).
 func BenchmarkMCODEClusters(b *testing.B) {

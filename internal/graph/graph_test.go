@@ -339,11 +339,17 @@ func TestOrderings(t *testing.T) {
 		if g.Degree(hd[i-1]) < g.Degree(hd[i]) {
 			t.Fatal("HighDegree order not descending")
 		}
+		if g.Degree(hd[i-1]) == g.Degree(hd[i]) && hd[i-1] > hd[i] {
+			t.Fatal("HighDegree ties not broken by ascending id")
+		}
 	}
 	ld := Order(g, LowDegree, 0)
 	for i := 1; i < len(ld); i++ {
 		if g.Degree(ld[i-1]) > g.Degree(ld[i]) {
 			t.Fatal("LowDegree order not ascending")
+		}
+		if g.Degree(ld[i-1]) == g.Degree(ld[i]) && ld[i-1] > ld[i] {
+			t.Fatal("LowDegree ties not broken by ascending id")
 		}
 	}
 }

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Ordering names one of the vertex-processing orders studied in the paper
@@ -77,19 +77,31 @@ func NaturalOrder(n int) []int32 {
 }
 
 // DegreeOrder returns vertices sorted by degree; ascending if asc, otherwise
-// descending. Ties are broken by vertex id for determinism.
+// descending. Ties are broken by vertex id for determinism. It is a
+// counting sort: ids are scanned in ascending order into one bucket per
+// degree, so each bucket lists its vertices by id.
 func DegreeOrder(g *Graph, asc bool) []int32 {
-	ord := NaturalOrder(g.N())
-	sort.SliceStable(ord, func(i, j int) bool {
-		di, dj := g.Degree(ord[i]), g.Degree(ord[j])
-		if di != dj {
-			if asc {
-				return di < dj
-			}
-			return di > dj
+	n := g.N()
+	maxDeg := g.MaxDegree()
+	bucket := func(v int32) int {
+		if asc {
+			return g.Degree(v)
 		}
-		return ord[i] < ord[j]
-	})
+		return maxDeg - g.Degree(v)
+	}
+	start := make([]int32, maxDeg+2)
+	for v := range int32(n) {
+		start[bucket(v)+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	ord := make([]int32, n)
+	for v := range int32(n) {
+		b := bucket(v)
+		ord[start[b]] = v
+		start[b]++
+	}
 	return ord
 }
 
@@ -101,8 +113,11 @@ func ReverseCuthillMcKee(g *Graph) []int32 {
 	visited := make([]bool, n)
 	order := make([]int32, 0, n)
 	// Process start candidates in increasing degree so each component is
-	// entered at (approximately) a peripheral, low-degree vertex.
+	// entered at (approximately) a peripheral, low-degree vertex. A
+	// vertex's rank in that order is its (degree, id) position, so a
+	// frontier sorted by rank is sorted by degree with ties by id.
 	starts := DegreeOrder(g, true)
+	rank := InversePerm(starts)
 	queue := make([]int32, 0, n)
 	scratch := make([]int32, 0, 64)
 	for _, s := range starts {
@@ -119,17 +134,13 @@ func ReverseCuthillMcKee(g *Graph) []int32 {
 			for _, w := range g.Neighbors(v) {
 				if !visited[w] {
 					visited[w] = true
-					scratch = append(scratch, w)
+					scratch = append(scratch, rank[w])
 				}
 			}
-			sort.Slice(scratch, func(i, j int) bool {
-				di, dj := g.Degree(scratch[i]), g.Degree(scratch[j])
-				if di != dj {
-					return di < dj
-				}
-				return scratch[i] < scratch[j]
-			})
-			queue = append(queue, scratch...)
+			slices.Sort(scratch)
+			for _, r := range scratch {
+				queue = append(queue, starts[r])
+			}
 		}
 	}
 	// Reverse.

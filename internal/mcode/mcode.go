@@ -9,6 +9,7 @@ package mcode
 import (
 	"cmp"
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -302,17 +303,22 @@ func FindClustersContext(ctx context.Context, g *graph.Graph, p Params) ([]Clust
 		return nil, err
 	}
 
-	// Seeds in decreasing weight order, ties by id.
-	seeds := make([]int32, n)
-	for i := range seeds {
-		seeds[i] = int32(i)
-	}
-	slices.SortFunc(seeds, func(a, b int32) int {
-		if c := cmp.Compare(weights[b], weights[a]); c != 0 {
-			return c
+	// Seeds in decreasing weight order, ties by id: a stable radix sort of
+	// the complemented weight bits (monotone in a non-negative float64)
+	// over ids listed in ascending order. Only vertices of positive weight
+	// are seeds. A zero-weight vertex never starts a complex, and it is
+	// never activated by the forest skip either: that skip is on only when
+	// 0 < VWP < 1, so every threshold w·(1−VWP) of a positive seed weight
+	// w is positive and no zero weight exceeds it.
+	keys := make([]uint64, 0, n)
+	seeds := make([]int32, 0, n)
+	for v, w := range weights {
+		if w > 0 {
+			keys = append(keys, ^math.Float64bits(w))
+			seeds = append(seeds, int32(v))
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+	graph.RadixSort(keys, seeds)
 
 	// The forest skip needs thresholds that fall with the seed weights and,
 	// up to rounding, stay below them: 0 < VWP < 1. A seed that still fails
@@ -330,12 +336,12 @@ func FindClustersContext(ctx context.Context, g *graph.Graph, p Params) ([]Clust
 		if si%256 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if l.used[seed] || weights[seed] == 0 {
+		if l.used[seed] {
 			continue
 		}
 		threshold := weights[seed] * (1 - vwp)
 		if l.forestSkip {
-			for ; next < n && weights[seeds[next]] > threshold; next++ {
+			for ; next < len(seeds) && weights[seeds[next]] > threshold; next++ {
 				if !l.used[seeds[next]] {
 					l.activate(seeds[next])
 				}

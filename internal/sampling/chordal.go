@@ -3,7 +3,6 @@ package sampling
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"parsample/internal/chordal"
 	"parsample/internal/comm"
@@ -74,7 +73,7 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 				}
 			}
 		}
-		slices.SortFunc(borders, graph.CompareEdges)
+		graph.SortEdges(borders)
 		var admit []bool // admit[i]: border edge as[i] closes a chordal triangle
 		for lo, groups := 0, 0; lo < len(borders); groups++ {
 			if groups%1024 == 0 {

@@ -221,7 +221,7 @@ type rankResult struct {
 // newRankResult sorts and deduplicates a rank's normalized edges once,
 // right before they are gathered.
 func newRankResult(edges []graph.Edge, restarts int64) rankResult {
-	slices.SortFunc(edges, graph.CompareEdges)
+	graph.SortEdges(edges)
 	return rankResult{edges: slices.Compact(edges), restarts: restarts}
 }
 
