@@ -364,6 +364,40 @@ func BenchmarkChordalMaximalSubgraph(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelChordal times the two parallel chordal samplers
+// in-process at P ∈ {1, 2, 8} on the distributed study's RMAT graph
+// (natural order) and on CRE in high-degree order, and reports the edges
+// each run keeps, so a kernel change that moves the output shows here too.
+func BenchmarkParallelChordal(b *testing.B) {
+	cre := datasets.CRE()
+	dist := experiments.DistGraph()
+	inputs := []struct {
+		name  string
+		g     *graph.Graph
+		order []int32
+	}{
+		{"DistGraph", dist, graph.NaturalOrder(dist.N())},
+		{"CRE-HD", cre.G, graph.Order(cre.G, graph.HighDegree, cre.Seed)},
+	}
+	for _, in := range inputs {
+		for _, alg := range []sampling.Algorithm{sampling.ChordalComm, sampling.ChordalNoComm} {
+			for _, p := range []int{1, 2, 8} {
+				b.Run(fmt.Sprintf("%s/%v/P=%d", in.name, alg, p), func(b *testing.B) {
+					b.ReportAllocs()
+					var res *sampling.Result
+					for i := 0; i < b.N; i++ {
+						var err error
+						if res, err = sampling.Run(alg, in.g, sampling.Options{Order: in.order, P: p}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(res.Subgraph.M()), "edges")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkOrderings times the degree-keyed vertex orderings on CRE, the
 // largest evaluation network: HD and LD are counting sorts by degree, RCM
 // a BFS whose frontiers sort by (degree, id) rank.

@@ -25,87 +25,112 @@ type Result struct {
 	Ops int64
 }
 
-// vertexHeap selects the next vertex to commit: largest candidate set
+// bucketQueue selects the next vertex to commit: largest candidate set
 // first, ties broken by position in the requested processing order. It is
-// an indexed binary heap — every vertex appears exactly once and a
-// candidate-set grow is an increase-key sift-up — so there are no stale
-// entries to skip and no interface boxing (container/heap would box every
-// push, and a lazy heap pushes O(E) entries; this one holds at most n).
-type vertexHeap struct {
-	verts []int32 // heap array of vertex ids
-	loc   []int32 // loc[v] = index of v in verts; -1 once popped
-	size  []int32 // |B(v)|, shared with the kernel
-	pos   []int32 // position of v in the processing order
+// a bucket queue over candidate-set size:
+//
+//   - Bucket 0 is a cursor over order. Sizes only grow, so a vertex only
+//     ever leaves this bucket and the cursor never moves back.
+//   - Each bucket s ≥ 1 is a small min-heap of order positions with lazy
+//     deletion. A grow pushes the vertex into its new bucket and leaves
+//     the old entry behind; an entry is live while its vertex still has
+//     size s. A popped vertex leaves no live entry: the entry it was
+//     popped through is gone, and every other one sits in a lower bucket.
+//
+// (size desc, pos asc) is a strict total order, so the pop sequence is the
+// one any correct priority queue yields. A pop costs O(log k) in the size
+// of its bucket plus the stale entries it skips, at most one per grow.
+type bucketQueue struct {
+	order  []int32
+	pos    []int32   // position of v in order
+	size   []int32   // |B(v)|, shared with the kernel
+	heaps  [][]int32 // heaps[s], s ≥ 1: min-heap of positions
+	cursor int       // bucket 0: no live vertex before order[cursor]
+	top    int       // no live entry above bucket top
+	left   int       // vertices not yet popped
 }
 
-// newVertexHeap builds the initial heap. All candidate sets are empty and
-// order is sorted by pos, so the array is already heap-ordered.
-func newVertexHeap(order, pos, size []int32) *vertexHeap {
-	verts := make([]int32, len(order))
-	copy(verts, order)
-	loc := make([]int32, len(order))
-	for i, v := range verts {
-		loc[v] = int32(i)
-	}
-	return &vertexHeap{verts: verts, loc: loc, size: size, pos: pos}
+func newBucketQueue(order, pos, size []int32) *bucketQueue {
+	return &bucketQueue{order: order, pos: pos, size: size, left: len(order)}
 }
 
-func (h *vertexHeap) before(a, b int32) bool {
-	if h.size[a] != h.size[b] {
-		return h.size[a] > h.size[b]
-	}
-	return h.pos[a] < h.pos[b]
-}
-
-func (h *vertexHeap) empty() bool { return len(h.verts) == 0 }
+func (q *bucketQueue) empty() bool { return q.left == 0 }
 
 // pop removes and returns the top-priority vertex.
-func (h *vertexHeap) pop() int32 {
-	top := h.verts[0]
-	h.loc[top] = -1
-	last := len(h.verts) - 1
-	if last > 0 {
-		v := h.verts[last]
-		h.verts[0] = v
-		h.loc[v] = 0
+func (q *bucketQueue) pop() int32 {
+	q.left--
+	for ; q.top > 0; q.top-- {
+		h := q.heaps[q.top]
+		for len(h) > 0 {
+			v := q.order[h[0]]
+			h = heapPop(h)
+			if q.size[v] == int32(q.top) {
+				q.heaps[q.top] = h
+				return v
+			}
+		}
+		q.heaps[q.top] = h
 	}
-	h.verts = h.verts[:last]
-	// Sift down.
-	n := len(h.verts)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.before(h.verts[l], h.verts[best]) {
-			best = l
-		}
-		if r < n && h.before(h.verts[r], h.verts[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.verts[i], h.verts[best] = h.verts[best], h.verts[i]
-		h.loc[h.verts[i]] = int32(i)
-		h.loc[h.verts[best]] = int32(best)
-		i = best
+	for q.size[q.order[q.cursor]] != 0 {
+		q.cursor++
 	}
-	return top
+	q.cursor++
+	return q.order[q.cursor-1]
 }
 
-// grew restores the heap invariant after size[v] increased (sift-up).
-func (h *vertexHeap) grew(v int32) {
-	i := int(h.loc[v])
+// grew moves v to the bucket of its new, one larger candidate-set size.
+func (q *bucketQueue) grew(v int32) {
+	s := int(q.size[v])
+	for len(q.heaps) <= s {
+		q.heaps = append(q.heaps, nil)
+	}
+	q.heaps[s] = heapPush(q.heaps[s], q.pos[v])
+	if s > q.top {
+		q.top = s
+	}
+}
+
+// heapPush adds x to the min-heap h.
+func heapPush(h []int32, x int32) []int32 {
+	h = append(h, x)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.before(h.verts[i], h.verts[parent]) {
+		if h[parent] <= x {
 			break
 		}
-		h.verts[i], h.verts[parent] = h.verts[parent], h.verts[i]
-		h.loc[h.verts[i]] = int32(i)
-		h.loc[h.verts[parent]] = int32(parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
+	return h
+}
+
+// heapPop removes the minimum of the non-empty min-heap h.
+func heapPop(h []int32) []int32 {
+	last := len(h) - 1
+	x := h[last]
+	h = h[:last]
+	if last == 0 {
+		return h
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if x <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+	return h
 }
 
 // denseBLimit bounds the vertex count for the bitset candidate-set path.
@@ -164,8 +189,8 @@ func MaximalSubgraphContext(ctx context.Context, g *graph.Graph, order []int32) 
 	}
 	res.Edges = make([]graph.Edge, 0, g.M()/2)
 	pos := graph.InversePerm(order)
-	bsize := make([]int32, n) // |B(v)|, shared with the heap
-	q := newVertexHeap(order, pos, bsize)
+	bsize := make([]int32, n) // |B(v)|, shared with the queue
+	q := newBucketQueue(order, pos, bsize)
 	var err error
 	if n <= denseBLimit && 2*g.M() >= n*denseBDegree {
 		err = maximalDense(ctx, g, q, bsize, res)
@@ -179,7 +204,7 @@ func MaximalSubgraphContext(ctx context.Context, g *graph.Graph, order []int32) 
 }
 
 // maximalDense runs the DSW loop with bitset candidate sets.
-func maximalDense(ctx context.Context, g *graph.Graph, q *vertexHeap, bsize []int32, res *Result) error {
+func maximalDense(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []int32, res *Result) error {
 	n := g.N()
 	visited := graph.NewBitset(n)
 	b := make([]graph.Bitset, n) // candidate sets, allocated on first grow
@@ -229,7 +254,7 @@ func maximalDense(ctx context.Context, g *graph.Graph, q *vertexHeap, bsize []in
 // maximalSparse runs the DSW loop with member slices and a stamped mark
 // array — subset tests cost O(|B(x)|) probes, which beats the word sweep on
 // sparse networks where candidate sets stay tiny. No hash maps anywhere.
-func maximalSparse(ctx context.Context, g *graph.Graph, q *vertexHeap, bsize []int32, res *Result) error {
+func maximalSparse(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []int32, res *Result) error {
 	n := g.N()
 	visited := make([]bool, n)
 	b := make([][]int32, n) // candidate sets

@@ -360,7 +360,7 @@ func runPath(g *graph.Graph, order []int32, dense bool) *Result {
 	}
 	pos := graph.InversePerm(order)
 	bsize := make([]int32, n)
-	q := newVertexHeap(order, pos, bsize)
+	q := newBucketQueue(order, pos, bsize)
 	if dense {
 		maximalDense(context.Background(), g, q, bsize, res)
 	} else {

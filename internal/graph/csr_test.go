@@ -166,11 +166,14 @@ func TestBlockPartitionCSRRoundtrip(t *testing.T) {
 			pt := BlockPartition(ord, p)
 			seen := make([]int, g.N())
 			for pid, part := range pt.Parts {
-				for _, v := range part {
+				for i, v := range part {
 					seen[v]++
 					if pt.Part[v] != int32(pid) {
 						t.Fatalf("%s P=%d: Part[%d]=%d but listed in part %d",
 							name, p, v, pt.Part[v], pid)
+					}
+					if pt.Index[v] != int32(i) {
+						t.Fatalf("%s P=%d: Index[%d]=%d but listed at %d", name, p, v, pt.Index[v], i)
 					}
 				}
 			}
@@ -194,6 +197,31 @@ func TestBlockPartitionCSRRoundtrip(t *testing.T) {
 	}
 }
 
+// Induced must build CompactSubgraph's graph for every block, rows
+// ascending, from the partition's Part and Index alone.
+func TestPartitionInducedMatchesCompactSubgraph(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"empty": NewBuilder(0).Build(),
+		"rmat":  RMAT(8, 8, 0, 0, 0, 5),
+		"grid":  Grid(9, 7),
+	} {
+		for _, o := range []Ordering{Natural, HighDegree, RandomOrder} {
+			for _, p := range []int{1, 3, 16} {
+				pt := BlockPartition(Order(g, o, 2), p)
+				for rank, block := range pt.Parts {
+					got := pt.Induced(g, rank)
+					want, _ := g.CompactSubgraph(block)
+					gotOff, gotNbr := got.CSR()
+					wantOff, wantNbr := want.CSR()
+					if got.M() != want.M() || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotNbr, wantNbr) {
+						t.Fatalf("%s/%v P=%d block %d: Induced differs from CompactSubgraph", name, o, p, rank)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Partition blocks must be contiguous slices of the processing order — the
 // property the CSR arena relies on for rank-local iteration.
 func TestBlockPartitionPreservesOrder(t *testing.T) {
@@ -208,6 +236,79 @@ func TestBlockPartitionPreservesOrder(t *testing.T) {
 			}
 			i++
 		}
+	}
+}
+
+// FromSortedEdges must build exactly the graph FromEdges builds from the
+// same strictly ascending normalized list.
+func TestFromSortedEdgesMatchesFromEdges(t *testing.T) {
+	graphs := map[string]*Graph{
+		"empty":    NewBuilder(0).Build(),
+		"isolated": NewBuilder(5).Build(),
+		"path":     Path(9),
+		"complete": Complete(12),
+		"rmat":     RMAT(8, 6, 0, 0, 0, 3),
+		"gnm":      Gnm(300, 900, 4),
+	}
+	for name, g := range graphs {
+		edges := g.Edges()
+		got, want := FromSortedEdges(g.N(), edges), FromEdges(g.N(), edges)
+		gotOff, gotNbr := got.CSR()
+		wantOff, wantNbr := want.CSR()
+		if got.N() != want.N() || got.M() != want.M() || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotNbr, wantNbr) {
+			t.Errorf("%s: FromSortedEdges CSR differs from FromEdges", name)
+		}
+	}
+}
+
+// An input that breaks FromSortedEdges' contract is a caller bug and
+// panics instead of building a graph with unsorted or duplicate rows.
+func TestFromSortedEdgesPanicsOnContractBreach(t *testing.T) {
+	for name, edges := range map[string][]Edge{
+		"duplicate":    {{0, 1}, {0, 1}},
+		"descending":   {{1, 2}, {0, 3}},
+		"unnormalized": {{2, 1}},
+		"self loop":    {{1, 1}},
+		"out of range": {{0, 4}},
+		"negative":     {{-1, 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FromSortedEdges accepted %v", name, edges)
+				}
+			}()
+			FromSortedEdges(4, edges)
+		}()
+	}
+}
+
+// FromCSRArenas must reject every structurally invalid arena pair with an
+// error, never a panic: its input comes from snapshot blobs on disk.
+func TestFromCSRArenasRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		off, nbr []int32
+	}{
+		{"neighbors without offsets", nil, []int32{1}},
+		{"offsets start above 0", []int32{1, 2}, []int32{0, 0}},
+		{"offsets end short of arena", []int32{0, 1, 1}, []int32{1, 0}},
+		{"odd arena", []int32{0, 1, 1, 1}, []int32{1}},
+		{"offset beyond arena before a decrease", []int32{0, 5, 2}, []int32{1, 0}},
+		{"negative offset", []int32{0, -2, 2}, []int32{1, 0}},
+		{"offsets decrease", []int32{0, 2, 1, 2}, []int32{1, 2}},
+		{"unsorted row", []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}},
+		{"duplicate neighbor", []int32{0, 2, 4}, []int32{1, 1, 0, 0}},
+		{"self loop", []int32{0, 1, 2}, []int32{0, 1}},
+		{"neighbor out of range", []int32{0, 1, 2}, []int32{2, 0}},
+		{"negative neighbor", []int32{0, 1, 2}, []int32{-1, 0}},
+	} {
+		if g, err := FromCSRArenas(tc.off, tc.nbr); err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, g)
+		}
+	}
+	if g, err := FromCSRArenas([]int32{0, 1, 2}, []int32{1, 0}); err != nil || g.M() != 1 {
+		t.Fatalf("valid single-edge arenas: %v, %v", g, err)
 	}
 }
 

@@ -301,6 +301,39 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.Build()
 }
 
+// FromSortedEdges builds a graph with n vertices from edges that are
+// normalized (U < V), in range and strictly ascending by CompareEdges, as
+// a k-way merge of sorted edge lists yields them. Scattering such a list
+// into the CSR leaves every row ascending — row v receives its smaller
+// neighbors (edges (u, v), u < v) before its larger ones (edges (v, w)),
+// each run in list order — so, unlike Builder.Build, no row is sorted or
+// deduplicated. It panics if edges break that contract.
+func FromSortedEdges(n int, edges []Edge) *Graph {
+	g := &Graph{off: make([]int32, n+1), m: len(edges)}
+	counts := g.off[1:]
+	prev := Edge{-1, -1}
+	for _, e := range edges {
+		if e.U < 0 || e.U >= e.V || int(e.V) >= n || CompareEdges(prev, e) >= 0 {
+			panic(fmt.Sprintf("graph: FromSortedEdges: edge (%d,%d) after (%d,%d) is not a strictly ascending normalized edge of a %d-vertex graph", e.U, e.V, prev.U, prev.V, n))
+		}
+		prev = e
+		counts[e.U]++
+		counts[e.V]++
+	}
+	for v := 1; v <= n; v++ {
+		g.off[v] += g.off[v-1]
+	}
+	g.nbr = make([]int32, g.off[n])
+	cursor := slices.Clone(g.off[:n])
+	for _, e := range edges {
+		g.nbr[cursor[e.U]] = e.V
+		cursor[e.U]++
+		g.nbr[cursor[e.V]] = e.U
+		cursor[e.V]++
+	}
+	return g
+}
+
 // FromCSRArenas adopts pre-built CSR arenas as a graph without staging or
 // sorting: off and nbr must be exactly the layout CSR() exposes (off[0] = 0,
 // rows strictly ascending, both edge directions present). The slices are
@@ -334,6 +367,9 @@ func FromCSRArenas(off, nbr []int32) (*Graph, error) {
 	for v := 0; v < n; v++ {
 		if off[v+1] < off[v] {
 			return nil, fmt.Errorf("graph: CSR offsets decrease at vertex %d", v)
+		}
+		if int(off[v+1]) > len(nbr) {
+			return nil, fmt.Errorf("graph: CSR offset %d of vertex %d is beyond the %d-entry arena", off[v+1], v, len(nbr))
 		}
 		row := nbr[off[v]:off[v+1]]
 		prev := int32(-1)

@@ -1,10 +1,13 @@
 package graph
 
+import "slices"
+
 // Partition assigns each vertex to one of P parts. Part ids are dense in
 // [0, P).
 type Partition struct {
 	Part  []int32   // Part[v] = part id of vertex v
 	Parts [][]int32 // Parts[p] = vertices of part p, in processing order
+	Index []int32   // Index[v] = position of v in Parts[Part[v]]
 }
 
 // P returns the number of parts.
@@ -24,14 +27,16 @@ func BlockPartition(order []int32, p int) *Partition {
 	pt := &Partition{
 		Part:  make([]int32, n),
 		Parts: make([][]int32, p),
+		Index: make([]int32, n),
 	}
 	for i := 0; i < p; i++ {
 		lo, hi := i*n/p, (i+1)*n/p
 		blk := make([]int32, hi-lo)
 		copy(blk, order[lo:hi])
 		pt.Parts[i] = blk
-		for _, v := range blk {
+		for j, v := range blk {
 			pt.Part[v] = int32(i)
+			pt.Index[v] = int32(j)
 		}
 	}
 	return pt
@@ -60,4 +65,37 @@ func (pt *Partition) InternalEdgeCount(g *Graph) (internal []int, border int) {
 		}
 	})
 	return internal, border
+}
+
+// Induced returns the subgraph of g induced by part p in block-local ids:
+// Parts[p][i] is vertex i. Its scratch is linear in the block, not in g.
+// Row i is filled by walking the block in local-id order and appending j
+// to the row of each in-block neighbor of local vertex j, so every row
+// comes out ascending with no sort.
+func (pt *Partition) Induced(g *Graph, p int) *Graph {
+	block := pt.Parts[p]
+	k := len(block)
+	sub := &Graph{off: make([]int32, k+1)}
+	for i, u := range block {
+		d := int32(0)
+		for _, v := range g.Neighbors(u) {
+			if pt.Part[v] == int32(p) {
+				d++
+			}
+		}
+		sub.off[i+1] = sub.off[i] + d
+	}
+	sub.nbr = make([]int32, sub.off[k])
+	cursor := slices.Clone(sub.off[:k])
+	for j, u := range block {
+		for _, v := range g.Neighbors(u) {
+			if pt.Part[v] == int32(p) {
+				i := pt.Index[v]
+				sub.nbr[cursor[i]] = int32(j)
+				cursor[i]++
+			}
+		}
+	}
+	sub.m = len(sub.nbr) / 2
+	return sub
 }

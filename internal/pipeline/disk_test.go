@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,6 +169,82 @@ func TestEngineCorruptSnapshotRecomputesUnpoisoned(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 0 || st.DiskHits == 0 {
 		t.Fatalf("store poisoned: third engine ran %d kernels (disk hits %d)", st.Misses, st.DiskHits)
+	}
+}
+
+// breakFilteredCSR rewrites a filtered snapshot so the subgraph's second
+// CSR offset points past the neighbor arena, then re-seals the checksum:
+// the blob passes every envelope check and reaches the graph decoder.
+func breakFilteredCSR(blob []byte) {
+	le := binary.LittleEndian
+	at := 24 + 10*8 // header, then ten scalar words
+	for range 2 {   // RankOps, RankSeconds
+		at += 8 + 8*int(le.Uint64(blob[at:]))
+	}
+	m := le.Uint64(blob[at+8:])                 // after n
+	le.PutUint32(blob[at+24+4:], uint32(2*m+1)) // off[1], after n, m and the offset count
+	le.PutUint64(blob[len(blob)-8:], crc64.Checksum(blob[:len(blob)-8], crc64.MakeTable(crc64.ECMA)))
+}
+
+// A checksum-valid blob the decoder rejects, or one that panics the
+// decoder, is a corrupt blob: dropped, counted as a miss and recomputed,
+// with the key's flight closed so the next caller is served too.
+func TestEngineUndecodableSnapshotRecomputes(t *testing.T) {
+	ds := testDataset()
+	ctx := context.Background()
+	in := FromDataset(ds)
+	key := in.key(StageFilter, testVariant)
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, path string)
+	}{
+		{"offset beyond arena", func(t *testing.T, path string) {
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("filter snapshot not published: %v", err)
+			}
+			breakFilteredCSR(blob)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"decoder panic", func(t *testing.T, _ string) {
+			orig := stages[StageFilter].decode
+			stages[StageFilter].decode = func([]byte) (any, int64, error) { panic("decoder bug") }
+			t.Cleanup(func() { stages[StageFilter].decode = orig })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a := newDiskEngine(t, dir)
+			want, err := a.Filtered(ctx, in, testVariant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Close()
+			tc.plant(t, snapPath(dir, key))
+
+			b := newDiskEngine(t, dir)
+			for i := 0; i < 2; i++ {
+				got, err := b.Filtered(ctx, in, testVariant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wo, wn := want.Subgraph.CSR()
+				gotOff, gotNbr := got.Subgraph.CSR()
+				if !reflect.DeepEqual(wo, gotOff) || !reflect.DeepEqual(wn, gotNbr) || !reflect.DeepEqual(want.Stats, got.Stats) {
+					t.Fatal("recomputed filter result differs")
+				}
+			}
+			st := b.Stats()
+			// The order the filter depends on still loads from disk.
+			if st.Misses != 1 || st.Hits != 1 || st.DiskHits != 1 || st.DiskIntegrityDrops != 1 {
+				t.Fatalf("want one drop, one recompute and one memory hit; stats %+v", st)
+			}
+			if st.Inflight != 0 {
+				t.Fatalf("%d flights left open", st.Inflight)
+			}
+		})
 	}
 }
 

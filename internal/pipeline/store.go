@@ -290,10 +290,10 @@ func (s *Store) Do(ctx context.Context, key Key, compute func(context.Context) (
 
 // diskLoad probes the persistent tier: read (or mmap) the blob, verify its
 // checksum, decode. Every failure mode — no disk tier, absent blob,
-// truncation, corruption, version skew — returns nil, and a corrupt blob is
-// deleted so the whole fleet sees an ordinary miss where a poisoned entry
-// sat. The stage's row decodes the blob and sizes the artifact exactly as
-// a compute would have.
+// truncation, corruption, version skew, a decoder panic — returns nil, and
+// a corrupt blob is deleted so the whole fleet sees an ordinary miss where
+// a poisoned entry sat. The stage's row decodes the blob and sizes the
+// artifact exactly as a compute would have.
 func (s *Store) diskLoad(key Key) (any, int64, bool) {
 	if s.disk == nil || int(key.Stage) >= len(stages) {
 		return nil, 0, false
@@ -304,7 +304,7 @@ func (s *Store) diskLoad(key Key) (any, int64, bool) {
 		s.diskMisses.Add(1)
 		return nil, 0, false
 	}
-	val, bytes, err := stages[key.Stage].decode(data)
+	val, bytes, err := decodeBlob(key.Stage, data)
 	if err != nil {
 		s.disk.Drop(name)
 		s.diskMisses.Add(1)
@@ -312,6 +312,20 @@ func (s *Store) diskLoad(key Key) (any, int64, bool) {
 	}
 	s.diskHits.Add(1)
 	return val, bytes, true
+}
+
+// decodeBlob runs the stage's snapshot decoder with panic containment. A
+// blob whose checksum holds but whose contents crash the decoder is as
+// corrupt as one that fails to parse; diskLoad runs before runCompute's
+// recover, and an unrecovered panic there would leave the key's flight
+// open for every later caller.
+func decodeBlob(st Stage, data []byte) (val any, bytes int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, bytes, err = nil, 0, fmt.Errorf("pipeline: %s snapshot decode panicked: %v", st, r)
+		}
+	}()
+	return stages[st].decode(data)
 }
 
 // runCompute invokes compute with panic containment: a panicking kernel is

@@ -19,25 +19,26 @@ func chordalSequential(ctx context.Context, g *graph.Graph, opts Options) (*Resu
 }
 
 // localChordal computes the maximal chordal subgraph of the edges fully
-// inside one partition block and returns its edges in global vertex ids,
-// normalized and duplicate free, plus a CSR over them for the border
-// rules' chordal-edge probes. The block's position in the global
-// processing order is preserved. Border admissions always pair an internal
-// vertex with an external one, so they never change a probe's answer and
-// the CSR is built once, before any of them.
-func localChordal(ctx context.Context, g *graph.Graph, block []int32) ([]graph.Edge, *graph.Graph, int64, error) {
-	sub, toGlobal := g.CompactSubgraph(block)
-	// CompactSubgraph labels block[i] as local vertex i, so the local natural
-	// order is exactly the block's slice of the global processing order.
-	cr, err := chordal.MaximalSubgraphContext(ctx, sub, graph.NaturalOrder(sub.N()))
+// inside block rank of pt. It works in block-local ids (pt.Parts[rank][i]
+// is local vertex i, pt.Index maps back), so its scratch is linear in the
+// block, not the graph. The local natural order is the block's slice of
+// the global processing order. It returns the chordal edges in global ids,
+// normalized and duplicate free, plus a CSR over them in local ids for the
+// border rules' chordal-edge probes. Border admissions always pair an
+// internal vertex with an external one, so they never change a probe's
+// answer and the CSR is built once, before any of them.
+func localChordal(ctx context.Context, g *graph.Graph, pt *graph.Partition, rank int) ([]graph.Edge, *graph.Graph, int64, error) {
+	block := pt.Parts[rank]
+	cr, err := chordal.MaximalSubgraphContext(ctx, pt.Induced(g, rank), graph.NaturalOrder(len(block)))
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	probe := graph.FromEdges(len(block), cr.Edges)
 	edges := cr.Edges
 	for i, e := range edges {
-		edges[i] = graph.NormEdge(toGlobal[e.U], toGlobal[e.V])
+		edges[i] = graph.NormEdge(block[e.U], block[e.V])
 	}
-	return edges, graph.FromEdges(g.N(), edges), cr.Ops, nil
+	return edges, probe, cr.Ops, nil
 }
 
 // chordalNoComm is the paper's improved communication-free parallel chordal
@@ -54,7 +55,7 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 	return runRanks(ctx, ChordalNoComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
 		block := pt.Parts[rank]
-		edges, chordalG, ops, err := localChordal(ctx, g, block)
+		edges, probe, ops, err := localChordal(ctx, g, pt, rank)
 		if err != nil {
 			return rankResult{}, err
 		}
@@ -74,9 +75,14 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 			}
 		}
 		graph.SortEdges(borders)
-		var admit []bool // admit[i]: border edge as[i] closes a chordal triangle
-		for lo, groups := 0, 0; lo < len(borders); groups++ {
-			if groups%1024 == 0 {
+		// Triangle rule: member a of x's group is admitted iff some other
+		// member b closes the triangle with a chordal edge (a,b). Stamping
+		// the group's members and walking each member's chordal neighbors
+		// decides it in O(Σ chordal degree) instead of the k(k−1)/2 pair
+		// probes; ops still charges the model's pair count.
+		group := make([]int32, len(block)) // group[i] = current group id while local i is a member
+		for lo, id := 0, int32(1); lo < len(borders); id++ {
+			if id%1024 == 0 {
 				abortIfCancelled(ctx, r)
 			}
 			hi := lo + 1
@@ -84,22 +90,23 @@ func chordalNoComm(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 				hi++
 			}
 			as := borders[lo:hi]
-			admit = append(admit[:0], make([]bool, len(as))...)
-			for i := 0; i < len(as); i++ {
-				for j := i + 1; j < len(as); j++ {
-					ops++
-					// Triangle rule: the local closing edge must be chordal.
-					if chordalG.HasEdgeFast(as[i].V, as[j].V) {
-						admit[i], admit[j] = true, true
+			lo = hi
+			k := int64(len(as))
+			ops += k * (k - 1) / 2
+			if k < 2 {
+				continue
+			}
+			for _, e := range as {
+				group[pt.Index[e.V]] = id
+			}
+			for _, e := range as {
+				for _, b := range probe.Neighbors(pt.Index[e.V]) {
+					if group[b] == id {
+						edges = append(edges, graph.NormEdge(e.V, e.U))
+						break
 					}
 				}
 			}
-			for i, ok := range admit {
-				if ok {
-					edges = append(edges, graph.NormEdge(as[i].V, as[i].U))
-				}
-			}
-			lo = hi
 		}
 		r.Compute(ops)
 		return newRankResult(edges, 0), nil
@@ -154,8 +161,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	_, border := pt.InternalEdgeCount(g)
 	return runRanks(ctx, ChordalComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
-		block := pt.Parts[rank]
-		edges, chordalG, ops, err := localChordal(ctx, g, block)
+		edges, probe, ops, err := localChordal(ctx, g, pt, rank)
 		if err != nil {
 			return rankResult{}, err
 		}
@@ -189,7 +195,8 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		// Scanning u's previously accepted neighbors for every candidate is
 		// where the paper's O(b²/d) receiver cost comes from.
 		// Accepted border edges are grouped by external vertex in a per-rank
-		// slice table indexed lazily via a stamp array — no hash map.
+		// slice table indexed lazily via a stamp array — no hash map. The
+		// table holds the local vertices' block-local ids, the probe CSR's.
 		acceptedNbrs := make([][]int32, 0, 16) // compact storage, see extSlot
 		extSlot := make([]int32, g.N())        // external vertex -> slot+1 (0 = none)
 		var sources []int
@@ -234,10 +241,11 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 				if slot > 0 {
 					bu = acceptedNbrs[slot-1]
 				}
+				li := pt.Index[loc]
 				ok := true
 				for _, w := range bu {
 					ops++
-					if !chordalG.HasEdgeFast(w, loc) {
+					if !probe.HasEdgeFast(w, li) {
 						ok = false
 						break
 					}
@@ -255,7 +263,7 @@ func chordalWithComm(ctx context.Context, g *graph.Graph, opts Options) (*Result
 						slot = int32(len(acceptedNbrs))
 						extSlot[ext] = slot
 					}
-					acceptedNbrs[slot-1] = append(acceptedNbrs[slot-1], loc)
+					acceptedNbrs[slot-1] = append(acceptedNbrs[slot-1], li)
 				}
 			}
 			// Charge the per-message candidate processing as it happens, so

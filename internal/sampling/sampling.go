@@ -281,15 +281,13 @@ func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) error {
 // sequential analysis phase), counts duplicates, and copies the runtime's
 // accounting (per-rank ops, virtual clocks, point-to-point and gather
 // traffic) into the result stats. n is the vertex universe of the input
-// graph. A remote rank's payload is untrusted: its decoder guarantees
-// 0 ≤ U < V, and an edge beyond n is an error here, not a panic.
+// graph. Every rank list is strictly ascending (newRankResult, and the
+// rankResult decoder for a remote rank), so a k-way merge yields the
+// union already sorted and the CSR is built without a sort. A remote
+// rank's payload is untrusted: its decoder guarantees 0 ≤ U < V, and an
+// edge beyond n is an error here, not a panic.
 func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Comm) (*Result, error) {
 	total := 0
-	for _, pr := range parts {
-		total += len(pr.edges)
-	}
-	b := graph.NewBuilder(n)
-	b.Grow(total)
 	res := &Result{Algorithm: alg, BorderEdges: border}
 	cm.FillStats(&res.Stats)
 	for rk, pr := range parts {
@@ -298,11 +296,63 @@ func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Co
 			if int(e.V) >= n {
 				return nil, fmt.Errorf("sampling: rank %d returned edge (%d,%d) outside the %d-vertex graph", rk, e.U, e.V, n)
 			}
-			b.AddEdge(e.U, e.V)
 		}
+		total += len(pr.edges)
 	}
-	res.Subgraph = b.Build()
-	res.DuplicateBorderEdges = total - res.Subgraph.M()
+	merged := mergeSorted(parts, total)
+	res.Subgraph = graph.FromSortedEdges(n, merged)
+	res.DuplicateBorderEdges = total - len(merged)
 	res.Stats.SerialOps = int64(total)
 	return res, nil
+}
+
+// mergeSorted k-way merges the ranks' strictly ascending edge lists,
+// holding total edges, into one strictly ascending list, keeping one copy
+// of an edge that several ranks hold. A binary min-heap holds one cursor
+// per non-empty list, keyed by its head's graph.EdgeKey.
+func mergeSorted(parts []rankResult, total int) []graph.Edge {
+	type cursor struct {
+		key  uint64
+		rest []graph.Edge // rest[0] is the head
+	}
+	h := make([]cursor, 0, len(parts))
+	for _, pr := range parts {
+		if len(pr.edges) > 0 {
+			h = append(h, cursor{graph.EdgeKey(pr.edges[0].U, pr.edges[0].V), pr.edges})
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && h[c+1].key < h[c].key {
+				c++
+			}
+			if h[i].key <= h[c].key {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]graph.Edge, 0, total)
+	for len(h) > 0 {
+		top := &h[0]
+		if e := top.rest[0]; len(out) == 0 || out[len(out)-1] != e {
+			out = append(out, e)
+		}
+		if top.rest = top.rest[1:]; len(top.rest) > 0 {
+			top.key = graph.EdgeKey(top.rest[0].U, top.rest[0].V)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
