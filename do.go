@@ -333,11 +333,18 @@ func (p *Pipeline) materialize(key string, norm *api.Request) (*resolvedInput, e
 
 // ------------------------------------------------------- resolver cache
 
-// resolverCacheCap bounds resolved sources held by one Pipeline. Resolved
-// inputs pin real memory (graphs, matrices, ontologies) outside the
-// engine's byte budget, so the cap is an entry count, LRU-evicted; an
-// evicted source is simply re-parsed or re-synthesized on its next use.
-const resolverCacheCap = 64
+// resolverCacheCap and resolverCacheBytes bound resolved sources held by
+// one Pipeline. Resolved inputs pin real memory (graphs, matrices,
+// ontologies) outside the engine's byte budget, so the cache keeps at most
+// resolverCacheCap entries and at most resolverCacheBytes of expression
+// matrices (always at least the newest entry), LRU-evicted; an evicted
+// source is simply re-parsed or re-synthesized on its next use. The byte
+// bound matters for synthesized sources: 64 matrices at the API synthesis
+// cap (MaxSynthesisCells) would pin 16 GiB.
+const (
+	resolverCacheCap   = 64
+	resolverCacheBytes = 64 << 20
+)
 
 // resolverCache is an LRU of fingerprint → resolved source with in-flight
 // deduplication: concurrent requests for one fingerprint materialize it
@@ -346,14 +353,17 @@ const resolverCacheCap = 64
 type resolverCache struct {
 	mu       sync.Mutex
 	cap      int
+	maxBytes int64
+	used     int64 // matrix bytes of the resident entries
 	entries  map[string]*list.Element
 	lru      *list.List // front = most recent *resolverEntry
 	inflight map[string]*resolverFlight
 }
 
 type resolverEntry struct {
-	key string
-	val *resolvedInput
+	key   string
+	val   *resolvedInput
+	bytes int64
 }
 
 type resolverFlight struct {
@@ -362,8 +372,9 @@ type resolverFlight struct {
 	err  error
 }
 
-func (c *resolverCache) init(capacity int) {
+func (c *resolverCache) init(capacity int, maxBytes int64) {
 	c.cap = capacity
+	c.maxBytes = maxBytes
 	c.entries = make(map[string]*list.Element)
 	c.lru = list.New()
 	c.inflight = make(map[string]*resolverFlight)
@@ -399,11 +410,16 @@ func (c *resolverCache) do(key string, compute func() (*resolvedInput, error)) (
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		c.entries[key] = c.lru.PushFront(&resolverEntry{key: key, val: f.val})
-		for c.lru.Len() > c.cap {
-			el := c.lru.Back()
-			c.lru.Remove(el)
-			delete(c.entries, el.Value.(*resolverEntry).key)
+		var b int64
+		if m := f.val.matrix; m != nil {
+			b = 8 * int64(m.Genes) * int64(m.Samples)
+		}
+		c.entries[key] = c.lru.PushFront(&resolverEntry{key: key, val: f.val, bytes: b})
+		c.used += b
+		for c.lru.Len() > 1 && (c.lru.Len() > c.cap || c.used > c.maxBytes) {
+			ent := c.lru.Remove(c.lru.Back()).(*resolverEntry)
+			delete(c.entries, ent.key)
+			c.used -= ent.bytes
 		}
 	}
 	c.mu.Unlock()

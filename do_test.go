@@ -279,3 +279,51 @@ func TestParseNames(t *testing.T) {
 		t.Fatal("accepted unknown ordering")
 	}
 }
+
+// TestResolverCacheByteBound pins both resolver bounds: entries beyond the
+// byte budget of matrices are evicted least recently used first, the
+// newest entry stays even when it alone exceeds the budget, and the entry
+// count cap still applies to matrix-less sources.
+func TestResolverCacheByteBound(t *testing.T) {
+	var c resolverCache
+	c.init(3, 100)
+	put := func(key string, genes, samples int) {
+		t.Helper()
+		ri := &resolvedInput{name: key}
+		if genes > 0 {
+			ri.matrix = expr.NewMatrix(genes, samples)
+		}
+		if _, err := c.do(key, func() (*resolvedInput, error) { return ri, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := func(want ...string) {
+		t.Helper()
+		var got []string
+		for _, k := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+			if c.contains(k) {
+				got = append(got, k)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("resident %v, want %v (used %d bytes)", got, want, c.used)
+		}
+	}
+	put("a", 2, 3) // 48 bytes
+	put("b", 2, 3) // 96
+	resident("a", "b")
+	put("c", 1, 1) // 104 > 100: evicts a
+	resident("b", "c")
+	put("d", 20, 1) // 160 bytes on its own: stays, evicts the rest
+	resident("d")
+	if c.used != 160 {
+		t.Fatalf("used = %d, want 160", c.used)
+	}
+	put("e", 0, 0) // 160 > 100 with two entries: d goes
+	resident("e")
+	put("f", 0, 0)
+	put("g", 0, 0)
+	resident("e", "f", "g")
+	put("a", 0, 0) // four entries > cap 3: e goes
+	resident("a", "f", "g")
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -20,26 +21,28 @@ import (
 // incomplete-beta p-value" down to a fraction of a SIMD dot product:
 //
 //  1. Standardization. Every gene row is shifted to zero mean and scaled to
-//     unit L2 norm once, into a pooled flat row-major arena (arena.go). The
-//     Pearson correlation of any two genes is then exactly the dot product
-//     of their standardized rows; Spearman is the same dot product after
+//     unit L2 norm once, into a pooled flat row-major arena (arena.go)
+//     whose rows are zero-padded to the SIMD lane width. The Pearson
+//     correlation of any two genes is then exactly the dot product of
+//     their standardized rows; Spearman is the same dot product after
 //     replacing each row by its average-tied ranks before standardizing.
 //  2. Threshold inversion. PValue(r, n) is monotone non-increasing in |r|,
 //     so the per-build pair test "p ≤ MaxP" is equivalent to "|r| ≥ r*"
 //     where r* is the smallest |r| whose p-value clears MaxP. r* is found
 //     once by bisection to adjacent float64s (criticalR); the continued
 //     fraction betacf never runs inside the pair loop.
-//  3. Tiling. The triangular pair sweep is blocked into square row tiles
-//     sized so two tiles of standardized rows sit in L1/L2. Workers claim
-//     tile pairs from an atomic counter, so load balancing is dynamic (the
-//     triangle makes static striding uneven) and each claimed tile's rows
-//     stay hot across its inner loop.
-//  4. Register blocking with banded candidate filtering. Inside a tile
-//     pair, one row is correlated against four partner rows per inner loop
-//     (kernel.go: AVX2+FMA when the CPU has it, a portable 1×4 kernel
-//     otherwise), and the block result is used only to REJECT pairs that
-//     sit below every admission threshold minus a sound error band. The
-//     rare survivors — plus ragged block tails — are decided by the
+//  3. Tiling. The triangular pair sweep is blocked into square row tiles,
+//     a multiple of 12 rows tall and sized so two tiles of standardized
+//     rows sit in L1/L2. Workers claim tile pairs from an atomic counter,
+//     so load balancing is dynamic (the triangle makes static striding
+//     uneven) and each claimed tile's rows stay hot across its inner loop.
+//  4. Register tiling with in-register candidate masks. Inside a tile
+//     pair, three rows are correlated against four partner rows per
+//     kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable 3×4
+//     kernel otherwise), and the kernel compares the twelve coefficients
+//     against the loosest admission threshold of each sign minus a sound
+//     error band, returning a 12-bit candidate mask. Only the set bits — plus pairs
+//     left over at the ragged edge of the last tile — are decided by the
 //     canonical scalar dot over the float64 arena, so the admitted edge
 //     set and every reported coefficient are bit-identical whatever the
 //     kernel ISA or arena precision (Float32 halves bandwidth and doubles
@@ -109,54 +112,46 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 	}
 	ar := arenaFor(m.Genes, m.Samples, base.Precision)
 	defer ar.release()
-	if err := standardizeInto(ctx, ar.z64, m, base.Kind); err != nil {
+	if err := ar.fill(ctx, m, base.Kind); err != nil {
 		return nil, err
 	}
-	if base.Precision == Float32 {
-		// Chunked conversion with a poll every 256 rows: on the 32k-gene cap
-		// this loop touches 2²⁵ floats, long enough that a cancelled run
-		// must not have to sit through it (same cadence standardizeInto
-		// uses).
-		chunk := 256 * m.Samples
-		if chunk <= 0 {
-			chunk = len(ar.z64)
-		}
-		for off := 0; off < len(ar.z64); off += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := off + chunk
-			if end > len(ar.z64) {
-				end = len(ar.z64)
-			}
-			for i := off; i < end; i++ {
-				ar.z32[i] = float32(ar.z64[i])
-			}
-		}
-	}
+	return newEngine(ar, specs).sweep(ctx, base.Workers)
+}
+
+// newEngine sets up the sweep of a filled arena under the given specs.
+func newEngine(ar *buildArena, specs []SweepSpec) *engine {
+	samples, prec := ar.shape.samples, ar.prec
 	e := &engine{
-		genes:   m.Genes,
-		samples: m.Samples,
-		z64:     ar.z64,
-		z32:     ar.z32,
-		prec:    base.Precision,
-		tile:    tileRows(m.Samples, base.Precision),
-		specs:   resolveSpecs(specs, m.Samples),
+		genes:    ar.shape.genes,
+		samples:  samples,
+		z64:      ar.z64,
+		z32:      ar.z32,
+		stride64: ar.stride64,
+		stride32: ar.stride32,
+		block:    (*engine).block64,
+		tile:     tileRows(samples, prec),
+		specs:    resolveSpecs(specs, samples),
 	}
-	e.setCandidateBounds()
-	return e.sweep(ctx, base.Workers)
+	if prec == Float32 {
+		e.block = (*engine).block32
+	}
+	e.setCandidateBounds(prec)
+	return e
 }
 
 // engine is one all-pairs sweep over a standardized row arena.
 type engine struct {
 	genes, samples int
-	z64            []float64 // genes×samples, zero-mean unit-norm rows (admission oracle)
-	z32            []float32 // same rows in float32 (Float32 precision only)
-	prec           Precision
-	tile           int // rows per tile
+	z64            []float64 // genes×stride64, zero-mean unit-norm rows, zero-padded (admission oracle)
+	z32            []float32 // genes×stride32, the same rows in float32 (read by Float32 builds only)
+	stride64       int
+	stride32       int
+	block          func(e *engine, g1, g2 int) uint16 // block64 or block32: the precision's 3×4 kernel
+	tile           int                                // rows per tile
 	specs          []resolvedSpec
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
 	negCand        float64 // block r ≤ -negCand does too (+Inf: no negative spec)
+	pos32, neg32   float32 // posCand, negCand rounded down to float32
 	dense          bool    // a threshold sits inside its band: skip the prefilter
 }
 
@@ -190,10 +185,12 @@ func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
 // recheck band so no admissible pair can be filtered out. When a widened
 // bound reaches zero the prefilter admits (almost) everything and would
 // only double the work, so the sweep falls back to the dense canonical
-// path — exactly the pre-blocking engine.
-func (e *engine) setCandidateBounds() {
+// path — exactly the pre-blocking engine. The float32 kernel compares
+// against the bounds rounded down to float32, which can only nominate more
+// pairs.
+func (e *engine) setCandidateBounds(prec Precision) {
 	band := recheckBand64(e.samples)
-	if e.prec == Float32 {
+	if prec == Float32 {
 		band = recheckBand32(e.samples)
 	}
 	pos, neg := math.Inf(1), math.Inf(1)
@@ -207,18 +204,21 @@ func (e *engine) setCandidateBounds() {
 	}
 	e.posCand = pos - band
 	e.negCand = neg - band
+	e.pos32 = roundDown32(e.posCand)
+	e.neg32 = roundDown32(e.negCand)
 	e.dense = e.posCand <= 0 || e.negCand <= 0
 }
 
 // standardizeInto builds the flat arena of standardized expression rows:
-// row g occupies z[g*samples:(g+1)*samples], has zero mean and unit L2
-// norm, so dot(row u, row v) is the Pearson correlation of genes u and v.
-// For SpearmanCorr each row is first replaced by its average-tied ranks.
+// row g occupies z[g*stride:g*stride+samples], has zero mean and unit L2
+// norm, so dot(row u, row v) is the Pearson correlation of genes u and v;
+// the stride−samples padding columns after it are set to zero. For
+// SpearmanCorr each row is first replaced by its average-tied ranks.
 // Zero-variance rows become all-zero and therefore correlate to 0 with
 // everything, matching Pearson's and Spearman's degenerate-input behavior.
 // ctx is polled roughly every 256Ki written elements, so the interval
 // tracks row cost instead of row count.
-func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind CorrelationKind) error {
+func standardizeInto(ctx context.Context, z []float64, stride int, m *Matrix, kind CorrelationKind) error {
 	s := m.Samples
 	pollEvery := 1 + (1<<18)/(s+1)
 	var rk ranker
@@ -227,7 +227,8 @@ func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind Correlati
 			return ctx.Err()
 		}
 		src := m.Row(g)
-		dst := z[g*s : (g+1)*s]
+		dst := z[g*stride : g*stride+s]
+		clear(z[g*stride+s : (g+1)*stride])
 		if kind == SpearmanCorr {
 			rk.rankInto(dst, src)
 			src = dst
@@ -257,42 +258,39 @@ func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind Correlati
 	return nil
 }
 
-// standardizedRows is standardizeInto over a freshly allocated arena, for
-// tests and one-shot callers; the engine itself pools arenas (arena.go).
+// standardizedRows is standardizeInto over a freshly allocated unpadded
+// arena (stride = samples), for tests and one-shot callers; the engine
+// itself pools padded arenas (arena.go).
 func standardizedRows(ctx context.Context, m *Matrix, kind CorrelationKind) ([]float64, error) {
 	z := make([]float64, m.Genes*m.Samples)
-	if err := standardizeInto(ctx, z, m, kind); err != nil {
+	if err := standardizeInto(ctx, z, m.Samples, m, kind); err != nil {
 		return nil, err
 	}
 	return z, nil
 }
 
-// tileRows picks the tile height so that one tile of standardized rows is
-// about 32 KiB — two tiles (the working set of a tile-pair block) then fit
-// comfortably in L1d+L2 and every row loaded for a block is reused against
-// the whole opposing tile. Float32 arenas take tiles twice as tall for the
-// same byte budget; the height is kept a multiple of the block width so
-// only the final ragged tile pays scalar-tail pairs.
+// tileRows picks the tile height so that one tile of padded kernel-arena
+// rows is about 32 KiB — two tiles (the working set of a tile pair) then
+// fit comfortably in L1d+L2 and every row loaded for a block is reused
+// against the whole opposing tile. Float32 arenas take tiles twice as tall
+// for the same byte budget; the height is a multiple of the 3×4 block
+// (12 rows), so only the final ragged tile has leftover rows or partners.
 func tileRows(samples int, prec Precision) int {
+	const tileBlock = blockRows * blockCols
+	const maxTile = 21 * tileBlock
 	if samples <= 0 {
 		// Degenerate zero-width rows (every correlation is 0, matching the
 		// per-pair functions); any tile height works.
-		return 256
+		return maxTile
 	}
-	elem := 8
+	elem, lanes := 8, lanes64
 	if prec == Float32 {
-		elem = 4
+		elem, lanes = 4, lanes32
 	}
 	const tileBytes = 32 << 10
-	t := tileBytes / (samples * elem)
-	t &^= blockRows - 1
-	if t < 8 {
-		t = 8
-	}
-	if t > 256 {
-		t = 256
-	}
-	return t
+	t := tileBytes / (rowStride(samples, lanes) * elem)
+	t -= t % tileBlock
+	return min(max(t, tileBlock), maxTile)
 }
 
 // sweep runs the blocked triangular pair sweep with the given worker count
@@ -433,7 +431,7 @@ func (c *collector) beginBlock(pairs int64) {
 func (c *collector) admit(g1, g2 int) {
 	e := c.e
 	s := e.samples
-	r := dot(e.z64[g1*s:g1*s+s], e.z64[g2*s:g2*s+s])
+	r := dot(e.z64[g1*e.stride64:g1*e.stride64+s], e.z64[g2*e.stride64:g2*e.stride64+s])
 	for si := range e.specs {
 		sp := &e.specs[si]
 		if r < 0 {
@@ -449,8 +447,8 @@ func (c *collector) admit(g1, g2 int) {
 }
 
 // sweepBlock computes all pairs between tile ti and tile tj (the triangle
-// above the diagonal when ti == tj), dispatching to the precision's block
-// kernel or the dense canonical path.
+// above the diagonal when ti == tj) through the register-tiled sweep, or
+// the dense canonical path when the prefilter cannot reject anything.
 func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	lo1, hi1 := e.tileSpan(ti)
 	lo2, hi2 := e.tileSpan(tj)
@@ -462,78 +460,83 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 		pairs = int64(hi1-lo1) * int64(hi2-lo2)
 	}
 	c.beginBlock(pairs)
-	switch {
-	case e.dense:
+	if e.dense {
 		e.sweepBlockDense(lo1, hi1, lo2, hi2, ti == tj, c)
-	case e.prec == Float32:
-		e.sweepBlockF32(lo1, hi1, lo2, hi2, ti == tj, c)
-	default:
-		e.sweepBlockF64(lo1, hi1, lo2, hi2, ti == tj, c)
+	} else {
+		e.sweepBlockTiled(lo1, hi1, lo2, hi2, ti == tj, c)
 	}
 	c.pairs += pairs
 }
 
-// sweepBlockF64 is the float64 register-blocked tile sweep: one row
-// against four partners per kernel call, banded candidates re-decided by
-// the canonical dot, ragged tails (fewer than four partners left, only at
-// tile edges and along the diagonal) decided canonically outright.
-func (e *engine) sweepBlockF64(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
-	s := e.samples
-	var r4 [4]float64
-	for g1 := lo1; g1 < hi1; g1++ {
-		a := e.z64[g1*s : g1*s+s]
-		start := lo2
+// sweepBlockTiled walks the tile pair in 3×4 blocks through the
+// precision's kernel and admits canonically only the pairs whose bit is
+// set in the returned candidate mask. On a diagonal tile (diag, lo1 ==
+// lo2) the partner blocks of rows g1..g1+2 start at the block holding
+// g1+1 and the pairs on or below the diagonal are masked out. Leftover
+// partners and rows (fewer than 4 or 3, only in the ragged last tile) are
+// decided canonically outright.
+func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
+	g1 := lo1
+	for ; g1+blockRows <= hi1; g1 += blockRows {
+		g2 := lo2
 		if diag {
-			start = g1 + 1
+			g2 += (g1 + 1 - lo2) / blockCols * blockCols
 		}
-		g2 := start
-		for ; g2+blockRows <= hi2; g2 += blockRows {
-			o := g2 * s
-			blockDot4F64(a, e.z64[o:o+s], e.z64[o+s:o+2*s], e.z64[o+2*s:o+3*s], e.z64[o+3*s:o+4*s], &r4)
-			for k := 0; k < blockRows; k++ {
-				if r := r4[k]; r >= e.posCand || -r >= e.negCand {
-					c.admit(g1, g2+k)
-				}
+		for ; g2+blockCols <= hi2; g2 += blockCols {
+			mask := e.block(e, g1, g2)
+			if diag && g2 < g1+blockRows {
+				mask &= aboveDiagonal(g2 - g1)
+			}
+			for ; mask != 0; mask &= mask - 1 {
+				b := bits.TrailingZeros16(mask)
+				c.admit(g1+b/blockCols, g2+b%blockCols)
 			}
 		}
 		for ; g2 < hi2; g2++ {
-			c.admit(g1, g2)
+			for i := 0; i < blockRows; i++ {
+				if !diag || g2 > g1+i {
+					c.admit(g1+i, g2)
+				}
+			}
 		}
 	}
+	e.sweepBlockDense(g1, hi1, lo2, hi2, diag, c)
 }
 
-// sweepBlockF32 is sweepBlockF64 over the float32 arena: same shape,
-// twice the lanes, block results widened to float64 against the (wider,
-// recheckBand32) candidate bounds. Admission still reads the float64 rows.
-func (e *engine) sweepBlockF32(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
-	s := e.samples
-	var r4 [4]float32
-	for g1 := lo1; g1 < hi1; g1++ {
-		a := e.z32[g1*s : g1*s+s]
-		start := lo2
-		if diag {
-			start = g1 + 1
-		}
-		g2 := start
-		for ; g2+blockRows <= hi2; g2 += blockRows {
-			o := g2 * s
-			blockDot4F32(a, e.z32[o:o+s], e.z32[o+s:o+2*s], e.z32[o+2*s:o+3*s], e.z32[o+3*s:o+4*s], &r4)
-			for k := 0; k < blockRows; k++ {
-				if r := float64(r4[k]); r >= e.posCand || -r >= e.negCand {
-					c.admit(g1, g2+k)
-				}
+// aboveDiagonal is the mask of the 3×4 block pairs (g1+i, g1+d+k) above
+// the diagonal, d+k > i, for a block whose partners start d rows after
+// its rows.
+func aboveDiagonal(d int) uint16 {
+	var m uint16
+	for i := 0; i < blockRows; i++ {
+		for k := 0; k < blockCols; k++ {
+			if d+k > i {
+				m |= 1 << (blockCols*i + k)
 			}
 		}
-		for ; g2 < hi2; g2++ {
-			c.admit(g1, g2)
-		}
 	}
+	return m
+}
+
+// block64 is the float64 kernel on rows g1..g1+2 against partners
+// g2..g2+3 of z64.
+func (e *engine) block64(g1, g2 int) uint16 {
+	var r [12]float64
+	return dot3x4F64(e.z64[g1*e.stride64:], e.z64[g2*e.stride64:], e.stride64, e.posCand, e.negCand, &r)
+}
+
+// block32 is block64 over the float32 arena, against the float32 bounds.
+func (e *engine) block32(g1, g2 int) uint16 {
+	var r [12]float32
+	return dot3x4F32(e.z32[g1*e.stride32:], e.z32[g2*e.stride32:], e.stride32, e.pos32, e.neg32, &r)
 }
 
 // sweepBlockDense is the pre-blocking engine: canonical dot for every
-// pair. Used when some admission threshold is within its recheck band of
-// zero, where the prefilter would nominate (nearly) every pair and the
-// block kernels would only add work.
+// pair of rows [lo1, hi1) against partners [lo2, hi2) (above the diagonal
+// when diag). Used whole when some admission threshold is within its
+// recheck band of zero, where the prefilter would nominate (nearly) every
+// pair and the block kernels would only add work, and for the leftover
+// rows of a ragged tile.
 func (e *engine) sweepBlockDense(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
 	for g1 := lo1; g1 < hi1; g1++ {
 		start := lo2

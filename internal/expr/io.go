@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -41,7 +42,8 @@ func WriteCSV(w io.Writer, m *Matrix) error {
 
 // ReadCSV parses the format written by WriteCSV. The first row must be a
 // header; every subsequent row is one gene. Gene order follows row order
-// (the first column is informational only).
+// (the first column is informational only). Every expression value must
+// be finite: a NaN or ±Inf cell is an error naming its row and column.
 func ReadCSV(r io.Reader) (*Matrix, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -66,6 +68,9 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 			v, err := strconv.ParseFloat(rec[s+1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("expr: csv row %d col %d: %w", gi+2, s+2, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("expr: csv row %d col %d: non-finite value %q", gi+2, s+2, rec[s+1])
 			}
 			m.Set(gi, s, v)
 		}

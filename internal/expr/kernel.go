@@ -1,14 +1,25 @@
 package expr
 
-// Register-blocked micro-kernels for the all-pairs sweep.
+import "math"
+
+// Register-tiled micro-kernels for the all-pairs sweep.
 //
-// The engine's inner loop computes correlations of one standardized row a
-// against a block of four partner rows b0..b3 at once, so every element of
-// a loaded from memory is reused across four multiply-accumulates. On
-// amd64 with AVX2+FMA (detected at runtime, kernel_amd64.s) the block
-// kernel retires 8 float64 or 16 float32 MACs per row per cycle-pair; the
-// portable fallback below keeps the same 1×4 shape with two accumulators
-// per partner so the add-latency chains stay short.
+// One kernel call correlates three consecutive standardized rows a0..a2
+// against four consecutive partner rows b0..b3: twelve dot products from
+// one pass over seven rows, so each step loads 3+4 vectors for 12
+// multiply-accumulates. On amd64 with AVX2+FMA (detected at runtime,
+// kernel_amd64.s) the twelve accumulators live in YMM registers, are
+// reduced by a hadd/permute transpose, and are compared against the
+// candidate bounds in registers; the portable Go kernel below has the same
+// 3×4 shape and contract.
+//
+// Arena rows are zero-padded to a stride that is a multiple of the lane
+// width (lanes64 or lanes32), so the kernel loops over whole vectors with
+// no scalar tail; the padding contributes exact zeros to every sum.
+//
+// Mask contract: bit 4·i+k of the returned mask is set iff the
+// coefficient r of (a_i, b_k) satisfies r ≥ pos || −r ≥ neg; NaN sets no
+// bit. The twelve coefficients are also stored to out[4·i+k].
 //
 // Block kernels are PREFILTERS, never deciders. Whatever ISA or precision
 // produced a block coefficient, a pair is admitted or rejected only by the
@@ -20,91 +31,120 @@ package expr
 // no admissible pair can be filtered out and no filtered pair can be
 // admissible. See DESIGN.md §7 for the bound derivations.
 
-// blockRows is the partner-block width of the micro-kernel.
-const blockRows = 4
+const (
+	blockRows = 3 // rows per micro-kernel call
+	blockCols = 4 // partners per micro-kernel call
+	lanes64   = 4 // float64 lanes per YMM register
+	lanes32   = 8 // float32 lanes per YMM register
+)
 
-// blockDot4F64 computes out[k] = Σ_i a[i]·bk[i] for the four partner rows.
-// All five rows must have identical length.
-func blockDot4F64(a, b0, b1, b2, b3 []float64, out *[4]float64) {
-	if useAVXKernels && len(a) > 0 {
-		dot4F64AVX(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], len(a), out)
-		return
-	}
-	blockDot4F64Generic(a, b0, b1, b2, b3, out)
+// rowStride is the padded arena row length for samples columns: the next
+// multiple of lanes.
+func rowStride(samples, lanes int) int {
+	return (samples + lanes - 1) / lanes * lanes
 }
 
-// blockDot4F32 is the float32-arena block kernel. Accumulation is float32
-// in-register on the portable path and float32 lanes on the AVX path; the
-// engine widens the result to float64 before comparing against banded
-// thresholds, and recheckBand32 absorbs the accumulated rounding.
-func blockDot4F32(a, b0, b1, b2, b3 []float32, out *[4]float32) {
-	if useAVXKernels && len(a) > 0 {
-		dot4F32AVX(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], len(a), out)
-		return
+// dot3x4F64 correlates the three rows a[i·stride:(i+1)·stride] against
+// the four rows b[k·stride:(k+1)·stride] and returns the candidate mask
+// (see the mask contract above). stride must be a multiple of lanes64.
+func dot3x4F64(a, b []float64, stride int, pos, neg float64, out *[12]float64) uint16 {
+	a, b = a[:blockRows*stride], b[:blockCols*stride]
+	if useAVXKernels && stride > 0 {
+		return dot3x4F64AVX(&a[0], &b[0], stride, pos, neg, out)
 	}
-	blockDot4F32Generic(a, b0, b1, b2, b3, out)
+	return dot3x4F64Generic(a, b, stride, pos, neg, out)
 }
 
-// blockDot4F64Generic is the portable 1×4 kernel: two interleaved
-// accumulators per partner row hide FP add latency; the re-slices let the
-// compiler elide bounds checks in the unrolled body.
-func blockDot4F64Generic(a, b0, b1, b2, b3 []float64, out *[4]float64) {
-	n := len(a)
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	var s00, s01, s10, s11, s20, s21, s30, s31 float64
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		x0, x1 := a[i], a[i+1]
-		s00 += x0 * b0[i]
-		s01 += x1 * b0[i+1]
-		s10 += x0 * b1[i]
-		s11 += x1 * b1[i+1]
-		s20 += x0 * b2[i]
-		s21 += x1 * b2[i+1]
-		s30 += x0 * b3[i]
-		s31 += x1 * b3[i+1]
+// dot3x4F32 is dot3x4F64 over a float32 arena; stride must be a multiple
+// of lanes32. The engine passes bounds rounded
+// down to float32 (roundDown32), so the float32 compare nominates a
+// superset of what the float64 compare of the same coefficient would.
+func dot3x4F32(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
+	a, b = a[:blockRows*stride], b[:blockCols*stride]
+	if useAVXKernels && stride > 0 {
+		return dot3x4F32AVX(&a[0], &b[0], stride, pos, neg, out)
 	}
-	if i < n {
-		x := a[i]
-		s00 += x * b0[i]
-		s10 += x * b1[i]
-		s20 += x * b2[i]
-		s30 += x * b3[i]
-	}
-	out[0] = s00 + s01
-	out[1] = s10 + s11
-	out[2] = s20 + s21
-	out[3] = s30 + s31
+	return dot3x4F32Generic(a, b, stride, pos, neg, out)
 }
 
-// blockDot4F32Generic mirrors blockDot4F64Generic on a float32 arena.
-func blockDot4F32Generic(a, b0, b1, b2, b3 []float32, out *[4]float32) {
-	n := len(a)
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	var s00, s01, s10, s11, s20, s21, s30, s31 float32
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		x0, x1 := a[i], a[i+1]
-		s00 += x0 * b0[i]
-		s01 += x1 * b0[i+1]
-		s10 += x0 * b1[i]
-		s11 += x1 * b1[i+1]
-		s20 += x0 * b2[i]
-		s21 += x1 * b2[i+1]
-		s30 += x0 * b3[i]
-		s31 += x1 * b3[i+1]
+// dot3x4F64Generic is the portable 3×4 kernel: twelve scalar
+// accumulators, seven loads per twelve multiply-adds.
+func dot3x4F64Generic(a, b []float64, stride int, pos, neg float64, out *[12]float64) uint16 {
+	n := stride
+	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
+	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+	var s [12]float64
+	for i, x0 := range a0 {
+		x1, x2 := a1[i], a2[i]
+		y0, y1, y2, y3 := b0[i], b1[i], b2[i], b3[i]
+		s[0] += x0 * y0
+		s[1] += x0 * y1
+		s[2] += x0 * y2
+		s[3] += x0 * y3
+		s[4] += x1 * y0
+		s[5] += x1 * y1
+		s[6] += x1 * y2
+		s[7] += x1 * y3
+		s[8] += x2 * y0
+		s[9] += x2 * y1
+		s[10] += x2 * y2
+		s[11] += x2 * y3
 	}
-	if i < n {
-		x := a[i]
-		s00 += x * b0[i]
-		s10 += x * b1[i]
-		s20 += x * b2[i]
-		s30 += x * b3[i]
+	var mask uint16
+	for k, r := range s {
+		if r >= pos || -r >= neg {
+			mask |= 1 << k
+		}
 	}
-	out[0] = s00 + s01
-	out[1] = s10 + s11
-	out[2] = s20 + s21
-	out[3] = s30 + s31
+	*out = s
+	return mask
+}
+
+// dot3x4F32Generic is the portable kernel over a float32 arena. Products
+// of two float32 values are exact in float64, so it accumulates in
+// float64 — the portable path carries no float32 accumulation error, only
+// the conversion error of the arena and one final rounding to float32.
+func dot3x4F32Generic(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
+	n := stride
+	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
+	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+	var s [12]float64
+	for i, v := range a0 {
+		x0, x1, x2 := float64(v), float64(a1[i]), float64(a2[i])
+		y0, y1, y2, y3 := float64(b0[i]), float64(b1[i]), float64(b2[i]), float64(b3[i])
+		s[0] += x0 * y0
+		s[1] += x0 * y1
+		s[2] += x0 * y2
+		s[3] += x0 * y3
+		s[4] += x1 * y0
+		s[5] += x1 * y1
+		s[6] += x1 * y2
+		s[7] += x1 * y3
+		s[8] += x2 * y0
+		s[9] += x2 * y1
+		s[10] += x2 * y2
+		s[11] += x2 * y3
+	}
+	var mask uint16
+	for k, r := range s {
+		r32 := float32(r)
+		if r32 >= pos || -r32 >= neg {
+			mask |= 1 << k
+		}
+		out[k] = r32
+	}
+	return mask
+}
+
+// roundDown32 returns the largest float32 not above x (±Inf map to
+// themselves), so a float32 candidate bound never rejects a coefficient
+// the float64 bound would nominate.
+func roundDown32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
 }
 
 const (
@@ -114,23 +154,29 @@ const (
 
 // recheckBand64 bounds |block r − canonical r| for the float64 kernels.
 // Both are exact reorderings of the same n-term float64 sum of products of
-// unit-norm rows, so the classic summation bound |err| ≤ n·u·Σ|aᵢbᵢ| ≤
-// n·u (Cauchy-Schwarz) applies to each, doubled for the difference and
-// padded with an absolute floor so a zero-sample band is still sound.
+// unit-norm rows (zero padding adds exact zeros), so the classic summation
+// bound |err| ≤ n·u·Σ|aᵢbᵢ| ≤ n·u (Cauchy-Schwarz) applies to each,
+// doubled for the difference and padded with an absolute floor so a
+// zero-sample band is still sound.
 func recheckBand64(samples int) float64 {
 	return 1e-12 + float64(samples)*8*ulp64
 }
 
-// recheckBand32 bounds |float32-block r − canonical float64 r|: a
-// conversion term (each z32 element is within u32/2 of its z64 source, and
-// the rows are unit-norm, so the exact product sum moves by ≤ n·u32/2 in
-// the worst case but the norm renormalizes most of it away — we keep the
-// conservative n/2 factor) plus a float32 accumulation term covered by the
-// fixed 64·u32 pad for the sample widths the engine caps at (synthesis
-// caps samples at 2048; the two-accumulator and 8-lane orders keep the
-// effective chain length ≤ n/8 ≪ n/2 + 64 there). At n = 2048 the band is
-// ≈ 6.6e-5 — ~8× the worst observed deviation in the differential tests,
-// and still ~4 orders of magnitude below the paper's admission thresholds.
+// recheckBand32 bounds |float32-block r − canonical float64 r| for
+// unit-norm rows of n samples (DESIGN.md §7 has the derivation):
+//   - conversion: each z32 element is z64·(1+δ), |δ| ≤ u32, so the exact
+//     product sum moves by ≤ (2u32 + u32²)·Σ|aᵢbᵢ| ≤ 2.01·u32;
+//   - accumulation (AVX): each pair owns one 8-lane accumulator, so every
+//     lane is an FMA chain of ⌈n/8⌉ terms, followed by a 3-level
+//     reduction (hadd, hadd, 128-bit add): ≤ (⌈n/8⌉ + 3)·u32·(1 + 2.01·u32);
+//   - accumulation (portable): exact float64 products and sums, ≤ n·u64,
+//     plus one rounding of the result to float32, ≤ u32;
+//   - the canonical float64 dot's own error, ≤ n·u64, is negligible.
+//
+// The AVX total stays below (n/8 + 6)·u32, inside the band u32·(n/2 + 64)
+// at every n with a margin of ≥ 3n/8 + 58 ulps. At n = 2048 the band is
+// ≈ 6.5e-5, still ~4 orders of magnitude below the paper's admission
+// thresholds.
 func recheckBand32(samples int) float64 {
 	return ulp32 * (float64(samples)/2 + 64)
 }

@@ -13,15 +13,15 @@ var useAVXKernels = x86HasAVX2FMA()
 // SSE|AVX, and CPUID leaf 7 EBX bit AVX2.
 func x86HasAVX2FMA() bool
 
-// dot4F64AVX computes four float64 dot products of the n-element row at a
-// against the rows at b0..b3 using AVX2+FMA (8 lanes per partner per
-// iteration), reducing to scalars before the (deterministic) scalar tail.
+// dot3x4F64AVX is the AVX2+FMA dot3x4F64: the three rows at a, a+stride,
+// a+2·stride against the four rows at b..b+3·stride, stride > 0 a multiple
+// of lanes64.
 //
 //go:noescape
-func dot4F64AVX(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
+func dot3x4F64AVX(a, b *float64, stride int, pos, neg float64, out *[12]float64) uint16
 
-// dot4F32AVX is the float32-arena variant (16 lanes per partner per
-// iteration, float32 accumulation).
+// dot3x4F32AVX is the AVX2+FMA dot3x4F32 (float32 lanes and accumulation),
+// stride > 0 a multiple of lanes32.
 //
 //go:noescape
-func dot4F32AVX(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
+func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16

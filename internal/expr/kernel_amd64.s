@@ -45,24 +45,23 @@ TEXT ·x86HasAVX2FMA(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func dot4F64AVX(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
+// func dot3x4F64AVX(a, b *float64, stride int, pos, neg float64, out *[12]float64) uint16
 //
-// Four simultaneous float64 dot products: row a against rows b0..b3.
-// The main loop consumes 8 elements per partner per iteration through two
-// YMM loads of a and eight FMAs with memory operands, keeping eight
-// independent accumulator vectors (two per partner) so the FMA latency
-// chain never stalls. The vector accumulators are reduced to scalars
-// BEFORE the tail loop — scalar VEX ops zero the upper YMM lanes, so the
-// tail must not touch live vector state — and the tail accumulates
-// sequentially, making the summation order a fixed function of n alone.
-TEXT ·dot4F64AVX(SB), NOSPLIT, $0-56
+// Register tile: rows a0..a2 (SI, R8, R9) against partners b0..b3 (DI,
+// R10, R11, R12), accumulator Y(4i+k) for pair (a_i, b_k). Each step
+// loads one YMM of every row (3 + 4 loads) for 12 FMAs; Y12-Y14 hold the
+// a vectors and Y15 the current b vector. stride > 0 is a multiple of 4,
+// so there is no scalar tail.
+TEXT ·dot3x4F64AVX(SB), NOSPLIT, $0-50
 	MOVQ a+0(FP), SI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	MOVQ out+48(FP), DI
+	MOVQ b+8(FP), DI
+	MOVQ stride+16(FP), CX
+	SHLQ $3, CX // row stride in bytes, and the loop bound
+	LEAQ (SI)(CX*1), R8
+	LEAQ (R8)(CX*1), R9
+	LEAQ (DI)(CX*1), R10
+	LEAQ (R10)(CX*1), R11
+	LEAQ (R11)(CX*1), R12
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -72,86 +71,101 @@ TEXT ·dot4F64AVX(SB), NOSPLIT, $0-56
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ   AX, AX
 
-loop8:
-	CMPQ CX, $8
-	JL   reduce
-	VMOVUPD (SI), Y8
-	VMOVUPD 32(SI), Y9
-	VFMADD231PD (R8), Y8, Y0
-	VFMADD231PD 32(R8), Y9, Y1
-	VFMADD231PD (R9), Y8, Y2
-	VFMADD231PD 32(R9), Y9, Y3
-	VFMADD231PD (R10), Y8, Y4
-	VFMADD231PD 32(R10), Y9, Y5
-	VFMADD231PD (R11), Y8, Y6
-	VFMADD231PD 32(R11), Y9, Y7
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	SUBQ $8, CX
-	JMP  loop8
+loop64:
+	VMOVUPD     (SI)(AX*1), Y12
+	VMOVUPD     (R8)(AX*1), Y13
+	VMOVUPD     (R9)(AX*1), Y14
+	VMOVUPD     (DI)(AX*1), Y15
+	VFMADD231PD Y15, Y12, Y0
+	VFMADD231PD Y15, Y13, Y4
+	VFMADD231PD Y15, Y14, Y8
+	VMOVUPD     (R10)(AX*1), Y15
+	VFMADD231PD Y15, Y12, Y1
+	VFMADD231PD Y15, Y13, Y5
+	VFMADD231PD Y15, Y14, Y9
+	VMOVUPD     (R11)(AX*1), Y15
+	VFMADD231PD Y15, Y12, Y2
+	VFMADD231PD Y15, Y13, Y6
+	VFMADD231PD Y15, Y14, Y10
+	VMOVUPD     (R12)(AX*1), Y15
+	VFMADD231PD Y15, Y12, Y3
+	VFMADD231PD Y15, Y13, Y7
+	VFMADD231PD Y15, Y14, Y11
+	ADDQ        $32, AX
+	CMPQ        AX, CX
+	JLT         loop64
 
-reduce:
-	// Fold accumulator pairs, then horizontally sum each YMM to lane 0.
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y5, Y4, Y4
-	VADDPD Y7, Y6, Y6
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VADDPD X3, X2, X2
-	VHADDPD X2, X2, X2
-	VEXTRACTF128 $1, Y4, X5
-	VADDPD X5, X4, X4
-	VHADDPD X4, X4, X4
-	VEXTRACTF128 $1, Y6, X7
-	VADDPD X7, X6, X6
-	VHADDPD X6, X6, X6
+	// Transpose-reduce each row's four accumulators into one vector of
+	// its four coefficients: hadd pairs lanes, the cross-lane permute and
+	// blend line up the 128-bit halves, one add finishes the sums.
+	VHADDPD    Y1, Y0, Y0
+	VHADDPD    Y3, Y2, Y2
+	VPERM2F128 $0x21, Y2, Y0, Y1
+	VBLENDPD   $0x0C, Y2, Y0, Y0
+	VADDPD     Y1, Y0, Y0
+	VHADDPD    Y5, Y4, Y4
+	VHADDPD    Y7, Y6, Y6
+	VPERM2F128 $0x21, Y6, Y4, Y5
+	VBLENDPD   $0x0C, Y6, Y4, Y4
+	VADDPD     Y5, Y4, Y4
+	VHADDPD    Y9, Y8, Y8
+	VHADDPD    Y11, Y10, Y10
+	VPERM2F128 $0x21, Y10, Y8, Y9
+	VBLENDPD   $0x0C, Y10, Y8, Y8
+	VADDPD     Y9, Y8, Y8
 
-tail:
-	TESTQ CX, CX
-	JZ    store
+	MOVQ    out+40(FP), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y4, 32(DX)
+	VMOVUPD Y8, 64(DX)
 
-scalar64:
-	VMOVSD (SI), X8
-	VFMADD231SD (R8), X8, X0
-	VFMADD231SD (R9), X8, X2
-	VFMADD231SD (R10), X8, X4
-	VFMADD231SD (R11), X8, X6
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  scalar64
-
-store:
-	VMOVSD X0, (DI)
-	VMOVSD X2, 8(DI)
-	VMOVSD X4, 16(DI)
-	VMOVSD X6, 24(DI)
+	// Candidate mask: r >= pos (GE_OQ) or r <= -neg (LE_OQ); NaN fails
+	// both ordered compares.
+	VBROADCASTSD pos+24(FP), Y12
+	VBROADCASTSD neg+32(FP), Y13
+	VXORPD       Y14, Y14, Y14
+	VSUBPD       Y13, Y14, Y13
+	VCMPPD       $0x1D, Y12, Y0, Y1
+	VCMPPD       $0x12, Y13, Y0, Y2
+	VORPD        Y2, Y1, Y1
+	VMOVMSKPD    Y1, AX
+	VCMPPD       $0x1D, Y12, Y4, Y5
+	VCMPPD       $0x12, Y13, Y4, Y6
+	VORPD        Y6, Y5, Y5
+	VMOVMSKPD    Y5, BX
+	VCMPPD       $0x1D, Y12, Y8, Y9
+	VCMPPD       $0x12, Y13, Y8, Y10
+	VORPD        Y10, Y9, Y9
+	VMOVMSKPD    Y9, DX
+	SHLL         $4, BX
+	SHLL         $8, DX
+	ORL          BX, AX
+	ORL          DX, AX
+	MOVW         AX, ret+48(FP)
 	VZEROUPPER
 	RET
 
-// func dot4F32AVX(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
+// func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16
 //
-// float32 variant of dot4F64AVX: 16 elements per partner per iteration,
-// float32 lane accumulation (the engine widens and bands the result; see
-// recheckBand32). Same reduce-before-tail discipline.
-TEXT ·dot4F32AVX(SB), NOSPLIT, $0-56
+// float32 variant of dot3x4F64AVX: 8 lanes per vector, float32
+// accumulation (see recheckBand32), stride > 0 a multiple of 8. Each
+// row's four accumulators reduce with two hadds and one 128-bit add.
+TEXT ·dot3x4F32AVX(SB), NOSPLIT, $0-42
 	MOVQ a+0(FP), SI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	MOVQ out+48(FP), DI
+	MOVQ b+8(FP), DI
+	MOVQ stride+16(FP), CX
+	SHLQ $2, CX
+	LEAQ (SI)(CX*1), R8
+	LEAQ (R8)(CX*1), R9
+	LEAQ (DI)(CX*1), R10
+	LEAQ (R10)(CX*1), R11
+	LEAQ (R11)(CX*1), R12
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -161,72 +175,77 @@ TEXT ·dot4F32AVX(SB), NOSPLIT, $0-56
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	XORQ   AX, AX
 
-loop16:
-	CMPQ CX, $16
-	JL   reduce32
-	VMOVUPS (SI), Y8
-	VMOVUPS 32(SI), Y9
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS 32(R8), Y9, Y1
-	VFMADD231PS (R9), Y8, Y2
-	VFMADD231PS 32(R9), Y9, Y3
-	VFMADD231PS (R10), Y8, Y4
-	VFMADD231PS 32(R10), Y9, Y5
-	VFMADD231PS (R11), Y8, Y6
-	VFMADD231PS 32(R11), Y9, Y7
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	SUBQ $16, CX
-	JMP  loop16
+loop32:
+	VMOVUPS     (SI)(AX*1), Y12
+	VMOVUPS     (R8)(AX*1), Y13
+	VMOVUPS     (R9)(AX*1), Y14
+	VMOVUPS     (DI)(AX*1), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y8
+	VMOVUPS     (R10)(AX*1), Y15
+	VFMADD231PS Y15, Y12, Y1
+	VFMADD231PS Y15, Y13, Y5
+	VFMADD231PS Y15, Y14, Y9
+	VMOVUPS     (R11)(AX*1), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y6
+	VFMADD231PS Y15, Y14, Y10
+	VMOVUPS     (R12)(AX*1), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y11
+	ADDQ        $32, AX
+	CMPQ        AX, CX
+	JLT         loop32
 
-reduce32:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y5, Y4, Y4
-	VADDPS Y7, Y6, Y6
+	VHADDPS      Y1, Y0, Y0
+	VHADDPS      Y3, Y2, Y2
+	VHADDPS      Y2, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VADDPS X3, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
+	VADDPS       X1, X0, X0
+	VHADDPS      Y5, Y4, Y4
+	VHADDPS      Y7, Y6, Y6
+	VHADDPS      Y6, Y4, Y4
 	VEXTRACTF128 $1, Y4, X5
-	VADDPS X5, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-	VEXTRACTF128 $1, Y6, X7
-	VADDPS X7, X6, X6
-	VHADDPS X6, X6, X6
-	VHADDPS X6, X6, X6
+	VADDPS       X5, X4, X4
+	VHADDPS      Y9, Y8, Y8
+	VHADDPS      Y11, Y10, Y10
+	VHADDPS      Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VADDPS       X9, X8, X8
 
-tail32:
-	TESTQ CX, CX
-	JZ    store32
+	MOVQ    out+32(FP), DX
+	VMOVUPS X0, (DX)
+	VMOVUPS X4, 16(DX)
+	VMOVUPS X8, 32(DX)
 
-scalar32:
-	VMOVSS (SI), X8
-	VFMADD231SS (R8), X8, X0
-	VFMADD231SS (R9), X8, X2
-	VFMADD231SS (R10), X8, X4
-	VFMADD231SS (R11), X8, X6
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  scalar32
-
-store32:
-	VMOVSS X0, (DI)
-	VMOVSS X2, 4(DI)
-	VMOVSS X4, 8(DI)
-	VMOVSS X6, 12(DI)
+	VBROADCASTSS pos+24(FP), X12
+	VBROADCASTSS neg+28(FP), X13
+	VXORPS       X14, X14, X14
+	VSUBPS       X13, X14, X13
+	VCMPPS       $0x1D, X12, X0, X1
+	VCMPPS       $0x12, X13, X0, X2
+	VORPS        X2, X1, X1
+	VMOVMSKPS    X1, AX
+	VCMPPS       $0x1D, X12, X4, X5
+	VCMPPS       $0x12, X13, X4, X6
+	VORPS        X6, X5, X5
+	VMOVMSKPS    X5, BX
+	VCMPPS       $0x1D, X12, X8, X9
+	VCMPPS       $0x12, X13, X8, X10
+	VORPS        X10, X9, X9
+	VMOVMSKPS    X9, DX
+	SHLL         $4, BX
+	SHLL         $8, DX
+	ORL          BX, AX
+	ORL          DX, AX
+	MOVW         AX, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -10,10 +10,10 @@ var useAVXKernels = false
 
 func x86HasAVX2FMA() bool { return false }
 
-func dot4F64AVX(a, b0, b1, b2, b3 *float64, n int, out *[4]float64) {
-	panic("expr: dot4F64AVX unavailable on this architecture")
+func dot3x4F64AVX(a, b *float64, stride int, pos, neg float64, out *[12]float64) uint16 {
+	panic("expr: dot3x4F64AVX unavailable on this architecture")
 }
 
-func dot4F32AVX(a, b0, b1, b2, b3 *float32, n int, out *[4]float32) {
-	panic("expr: dot4F32AVX unavailable on this architecture")
+func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16 {
+	panic("expr: dot3x4F32AVX unavailable on this architecture")
 }

@@ -1,8 +1,11 @@
 package expr
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -22,56 +25,88 @@ func withKernelISA(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// randRows builds one probe row and four partner rows of width n, with a
-// float32 shadow of each.
-func randRows(rng *rand.Rand, n int) (a []float64, b [4][]float64, a32 []float32, b32 [4][]float32) {
-	a = make([]float64, n)
-	a32 = make([]float32, n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		a32[i] = float32(a[i])
-	}
-	for k := range b {
-		b[k] = make([]float64, n)
-		b32[k] = make([]float32, n)
-		for i := range b[k] {
-			b[k][i] = rng.NormFloat64()
-			b32[k][i] = float32(b[k][i])
-		}
-	}
-	return
+// kernelRows lays seven random rows of width n out as the kernels read
+// them: each row zero-padded to the precision's stride, three probe rows
+// in a and four partner rows in b, with float32 shadows.
+type kernelRows struct {
+	n, s64, s32 int
+	a, b        []float64
+	a32, b32    []float32
 }
 
-// TestBlockDotMatchesCanonical pins both block kernels to the canonical
-// scalar dot across row widths covering every unroll boundary and tail
-// length, on every available ISA. The float64 tolerance is the engine's
-// own recheck band — the bound the sweep's correctness rests on.
+func randKernelRows(rng *rand.Rand, n int) *kernelRows {
+	tr := &kernelRows{n: n, s64: rowStride(n, lanes64), s32: rowStride(n, lanes32)}
+	tr.a = make([]float64, blockRows*tr.s64)
+	tr.b = make([]float64, blockCols*tr.s64)
+	tr.a32 = make([]float32, blockRows*tr.s32)
+	tr.b32 = make([]float32, blockCols*tr.s32)
+	for r := 0; r < blockRows+blockCols; r++ {
+		z, z32, k := tr.a, tr.a32, r
+		if r >= blockRows {
+			z, z32, k = tr.b, tr.b32, r-blockRows
+		}
+		for i := 0; i < n; i++ {
+			v := rng.NormFloat64()
+			z[k*tr.s64+i] = v
+			z32[k*tr.s32+i] = float32(v)
+		}
+	}
+	return tr
+}
+
+// row returns probe row i (i < 3) or partner row i−3, unpadded.
+func (tr *kernelRows) row(i int) []float64 {
+	if i < blockRows {
+		return tr.a[i*tr.s64 : i*tr.s64+tr.n]
+	}
+	i -= blockRows
+	return tr.b[i*tr.s64 : i*tr.s64+tr.n]
+}
+
+// TestBlockDotMatchesCanonical pins both 3×4 kernels to the canonical
+// scalar dot across row widths covering every lane and stride boundary, on
+// every available ISA. The float64 tolerance is the engine's own recheck
+// band — the bound the sweep's correctness rests on.
 func TestBlockDotMatchesCanonical(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for n := 0; n <= 131; n++ {
-			a, b, a32, b32 := randRows(rng, n)
-			var o64 [4]float64
-			blockDot4F64(a, b[0], b[1], b[2], b[3], &o64)
-			var o32 [4]float32
-			blockDot4F32(a32, b32[0], b32[1], b32[2], b32[3], &o32)
-			for k := 0; k < 4; k++ {
-				want := dot(a, b[k])
-				if d := math.Abs(o64[k] - want); d > recheckBand64(n) {
-					t.Fatalf("n=%d k=%d: float64 block dot off by %g (band %g)", n, k, d, recheckBand64(n))
-				}
-				// Raw rows are not unit-norm, so scale the float32 band by
-				// the row magnitudes it would be normalized by.
-				scale := math.Sqrt(dot(a, a) * dot(b[k], b[k]))
-				if scale < 1 {
-					scale = 1
-				}
-				if d := math.Abs(float64(o32[k]) - want); d > recheckBand32(n)*scale {
-					t.Fatalf("n=%d k=%d: float32 block dot off by %g (band %g)", n, k, d, recheckBand32(n)*scale)
+			tr := randKernelRows(rng, n)
+			var o64 [12]float64
+			dot3x4F64(tr.a, tr.b, tr.s64, 1, 1, &o64)
+			var o32 [12]float32
+			dot3x4F32(tr.a32, tr.b32, tr.s32, 1, 1, &o32)
+			for i := 0; i < blockRows; i++ {
+				for k := 0; k < blockCols; k++ {
+					a, b := tr.row(i), tr.row(blockRows+k)
+					want := dot(a, b)
+					got64, got32 := o64[blockCols*i+k], float64(o32[blockCols*i+k])
+					if d := math.Abs(got64 - want); d > recheckBand64(n) {
+						t.Fatalf("n=%d pair (%d,%d): float64 block dot off by %g (band %g)", n, i, k, d, recheckBand64(n))
+					}
+					// Raw rows are not unit-norm, so scale the float32 band by
+					// the row magnitudes it would be normalized by.
+					scale := math.Sqrt(dot(a, a) * dot(b, b))
+					if scale < 1 {
+						scale = 1
+					}
+					if d := math.Abs(got32 - want); d > recheckBand32(n)*scale {
+						t.Fatalf("n=%d pair (%d,%d): float32 block dot off by %g (band %g)", n, i, k, d, recheckBand32(n)*scale)
+					}
 				}
 			}
 		}
 	})
+}
+
+// testArena fills an unpooled arena of m's shape.
+func testArena(t *testing.T, m *Matrix, kind CorrelationKind, prec Precision) *buildArena {
+	t.Helper()
+	ar := newArena(arenaKey{genes: m.Genes, samples: m.Samples}, prec)
+	if err := ar.fill(t.Context(), m, kind); err != nil {
+		t.Fatal(err)
+	}
+	return ar
 }
 
 // TestRecheckBandSoundOnStandardizedRows checks the band inequality the
@@ -81,39 +116,241 @@ func TestRecheckBandSoundOnStandardizedRows(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for _, samples := range []int{3, 17, 64, 100, 333, 2048} {
-			m := NewMatrix(5, samples)
-			for g := 0; g < 5; g++ {
+			m := NewMatrix(blockRows+blockCols, samples)
+			for g := 0; g < m.Genes; g++ {
 				base := rng.NormFloat64()
 				for s := 0; s < samples; s++ {
 					// Correlated rows so coefficients are spread over [-1, 1].
 					m.Set(g, s, base*math.Sin(float64(s))+0.5*rng.NormFloat64())
 				}
 			}
-			z, err := standardizedRows(t.Context(), m, PearsonCorr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			z32 := make([]float32, len(z))
-			for i, v := range z {
-				z32[i] = float32(v)
-			}
-			row := func(g int) []float64 { return z[g*samples : (g+1)*samples] }
-			row32 := func(g int) []float32 { return z32[g*samples : (g+1)*samples] }
-			var o64 [4]float64
-			blockDot4F64(row(0), row(1), row(2), row(3), row(4), &o64)
-			var o32 [4]float32
-			blockDot4F32(row32(0), row32(1), row32(2), row32(3), row32(4), &o32)
-			for k := 0; k < 4; k++ {
-				want := dot(row(0), row(k+1))
-				if d := math.Abs(o64[k] - want); d > recheckBand64(samples) {
-					t.Errorf("samples=%d: float64 band violated: %g > %g", samples, d, recheckBand64(samples))
-				}
-				if d := math.Abs(float64(o32[k]) - want); d > recheckBand32(samples) {
-					t.Errorf("samples=%d: float32 band violated: %g > %g", samples, d, recheckBand32(samples))
+			ar := testArena(t, m, PearsonCorr, Float32)
+			var o64 [12]float64
+			dot3x4F64(ar.z64, ar.z64[blockRows*ar.stride64:], ar.stride64, 1, 1, &o64)
+			var o32 [12]float32
+			dot3x4F32(ar.z32, ar.z32[blockRows*ar.stride32:], ar.stride32, 1, 1, &o32)
+			row := func(g int) []float64 { return ar.z64[g*ar.stride64 : g*ar.stride64+samples] }
+			for i := 0; i < blockRows; i++ {
+				for k := 0; k < blockCols; k++ {
+					want := dot(row(i), row(blockRows+k))
+					if d := math.Abs(o64[blockCols*i+k] - want); d > recheckBand64(samples) {
+						t.Errorf("samples=%d: float64 band violated: %g > %g", samples, d, recheckBand64(samples))
+					}
+					if d := math.Abs(float64(o32[blockCols*i+k]) - want); d > recheckBand32(samples) {
+						t.Errorf("samples=%d: float32 band violated: %g > %g", samples, d, recheckBand32(samples))
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestKernelMaskMatchesScalarCompare pins the in-register candidate mask
+// to the scalar rule r ≥ pos || −r ≥ neg over the kernel's own stored
+// coefficients: asymmetric bounds, no negative spec (neg = +Inf),
+// non-positive bounds (the region where the engine takes its dense
+// fallback) and bounds equal to a coefficient, where ≥ must hold.
+func TestKernelMaskMatchesScalarCompare(t *testing.T) {
+	withKernelISA(t, func(t *testing.T) {
+		inf := math.Inf(1)
+		for _, n := range []int{1, 4, 7, 8, 9, 24, 64, 100} {
+			ar := testArena(t, normalMatrix(blockRows+blockCols, n, int64(n)), PearsonCorr, Float32)
+			a64, b64 := ar.z64, ar.z64[blockRows*ar.stride64:]
+			a32, b32 := ar.z32, ar.z32[blockRows*ar.stride32:]
+			var r64 [12]float64
+			var r32 [12]float32
+			dot3x4F64(a64, b64, ar.stride64, inf, inf, &r64)
+			dot3x4F32(a32, b32, ar.stride32, float32(inf), float32(inf), &r32)
+			bounds := [][2]float64{
+				{0.3, 0.6}, {0.6, 0.3}, {0.2, inf}, {inf, 0.2}, {inf, inf},
+				{0, inf}, {-0.1, -0.1}, {-1e-9, 0.5},
+				{r64[5], -r64[2]}, {math.Abs(r64[7]), math.Abs(r64[7])},
+			}
+			for _, bd := range bounds {
+				pos, neg := bd[0], bd[1]
+				var o64 [12]float64
+				got := dot3x4F64(a64, b64, ar.stride64, pos, neg, &o64)
+				var want uint16
+				for k, r := range o64 {
+					if r >= pos || -r >= neg {
+						want |= 1 << k
+					}
+				}
+				if got != want {
+					t.Errorf("n=%d f64 bounds (%g,%g): mask %012b, scalar %012b", n, pos, neg, got, want)
+				}
+				p32, n32 := roundDown32(pos), roundDown32(neg)
+				var o32 [12]float32
+				got = dot3x4F32(a32, b32, ar.stride32, p32, n32, &o32)
+				want = 0
+				for k, r := range o32 {
+					if r >= p32 || -r >= n32 {
+						want |= 1 << k
+					}
+				}
+				if got != want {
+					t.Errorf("n=%d f32 bounds (%g,%g): mask %012b, scalar %012b", n, pos, neg, got, want)
+				}
+			}
+		}
+	})
+}
+
+// normalMatrix is a genes×samples matrix of independent N(0,1) values.
+func normalMatrix(genes, samples int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatrix(genes, samples)
+	for g := 0; g < genes; g++ {
+		for s := 0; s < samples; s++ {
+			m.Set(g, s, rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+// bruteForcePairs is the engine's admission rule applied to every pair
+// g1 < g2 with the canonical dot over the arena: the set the tiled sweep
+// must return.
+func bruteForcePairs(e *engine) [][]ScoredEdge {
+	outs := make([][]ScoredEdge, len(e.specs))
+	c := &collector{e: e, out: outs, admits: make([]int64, len(e.specs))}
+	for g1 := 0; g1 < e.genes; g1++ {
+		for g2 := g1 + 1; g2 < e.genes; g2++ {
+			c.admit(g1, g2)
+		}
+	}
+	return c.out
+}
+
+func sortedCopy(edges []ScoredEdge) []ScoredEdge {
+	out := slices.Clone(edges)
+	sortEdges(out)
+	return out
+}
+
+// TestTiledSweepMatchesBruteForce runs the tiled sweep on 12-row tiles
+// over gene counts that are not multiples of 3, 4 or 12 (ragged last
+// tiles, leftover rows and partners, diagonal tiles of every size) and
+// checks the admitted pairs per spec against the brute-force rule: every
+// pair once, U < V, no self pair. The spec sets cover asymmetric
+// positive/negative thresholds, no negative spec, and loose specs that put
+// the engine on its dense fallback.
+func TestTiledSweepMatchesBruteForce(t *testing.T) {
+	specSets := []struct {
+		name  string
+		specs []SweepSpec
+		dense bool
+	}{
+		{"positive", []SweepSpec{{MinAbsR: 0.5, MaxP: 1}}, false},
+		{"asymmetric", []SweepSpec{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}}, false},
+		{"negative", []SweepSpec{{MinAbsR: 0.45, MaxP: 0.2, Negative: true}}, false},
+		{"dense", []SweepSpec{{MinAbsR: 0, MaxP: 1}, {MinAbsR: 0.7, MaxP: 1}}, true},
+	}
+	withKernelISA(t, func(t *testing.T) {
+		for _, genes := range []int{1, 2, 3, 4, 5, 7, 11, 12, 13, 23, 25, 37, 50} {
+			m := normalMatrix(genes, 9, int64(genes))
+			for _, prec := range []Precision{Float64, Float32} {
+				ar := testArena(t, m, PearsonCorr, prec)
+				for _, ss := range specSets {
+					e := newEngine(ar, ss.specs)
+					e.tile = blockRows * blockCols
+					if e.dense != ss.dense {
+						t.Fatalf("%s: dense = %v, want %v", ss.name, e.dense, ss.dense)
+					}
+					got, err := e.sweep(context.Background(), 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := bruteForcePairs(e)
+					for si := range want {
+						g := sortedCopy(got[si])
+						if !slices.Equal(g, want[si]) {
+							t.Fatalf("genes=%d %s %s spec %d: sweep %d pairs, brute force %d", genes, prec, ss.name, si, len(g), len(want[si]))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestArenaPaddingStaysZero poisons a pooled arena, padding columns
+// included, and checks that fill zeroes every padding column of both
+// precisions and that the sweep over the refilled arena still matches the
+// brute-force rule.
+func TestArenaPaddingStaysZero(t *testing.T) {
+	m := randomMatrix(29, 13, 3, 4)
+	for _, kind := range []CorrelationKind{PearsonCorr, SpearmanCorr} {
+		ar := arenaFor(m.Genes, m.Samples, Float32)
+		if err := ar.fill(t.Context(), m, kind); err != nil { // allocates z32
+			t.Fatal(err)
+		}
+		for i := range ar.z64 {
+			ar.z64[i] = math.NaN()
+		}
+		for i := range ar.z32 {
+			ar.z32[i] = 1e3
+		}
+		if err := ar.fill(t.Context(), m, kind); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < m.Genes; g++ {
+			for i := m.Samples; i < ar.stride64; i++ {
+				if v := ar.z64[g*ar.stride64+i]; v != 0 {
+					t.Fatalf("%v: z64 row %d padding column %d = %v", kind, g, i, v)
+				}
+			}
+			for i := 0; i < ar.stride32; i++ {
+				want := float32(0)
+				if i < m.Samples {
+					want = float32(ar.z64[g*ar.stride64+i])
+				}
+				if v := ar.z32[g*ar.stride32+i]; v != want {
+					t.Fatalf("%v: z32 row %d column %d = %v, want %v", kind, g, i, v, want)
+				}
+			}
+		}
+		e := newEngine(ar, []SweepSpec{{MinAbsR: 0.4, MaxP: 1, Negative: true}})
+		e.tile = blockRows * blockCols
+		got, err := e.sweep(t.Context(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteForcePairs(e); !slices.Equal(sortedCopy(got[0]), want[0]) || len(want[0]) == 0 {
+			t.Fatalf("%v: sweep over refilled arena %d pairs, brute force %d", kind, len(got[0]), len(want[0]))
+		}
+		ar.release()
+	}
+}
+
+// TestFloat32BoundsRoundDown pins the float32 candidate bounds below the
+// float64 ones: roundDown32 returns the largest float32 not above x, and
+// the engine's pos32/neg32 never exceed posCand/negCand.
+func TestFloat32BoundsRoundDown(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := []float64{0, 1, -1, 0.95, 0.3 - 1e-12, math.Inf(1), math.Inf(-1), float64(float32(0.7))}
+	for i := 0; i < 1000; i++ {
+		xs = append(xs, rng.Float64()*2-1)
+	}
+	for _, x := range xs {
+		f := roundDown32(x)
+		if float64(f) > x {
+			t.Fatalf("roundDown32(%v) = %v, above x", x, f)
+		}
+		if !math.IsInf(x, 0) && float64(math.Nextafter32(f, float32(math.Inf(1)))) <= x {
+			t.Fatalf("roundDown32(%v) = %v, not the largest float32 ≤ x", x, f)
+		}
+	}
+	ar := newArena(arenaKey{genes: 4, samples: 100}, Float32)
+	for _, specs := range [][]SweepSpec{
+		{{MinAbsR: 0.95, MaxP: 0.0005}},
+		{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}},
+	} {
+		e := newEngine(ar, specs)
+		if float64(e.pos32) > e.posCand || float64(e.neg32) > e.negCand {
+			t.Fatalf("float32 bounds (%v, %v) above float64 bounds (%v, %v)", e.pos32, e.neg32, e.posCand, e.negCand)
+		}
+	}
 }
 
 func TestKernelISANames(t *testing.T) {
@@ -126,5 +363,39 @@ func TestKernelISANames(t *testing.T) {
 	useAVXKernels = true
 	if got := KernelISA(); got != "avx2-fma" {
 		t.Fatalf("KernelISA() = %q, want avx2-fma", got)
+	}
+}
+
+// BenchmarkSweepKernel times the single-worker tiled sweep at the paper's
+// thresholds over a 2040-gene standardized arena, for both precisions at
+// the two sample widths the synthesized workloads use, and reports useful
+// multiply-adds (pairs × samples, padding excluded) per nanosecond.
+func BenchmarkSweepKernel(b *testing.B) {
+	const genes = 2040
+	for _, samples := range []int{64, 100} {
+		res, err := Synthesize(SyntheticSpec{
+			Genes: genes, Samples: samples, Modules: 16, ModuleSize: 12, Noise: 0.1, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, prec := range []Precision{Float64, Float32} {
+			ar := newArena(arenaKey{genes: genes, samples: samples}, prec)
+			if err := ar.fill(context.Background(), res.M, PearsonCorr); err != nil {
+				b.Fatal(err)
+			}
+			e := newEngine(ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
+			b.Run(fmt.Sprintf("%s/%dx%d", prec, genes, samples), func(b *testing.B) {
+				iters := 0
+				for b.Loop() {
+					if _, err := e.sweep(context.Background(), 1); err != nil {
+						b.Fatal(err)
+					}
+					iters++
+				}
+				madds := float64(genes*(genes-1)/2) * float64(samples) * float64(iters)
+				b.ReportMetric(madds/float64(b.Elapsed().Nanoseconds()), "madd/ns")
+			})
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package expr
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Spearman returns the Spearman rank correlation coefficient of x and y —
@@ -26,33 +27,59 @@ func rankVector(x []float64) []float64 {
 }
 
 // ranker computes average-tied ranks into caller-provided storage, reusing
-// its index scratch across calls so per-row rank transforms (the Spearman
-// standardization pass) stay allocation-cheap. Not safe for concurrent use.
+// its (value, index) scratch across calls so per-row rank transforms (the
+// Spearman standardization pass) stay allocation-cheap. Not safe for
+// concurrent use.
 type ranker struct {
-	idx []int
+	pairs []rankPair
 }
 
-// rankInto writes the 1-based average-tied ranks of x into dst, which must
-// not alias x (tie groups are detected by re-reading x while dst is being
-// written). len(dst) must equal len(x).
+type rankPair struct {
+	v float64
+	i int
+}
+
+// compareRankPairs orders by value, NaN after every number, and breaks
+// ties by index. The order is total, so the ranks do not depend on the
+// sort algorithm.
+func compareRankPairs(p, q rankPair) int {
+	switch {
+	case p.v < q.v:
+		return -1
+	case p.v > q.v:
+		return 1
+	}
+	if pn, qn := p.v != p.v, q.v != q.v; pn != qn {
+		if pn {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(p.i, q.i)
+}
+
+// rankInto writes the 1-based average-tied ranks of x into dst. len(dst)
+// must equal len(x); dst may alias x. Equal values (−0 and +0 included)
+// share the average of their ranks. NaN values rank after every number,
+// each in its own group, in index order.
 func (rk *ranker) rankInto(dst []float64, x []float64) {
 	n := len(x)
-	if cap(rk.idx) < n {
-		rk.idx = make([]int, n)
+	if cap(rk.pairs) < n {
+		rk.pairs = make([]rankPair, n)
 	}
-	idx := rk.idx[:n]
-	for i := range idx {
-		idx[i] = i
+	ps := rk.pairs[:n]
+	for i, v := range x {
+		ps[i] = rankPair{v: v, i: i}
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return x[idx[i]] < x[idx[j]] })
+	slices.SortFunc(ps, compareRankPairs)
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
+		for j+1 < n && ps[j+1].v == ps[i].v {
 			j++
 		}
 		avg := float64(i+j)/2 + 1
 		for k := i; k <= j; k++ {
-			dst[idx[k]] = avg
+			dst[ps[k].i] = avg
 		}
 		i = j + 1
 	}

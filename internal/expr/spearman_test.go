@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +76,85 @@ func TestRankVectorTies(t *testing.T) {
 	}
 }
 
+// rankIntoStableSort is the ranker before it sorted typed pairs: a stable
+// index sort by value through sort.SliceStable. Kept as the differential
+// reference for NaN-free rows, where its ranks are well defined.
+func rankIntoStableSort(dst []float64, x []float64) {
+	n := len(x)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return x[idx[i]] < x[idx[j]] })
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
+			j++
+		}
+		avg := float64(i+j)/2 + 1
+		for k := i; k <= j; k++ {
+			dst[idx[k]] = avg
+		}
+		i = j + 1
+	}
+}
+
+// TestRankerMatchesStableSort pins the pair-sorting ranker to the old
+// stable-sort ranker, bit for bit, on rows with ties, ±0, ±Inf, constant
+// rows and random rows, reusing one ranker's scratch across row lengths.
+func TestRankerMatchesStableSort(t *testing.T) {
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	rows := [][]float64{
+		{},
+		{5},
+		{3, 3, 3, 3},
+		{0, negZero, 0, negZero, 1, -1},
+		{inf, -inf, 0, inf, -inf, 2, 2},
+		{1, 2, 2, 3, 3, 3, 4, 4, 4, 4},
+		{-2.5, 7, -2.5, 7, 0, 7, negZero},
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{2, 17, 100, 257} {
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = float64(rng.Intn(n/2 + 1)) // heavy ties
+		}
+		rows = append(rows, row)
+		cont := make([]float64, n)
+		for i := range cont {
+			cont[i] = rng.NormFloat64()
+		}
+		rows = append(rows, cont)
+	}
+	var rk ranker
+	for _, x := range rows {
+		got := make([]float64, len(x))
+		want := make([]float64, len(x))
+		rk.rankInto(got, x)
+		rankIntoStableSort(want, x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("row %v: ranks %v, stable-sort ranks %v", x, got, want)
+			}
+		}
+	}
+}
+
+// TestRankerNaNOrder pins the defined NaN order: every NaN ranks after all
+// numbers, each NaN is its own tie group, and NaNs take their ranks in
+// index order.
+func TestRankerNaNOrder(t *testing.T) {
+	nan := math.NaN()
+	got := rankVector([]float64{nan, 2, nan, math.Inf(1), 2, nan, -1})
+	want := []float64{5, 2.5, 6, 4, 2.5, 7, 1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ranks = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestCorrelateDispatch(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{1, 4, 9, 16}
@@ -131,10 +212,17 @@ func TestReadCSVErrors(t *testing.T) {
 		"gene\n1\n",
 		"gene,s0\n0,notanumber\n",
 		"gene,s0,s1\n0,1\n",
+		"gene,s0,s1\n0,1,NaN\n",
+		"gene,s0\n0,1\n1,+Inf\n",
+		"gene,s0\n0,-inf\n",
 	} {
 		if _, err := ReadCSV(bytes.NewBufferString(bad)); err == nil {
 			t.Fatalf("input %q: want error", bad)
 		}
+	}
+	_, err := ReadCSV(bytes.NewBufferString("gene,s0,s1\n0,1,2\n1,3,NaN\n"))
+	if err == nil || !strings.Contains(err.Error(), "row 3 col 3") {
+		t.Fatalf("NaN cell error = %v, want it to name row 3 col 3", err)
 	}
 }
 

@@ -282,7 +282,7 @@ func New(opts ...Option) *Pipeline {
 		CacheDir:    s.cacheDir,
 		DiskBytes:   s.diskCacheBytes,
 	})}
-	p.resolver.init(resolverCacheCap)
+	p.resolver.init(resolverCacheCap, resolverCacheBytes)
 	if s.datasets != nil {
 		p.datasets = make(map[string]bool, len(s.datasets))
 		for _, n := range s.datasets {
