@@ -307,11 +307,8 @@ const (
 	CodeDeadlineExceeded = "deadline_exceeded"
 )
 
-// Datasets lists the named evaluation networks a request may reference.
+// datasetNames lists the named evaluation networks a request may reference.
 var datasetNames = []string{"YNG", "MID", "UNT", "CRE"}
-
-// Datasets returns the wire names of the built-in evaluation datasets.
-func Datasets() []string { return append([]string(nil), datasetNames...) }
 
 // Algorithms returns the wire names of the sampling filters, plus
 // AlgorithmNone. The names are derived from the kernel enum so they cannot

@@ -45,7 +45,7 @@ func EdgeListSource(r io.Reader) (NetworkSource, error) {
 
 // EdgeListFile slurps an edge-list file into an inline network source; an
 // empty path reads stdin. This is the shared front end of the file-driven
-// CLIs (clusters, netstat, parsample request).
+// CLIs (`parsample pipeline` and `parsample stats`).
 func EdgeListFile(path string) (NetworkSource, error) {
 	if path == "" {
 		return EdgeListSource(os.Stdin)

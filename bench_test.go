@@ -337,15 +337,6 @@ func BenchmarkBitsetIntersect(b *testing.B) {
 		}
 		_ = total
 	})
-	b.Run("SubsetOf", func(b *testing.B) {
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			if x.SubsetOf(y) {
-				hits++
-			}
-		}
-		_ = hits
-	})
 }
 
 // BenchmarkChordalMaximalSubgraph times the DSW kernel on the generator

@@ -13,6 +13,8 @@
 //
 //	parsample pipeline ...   one end-to-end run on the pipeline engine, with
 //	                         per-stage timings (see `parsample pipeline -h`)
+//	parsample stats ...      structural statistics of an edge list
+//	parsample datagen ...    write the evaluation networks to disk
 //	parsample serve ...      the HTTP daemon (see `parsample serve -h`)
 //	parsample request ...    POST an api.Request JSON file to a daemon
 //
@@ -27,9 +29,30 @@
 //
 // Synthesized runs plant co-expression modules, generate a matching
 // ontology, and therefore include the scoring stage; edge-list runs stop at
-// clustering (no ontology). -synth is subject to the service API's
-// synthesis caps (api.MaxSynthesisGenes, api.MaxSynthesisSamples and
+// clustering unless -dag and -ann supply an ontology (the DAG format of
+// internal/ontology.WriteDAG and "gene<TAB>term" annotation lines); a
+// scored run prints each cluster's AEES and dominant term. -alg none
+// clusters the whole network, and -minscore, -minsize and -fluff set the
+// MCODE parameters. -dot writes a Graphviz rendering of the clustered graph
+// with the clusters highlighted:
+//
+//	parsample pipeline -in net.txt -alg none -dag go.txt -ann gene2term.tsv -dot out.dot
+//
+// -synth is subject to the service API's synthesis caps
+// (api.MaxSynthesisGenes, api.MaxSynthesisSamples and
 // api.MaxSynthesisCells). Ctrl-C cancels the run mid-kernel.
+//
+// The stats subcommand prints size, density, degree histogram, components,
+// triangles, chordality and the most central vertices of an edge list,
+// by degree and closeness (-betweenness adds the O(nm) betweenness):
+//
+//	parsample stats -in net.txt [-top 10] [-betweenness]
+//
+// The datagen subcommand writes the synthetic evaluation networks (YNG,
+// MID, UNT, CRE) as edge lists with their planted modules in a sidecar
+// file:
+//
+//	parsample datagen -dir data [-only CRE]   # data/YNG.edges, data/YNG.modules, ...
 package main
 
 import (
@@ -49,6 +72,12 @@ func main() {
 		switch os.Args[1] {
 		case "pipeline":
 			pipelineMain(os.Args[2:])
+			return
+		case "stats":
+			statsMain(os.Args[2:])
+			return
+		case "datagen":
+			datagenMain(os.Args[2:])
 			return
 		case "serve":
 			if err := server.RunDaemon(os.Args[2:]); err != nil {
@@ -129,14 +158,19 @@ func main() {
 	}
 }
 
-// writeNetworkFile writes g as an edge list to a new file at path. The
-// Close error is returned too: it is the last report of a failed write.
+// writeNetworkFile writes g as an edge list to a new file at path.
 func writeNetworkFile(path string, g *parsample.Graph) error {
+	return writeFile(path, func(w io.Writer) error { return parsample.WriteNetwork(w, g) })
+}
+
+// writeFile creates a new file at path and fills it with write. The Close
+// error is returned too: it is the last report of a failed write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := parsample.WriteNetwork(f, g); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

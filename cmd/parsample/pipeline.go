@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -29,15 +30,26 @@ func pipelineMain(args []string) {
 		seed      = fs.Int64("seed", 1, "random seed")
 		outPath   = fs.String("out", "", "write the filtered edge list here")
 		top       = fs.Int("top", 5, "clusters to print")
+		minScore  = fs.Float64("minscore", 3.0, "minimum MCODE cluster score")
+		minSize   = fs.Int("minsize", 4, "minimum cluster size")
+		fluff     = fs.Bool("fluff", false, "enable MCODE fluff post-processing")
+		dagPath   = fs.String("dag", "", "ontology DAG file for scoring an edge-list input (requires -ann)")
+		annPath   = fs.String("ann", "", "gene annotations file (requires -dag)")
+		dotPath   = fs.String("dot", "", "write a DOT rendering of the clustered graph with clusters highlighted")
 	)
 	fs.Parse(args)
 
+	filtered := *algName != api.AlgorithmNone
 	req := &api.Request{
-		Filter: api.FilterSpec{Algorithm: *algName, Ordering: *orderName, P: *p, Seed: *seed},
-		Output: api.OutputSpec{Edges: *outPath != ""},
+		Filter:  api.FilterSpec{Algorithm: *algName, Ordering: *orderName, P: *p, Seed: *seed},
+		Cluster: api.ClusterSpec{MinScore: minScore, MinSize: minSize, Fluff: *fluff},
+		Output:  api.OutputSpec{Edges: filtered && (*outPath != "" || *dotPath != "")},
 	}
-	if *outPath != "" && *algName == api.AlgorithmNone {
+	if *outPath != "" && !filtered {
 		fatalf("-out needs a filter algorithm (-alg none keeps the whole network)")
+	}
+	if (*dagPath == "") != (*annPath == "") {
+		fatalf("-dag and -ann go together")
 	}
 	if *synth != "" {
 		var genes, samples int
@@ -57,11 +69,19 @@ func pipelineMain(args []string) {
 		}
 		req.Network = src
 	}
+	if *dagPath != "" {
+		score, err := api.InlineOntologyFiles(*dagPath, *annPath)
+		if err != nil {
+			fatalf("read ontology: %v", err)
+		}
+		req.Score = score
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	ctx, trace := pipeline.WithTrace(ctx)
-	resp, err := parsample.New().Do(ctx, req)
+	pl := parsample.New()
+	resp, err := pl.Do(ctx, req)
 	if err != nil {
 		fatalf("pipeline: %v", err)
 	}
@@ -86,11 +106,12 @@ func pipelineMain(args []string) {
 	}
 	for _, i := range order[:max(0, min(*top, len(order)))] {
 		c := resp.Clusters[i]
-		fmt.Printf("  cluster %2d: %3d vertices, %4d edges, MCODE %.2f", c.ID, len(c.Vertices), c.Edges, c.Score)
+		fmt.Printf("  cluster %2d: %3d vertices, %4d edges, density %.2f, MCODE %.2f",
+			c.ID, len(c.Vertices), c.Edges, c.Density, c.Score)
 		if scored {
-			fmt.Printf(", AEES %.2f", resp.Scores[i].AEES)
+			fmt.Printf(", AEES %.2f (dominant term %d)", resp.Scores[i].AEES, resp.Scores[i].DominantTerm)
 		}
-		fmt.Println()
+		fmt.Printf("\n    vertices: %v\n", c.Vertices)
 	}
 
 	fmt.Println("stage timings:")
@@ -99,13 +120,38 @@ func pipelineMain(args []string) {
 			e.Key.Stage, e.Key.Variant, e.Source, float64(e.Duration.Microseconds())/1000)
 	}
 
-	if *outPath != "" {
+	if *outPath == "" && *dotPath == "" {
+		return
+	}
+	// The graph the clusters were found on: the filtered edge list, or the
+	// whole network under -alg none (resolved again from the pipeline's
+	// cache).
+	var g *parsample.Graph
+	if filtered {
 		b := parsample.NewBuilder(resp.Network.Vertices)
 		for _, e := range resp.Filtered.EdgeList {
 			b.AddEdge(e[0], e[1])
 		}
-		if err := writeNetworkFile(*outPath, b.Build()); err != nil {
+		g = b.Build()
+	} else if g, err = pl.NetworkFromSource(ctx, req.Network); err != nil {
+		fatalf("pipeline: %v", err)
+	}
+	if *outPath != "" {
+		if err := writeNetworkFile(*outPath, g); err != nil {
 			fatalf("write network: %v", err)
 		}
+	}
+	if *dotPath != "" {
+		groups := make([][]int32, len(resp.Clusters))
+		for i, c := range resp.Clusters {
+			groups[i] = c.Vertices
+		}
+		err := writeFile(*dotPath, func(w io.Writer) error {
+			return parsample.WriteDOT(w, g, parsample.DOTOptions{Name: "clusters", Highlight: groups})
+		})
+		if err != nil {
+			fatalf("write dot: %v", err)
+		}
+		fmt.Printf("wrote %s\n", *dotPath)
 	}
 }

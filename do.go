@@ -2,11 +2,12 @@ package parsample
 
 import (
 	"container/list"
+	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
-
-	"context"
 
 	"parsample/api"
 	"parsample/internal/expr"
@@ -54,7 +55,7 @@ func (p *Pipeline) Do(ctx context.Context, req *api.Request) (*api.Response, err
 	if err != nil {
 		return nil, err
 	}
-	ri, err := p.resolve(norm)
+	ri, err := p.resolve(ctx, norm)
 	if err != nil {
 		return nil, err
 	}
@@ -157,14 +158,15 @@ func edgePairs(g *graph.Graph) [][2]int32 {
 
 // NetworkFromSource materializes a request's network source as a Graph:
 // inline edge lists are parsed, dataset names resolved, synthesized
-// matrices built into correlation networks. File-driven CLIs (netstat,
-// clusters) use it so every front end shares one source grammar.
+// matrices built into correlation networks. File-driven CLIs
+// (`parsample stats`, `parsample pipeline -dot`) use it so every front end
+// shares one source grammar.
 func (p *Pipeline) NetworkFromSource(ctx context.Context, src api.NetworkSource) (*Graph, error) {
 	norm, err := (&api.Request{Network: src}).Normalized()
 	if err != nil {
 		return nil, err
 	}
-	ri, err := p.resolve(norm)
+	ri, err := p.resolve(ctx, norm)
 	if err != nil {
 		return nil, err
 	}
@@ -265,10 +267,11 @@ func (p *Pipeline) SetBatchWindow(d time.Duration) { p.eng.SetBatchWindow(d) }
 
 // resolve materializes the normalized request's source, serving repeats
 // from the fingerprint-keyed LRU (concurrent identical resolutions
-// deduplicate like the engine's singleflight).
-func (p *Pipeline) resolve(norm *api.Request) (*resolvedInput, error) {
+// deduplicate like the engine's singleflight; a waiter gives up when ctx
+// ends).
+func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInput, error) {
 	key := norm.Fingerprint()
-	return p.resolver.do(key, func() (*resolvedInput, error) {
+	return p.resolver.do(ctx, key, func() (*resolvedInput, error) {
 		return p.materialize(key, norm)
 	})
 }
@@ -349,7 +352,9 @@ const (
 // resolverCache is an LRU of fingerprint → resolved source with in-flight
 // deduplication: concurrent requests for one fingerprint materialize it
 // once and share the result. Errors are returned to every waiter but never
-// cached (a transient failure should not poison the key).
+// cached (a transient failure should not poison the key), and a panicking
+// materialization is such an error: it fails the requests that share its
+// flight and the next request for the key recomputes.
 type resolverCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -389,7 +394,7 @@ func (c *resolverCache) contains(key string) bool {
 	return ok
 }
 
-func (c *resolverCache) do(key string, compute func() (*resolvedInput, error)) (*resolvedInput, error) {
+func (c *resolverCache) do(ctx context.Context, key string, compute func() (*resolvedInput, error)) (*resolvedInput, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
@@ -399,14 +404,18 @@ func (c *resolverCache) do(key string, compute func() (*resolvedInput, error)) (
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		<-f.done
-		return f.val, f.err
+		select {
+		case <-f.done:
+			return f.val, f.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	f := &resolverFlight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.val, f.err = compute()
+	f.val, f.err = resolveContained(compute)
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
@@ -425,4 +434,19 @@ func (c *resolverCache) do(key string, compute func() (*resolvedInput, error)) (
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, f.err
+}
+
+// resolveContained runs compute with panic containment, as the engine's
+// runCompute does: a panic in synthesis, parsing or ontology generation
+// becomes the flight's error, so the flight still closes instead of
+// blocking every later request for the key, and the process survives.
+func resolveContained(compute func() (*resolvedInput, error)) (val *resolvedInput, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stack := make([]byte, 4<<10)
+			stack = stack[:runtime.Stack(stack, false)]
+			val, err = nil, fmt.Errorf("parsample: resolving the network source panicked: %v\n%s", r, stack)
+		}
+	}()
+	return compute()
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"parsample/api"
 	"parsample/internal/expr"
@@ -293,7 +295,7 @@ func TestResolverCacheByteBound(t *testing.T) {
 		if genes > 0 {
 			ri.matrix = expr.NewMatrix(genes, samples)
 		}
-		if _, err := c.do(key, func() (*resolvedInput, error) { return ri, nil }); err != nil {
+		if _, err := c.do(context.Background(), key, func() (*resolvedInput, error) { return ri, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,4 +328,62 @@ func TestResolverCacheByteBound(t *testing.T) {
 	resident("e", "f", "g")
 	put("a", 0, 0) // four entries > cap 3: e goes
 	resident("a", "f", "g")
+}
+
+// A panicking materialization fails only the calls that share its flight:
+// the panic comes back as an error, the flight closes, the next call for
+// the key recomputes instead of blocking on it, and a caller waiting on a
+// flight returns ctx.Err() once its context ends.
+func TestResolverPanicContained(t *testing.T) {
+	var c resolverCache
+	c.init(4, 1<<20)
+	ctx := context.Background()
+	_, err := c.do(ctx, "k", func() (*resolvedInput, error) { panic("synthesis bug") })
+	if err == nil || !strings.Contains(err.Error(), "synthesis bug") {
+		t.Fatalf("panicking compute returned %v, want an error naming the panic", err)
+	}
+	if c.contains("k") {
+		t.Fatal("a panicked resolution was cached")
+	}
+
+	second := make(chan error, 1)
+	go func() {
+		_, err := c.do(ctx, "k", func() (*resolvedInput, error) { return &resolvedInput{name: "k"}, nil })
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("recompute after a panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the next call for the key is blocked on the panicked flight")
+	}
+	if !c.contains("k") {
+		t.Fatal("the recomputed resolution was not cached")
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan error, 1)
+	go func() {
+		_, err := c.do(ctx, "slow", func() (*resolvedInput, error) {
+			close(started)
+			<-release
+			return &resolvedInput{name: "slow"}, nil
+		})
+		owner <- err
+	}()
+	<-started
+	wctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := c.do(wctx, "slow", func() (*resolvedInput, error) {
+		t.Error("a waiter computed the key its flight owner is computing")
+		return nil, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatalf("flight owner: %v", err)
+	}
 }

@@ -133,20 +133,6 @@ func heapPop(h []int32) []int32 {
 	return h
 }
 
-// denseBLimit bounds the vertex count for the bitset candidate-set path.
-// Every non-isolated vertex eventually carries a candidate bitset of n/8
-// bytes, so at 16384 vertices the worst case is 32 MiB; beyond that the
-// mark-array path wins on memory and cache behavior.
-const denseBLimit = 1 << 14
-
-// denseBDegree is the mean-degree threshold for the bitset path. The
-// word-parallel subset sweep costs n/64 words regardless of |B(x)|, while
-// the mark-array probe costs |B(x)| ≤ deg(x); bitsets only pay off once
-// candidate sets are large, i.e. on dense graphs. Correlation networks
-// at the paper's thresholds sit far below this, so they take the
-// mark-array path.
-const denseBDegree = 96
-
 // MaximalSubgraph extracts a maximal chordal subgraph of g using the
 // Dearing–Shier–Warner traversal, O(E·d) for maximum degree d.
 //
@@ -158,10 +144,10 @@ const denseBDegree = 96
 // committed vertex v, B(x) grows by v whenever B(x) ⊆ B(v) — which preserves
 // the clique invariant since B(v) ∪ {v} is a clique.
 //
-// On vertex universes up to denseBLimit the candidate sets are Bitsets and
-// the subset test is a word-parallel B(x) &^ B(v) == 0 sweep; larger graphs
-// fall back to sorted member slices with a stamped mark array. Neither path
-// touches a hash map.
+// Candidate sets are member slices in commit order. The subset test marks
+// B(v) in a stamped array and probes each member of B(x), so it costs
+// O(|B(x)|) and touches no hash map; Result.Ops counts one op per probe
+// plus one per unvisited neighbor examined.
 //
 // order must be a permutation of 0..g.N()-1; it supplies both the starting
 // bias and tie-breaking, which is how the paper's Natural / HighDegree /
@@ -172,7 +158,7 @@ func MaximalSubgraph(g *graph.Graph, order []int32) *Result {
 }
 
 // cancelStride is how many vertex commits pass between context polls in the
-// DSW loops. A commit processes one vertex's whole neighborhood, so 256
+// DSW loop. A commit processes one vertex's whole neighborhood, so 256
 // commits bound the poll interval to a few hundred microseconds of work
 // while keeping the check off the per-edge path.
 const cancelStride = 256
@@ -191,71 +177,6 @@ func MaximalSubgraphContext(ctx context.Context, g *graph.Graph, order []int32) 
 	pos := graph.InversePerm(order)
 	bsize := make([]int32, n) // |B(v)|, shared with the queue
 	q := newBucketQueue(order, pos, bsize)
-	var err error
-	if n <= denseBLimit && 2*g.M() >= n*denseBDegree {
-		err = maximalDense(ctx, g, q, bsize, res)
-	} else {
-		err = maximalSparse(ctx, g, q, bsize, res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// maximalDense runs the DSW loop with bitset candidate sets.
-func maximalDense(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []int32, res *Result) error {
-	n := g.N()
-	visited := graph.NewBitset(n)
-	b := make([]graph.Bitset, n) // candidate sets, allocated on first grow
-
-	for step := 0; !q.empty(); step++ {
-		if step%cancelStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		v := q.pop()
-		visited.Set(v)
-		res.VisitOrder = append(res.VisitOrder, v)
-
-		bv := b[v]
-		// Commit edges v—w for all w ∈ B(v).
-		if bv != nil && bsize[v] > 0 {
-			bv.ForEach(func(w int32) {
-				res.Edges = append(res.Edges, graph.NormEdge(v, w))
-			})
-		}
-
-		for _, x := range g.Neighbors(v) {
-			if visited.Has(x) {
-				continue
-			}
-			res.Ops++
-			// B(x) ⊆ B(v)? Word-parallel subset sweep; the size guard
-			// rejects most failures without touching words.
-			if bsize[x] > bsize[v] {
-				continue
-			}
-			res.Ops += int64(bsize[x])
-			if bsize[x] > 0 && !b[x].SubsetOf(bv) {
-				continue
-			}
-			if b[x] == nil {
-				b[x] = graph.NewBitset(n)
-			}
-			b[x].Set(v)
-			bsize[x]++
-			q.grew(x)
-		}
-		b[v] = nil // release; v is committed
-	}
-	return nil
-}
-
-// maximalSparse runs the DSW loop with member slices and a stamped mark
-// array — subset tests cost O(|B(x)|) probes, which beats the word sweep on
-// sparse networks where candidate sets stay tiny. No hash maps anywhere.
-func maximalSparse(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []int32, res *Result) error {
-	n := g.N()
 	visited := make([]bool, n)
 	b := make([][]int32, n) // candidate sets
 	// Timestamped membership marks for O(|B(u)|) subset tests.
@@ -267,7 +188,7 @@ func maximalSparse(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []
 	stamp := int32(0)
 	for !q.empty() {
 		if stamp%cancelStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		v := q.pop()
 		visited[v] = true
@@ -305,5 +226,5 @@ func maximalSparse(ctx context.Context, g *graph.Graph, q *bucketQueue, bsize []
 		stamp++
 		b[v] = nil
 	}
-	return nil
+	return res, nil
 }

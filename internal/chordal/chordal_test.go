@@ -1,9 +1,7 @@
 package chordal
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -350,70 +348,16 @@ func TestFillInOfFilterOutput(t *testing.T) {
 	}
 }
 
-// runPath forces one of the two DSW implementations, bypassing the
-// dispatch in MaximalSubgraph.
-func runPath(g *graph.Graph, order []int32, dense bool) *Result {
-	n := g.N()
-	res := &Result{VisitOrder: make([]int32, 0, n)}
-	if n == 0 {
-		return res
-	}
-	pos := graph.InversePerm(order)
-	bsize := make([]int32, n)
-	q := newBucketQueue(order, pos, bsize)
-	if dense {
-		maximalDense(context.Background(), g, q, bsize, res)
-	} else {
-		maximalSparse(context.Background(), g, q, bsize, res)
-	}
-	return res
-}
-
-// The bitset and mark-array paths must select exactly the same subgraph and
-// visit order on every input — they implement one algorithm.
-func TestDensePathMatchesSparsePath(t *testing.T) {
-	graphs := []*graph.Graph{
-		graph.Complete(60),
-		graph.Gnm(200, 12000, 3), // mean degree 120: dense-path territory
-		graph.Gnm(300, 900, 7),
-		graph.RMAT(8, 8, 0, 0, 0, 9),
-		graph.Grid(8, 8),
-	}
-	for gi, g := range graphs {
-		for _, o := range []graph.Ordering{graph.Natural, graph.HighDegree, graph.RCM} {
-			ord := graph.Order(g, o, 1)
-			d := runPath(g, ord, true)
-			s := runPath(g, ord, false)
-			if len(d.VisitOrder) != len(s.VisitOrder) {
-				t.Fatalf("graph %d/%v: visit lengths differ", gi, o)
-			}
-			for i := range d.VisitOrder {
-				if d.VisitOrder[i] != s.VisitOrder[i] {
-					t.Fatalf("graph %d/%v: visit order diverges at %d", gi, o, i)
-				}
-			}
-			if len(d.Edges) != len(s.Edges) {
-				t.Fatalf("graph %d/%v: dense %d edges, sparse %d", gi, o, len(d.Edges), len(s.Edges))
-			}
-			slices.SortFunc(d.Edges, graph.CompareEdges)
-			slices.SortFunc(s.Edges, graph.CompareEdges)
-			if !slices.Equal(d.Edges, s.Edges) {
-				t.Fatalf("graph %d/%v: edge sets differ", gi, o)
-			}
-		}
-	}
-}
-
-// Dense-path outputs must satisfy the same chordality + maximality
-// invariants the sparse path is tested for.
+// Dense inputs must satisfy the same chordality + maximality invariants
+// as sparse ones.
 func TestDensePathInvariants(t *testing.T) {
-	g := graph.Gnm(120, 5000, 11) // mean degree 83 → forced via runPath
-	res := runPath(g, natural(g), true)
+	g := graph.Gnm(120, 5000, 11) // mean degree 83
+	res := MaximalSubgraph(g, natural(g))
 	sub := graph.FromEdges(g.N(), res.Edges)
 	if !IsChordal(sub) {
-		t.Fatal("dense path produced a non-chordal subgraph")
+		t.Fatal("dense input produced a non-chordal subgraph")
 	}
 	if !IsMaximalChordalSubgraph(g, sub) {
-		t.Fatal("dense path result not maximal")
+		t.Fatal("dense input result not maximal")
 	}
 }

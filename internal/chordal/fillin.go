@@ -16,7 +16,7 @@ import (
 // same graph it is what we need.
 //
 // The elimination game needs dynamic adjacency (fill edges accumulate). On
-// vertex universes up to denseBLimit it is played on lazily allocated
+// vertex universes up to fillInDenseLimit it is played on lazily allocated
 // bitset rows, so the inner clique-completion loop is bit probes and sets;
 // larger universes fall back to degree-sized hash rows, keeping memory
 // O(M + fill) instead of O(n²/8).
@@ -29,11 +29,16 @@ func FillInCount(g *graph.Graph) int {
 	// Eliminate in reverse MCS order: process vertices by ascending pos in
 	// the elimination ordering = reverse of MCS visit order.
 	elim := reversed(order)
-	if n <= denseBLimit {
+	if n <= fillInDenseLimit {
 		return fillInDense(g, elim)
 	}
 	return fillInSparse(g, elim)
 }
+
+// fillInDenseLimit bounds the vertex count for the bitset rows: every
+// touched vertex carries an n/8-byte row, so at 16384 vertices the worst
+// case is 32 MiB; beyond that the hash rows win on memory.
+const fillInDenseLimit = 1 << 14
 
 // fillInDense plays the elimination game on lazily allocated bitset rows.
 func fillInDense(g *graph.Graph, elim []int32) int {

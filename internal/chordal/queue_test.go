@@ -68,9 +68,9 @@ func (h *heapQueue) grew(v int32) {
 	}
 }
 
-// heapMaximalSubgraph is the DSW kernel as it ran on the indexed heap: the
-// same dense and sparse loops, with heapQueue selecting each commit.
-func heapMaximalSubgraph(g *graph.Graph, order []int32, dense bool) *Result {
+// heapMaximalSubgraph is the DSW kernel as it ran on the indexed heap:
+// the same loop, with heapQueue selecting each commit.
+func heapMaximalSubgraph(g *graph.Graph, order []int32) *Result {
 	n := g.N()
 	res := &Result{VisitOrder: make([]int32, 0, n)}
 	if n == 0 {
@@ -78,40 +78,6 @@ func heapMaximalSubgraph(g *graph.Graph, order []int32, dense bool) *Result {
 	}
 	bsize := make([]int32, n)
 	q := newHeapQueue(order, graph.InversePerm(order), bsize)
-	if dense {
-		visited := graph.NewBitset(n)
-		b := make([]graph.Bitset, n)
-		for !q.empty() {
-			v := q.pop()
-			visited.Set(v)
-			res.VisitOrder = append(res.VisitOrder, v)
-			bv := b[v]
-			if bv != nil && bsize[v] > 0 {
-				bv.ForEach(func(w int32) { res.Edges = append(res.Edges, graph.NormEdge(v, w)) })
-			}
-			for _, x := range g.Neighbors(v) {
-				if visited.Has(x) {
-					continue
-				}
-				res.Ops++
-				if bsize[x] > bsize[v] {
-					continue
-				}
-				res.Ops += int64(bsize[x])
-				if bsize[x] > 0 && !b[x].SubsetOf(bv) {
-					continue
-				}
-				if b[x] == nil {
-					b[x] = graph.NewBitset(n)
-				}
-				b[x].Set(v)
-				bsize[x]++
-				q.grew(x)
-			}
-			b[v] = nil
-		}
-		return res
-	}
 	visited := make([]bool, n)
 	b := make([][]int32, n)
 	mark := make([]int32, n)
@@ -152,8 +118,10 @@ func heapMaximalSubgraph(g *graph.Graph, order []int32, dense bool) *Result {
 	return res
 }
 
-// The bucket queue must pop exactly the indexed heap's sequence, so both
-// DSW paths keep their visit order, commit-order edges and op counts.
+// The bucket queue must pop exactly the indexed heap's sequence, so the
+// DSW loop keeps its visit order, commit-order edges and op counts. The
+// subtest names keep their dense=false suffix so results stay comparable
+// with earlier runs.
 func TestBucketQueueMatchesIndexedHeap(t *testing.T) {
 	planted := graph.PlantedModules(600, 900, graph.ModuleSpec{
 		Count: 8, MinSize: 6, MaxSize: 14, Density: 0.85, NoiseDeg: 1,
@@ -171,21 +139,19 @@ func TestBucketQueueMatchesIndexedHeap(t *testing.T) {
 	for name, g := range graphs {
 		for _, o := range orders {
 			ord := graph.Order(g, o, 2)
-			for _, dense := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%v/dense=%t", name, o, dense), func(t *testing.T) {
-					want := heapMaximalSubgraph(g, ord, dense)
-					got := runPath(g, ord, dense)
-					if !slices.Equal(got.VisitOrder, want.VisitOrder) {
-						t.Fatal("visit order differs from the indexed heap's")
-					}
-					if !slices.Equal(got.Edges, want.Edges) {
-						t.Fatal("commit-order edges differ from the indexed heap's")
-					}
-					if got.Ops != want.Ops {
-						t.Fatalf("ops = %d, indexed heap %d", got.Ops, want.Ops)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%v/dense=false", name, o), func(t *testing.T) {
+				want := heapMaximalSubgraph(g, ord)
+				got := MaximalSubgraph(g, ord)
+				if !slices.Equal(got.VisitOrder, want.VisitOrder) {
+					t.Fatal("visit order differs from the indexed heap's")
+				}
+				if !slices.Equal(got.Edges, want.Edges) {
+					t.Fatal("commit-order edges differ from the indexed heap's")
+				}
+				if got.Ops != want.Ops {
+					t.Fatalf("ops = %d, indexed heap %d", got.Ops, want.Ops)
+				}
+			})
 		}
 	}
 }

@@ -145,7 +145,7 @@ func TestRunStatsWallFields(t *testing.T) {
 	if got := s.CriticalPath(); got != 3 {
 		t.Fatalf("critical path %v", got)
 	}
-	if got := s.MaxRankWall(); got != 0.75 {
+	if got := MaxClock(s.RankWallSeconds); got != 0.75 {
 		t.Fatalf("max rank wall %v", got)
 	}
 	m := DefaultCostModel()

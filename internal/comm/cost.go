@@ -151,12 +151,6 @@ func (s *RunStats) CriticalPath() float64 {
 	return MaxClock(s.RankSeconds)
 }
 
-// MaxRankWall returns the latest measured per-rank wall clock, or 0 when
-// the run carried no wall measurements.
-func (s *RunStats) MaxRankWall() float64 {
-	return MaxClock(s.RankWallSeconds)
-}
-
 // Time returns the modeled execution time in seconds. Runs executed on the
 // clocked runtime (RankSeconds present) are charged their critical path —
 // the latest rank's virtual clock, which already interleaves compute with

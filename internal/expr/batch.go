@@ -33,31 +33,11 @@ func (o NetworkOptions) SweepSpec() SweepSpec {
 	return SweepSpec{MinAbsR: o.MinAbsR, MaxP: o.MaxP, Negative: o.Negative}
 }
 
-// BatchCorrelatedPairsContext evaluates every spec in one sweep and
-// returns result[i] = the pairs admitted by specs[i], each sorted by
-// (U, V) exactly as CorrelatedPairs would return it. base supplies the
-// statistic, precision and worker count; its own threshold fields are
-// ignored in favor of the specs.
-func BatchCorrelatedPairsContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([][]ScoredEdge, error) {
-	outs, err := batchScoredContext(ctx, m, base, specs)
-	if err != nil {
-		return nil, err
-	}
-	for _, out := range outs {
-		// Per-spec poll: sorting k admitted-pair lists can dwarf the sweep
-		// for loose thresholds, so cancellation must land between specs too.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sortEdges(out)
-	}
-	return outs, nil
-}
-
-// BatchBuildNetworksContext is the graph-producing form of
-// BatchCorrelatedPairsContext: one sweep, one thresholded correlation
-// network per spec, each identical to the BuildNetworkContext result for
-// the corresponding options. This is the kernel under the pipeline's
+// BatchBuildNetworksContext evaluates every spec in one sweep and returns
+// one thresholded correlation network per spec, each identical to the
+// BuildNetworkContext result for the corresponding options. base supplies
+// the statistic, precision and worker count; its own threshold fields are
+// ignored in favor of the specs. This is the kernel under the pipeline's
 // cross-request sweep coalescer.
 func BatchBuildNetworksContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([]*graph.Graph, error) {
 	outs, err := batchScoredContext(ctx, m, base, specs)

@@ -73,9 +73,9 @@ func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 			for oname, opts := range diffOptions() {
 				opts.Workers = 3
 				opts.Precision = Float64
-				want := CorrelatedPairs(m, opts)
+				want := sortedPairs(m, opts)
 				opts.Precision = Float32
-				got := CorrelatedPairs(m, opts)
+				got := sortedPairs(m, opts)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s: float32 edge set diverges: %d edges vs %d", mname, oname, len(got), len(want))
 				}
@@ -85,9 +85,9 @@ func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 }
 
 // TestBatchSweepMatchesIndependentSweeps is the batched-sweep property
-// test: one BatchCorrelatedPairsContext pass over k specs returns exactly
-// what k independent CorrelatedPairs runs return, per spec, in both
-// precisions and on every ISA.
+// test: one batchScoredContext pass over k specs returns exactly what k
+// independent scoredPairs runs return, per spec, in both precisions and on
+// every ISA.
 func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 	mats := diffMatrices(t)
 	specsOpts := []NetworkOptions{
@@ -105,7 +105,7 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 		for _, prec := range []Precision{Float64, Float32} {
 			for mname, m := range mats {
 				base := NetworkOptions{Kind: PearsonCorr, Workers: 2, Precision: prec}
-				outs, err := BatchCorrelatedPairsContext(context.Background(), m, base, specs)
+				outs, err := batchScoredContext(context.Background(), m, base, specs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +115,8 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 				for i, o := range specsOpts {
 					o.Workers = 2
 					o.Precision = prec
-					want := CorrelatedPairs(m, o)
+					want := sortedPairs(m, o)
+					sortScored(outs[i])
 					if !reflect.DeepEqual(outs[i], want) {
 						t.Errorf("%s/%s spec %d: batched sweep diverges from independent sweep (%d vs %d edges)",
 							mname, prec, i, len(outs[i]), len(want))
@@ -161,7 +162,7 @@ func TestBatchSweepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, err := BatchCorrelatedPairsContext(ctx, syn.M, NetworkOptions{}, []SweepSpec{{MinAbsR: 0.5, MaxP: 1}})
+	outs, err := batchScoredContext(ctx, syn.M, NetworkOptions{}, []SweepSpec{{MinAbsR: 0.5, MaxP: 1}})
 	if err == nil || outs != nil {
 		t.Fatalf("cancelled batch: outs=%v err=%v, want nil + error", outs, err)
 	}
@@ -177,7 +178,7 @@ func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	var ref []ScoredEdge
 	for i, workers := range []int{1, 2, 3, 7} {
 		opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.3, Workers: workers, Precision: Float32, Negative: true}
-		got := CorrelatedPairs(syn.M, opts)
+		got := sortedPairs(syn.M, opts)
 		if i == 0 {
 			ref = got
 			continue

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -59,31 +58,11 @@ type ScoredEdge struct {
 	R    float64
 }
 
-// CorrelatedPairs computes the selected correlation for every gene pair and
-// returns the pairs passing the option thresholds, sorted by (U, V) with
-// U < V. The result is deterministic and independent of Workers. This is
-// the primitive under BuildNetwork; callers that need the coefficients
-// (threshold sweeps, edge weighting) use it directly instead of re-running
-// per-pair correlations.
-func CorrelatedPairs(m *Matrix, opts NetworkOptions) []ScoredEdge {
-	out := scoredPairs(m, opts)
-	sortEdges(out)
-	return out
-}
-
-// sortEdges orders edges by (U, V), the canonical output order.
-func sortEdges(out []ScoredEdge) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-}
-
-// scoredPairs is CorrelatedPairs without the (U, V) sort — the engine sweep
-// itself, for callers that canonicalize anyway (BuildNetwork's Builder
-// counting-sorts, ThresholdSweep buckets into Builders).
+// scoredPairs computes the selected correlation for every gene pair and
+// returns the pairs passing the option thresholds, U < V, in unspecified
+// order: its callers canonicalize anyway (BuildNetwork's Builder
+// counting-sorts, ThresholdSweep buckets into Builders). The pair set and
+// every coefficient are independent of Workers.
 func scoredPairs(m *Matrix, opts NetworkOptions) []ScoredEdge {
 	out, _ := scoredPairsContext(context.Background(), m, opts)
 	return out

@@ -1,14 +1,38 @@
 package expr
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parsample/internal/graph"
 )
+
+// correlate is the direct per-pair coefficient the engine must reproduce.
+func correlate(kind CorrelationKind, x, y []float64) float64 {
+	if kind == SpearmanCorr {
+		return Spearman(x, y)
+	}
+	return Pearson(x, y)
+}
+
+// sortedPairs is scoredPairs in canonical (U, V) order, so runs can be
+// compared pair by pair.
+func sortedPairs(m *Matrix, opts NetworkOptions) []ScoredEdge {
+	out := scoredPairs(m, opts)
+	sortScored(out)
+	return out
+}
+
+func sortScored(out []ScoredEdge) {
+	slices.SortFunc(out, func(a, b ScoredEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+}
 
 // referenceNetwork is the pre-engine BuildNetwork path, kept verbatim as the
 // differential oracle: per-pair two-pass correlation, |r| floor, then the
@@ -18,7 +42,7 @@ func referenceNetwork(m *Matrix, opts NetworkOptions) map[graph.Edge]bool {
 	edges := make(map[graph.Edge]bool)
 	for g1 := 0; g1 < m.Genes; g1++ {
 		for g2 := g1 + 1; g2 < m.Genes; g2++ {
-			r := Correlate(opts.Kind, m.Row(g1), m.Row(g2))
+			r := correlate(opts.Kind, m.Row(g1), m.Row(g2))
 			if !opts.Negative && r < 0 {
 				continue
 			}
@@ -80,26 +104,26 @@ func TestBuildNetworkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCorrelatedPairsDeterministic verifies the result is byte-identical
-// across worker counts and sorted by (U, V) — dynamic tile scheduling must
-// not leak into the output.
+// TestCorrelatedPairsDeterministic verifies the pair set and coefficients
+// are identical across worker counts, with no pair admitted twice —
+// dynamic tile scheduling must not leak into the output.
 func TestCorrelatedPairsDeterministic(t *testing.T) {
 	m := randomMatrix(150, 15, 5, 42)
 	opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.1}
 	opts.Workers = 1
-	base := CorrelatedPairs(m, opts)
+	base := sortedPairs(m, opts)
 	if len(base) == 0 {
 		t.Fatal("no pairs retained; thresholds too tight for the test to bite")
 	}
 	for i := 1; i < len(base); i++ {
 		a, b := base[i-1], base[i]
 		if a.U > b.U || (a.U == b.U && a.V >= b.V) {
-			t.Fatalf("output not sorted at %d: %+v then %+v", i, a, b)
+			t.Fatalf("pair repeated or out of order at %d: %+v then %+v", i, a, b)
 		}
 	}
 	for _, w := range []int{2, 3, 7} {
 		opts.Workers = w
-		got := CorrelatedPairs(m, opts)
+		got := sortedPairs(m, opts)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: %d pairs vs %d", w, len(got), len(base))
 		}
@@ -116,12 +140,12 @@ func TestCorrelatedPairsDeterministic(t *testing.T) {
 func TestCorrelatedPairsScores(t *testing.T) {
 	m := randomMatrix(80, 20, 3, 7)
 	for _, kind := range []CorrelationKind{PearsonCorr, SpearmanCorr} {
-		scored := CorrelatedPairs(m, NetworkOptions{Kind: kind, MinAbsR: 0.3, MaxP: 0.2})
+		scored := scoredPairs(m, NetworkOptions{Kind: kind, MinAbsR: 0.3, MaxP: 0.2})
 		if len(scored) == 0 {
 			t.Fatalf("%v: no pairs retained", kind)
 		}
 		for _, se := range scored {
-			want := Correlate(kind, m.Row(int(se.U)), m.Row(int(se.V)))
+			want := correlate(kind, m.Row(int(se.U)), m.Row(int(se.V)))
 			if math.Abs(se.R-want) > 1e-10 {
 				t.Fatalf("%v: pair (%d,%d) r = %v, direct %v", kind, se.U, se.V, se.R, want)
 			}
@@ -266,7 +290,7 @@ func TestBuildNetworkDegenerateShapes(t *testing.T) {
 	if g := BuildNetwork(NewMatrix(0, 5), DefaultNetworkOptions()); g.N() != 0 || g.M() != 0 {
 		t.Fatalf("zero-gene network: n=%d m=%d", g.N(), g.M())
 	}
-	if pairs := CorrelatedPairs(NewMatrix(3, 0), NetworkOptions{}); len(pairs) != 0 {
+	if pairs := scoredPairs(NewMatrix(3, 0), NetworkOptions{}); len(pairs) != 0 {
 		t.Fatalf("zero-sample pairs = %d", len(pairs))
 	}
 }

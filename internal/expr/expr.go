@@ -222,10 +222,10 @@ func (o NetworkOptions) withDefaults() NetworkOptions {
 // pair costs one dot product, the p-value threshold is inverted into a
 // critical |r| ahead of the sweep, and cache-blocked row tiles are
 // dispatched to workers from an atomic counter. The admission rule is the
-// per-pair test (Correlate then PValue against the thresholds) exactly;
-// only the floating-point evaluation order of each coefficient differs, so
-// admission can deviate solely for a pair whose correlation sits within an
-// ulp of the threshold. The result does not depend on Workers.
+// per-pair test (Pearson or Spearman, then PValue against the thresholds)
+// exactly; only the floating-point evaluation order of each coefficient
+// differs, so admission can deviate solely for a pair whose correlation
+// sits within an ulp of the threshold. The result does not depend on Workers.
 func BuildNetwork(m *Matrix, opts NetworkOptions) *graph.Graph {
 	g, _ := BuildNetworkContext(context.Background(), m, opts)
 	return g

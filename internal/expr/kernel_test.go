@@ -224,7 +224,7 @@ func bruteForcePairs(e *engine) [][]ScoredEdge {
 
 func sortedCopy(edges []ScoredEdge) []ScoredEdge {
 	out := slices.Clone(edges)
-	sortEdges(out)
+	sortScored(out)
 	return out
 }
 

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -103,19 +102,3 @@ func (k CorrelationKind) String() string {
 	}
 	return "pearson"
 }
-
-// Correlate computes the selected correlation of two expression profiles.
-func Correlate(kind CorrelationKind, x, y []float64) float64 {
-	if kind == SpearmanCorr {
-		return Spearman(x, y)
-	}
-	return Pearson(x, y)
-}
-
-// FisherZ returns the Fisher z-transform of a correlation coefficient,
-// atanh(r), useful for comparing or averaging correlations. Returns ±Inf at
-// r = ±1.
-func FisherZ(r float64) float64 { return math.Atanh(r) }
-
-// FisherZInv inverts FisherZ.
-func FisherZInv(z float64) float64 { return math.Tanh(z) }

@@ -337,16 +337,6 @@ func TestBitsetOps(t *testing.T) {
 			t.Fatalf("ForEach order %v, want %v", got, want)
 		}
 	}
-	if members := b.AppendMembers(nil); len(members) != 4 || members[3] != 129 {
-		t.Fatalf("AppendMembers gave %v", members)
-	}
-	if !b.Any() {
-		t.Fatal("Any false on non-empty set")
-	}
-	b.Reset()
-	if b.Any() || b.Count() != 0 {
-		t.Fatal("Reset left bits")
-	}
 }
 
 func TestBitsetSubsetAndCount(t *testing.T) {
@@ -357,19 +347,8 @@ func TestBitsetSubsetAndCount(t *testing.T) {
 		b.Set(i)
 	}
 	b.Set(100)
-	if !a.SubsetOf(b) {
-		t.Fatal("a ⊆ b expected")
-	}
-	if b.SubsetOf(a) {
-		t.Fatal("b ⊄ a expected")
-	}
 	if got := a.AndCount(b); got != a.Count() {
 		t.Fatalf("AndCount=%d want %d", got, a.Count())
-	}
-	c := NewBitset(200)
-	c.Or(a)
-	if !a.SubsetOf(c) || !c.SubsetOf(a) {
-		t.Fatal("Or did not copy membership")
 	}
 }
 

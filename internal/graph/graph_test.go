@@ -238,18 +238,6 @@ func TestCountTriangles(t *testing.T) {
 	}
 }
 
-func TestHasChordlessCycleLen4(t *testing.T) {
-	if !HasChordlessCycleLen4(Cycle(4)) {
-		t.Fatal("C4 should have a chordless 4-cycle")
-	}
-	if HasChordlessCycleLen4(Complete(5)) {
-		t.Fatal("K5 has no chordless 4-cycle")
-	}
-	if !HasChordlessCycleLen4(Grid(3, 3)) {
-		t.Fatal("grid should have a chordless 4-cycle")
-	}
-}
-
 func TestDensity(t *testing.T) {
 	if d := Density(Complete(5)); d != 1 {
 		t.Fatalf("K5 density = %v, want 1", d)

@@ -95,33 +95,6 @@ func CountTriangles(g *Graph) int {
 	return n
 }
 
-// LongestInducedCycleUpperBound is a cheap structural diagnostic: it returns
-// the length of some chordless cycle of length ≥ 4 if one is found by a
-// bounded search, or 0 if none was found. It is used only in tests and
-// reports; chordality decisions use the chordal package.
-func HasChordlessCycleLen4(g *Graph) bool {
-	// A chordless C4: u-v-w-x-u with u-w and v-x absent.
-	for u := int32(0); int(u) < g.N(); u++ {
-		nu := g.Neighbors(u)
-		for i := 0; i < len(nu); i++ {
-			v := nu[i]
-			for j := i + 1; j < len(nu); j++ {
-				x := nu[j]
-				if g.HasEdge(v, x) {
-					continue
-				}
-				// Find w adjacent to both v and x, not adjacent to u.
-				for _, w := range g.Neighbors(v) {
-					if w != u && g.HasEdge(w, x) && !g.HasEdge(w, u) {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
 // Density returns 2m / (n(n-1)), the fraction of possible edges present.
 func Density(g *Graph) float64 {
 	n := g.N()

@@ -158,6 +158,13 @@ func ReadAnnotations(r io.Reader) (*Annotations, error) {
 	if n < 0 {
 		n = int(maxG) + 1
 	}
+	// Guard against hostile or corrupt headers and ids before allocating
+	// the per-gene table: one short line must not cost gigabytes. The cap
+	// is the edge-list reader's vertex limit, so every network's genes fit.
+	const maxGenes = 1 << 26
+	if n > maxGenes {
+		return nil, fmt.Errorf("ontology: gene count %d exceeds limit %d", n, maxGenes)
+	}
 	if int(maxG) >= n {
 		return nil, fmt.Errorf("ontology: gene id %d out of declared range %d", maxG, n)
 	}
