@@ -114,10 +114,10 @@ type CorrelationSpec struct {
 	MaxP *float64 `json:"maxP,omitempty"`
 	// Negative admits strong negative correlations as edges (default false).
 	Negative bool `json:"negative"`
-	// Precision is the sweep arithmetic: "float64" (default) or "float32".
-	// The float32 engine is faster and lighter but returns the exact same
-	// network — near-threshold pairs are re-decided in float64 — so this
-	// is a performance knob, never a results knob.
+	// Precision is accepted for compatibility: "float64" (default) or
+	// "float32", anything else is rejected. The engine ignores it — every
+	// sweep runs one float32 prefilter whose candidates are decided in
+	// float64 — so both values produce the same network at the same cost.
 	Precision string `json:"precision,omitempty"`
 }
 

@@ -10,20 +10,18 @@ package api
 //
 // Calibration (BENCH_6.json, ns/op → ns per pair·sample):
 //
-//	build_network/pearson/float64/2048x64   16.58 ms / 2048·2047/2·64  ≈ 0.124 ns
-//	build_network/pearson/float64/4096x100  110.3 ms / 4096·4095/2·100 ≈ 0.132 ns
-//	build_network/pearson/float32/4096x100  68.8 ms  /   same          ≈ 0.082 ns
+//	build_network/pearson/float32/4096x100  68.8 ms / 4096·4095/2·100 ≈ 0.082 ns
 //
-// so the sweep coefficients below are 1.3e-7 units (float64) and 0.85e-7
-// units (float32) per pair·sample. The downstream chain (order → filter →
-// cluster → score) on thresholded correlation networks is a small multiple
-// of the vertex count; edge-list sources are dominated by parse plus
-// per-edge kernel work.
+// measured on the float32-prefilter sweep, the only one the engine runs,
+// so the sweep coefficient below is 0.85e-7 units per pair·sample; the
+// request's precision field does not change it. The downstream chain
+// (order → filter → cluster → score) on thresholded correlation networks
+// is a small multiple of the vertex count; edge-list sources are dominated
+// by parse plus per-edge kernel work.
 
-// Sweep cost coefficients, units per correlated pair·sample.
 const (
-	costSweepF64 = 1.3e-7
-	costSweepF32 = 0.85e-7
+	// costSweep: the correlation sweep, units per correlated pair·sample.
+	costSweep = 0.85e-7
 	// costSynthCell: synthesizing one matrix cell (units per cell).
 	costSynthCell = 1e-6
 	// costDownstreamVertex: order+filter+cluster+score per vertex of a
@@ -73,12 +71,8 @@ func EstimateCost(r *Request) CostEstimate {
 		s := r.Network.Synthesis
 		pairs := float64(s.Genes) * float64(s.Genes-1) / 2
 		samples := float64(s.Samples)
-		coef := costSweepF64
-		if cr := r.Network.Correlation; cr != nil && cr.Precision == "float32" {
-			coef = costSweepF32
-		}
 		c.Source = float64(s.Genes) * samples * costSynthCell
-		c.Network = pairs * samples * coef
+		c.Network = pairs * samples * costSweep
 		c.Downstream = float64(s.Genes) * costDownstreamVertex
 	case r.Network.EdgeList != "":
 		bytes := float64(len(r.Network.EdgeList))

@@ -441,12 +441,10 @@ func BenchmarkFindClustersChordal(b *testing.B) {
 }
 
 // BenchmarkBuildNetwork times the correlation front end — the z-scored,
-// register-blocked all-pairs engine behind expr.BuildNetwork — for both
-// statistics and both arena precisions on the two reference matrix shapes.
-// The 4096×100 Pearson cases are the acceptance metric for the vectorized
-// kernels (float64 ≥2×, float32 ≥3× over the PR-2 scalar engine); float32
-// changes only the prefilter arena, never the edge set, so every variant
-// here must produce the same graph.
+// register-tiled all-pairs engine behind expr.BuildNetwork — for both
+// statistics on the two reference matrix shapes. The 4096×100 Pearson
+// case is the acceptance metric for the vectorized kernel (≥3× over the
+// scalar tiled engine).
 func BenchmarkBuildNetwork(b *testing.B) {
 	for _, shape := range []struct{ genes, samples int }{
 		{2048, 64},
@@ -460,19 +458,16 @@ func BenchmarkBuildNetwork(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, kind := range []expr.CorrelationKind{expr.PearsonCorr, expr.SpearmanCorr} {
-			for _, prec := range []expr.Precision{expr.Float64, expr.Float32} {
-				opts := expr.DefaultNetworkOptions()
-				opts.Kind = kind
-				opts.Precision = prec
-				b.Run(fmt.Sprintf("%s/%s/%dx%d", kind, prec, shape.genes, shape.samples), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if g := expr.BuildNetwork(res.M, opts); g.M() == 0 {
-							b.Fatal("empty network")
-						}
+			opts := expr.DefaultNetworkOptions()
+			opts.Kind = kind
+			b.Run(fmt.Sprintf("%s/%dx%d", kind, shape.genes, shape.samples), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if g := expr.BuildNetwork(res.M, opts); g.M() == 0 {
+						b.Fatal("empty network")
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

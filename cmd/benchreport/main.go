@@ -1,6 +1,6 @@
 // Command benchreport emits the machine-readable perf snapshot for this
 // revision (BENCH_*.json): the correlation front end on the two reference
-// matrix shapes in both arena precisions, the batched-sweep overhead ratio,
+// matrix shapes, the batched-sweep overhead ratio,
 // the HTTP serving tier cold vs warm, the snapshot codec, and the
 // warm-restart path (a fresh process serving the 4096×100 reference request
 // from disk snapshots instead of recomputing — acceptance: ≥ 10× faster
@@ -107,18 +107,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, prec := range []expr.Precision{expr.Float64, expr.Float32} {
-			opts := expr.DefaultNetworkOptions()
-			opts.Precision = prec
-			name := fmt.Sprintf("build_network/pearson/%s/%dx%d", prec, shape.genes, shape.samples)
-			r.NsPerOp[name] = nsPerOp(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if g := expr.BuildNetwork(syn.M, opts); g.M() == 0 {
-						b.Fatal("empty network")
-					}
+		opts := expr.DefaultNetworkOptions()
+		name := fmt.Sprintf("build_network/pearson/%dx%d", shape.genes, shape.samples)
+		r.NsPerOp[name] = nsPerOp(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if g := expr.BuildNetwork(syn.M, opts); g.M() == 0 {
+					b.Fatal("empty network")
 				}
-			})
-		}
+			}
+		})
 		if shape.genes == 2048 {
 			single, batched := batchedSweep(syn)
 			r.NsPerOp["batched_sweep/2048x64/k=1"] = single

@@ -15,6 +15,14 @@ import (
 // networks (YNG, MID, UNT, CRE) to -dir as edge lists, each with a
 // sidecar file of its planted modules.
 func datagenMain(args []string) {
+	if err := runDatagen(args, os.Stdout); err != nil {
+		fatalf("datagen: %v", err)
+	}
+}
+
+// runDatagen is datagenMain with its failures returned. An unknown -only
+// name is an error before anything is built or written.
+func runDatagen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("parsample datagen", flag.ExitOnError)
 	var (
 		dir  = fs.String("dir", "data", "output directory")
@@ -22,24 +30,32 @@ func datagenMain(args []string) {
 	)
 	fs.Parse(args)
 
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		fatalf("datagen: mkdir: %v", err)
-	}
-	for _, ds := range datasets.All() {
-		if *only != "" && ds.Name != *only {
-			continue
+	var list []*datasets.Dataset
+	if *only == "" {
+		list = datasets.All()
+	} else {
+		spec, ok := datasets.SpecFor(*only)
+		if !ok {
+			return fmt.Errorf("unknown dataset %q (want YNG|MID|UNT|CRE)", *only)
 		}
+		list = []*datasets.Dataset{datasets.Build(spec)}
+	}
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
+		return fmt.Errorf("mkdir: %v", err)
+	}
+	for _, ds := range list {
 		edgePath := filepath.Join(*dir, ds.Name+".edges")
 		if err := writeNetworkFile(edgePath, ds.G); err != nil {
-			fatalf("datagen: %s: %v", edgePath, err)
+			return fmt.Errorf("%s: %v", edgePath, err)
 		}
 		modPath := filepath.Join(*dir, ds.Name+".modules")
 		if err := writeModules(modPath, ds.Modules); err != nil {
-			fatalf("datagen: %s: %v", modPath, err)
+			return fmt.Errorf("%s: %v", modPath, err)
 		}
-		fmt.Printf("%s: %d vertices, %d edges, %d modules -> %s, %s\n",
+		fmt.Fprintf(stdout, "%s: %d vertices, %d edges, %d modules -> %s, %s\n",
 			ds.Name, ds.G.N(), ds.G.M(), len(ds.Modules), edgePath, modPath)
 	}
+	return nil
 }
 
 // writeModules writes one "module i: v v ..." line per module to a new

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"parsample/internal/graph"
@@ -32,5 +35,40 @@ func TestWriteModulesFormat(t *testing.T) {
 	}
 	if want := "module 0: 0 1 2\nmodule 1: 3 4\n"; string(got) != want {
 		t.Fatalf("modules file = %q, want %q", got, want)
+	}
+}
+
+// An unknown -only name fails, names the valid datasets and writes nothing.
+func TestDatagenRejectsUnknownDataset(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	err := runDatagen([]string{"-dir", dir, "-only", "XYZ"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "YNG|MID|UNT|CRE") {
+		t.Fatalf("datagen -only XYZ: err = %v, want one naming YNG|MID|UNT|CRE", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("datagen -only XYZ touched %s (stat: %v)", dir, err)
+	}
+}
+
+// -only writes exactly the named dataset.
+func TestDatagenOnly(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := runDatagen([]string{"-dir", dir, "-only", "YNG"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "YNG.edges YNG.modules" {
+		t.Fatalf("datagen -only YNG wrote %q", got)
+	}
+	if !strings.HasPrefix(out.String(), "YNG: 5348 vertices") {
+		t.Fatalf("datagen -only YNG printed %q", out.String())
 	}
 }

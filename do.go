@@ -3,14 +3,13 @@ package parsample
 import (
 	"container/list"
 	"context"
-	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"parsample/api"
 	"parsample/internal/expr"
+	"parsample/internal/faultinject"
 	"parsample/internal/graph"
 	"parsample/internal/mcode"
 	"parsample/internal/ontology"
@@ -203,11 +202,7 @@ func netOptionsFrom(norm *api.Request) expr.NetworkOptions {
 	if c.Statistic == "spearman" {
 		kind = expr.SpearmanCorr
 	}
-	prec := expr.Float64
-	if c.Precision == "float32" {
-		prec = expr.Float32
-	}
-	return expr.NetworkOptions{Kind: kind, MinAbsR: *c.MinAbsR, MaxP: *c.MaxP, Negative: c.Negative, Precision: prec}
+	return expr.NetworkOptions{Kind: kind, MinAbsR: *c.MinAbsR, MaxP: *c.MaxP, Negative: c.Negative}
 }
 
 // mcodeParamsFrom maps a normalized request's cluster spec onto MCODE
@@ -272,6 +267,10 @@ func (p *Pipeline) SetBatchWindow(d time.Duration) { p.eng.SetBatchWindow(d) }
 func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInput, error) {
 	key := norm.Fingerprint()
 	return p.resolver.do(ctx, key, func() (*resolvedInput, error) {
+		// Failpoint: every resolution the cache misses (DESIGN.md §8).
+		if err := faultinject.Eval("parsample.resolve"); err != nil {
+			return nil, err
+		}
 		return p.materialize(key, norm)
 	})
 }
@@ -305,6 +304,13 @@ func (p *Pipeline) materialize(key string, norm *api.Request) (*resolvedInput, e
 			}
 			if ann.NumGenes() < g.N() {
 				return nil, api.Errorf(api.CodeBadRequest, "annotations cover %d genes but the network has %d", ann.NumGenes(), g.N())
+			}
+			for gene := range int32(ann.NumGenes()) {
+				for _, t := range ann.Terms(gene) {
+					if int(t) >= dag.NumTerms() {
+						return nil, api.Errorf(api.CodeBadRequest, "annotations: gene %d names term %d but the ontology has %d terms", gene, t, dag.NumTerms())
+					}
+				}
 			}
 			ri.dag, ri.ann = dag, ann
 		}
@@ -436,17 +442,15 @@ func (c *resolverCache) do(ctx context.Context, key string, compute func() (*res
 	return f.val, f.err
 }
 
-// resolveContained runs compute with panic containment, as the engine's
-// runCompute does: a panic in synthesis, parsing or ontology generation
+// resolveContained runs compute under pipeline.Contain, as the engine's
+// stage computes run: a panic in synthesis, parsing or ontology generation
 // becomes the flight's error, so the flight still closes instead of
 // blocking every later request for the key, and the process survives.
 func resolveContained(compute func() (*resolvedInput, error)) (val *resolvedInput, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			stack := make([]byte, 4<<10)
-			stack = stack[:runtime.Stack(stack, false)]
-			val, err = nil, fmt.Errorf("parsample: resolving the network source panicked: %v\n%s", r, stack)
-		}
-	}()
-	return compute()
+	err = pipeline.Contain("parsample: resolving the network source", func() error {
+		var err error
+		val, err = compute()
+		return err
+	})
+	return val, err
 }

@@ -247,6 +247,24 @@ func TestWithDatasetsRestriction(t *testing.T) {
 	}
 }
 
+// An inline annotation naming a term the inline DAG does not have is a bad
+// request, not a scoring-kernel panic.
+func TestDoRejectsUnknownAnnotationTerm(t *testing.T) {
+	req := &api.Request{
+		Network: api.NetworkSource{EdgeList: "0 1\n1 2\n2 3\n"},
+		Filter:  api.FilterSpec{Algorithm: "none"},
+		Score: api.ScoreSpec{
+			DAG:         "[Term]\nid: 0\n\n[Term]\nid: 1\nis_a: 0\n",
+			Annotations: "0\t1\n3\t999\n",
+		},
+	}
+	_, err := New().Do(context.Background(), req)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeBadRequest || !strings.Contains(ae.Message, "999") {
+		t.Fatalf("err = %v, want bad_request naming term 999", err)
+	}
+}
+
 func TestDoRejectsOversizedSynthesis(t *testing.T) {
 	req := &api.Request{Network: api.NetworkSource{Synthesis: &api.SynthesisSpec{
 		Genes: 100_000_000, Samples: 100_000, Seed: 1,
@@ -341,6 +359,9 @@ func TestResolverPanicContained(t *testing.T) {
 	_, err := c.do(ctx, "k", func() (*resolvedInput, error) { panic("synthesis bug") })
 	if err == nil || !strings.Contains(err.Error(), "synthesis bug") {
 		t.Fatalf("panicking compute returned %v, want an error naming the panic", err)
+	}
+	if strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("contained panic error carries a goroutine stack: %q", err)
 	}
 	if c.contains("k") {
 		t.Fatal("a panicked resolution was cached")

@@ -2,9 +2,9 @@ package expr
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -60,24 +60,35 @@ func diffOptions() map[string]NetworkOptions {
 	}
 }
 
-// TestFloat32EdgeSetsByteIdenticalToFloat64 is the float32 engine's
-// contract: for every matrix, statistic, sign gate and threshold in the
-// zoo, and on every available kernel ISA, the Float32 engine returns the
-// exact []ScoredEdge of the Float64 engine — same pairs, same
-// coefficients, bit for bit. The recheck band makes this hold by
-// construction; this test is the empirical pin.
+// referencePairs is the per-pair admission rule with no prefilter: the
+// canonical dot over the standardized float64 rows, tested against the
+// resolved thresholds for every pair g1 < g2.
+func referencePairs(t *testing.T, m *Matrix, opts NetworkOptions) []ScoredEdge {
+	t.Helper()
+	opts = opts.withDefaults()
+	ar := testArena(t, m, opts.Kind)
+	return bruteForcePairs(newEngine(ar, []SweepSpec{opts.SweepSpec()}))[0]
+}
+
+// TestFloat32EdgeSetsByteIdenticalToFloat64 is the sweep's contract: for
+// every matrix, statistic, sign gate and threshold in the zoo, on every
+// available kernel ISA, and whichever Precision the caller sets, the
+// engine returns the exact []ScoredEdge of the per-pair float64 rule —
+// same pairs, same coefficients, bit for bit. The recheck band makes this
+// hold by construction; this test is the empirical pin.
 func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 	mats := diffMatrices(t)
 	withKernelISA(t, func(t *testing.T) {
 		for mname, m := range mats {
 			for oname, opts := range diffOptions() {
-				opts.Workers = 3
-				opts.Precision = Float64
-				want := sortedPairs(m, opts)
-				opts.Precision = Float32
-				got := sortedPairs(m, opts)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s: float32 edge set diverges: %d edges vs %d", mname, oname, len(got), len(want))
+				want := referencePairs(t, m, opts)
+				for _, prec := range []Precision{Float64, Float32} {
+					opts.Workers = 3
+					opts.Precision = prec
+					if got := sortedPairs(m, opts); !slices.Equal(got, want) {
+						t.Errorf("%s/%s precision %d: edge set diverges from the per-pair rule: %d edges vs %d",
+							mname, oname, prec, len(got), len(want))
+					}
 				}
 			}
 		}
@@ -86,8 +97,7 @@ func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 
 // TestBatchSweepMatchesIndependentSweeps is the batched-sweep property
 // test: one batchScoredContext pass over k specs returns exactly what k
-// independent scoredPairs runs return, per spec, in both precisions and on
-// every ISA.
+// independent scoredPairs runs return, per spec, on every ISA.
 func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 	mats := diffMatrices(t)
 	specsOpts := []NetworkOptions{
@@ -102,25 +112,22 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 		specs[i] = o.SweepSpec()
 	}
 	withKernelISA(t, func(t *testing.T) {
-		for _, prec := range []Precision{Float64, Float32} {
-			for mname, m := range mats {
-				base := NetworkOptions{Kind: PearsonCorr, Workers: 2, Precision: prec}
-				outs, err := batchScoredContext(context.Background(), m, base, specs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(outs) != len(specs) {
-					t.Fatalf("%s/%s: got %d outputs for %d specs", mname, prec, len(outs), len(specs))
-				}
-				for i, o := range specsOpts {
-					o.Workers = 2
-					o.Precision = prec
-					want := sortedPairs(m, o)
-					sortScored(outs[i])
-					if !reflect.DeepEqual(outs[i], want) {
-						t.Errorf("%s/%s spec %d: batched sweep diverges from independent sweep (%d vs %d edges)",
-							mname, prec, i, len(outs[i]), len(want))
-					}
+		for mname, m := range mats {
+			base := NetworkOptions{Kind: PearsonCorr, Workers: 2}
+			outs, err := batchScoredContext(context.Background(), m, base, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != len(specs) {
+				t.Fatalf("%s: got %d outputs for %d specs", mname, len(outs), len(specs))
+			}
+			for i, o := range specsOpts {
+				o.Workers = 2
+				want := sortedPairs(m, o)
+				sortScored(outs[i])
+				if !reflect.DeepEqual(outs[i], want) {
+					t.Errorf("%s spec %d: batched sweep diverges from independent sweep (%d vs %d edges)",
+						mname, i, len(outs[i]), len(want))
 				}
 			}
 		}
@@ -139,13 +146,12 @@ func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
 		{Kind: SpearmanCorr, MinAbsR: 0.7, MaxP: 0.05, Negative: true},
 	}
 	specs := []SweepSpec{specsOpts[0].SweepSpec(), specsOpts[1].SweepSpec()}
-	base := NetworkOptions{Kind: SpearmanCorr, Precision: Float32}
+	base := NetworkOptions{Kind: SpearmanCorr}
 	gs, err := BatchBuildNetworksContext(context.Background(), syn.M, base, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range specsOpts {
-		o.Precision = Float64
 		want := BuildNetwork(syn.M, o)
 		if !reflect.DeepEqual(gs[i], want) {
 			t.Errorf("spec %d: batched network differs from BuildNetwork (%d vs %d edges)", i, gs[i].M(), want.M())
@@ -169,7 +175,8 @@ func TestBatchSweepCancellation(t *testing.T) {
 }
 
 // TestCorrelatedPairsFloat32Deterministic mirrors the engine's Workers
-// determinism pin for the float32 path.
+// determinism pin under negative gating, where the float32 prefilter
+// nominates candidates on both signs.
 func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	syn, err := Synthesize(SyntheticSpec{Genes: 300, Samples: 18, Modules: 3, ModuleSize: 15, Noise: 0.3, Seed: 13})
 	if err != nil {
@@ -177,7 +184,7 @@ func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	}
 	var ref []ScoredEdge
 	for i, workers := range []int{1, 2, 3, 7} {
-		opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.3, Workers: workers, Precision: Float32, Negative: true}
+		opts := NetworkOptions{MinAbsR: 0.4, MaxP: 0.3, Workers: workers, Negative: true}
 		got := sortedPairs(syn.M, opts)
 		if i == 0 {
 			ref = got
@@ -189,20 +196,5 @@ func TestCorrelatedPairsFloat32Deterministic(t *testing.T) {
 	}
 	if len(ref) == 0 {
 		t.Fatal("determinism test admitted no edges; thresholds too tight to be meaningful")
-	}
-}
-
-// TestPrecisionString covers the names used in api wiring and BENCH json.
-func TestPrecisionString(t *testing.T) {
-	for _, tc := range []struct {
-		p    Precision
-		want string
-	}{{Float64, "float64"}, {Float32, "float32"}} {
-		if got := tc.p.String(); got != tc.want {
-			t.Errorf("Precision(%d).String() = %q, want %q", tc.p, got, tc.want)
-		}
-	}
-	if got := fmt.Sprint(Float32); got != "float32" {
-		t.Errorf("fmt.Sprint(Float32) = %q", got)
 	}
 }

@@ -20,11 +20,12 @@ import (
 // incomplete-beta p-value" down to a fraction of a SIMD dot product:
 //
 //  1. Standardization. Every gene row is shifted to zero mean and scaled to
-//     unit L2 norm once, into a pooled flat row-major arena (arena.go)
-//     whose rows are zero-padded to the SIMD lane width. The Pearson
-//     correlation of any two genes is then exactly the dot product of
-//     their standardized rows; Spearman is the same dot product after
-//     replacing each row by its average-tied ranks before standardizing.
+//     unit L2 norm once, into a pooled flat row-major float64 arena
+//     (arena.go), and rounded once into a float32 copy whose rows are
+//     zero-padded to the SIMD lane width. The Pearson correlation of any
+//     two genes is then exactly the dot product of their standardized
+//     rows; Spearman is the same dot product after replacing each row by
+//     its average-tied ranks before standardizing.
 //  2. Threshold inversion. PValue(r, n) is monotone non-increasing in |r|,
 //     so the per-build pair test "p ≤ MaxP" is equivalent to "|r| ≥ r*"
 //     where r* is the smallest |r| whose p-value clears MaxP. r* is found
@@ -36,16 +37,15 @@ import (
 //     so load balancing is dynamic (the triangle makes static striding
 //     uneven) and each claimed tile's rows stay hot across its inner loop.
 //  4. Register tiling with in-register candidate masks. Inside a tile
-//     pair, three rows are correlated against four partner rows per
-//     kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable 3×4
-//     kernel otherwise), and the kernel compares the twelve coefficients
-//     against the loosest admission threshold of each sign minus a sound
-//     error band, returning a 12-bit candidate mask. Only the set bits — plus pairs
-//     left over at the ragged edge of the last tile — are decided by the
-//     canonical scalar dot over the float64 arena, so the admitted edge
-//     set and every reported coefficient are bit-identical whatever the
-//     kernel ISA or arena precision (Float32 halves bandwidth and doubles
-//     lanes, then rechecks through the same canonical kernel).
+//     pair, three float32 rows are correlated against four partner rows
+//     per kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable
+//     3×4 kernel otherwise), and the kernel compares the twelve
+//     coefficients against the loosest admission threshold of each sign
+//     minus a sound error band, returning a 12-bit candidate mask. Only
+//     the set bits — plus pairs left over at the ragged edge of the last
+//     tile — are decided by the canonical scalar dot over the float64
+//     arena, so the admitted edge set and every reported coefficient are
+//     bit-identical whatever the kernel ISA.
 //
 // The engine applies the naive per-pair admission rule exactly (see
 // TestBuildNetworkMatchesReference); only the arithmetic order inside one
@@ -80,16 +80,17 @@ func scoredPairsContext(ctx context.Context, m *Matrix, opts NetworkOptions) ([]
 
 // batchScoredContext runs ONE standardize+sweep pass over m evaluating
 // every admission spec, returning unsorted admitted pairs per spec. base
-// supplies statistic, precision and workers; workers poll ctx at every
-// tile-pair claim (a claim is ~ms of dot products, so cancellation lands
-// promptly) and row standardization polls between rows. On cancellation
-// the partial result is discarded and ctx.Err() returned.
+// supplies statistic and workers (its Precision is ignored); workers poll
+// ctx at every tile-pair claim (a claim is ~ms of dot products, so
+// cancellation lands promptly) and row standardization polls between
+// rows. On cancellation the partial result is discarded and ctx.Err()
+// returned.
 func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([][]ScoredEdge, error) {
 	base = base.withDefaults()
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	ar := arenaFor(m.Genes, m.Samples, base.Precision)
+	ar := arenaFor(m.Genes, m.Samples)
 	defer ar.release()
 	if err := ar.fill(ctx, m, base.Kind); err != nil {
 		return nil, err
@@ -99,34 +100,27 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 
 // newEngine sets up the sweep of a filled arena under the given specs.
 func newEngine(ar *buildArena, specs []SweepSpec) *engine {
-	samples, prec := ar.shape.samples, ar.prec
+	samples := ar.shape.samples
 	e := &engine{
 		genes:    ar.shape.genes,
 		samples:  samples,
 		z64:      ar.z64,
 		z32:      ar.z32,
-		stride64: ar.stride64,
 		stride32: ar.stride32,
-		block:    (*engine).block64,
-		tile:     tileRows(samples, prec),
+		tile:     tileRows(samples),
 		specs:    resolveSpecs(specs, samples),
 	}
-	if prec == Float32 {
-		e.block = (*engine).block32
-	}
-	e.setCandidateBounds(prec)
+	e.setCandidateBounds()
 	return e
 }
 
 // engine is one all-pairs sweep over a standardized row arena.
 type engine struct {
 	genes, samples int
-	z64            []float64 // genes×stride64, zero-mean unit-norm rows, zero-padded (admission oracle)
-	z32            []float32 // genes×stride32, the same rows in float32 (read by Float32 builds only)
-	stride64       int
+	z64            []float64 // genes×samples, zero-mean unit-norm rows (admission oracle)
+	z32            []float32 // genes×stride32, the same rows in float32, zero-padded (prefilter)
 	stride32       int
-	block          func(e *engine, g1, g2 int) uint16 // block64 or block32: the precision's 3×4 kernel
-	tile           int                                // rows per tile
+	tile           int // rows per tile
 	specs          []resolvedSpec
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
 	negCand        float64 // block r ≤ -negCand does too (+Inf: no negative spec)
@@ -160,18 +154,14 @@ func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
 
 // setCandidateBounds derives the block-kernel prefilter bounds: the lowest
 // admission threshold over all specs (positive side) and over the
-// negative-gated specs (negative side), each widened by the precision's
+// negative-gated specs (negative side), each widened by the float32
 // recheck band so no admissible pair can be filtered out. When a widened
 // bound reaches zero the prefilter admits (almost) everything and would
 // only double the work, so the sweep falls back to the dense canonical
-// path — exactly the pre-blocking engine. The float32 kernel compares
-// against the bounds rounded down to float32, which can only nominate more
-// pairs.
-func (e *engine) setCandidateBounds(prec Precision) {
-	band := recheckBand64(e.samples)
-	if prec == Float32 {
-		band = recheckBand32(e.samples)
-	}
+// path — exactly the pre-blocking engine. The kernel compares against the
+// bounds rounded down to float32, which can only nominate more pairs.
+func (e *engine) setCandidateBounds() {
+	band := recheckBand32(e.samples)
 	pos, neg := math.Inf(1), math.Inf(1)
 	for _, sp := range e.specs {
 		if sp.thresh < pos {
@@ -189,15 +179,14 @@ func (e *engine) setCandidateBounds(prec Precision) {
 }
 
 // standardizeInto builds the flat arena of standardized expression rows:
-// row g occupies z[g*stride:g*stride+samples], has zero mean and unit L2
-// norm, so dot(row u, row v) is the Pearson correlation of genes u and v;
-// the stride−samples padding columns after it are set to zero. For
-// SpearmanCorr each row is first replaced by its average-tied ranks.
+// row g occupies z[g*samples:(g+1)*samples], has zero mean and unit L2
+// norm, so dot(row u, row v) is the Pearson correlation of genes u and v.
+// For SpearmanCorr each row is first replaced by its average-tied ranks.
 // Zero-variance rows become all-zero and therefore correlate to 0 with
 // everything, matching Pearson's and Spearman's degenerate-input behavior.
 // ctx is polled roughly every 256Ki written elements, so the interval
 // tracks row cost instead of row count.
-func standardizeInto(ctx context.Context, z []float64, stride int, m *Matrix, kind CorrelationKind) error {
+func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind CorrelationKind) error {
 	s := m.Samples
 	pollEvery := 1 + (1<<18)/(s+1)
 	var rk ranker
@@ -206,8 +195,7 @@ func standardizeInto(ctx context.Context, z []float64, stride int, m *Matrix, ki
 			return ctx.Err()
 		}
 		src := m.Row(g)
-		dst := z[g*stride : g*stride+s]
-		clear(z[g*stride+s : (g+1)*stride])
+		dst := z[g*s : (g+1)*s]
 		if kind == SpearmanCorr {
 			rk.rankInto(dst, src)
 			src = dst
@@ -237,24 +225,22 @@ func standardizeInto(ctx context.Context, z []float64, stride int, m *Matrix, ki
 	return nil
 }
 
-// standardizedRows is standardizeInto over a freshly allocated unpadded
-// arena (stride = samples), for tests and one-shot callers; the engine
-// itself pools padded arenas (arena.go).
+// standardizedRows is standardizeInto over a freshly allocated arena, for
+// tests and one-shot callers; the engine itself pools arenas (arena.go).
 func standardizedRows(ctx context.Context, m *Matrix, kind CorrelationKind) ([]float64, error) {
 	z := make([]float64, m.Genes*m.Samples)
-	if err := standardizeInto(ctx, z, m.Samples, m, kind); err != nil {
+	if err := standardizeInto(ctx, z, m, kind); err != nil {
 		return nil, err
 	}
 	return z, nil
 }
 
-// tileRows picks the tile height so that one tile of padded kernel-arena
-// rows is about 32 KiB — two tiles (the working set of a tile pair) then
-// fit comfortably in L1d+L2 and every row loaded for a block is reused
-// against the whole opposing tile. Float32 arenas take tiles twice as tall
-// for the same byte budget; the height is a multiple of the 3×4 block
-// (12 rows), so only the final ragged tile has leftover rows or partners.
-func tileRows(samples int, prec Precision) int {
+// tileRows picks the tile height so that one tile of padded float32 rows
+// is about 32 KiB — two tiles (the working set of a tile pair) then fit
+// comfortably in L1d+L2 and every row loaded for a block is reused against
+// the whole opposing tile. The height is a multiple of the 3×4 block (12
+// rows), so only the final ragged tile has leftover rows or partners.
+func tileRows(samples int) int {
 	const tileBlock = blockRows * blockCols
 	const maxTile = 21 * tileBlock
 	if samples <= 0 {
@@ -262,12 +248,8 @@ func tileRows(samples int, prec Precision) int {
 		// per-pair functions); any tile height works.
 		return maxTile
 	}
-	elem, lanes := 8, lanes64
-	if prec == Float32 {
-		elem, lanes = 4, lanes32
-	}
 	const tileBytes = 32 << 10
-	t := tileBytes / (rowStride(samples, lanes) * elem)
+	t := tileBytes / (rowStride(samples) * 4)
 	t -= t % tileBlock
 	return min(max(t, tileBlock), maxTile)
 }
@@ -406,11 +388,11 @@ func (c *collector) beginBlock(pairs int64) {
 // admit decides pair (g1, g2) with the canonical float64 dot kernel —
 // whatever block kernel nominated it — and appends it to every spec it
 // clears. This single admission point is what keeps edge sets and
-// coefficients bit-identical across precisions and ISAs.
+// coefficients bit-identical across ISAs.
 func (c *collector) admit(g1, g2 int) {
 	e := c.e
 	s := e.samples
-	r := dot(e.z64[g1*e.stride64:g1*e.stride64+s], e.z64[g2*e.stride64:g2*e.stride64+s])
+	r := dot(e.z64[g1*s:(g1+1)*s], e.z64[g2*s:(g2+1)*s])
 	for si := range e.specs {
 		sp := &e.specs[si]
 		if r < 0 {
@@ -447,8 +429,8 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	c.pairs += pairs
 }
 
-// sweepBlockTiled walks the tile pair in 3×4 blocks through the
-// precision's kernel and admits canonically only the pairs whose bit is
+// sweepBlockTiled walks the tile pair in 3×4 blocks through the float32
+// kernel and admits canonically only the pairs whose bit is
 // set in the returned candidate mask. On a diagonal tile (diag, lo1 ==
 // lo2) the partner blocks of rows g1..g1+2 start at the block holding
 // g1+1 and the pairs on or below the diagonal are masked out. Leftover
@@ -462,7 +444,7 @@ func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector
 			g2 += (g1 + 1 - lo2) / blockCols * blockCols
 		}
 		for ; g2+blockCols <= hi2; g2 += blockCols {
-			mask := e.block(e, g1, g2)
+			mask := e.block(g1, g2)
 			if diag && g2 < g1+blockRows {
 				mask &= aboveDiagonal(g2 - g1)
 			}
@@ -497,15 +479,9 @@ func aboveDiagonal(d int) uint16 {
 	return m
 }
 
-// block64 is the float64 kernel on rows g1..g1+2 against partners
-// g2..g2+3 of z64.
-func (e *engine) block64(g1, g2 int) uint16 {
-	var r [12]float64
-	return dot3x4F64(e.z64[g1*e.stride64:], e.z64[g2*e.stride64:], e.stride64, e.posCand, e.negCand, &r)
-}
-
-// block32 is block64 over the float32 arena, against the float32 bounds.
-func (e *engine) block32(g1, g2 int) uint16 {
+// block is the 3×4 kernel on rows g1..g1+2 against partners g2..g2+3 of
+// z32, against the float32 bounds.
+func (e *engine) block(g1, g2 int) uint16 {
 	var r [12]float32
 	return dot3x4F32(e.z32[g1*e.stride32:], e.z32[g2*e.stride32:], e.stride32, e.pos32, e.neg32, &r)
 }
@@ -514,7 +490,7 @@ func (e *engine) block32(g1, g2 int) uint16 {
 // pair of rows [lo1, hi1) against partners [lo2, hi2) (above the diagonal
 // when diag). Used whole when some admission threshold is within its
 // recheck band of zero, where the prefilter would nominate (nearly) every
-// pair and the block kernels would only add work, and for the leftover
+// pair and the block kernel would only add work, and for the leftover
 // rows of a ragged tile.
 func (e *engine) sweepBlockDense(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
 	for g1 := lo1; g1 < hi1; g1++ {
@@ -539,8 +515,8 @@ func (e *engine) tileSpan(t int) (lo, hi int) {
 
 // dot is the canonical kernel: the inner product of two standardized
 // float64 rows, i.e. their correlation coefficient. It alone decides
-// admission and supplies reported coefficients; the block kernels
-// (kernel.go) are only banded prefilters in front of it. Eight
+// admission and supplies reported coefficients; the block kernel
+// (kernel.go) is only a banded prefilter in front of it. Eight
 // accumulators hide the FP add latency; the slice re-slice lets the
 // compiler elide bounds checks.
 func dot(a, b []float64) float64 {

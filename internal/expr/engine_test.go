@@ -71,7 +71,8 @@ func randomMatrix(genes, samples int, modules int, seed int64) *Matrix {
 
 // TestBuildNetworkMatchesReference pins the engine to the per-pair oracle:
 // identical edge sets on randomized matrices, for both statistics, across
-// loose and stringent thresholds, with and without negative edges.
+// loose and stringent thresholds, with and without negative edges, on
+// every available kernel ISA.
 func TestBuildNetworkMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,19 +88,21 @@ func TestBuildNetworkMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				m := randomMatrix(120, 12, 4, seed)
-				want := referenceNetwork(m, tc.opts)
-				g := BuildNetwork(m, tc.opts)
-				if g.M() != len(want) {
-					t.Fatalf("seed %d: engine %d edges, reference %d", seed, g.M(), len(want))
-				}
-				g.ForEachEdge(func(u, v int32) {
-					if !want[graph.Edge{U: u, V: v}] {
-						t.Fatalf("seed %d: engine admitted (%d,%d), reference did not", seed, u, v)
+			withKernelISA(t, func(t *testing.T) {
+				for seed := int64(1); seed <= 3; seed++ {
+					m := randomMatrix(120, 12, 4, seed)
+					want := referenceNetwork(m, tc.opts)
+					g := BuildNetwork(m, tc.opts)
+					if g.M() != len(want) {
+						t.Fatalf("seed %d: engine %d edges, reference %d", seed, g.M(), len(want))
 					}
-				})
-			}
+					g.ForEachEdge(func(u, v int32) {
+						if !want[graph.Edge{U: u, V: v}] {
+							t.Fatalf("seed %d: engine admitted (%d,%d), reference did not", seed, u, v)
+						}
+					})
+				}
+			})
 		})
 	}
 }

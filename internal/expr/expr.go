@@ -150,32 +150,19 @@ func betacf(a, b, x float64) float64 {
 	return h
 }
 
-// Precision selects the arithmetic width of the all-pairs sweep arena.
-//
-// Float32 halves the standardized-row arena and doubles the elements per
-// SIMD lane, but the edge set it produces is byte-identical to Float64's:
-// block correlations are only a banded prefilter, and any pair whose
-// low-precision coefficient lands within the engine's recheck band of an
-// admission threshold is re-decided by the canonical float64 dot kernel
-// (see kernel.go and DESIGN.md §7). Precision is therefore a pure
-// speed/memory knob, never an accuracy knob.
+// Precision is accepted for compatibility and ignored: every sweep runs
+// one engine, a float32 prefilter whose candidates are decided by the
+// canonical float64 dot (see kernel.go and DESIGN.md §7), so the edge set
+// and every coefficient are those of the per-pair float64 rule whichever
+// value a caller sets.
 type Precision uint8
 
 const (
-	// Float64 standardizes rows into a float64 arena (the default).
+	// Float64 is the zero value; ignored like Float32.
 	Float64 Precision = iota
-	// Float32 standardizes rows into a float32 arena with float64
-	// accumulation and a float64 recheck band near each threshold.
+	// Float32 selects nothing different from Float64.
 	Float32
 )
-
-// String names the precision ("float64", "float32").
-func (p Precision) String() string {
-	if p == Float32 {
-		return "float32"
-	}
-	return "float64"
-}
 
 // NetworkOptions controls correlation-network construction.
 //
@@ -193,7 +180,7 @@ type NetworkOptions struct {
 	MaxP      float64         // maximum p-value; negative → 0.0005
 	Workers   int             // parallel workers; ≤ 0 → GOMAXPROCS
 	Negative  bool            // if true, strong negative correlations also make edges
-	Precision Precision       // sweep arena width; results are identical either way
+	Precision Precision       // ignored; kept so existing callers compile
 }
 
 // DefaultNetworkOptions returns the paper's configuration: Pearson

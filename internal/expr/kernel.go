@@ -2,7 +2,7 @@ package expr
 
 import "math"
 
-// Register-tiled micro-kernels for the all-pairs sweep.
+// The register-tiled micro-kernel of the all-pairs sweep.
 //
 // One kernel call correlates three consecutive standardized rows a0..a2
 // against four consecutive partner rows b0..b3: twelve dot products from
@@ -13,52 +13,42 @@ import "math"
 // candidate bounds in registers; the portable Go kernel below has the same
 // 3×4 shape and contract.
 //
-// Arena rows are zero-padded to a stride that is a multiple of the lane
-// width (lanes64 or lanes32), so the kernel loops over whole vectors with
+// The float32 arena's rows are zero-padded to a stride that is a multiple
+// of the lane width (lanes32), so the kernel loops over whole vectors with
 // no scalar tail; the padding contributes exact zeros to every sum.
 //
 // Mask contract: bit 4·i+k of the returned mask is set iff the
 // coefficient r of (a_i, b_k) satisfies r ≥ pos || −r ≥ neg; NaN sets no
 // bit. The twelve coefficients are also stored to out[4·i+k].
 //
-// Block kernels are PREFILTERS, never deciders. Whatever ISA or precision
-// produced a block coefficient, a pair is admitted or rejected only by the
+// The block kernel is a PREFILTER, never a decider. Whatever ISA produced
+// a block coefficient, a pair is admitted or rejected only by the
 // canonical scalar dot (engine.go) over the float64 arena, and only pairs
 // whose block coefficient clears an admission threshold minus a sound
 // recheck band reach it. That architecture is what makes the edge set
-// byte-identical across Float64/Float32 and across machines with and
-// without AVX2 — the bands below bound the block-vs-canonical error, so
-// no admissible pair can be filtered out and no filtered pair can be
-// admissible. See DESIGN.md §7 for the bound derivations.
+// byte-identical to the per-pair float64 rule on machines with and without
+// AVX2 — recheckBand32 bounds the block-vs-canonical error, so no
+// admissible pair can be filtered out. See DESIGN.md §7 for the bound
+// derivation.
 
 const (
 	blockRows = 3 // rows per micro-kernel call
 	blockCols = 4 // partners per micro-kernel call
-	lanes64   = 4 // float64 lanes per YMM register
 	lanes32   = 8 // float32 lanes per YMM register
 )
 
-// rowStride is the padded arena row length for samples columns: the next
-// multiple of lanes.
-func rowStride(samples, lanes int) int {
-	return (samples + lanes - 1) / lanes * lanes
+// rowStride is the padded float32 row length for samples columns: the
+// next multiple of lanes32.
+func rowStride(samples int) int {
+	return (samples + lanes32 - 1) / lanes32 * lanes32
 }
 
-// dot3x4F64 correlates the three rows a[i·stride:(i+1)·stride] against
-// the four rows b[k·stride:(k+1)·stride] and returns the candidate mask
-// (see the mask contract above). stride must be a multiple of lanes64.
-func dot3x4F64(a, b []float64, stride int, pos, neg float64, out *[12]float64) uint16 {
-	a, b = a[:blockRows*stride], b[:blockCols*stride]
-	if useAVXKernels && stride > 0 {
-		return dot3x4F64AVX(&a[0], &b[0], stride, pos, neg, out)
-	}
-	return dot3x4F64Generic(a, b, stride, pos, neg, out)
-}
-
-// dot3x4F32 is dot3x4F64 over a float32 arena; stride must be a multiple
-// of lanes32. The engine passes bounds rounded
-// down to float32 (roundDown32), so the float32 compare nominates a
-// superset of what the float64 compare of the same coefficient would.
+// dot3x4F32 correlates the three rows a[i·stride:(i+1)·stride] against
+// the four rows b[k·stride:(k+1)·stride] of a float32 arena and returns
+// the candidate mask (see the mask contract above). stride must be a
+// multiple of lanes32. The engine passes bounds rounded down to float32
+// (roundDown32), so the float32 compare nominates a superset of what a
+// float64 compare of the same coefficient would.
 func dot3x4F32(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
 	a, b = a[:blockRows*stride], b[:blockCols*stride]
 	if useAVXKernels && stride > 0 {
@@ -67,43 +57,11 @@ func dot3x4F32(a, b []float32, stride int, pos, neg float32, out *[12]float32) u
 	return dot3x4F32Generic(a, b, stride, pos, neg, out)
 }
 
-// dot3x4F64Generic is the portable 3×4 kernel: twelve scalar
-// accumulators, seven loads per twelve multiply-adds.
-func dot3x4F64Generic(a, b []float64, stride int, pos, neg float64, out *[12]float64) uint16 {
-	n := stride
-	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
-	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
-	var s [12]float64
-	for i, x0 := range a0 {
-		x1, x2 := a1[i], a2[i]
-		y0, y1, y2, y3 := b0[i], b1[i], b2[i], b3[i]
-		s[0] += x0 * y0
-		s[1] += x0 * y1
-		s[2] += x0 * y2
-		s[3] += x0 * y3
-		s[4] += x1 * y0
-		s[5] += x1 * y1
-		s[6] += x1 * y2
-		s[7] += x1 * y3
-		s[8] += x2 * y0
-		s[9] += x2 * y1
-		s[10] += x2 * y2
-		s[11] += x2 * y3
-	}
-	var mask uint16
-	for k, r := range s {
-		if r >= pos || -r >= neg {
-			mask |= 1 << k
-		}
-	}
-	*out = s
-	return mask
-}
-
-// dot3x4F32Generic is the portable kernel over a float32 arena. Products
-// of two float32 values are exact in float64, so it accumulates in
-// float64 — the portable path carries no float32 accumulation error, only
-// the conversion error of the arena and one final rounding to float32.
+// dot3x4F32Generic is the portable 3×4 kernel: twelve scalar
+// accumulators, seven loads per twelve multiply-adds. Products of two
+// float32 values are exact in float64, so it accumulates in float64 — the
+// portable path carries no float32 accumulation error, only the conversion
+// error of the arena and one final rounding to float32.
 func dot3x4F32Generic(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
 	n := stride
 	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
@@ -147,20 +105,7 @@ func roundDown32(x float64) float32 {
 	return f
 }
 
-const (
-	ulp32 = 1.0 / (1 << 24) // float32 unit roundoff 2⁻²⁴
-	ulp64 = 1.0 / (1 << 52) // float64 unit roundoff 2⁻⁵²
-)
-
-// recheckBand64 bounds |block r − canonical r| for the float64 kernels.
-// Both are exact reorderings of the same n-term float64 sum of products of
-// unit-norm rows (zero padding adds exact zeros), so the classic summation
-// bound |err| ≤ n·u·Σ|aᵢbᵢ| ≤ n·u (Cauchy-Schwarz) applies to each,
-// doubled for the difference and padded with an absolute floor so a
-// zero-sample band is still sound.
-func recheckBand64(samples int) float64 {
-	return 1e-12 + float64(samples)*8*ulp64
-}
+const ulp32 = 1.0 / (1 << 24) // float32 unit roundoff 2⁻²⁴
 
 // recheckBand32 bounds |float32-block r − canonical float64 r| for
 // unit-norm rows of n samples (DESIGN.md §7 has the derivation):
@@ -169,9 +114,9 @@ func recheckBand64(samples int) float64 {
 //   - accumulation (AVX): each pair owns one 8-lane accumulator, so every
 //     lane is an FMA chain of ⌈n/8⌉ terms, followed by a 3-level
 //     reduction (hadd, hadd, 128-bit add): ≤ (⌈n/8⌉ + 3)·u32·(1 + 2.01·u32);
-//   - accumulation (portable): exact float64 products and sums, ≤ n·u64,
+//   - accumulation (portable): exact float64 products and sums, ≤ n·2⁻⁵²,
 //     plus one rounding of the result to float32, ≤ u32;
-//   - the canonical float64 dot's own error, ≤ n·u64, is negligible.
+//   - the canonical float64 dot's own error, ≤ n·2⁻⁵², is negligible.
 //
 // The AVX total stays below (n/8 + 6)·u32, inside the band u32·(n/2 + 64)
 // at every n with a margin of ≥ 3n/8 + 58 ulps. At n = 2048 the band is

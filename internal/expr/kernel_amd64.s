@@ -4,7 +4,7 @@
 
 // func x86HasAVX2FMA() bool
 //
-// Feature probe for the block kernels: CPUID.1:ECX must report
+// Feature probe for the block kernel: CPUID.1:ECX must report
 // FMA (bit 12), OSXSAVE (bit 27) and AVX (bit 28); XGETBV(0) must show the
 // OS saving both SSE and AVX state (XCR0 bits 1 and 2); CPUID.7.0:EBX must
 // report AVX2 (bit 5).
@@ -45,117 +45,16 @@ TEXT ·x86HasAVX2FMA(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func dot3x4F64AVX(a, b *float64, stride int, pos, neg float64, out *[12]float64) uint16
+// func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16
 //
 // Register tile: rows a0..a2 (SI, R8, R9) against partners b0..b3 (DI,
 // R10, R11, R12), accumulator Y(4i+k) for pair (a_i, b_k). Each step
 // loads one YMM of every row (3 + 4 loads) for 12 FMAs; Y12-Y14 hold the
-// a vectors and Y15 the current b vector. stride > 0 is a multiple of 4,
-// so there is no scalar tail.
-TEXT ·dot3x4F64AVX(SB), NOSPLIT, $0-50
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ stride+16(FP), CX
-	SHLQ $3, CX // row stride in bytes, and the loop bound
-	LEAQ (SI)(CX*1), R8
-	LEAQ (R8)(CX*1), R9
-	LEAQ (DI)(CX*1), R10
-	LEAQ (R10)(CX*1), R11
-	LEAQ (R11)(CX*1), R12
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	XORQ   AX, AX
-
-loop64:
-	VMOVUPD     (SI)(AX*1), Y12
-	VMOVUPD     (R8)(AX*1), Y13
-	VMOVUPD     (R9)(AX*1), Y14
-	VMOVUPD     (DI)(AX*1), Y15
-	VFMADD231PD Y15, Y12, Y0
-	VFMADD231PD Y15, Y13, Y4
-	VFMADD231PD Y15, Y14, Y8
-	VMOVUPD     (R10)(AX*1), Y15
-	VFMADD231PD Y15, Y12, Y1
-	VFMADD231PD Y15, Y13, Y5
-	VFMADD231PD Y15, Y14, Y9
-	VMOVUPD     (R11)(AX*1), Y15
-	VFMADD231PD Y15, Y12, Y2
-	VFMADD231PD Y15, Y13, Y6
-	VFMADD231PD Y15, Y14, Y10
-	VMOVUPD     (R12)(AX*1), Y15
-	VFMADD231PD Y15, Y12, Y3
-	VFMADD231PD Y15, Y13, Y7
-	VFMADD231PD Y15, Y14, Y11
-	ADDQ        $32, AX
-	CMPQ        AX, CX
-	JLT         loop64
-
-	// Transpose-reduce each row's four accumulators into one vector of
-	// its four coefficients: hadd pairs lanes, the cross-lane permute and
-	// blend line up the 128-bit halves, one add finishes the sums.
-	VHADDPD    Y1, Y0, Y0
-	VHADDPD    Y3, Y2, Y2
-	VPERM2F128 $0x21, Y2, Y0, Y1
-	VBLENDPD   $0x0C, Y2, Y0, Y0
-	VADDPD     Y1, Y0, Y0
-	VHADDPD    Y5, Y4, Y4
-	VHADDPD    Y7, Y6, Y6
-	VPERM2F128 $0x21, Y6, Y4, Y5
-	VBLENDPD   $0x0C, Y6, Y4, Y4
-	VADDPD     Y5, Y4, Y4
-	VHADDPD    Y9, Y8, Y8
-	VHADDPD    Y11, Y10, Y10
-	VPERM2F128 $0x21, Y10, Y8, Y9
-	VBLENDPD   $0x0C, Y10, Y8, Y8
-	VADDPD     Y9, Y8, Y8
-
-	MOVQ    out+40(FP), DX
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y4, 32(DX)
-	VMOVUPD Y8, 64(DX)
-
-	// Candidate mask: r >= pos (GE_OQ) or r <= -neg (LE_OQ); NaN fails
-	// both ordered compares.
-	VBROADCASTSD pos+24(FP), Y12
-	VBROADCASTSD neg+32(FP), Y13
-	VXORPD       Y14, Y14, Y14
-	VSUBPD       Y13, Y14, Y13
-	VCMPPD       $0x1D, Y12, Y0, Y1
-	VCMPPD       $0x12, Y13, Y0, Y2
-	VORPD        Y2, Y1, Y1
-	VMOVMSKPD    Y1, AX
-	VCMPPD       $0x1D, Y12, Y4, Y5
-	VCMPPD       $0x12, Y13, Y4, Y6
-	VORPD        Y6, Y5, Y5
-	VMOVMSKPD    Y5, BX
-	VCMPPD       $0x1D, Y12, Y8, Y9
-	VCMPPD       $0x12, Y13, Y8, Y10
-	VORPD        Y10, Y9, Y9
-	VMOVMSKPD    Y9, DX
-	SHLL         $4, BX
-	SHLL         $8, DX
-	ORL          BX, AX
-	ORL          DX, AX
-	MOVW         AX, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16
-//
-// float32 variant of dot3x4F64AVX: 8 lanes per vector, float32
-// accumulation (see recheckBand32), stride > 0 a multiple of 8. Each
-// row's four accumulators reduce with two hadds and one 128-bit add.
+// a vectors and Y15 the current b vector. 8 lanes per vector, float32
+// accumulation (see recheckBand32); stride > 0 is a multiple of 8, so
+// there is no scalar tail. Each row's four accumulators reduce with two
+// hadds and one 128-bit add; the compares set bit 4i+k of the mask iff
+// r ≥ pos (GE_OQ) or r ≤ −neg (LE_OQ), so NaN sets none.
 TEXT ·dot3x4F32AVX(SB), NOSPLIT, $0-42
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DI

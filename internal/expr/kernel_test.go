@@ -25,73 +25,59 @@ func withKernelISA(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// kernelRows lays seven random rows of width n out as the kernels read
-// them: each row zero-padded to the precision's stride, three probe rows
-// in a and four partner rows in b, with float32 shadows.
+// kernelRows lays seven random rows of width n out as the kernel reads
+// them: three probe rows in a and four partner rows in b, each rounded to
+// float32 and zero-padded to stride s32, with the unpadded float64 rows
+// in rows for the canonical dot.
 type kernelRows struct {
-	n, s64, s32 int
-	a, b        []float64
-	a32, b32    []float32
+	s32  int
+	rows [][]float64
+	a, b []float32
 }
 
 func randKernelRows(rng *rand.Rand, n int) *kernelRows {
-	tr := &kernelRows{n: n, s64: rowStride(n, lanes64), s32: rowStride(n, lanes32)}
-	tr.a = make([]float64, blockRows*tr.s64)
-	tr.b = make([]float64, blockCols*tr.s64)
-	tr.a32 = make([]float32, blockRows*tr.s32)
-	tr.b32 = make([]float32, blockCols*tr.s32)
+	tr := &kernelRows{s32: rowStride(n)}
+	tr.a = make([]float32, blockRows*tr.s32)
+	tr.b = make([]float32, blockCols*tr.s32)
 	for r := 0; r < blockRows+blockCols; r++ {
-		z, z32, k := tr.a, tr.a32, r
+		z, k := tr.a, r
 		if r >= blockRows {
-			z, z32, k = tr.b, tr.b32, r-blockRows
+			z, k = tr.b, r-blockRows
 		}
-		for i := 0; i < n; i++ {
-			v := rng.NormFloat64()
-			z[k*tr.s64+i] = v
-			z32[k*tr.s32+i] = float32(v)
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = rng.NormFloat64()
+			z[k*tr.s32+i] = float32(row[i])
 		}
+		tr.rows = append(tr.rows, row)
 	}
 	return tr
 }
 
-// row returns probe row i (i < 3) or partner row i−3, unpadded.
-func (tr *kernelRows) row(i int) []float64 {
-	if i < blockRows {
-		return tr.a[i*tr.s64 : i*tr.s64+tr.n]
-	}
-	i -= blockRows
-	return tr.b[i*tr.s64 : i*tr.s64+tr.n]
-}
-
-// TestBlockDotMatchesCanonical pins both 3×4 kernels to the canonical
+// TestBlockDotMatchesCanonical pins the 3×4 kernel to the canonical
 // scalar dot across row widths covering every lane and stride boundary, on
-// every available ISA. The float64 tolerance is the engine's own recheck
-// band — the bound the sweep's correctness rests on.
+// every available ISA. The tolerance is the engine's own recheck band —
+// the bound the sweep's correctness rests on — scaled by the row norms.
 func TestBlockDotMatchesCanonical(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for n := 0; n <= 131; n++ {
 			tr := randKernelRows(rng, n)
-			var o64 [12]float64
-			dot3x4F64(tr.a, tr.b, tr.s64, 1, 1, &o64)
-			var o32 [12]float32
-			dot3x4F32(tr.a32, tr.b32, tr.s32, 1, 1, &o32)
+			var out [12]float32
+			dot3x4F32(tr.a, tr.b, tr.s32, 1, 1, &out)
 			for i := 0; i < blockRows; i++ {
 				for k := 0; k < blockCols; k++ {
-					a, b := tr.row(i), tr.row(blockRows+k)
+					a, b := tr.rows[i], tr.rows[blockRows+k]
 					want := dot(a, b)
-					got64, got32 := o64[blockCols*i+k], float64(o32[blockCols*i+k])
-					if d := math.Abs(got64 - want); d > recheckBand64(n) {
-						t.Fatalf("n=%d pair (%d,%d): float64 block dot off by %g (band %g)", n, i, k, d, recheckBand64(n))
-					}
-					// Raw rows are not unit-norm, so scale the float32 band by
-					// the row magnitudes it would be normalized by.
+					got := float64(out[blockCols*i+k])
+					// Raw rows are not unit-norm, so scale the band by the
+					// row magnitudes they would be normalized by.
 					scale := math.Sqrt(dot(a, a) * dot(b, b))
 					if scale < 1 {
 						scale = 1
 					}
-					if d := math.Abs(got32 - want); d > recheckBand32(n)*scale {
-						t.Fatalf("n=%d pair (%d,%d): float32 block dot off by %g (band %g)", n, i, k, d, recheckBand32(n)*scale)
+					if d := math.Abs(got - want); d > recheckBand32(n)*scale {
+						t.Fatalf("n=%d pair (%d,%d): block dot off by %g (band %g)", n, i, k, d, recheckBand32(n)*scale)
 					}
 				}
 			}
@@ -100,9 +86,9 @@ func TestBlockDotMatchesCanonical(t *testing.T) {
 }
 
 // testArena fills an unpooled arena of m's shape.
-func testArena(t *testing.T, m *Matrix, kind CorrelationKind, prec Precision) *buildArena {
+func testArena(t *testing.T, m *Matrix, kind CorrelationKind) *buildArena {
 	t.Helper()
-	ar := newArena(arenaKey{genes: m.Genes, samples: m.Samples}, prec)
+	ar := newArena(arenaKey{genes: m.Genes, samples: m.Samples})
 	if err := ar.fill(t.Context(), m, kind); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +97,7 @@ func testArena(t *testing.T, m *Matrix, kind CorrelationKind, prec Precision) *b
 
 // TestRecheckBandSoundOnStandardizedRows checks the band inequality the
 // engine actually relies on: for standardized (unit-norm) rows, the block
-// coefficient is within the precision's recheck band of the canonical one.
+// coefficient is within recheckBand32 of the canonical one.
 func TestRecheckBandSoundOnStandardizedRows(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
@@ -124,20 +110,15 @@ func TestRecheckBandSoundOnStandardizedRows(t *testing.T) {
 					m.Set(g, s, base*math.Sin(float64(s))+0.5*rng.NormFloat64())
 				}
 			}
-			ar := testArena(t, m, PearsonCorr, Float32)
-			var o64 [12]float64
-			dot3x4F64(ar.z64, ar.z64[blockRows*ar.stride64:], ar.stride64, 1, 1, &o64)
-			var o32 [12]float32
-			dot3x4F32(ar.z32, ar.z32[blockRows*ar.stride32:], ar.stride32, 1, 1, &o32)
-			row := func(g int) []float64 { return ar.z64[g*ar.stride64 : g*ar.stride64+samples] }
+			ar := testArena(t, m, PearsonCorr)
+			var out [12]float32
+			dot3x4F32(ar.z32, ar.z32[blockRows*ar.stride32:], ar.stride32, 1, 1, &out)
+			row := func(g int) []float64 { return ar.z64[g*samples : (g+1)*samples] }
 			for i := 0; i < blockRows; i++ {
 				for k := 0; k < blockCols; k++ {
 					want := dot(row(i), row(blockRows+k))
-					if d := math.Abs(o64[blockCols*i+k] - want); d > recheckBand64(samples) {
-						t.Errorf("samples=%d: float64 band violated: %g > %g", samples, d, recheckBand64(samples))
-					}
-					if d := math.Abs(float64(o32[blockCols*i+k]) - want); d > recheckBand32(samples) {
-						t.Errorf("samples=%d: float32 band violated: %g > %g", samples, d, recheckBand32(samples))
+					if d := math.Abs(float64(out[blockCols*i+k]) - want); d > recheckBand32(samples) {
+						t.Errorf("samples=%d: band violated: %g > %g", samples, d, recheckBand32(samples))
 					}
 				}
 			}
@@ -154,42 +135,27 @@ func TestKernelMaskMatchesScalarCompare(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		inf := math.Inf(1)
 		for _, n := range []int{1, 4, 7, 8, 9, 24, 64, 100} {
-			ar := testArena(t, normalMatrix(blockRows+blockCols, n, int64(n)), PearsonCorr, Float32)
-			a64, b64 := ar.z64, ar.z64[blockRows*ar.stride64:]
-			a32, b32 := ar.z32, ar.z32[blockRows*ar.stride32:]
-			var r64 [12]float64
-			var r32 [12]float32
-			dot3x4F64(a64, b64, ar.stride64, inf, inf, &r64)
-			dot3x4F32(a32, b32, ar.stride32, float32(inf), float32(inf), &r32)
+			ar := testArena(t, normalMatrix(blockRows+blockCols, n, int64(n)), PearsonCorr)
+			a, b := ar.z32, ar.z32[blockRows*ar.stride32:]
+			var r [12]float32
+			dot3x4F32(a, b, ar.stride32, float32(inf), float32(inf), &r)
 			bounds := [][2]float64{
 				{0.3, 0.6}, {0.6, 0.3}, {0.2, inf}, {inf, 0.2}, {inf, inf},
 				{0, inf}, {-0.1, -0.1}, {-1e-9, 0.5},
-				{r64[5], -r64[2]}, {math.Abs(r64[7]), math.Abs(r64[7])},
+				{float64(r[5]), -float64(r[2])}, {math.Abs(float64(r[7])), math.Abs(float64(r[7]))},
 			}
 			for _, bd := range bounds {
-				pos, neg := bd[0], bd[1]
-				var o64 [12]float64
-				got := dot3x4F64(a64, b64, ar.stride64, pos, neg, &o64)
+				pos, neg := roundDown32(bd[0]), roundDown32(bd[1])
+				var out [12]float32
+				got := dot3x4F32(a, b, ar.stride32, pos, neg, &out)
 				var want uint16
-				for k, r := range o64 {
+				for k, r := range out {
 					if r >= pos || -r >= neg {
 						want |= 1 << k
 					}
 				}
 				if got != want {
-					t.Errorf("n=%d f64 bounds (%g,%g): mask %012b, scalar %012b", n, pos, neg, got, want)
-				}
-				p32, n32 := roundDown32(pos), roundDown32(neg)
-				var o32 [12]float32
-				got = dot3x4F32(a32, b32, ar.stride32, p32, n32, &o32)
-				want = 0
-				for k, r := range o32 {
-					if r >= p32 || -r >= n32 {
-						want |= 1 << k
-					}
-				}
-				if got != want {
-					t.Errorf("n=%d f32 bounds (%g,%g): mask %012b, scalar %012b", n, pos, neg, got, want)
+					t.Errorf("n=%d bounds (%g,%g): mask %012b, scalar %012b", n, bd[0], bd[1], got, want)
 				}
 			}
 		}
@@ -249,24 +215,22 @@ func TestTiledSweepMatchesBruteForce(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
 		for _, genes := range []int{1, 2, 3, 4, 5, 7, 11, 12, 13, 23, 25, 37, 50} {
 			m := normalMatrix(genes, 9, int64(genes))
-			for _, prec := range []Precision{Float64, Float32} {
-				ar := testArena(t, m, PearsonCorr, prec)
-				for _, ss := range specSets {
-					e := newEngine(ar, ss.specs)
-					e.tile = blockRows * blockCols
-					if e.dense != ss.dense {
-						t.Fatalf("%s: dense = %v, want %v", ss.name, e.dense, ss.dense)
-					}
-					got, err := e.sweep(context.Background(), 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := bruteForcePairs(e)
-					for si := range want {
-						g := sortedCopy(got[si])
-						if !slices.Equal(g, want[si]) {
-							t.Fatalf("genes=%d %s %s spec %d: sweep %d pairs, brute force %d", genes, prec, ss.name, si, len(g), len(want[si]))
-						}
+			ar := testArena(t, m, PearsonCorr)
+			for _, ss := range specSets {
+				e := newEngine(ar, ss.specs)
+				e.tile = blockRows * blockCols
+				if e.dense != ss.dense {
+					t.Fatalf("%s: dense = %v, want %v", ss.name, e.dense, ss.dense)
+				}
+				got, err := e.sweep(context.Background(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteForcePairs(e)
+				for si := range want {
+					g := sortedCopy(got[si])
+					if !slices.Equal(g, want[si]) {
+						t.Fatalf("genes=%d %s spec %d: sweep %d pairs, brute force %d", genes, ss.name, si, len(g), len(want[si]))
 					}
 				}
 			}
@@ -275,14 +239,15 @@ func TestTiledSweepMatchesBruteForce(t *testing.T) {
 }
 
 // TestArenaPaddingStaysZero poisons a pooled arena, padding columns
-// included, and checks that fill zeroes every padding column of both
-// precisions and that the sweep over the refilled arena still matches the
-// brute-force rule.
+// included, and checks that fill rewrites every row of both arenas, zeroes
+// every float32 padding column, and that the sweep over the refilled
+// arena still matches the brute-force rule.
 func TestArenaPaddingStaysZero(t *testing.T) {
 	m := randomMatrix(29, 13, 3, 4)
 	for _, kind := range []CorrelationKind{PearsonCorr, SpearmanCorr} {
-		ar := arenaFor(m.Genes, m.Samples, Float32)
-		if err := ar.fill(t.Context(), m, kind); err != nil { // allocates z32
+		ar := arenaFor(m.Genes, m.Samples)
+		want64, err := standardizedRows(t.Context(), m, kind)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range ar.z64 {
@@ -294,16 +259,14 @@ func TestArenaPaddingStaysZero(t *testing.T) {
 		if err := ar.fill(t.Context(), m, kind); err != nil {
 			t.Fatal(err)
 		}
+		if !slices.Equal(ar.z64, want64) {
+			t.Fatalf("%v: refilled z64 differs from standardizedRows", kind)
+		}
 		for g := 0; g < m.Genes; g++ {
-			for i := m.Samples; i < ar.stride64; i++ {
-				if v := ar.z64[g*ar.stride64+i]; v != 0 {
-					t.Fatalf("%v: z64 row %d padding column %d = %v", kind, g, i, v)
-				}
-			}
 			for i := 0; i < ar.stride32; i++ {
 				want := float32(0)
 				if i < m.Samples {
-					want = float32(ar.z64[g*ar.stride64+i])
+					want = float32(ar.z64[g*m.Samples+i])
 				}
 				if v := ar.z32[g*ar.stride32+i]; v != want {
 					t.Fatalf("%v: z32 row %d column %d = %v, want %v", kind, g, i, v, want)
@@ -341,7 +304,7 @@ func TestFloat32BoundsRoundDown(t *testing.T) {
 			t.Fatalf("roundDown32(%v) = %v, not the largest float32 ≤ x", x, f)
 		}
 	}
-	ar := newArena(arenaKey{genes: 4, samples: 100}, Float32)
+	ar := newArena(arenaKey{genes: 4, samples: 100})
 	for _, specs := range [][]SweepSpec{
 		{{MinAbsR: 0.95, MaxP: 0.0005}},
 		{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}},
@@ -367,9 +330,9 @@ func TestKernelISANames(t *testing.T) {
 }
 
 // BenchmarkSweepKernel times the single-worker tiled sweep at the paper's
-// thresholds over a 2040-gene standardized arena, for both precisions at
-// the two sample widths the synthesized workloads use, and reports useful
-// multiply-adds (pairs × samples, padding excluded) per nanosecond.
+// thresholds over a 2040-gene standardized arena, at the two sample widths
+// the synthesized workloads use, and reports useful multiply-adds (pairs ×
+// samples, padding excluded) per nanosecond.
 func BenchmarkSweepKernel(b *testing.B) {
 	const genes = 2040
 	for _, samples := range []int{64, 100} {
@@ -379,23 +342,21 @@ func BenchmarkSweepKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, prec := range []Precision{Float64, Float32} {
-			ar := newArena(arenaKey{genes: genes, samples: samples}, prec)
-			if err := ar.fill(context.Background(), res.M, PearsonCorr); err != nil {
-				b.Fatal(err)
-			}
-			e := newEngine(ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
-			b.Run(fmt.Sprintf("%s/%dx%d", prec, genes, samples), func(b *testing.B) {
-				iters := 0
-				for b.Loop() {
-					if _, err := e.sweep(context.Background(), 1); err != nil {
-						b.Fatal(err)
-					}
-					iters++
-				}
-				madds := float64(genes*(genes-1)/2) * float64(samples) * float64(iters)
-				b.ReportMetric(madds/float64(b.Elapsed().Nanoseconds()), "madd/ns")
-			})
+		ar := newArena(arenaKey{genes: genes, samples: samples})
+		if err := ar.fill(context.Background(), res.M, PearsonCorr); err != nil {
+			b.Fatal(err)
 		}
+		e := newEngine(ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
+		b.Run(fmt.Sprintf("%dx%d", genes, samples), func(b *testing.B) {
+			iters := 0
+			for b.Loop() {
+				if _, err := e.sweep(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
+				iters++
+			}
+			madds := float64(genes*(genes-1)/2) * float64(samples) * float64(iters)
+			b.ReportMetric(madds/float64(b.Elapsed().Nanoseconds()), "madd/ns")
+		})
 	}
 }

@@ -15,6 +15,8 @@
 //	pipeline.store.get     every artifact-store request (before lookup)
 //	pipeline.store.put     after a successful compute, before insertion
 //	pipeline.batcher.lead  the sweep-batch leader, before running the kernel
+//	parsample.resolve      every network-source resolution the resolver
+//	                       cache misses (synthesis, parsing, ontology)
 //	diskstore.write        mid-snapshot, after half the blob is on disk
 //	expr.sweep.tile        every correlation-sweep tile claim
 //	server.sse.write       every SSE frame write

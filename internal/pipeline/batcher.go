@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +21,8 @@ import (
 // gate) — each has a distinct artifact key, so each would pay its own full
 // O(genes²·samples) sweep. The batcher closes that gap: the first such
 // request becomes the batch leader, holds the batch open for one batch
-// window so concurrent arrivals with the same (input, statistic,
-// precision) can register their specs, then runs ONE multi-spec sweep and
+// window so concurrent arrivals with the same (input, statistic) can
+// register their specs, then runs ONE multi-spec sweep and
 // hands each waiter its own graph. The marginal cost per extra spec is a
 // threshold comparison per candidate pair (<1.3× a single sweep for
 // k = 4; bench_test.go), so the window trades ~milliseconds of added
@@ -33,9 +32,10 @@ import (
 //   - Only the leader acquires an engine worker slot, and only around the
 //     kernel — a follower waiting on a batch holds nothing, so a
 //     Workers=1 engine cannot deadlock against its own batch.
-//   - The batch is keyed by (Input.Name, statistic, precision): Name
-//     uniquely identifies the data (the Input contract), and mixed
-//     statistics or arena widths cannot share a sweep.
+//   - The batch is keyed by (Input.Name, statistic): Name uniquely
+//     identifies the data (the Input contract), and mixed statistics
+//     cannot share a sweep. Precision is ignored by the engine, so
+//     requests that differ only in it share one.
 //   - A cancelled leader delivers a retriable error; followers whose own
 //     context is still live re-enter and a new leader forms (the same
 //     semantics Store.Do gives waiters of a cancelled owner).
@@ -58,7 +58,6 @@ type sweepBatcher struct {
 type sweepKey struct {
 	name string
 	kind expr.CorrelationKind
-	prec expr.Precision
 }
 
 // sweepBatch is one open batch: the specs registered so far and their
@@ -94,7 +93,7 @@ func (b *sweepBatcher) SetWindow(d time.Duration) { b.window.Store(int64(d)) }
 // batching with concurrent builds over the same key. With no window the
 // leader closes its batch at once, so a lone build is a batch of one.
 func (b *sweepBatcher) build(ctx context.Context, e *Engine, in Input) (*graph.Graph, error) {
-	key := sweepKey{name: in.Name, kind: in.Net.Kind, prec: in.Net.Precision}
+	key := sweepKey{name: in.Name, kind: in.Net.Kind}
 	for {
 		ch := make(chan sweepResult, 1)
 		w := sweepWaiter{spec: in.Net.SweepSpec(), ch: ch}
@@ -163,22 +162,22 @@ func (b *sweepBatcher) lead(ctx context.Context, e *Engine, in Input, key sweepK
 
 // leadRun is the leader's kernel invocation with its failure surface
 // pinned down: the handoff failpoint fires here, and a panicking kernel is
-// contained into an error so the delivery loop above always runs — a
-// leader failure must never strand followers on their channels.
+// contained into an error (Contain) so the delivery loop above always
+// runs — a leader failure must never strand followers on their channels.
 func (b *sweepBatcher) leadRun(ctx context.Context, e *Engine, in Input, waiters []sweepWaiter) (gs []*graph.Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			gs, err = nil, fmt.Errorf("pipeline: batched sweep panicked: %v", r)
+	err = Contain("pipeline: batched sweep", func() error {
+		// Failpoint: leader handoff (under Contain, so a panic-mode arming
+		// is contained too). Injecting context.Canceled here exercises the
+		// follower-retry path (a new leader forms); any other error is
+		// delivered to every waiter as the batch's failure.
+		if err := faultinject.Eval("pipeline.batcher.lead"); err != nil {
+			return err
 		}
-	}()
-	// Failpoint: leader handoff (under the recover, so a panic-mode arming
-	// is contained too). Injecting context.Canceled here exercises the
-	// follower-retry path (a new leader forms); any other error is
-	// delivered to every waiter as the batch's failure.
-	if ferr := faultinject.Eval("pipeline.batcher.lead"); ferr != nil {
-		return nil, ferr
-	}
-	return b.run(ctx, e, in, waiters)
+		var err error
+		gs, err = b.run(ctx, e, in, waiters)
+		return err
+	})
+	return gs, err
 }
 
 // run executes the batched kernel for the closed batch, deduplicating

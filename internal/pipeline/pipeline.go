@@ -155,9 +155,8 @@ type Key struct {
 	// randomized samplers.
 	OrderSeed, FilterSeed int64
 	// Net is the normalized network construction config (Workers and
-	// Precision zeroed: results are worker- and precision-independent —
-	// the float32 engine rechecks admissions in float64, so both arena
-	// widths produce byte-identical artifacts under one key).
+	// Precision zeroed: results are worker-independent and Precision is
+	// ignored, so keys built before it was ignored still match).
 	Net expr.NetworkOptions
 	// MCODE is the normalized clustering config.
 	MCODE mcode.Params

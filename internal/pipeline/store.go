@@ -5,7 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -328,20 +329,33 @@ func decodeBlob(st Stage, data []byte) (val any, bytes int64, err error) {
 	return stages[st].decode(data)
 }
 
-// runCompute invokes compute with panic containment: a panicking kernel is
+// runCompute invokes compute under Contain: a panicking kernel is
 // converted into an error instead of killing the process, so one poisoned
 // request cannot take a shared daemon down. The store's failure discipline
 // then applies as for any compute error — nothing is inserted, waiters get
 // the error, the next attempt recomputes.
 func runCompute(ctx context.Context, compute func(context.Context) (any, int64, error)) (val any, bytes int64, err error) {
+	err = Contain("pipeline: artifact compute", func() error {
+		var err error
+		val, bytes, err = compute(ctx)
+		return err
+	})
+	return val, bytes, err
+}
+
+// Contain runs f and converts a panic inside it into an error, so one
+// poisoned request fails alone instead of killing a shared process. The
+// error says only what panicked ("<what> panicked: <value>"), because it
+// travels to clients in 500 bodies and job records; the goroutine stack
+// goes to the process log.
+func Contain(what string, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			stack := make([]byte, 4<<10)
-			stack = stack[:runtime.Stack(stack, false)]
-			val, bytes, err = nil, 0, fmt.Errorf("pipeline: artifact compute panicked: %v\n%s", r, stack)
+			log.Printf("%s panicked: %v\n%s", what, r, debug.Stack())
+			err = fmt.Errorf("%s panicked: %v", what, r)
 		}
 	}()
-	return compute(ctx)
+	return f()
 }
 
 // insert adds a resident entry, schedules write-behind for unpersisted

@@ -234,7 +234,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer cancel()
 		defer adm.release()
-		resp, err := s.p.Do(ctx, req)
+		// No net/http recover covers this goroutine: a panic escaping Do
+		// would take the daemon down, so it fails this job instead.
+		var resp *api.Response
+		err := pipeline.Contain("server: job", func() error {
+			var err error
+			resp, err = s.p.Do(ctx, req)
+			return err
+		})
 		switch {
 		case err == nil:
 			j.finish(JobDone, resp, nil)

@@ -652,3 +652,91 @@ func TestSSESlowConsumerShedViaFailpoint(t *testing.T) {
 		t.Fatalf("replay after shed: %d %q", resp.StatusCode, body)
 	}
 }
+
+// TestPanicFailsOnlyItsRequest: a panic injected while resolving the
+// network source fails exactly the one sync request and the one job that
+// hit it, with a structured internal error that carries no goroutine
+// stack; a panic escaping Pipeline.Do fails only its sync request or job
+// the same way. Afterwards no units are held, no job is running, and the
+// identical request recomputes and succeeds.
+func TestPanicFailsOnlyItsRequest(t *testing.T) {
+	ts, _ := newTestServer(t)
+	t.Cleanup(faultinject.Reset)
+	noStack := func(what, msg string) {
+		t.Helper()
+		if strings.Contains(msg, "goroutine ") {
+			t.Fatalf("%s leaks a goroutine stack: %q", what, msg)
+		}
+	}
+	runSync := func() *api.Error {
+		t.Helper()
+		resp, body := post(t, ts.URL+"/v1/pipeline", smallSynthBody)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("sync request under an injected panic: %d %s", resp.StatusCode, body)
+		}
+		noStack("500 body", string(body))
+		ae := decodeAPIError(t, body)
+		if ae.Code != api.CodeInternal || !strings.Contains(ae.Message, "panicked") {
+			t.Fatalf("sync error = %+v", ae)
+		}
+		return ae
+	}
+	runJob := func() *api.Error {
+		t.Helper()
+		resp, body := post(t, ts.URL+"/v1/jobs", smallSynthBody)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		var ji JobInfo
+		if err := json.Unmarshal(body, &ji); err != nil {
+			t.Fatal(err)
+		}
+		failed := waitStatus(t, ts.URL+"/v1/jobs/"+ji.ID, JobFailed, 30*time.Second)
+		if failed.Error == nil || failed.Error.Code != api.CodeInternal {
+			t.Fatalf("failed job error = %+v, want code %q", failed.Error, api.CodeInternal)
+		}
+		return failed.Error
+	}
+
+	faultinject.Enable("parsample.resolve", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	runSync()
+	faultinject.Enable("parsample.resolve", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	noStack("resolve-panic job error", runJob().Message)
+	if got := faultinject.Fired("parsample.resolve"); got != 1 {
+		t.Fatalf("parsample.resolve fired %d times for the job, want 1", got)
+	}
+	faultinject.Reset()
+
+	// pipeline.store.get fires before any stage compute, outside every
+	// kernel-level recover, so this panic leaves Pipeline.Do.
+	faultinject.Enable("pipeline.store.get", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	if ae := runSync(); !strings.Contains(ae.Message, "server: request panicked") {
+		t.Fatalf("escaped panic sync error = %+v, want the handler's containment", ae)
+	}
+	faultinject.Enable("pipeline.store.get", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	ae := runJob()
+	if !strings.Contains(ae.Message, "server: job panicked") {
+		t.Fatalf("escaped panic job error = %+v, want the job's containment", ae)
+	}
+	noStack("escaped-panic job error", ae.Message)
+	faultinject.Reset()
+
+	var st struct {
+		Jobs      jobCounts  `json:"jobs"`
+		Admission admitStats `json:"admission"`
+	}
+	_, body := get(t, ts.URL+"/statsz")
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Jobs.Running != 0 || st.Jobs.Finished != 2 || st.Admission.InUseUnits != 0 {
+		t.Fatalf("after the failed jobs: jobs %+v, %v units in use", st.Jobs, st.Admission.InUseUnits)
+	}
+	resp, body := post(t, ts.URL+"/v1/pipeline", smallSynthBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("identical request after the panics: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(CacheHeader); got != "miss" {
+		t.Fatalf("identical request after the panics: cache %q, want a recompute (miss)", got)
+	}
+}

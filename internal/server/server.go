@@ -170,7 +170,14 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 			anyDisk = true
 		}
 	})
-	resp, err := s.p.Do(ctx, norm)
+	// A panic escaping Do becomes a structured 500 (Contain) rather than
+	// net/http's dropped connection.
+	var resp *api.Response
+	err = pipeline.Contain("server: request", func() error {
+		var err error
+		resp, err = s.p.Do(ctx, norm)
+		return err
+	})
 	if err != nil {
 		if norm.DeadlineMillis > 0 && errors.Is(err, context.DeadlineExceeded) {
 			err = api.WrapError(api.CodeDeadlineExceeded, err,

@@ -93,10 +93,6 @@ type (
 	NetworkOptions = expr.NetworkOptions
 	// CorrelationKind selects Pearson or Spearman correlation.
 	CorrelationKind = expr.CorrelationKind
-	// Precision selects the correlation sweep's arena width (Float64 or
-	// Float32). A pure speed/memory knob: the float32 engine re-decides
-	// near-threshold pairs in float64, so the network is byte-identical.
-	Precision = expr.Precision
 	// DAG is a GO-like ontology.
 	DAG = ontology.DAG
 	// Annotations maps genes to ontology terms.
@@ -125,14 +121,6 @@ const (
 	// SpearmanCorr is Spearman rank correlation, robust to outliers and
 	// monotone nonlinearity.
 	SpearmanCorr = expr.SpearmanCorr
-)
-
-// Sweep-arena precisions for NetworkOptions.Precision.
-const (
-	// Float64 is the default double-precision sweep arena.
-	Float64 = expr.Float64
-	// Float32 halves arena bytes and doubles SIMD lanes; identical results.
-	Float32 = expr.Float32
 )
 
 // Sampling algorithms.
