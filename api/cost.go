@@ -2,26 +2,30 @@ package api
 
 // Cost estimation: a pure function from a request's declared dimensions to
 // its predicted compute cost, in cost units. One unit ≈ one millisecond of
-// single-threaded kernel time on the BENCH_6.json reference machine — the
+// single-threaded kernel time on the calibration host below — the
 // admission gate's currency (DESIGN.md §8). Estimates are admission
 // weights, not SLOs: what matters is that a 4096×100 cold sweep weighs
 // ~three orders of magnitude more than a warm dataset request, so a burst
 // of the former cannot starve the latter.
 //
-// Calibration (BENCH_6.json, ns/op → ns per pair·sample):
+// Calibration (2-vCPU AVX2 Xeon; three alternating runs each):
 //
-//	build_network/pearson/float32/4096x100  68.8 ms / 4096·4095/2·100 ≈ 0.082 ns
+//	go test -bench=SweepKernel ./internal/expr, 4096x100, one worker:
+//	  32.4–35.8 ms / (4096·4095/2 pairs · 100 samples) ≈ 0.042 ns per pair·sample
+//	bash perfbench/run.sh --workload dataset-cold --seed 1 --seconds 20:
+//	  cpu_ms_per_req 7.3–8.5 ms (one cold dataset request, end to end)
 //
-// measured on the float32-prefilter sweep, the only one the engine runs,
-// so the sweep coefficient below is 0.85e-7 units per pair·sample; the
-// request's precision field does not change it. The downstream chain
-// (order → filter → cluster → score) on thresholded correlation networks
-// is a small multiple of the vertex count; edge-list sources are dominated
-// by parse plus per-edge kernel work.
+// The sweep is timed on a single worker over the float32-prefilter
+// 6×16 kernel, the only one the engine runs, so the sweep coefficient
+// below is 0.42e-7 units per pair·sample; the request's precision field
+// does not change it. The downstream chain (order → filter → cluster →
+// score) on thresholded correlation networks is a small multiple of the
+// vertex count; edge-list sources are dominated by parse plus per-edge
+// kernel work.
 
 const (
 	// costSweep: the correlation sweep, units per correlated pair·sample.
-	costSweep = 0.85e-7
+	costSweep = 0.42e-7
 	// costSynthCell: synthesizing one matrix cell (units per cell).
 	costSynthCell = 1e-6
 	// costDownstreamVertex: order+filter+cluster+score per vertex of a
@@ -34,10 +38,10 @@ const (
 	// edgeListBytesPerEdge approximates "u v\n" line width for edge-count
 	// estimation from body size.
 	edgeListBytesPerEdge = 12
-	// costDataset: one built-in evaluation dataset end to end, cold (they
-	// are paper-sized and nearly constant; the engine's cold YNG chain
-	// measures ~60 ms).
-	costDataset = 50
+	// costDataset: one built-in evaluation dataset request end to end,
+	// cold (they are paper-sized and nearly constant; perfbench
+	// dataset-cold measures 7.3–8.5 ms CPU per request).
+	costDataset = 8
 	// costBase: fixed per-request overhead (resolution, HTTP, marshalling).
 	costBase = 1
 )

@@ -441,7 +441,7 @@ func BenchmarkFindClustersChordal(b *testing.B) {
 }
 
 // BenchmarkBuildNetwork times the correlation front end — the z-scored,
-// register-tiled all-pairs engine behind expr.BuildNetwork — for both
+// panel-blocked all-pairs engine behind expr.BuildNetwork — for both
 // statistics on the two reference matrix shapes. The 4096×100 Pearson
 // case is the acceptance metric for the vectorized kernel (≥3× over the
 // scalar tiled engine).

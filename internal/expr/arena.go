@@ -19,23 +19,23 @@ import (
 //     needs re-sizing.
 //   - sync.Pool's GC integration bounds the idle footprint: arenas for
 //     shapes that stop arriving are collected with the next GC cycle.
-//   - The float32 rows are zero-padded to the kernel's lane width
-//     (rowStride), and fill rewrites every padding column on every
-//     checkout, so a recycled arena's stale contents never reach the
-//     kernels.
+//   - The float32 copy is panel-major (p32) with zero genes padding the
+//     last panel, and fill rewrites every padding gene on every checkout,
+//     so a recycled arena's stale contents never reach the kernel.
 
 type arenaKey struct{ genes, samples int }
 
 // buildArena is one sweep's row storage. z64 holds the canonical float64
-// standardized rows (the admission oracle), unpadded at stride samples;
-// z32 holds the same rows rounded to float32 (the prefilter's input) at
-// stride32.
+// standardized rows (the admission oracle), row-major at stride samples;
+// p32 holds the same values rounded to float32 (the prefilter's input) in
+// the kernel's panel-major layout: panel p is genes 16p..16p+15, k-major,
+// so gene g's sample k is p32[offset32(g) + 16k]. The last panel is
+// padded with zero genes.
 type buildArena struct {
-	pool     *sync.Pool
-	shape    arenaKey
-	stride32 int
-	z64      []float64
-	z32      []float32
+	pool  *sync.Pool
+	shape arenaKey
+	z64   []float64
+	p32   []float32
 }
 
 var arenaPools struct {
@@ -62,42 +62,71 @@ func arenaFor(genes, samples int) *buildArena {
 	return a
 }
 
-// fill standardizes m's rows into z64 (standardizeInto) and rounds them
-// into z32, zeroing every padding column of z32. The conversion polls ctx
-// every 256 rows: on the 32k-gene cap it touches 2²⁵ floats, long enough
-// that a cancelled run must not sit through it.
+// fill standardizes m's rows into z64 (standardizeInto) and packs them
+// into p32.
 func (a *buildArena) fill(ctx context.Context, m *Matrix, kind CorrelationKind) error {
 	if err := standardizeInto(ctx, a.z64, m, kind); err != nil {
 		return err
 	}
-	s := m.Samples
-	for g := 0; g < m.Genes; g++ {
+	return a.pack32(ctx)
+}
+
+// pack32 transposes the rows of z64, rounded to float32, into the panels
+// of p32 and zeroes the padding genes of the last panel. It polls ctx
+// every 256 genes: on the 32k-gene cap it touches 2²⁵ floats, long enough
+// that a cancelled run must not sit through it.
+func (a *buildArena) pack32(ctx context.Context) error {
+	genes, s := a.shape.genes, a.shape.samples
+	padded := (genes + panelGenes - 1) / panelGenes * panelGenes
+	for g := 0; g < padded; g++ {
 		if g%256 == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		src := a.z64[g*s : (g+1)*s]
-		dst := a.z32[g*a.stride32 : (g+1)*a.stride32]
-		for i, v := range src {
-			dst[i] = float32(v)
+		var row []float64
+		if g < genes {
+			row = a.z64[g*s : (g+1)*s]
 		}
-		clear(dst[s:])
+		put32(a.p32, g, s, row)
 	}
 	return nil
 }
 
+// put32 writes row, rounded to float32, as gene g of the panel-major
+// arena p32 of the given sample count; a nil row writes zeros.
+func put32(p32 []float32, g, samples int, row []float64) {
+	if samples == 0 {
+		return
+	}
+	col := p32[offset32(g, samples):]
+	if row == nil {
+		for k := range samples {
+			col[panelGenes*k] = 0
+		}
+		return
+	}
+	for k, v := range row {
+		col[panelGenes*k] = float32(v)
+	}
+}
+
+// offset32 is the p32 offset of gene g's sample 0 in an arena of the
+// given sample count.
+func offset32(g, samples int) int {
+	return g/panelGenes*panelGenes*samples + g%panelGenes
+}
+
 // newArena allocates an unpooled arena of the given shape.
 func newArena(shape arenaKey) *buildArena {
-	s32 := rowStride(shape.samples)
+	panels := (shape.genes + panelGenes - 1) / panelGenes
 	return &buildArena{
-		shape:    shape,
-		stride32: s32,
-		z64:      make([]float64, shape.genes*shape.samples),
-		z32:      make([]float32, shape.genes*s32),
+		shape: shape,
+		z64:   make([]float64, shape.genes*shape.samples),
+		p32:   make([]float32, panels*panelGenes*shape.samples),
 	}
 }
 
 // release returns the arena to its pool. The caller must not retain any
-// reference into z64/z32 past this call.
+// reference into z64/p32 past this call.
 func (a *buildArena) release() {
 	p := a.pool
 	a.pool = nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -21,31 +20,33 @@ import (
 //
 //  1. Standardization. Every gene row is shifted to zero mean and scaled to
 //     unit L2 norm once, into a pooled flat row-major float64 arena
-//     (arena.go), and rounded once into a float32 copy whose rows are
-//     zero-padded to the SIMD lane width. The Pearson correlation of any
-//     two genes is then exactly the dot product of their standardized
-//     rows; Spearman is the same dot product after replacing each row by
-//     its average-tied ranks before standardizing.
+//     (arena.go), and rounded once into a float32 copy laid out in
+//     panel-major order: panels of 16 genes, k-major, the last panel padded
+//     with zero genes. The Pearson correlation of any two genes is then
+//     exactly the dot product of their standardized rows; Spearman is the
+//     same dot product after replacing each row by its average-tied ranks
+//     before standardizing.
 //  2. Threshold inversion. PValue(r, n) is monotone non-increasing in |r|,
 //     so the per-build pair test "p ≤ MaxP" is equivalent to "|r| ≥ r*"
 //     where r* is the smallest |r| whose p-value clears MaxP. r* is found
 //     once by bisection to adjacent float64s (criticalR); the continued
 //     fraction betacf never runs inside the pair loop.
 //  3. Tiling. The triangular pair sweep is blocked into square row tiles,
-//     a multiple of 12 rows tall and sized so two tiles of standardized
-//     rows sit in L1/L2. Workers claim tile pairs from an atomic counter,
-//     so load balancing is dynamic (the triangle makes static striding
-//     uneven) and each claimed tile's rows stay hot across its inner loop.
-//  4. Register tiling with in-register candidate masks. Inside a tile
-//     pair, three float32 rows are correlated against four partner rows
-//     per kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable
-//     3×4 kernel otherwise), and the kernel compares the twelve
-//     coefficients against the loosest admission threshold of each sign
-//     minus a sound error band, returning a 12-bit candidate mask. Only
-//     the set bits — plus pairs left over at the ragged edge of the last
-//     tile — are decided by the canonical scalar dot over the float64
-//     arena, so the admitted edge set and every reported coefficient are
-//     bit-identical whatever the kernel ISA.
+//     a multiple of 48 rows tall (whole 6-row blocks and whole 16-gene
+//     panels) and sized so two tiles of float32 panels sit in L1/L2.
+//     Workers claim tile pairs from an atomic counter, so load balancing
+//     is dynamic (the triangle makes static striding uneven) and each
+//     claimed tile's panels stay hot across its inner loop.
+//  4. Outer-product micro-kernel with in-register candidate masks. Inside a
+//     tile pair, six rows are correlated against one 16-gene panel per
+//     kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable
+//     6×16 kernel otherwise); the kernel compares its 96 coefficients
+//     lane-wise against the loosest admission threshold of each sign minus
+//     a sound error band and returns a 96-bit candidate mask. Only the set
+//     bits the tile pair owns (blockKeep: above the diagonal, inside the
+//     ragged last tile) are decided by the canonical scalar dot over the
+//     float64 arena, so the admitted edge set and every reported
+//     coefficient are bit-identical whatever the kernel ISA.
 //
 // The engine applies the naive per-pair admission rule exactly (see
 // TestBuildNetworkMatchesReference); only the arithmetic order inside one
@@ -102,13 +103,12 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 func newEngine(ar *buildArena, specs []SweepSpec) *engine {
 	samples := ar.shape.samples
 	e := &engine{
-		genes:    ar.shape.genes,
-		samples:  samples,
-		z64:      ar.z64,
-		z32:      ar.z32,
-		stride32: ar.stride32,
-		tile:     tileRows(samples),
-		specs:    resolveSpecs(specs, samples),
+		genes:   ar.shape.genes,
+		samples: samples,
+		z64:     ar.z64,
+		p32:     ar.p32,
+		tile:    tileRows(samples),
+		specs:   resolveSpecs(specs, samples),
 	}
 	e.setCandidateBounds()
 	return e
@@ -118,9 +118,8 @@ func newEngine(ar *buildArena, specs []SweepSpec) *engine {
 type engine struct {
 	genes, samples int
 	z64            []float64 // genes×samples, zero-mean unit-norm rows (admission oracle)
-	z32            []float32 // genes×stride32, the same rows in float32, zero-padded (prefilter)
-	stride32       int
-	tile           int // rows per tile
+	p32            []float32 // the same rows in float32, panel-major (prefilter; arena.go)
+	tile           int       // rows per tile
 	specs          []resolvedSpec
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
 	negCand        float64 // block r ≤ -negCand does too (+Inf: no negative spec)
@@ -235,21 +234,25 @@ func standardizedRows(ctx context.Context, m *Matrix, kind CorrelationKind) ([]f
 	return z, nil
 }
 
-// tileRows picks the tile height so that one tile of padded float32 rows
-// is about 32 KiB — two tiles (the working set of a tile pair) then fit
-// comfortably in L1d+L2 and every row loaded for a block is reused against
-// the whole opposing tile. The height is a multiple of the 3×4 block (12
-// rows), so only the final ragged tile has leftover rows or partners.
+// tileBlock is the tile-height quantum: whole 6-row kernel blocks and whole
+// 16-gene panels, lcm(blockRows, panelGenes).
+const tileBlock = 48
+
+// tileRows picks the tile height so that one tile of float32 panels is
+// about 32 KiB — two tiles (the working set of a tile pair) then fit
+// comfortably in L1d+L2 and every panel loaded for a block is reused
+// against the whole opposing tile. The height is a multiple of tileBlock,
+// so tiles start on a panel and only the final ragged tile has a partial
+// row block or a partial panel.
 func tileRows(samples int) int {
-	const tileBlock = blockRows * blockCols
-	const maxTile = 21 * tileBlock
+	const maxTile = 5 * tileBlock
 	if samples <= 0 {
 		// Degenerate zero-width rows (every correlation is 0, matching the
 		// per-pair functions); any tile height works.
 		return maxTile
 	}
 	const tileBytes = 32 << 10
-	t := tileBytes / (rowStride(samples) * 4)
+	t := tileBytes / (samples * 4)
 	t -= t % tileBlock
 	return min(max(t, tileBlock), maxTile)
 }
@@ -408,7 +411,7 @@ func (c *collector) admit(g1, g2 int) {
 }
 
 // sweepBlock computes all pairs between tile ti and tile tj (the triangle
-// above the diagonal when ti == tj) through the register-tiled sweep, or
+// above the diagonal when ti == tj) through the 6×16 kernel sweep, or
 // the dense canonical path when the prefilter cannot reject anything.
 func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	lo1, hi1 := e.tileSpan(ti)
@@ -429,69 +432,40 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	c.pairs += pairs
 }
 
-// sweepBlockTiled walks the tile pair in 3×4 blocks through the float32
-// kernel and admits canonically only the pairs whose bit is
-// set in the returned candidate mask. On a diagonal tile (diag, lo1 ==
-// lo2) the partner blocks of rows g1..g1+2 start at the block holding
-// g1+1 and the pairs on or below the diagonal are masked out. Leftover
-// partners and rows (fewer than 4 or 3, only in the ragged last tile) are
-// decided canonically outright.
+// sweepBlockTiled walks the tile pair in 6-row blocks against 16-gene
+// panels through the float32 kernel and admits canonically only the owned
+// pairs whose bit is set in the returned candidate mask. On a diagonal
+// tile (diag, lo1 == lo2) a row block's partners start at the panel
+// holding its first row's successor. In the ragged last tile a partial
+// row block repeats its last row; blockKeep drops the repeats with the
+// pairs on or below the diagonal, and the padding genes of the last panel.
 func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
-	g1 := lo1
-	for ; g1+blockRows <= hi1; g1 += blockRows {
-		g2 := lo2
+	n := e.samples
+	var rows [blockRows]int
+	for g1 := lo1; g1 < hi1; g1 += blockRows {
+		for i := range rows {
+			rows[i] = offset32(min(g1+i, hi1-1), n)
+		}
+		q := lo2
 		if diag {
-			g2 += (g1 + 1 - lo2) / blockCols * blockCols
+			q = (g1 + 1) / panelGenes * panelGenes
 		}
-		for ; g2+blockCols <= hi2; g2 += blockCols {
-			mask := e.block(g1, g2)
-			if diag && g2 < g1+blockRows {
-				mask &= aboveDiagonal(g2 - g1)
+		for ; q < hi2; q += panelGenes {
+			lo, hi := kernel6x16(e.p32, &rows, q*n, n, e.pos32, e.neg32)
+			if lo|hi == 0 {
+				continue
 			}
-			for ; mask != 0; mask &= mask - 1 {
-				b := bits.TrailingZeros16(mask)
-				c.admit(g1+b/blockCols, g2+b%blockCols)
-			}
-		}
-		for ; g2 < hi2; g2++ {
-			for i := 0; i < blockRows; i++ {
-				if !diag || g2 > g1+i {
-					c.admit(g1+i, g2)
-				}
-			}
+			klo, khi := blockKeep(g1, q, hi2, diag)
+			maskPairs(lo&klo, hi&khi, func(i, k int) { c.admit(g1+i, q+k) })
 		}
 	}
-	e.sweepBlockDense(g1, hi1, lo2, hi2, diag, c)
-}
-
-// aboveDiagonal is the mask of the 3×4 block pairs (g1+i, g1+d+k) above
-// the diagonal, d+k > i, for a block whose partners start d rows after
-// its rows.
-func aboveDiagonal(d int) uint16 {
-	var m uint16
-	for i := 0; i < blockRows; i++ {
-		for k := 0; k < blockCols; k++ {
-			if d+k > i {
-				m |= 1 << (blockCols*i + k)
-			}
-		}
-	}
-	return m
-}
-
-// block is the 3×4 kernel on rows g1..g1+2 against partners g2..g2+3 of
-// z32, against the float32 bounds.
-func (e *engine) block(g1, g2 int) uint16 {
-	var r [12]float32
-	return dot3x4F32(e.z32[g1*e.stride32:], e.z32[g2*e.stride32:], e.stride32, e.pos32, e.neg32, &r)
 }
 
 // sweepBlockDense is the pre-blocking engine: canonical dot for every
 // pair of rows [lo1, hi1) against partners [lo2, hi2) (above the diagonal
-// when diag). Used whole when some admission threshold is within its
-// recheck band of zero, where the prefilter would nominate (nearly) every
-// pair and the block kernel would only add work, and for the leftover
-// rows of a ragged tile.
+// when diag). Used when some admission threshold is within its recheck
+// band of zero, where the prefilter would nominate (nearly) every pair and
+// the block kernel would only add work.
 func (e *engine) sweepBlockDense(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
 	for g1 := lo1; g1 < hi1; g1++ {
 		start := lo2

@@ -1,25 +1,28 @@
 package expr
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// The register-tiled micro-kernel of the all-pairs sweep.
+// The outer-product micro-kernel of the all-pairs sweep.
 //
-// One kernel call correlates three consecutive standardized rows a0..a2
-// against four consecutive partner rows b0..b3: twelve dot products from
-// one pass over seven rows, so each step loads 3+4 vectors for 12
-// multiply-accumulates. On amd64 with AVX2+FMA (detected at runtime,
-// kernel_amd64.s) the twelve accumulators live in YMM registers, are
-// reduced by a hadd/permute transpose, and are compared against the
-// candidate bounds in registers; the portable Go kernel below has the same
-// 3×4 shape and contract.
+// One kernel call correlates six standardized rows against the sixteen
+// genes of one panel of the float32 arena (arena.go): 96 dot products from
+// one pass over the samples. The arena is panel-major — panel p holds genes
+// 16p..16p+15 k-major, so sample k of the whole panel is 16 consecutive
+// floats (64 bytes) and sample k of one gene sits 64 bytes after sample
+// k−1 in whatever panel holds it. Per sample, the AVX2+FMA kernel
+// (kernel_amd64.s, detected at runtime) loads the panel's 16 values as two
+// YMM vectors, broadcasts each of the six rows' values, and issues 12 FMAs
+// into 12 accumulators that stay in registers for the whole call; the
+// portable Go kernel below has the same 6×16 shape and contract.
 //
-// The float32 arena's rows are zero-padded to a stride that is a multiple
-// of the lane width (lanes32), so the kernel loops over whole vectors with
-// no scalar tail; the padding contributes exact zeros to every sum.
-//
-// Mask contract: bit 4·i+k of the returned mask is set iff the
-// coefficient r of (a_i, b_k) satisfies r ≥ pos || −r ≥ neg; NaN sets no
-// bit. The twelve coefficients are also stored to out[4·i+k].
+// Mask contract: bit 16·i + c of the 96-bit mask (lo holds rows 0–3, hi
+// rows 4–5) is set iff the coefficient r of (row i, panel gene c)
+// satisfies r ≥ pos || −r ≥ neg; NaN sets no bit. The kernel compares its
+// accumulators lane by lane — there is no horizontal reduction — and
+// returns only the mask.
 //
 // The block kernel is a PREFILTER, never a decider. Whatever ISA produced
 // a block coefficient, a pair is admitted or rejected only by the
@@ -32,66 +35,84 @@ import "math"
 // derivation.
 
 const (
-	blockRows = 3 // rows per micro-kernel call
-	blockCols = 4 // partners per micro-kernel call
-	lanes32   = 8 // float32 lanes per YMM register
+	blockRows  = 6  // rows per micro-kernel call
+	panelGenes = 16 // genes per arena panel = partners per micro-kernel call
 )
 
-// rowStride is the padded float32 row length for samples columns: the
-// next multiple of lanes32.
-func rowStride(samples int) int {
-	return (samples + lanes32 - 1) / lanes32 * lanes32
+// kernel6x16 correlates the six rows whose sample 0 sits at arena offsets
+// rows[0..5] against the panel whose sample 0 starts at offset q, over n
+// samples of the panel-major arena p, and returns the candidate mask (see
+// the mask contract above). The engine passes bounds rounded down to
+// float32 (roundDown32), so the float32 compare nominates a superset of
+// what a float64 compare of the same coefficient would.
+func kernel6x16(p []float32, rows *[blockRows]int, q, n int, pos, neg float32) (lo, hi uint64) {
+	if !useAVXKernels || n == 0 {
+		return kernel6x16Generic(p, rows, q, n, pos, neg)
+	}
+	// The assembly reads 16·n floats from each base; these bounds checks
+	// keep every one of those reads inside p.
+	last := panelGenes * (n - 1)
+	_ = p[q+last+panelGenes-1]
+	for _, off := range rows {
+		_ = p[off+last]
+	}
+	return kernel6x16AVX(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &p[rows[4]], &p[rows[5]],
+		&p[q], n, pos, -neg)
 }
 
-// dot3x4F32 correlates the three rows a[i·stride:(i+1)·stride] against
-// the four rows b[k·stride:(k+1)·stride] of a float32 arena and returns
-// the candidate mask (see the mask contract above). stride must be a
-// multiple of lanes32. The engine passes bounds rounded down to float32
-// (roundDown32), so the float32 compare nominates a superset of what a
-// float64 compare of the same coefficient would.
-func dot3x4F32(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
-	a, b = a[:blockRows*stride], b[:blockCols*stride]
-	if useAVXKernels && stride > 0 {
-		return dot3x4F32AVX(&a[0], &b[0], stride, pos, neg, out)
-	}
-	return dot3x4F32Generic(a, b, stride, pos, neg, out)
-}
-
-// dot3x4F32Generic is the portable 3×4 kernel: twelve scalar
-// accumulators, seven loads per twelve multiply-adds. Products of two
-// float32 values are exact in float64, so it accumulates in float64 — the
-// portable path carries no float32 accumulation error, only the conversion
-// error of the arena and one final rounding to float32.
-func dot3x4F32Generic(a, b []float32, stride int, pos, neg float32, out *[12]float32) uint16 {
-	n := stride
-	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
-	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
-	var s [12]float64
-	for i, v := range a0 {
-		x0, x1, x2 := float64(v), float64(a1[i]), float64(a2[i])
-		y0, y1, y2, y3 := float64(b0[i]), float64(b1[i]), float64(b2[i]), float64(b3[i])
-		s[0] += x0 * y0
-		s[1] += x0 * y1
-		s[2] += x0 * y2
-		s[3] += x0 * y3
-		s[4] += x1 * y0
-		s[5] += x1 * y1
-		s[6] += x1 * y2
-		s[7] += x1 * y3
-		s[8] += x2 * y0
-		s[9] += x2 * y1
-		s[10] += x2 * y2
-		s[11] += x2 * y3
-	}
-	var mask uint16
-	for k, r := range s {
-		r32 := float32(r)
-		if r32 >= pos || -r32 >= neg {
-			mask |= 1 << k
+// kernel6x16Generic is the portable 6×16 kernel. Products of two float32
+// values are exact in float64, so it accumulates in float64 — the
+// portable path carries no float32 accumulation error, only the
+// conversion error of the arena and one final rounding to float32.
+func kernel6x16Generic(p []float32, rows *[blockRows]int, q, n int, pos, neg float32) (lo, hi uint64) {
+	var s [blockRows][panelGenes]float64
+	for k := 0; k < n; k++ {
+		y := p[q+panelGenes*k:][:panelGenes]
+		for i, off := range rows {
+			x := float64(p[off+panelGenes*k])
+			for c, v := range y {
+				s[i][c] += x * float64(v)
+			}
 		}
-		out[k] = r32
 	}
-	return mask
+	var m [2]uint64
+	for i := range s {
+		for c, r := range s[i] {
+			if r32 := float32(r); r32 >= pos || -r32 >= neg {
+				m[i/4] |= 1 << (panelGenes*(i%4) + c)
+			}
+		}
+	}
+	return m[0], m[1]
+}
+
+// blockKeep is the mask of the 6×16 block pairs (g1+i, q+c) the sweep
+// owns: partners below hi2 and, on a diagonal tile, partners above their
+// row (q+c > g1+i). Rows need no bound of their own: a partial row block
+// exists only in the last tile, which is swept only against itself, so
+// the diagonal rule already drops every row past the last gene.
+func blockKeep(g1, q, hi2 int, diag bool) (lo, hi uint64) {
+	var m [2]uint64
+	cols := uint64(1)<<min(hi2-q, panelGenes) - 1
+	for i := range blockRows {
+		row := cols
+		if d := g1 + i + 1 - q; diag && d > 0 {
+			row &^= uint64(1)<<min(d, panelGenes) - 1
+		}
+		m[i/4] |= row << (panelGenes * (i % 4))
+	}
+	return m[0], m[1]
+}
+
+// maskPairs calls f(i, c) for every set bit of a 6×16 candidate mask, in
+// bit order.
+func maskPairs(lo, hi uint64, f func(i, c int)) {
+	for w, m := range [2]uint64{lo, hi} {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			f(4*w+b/panelGenes, b%panelGenes)
+		}
+	}
 }
 
 // roundDown32 returns the largest float32 not above x (±Inf map to
@@ -109,21 +130,28 @@ const ulp32 = 1.0 / (1 << 24) // float32 unit roundoff 2⁻²⁴
 
 // recheckBand32 bounds |float32-block r − canonical float64 r| for
 // unit-norm rows of n samples (DESIGN.md §7 has the derivation):
-//   - conversion: each z32 element is z64·(1+δ), |δ| ≤ u32, so the exact
-//     product sum moves by ≤ (2u32 + u32²)·Σ|aᵢbᵢ| ≤ 2.01·u32;
-//   - accumulation (AVX): each pair owns one 8-lane accumulator, so every
-//     lane is an FMA chain of ⌈n/8⌉ terms, followed by a 3-level
-//     reduction (hadd, hadd, 128-bit add): ≤ (⌈n/8⌉ + 3)·u32·(1 + 2.01·u32);
+//   - conversion: each arena element is z64·(1+δ), |δ| ≤ u32, so the
+//     exact product sum moves by ≤ (2u32 + u32²)·Σ|aᵢbᵢ| ≤ 2.01·u32;
+//   - accumulation (AVX): each pair is one lane of one accumulator, a
+//     sequential chain of n FMAs with one rounding each, so the error is
+//     ≤ u32·Σₖ|ŝₖ| over the partial sums; |ŝₖ| ≤ P + err with
+//     P = Σ|aᵢbᵢ| ≤ 1 + 2.01·u32, hence ≤ n·u32·P / (1 − n·u32);
 //   - accumulation (portable): exact float64 products and sums, ≤ n·2⁻⁵²,
 //     plus one rounding of the result to float32, ≤ u32;
 //   - the canonical float64 dot's own error, ≤ n·2⁻⁵², is negligible.
 //
-// The AVX total stays below (n/8 + 6)·u32, inside the band u32·(n/2 + 64)
-// at every n with a margin of ≥ 3n/8 + 58 ulps. At n = 2048 the band is
-// ≈ 6.5e-5, still ~4 orders of magnitude below the paper's admission
-// thresholds.
+// For n·u32 ≤ 1/2 the AVX total stays below u32·(n/(1 − n·u32) + 5) (the
+// P − 1 share of the chain term is ≤ 2.01·u32 there), so the band
+// u32·(n/(1 − n·u32) + 64) keeps a margin of ≥ 59 ulps at every n;
+// above n·u32 = 1/2 no finite band is claimed and the sweep runs dense. At
+// n = 2048 the band is ≈ 1.26e-4, still ~4 orders of magnitude below the
+// paper's admission thresholds.
 func recheckBand32(samples int) float64 {
-	return ulp32 * (float64(samples)/2 + 64)
+	nu := float64(samples) * ulp32
+	if nu > 0.5 {
+		return math.Inf(1)
+	}
+	return ulp32 * (float64(samples)/(1-nu) + 64)
 }
 
 // KernelISA names the active block-kernel implementation, for /statsz,

@@ -8,14 +8,15 @@ package expr
 // and differential-test the two implementations against each other.
 var useAVXKernels = x86HasAVX2FMA()
 
-// x86HasAVX2FMA reports CPU+OS support for the AVX2/FMA kernels
+// x86HasAVX2FMA reports CPU+OS support for the AVX2/FMA kernel
 // (kernel_amd64.s): CPUID leaf 1 ECX bits FMA|OSXSAVE|AVX, XCR0 bits
 // SSE|AVX, and CPUID leaf 7 EBX bit AVX2.
 func x86HasAVX2FMA() bool
 
-// dot3x4F32AVX is the AVX2+FMA dot3x4F32 (float32 lanes and accumulation):
-// the three rows at a, a+stride, a+2·stride against the four rows at
-// b..b+3·stride, stride > 0 a multiple of lanes32.
+// kernel6x16AVX is the AVX2+FMA kernel6x16 (float32 lanes and
+// accumulation): rows a0..a5 against the 16-gene panel at b, n ≥ 1
+// samples, every base stepping 16 floats per sample. It takes the
+// negative bound as mneg = −neg.
 //
 //go:noescape
-func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16
+func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64)

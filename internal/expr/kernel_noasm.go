@@ -10,6 +10,6 @@ var useAVXKernels = false
 
 func x86HasAVX2FMA() bool { return false }
 
-func dot3x4F32AVX(a, b *float32, stride int, pos, neg float32, out *[12]float32) uint16 {
-	panic("expr: dot3x4F32AVX unavailable on this architecture")
+func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64) {
+	panic("expr: kernel6x16AVX unavailable on this architecture")
 }
