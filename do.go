@@ -1,10 +1,8 @@
 package parsample
 
 import (
-	"container/list"
 	"context"
 	"strings"
-	"sync"
 	"time"
 
 	"parsample/api"
@@ -59,17 +57,7 @@ func (p *Pipeline) Do(ctx context.Context, req *api.Request) (*api.Response, err
 		return nil, err
 	}
 
-	pin := pipeline.Input{
-		Name:       ri.name,
-		G:          ri.g,
-		Matrix:     ri.matrix,
-		Net:        netOptionsFrom(norm),
-		DAG:        ri.dag,
-		Ann:        ri.ann,
-		MCODE:      mcodeParamsFrom(norm),
-		OrderSeed:  splitSeed(norm.Filter.Seed, seedPurposeOrder),
-		FilterSeed: splitSeed(norm.Filter.Seed, seedPurposeSampler),
-	}
+	pin := ri.input(norm)
 	v := pipeline.Original
 	if norm.Filter.Algorithm != api.AlgorithmNone {
 		alg, ok := ParseAlgorithm(norm.Filter.Algorithm)
@@ -169,10 +157,7 @@ func (p *Pipeline) NetworkFromSource(ctx context.Context, src api.NetworkSource)
 	if err != nil {
 		return nil, err
 	}
-	if ri.g != nil {
-		return ri.g, nil
-	}
-	return p.eng.Network(ctx, pipeline.Input{Name: ri.name, Matrix: ri.matrix, Net: netOptionsFrom(norm)})
+	return p.eng.Network(ctx, ri.input(norm))
 }
 
 // ------------------------------------------------------------ resolution
@@ -188,6 +173,23 @@ type resolvedInput struct {
 	matrix *expr.Matrix
 	dag    *ontology.DAG
 	ann    *ontology.Annotations
+}
+
+// input is the engine input of a normalized request over this source: the
+// source's data under its fingerprint, plus the request's correlation and
+// clustering options and its two seed streams.
+func (ri *resolvedInput) input(norm *api.Request) pipeline.Input {
+	return pipeline.Input{
+		Name:       ri.name,
+		G:          ri.g,
+		Matrix:     ri.matrix,
+		Net:        netOptionsFrom(norm),
+		DAG:        ri.dag,
+		Ann:        ri.ann,
+		MCODE:      mcodeParamsFrom(norm),
+		OrderSeed:  splitSeed(norm.Filter.Seed, seedPurposeOrder),
+		FilterSeed: splitSeed(norm.Filter.Seed, seedPurposeSampler),
+	}
 }
 
 // netOptionsFrom maps a normalized request's correlation spec onto engine
@@ -224,16 +226,16 @@ func mcodeParamsFrom(norm *api.Request) mcode.Params {
 // correlation sweep — the network artifact is resident in the engine
 // store. The serving tier's admission gate uses this to discount the cost
 // of warm repeats and, under degradation, to shed cold synthesis work
-// before cached work. The probe is read-only: it touches neither the
-// resolver's nor the store's LRU order and materializes nothing. A false
-// from a malformed request is fine — admission re-validates via Do.
+// before cached work. The probe is read-only: it touches neither store's
+// LRU order and materializes nothing. A false from a malformed request is
+// fine — admission re-validates via Do.
 func (p *Pipeline) Resident(req *api.Request) bool {
 	norm, err := req.Normalized()
 	if err != nil {
 		return false
 	}
 	fp := norm.Fingerprint()
-	if !p.resolver.contains(fp) {
+	if !p.sources.Contains(pipeline.Key{Input: fp}) {
 		return false
 	}
 	if norm.Network.Synthesis == nil {
@@ -241,13 +243,7 @@ func (p *Pipeline) Resident(req *api.Request) bool {
 		// resolved the network stage is a cheap pass-through.
 		return true
 	}
-	return p.eng.NetworkResident(pipeline.Input{
-		Name:       fp,
-		Net:        netOptionsFrom(norm),
-		MCODE:      mcodeParamsFrom(norm),
-		OrderSeed:  splitSeed(norm.Filter.Seed, seedPurposeOrder),
-		FilterSeed: splitSeed(norm.Filter.Seed, seedPurposeSampler),
-	})
+	return p.eng.NetworkResident((&resolvedInput{name: fp}).input(norm))
 }
 
 // BatchWindow returns the engine's current cross-request sweep-batch
@@ -260,19 +256,43 @@ func (p *Pipeline) BatchWindow() time.Duration { return p.eng.BatchWindow() }
 // in-flight batches keep the window they opened with.
 func (p *Pipeline) SetBatchWindow(d time.Duration) { p.eng.SetBatchWindow(d) }
 
-// resolve materializes the normalized request's source, serving repeats
-// from the fingerprint-keyed LRU (concurrent identical resolutions
-// deduplicate like the engine's singleflight; a waiter gives up when ctx
-// ends).
+// sourceStoreBytes is the byte budget of one Pipeline's resolved sources.
+// They pin real memory (parsed graphs, synthesized matrices) outside the
+// engine's artifact budget; an evicted source is simply re-parsed or
+// re-synthesized on its next use, and one larger than the whole budget is
+// served but not retained (the store's oversized policy).
+const sourceStoreBytes = 64 << 20
+
+// resolve materializes the normalized request's source through the
+// fingerprint-keyed source store, which deduplicates concurrent identical
+// resolutions, contains a panicking one and never caches a failure. Each
+// source is charged pipeline.EntryBytes plus the memory it owns: its
+// matrix or its parsed graph. Dataset sources are process-global and own
+// nothing.
 func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInput, error) {
 	key := norm.Fingerprint()
-	return p.resolver.do(ctx, key, func() (*resolvedInput, error) {
-		// Failpoint: every resolution the cache misses (DESIGN.md §8).
+	v, _, err := p.sources.Do(ctx, pipeline.Key{Input: key}, func(context.Context) (any, int64, error) {
+		// Failpoint: every source-store miss (DESIGN.md §8).
 		if err := faultinject.Eval("parsample.resolve"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return p.materialize(key, norm)
+		ri, err := p.materialize(key, norm)
+		if err != nil {
+			return nil, 0, err
+		}
+		b := pipeline.EntryBytes
+		if m := ri.matrix; m != nil {
+			b += 8 * int64(m.Genes) * int64(m.Samples)
+		}
+		if norm.Network.EdgeList != "" {
+			b += pipeline.GraphBytes(ri.g)
+		}
+		return ri, b, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*resolvedInput), nil
 }
 
 // materialize builds the resolved input for one source (the cache-miss
@@ -338,119 +358,4 @@ func (p *Pipeline) materialize(key string, norm *api.Request) (*resolvedInput, e
 		}
 	}
 	return ri, nil
-}
-
-// ------------------------------------------------------- resolver cache
-
-// resolverCacheCap and resolverCacheBytes bound resolved sources held by
-// one Pipeline. Resolved inputs pin real memory (graphs, matrices,
-// ontologies) outside the engine's byte budget, so the cache keeps at most
-// resolverCacheCap entries and at most resolverCacheBytes of expression
-// matrices (always at least the newest entry), LRU-evicted; an evicted
-// source is simply re-parsed or re-synthesized on its next use. The byte
-// bound matters for synthesized sources: 64 matrices at the API synthesis
-// cap (MaxSynthesisCells) would pin 16 GiB.
-const (
-	resolverCacheCap   = 64
-	resolverCacheBytes = 64 << 20
-)
-
-// resolverCache is an LRU of fingerprint → resolved source with in-flight
-// deduplication: concurrent requests for one fingerprint materialize it
-// once and share the result. Errors are returned to every waiter but never
-// cached (a transient failure should not poison the key), and a panicking
-// materialization is such an error: it fails the requests that share its
-// flight and the next request for the key recomputes.
-type resolverCache struct {
-	mu       sync.Mutex
-	cap      int
-	maxBytes int64
-	used     int64 // matrix bytes of the resident entries
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recent *resolverEntry
-	inflight map[string]*resolverFlight
-}
-
-type resolverEntry struct {
-	key   string
-	val   *resolvedInput
-	bytes int64
-}
-
-type resolverFlight struct {
-	done chan struct{}
-	val  *resolvedInput
-	err  error
-}
-
-func (c *resolverCache) init(capacity int, maxBytes int64) {
-	c.cap = capacity
-	c.maxBytes = maxBytes
-	c.entries = make(map[string]*list.Element)
-	c.lru = list.New()
-	c.inflight = make(map[string]*resolverFlight)
-}
-
-// contains reports whether key is resolved and resident, without touching
-// LRU order (a residency probe must not keep cold entries warm).
-func (c *resolverCache) contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
-func (c *resolverCache) do(ctx context.Context, key string, compute func() (*resolvedInput, error)) (*resolvedInput, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		v := el.Value.(*resolverEntry).val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &resolverFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
-
-	f.val, f.err = resolveContained(compute)
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		var b int64
-		if m := f.val.matrix; m != nil {
-			b = 8 * int64(m.Genes) * int64(m.Samples)
-		}
-		c.entries[key] = c.lru.PushFront(&resolverEntry{key: key, val: f.val, bytes: b})
-		c.used += b
-		for c.lru.Len() > 1 && (c.lru.Len() > c.cap || c.used > c.maxBytes) {
-			ent := c.lru.Remove(c.lru.Back()).(*resolverEntry)
-			delete(c.entries, ent.key)
-			c.used -= ent.bytes
-		}
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, f.err
-}
-
-// resolveContained runs compute under pipeline.Contain, as the engine's
-// stage computes run: a panic in synthesis, parsing or ontology generation
-// becomes the flight's error, so the flight still closes instead of
-// blocking every later request for the key, and the process survives.
-func resolveContained(compute func() (*resolvedInput, error)) (val *resolvedInput, err error) {
-	err = pipeline.Contain("parsample: resolving the network source", func() error {
-		var err error
-		val, err = compute()
-		return err
-	})
-	return val, err
 }

@@ -8,12 +8,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"parsample/api"
 	"parsample/internal/expr"
+	"parsample/internal/faultinject"
 	"parsample/internal/graph"
 	"parsample/internal/ontology"
+	"parsample/internal/pipeline"
 )
 
 func synthRequest() *api.Request {
@@ -300,111 +301,128 @@ func TestParseNames(t *testing.T) {
 	}
 }
 
-// TestResolverCacheByteBound pins both resolver bounds: entries beyond the
-// byte budget of matrices are evicted least recently used first, the
-// newest entry stays even when it alone exceeds the budget, and the entry
-// count cap still applies to matrix-less sources.
-func TestResolverCacheByteBound(t *testing.T) {
-	var c resolverCache
-	c.init(3, 100)
-	put := func(key string, genes, samples int) {
-		t.Helper()
-		ri := &resolvedInput{name: key}
-		if genes > 0 {
-			ri.matrix = expr.NewMatrix(genes, samples)
-		}
-		if _, err := c.do(context.Background(), key, func() (*resolvedInput, error) { return ri, nil }); err != nil {
+// Eight concurrent identical cold requests resolve their synthesized
+// source once, the source store charges it its matrix plus the per-entry
+// charge, and a request that differs only in its correlation thresholds
+// reuses the resolved source while building its own network. A parsed edge
+// list is charged its graph.
+func TestDoResolvesSourceOnce(t *testing.T) {
+	p := New()
+	const n = 8
+	errs := make(chan error, n)
+	for range n {
+		go func() {
+			_, err := p.Do(context.Background(), synthRequest())
+			errs <- err
+		}()
+	}
+	for range n {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	resident := func(want ...string) {
-		t.Helper()
-		var got []string
-		for _, k := range []string{"a", "b", "c", "d", "e", "f", "g"} {
-			if c.contains(k) {
-				got = append(got, k)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("resident %v, want %v (used %d bytes)", got, want, c.used)
-		}
+	syn := synthRequest().Network.Synthesis
+	matrixBytes := 8 * int64(syn.Genes) * int64(syn.Samples)
+	st := p.sources.Stats()
+	if st.Misses != 1 || st.Entries != 1 || st.BytesUsed != pipeline.EntryBytes+matrixBytes {
+		t.Fatalf("source store after %d identical requests: %+v, want 1 miss and 1 entry of %d bytes",
+			n, st, pipeline.EntryBytes+matrixBytes)
 	}
-	put("a", 2, 3) // 48 bytes
-	put("b", 2, 3) // 96
-	resident("a", "b")
-	put("c", 1, 1) // 104 > 100: evicts a
-	resident("b", "c")
-	put("d", 20, 1) // 160 bytes on its own: stays, evicts the rest
-	resident("d")
-	if c.used != 160 {
-		t.Fatalf("used = %d, want 160", c.used)
+
+	req := synthRequest()
+	minR, maxP := 0.7, 0.001
+	req.Network.Correlation = &api.CorrelationSpec{MinAbsR: &minR, MaxP: &maxP}
+	misses := p.Stats().Misses
+	if _, err := p.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
 	}
-	put("e", 0, 0) // 160 > 100 with two entries: d goes
-	resident("e")
-	put("f", 0, 0)
-	put("g", 0, 0)
-	resident("e", "f", "g")
-	put("a", 0, 0) // four entries > cap 3: e goes
-	resident("a", "f", "g")
+	if st := p.sources.Stats(); st.Misses != 1 || st.Hits == 0 {
+		t.Fatalf("a threshold-only change resolved the source again: %+v", st)
+	}
+	if p.Stats().Misses == misses {
+		t.Fatal("a threshold-only change reused the old network")
+	}
+
+	g := graph.Path(5)
+	var buf bytes.Buffer
+	if err := WriteNetwork(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	used := p.sources.Stats().BytesUsed
+	if _, err := p.Do(context.Background(), &api.Request{
+		Network: api.NetworkSource{EdgeList: buf.String()},
+		Filter:  api.FilterSpec{Algorithm: api.AlgorithmNone},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.sources.Stats().BytesUsed-used, pipeline.EntryBytes+pipeline.GraphBytes(g); got != want {
+		t.Fatalf("edge-list source charged %d bytes, want %d", got, want)
+	}
 }
 
-// A panicking materialization fails only the calls that share its flight:
-// the panic comes back as an error, the flight closes, the next call for
-// the key recomputes instead of blocking on it, and a caller waiting on a
-// flight returns ctx.Err() once its context ends.
-func TestResolverPanicContained(t *testing.T) {
-	var c resolverCache
-	c.init(4, 1<<20)
-	ctx := context.Background()
-	_, err := c.do(ctx, "k", func() (*resolvedInput, error) { panic("synthesis bug") })
-	if err == nil || !strings.Contains(err.Error(), "synthesis bug") {
-		t.Fatalf("panicking compute returned %v, want an error naming the panic", err)
+// A panic while resolving a source fails only its own request: the error
+// names the panic without a goroutine stack, nothing is cached, and the
+// next identical request resolves the source afresh.
+func TestDoResolvePanicContained(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	p := New()
+	faultinject.Enable("parsample.resolve", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	_, err := p.Do(context.Background(), synthRequest())
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Do under a resolve panic returned %v, want a contained panic error", err)
 	}
 	if strings.Contains(err.Error(), "goroutine ") {
 		t.Fatalf("contained panic error carries a goroutine stack: %q", err)
 	}
-	if c.contains("k") {
+	if p.Resident(synthRequest()) {
 		t.Fatal("a panicked resolution was cached")
 	}
+	if _, err := p.Do(context.Background(), synthRequest()); err != nil {
+		t.Fatalf("the request after a resolve panic: %v", err)
+	}
+	if st := p.sources.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("source store %+v, want the source resolved twice and cached once", st)
+	}
+}
 
-	second := make(chan error, 1)
-	go func() {
-		_, err := c.do(ctx, "k", func() (*resolvedInput, error) { return &resolvedInput{name: "k"}, nil })
-		second <- err
-	}()
-	select {
-	case err := <-second:
-		if err != nil {
-			t.Fatalf("recompute after a panic: %v", err)
+// Stage keys carry only what their artifact depends on: a request that
+// changes only filter.seed reuses the network (HD ignores the order seed,
+// so the order too), and one that changes only an MCODE knob reuses the
+// network and the filtered network, so its order is never recomputed.
+func TestDoStageKeysShareUpstreamArtifacts(t *testing.T) {
+	p := New()
+	sources := func(req *api.Request) map[pipeline.Stage]pipeline.Source {
+		t.Helper()
+		ctx, tr := pipeline.WithTrace(context.Background())
+		if _, err := p.Do(ctx, req); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the next call for the key is blocked on the panicked flight")
+		got := map[pipeline.Stage]pipeline.Source{}
+		for _, e := range tr.Entries() {
+			if _, seen := got[e.Key.Stage]; !seen {
+				got[e.Key.Stage] = e.Source
+			}
+		}
+		return got
 	}
-	if !c.contains("k") {
-		t.Fatal("the recomputed resolution was not cached")
+	sources(synthRequest())
+
+	reseeded := synthRequest()
+	reseeded.Filter.Seed++
+	got := sources(reseeded)
+	if got[pipeline.StageNetwork] != pipeline.Hit || got[pipeline.StageOrder] != pipeline.Hit || got[pipeline.StageFilter] != pipeline.Computed {
+		t.Fatalf("filter.seed change: stage sources %v, want network and order hit, filter computed", got)
 	}
 
-	started, release := make(chan struct{}), make(chan struct{})
-	owner := make(chan error, 1)
-	go func() {
-		_, err := c.do(ctx, "slow", func() (*resolvedInput, error) {
-			close(started)
-			<-release
-			return &resolvedInput{name: "slow"}, nil
-		})
-		owner <- err
-	}()
-	<-started
-	wctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := c.do(wctx, "slow", func() (*resolvedInput, error) {
-		t.Error("a waiter computed the key its flight owner is computing")
-		return nil, nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	haircut := synthRequest()
+	h := false
+	haircut.Cluster.Haircut = &h
+	got = sources(haircut)
+	if got[pipeline.StageNetwork] != pipeline.Hit || got[pipeline.StageFilter] != pipeline.Hit ||
+		got[pipeline.StageCluster] != pipeline.Computed {
+		t.Fatalf("haircut change: stage sources %v, want network and filter hit, cluster computed", got)
 	}
-	close(release)
-	if err := <-owner; err != nil {
-		t.Fatalf("flight owner: %v", err)
+	if src, ok := got[pipeline.StageOrder]; ok && src != pipeline.Hit {
+		t.Fatalf("haircut change: order %v, want it reused", src)
 	}
 }

@@ -12,11 +12,12 @@
 //
 // Site catalog (DESIGN.md §8):
 //
-//	pipeline.store.get     every artifact-store request (before lookup)
+//	pipeline.store.get     every store request (before lookup): stage
+//	                       artifacts and resolved network sources alike
 //	pipeline.store.put     after a successful compute, before insertion
 //	pipeline.batcher.lead  the sweep-batch leader, before running the kernel
-//	parsample.resolve      every network-source resolution the resolver
-//	                       cache misses (synthesis, parsing, ontology)
+//	parsample.resolve      every source-store miss, before the source is
+//	                       materialized (synthesis, parsing, ontology)
 //	diskstore.write        mid-snapshot, after half the blob is on disk
 //	expr.sweep.tile        every correlation-sweep tile claim
 //	server.sse.write       every SSE frame write

@@ -147,6 +147,9 @@ func TestStoreComputePanicContained(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "kernel bug") {
 		t.Fatalf("err = %v, want a contained panic error", err)
 	}
+	if strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("contained panic error carries a goroutine stack: %q", err)
+	}
 	if n := s.Len(); n != 0 {
 		t.Fatalf("store holds %d entries after a panicked compute, want 0", n)
 	}

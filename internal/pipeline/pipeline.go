@@ -76,13 +76,22 @@ type stageDef struct {
 	decode func([]byte) (any, int64, error)
 }
 
-// def builds a table row from a stage's typed size and codec functions.
-// encode runs on the disk tier's write-behind goroutine, so a wrong-typed
-// value is an error there, never a panic.
+// EntryBytes is the fixed resident charge of one stored artifact on top of
+// its payload estimate: the entry, its key, its LRU element and the
+// artifact's headers, about half a kilobyte measured on the heap. Without
+// it an empty cluster, score or match list would cost nothing and the byte
+// budget could never evict it.
+const EntryBytes int64 = 512
+
+// def builds a table row from a stage's typed size and codec functions;
+// the row's size adds EntryBytes to the payload estimate. encode runs on
+// the disk tier's write-behind goroutine, so a wrong-typed value is an
+// error there, never a panic.
 func def[T any](name string, size func(T) int64, enc func(T) []byte, dec func([]byte) (T, error)) stageDef {
+	charge := func(t T) int64 { return EntryBytes + size(t) }
 	return stageDef{
 		name: name,
-		size: func(v any) int64 { return size(v.(T)) },
+		size: func(v any) int64 { return charge(v.(T)) },
 		encode: func(v any) ([]byte, error) {
 			t, ok := v.(T)
 			if !ok {
@@ -95,14 +104,14 @@ func def[T any](name string, size func(T) int64, enc func(T) []byte, dec func([]
 			if err != nil {
 				return nil, 0, err
 			}
-			return t, size(t), nil
+			return t, charge(t), nil
 		},
 	}
 }
 
 // stages is the stage table, indexed by Stage.
 var stages = [...]stageDef{
-	StageNetwork: def("network", graphBytes, snapshot.EncodeGraph, snapshot.DecodeGraph),
+	StageNetwork: def("network", GraphBytes, snapshot.EncodeGraph, snapshot.DecodeGraph),
 	StageOrder:   def("order", orderBytes, snapshot.EncodeOrder, snapshot.DecodeOrder),
 	StageFilter:  def("filter", filteredBytes, snapshot.EncodeFiltered, snapshot.DecodeFiltered),
 	StageCluster: def("cluster", clustersBytes, snapshot.EncodeClusters, snapshot.DecodeClusters),
@@ -152,13 +161,15 @@ type Key struct {
 	// artifacts always use Original.
 	Variant Variant
 	// OrderSeed and FilterSeed are the seeds of the ordering shuffle and the
-	// randomized samplers.
+	// randomized samplers; zero where the artifact does not depend on them
+	// (see Input.key).
 	OrderSeed, FilterSeed int64
 	// Net is the normalized network construction config (Workers and
 	// Precision zeroed: results are worker-independent and Precision is
 	// ignored, so keys built before it was ignored still match).
 	Net expr.NetworkOptions
-	// MCODE is the normalized clustering config.
+	// MCODE is the normalized clustering config; zero in network, order and
+	// filter keys.
 	MCODE mcode.Params
 }
 
@@ -203,20 +214,27 @@ func FromDataset(ds *datasets.Dataset) Input {
 	}
 }
 
-// key builds the artifact key for one stage of this input.
+// key builds the artifact key for one stage of this input. A key carries
+// only what its artifact depends on, so requests that differ in a later
+// stage's parameters share the earlier artifacts: the network depends on
+// the input and Net; an order adds its ordering, and its seed only for
+// RAND (the one ordering that reads it); a filter adds its algorithm, P
+// and seed; cluster, score and match artifacts add MCODE. Original-variant
+// artifacts carry neither seed.
 func (in Input) key(s Stage, v Variant) Key {
-	net := in.Net
-	net.Workers = 0
-	net.Precision = 0
-	return Key{
-		Input:      in.Name,
-		Stage:      s,
-		Variant:    v,
-		OrderSeed:  in.OrderSeed,
-		FilterSeed: in.FilterSeed,
-		Net:        net,
-		MCODE:      in.mcodeParams(),
+	k := Key{Input: in.Name, Stage: s, Variant: v, Net: in.Net}
+	k.Net.Workers = 0
+	k.Net.Precision = 0
+	if v.Ordering == graph.RandomOrder {
+		k.OrderSeed = in.OrderSeed
 	}
+	if v.Algorithm >= 0 {
+		k.FilterSeed = in.FilterSeed
+	}
+	if s >= StageCluster {
+		k.MCODE = in.mcodeParams()
+	}
+	return k
 }
 
 // mcodeParams resolves the input's clustering config.
@@ -534,17 +552,17 @@ func (e *Engine) Warm(ctx context.Context, in Input, vs ...Variant) error {
 
 // ------------------------------------------------------------ byte estimates
 
-// graphBytes estimates a CSR graph's resident size: offsets plus both
+// GraphBytes estimates a CSR graph's resident size: offsets plus both
 // directions of the neighbor arena. No pipeline kernel builds dense
 // adjacency rows on a stored graph (mcode.FindClusters only reads it).
-func graphBytes(g *graph.Graph) int64 {
+func GraphBytes(g *graph.Graph) int64 {
 	n, m := int64(g.N()), int64(g.M())
 	return 4*(n+1) + 8*m
 }
 
 func orderBytes(ord []int32) int64 { return int64(4 * len(ord)) }
 
-func filteredBytes(r *sampling.Result) int64 { return graphBytes(r.Subgraph) }
+func filteredBytes(r *sampling.Result) int64 { return GraphBytes(r.Subgraph) }
 
 // clustersBytes estimates a cluster list's resident size.
 func clustersBytes(cs []mcode.Cluster) int64 {

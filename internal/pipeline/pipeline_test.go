@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -144,8 +145,9 @@ func TestEngineWarmCacheNoRecompute(t *testing.T) {
 }
 
 // Keys are pure functions of the input parameters: same inputs same key,
-// any parameter change a different key, and Workers never fragments the
-// cache.
+// a change to any parameter the artifact depends on a different key, a
+// change to one it does not depend on the same key, and Workers never
+// fragments the cache.
 func TestKeyDiscipline(t *testing.T) {
 	ds := testDataset()
 	in := FromDataset(ds)
@@ -155,9 +157,33 @@ func TestKeyDiscipline(t *testing.T) {
 		t.Fatal("identical inputs produced different keys")
 	}
 	in2 := in
-	in2.OrderSeed++
+	in2.FilterSeed++
 	if in2.key(StageScore, testVariant) == k1 {
-		t.Fatal("seed change did not change the key")
+		t.Fatal("filter seed change did not change the key")
+	}
+	if in2.key(StageOrder, Variant{Ordering: graph.HighDegree, Algorithm: -1}) != in.key(StageOrder, Variant{Ordering: graph.HighDegree, Algorithm: -1}) {
+		t.Fatal("filter seed change changed an order key")
+	}
+	in2 = in
+	in2.OrderSeed++
+	if in2.key(StageScore, testVariant) != k1 {
+		t.Fatal("order seed change changed the key of an HD-ordered artifact")
+	}
+	rnd := Variant{Ordering: graph.RandomOrder, Algorithm: sampling.ChordalSeq, P: 1}
+	if in2.key(StageScore, rnd) == in.key(StageScore, rnd) {
+		t.Fatal("order seed change did not change the key of a RAND-ordered artifact")
+	}
+	if in2.key(StageNetwork, Original) != in.key(StageNetwork, Original) {
+		t.Fatal("order seed change changed the network key")
+	}
+	in2 = in
+	in2.MCODE = mcode.DefaultParams()
+	in2.MCODE.Haircut = !in2.MCODE.Haircut
+	if in2.key(StageScore, testVariant) == k1 {
+		t.Fatal("MCODE change did not change the score key")
+	}
+	if in2.key(StageFilter, testVariant) != in.key(StageFilter, testVariant) {
+		t.Fatal("MCODE change changed the filter key")
 	}
 	in3 := in
 	in3.Net.Workers = 7 // worker count must not affect artifact identity
@@ -173,6 +199,30 @@ func TestKeyDiscipline(t *testing.T) {
 	v2.P = 2
 	if in.key(StageScore, v2) == k1 {
 		t.Fatal("variant change did not change the key")
+	}
+}
+
+// Every stored artifact is charged EntryBytes, so artifacts whose payload
+// estimate is zero — the empty cluster list of a 3-vertex path — still
+// fill the byte budget and get evicted instead of piling up unbounded.
+func TestEmptyArtifactsChargedPerEntry(t *testing.T) {
+	const budget = 64 << 10
+	e := New(Config{MaxBytes: budget})
+	g := graph.Path(3)
+	for i := range 1000 {
+		in := Input{Name: fmt.Sprintf("path-%d", i), G: g}
+		cs, err := e.Clusters(context.Background(), in, Original)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cs) != 0 {
+			t.Fatalf("fixture: a 3-vertex path has %d clusters, want none", len(cs))
+		}
+	}
+	st := e.Stats()
+	if int64(st.Entries) > budget/EntryBytes || st.BytesUsed > budget || st.Evictions == 0 {
+		t.Fatalf("%d entries, %d bytes used, %d evictions: want at most %d entries within the %d-byte budget",
+			st.Entries, st.BytesUsed, st.Evictions, budget/EntryBytes, budget)
 	}
 }
 

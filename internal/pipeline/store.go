@@ -98,10 +98,11 @@ type StoreStats struct {
 	DiskBytesBudget int64 `json:"disk_bytes_budget"`
 }
 
-// Store is the keyed artifact store behind the Engine: a memoization map
-// with singleflight deduplication (concurrent requests for one key compute
-// once), LRU eviction under a byte budget, hit/miss/inflight counters, and
-// an optional persistent second tier (AttachDisk). Lookup order is
+// Store is the keyed artifact store behind the Engine — and, without a disk
+// tier, behind parsample.Pipeline's resolved network sources: a memoization
+// map with singleflight deduplication (concurrent requests for one key
+// compute once), LRU eviction under a byte budget, hit/miss/inflight
+// counters, and an optional persistent second tier (AttachDisk). Lookup order is
 // memory → disk → compute: a disk load is checksum-verified and promoted
 // into the memory LRU; a computed artifact is written behind to disk.
 //

@@ -230,3 +230,37 @@ func TestStoreWaiterSurvivesOwnerCancellation(t *testing.T) {
 		t.Fatal("waiter's successful recompute not cached")
 	}
 }
+
+// A waiter on a live flight returns its own ctx.Err() once its context
+// ends, without computing and without disturbing the owner, whose result
+// is then cached.
+func TestStoreWaiterHonorsOwnContext(t *testing.T) {
+	s := NewStore(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan error, 1)
+	go func() {
+		_, _, err := s.Do(context.Background(), testKey(0), func(context.Context) (any, int64, error) {
+			close(started)
+			<-release
+			return "owner", 8, nil
+		})
+		owner <- err
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, src, err := s.Do(ctx, testKey(0), func(context.Context) (any, int64, error) {
+		t.Error("a waiter computed the key its flight owner is computing")
+		return nil, 0, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || src != Shared {
+		t.Fatalf("waiter returned (%v, %v), want (Shared, context.DeadlineExceeded)", src, err)
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatalf("flight owner: %v", err)
+	}
+	if !s.Contains(testKey(0)) {
+		t.Fatal("the owner's result was not cached after its waiter gave up")
+	}
+}

@@ -83,7 +83,7 @@ func newComm(cfg meshConfig, intake *meshIntake) (*Comm, error) {
 		return nil, err
 	}
 	for r := 0; r < cfg.self; r++ {
-		conn, br, err := dialPeer(cfg.addrs[r], cfg.jobID, cfg.self)
+		conn, br, _, err := dialHello(cfg.addrs[r], hello{kind: helloData, jobID: cfg.jobID, fromRank: cfg.self})
 		if err != nil {
 			return fail(fmt.Errorf("transport: rank %d dialing rank %d: %w", cfg.self, r, err))
 		}
@@ -105,52 +105,6 @@ func newComm(cfg meshConfig, intake *meshIntake) (*Comm, error) {
 		go func(p *peer) { defer c.wg.Done(); c.readLoop(p) }(p)
 	}
 	return c, nil
-}
-
-// dialPeer opens a data connection to a lower rank's listener and runs
-// the hello/ack version negotiation.
-func dialPeer(addr string, jobID uint64, fromRank int) (net.Conn, *bufio.Reader, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-		tc.SetKeepAlive(true)
-	}
-	conn.SetDeadline(time.Now().Add(helloTimeout))
-	bw := bufio.NewWriter(conn)
-	var e wenc
-	e.u16(protoVersion)
-	e.u8(helloData)
-	e.u64(jobID)
-	e.u32(uint32(fromRank))
-	if err := writeFrame(bw, fHello, e.buf); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	br := bufio.NewReader(conn)
-	typ, body, err := readFrame(br)
-	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	if typ != fHelloAck {
-		conn.Close()
-		return nil, nil, fmt.Errorf("transport: expected hello ack, got frame type %d", typ)
-	}
-	d := wdec{buf: body}
-	ver := d.u16()
-	if err := d.finish(); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	if ver != protoVersion {
-		conn.Close()
-		return nil, nil, fmt.Errorf("transport: peer speaks protocol %d, want %d", ver, protoVersion)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, br, nil
 }
 
 // Run executes fn on the local rank. It returns once fn has finished or

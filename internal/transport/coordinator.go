@@ -51,51 +51,14 @@ func Dial(listenAddr string, workerAddrs []string) (*Cluster, error) {
 	cl.wg.Add(1)
 	go cl.acceptLoop()
 	for i, addr := range workerAddrs {
-		wc, err := dialControl(addr)
+		conn, br, bw, err := dialHello(addr, hello{kind: helloControl})
 		if err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("transport: dialing worker %d at %s: %w", i, addr, err)
 		}
-		cl.workers = append(cl.workers, wc)
+		cl.workers = append(cl.workers, &workerConn{addr: addr, conn: conn, br: br, bw: bw})
 	}
 	return cl, nil
-}
-
-// dialControl opens the control connection to one worker.
-func dialControl(addr string) (*workerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-		tc.SetKeepAlive(true)
-	}
-	conn.SetDeadline(time.Now().Add(helloTimeout))
-	bw := bufio.NewWriter(conn)
-	var e wenc
-	e.u16(protoVersion)
-	e.u8(helloControl)
-	e.u64(0)
-	e.u32(0)
-	if err := writeFrame(bw, fHello, e.buf); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	typ, body, err := readFrame(br)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	d := wdec{buf: body}
-	ver := d.u16()
-	if typ != fHelloAck || d.finish() != nil || ver != protoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("transport: bad control handshake (frame %d, protocol %d)", typ, ver)
-	}
-	conn.SetDeadline(time.Time{})
-	return &workerConn{addr: addr, conn: conn, br: br, bw: bw}, nil
 }
 
 // acceptLoop takes the workers' inbound mesh connections and routes them

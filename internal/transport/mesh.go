@@ -133,23 +133,48 @@ func acceptHello(conn net.Conn) (kind byte, jobID uint64, fromRank int, br *bufi
 	if typ != fHello {
 		return 0, 0, 0, nil, fmt.Errorf("transport: expected hello, got frame type %d", typ)
 	}
-	d := wdec{buf: body}
-	ver := d.u16()
-	kind = d.u8()
-	jobID = d.u64()
-	fromRank = int(d.u32())
-	if err := d.finish(); err != nil {
+	h, err := decodeHello(body)
+	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	if ver != protoVersion {
-		return 0, 0, 0, nil, fmt.Errorf("transport: peer speaks protocol %d, want %d", ver, protoVersion)
-	}
-	bw := bufio.NewWriter(conn)
-	var e wenc
-	e.u16(protoVersion)
-	if err := writeFrame(bw, fHelloAck, e.buf); err != nil {
+	if err := writeFrame(bufio.NewWriter(conn), fHelloAck, encodeHelloAck()); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return kind, jobID, fromRank, br, nil
+	return h.kind, h.jobID, h.fromRank, br, nil
+}
+
+// dialHello opens a connection to addr and performs the dialing side of
+// the hello exchange: it sends h and checks the acceptor's ack. The caller
+// owns the returned connection and its buffered reader and writer.
+func dialHello(addr string, h hello) (net.Conn, *bufio.Reader, *bufio.Writer, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+		tc.SetKeepAlive(true)
+	}
+	fail := func(err error) (net.Conn, *bufio.Reader, *bufio.Writer, error) {
+		conn.Close()
+		return nil, nil, nil, err
+	}
+	conn.SetDeadline(time.Now().Add(helloTimeout))
+	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+	if err := writeFrame(bw, fHello, encodeHello(h)); err != nil {
+		return fail(err)
+	}
+	typ, body, err := readFrame(br)
+	if err != nil {
+		return fail(err)
+	}
+	if typ != fHelloAck {
+		return fail(fmt.Errorf("transport: expected hello ack, got frame type %d", typ))
+	}
+	if err := decodeHelloAck(body); err != nil {
+		return fail(err)
+	}
+	conn.SetDeadline(time.Time{})
+	return conn, br, bw, nil
 }

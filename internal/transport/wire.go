@@ -126,6 +126,67 @@ func readFrame(r *bufio.Reader) (typ byte, body []byte, err error) {
 	return typ, body, nil
 }
 
+// ----------------------------------------------------------------- hello
+
+// hello is the body of the fHello frame that opens every connection: the
+// connection kind and, for a data connection, the job and the dialing
+// rank. The dialer's protocol version travels with it.
+type hello struct {
+	kind     byte
+	jobID    uint64
+	fromRank int
+}
+
+// encodeHello lays out h's body under this build's protocol version.
+func encodeHello(h hello) []byte {
+	var e wenc
+	e.u16(protoVersion)
+	e.u8(h.kind)
+	e.u64(h.jobID)
+	e.u32(uint32(h.fromRank))
+	return e.buf
+}
+
+// decodeHello parses an fHello body. It is pure: a truncated body,
+// trailing bytes or another protocol version is an error, never a panic.
+func decodeHello(body []byte) (hello, error) {
+	d := wdec{buf: body}
+	ver := d.u16()
+	h := hello{kind: d.u8(), jobID: d.u64(), fromRank: int(d.u32())}
+	if err := d.finish(); err != nil {
+		return hello{}, err
+	}
+	if err := checkVersion(ver); err != nil {
+		return hello{}, err
+	}
+	return h, nil
+}
+
+// encodeHelloAck lays out the fHelloAck body: the acceptor's version echo.
+func encodeHelloAck() []byte {
+	var e wenc
+	e.u16(protoVersion)
+	return e.buf
+}
+
+// decodeHelloAck parses an fHelloAck body, refusing another protocol
+// version.
+func decodeHelloAck(body []byte) error {
+	d := wdec{buf: body}
+	ver := d.u16()
+	if err := d.finish(); err != nil {
+		return err
+	}
+	return checkVersion(ver)
+}
+
+func checkVersion(ver uint16) error {
+	if ver != protoVersion {
+		return fmt.Errorf("transport: peer speaks protocol %d, want %d", ver, protoVersion)
+	}
+	return nil
+}
+
 // ----------------------------------------------------------- rank frames
 
 // rankFrame is the decoded body of one rank-to-rank frame: a point-to-point

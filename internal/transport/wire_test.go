@@ -208,7 +208,8 @@ const fuzzP = 4
 // and body. readFrame never panics on the raw body bytes, and when it
 // accepts them they re-frame to the bytes it consumed. The body decodes
 // as the receive path decodes it — decodeRankFrame for data, deposit and
-// stats frames, decodeJobSpec for a setup frame — and an accepted body
+// stats frames, decodeJobSpec for a setup frame, decodeHello and
+// decodeHelloAck for the handshake — and an accepted body
 // re-encodes to exactly its bytes. It returns the decode error, if any.
 func roundTripFrame(t *testing.T, typ byte, body []byte) error {
 	var framed bytes.Buffer
@@ -246,6 +247,17 @@ func roundTripFrame(t *testing.T, typ byte, body []byte) error {
 			return err
 		}
 		enc = encodeJobSpec(js)
+	case fHello:
+		h, err := decodeHello(body)
+		if err != nil {
+			return err
+		}
+		enc = encodeHello(h)
+	case fHelloAck:
+		if err := decodeHelloAck(body); err != nil {
+			return err
+		}
+		enc = encodeHelloAck()
 	default:
 		return nil
 	}
@@ -259,7 +271,8 @@ func roundTripFrame(t *testing.T, typ byte, body []byte) error {
 // roundTripFrame: nothing may panic, and whatever is accepted re-encodes
 // to its own bytes. The seed corpus in testdata/fuzz/FuzzFrameDecode holds
 // one frame of each kind written by the encoders plus rejected inputs (a
-// v1 deposit layout, trailing body bytes, a sender rank out of range).
+// v1 deposit layout, trailing body bytes, a sender rank out of range, a
+// wrong-version hello, a truncated hello ack).
 func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) { roundTripFrame(t, typ, body) })
 }

@@ -246,7 +246,7 @@ func BuildCorrelationNetworkContext(ctx context.Context, m *Matrix, opts Network
 type Pipeline struct {
 	eng      *pipeline.Engine
 	datasets map[string]bool // WithDatasets restriction; nil serves all
-	resolver resolverCache   // api.Request fingerprint → resolved input
+	sources  *pipeline.Store // api.Request fingerprint → *resolvedInput
 }
 
 // New creates a Pipeline. With no options it serves every built-in dataset
@@ -269,8 +269,7 @@ func New(opts ...Option) *Pipeline {
 		BatchWindow: s.batchWindow,
 		CacheDir:    s.cacheDir,
 		DiskBytes:   s.diskCacheBytes,
-	})}
-	p.resolver.init(resolverCacheCap, resolverCacheBytes)
+	}), sources: pipeline.NewStore(sourceStoreBytes)}
 	if s.datasets != nil {
 		p.datasets = make(map[string]bool, len(s.datasets))
 		for _, n := range s.datasets {
