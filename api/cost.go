@@ -12,8 +12,8 @@ package api
 //
 //	go test -bench=SweepKernel ./internal/expr, 4096x100, one worker:
 //	  32.4–35.8 ms / (4096·4095/2 pairs · 100 samples) ≈ 0.042 ns per pair·sample
-//	bash perfbench/run.sh --workload dataset-cold --seed 1 --seconds 20:
-//	  cpu_ms_per_req 7.3–8.5 ms (one cold dataset request, end to end)
+//	bash perfbench/run.sh --workload dataset-cold --seed 1 --seconds 30, ten runs:
+//	  cpu_ms_per_req 5.7–6.5 ms, median 6.1 (one cold dataset request, end to end)
 //
 // The sweep is timed on a single worker over the float32-prefilter
 // 6×16 kernel, the only one the engine runs, so the sweep coefficient
@@ -40,8 +40,8 @@ const (
 	edgeListBytesPerEdge = 12
 	// costDataset: one built-in evaluation dataset request end to end,
 	// cold (they are paper-sized and nearly constant; perfbench
-	// dataset-cold measures 7.3–8.5 ms CPU per request).
-	costDataset = 8
+	// dataset-cold measures 5.7–6.5 ms CPU per request).
+	costDataset = 6
 	// costBase: fixed per-request overhead (resolution, HTTP, marshalling).
 	costBase = 1
 )

@@ -13,6 +13,7 @@ package parsample
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"parsample/internal/chordal"
@@ -437,6 +438,38 @@ func BenchmarkFindClustersChordal(b *testing.B) {
 				mcode.FindClusters(g, mcode.DefaultParams())
 			}
 		})
+	}
+}
+
+// BenchmarkFindClustersGrid times MCODE over the filtered graphs of
+// perfbench dataset-cold's HD cells: {YNG, MID, CRE} × the seven samplers,
+// the parallel ones at P=4, without CRE chordal-seq, which dataset-cold
+// leaves out too. One op clusters all 20 graphs.
+func BenchmarkFindClustersGrid(b *testing.B) {
+	var graphs []*graph.Graph
+	for _, ds := range []*datasets.Dataset{datasets.YNG(), datasets.MID(), datasets.CRE()} {
+		ord := graph.Order(ds.G, graph.HighDegree, ds.Seed)
+		for _, alg := range sampling.All {
+			if ds.Name == "CRE" && alg == sampling.ChordalSeq {
+				continue
+			}
+			p := 1
+			if slices.Contains(experiments.DistAlgorithms, alg) {
+				p = 4
+			}
+			res, err := sampling.Run(alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			graphs = append(graphs, res.Graph(ds.G.N()))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			mcode.FindClusters(g, mcode.DefaultParams())
+		}
 	}
 }
 

@@ -81,19 +81,6 @@ func (c *Cluster) NodeSet() map[int32]bool {
 	return s
 }
 
-// CoreNumbers returns the k-core number of every vertex (standard peeling
-// in O(n + m)).
-func CoreNumbers(g *graph.Graph) []int {
-	off, nbr := g.CSR()
-	var s peelScratch
-	core := s.coreNumbers(off, nbr, g.N())
-	out := make([]int, len(core))
-	for v, c := range core {
-		out[v] = int(c)
-	}
-	return out
-}
-
 // peelScratch holds the Batagelj–Zaversnik peel arrays, reused across
 // peels.
 type peelScratch struct {
@@ -163,21 +150,14 @@ func (s *peelScratch) coreNumbers(off, adj []int32, n int) []int32 {
 	return deg
 }
 
-// VertexWeights computes the MCODE weight of every vertex: the core number k
-// of the highest k-core of the vertex's (closed) neighborhood, multiplied by
-// the density of that k-core subgraph. Vertices are independent, so the
-// computation is parallelized over GOMAXPROCS workers (deterministic: each
-// weight depends only on the input graph). Each worker owns one
-// weightScratch, so no vertex allocates.
-func VertexWeights(g *graph.Graph) []float64 {
-	w, _ := vertexWeightsContext(context.Background(), g)
-	return w
-}
-
-// vertexWeightsContext is the cancellable weight pass: each worker polls ctx
-// every 64 vertices (one vertex weight is a neighborhood k-core extraction,
-// so the poll interval stays well under a millisecond of work) and bails
-// once cancellation is observed.
+// vertexWeightsContext computes the MCODE weight of every vertex: the core
+// number k of the highest k-core of the vertex's closed neighborhood,
+// multiplied by the density of that k-core subgraph. Vertices are
+// independent, so GOMAXPROCS workers split them; each worker owns one
+// weightScratch, so no vertex allocates, and each weight depends only on
+// the graph. Each worker polls ctx every 64 vertices (one vertex weight is
+// at most a neighborhood k-core extraction, so the poll interval stays well
+// under a millisecond of work) and bails once cancellation is observed.
 func vertexWeightsContext(ctx context.Context, g *graph.Graph) ([]float64, error) {
 	n := g.N()
 	w := make([]float64, n)
@@ -212,14 +192,15 @@ func vertexWeightsContext(ctx context.Context, g *graph.Graph) ([]float64, error
 }
 
 // weightScratch is one worker's reusable neighborhood state: a stamp/local
-// id relabelling of the current closed neighborhood, its induced subgraph
-// as a local CSR, and the peel arrays. Not safe for concurrent use.
+// id relabelling of the current vertex's neighbors, the edges among them,
+// its closed neighborhood as a local CSR, and the peel arrays. Not safe
+// for concurrent use.
 type weightScratch struct {
 	g        *graph.Graph
-	stamp    []int32 // stamp[v] == cur marks v as in the current neighborhood
+	stamp    []int32 // stamp[u] == cur marks u as a neighbor of the current vertex
 	local    []int32 // local id of a stamped vertex
 	cur      int32
-	region   []int32
+	pairs    []int32 // edges among the neighbors, as local id pairs
 	off, adj []int32
 	peel     peelScratch
 }
@@ -228,40 +209,94 @@ func newWeightScratch(g *graph.Graph) *weightScratch {
 	return &weightScratch{g: g, stamp: make([]int32, g.N()), local: make([]int32, g.N())}
 }
 
-// localize relabels the closed neighborhood N[v] to local ids (v first,
-// then its neighbors) and builds the induced subgraph into s.off/s.adj,
-// reading rows straight from the graph. It returns |N[v]|.
-func (s *weightScratch) localize(v int32) int {
-	s.region = append(append(s.region[:0], v), s.g.Neighbors(v)...)
-	s.cur++
-	for i, u := range s.region {
-		s.stamp[u] = s.cur
-		s.local[u] = int32(i)
+// neighborEdges finds the edges among the neighbors of v, one per triangle
+// through v. It stamps N(v) with local ids 1..d and, for each neighbor u,
+// scans u's sorted row from its tail while x > u, so each neighbor pair is
+// probed from its smaller end only; entries above v's largest neighbor
+// cost a compare and no stamp probe. The edges land in s.pairs; it returns
+// how many there are.
+func (s *weightScratch) neighborEdges(v int32) int {
+	s.pairs = s.pairs[:0]
+	nb := s.g.Neighbors(v)
+	if len(nb) < 2 {
+		return 0
 	}
-	s.off = append(s.off[:0], 0)
-	s.adj = s.adj[:0]
-	for _, u := range s.region {
-		for _, x := range s.g.Neighbors(u) {
-			if s.stamp[x] == s.cur {
-				s.adj = append(s.adj, s.local[x])
+	s.cur++
+	for i, u := range nb {
+		s.stamp[u] = s.cur
+		s.local[u] = int32(i + 1)
+	}
+	top := nb[len(nb)-1]
+	for i, u := range nb[:len(nb)-1] {
+		row := s.g.Neighbors(u)
+		for j := len(row) - 1; j >= 0 && row[j] > u; j-- {
+			if x := row[j]; x <= top && s.stamp[x] == s.cur {
+				s.pairs = append(s.pairs, int32(i+1), s.local[x])
 			}
 		}
-		s.off = append(s.off, int32(len(s.adj)))
 	}
-	return len(s.region)
+	return len(s.pairs) / 2
 }
 
-// weight computes the MCODE weight of v.
+// induce lays out the closed neighborhood N[v] of a degree-d vertex as a
+// local CSR in s.off/s.adj, from the pairs of the last neighborEdges(v):
+// local vertex 0 is v, adjacent to every neighbor, and neighbor i is
+// adjacent to v and to its partners in s.pairs. Rows are unordered; core
+// numbers do not depend on row order. It returns |N[v]| = d+1.
+func (s *weightScratch) induce(d int) int {
+	n := d + 1
+	off := resize(s.off, n+1)
+	// Row lengths, then their exclusive prefix sums: off[i] is row i's start.
+	off[0] = int32(d)
+	for i := 1; i < n; i++ {
+		off[i] = 1
+	}
+	for _, a := range s.pairs {
+		off[a]++
+	}
+	sum := int32(0)
+	for i, c := range off[:n] {
+		off[i] = sum
+		sum += c
+	}
+	// Filling advances each row's start to its end, the next row's start.
+	adj := resize(s.adj, int(sum))
+	for i := int32(1); i < int32(n); i++ {
+		adj[off[0]], adj[off[i]] = i, 0
+		off[0]++
+		off[i]++
+	}
+	for k := 0; k < len(s.pairs); k += 2 {
+		a, b := s.pairs[k], s.pairs[k+1]
+		adj[off[a]], adj[off[b]] = b, a
+		off[a]++
+		off[b]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	s.off, s.adj = off, adj
+	return n
+}
+
+// weight computes the MCODE weight of v. When no two neighbors of v are
+// adjacent, N[v] is a star: its highest core is k = 1 with d+1 vertices
+// and d edges, and the weight is 1·2d/((d+1)·d). That is evaluated with the
+// general path's float operations in its order (the factor k = 1 is
+// exact), so it is bit-identical without building or peeling N[v]. Only
+// vertices on a triangle build and peel their neighborhood.
 func (s *weightScratch) weight(v int32) float64 {
-	if s.g.Degree(v) == 0 {
+	d := s.g.Degree(v)
+	if d == 0 {
 		return 0
 	}
-	nn := s.localize(v)
+	if s.neighborEdges(v) == 0 {
+		return 2 * float64(d) / (float64(d+1) * float64(d))
+	}
+	nn := s.induce(d)
 	core := s.peel.coreNumbers(s.off, s.adj, nn)
+	// N[v] holds a triangle, so k ≥ 2 and the highest k-core has at least
+	// k+1 vertices: the density below never divides by zero.
 	k := slices.Max(core)
-	if k == 0 {
-		return 0
-	}
 	// The highest k-core: its vertices, and its edges counted from both
 	// ends.
 	verts, ends := 0, 0
@@ -275,9 +310,6 @@ func (s *weightScratch) weight(v int32) float64 {
 				ends++
 			}
 		}
-	}
-	if verts < 2 {
-		return 0
 	}
 	density := 2 * float64(ends/2) / (float64(verts) * float64(verts-1))
 	return float64(k) * density
@@ -580,11 +612,11 @@ func fluff(g *graph.Graph, s *weightScratch, members []int32, threshold float64,
 			if in.Has(u) {
 				continue
 			}
-			nn := s.localize(u)
-			if nn < 2 {
-				continue
-			}
-			density := 2 * float64(len(s.adj)/2) / (float64(nn) * float64(nn-1))
+			// u is a neighbor, so N[u] has nn ≥ 2 vertices, and d edges at
+			// u plus those among its neighbors.
+			d := g.Degree(u)
+			nn := d + 1
+			density := 2 * float64(d+s.neighborEdges(u)) / (float64(nn) * float64(nn-1))
 			if density > threshold {
 				in.Set(u)
 				out = append(out, u)

@@ -1,6 +1,7 @@
 package mcode
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,28 +15,47 @@ import (
 	"parsample/internal/sampling"
 )
 
+// coreNumbers returns the k-core number of every vertex of g through the
+// weight pass's peel.
+func coreNumbers(g *graph.Graph) []int {
+	off, nbr := g.CSR()
+	var s peelScratch
+	core := s.coreNumbers(off, nbr, g.N())
+	out := make([]int, len(core))
+	for v, c := range core {
+		out[v] = int(c)
+	}
+	return out
+}
+
+// vertexWeights runs the weight pass to completion.
+func vertexWeights(g *graph.Graph) []float64 {
+	w, _ := vertexWeightsContext(context.Background(), g)
+	return w
+}
+
 func TestCoreNumbersBasics(t *testing.T) {
 	// K5: all vertices have core 4.
-	for _, c := range CoreNumbers(graph.Complete(5)) {
+	for _, c := range coreNumbers(graph.Complete(5)) {
 		if c != 4 {
 			t.Fatalf("K5 core = %d, want 4", c)
 		}
 	}
 	// Path: interior 1-core... actually all vertices of a path are core 1.
-	for _, c := range CoreNumbers(graph.Path(6)) {
+	for _, c := range coreNumbers(graph.Path(6)) {
 		if c != 1 {
 			t.Fatalf("path core = %d, want 1", c)
 		}
 	}
 	// Cycle: all core 2.
-	for _, c := range CoreNumbers(graph.Cycle(7)) {
+	for _, c := range coreNumbers(graph.Cycle(7)) {
 		if c != 2 {
 			t.Fatalf("cycle core = %d, want 2", c)
 		}
 	}
 	// Isolated vertices are core 0.
 	g := graph.FromEdges(3, nil)
-	for _, c := range CoreNumbers(g) {
+	for _, c := range coreNumbers(g) {
 		if c != 0 {
 			t.Fatalf("isolated core = %d", c)
 		}
@@ -52,7 +72,7 @@ func TestCoreNumbersKiteGraph(t *testing.T) {
 	}
 	b.AddEdge(3, 4)
 	b.AddEdge(4, 5)
-	core := CoreNumbers(b.Build())
+	core := coreNumbers(b.Build())
 	want := []int{3, 3, 3, 3, 1, 1}
 	for v, w := range want {
 		if core[v] != w {
@@ -68,7 +88,7 @@ func TestCoreNumbersQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(40)
 		g := graph.Gnm(n, rng.Intn(3*n), seed)
-		core := CoreNumbers(g)
+		core := coreNumbers(g)
 		for v := int32(0); int(v) < n; v++ {
 			if core[v] > g.Degree(v) {
 				return false
@@ -93,14 +113,14 @@ func TestCoreNumbersQuick(t *testing.T) {
 func TestVertexWeightsClique(t *testing.T) {
 	// In K5, each vertex's neighborhood (plus itself) is K5: core 4,
 	// density 1 => weight 4.
-	w := VertexWeights(graph.Complete(5))
+	w := vertexWeights(graph.Complete(5))
 	for _, v := range w {
 		if math.Abs(v-4) > 1e-12 {
 			t.Fatalf("K5 weight = %v, want 4", v)
 		}
 	}
 	// Isolated vertex weight 0.
-	w0 := VertexWeights(graph.FromEdges(2, nil))
+	w0 := vertexWeights(graph.FromEdges(2, nil))
 	if w0[0] != 0 || w0[1] != 0 {
 		t.Fatal("isolated weight must be 0")
 	}
@@ -118,7 +138,7 @@ func TestVertexWeightsDenseBeatsSparse(t *testing.T) {
 	b.AddEdge(6, 7)
 	b.AddEdge(7, 8)
 	g := b.Build()
-	w := VertexWeights(g)
+	w := vertexWeights(g)
 	if w[0] <= w[6] {
 		t.Fatalf("clique weight %v not above path weight %v", w[0], w[6])
 	}
@@ -400,19 +420,26 @@ func referenceCoreNumbers(g *graph.Graph) []int {
 }
 
 func referenceVertexWeights(g *graph.Graph) []float64 {
-	w := make([]float64, g.N())
-	loc := g.NewLocalizer()
-	region := make([]int32, 0, g.MaxDegree()+1)
-	for v := range w {
-		w[v] = referenceVertexWeight(g, loc, region, int32(v))
-	}
+	w, _ := referenceNeighborhoods(g)
 	return w
 }
 
-func referenceVertexWeight(g *graph.Graph, loc *graph.Localizer, region []int32, v int32) float64 {
+// referenceNeighborhoods returns every vertex's reference weight and the top
+// core number of its closed neighborhood (0 for an isolated vertex).
+func referenceNeighborhoods(g *graph.Graph) (w []float64, top []int) {
+	w, top = make([]float64, g.N()), make([]int, g.N())
+	loc := g.NewLocalizer()
+	region := make([]int32, 0, g.MaxDegree()+1)
+	for v := range w {
+		w[v], top[v] = referenceVertexWeight(g, loc, region, int32(v))
+	}
+	return w, top
+}
+
+func referenceVertexWeight(g *graph.Graph, loc *graph.Localizer, region []int32, v int32) (float64, int) {
 	nb := g.Neighbors(v)
 	if len(nb) == 0 {
-		return 0
+		return 0, 0
 	}
 	region = append(region[:0], v)
 	region = append(region, nb...)
@@ -425,7 +452,7 @@ func referenceVertexWeight(g *graph.Graph, loc *graph.Localizer, region []int32,
 		}
 	}
 	if k == 0 {
-		return 0
+		return 0, 0
 	}
 	var keep []int32
 	for lv, c := range cores {
@@ -436,10 +463,10 @@ func referenceVertexWeight(g *graph.Graph, loc *graph.Localizer, region []int32,
 	coreSub := sub.Subgraph(keep)
 	nn := len(keep)
 	if nn < 2 {
-		return 0
+		return 0, k
 	}
 	density := 2 * float64(coreSub.M()) / (float64(nn) * float64(nn-1))
-	return float64(k) * density
+	return float64(k) * density, k
 }
 
 func referenceFindClusters(g *graph.Graph, p Params) []Cluster {
@@ -635,6 +662,29 @@ func diffWeights(got, want []float64) string {
 	return ""
 }
 
+// diffTriangles describes the first vertex whose triangle test (an edge
+// among its neighbors, which picks the closed-form weight) disagrees with
+// the reference's top core number of its closed neighborhood, which is at
+// least 2 exactly when N[v] holds a triangle, or returns "".
+func diffTriangles(g *graph.Graph, top []int) string {
+	s := newWeightScratch(g)
+	for v := range top {
+		if e := s.neighborEdges(int32(v)); (e > 0) != (top[v] >= 2) {
+			return fmt.Sprintf("vertex %d: %d edges among its neighbors, reference top core of N[v] = %d", v, e, top[v])
+		}
+	}
+	return ""
+}
+
+// fromPairs builds an n-vertex graph with the edges {a, b}.
+func fromPairs(n int, edges [][2]int32) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build()
+}
+
 // pendantCycle is a 12-cycle with a 30-vertex path hanging off every other
 // cycle vertex: the worklist haircut must peel the long paths and keep the
 // cycle.
@@ -676,18 +726,30 @@ func filtered(t testing.TB, ds *datasets.Dataset, o graph.Ordering, alg sampling
 	return res.Graph(ds.G.N())
 }
 
+// paramSets selects the referenceParams a TestFindClustersMatchesReference
+// input compares clusters under.
+type paramSets int
+
+const (
+	weightsOnly paramSets = iota // no cluster comparison
+	cheapSets                    // default, no-haircut and vwp=-0.1
+	allSets
+)
+
 // TestFindClustersMatchesReference compares weights and clusters with the
 // reference on filtered dataset networks, generator graphs, forests and
 // pendant-heavy graphs. The reference regrows every forest component per
 // seed (up to seconds per run on the LD-ordered chordal graphs), so the
 // dataset graphs run the defaults plus the two cheap fallback cases, one
 // of them (YNG/HD) every parameter set, and the small graphs every
-// parameter set.
+// parameter set. Every sampler's HD output on the four datasets checks
+// weights only. On every input the triangle test that picks a vertex's
+// closed-form weight must agree with the reference's top core of N[v].
 func TestFindClustersMatchesReference(t *testing.T) {
 	type input struct {
 		name string
 		g    func(testing.TB) *graph.Graph
-		all  bool
+		sets paramSets
 	}
 	dataset := func(ds func() *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p int) func(testing.TB) *graph.Graph {
 		return func(t testing.TB) *graph.Graph { return filtered(t, ds(), o, alg, p) }
@@ -696,33 +758,63 @@ func TestFindClustersMatchesReference(t *testing.T) {
 	for _, ds := range []func() *datasets.Dataset{datasets.YNG, datasets.MID} {
 		for _, o := range graph.AllOrderings {
 			name := ds().Name + "/chordal-seq/" + o.String()
-			inputs = append(inputs, input{name, dataset(ds, o, sampling.ChordalSeq, 1), name == "YNG/chordal-seq/HD"})
+			sets := cheapSets
+			if name == "YNG/chordal-seq/HD" {
+				sets = allSets
+			}
+			inputs = append(inputs, input{name, dataset(ds, o, sampling.ChordalSeq, 1), sets})
+		}
+	}
+	for _, ds := range []func() *datasets.Dataset{datasets.YNG, datasets.MID, datasets.UNT, datasets.CRE} {
+		for _, alg := range sampling.All {
+			p := 1
+			switch alg {
+			case sampling.ChordalComm, sampling.ChordalNoComm, sampling.RandomWalkPar, sampling.ForestFirePar:
+				p = 4
+			}
+			name := fmt.Sprintf("weights/%s/%v/HD/p%d", ds().Name, alg, p)
+			inputs = append(inputs, input{name, dataset(ds, graph.HighDegree, alg, p), weightsOnly})
 		}
 	}
 	constant := func(g *graph.Graph) func(testing.TB) *graph.Graph { return func(testing.TB) *graph.Graph { return g } }
 	inputs = append(inputs,
-		input{"CRE/chordal-nocomm/HD/p4", dataset(datasets.CRE, graph.HighDegree, sampling.ChordalNoComm, 4), false},
-		input{"gnm", constant(graph.Gnm(400, 1600, 3)), true},
-		input{"rmat", constant(graph.RMAT(9, 6, 0, 0, 0, 5)), true},
+		input{"CRE/chordal-nocomm/HD/p4", dataset(datasets.CRE, graph.HighDegree, sampling.ChordalNoComm, 4), cheapSets},
+		input{"gnm", constant(graph.Gnm(400, 1600, 3)), allSets},
+		input{"rmat", constant(graph.RMAT(9, 6, 0, 0, 0, 5)), allSets},
 		input{"planted", constant(graph.PlantedModules(400, 200, graph.ModuleSpec{
 			Count: 5, MinSize: 6, MaxSize: 10, Density: 0.9, NoiseDeg: 0.5,
-		}, 9).G), true},
-		input{"path", constant(graph.Path(300)), true},
-		input{"tree", constant(randomTree(300, 7)), true},
-		input{"grid", constant(graph.Grid(12, 15)), true},
-		input{"K6", constant(graph.Complete(6)), true},
-		input{"pendant-cycle", constant(pendantCycle()), true},
+		}, 9).G), allSets},
+		input{"path", constant(graph.Path(300)), allSets},
+		input{"tree", constant(randomTree(300, 7)), allSets},
+		input{"grid", constant(graph.Grid(12, 15)), allSets},
+		input{"K6", constant(graph.Complete(6)), allSets},
+		input{"pendant-cycle", constant(pendantCycle()), allSets},
+		// The edges of the triangle test. A star centred on 3, so its rows
+		// hold ids on both sides of the centre.
+		input{"star", constant(fromPairs(7, [][2]int32{{0, 3}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {3, 6}})), allSets},
+		// The same star with the chord 1–5: 1, 3 and 5 lie on a triangle,
+		// the other leaves keep the closed form.
+		input{"star-chord", constant(fromPairs(7, [][2]int32{{0, 3}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {3, 6}, {1, 5}})), allSets},
+		// Triangle 0–5–9 with pendants on both sides of 5 and 9: 0's only
+		// witness pair (5, 9) lies above it, 9's (0, 5) below it, and each
+		// row tail holds an unstamped id before the witness.
+		input{"triangle-above", constant(fromPairs(14, [][2]int32{{0, 5}, {0, 9}, {5, 9}, {0, 3}, {1, 5}, {5, 12}, {2, 9}, {9, 13}})), allSets},
+		input{"K4-minus-edge", constant(fromPairs(4, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}})), allSets},
+		input{"pendant-triangle", constant(fromPairs(4, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}})), allSets},
 	)
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
 			g := in.g(t)
-			want := referenceVertexWeights(g)
-			if d := diffWeights(VertexWeights(g), want); d != "" {
+			want, top := referenceNeighborhoods(g)
+			if d := diffWeights(vertexWeights(g), want); d != "" {
+				t.Fatal(d)
+			}
+			if d := diffTriangles(g, top); d != "" {
 				t.Fatal(d)
 			}
 			for _, pc := range referenceParams {
-				if !in.all && pc.name != "default" && pc.name != "no-haircut" && pc.name != "vwp=-0.1" {
+				if in.sets == weightsOnly || in.sets == cheapSets && pc.name != "default" && pc.name != "no-haircut" && pc.name != "vwp=-0.1" {
 					continue
 				}
 				if d := diffClusters(FindClusters(g, pc.p), referenceSeedLoop(g, want, pc.p)); d != "" {
@@ -735,7 +827,7 @@ func TestFindClustersMatchesReference(t *testing.T) {
 
 func TestCoreNumbersMatchesReference(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Gnm(500, 2500, 1), graph.RMAT(9, 8, 0, 0, 0, 2), pendantCycle(), graph.FromEdges(0, nil)} {
-		if got, want := CoreNumbers(g), referenceCoreNumbers(g); !slices.Equal(got, want) {
+		if got, want := coreNumbers(g), referenceCoreNumbers(g); !slices.Equal(got, want) {
 			t.Fatalf("core numbers %v, reference %v", got, want)
 		}
 	}
@@ -785,7 +877,7 @@ func decodeFuzzGraph(data []byte) (*graph.Graph, Params) {
 func FuzzFindClustersMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p := decodeFuzzGraph(data)
-		if d := diffWeights(VertexWeights(g), referenceVertexWeights(g)); d != "" {
+		if d := diffWeights(vertexWeights(g), referenceVertexWeights(g)); d != "" {
 			t.Fatal(d)
 		}
 		if d := diffClusters(FindClusters(g, p), referenceFindClusters(g, p)); d != "" {
