@@ -60,15 +60,13 @@ type CostEstimate struct {
 }
 
 // EstimateCost predicts the compute cost of one cold end-to-end run of r
-// from its declared dimensions. It is a pure function of the normalized
-// request (r is normalized internally when possible; an unnormalizable
-// request estimates from the raw fields). Cache residency is deliberately
+// from its declared dimensions. It reads only the synthesis shape, the
+// inline edge list's length, whether a dataset is named and whether the
+// filter is "none" — fields normalization never changes — so a raw and a
+// normalized request price the same. Cache residency is deliberately
 // outside the model — the serving layer discounts warm requests itself,
 // because residency is server state, not request content.
 func EstimateCost(r *Request) CostEstimate {
-	if n, err := r.Normalized(); err == nil {
-		r = n
-	}
 	var c CostEstimate
 	switch {
 	case r.Network.Synthesis != nil:

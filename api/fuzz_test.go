@@ -15,7 +15,9 @@ import (
 //   - Fingerprint is stable across that round trip;
 //   - Fingerprint ignores the Filter, Cluster and Output specs;
 //   - an accepted synthesis plants at most genes module genes;
-//   - an accepted filter runs on at most MaxFilterP ranks.
+//   - an accepted filter runs on at most MaxFilterP ranks;
+//   - EstimateCost prices the raw request as its normalized form, since it
+//     does not normalize itself.
 //
 // The seed corpus lives in testdata/fuzz/FuzzRequestNormalize.
 func FuzzRequestNormalize(f *testing.F) {
@@ -29,6 +31,9 @@ func FuzzRequestNormalize(f *testing.F) {
 			return
 		}
 		fp := norm.Fingerprint()
+		if raw, n := EstimateCost(req), EstimateCost(norm); raw != n {
+			t.Fatalf("raw request priced %+v, its normalized form %+v", raw, n)
+		}
 		if norm.Filter.P > MaxFilterP {
 			t.Fatalf("accepted filter p %d over the cap %d", norm.Filter.P, MaxFilterP)
 		}

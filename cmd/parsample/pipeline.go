@@ -79,7 +79,10 @@ func pipelineMain(args []string) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	ctx, trace := pipeline.WithTrace(ctx)
+	// Do requests its stages one after another on this goroutine, so the
+	// observer appends without a lock.
+	var timings []pipeline.TraceEntry
+	ctx = pipeline.WithObserver(ctx, func(e pipeline.TraceEntry) { timings = append(timings, e) })
 	pl := parsample.New()
 	resp, err := pl.Do(ctx, req)
 	if err != nil {
@@ -115,7 +118,7 @@ func pipelineMain(args []string) {
 	}
 
 	fmt.Println("stage timings:")
-	for _, e := range trace.Entries() {
+	for _, e := range timings {
 		fmt.Printf("  %-8s %-28s %-9s %10.3fms\n",
 			e.Key.Stage, e.Key.Variant, e.Source, float64(e.Duration.Microseconds())/1000)
 	}

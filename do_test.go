@@ -393,12 +393,9 @@ func TestDoStageKeysShareUpstreamArtifacts(t *testing.T) {
 	p := New()
 	sources := func(req *api.Request) map[pipeline.Stage]pipeline.Source {
 		t.Helper()
-		ctx, tr := pipeline.WithTrace(context.Background())
-		if _, err := p.Do(ctx, req); err != nil {
-			t.Fatal(err)
-		}
+		_, entries := traceDo(t, p, req)
 		got := map[pipeline.Stage]pipeline.Source{}
-		for _, e := range tr.Entries() {
+		for _, e := range entries {
 			if _, seen := got[e.Key.Stage]; !seen {
 				got[e.Key.Stage] = e.Source
 			}

@@ -32,6 +32,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 	"regexp"
 	"strings"
 
@@ -83,6 +84,53 @@ func sourceFiles(pass *analysis.Pass) []*ast.File {
 	for _, f := range pass.Files {
 		if !isTestFile(pass, f) {
 			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// transitiveCallers returns the same-package functions that (transitively)
+// make a call satisfying isDirect.
+func transitiveCallers(pass *analysis.Pass, isDirect func(*types.Info, *ast.CallExpr) bool) map[*types.Func]bool {
+	info := pass.TypesInfo
+	bodies := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := info.ObjectOf(fd.Name).(*types.Func); ok {
+					bodies[fn] = fd
+				}
+			}
+		}
+	}
+	out := map[*types.Func]bool{}
+	for changed := true; changed; {
+		changed = false
+		for fn, fd := range bodies {
+			if out[fn] {
+				continue
+			}
+			found := false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if found {
+					return false
+				}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if isDirect(info, call) {
+						found = true
+						return false
+					}
+					if callee, ok := calleeFunc(info, call); ok && out[callee] {
+						found = true
+						return false
+					}
+				}
+				return true
+			})
+			if found {
+				out[fn] = true
+				changed = true
+			}
 		}
 	}
 	return out

@@ -89,7 +89,9 @@ func runFingerprint(pass *analysis.Pass) (any, error) {
 	}
 	rep := newReporter(pass, "fingerprint")
 	params := parseParamSet(fingerprintParams)
-	hashers := hashingFuncs(pass)
+	// A fingerprint that delegates its hashing to a helper is still
+	// tracked at every call site.
+	hashers := transitiveCallers(pass, isDirectSink)
 
 	for _, f := range sourceFiles(pass) {
 		for _, decl := range f.Decls {
@@ -119,56 +121,6 @@ func isDirectSink(info *types.Info, call *ast.CallExpr) bool {
 		return true
 	}
 	return false
-}
-
-// hashingFuncs computes the same-package functions that (transitively)
-// contain a direct hash sink, so a fingerprint that delegates its hashing
-// to a helper is still tracked at every call site.
-func hashingFuncs(pass *analysis.Pass) map[*types.Func]bool {
-	info := pass.TypesInfo
-	bodies := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := info.ObjectOf(fd.Name).(*types.Func); ok {
-					bodies[fn] = fd
-				}
-			}
-		}
-	}
-	hashing := map[*types.Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for fn, fd := range bodies {
-			if hashing[fn] {
-				continue
-			}
-			found := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if found {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isDirectSink(info, call) {
-					found = true
-					return false
-				}
-				if callee, ok := calleeFunc(info, call); ok && hashing[callee] {
-					found = true
-					return false
-				}
-				return true
-			})
-			if found {
-				hashing[fn] = true
-				changed = true
-			}
-		}
-	}
-	return hashing
 }
 
 func checkFingerprintFunc(pass *analysis.Pass, rep *reporter, params paramSet, hashers map[*types.Func]bool, fd *ast.FuncDecl) {

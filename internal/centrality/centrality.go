@@ -7,7 +7,6 @@
 package centrality
 
 import (
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -195,58 +194,4 @@ func TopKOverlap(orig, filtered []float64, k int) float64 {
 		}
 	}
 	return float64(hit) / float64(k)
-}
-
-// SpearmanRank returns the Spearman rank correlation between two centrality
-// vectors (e.g. original vs filtered), a standard summary of how well a
-// sample preserves a centrality ranking. Returns 0 for length mismatch or
-// degenerate input.
-func SpearmanRank(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0
-	}
-	rx := ranks(x)
-	ry := ranks(y)
-	// Pearson on ranks.
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range rx {
-		sx += rx[i]
-		sy += ry[i]
-	}
-	mx, my := sx/n, sy/n
-	var cov, vx, vy float64
-	for i := range rx {
-		dx, dy := rx[i]-mx, ry[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
-	}
-	if vx == 0 || vy == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
-}
-
-// ranks assigns average ranks (1-based) with tie handling.
-func ranks(x []float64) []float64 {
-	n := len(x)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return x[idx[i]] < x[idx[j]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
 }

@@ -182,34 +182,6 @@ func TestTopKOverlap(t *testing.T) {
 	}
 }
 
-func TestSpearmanRank(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{10, 20, 30, 40, 50}
-	if got := SpearmanRank(x, y); !almostEq(got, 1) {
-		t.Fatalf("monotone spearman = %v", got)
-	}
-	rev := []float64{50, 40, 30, 20, 10}
-	if got := SpearmanRank(x, rev); !almostEq(got, -1) {
-		t.Fatalf("reversed spearman = %v", got)
-	}
-	if SpearmanRank(x, []float64{1}) != 0 {
-		t.Fatal("length mismatch must be 0")
-	}
-	if SpearmanRank([]float64{2, 2, 2}, []float64{1, 2, 3}) != 0 {
-		t.Fatal("constant vector must give 0")
-	}
-}
-
-func TestSpearmanTieHandling(t *testing.T) {
-	// Ties get averaged ranks; a tied x against any y must stay in [-1, 1].
-	x := []float64{1, 1, 2, 2, 3}
-	y := []float64{1, 2, 3, 4, 5}
-	got := SpearmanRank(x, y)
-	if got < 0.8 || got > 1 {
-		t.Fatalf("tied spearman = %v", got)
-	}
-}
-
 // The thesis check: the chordal filter preserves hub genes far better than
 // random deletion of the same number of edges.
 func TestFilterPreservesHubs(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"parsample/internal/centrality"
 	"parsample/internal/datasets"
+	"parsample/internal/expr"
 	"parsample/internal/graph"
 	"parsample/internal/sampling"
 )
@@ -46,8 +47,8 @@ func HubPreservation(ctx context.Context) ([]HubPreservationRow, error) {
 			Algorithm:   alg.String(),
 			EdgesKept:   fg.M(),
 			Top50Kept:   centrality.TopKOverlap(origDeg, fDeg, 50),
-			DegreeRank:  centrality.SpearmanRank(origDeg, fDeg),
-			ClosenessRk: centrality.SpearmanRank(origClo, fClo),
+			DegreeRank:  expr.Spearman(origDeg, fDeg),
+			ClosenessRk: expr.Spearman(origClo, fClo),
 		})
 	}
 	return rows, nil

@@ -32,6 +32,82 @@ func TestSpearmanDegenerate(t *testing.T) {
 	}
 }
 
+func TestSpearmanTieHandling(t *testing.T) {
+	// Ties get averaged ranks; a tied x against any y must stay in [-1, 1].
+	x := []float64{1, 1, 2, 2, 3}
+	y := []float64{1, 2, 3, 4, 5}
+	if got := Spearman(x, y); got < 0.8 || got > 1 {
+		t.Fatalf("tied spearman = %v", got)
+	}
+}
+
+// spearmanStableSort is a second Spearman: stable-sort average ranks, then
+// Pearson's sums written out inline. Kept as the differential reference
+// for finite vectors, where both must agree bit for bit.
+func spearmanStableSort(x, y []float64) float64 {
+	if len(x) != len(y) || len(x) < 2 {
+		return 0
+	}
+	rx := make([]float64, len(x))
+	ry := make([]float64, len(y))
+	rankIntoStableSort(rx, x)
+	rankIntoStableSort(ry, y)
+	n := float64(len(x))
+	var sx, sy float64
+	for i := range rx {
+		sx += rx[i]
+		sy += ry[i]
+	}
+	mx, my := sx/n, sy/n
+	var cov, vx, vy float64
+	for i := range rx {
+		dx, dy := rx[i]-mx, ry[i]-my
+		cov += dx * dy
+		vx += dx * dx
+		vy += dy * dy
+	}
+	if vx == 0 || vy == 0 {
+		return 0
+	}
+	return cov / math.Sqrt(vx*vy)
+}
+
+// TestSpearmanMatchesStableSort pins Spearman to the reference, bit for
+// bit, on finite vectors with heavy ties, ±0 and ±Inf, constant vectors
+// and mismatched lengths — the centrality-vector inputs the hub
+// preservation figure ranks.
+func TestSpearmanMatchesStableSort(t *testing.T) {
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	pairs := [][2][]float64{
+		{{1, 2}, {1}},
+		{{4, 4, 4}, {1, 2, 3}},
+		{{0, negZero, 0, 1, -1}, {negZero, 0, 2, 2, 1}},
+		{{inf, -inf, 0, inf, 2}, {1, 1, 1, 2, 3}},
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{2, 3, 17, 100, 600} {
+		for range 4 {
+			x := make([]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = float64(rng.Intn(n/3+1)) / float64(n) // degree-like: heavy ties
+				y[i] = x[i] * float64(rng.Intn(3))
+				if rng.Intn(4) == 0 {
+					y[i] = rng.Float64()
+				}
+			}
+			pairs = append(pairs, [2][]float64{x, y})
+		}
+	}
+	for _, p := range pairs {
+		got, want := Spearman(p[0], p[1]), spearmanStableSort(p[0], p[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Spearman(%v, %v) = %v, reference %v", p[0], p[1], got, want)
+		}
+	}
+}
+
 func TestSpearmanRobustToOutliers(t *testing.T) {
 	// Pearson collapses under an extreme outlier; Spearman does not.
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}

@@ -212,6 +212,10 @@ func TestEngineUndecodableSnapshotRecomputes(t *testing.T) {
 			orig := stages[StageFilter].decode
 			stages[StageFilter].decode = func([]byte) (any, int64, error) { panic("decoder bug") }
 			t.Cleanup(func() { stages[StageFilter].decode = orig })
+			const want = "pipeline: filter snapshot decode panicked: decoder bug"
+			if val, _, err := decodeBlob(StageFilter, nil); val != nil || err == nil || err.Error() != want {
+				t.Fatalf("decodeBlob = (%v, %v), want (nil, %q)", val, err, want)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

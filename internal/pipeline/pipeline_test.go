@@ -226,16 +226,24 @@ func TestEmptyArtifactsChargedPerEntry(t *testing.T) {
 	}
 }
 
-// Trace records every request of a traced context with its source.
+// recordTrace returns a context whose observer collects every stage
+// request, and a snapshot of what it has collected so far.
+func recordTrace(ctx context.Context) (context.Context, func() []TraceEntry) {
+	var entries []TraceEntry
+	ctx = WithObserver(ctx, func(e TraceEntry) { entries = append(entries, e) })
+	return ctx, func() []TraceEntry { return entries }
+}
+
+// The observer sees every request of its context with its source.
 func TestTrace(t *testing.T) {
 	ds := testDataset()
 	e := New(Config{})
 	in := FromDataset(ds)
-	ctx, tr := WithTrace(context.Background())
+	ctx, tr := recordTrace(context.Background())
 	if _, err := e.Scored(ctx, in, testVariant); err != nil {
 		t.Fatal(err)
 	}
-	entries := tr.Entries()
+	entries := tr()
 	computed := map[Stage]bool{}
 	for _, en := range entries {
 		if en.Source == Computed {
@@ -257,12 +265,12 @@ func TestTrace(t *testing.T) {
 			t.Errorf("Stage %d prints %q, want %q", int(st), got, want)
 		}
 	}
-	// A second run through a fresh trace is all hits.
-	ctx2, tr2 := WithTrace(context.Background())
+	// A second run under a fresh observer is all hits.
+	ctx2, tr2 := recordTrace(context.Background())
 	if _, err := e.Scored(ctx2, in, testVariant); err != nil {
 		t.Fatal(err)
 	}
-	for _, en := range tr2.Entries() {
+	for _, en := range tr2() {
 		if en.Source != Hit {
 			t.Fatalf("warm request traced as %v", en.Source)
 		}

@@ -316,18 +316,19 @@ func (s *Store) diskLoad(key Key) (any, int64, bool) {
 	return val, bytes, true
 }
 
-// decodeBlob runs the stage's snapshot decoder with panic containment. A
-// blob whose checksum holds but whose contents crash the decoder is as
-// corrupt as one that fails to parse; diskLoad runs before runCompute's
-// recover, and an unrecovered panic there would leave the key's flight
-// open for every later caller.
+// decodeBlob runs the stage's snapshot decoder under Contain. A blob
+// whose checksum holds but whose contents crash the decoder is as corrupt
+// as one that fails to parse ("pipeline: <stage> snapshot decode
+// panicked"); diskLoad runs outside runCompute's containment, and an
+// unrecovered panic there would leave the key's flight open for every
+// later caller.
 func decodeBlob(st Stage, data []byte) (val any, bytes int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			val, bytes, err = nil, 0, fmt.Errorf("pipeline: %s snapshot decode panicked: %v", st, r)
-		}
-	}()
-	return stages[st].decode(data)
+	err = Contain("pipeline: "+st.String()+" snapshot decode", func() error {
+		var err error
+		val, bytes, err = stages[st].decode(data)
+		return err
+	})
+	return val, bytes, err
 }
 
 // runCompute invokes compute under Contain: a panicking kernel is

@@ -187,38 +187,19 @@ func (s *jobStore) counts() jobCounts {
 // returns, so queued async work counts against the same compute budget
 // as synchronous requests.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRequest(w, r)
+	norm, adm, ok := s.accept(w, r, classBatch)
 	if !ok {
 		return
 	}
-	norm, err := req.Normalized()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	adm, ae := s.admit(r, norm, classFor(r, classBatch))
-	if ae != nil {
-		writeError(w, ae)
-		return
-	}
-	req = norm
 	ctx, cancel := context.WithCancel(context.Background())
-	if norm.DeadlineMillis > 0 {
-		// The deadline clocks compute, not queue time — and admission has
-		// already happened, so it starts now.
-		dctx, dcancel := context.WithTimeout(ctx, time.Duration(norm.DeadlineMillis)*time.Millisecond)
-		ctx = dctx
-		prev := cancel
-		cancel = func() { dcancel(); prev() }
-	}
 	j := s.jobs.create(cancel)
-	// One event per artifact: the engine traces every store request,
+	// One event per artifact: the engine reports every store request,
 	// including cache hits taken while resolving a later stage's
 	// dependencies, so a key's first completion is the progress signal and
 	// the rest are noise. The observer runs on the job's single compute
 	// goroutine, so the seen-set needs no lock.
 	seen := make(map[pipeline.Key]bool)
-	ctx = pipeline.WithObserver(ctx, func(e pipeline.TraceEntry) {
+	observe := func(e pipeline.TraceEntry) {
 		if seen[e.Key] {
 			return
 		}
@@ -230,24 +211,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			Source:  e.Source.String(),
 			Millis:  float64(e.Duration.Microseconds()) / 1000,
 		})
-	})
+	}
 	go func() {
 		defer cancel()
 		defer adm.release()
-		// No net/http recover covers this goroutine: a panic escaping Do
-		// would take the daemon down, so it fails this job instead.
-		var resp *api.Response
-		err := pipeline.Contain("server: job", func() error {
-			var err error
-			resp, err = s.p.Do(ctx, req)
-			return err
-		})
+		resp, err := s.run(ctx, jobRun, norm, observe)
 		switch {
 		case err == nil:
 			j.finish(JobDone, resp, nil)
-		case req.DeadlineMillis > 0 && errors.Is(err, context.DeadlineExceeded):
-			j.finish(JobFailed, nil, api.WrapError(api.CodeDeadlineExceeded, err,
-				"job exceeded its %dms deadline", req.DeadlineMillis))
 		case errors.Is(err, context.Canceled):
 			j.finish(JobCancelled, nil, api.Errorf(api.CodeCancelled, "job cancelled"))
 		default:

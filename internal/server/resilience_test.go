@@ -335,6 +335,66 @@ func TestDeadlineExceededMidRun(t *testing.T) {
 	}
 }
 
+// TestJobDeadlineExceededMidRun is TestDeadlineExceededMidRun on
+// /v1/jobs: the job's deadline starts after admission, and a run that
+// blows it ends failed with deadline_exceeded rather than cancelled.
+func TestJobDeadlineExceededMidRun(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	ts, _ := newTestServer(t)
+	faultinject.Enable("expr.sweep.tile", faultinject.Spec{Mode: faultinject.ModeDelay, Delay: 700 * time.Millisecond, Count: 1})
+
+	resp, body := post(t, ts.URL+"/v1/jobs", synthBody(192, 24, 43, `, "deadline_ms": 150`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
+	}
+	var ji JobInfo
+	if err := json.Unmarshal(body, &ji); err != nil {
+		t.Fatal(err)
+	}
+	failed := waitStatus(t, ts.URL+"/v1/jobs/"+ji.ID, JobFailed, 10*time.Second)
+	if failed.Error == nil || failed.Error.Code != api.CodeDeadlineExceeded {
+		t.Fatalf("job error = %+v, want code %q", failed.Error, api.CodeDeadlineExceeded)
+	}
+	if want := "job exceeded its 150ms deadline"; failed.Error.Message != want {
+		t.Fatalf("job error message = %q, want %q", failed.Error.Message, want)
+	}
+	if resp, body := post(t, ts.URL+"/v1/pipeline", synthBody(192, 24, 43, "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retry after deadline: %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestSyncAndJobResponsesIdentical: the two endpoints share one run path,
+// so one request answered synchronously and as a job — each cold on its
+// own server — carries byte-identical response JSON.
+func TestSyncAndJobResponsesIdentical(t *testing.T) {
+	syncTS, _ := newTestServer(t)
+	resp, syncBody := post(t, syncTS.URL+"/v1/pipeline", smallSynthBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync: %d (%s)", resp.StatusCode, syncBody)
+	}
+
+	jobTS, _ := newTestServer(t)
+	resp, body := post(t, jobTS.URL+"/v1/jobs", smallSynthBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.StatusCode, body)
+	}
+	var ji JobInfo
+	if err := json.Unmarshal(body, &ji); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, jobTS.URL+"/v1/jobs/"+ji.ID, JobDone, 30*time.Second)
+	_, body = get(t, jobTS.URL+"/v1/jobs/"+ji.ID)
+	var done struct {
+		Response json.RawMessage `json:"response"`
+	}
+	if err := json.Unmarshal(body, &done); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(done.Response), strings.TrimSuffix(string(syncBody), "\n"); got != want {
+		t.Fatalf("job response differs from the sync body:\njob:  %s\nsync: %s", got, want)
+	}
+}
+
 // ------------------------------------------------------- degradation
 
 // TestDegradationShedsColdBeforeWarm: at rung 2 a cold synthesis request

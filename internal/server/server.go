@@ -14,6 +14,14 @@
 //	GET    /healthz            liveness
 //	GET    /statsz             artifact-store counters
 //
+// Both run endpoints share one request lifecycle: accept decodes,
+// normalizes and admits (writing any rejection itself), and run applies
+// the request's deadline, attaches the endpoint's stage observer, runs
+// Pipeline.Do under pipeline.Contain and maps a blown deadline to
+// deadline_exceeded. The endpoints differ only in their observer (cache
+// provenance for /v1/pipeline, SSE events for /v1/jobs) and in what they
+// do with the outcome (write it now, or record it on the job).
+//
 // Every non-2xx response body is a structured api.Error. Synchronous
 // responses carry an X-Parsample-Cache header ("hit" when every stage was
 // served from the store, "disk" when served without compute but through
@@ -134,34 +142,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // handlePipeline is POST /v1/pipeline: one synchronous end-to-end run,
 // behind the admission gate (priced by api.EstimateCost, discounted when
-// the request's artifacts are resident).
+// the request's artifacts are resident). Its observer only tallies cache
+// provenance and computed time for the response headers.
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRequest(w, r)
+	norm, adm, ok := s.accept(w, r, classInteractive)
 	if !ok {
-		return
-	}
-	norm, err := req.Normalized()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	adm, ae := s.admit(r, norm, classFor(r, classInteractive))
-	if ae != nil {
-		writeError(w, ae)
 		return
 	}
 	defer adm.release()
 
-	ctx := r.Context()
-	if norm.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(norm.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
 	warm := true
 	anyDisk := false
 	var computedMS float64
-	ctx = pipeline.WithObserver(ctx, func(e pipeline.TraceEntry) {
+	resp, err := s.run(r.Context(), requestRun, norm, func(e pipeline.TraceEntry) {
 		switch e.Source {
 		case pipeline.Computed:
 			warm = false
@@ -170,19 +163,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 			anyDisk = true
 		}
 	})
-	// A panic escaping Do becomes a structured 500 (Contain) rather than
-	// net/http's dropped connection.
-	var resp *api.Response
-	err = pipeline.Contain("server: request", func() error {
-		var err error
-		resp, err = s.p.Do(ctx, norm)
-		return err
-	})
 	if err != nil {
-		if norm.DeadlineMillis > 0 && errors.Is(err, context.DeadlineExceeded) {
-			err = api.WrapError(api.CodeDeadlineExceeded, err,
-				"run exceeded its %dms deadline", norm.DeadlineMillis)
-		}
 		writeError(w, err)
 		return
 	}
@@ -200,6 +181,74 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(CostEstimateHeader, formatUnits(adm.estimate))
 	w.Header().Set(CostActualHeader, formatUnits(computedMS))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// accept is the front of both run endpoints: it strictly decodes the body,
+// normalizes it and admits it through the gate in class dflt (unless the
+// priority header names another). On any rejection it writes the
+// structured error itself — a 413 payload_too_large when the body-limit
+// reader tripped (api.ReadRequest keeps the *http.MaxBytesError in its
+// error chain for exactly this check), a 400 for a malformed request, the
+// gate's 429/503 otherwise — and reports false. On success the caller owns
+// admission.release.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, dflt classID) (*api.Request, *admission, bool) {
+	req, err := api.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			s.gate.countTooLarge()
+			err = api.WrapError(api.CodePayloadTooLarge, err,
+				"request body exceeds the %d-byte limit", mbe.Limit)
+		}
+		writeError(w, err)
+		return nil, nil, false
+	}
+	norm, err := req.Normalized()
+	if err != nil {
+		writeError(w, err)
+		return nil, nil, false
+	}
+	adm, ae := s.admit(r, norm, classFor(r, dflt))
+	if ae != nil {
+		writeError(w, ae)
+		return nil, nil, false
+	}
+	return norm, adm, true
+}
+
+// runKind names a run in its failure texts: the Contain label of a panic
+// ("<panic> panicked: …") and the subject of a blown deadline.
+type runKind struct{ panic, deadline string }
+
+var (
+	requestRun = runKind{panic: "server: request", deadline: "run"}
+	jobRun     = runKind{panic: "server: job", deadline: "job"}
+)
+
+// run executes an admitted, normalized request on the shared pipeline —
+// the one run path of both endpoints. The request's deadline clocks
+// compute, not queue time, so it starts here, after admission; observe
+// sees every stage request. A panic escaping Do becomes an error (Contain)
+// rather than net/http's dropped connection or, on a job's goroutine, a
+// dead daemon, and a blown deadline comes back as CodeDeadlineExceeded.
+func (s *Server) run(ctx context.Context, kind runKind, norm *api.Request, observe func(pipeline.TraceEntry)) (*api.Response, error) {
+	if norm.DeadlineMillis > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(norm.DeadlineMillis)*time.Millisecond)
+		defer cancel()
+	}
+	ctx = pipeline.WithObserver(ctx, observe)
+	var resp *api.Response
+	err := pipeline.Contain(kind.panic, func() error {
+		var err error
+		resp, err = s.p.Do(ctx, norm)
+		return err
+	})
+	if err != nil && norm.DeadlineMillis > 0 && errors.Is(err, context.DeadlineExceeded) {
+		err = api.WrapError(api.CodeDeadlineExceeded, err,
+			"%s exceeded its %dms deadline", kind.deadline, norm.DeadlineMillis)
+	}
+	return resp, err
 }
 
 // admission is one admitted request's grant.
@@ -312,25 +361,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	adm.Level = s.gate.level()
 	adm.BatchWindowMS = float64(s.p.BatchWindow().Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, statsz{Store: s.p.Stats(), Jobs: s.jobs.counts(), Admission: adm})
-}
-
-// decodeRequest reads and strictly decodes the request body, writing a
-// structured 400 on failure — or a structured 413 payload_too_large when
-// the body-limit reader tripped (api.ReadRequest preserves the
-// *http.MaxBytesError in its error chain for exactly this check).
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*api.Request, bool) {
-	req, err := api.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.gate.countTooLarge()
-			err = api.WrapError(api.CodePayloadTooLarge, err,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-		}
-		writeError(w, err)
-		return nil, false
-	}
-	return req, true
 }
 
 // writeJSON marshals v compactly. Marshalling the schema types cannot

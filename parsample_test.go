@@ -141,15 +141,17 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 
 // ------------------------------------------------------------- the pipeline
 
-// traceDo runs req on p under a stage trace.
+// traceDo runs req on p under an observer that records every stage
+// request in completion order.
 func traceDo(t *testing.T, p *Pipeline, req *api.Request) (*api.Response, []pipeline.TraceEntry) {
 	t.Helper()
-	ctx, trace := pipeline.WithTrace(context.Background())
+	var entries []pipeline.TraceEntry
+	ctx := pipeline.WithObserver(context.Background(), func(e pipeline.TraceEntry) { entries = append(entries, e) })
 	resp, err := p.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, trace.Entries()
+	return resp, entries
 }
 
 // Do executes the end-to-end chain from a synthesized matrix: correlation
