@@ -29,16 +29,19 @@ func ScoreClusters(d *ontology.DAG, a *ontology.Annotations, g *graph.Graph, clu
 
 // ScoreClustersContext is ScoreClusters with cooperative cancellation,
 // polling ctx between clusters (one cluster score walks every internal edge
-// pair's annotation sets — the unit of work worth bounding).
+// pair's annotation sets — the unit of work worth bounding). One
+// ontology.Scorer serves the whole call, so a term pair that recurs across
+// edges and clusters is scored once.
 func ScoreClustersContext(ctx context.Context, d *ontology.DAG, a *ontology.Annotations, g *graph.Graph, clusters []mcode.Cluster) ([]ScoredCluster, error) {
 	out := make([]ScoredCluster, len(clusters))
+	sc := ontology.NewScorer(d, a)
 	for i, c := range clusters {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		out[i] = ScoredCluster{
 			Cluster: c,
-			Score:   ontology.ScoreCluster(d, a, g.HasEdge, c.Vertices),
+			Score:   sc.ScoreCluster(g.HasEdge, c.Vertices),
 		}
 	}
 	return out, nil

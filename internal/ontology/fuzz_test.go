@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -50,5 +51,20 @@ func FuzzReadAnnotations(f *testing.F) {
 		if _, err := ReadAnnotations(&buf); err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
+	})
+}
+
+// FuzzEdgeScoreMatchesOracle: on a random DAG and annotation table, a
+// Scorer reused across calls agrees with the map-based oracle on DCP, term
+// distance, EdgeScore and ScoreCluster, dominant term included.
+func FuzzEdgeScoreMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(40), uint8(1), uint8(12))
+	f.Add(int64(3), uint8(200), uint8(3), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, terms, maxParents, genes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		d := randomDAG(rng, 1+int(terms), 1+int(maxParents)%4)
+		s := NewScorer(d, randomAnnotations(rng, d, 1+int(genes)%32))
+		checkScorerMatchesOracle(t, s, rng)
 	})
 }

@@ -13,8 +13,8 @@ package ontology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 )
 
 // TermID identifies a term in the DAG. The root is always term 0.
@@ -62,12 +62,16 @@ func NewDAG(parents [][]TermID) (*DAG, error) {
 	if len(parents[0]) != 0 {
 		return nil, fmt.Errorf("ontology: root must have no parents")
 	}
+	n := len(parents)
 	d := &DAG{
 		parents:  parents,
-		children: make([][]TermID, len(parents)),
-		depth:    make([]int32, len(parents)),
+		children: make([][]TermID, n),
+		depth:    make([]int32, n),
 	}
-	for t := 1; t < len(parents); t++ {
+	// next[p] counts p's children here; below it becomes the position where
+	// p's next child goes in one shared backing array.
+	next := make([]int32, n)
+	for t := 1; t < n; t++ {
 		if len(parents[t]) == 0 {
 			return nil, fmt.Errorf("ontology: term %d has no parents and is not the root", t)
 		}
@@ -76,82 +80,31 @@ func NewDAG(parents [][]TermID) (*DAG, error) {
 			if int(p) >= t || p < 0 {
 				return nil, fmt.Errorf("ontology: term %d has invalid parent %d (need parent < child)", t, p)
 			}
-			d.children[p] = append(d.children[p], TermID(t))
+			next[p]++
 			if minDepth < 0 || d.depth[p]+1 < minDepth {
 				minDepth = d.depth[p] + 1
 			}
 		}
 		d.depth[t] = minDepth
 	}
+	links := int32(0)
+	for p, c := range next {
+		next[p] = links
+		links += c
+	}
+	flat := make([]TermID, links)
+	for t := 1; t < n; t++ {
+		for _, p := range parents[t] {
+			flat[next[p]] = TermID(t)
+			next[p]++
+		}
+	}
+	start := int32(0)
+	for p, end := range next {
+		d.children[p] = flat[start:end:end]
+		start = end
+	}
 	return d, nil
-}
-
-// Ancestors returns the set of ancestors of t (including t itself).
-func (d *DAG) Ancestors(t TermID) map[TermID]bool {
-	out := map[TermID]bool{t: true}
-	stack := []TermID{t}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range d.parents[v] {
-			if !out[p] {
-				out[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
-}
-
-// DeepestCommonParent returns the deepest term that is an ancestor of both
-// t1 and t2 (possibly one of them), and its depth. The root is a common
-// ancestor of everything, so a result always exists. Equal-depth candidates
-// tie-break on the smallest term id — map iteration order must not leak
-// into the result (the determinism contract: every pipeline artifact is a
-// pure function of its inputs, and DominantTerm flows into Figure 9/11
-// output).
-func (d *DAG) DeepestCommonParent(t1, t2 TermID) (TermID, int) {
-	a1 := d.Ancestors(t1)
-	best := TermID(0)
-	bestDepth := -1
-	for a := range d.Ancestors(t2) {
-		if !a1[a] {
-			continue
-		}
-		depth := int(d.depth[a])
-		if depth > bestDepth || (depth == bestDepth && a < best) {
-			best, bestDepth = a, depth
-		}
-	}
-	return best, bestDepth
-}
-
-// TermDistance returns the length of the shortest path between t1 and t2 in
-// the DAG viewed as an undirected graph (the paper's "term breadth").
-func (d *DAG) TermDistance(t1, t2 TermID) int {
-	if t1 == t2 {
-		return 0
-	}
-	dist := make(map[TermID]int, 64)
-	dist[t1] = 0
-	queue := []TermID{t1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		next := dist[v] + 1
-		for _, lists := range [2][]TermID{d.parents[v], d.children[v]} {
-			for _, w := range lists {
-				if _, ok := dist[w]; !ok {
-					if w == t2 {
-						return next
-					}
-					dist[w] = next
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return -1 // unreachable: DAG is rooted, so this cannot happen
 }
 
 // Annotations maps genes to their GO terms.
@@ -180,12 +133,181 @@ func (a *Annotations) Terms(g int32) []TermID { return a.terms[g] }
 // NumGenes returns the number of genes in the table.
 func (a *Annotations) NumGenes() int { return len(a.terms) }
 
+// Scorer computes edge enrichment scores and cluster summaries against one
+// DAG and annotation table. It memoizes every term pair it scores under the
+// ordered pair, since DCP and term distance are both symmetric, and runs the
+// DCP walk and the distance search over epoch-stamped arrays of length
+// NumTerms, allocated on first use. Nothing is precomputed on the DAG: the
+// ancestor sets of a chain are quadratic in its length, and an inline
+// ontology may hold millions of terms, so NewDAG stays linear and a
+// Scorer's scratch is O(NumTerms).
+//
+// A Scorer is not safe for concurrent use. It only reads the DAG and the
+// annotations, so any number of Scorers may share them.
+type Scorer struct {
+	d    *DAG
+	a    *Annotations
+	memo map[uint64]pairScore
+
+	// Search scratch. A search owns the stamp values epoch and epoch+1 (one
+	// per side); every search advances epoch by 2, so stamps are never
+	// cleared between searches.
+	stamp []uint32
+	epoch uint32
+	stack []TermID    // DCP: ancestor walk
+	dist  []int32     // distance search: hops from the side's start term
+	front [2][]TermID // distance search: each side's current level
+	spare []TermID    // distance search: the level being built
+
+	// Dominant-term tally of the cluster being scored.
+	count   []int32
+	counted []TermID
+}
+
+// pairScore is the memoized result of one term pair.
+type pairScore struct {
+	score int // DCP depth − term distance
+	dcp   TermID
+}
+
+// NewScorer returns a Scorer over d and a. a may be nil when only
+// DeepestCommonParent and TermDistance are used.
+func NewScorer(d *DAG, a *Annotations) *Scorer {
+	return &Scorer{d: d, a: a, memo: make(map[uint64]pairScore)}
+}
+
+// begin starts a search and returns its first stamp value; the second side
+// of the search stamps with the value after it.
+func (s *Scorer) begin() uint32 {
+	if s.stamp == nil {
+		s.stamp = make([]uint32, s.d.NumTerms())
+		s.dist = make([]int32, s.d.NumTerms())
+	}
+	if s.epoch >= math.MaxUint32-3 {
+		clear(s.stamp)
+		s.epoch = 0
+	}
+	s.epoch += 2
+	return s.epoch
+}
+
+// DeepestCommonParent returns the deepest term that is an ancestor of both
+// t1 and t2 (possibly one of them), and its depth. The root is a common
+// ancestor of everything, so a result always exists. Equal-depth candidates
+// tie-break on the smallest term id, so the result does not depend on the
+// walk order (the determinism contract: every pipeline artifact is a pure
+// function of its inputs, and DominantTerm flows into Figure 9/11 output).
+func (s *Scorer) DeepestCommonParent(t1, t2 TermID) (TermID, int) {
+	in1 := s.begin()
+	walked := in1 + 1
+	parents, stamp := s.d.parents, s.stamp
+
+	// Stamp t1 and its ancestors.
+	stack := append(s.stack[:0], t1)
+	stamp[t1] = in1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range parents[v] {
+			if stamp[p] != in1 {
+				stamp[p] = in1
+				stack = append(stack, p)
+			}
+		}
+	}
+
+	// Walk t2 and its ancestors; each one still stamped in1 is common. A
+	// common ancestor's own parents are walked too: with the min-depth
+	// convention a parent can be deeper than its child.
+	best, bestDepth := TermID(0), -1
+	visit := func(v TermID) {
+		if stamp[v] == in1 {
+			if dv := int(s.d.depth[v]); dv > bestDepth || (dv == bestDepth && v < best) {
+				best, bestDepth = v, dv
+			}
+		}
+		stamp[v] = walked
+		stack = append(stack, v)
+	}
+	visit(t2)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range parents[v] {
+			if stamp[p] != walked {
+				visit(p)
+			}
+		}
+	}
+	s.stack = stack
+	return best, bestDepth
+}
+
+// TermDistance returns the length of the shortest path between t1 and t2 in
+// the DAG viewed as an undirected graph (the paper's "term breadth"). It
+// searches from both ends, each step expanding the smaller frontier by one
+// whole level. The first term one side reaches that the other side already
+// holds closes a shortest path: before that level the two balls were
+// disjoint, so no path is shorter than their radii plus one.
+func (s *Scorer) TermDistance(t1, t2 TermID) int {
+	if t1 == t2 {
+		return 0
+	}
+	base := s.begin()
+	stamp, dist := s.stamp, s.dist
+	s.front[0] = append(s.front[0][:0], t1)
+	s.front[1] = append(s.front[1][:0], t2)
+	stamp[t1], dist[t1] = base, 0
+	stamp[t2], dist[t2] = base+1, 0
+	for len(s.front[0]) > 0 && len(s.front[1]) > 0 {
+		side := 0
+		if len(s.front[1]) < len(s.front[0]) {
+			side = 1
+		}
+		mine, other := base+uint32(side), base+uint32(1-side)
+		next := s.spare[:0]
+		for _, v := range s.front[side] {
+			dv := dist[v] + 1
+			for _, lists := range [2][]TermID{s.d.parents[v], s.d.children[v]} {
+				for _, w := range lists {
+					switch stamp[w] {
+					case mine:
+						continue
+					case other:
+						s.spare = next
+						return int(dv + dist[w])
+					}
+					stamp[w], dist[w] = mine, dv
+					next = append(next, w)
+				}
+			}
+		}
+		s.spare, s.front[side] = s.front[side], next
+	}
+	return -1 // unreachable: DAG is rooted, so this cannot happen
+}
+
+// pair returns the memoized score and DCP of the term pair (t1, t2).
+func (s *Scorer) pair(t1, t2 TermID) pairScore {
+	if t1 > t2 {
+		t1, t2 = t2, t1
+	}
+	key := uint64(uint32(t1))<<32 | uint64(uint32(t2))
+	if p, ok := s.memo[key]; ok {
+		return p
+	}
+	dcp, depth := s.DeepestCommonParent(t1, t2)
+	p := pairScore{score: depth - s.TermDistance(t1, t2), dcp: dcp}
+	s.memo[key] = p
+	return p
+}
+
 // EdgeScore computes the enrichment score of the edge (g1, g2): over all
 // annotation term pairs, the maximum of DCP depth − term breadth. The edge's
-// annotating term is the DCP achieving the maximum. Returns score 0 and the
-// root term when either gene is unannotated.
-func EdgeScore(d *DAG, a *Annotations, g1, g2 int32) (score int, dcp TermID) {
-	t1s, t2s := a.Terms(g1), a.Terms(g2)
+// annotating term is the DCP of the first pair achieving the maximum.
+// Returns score 0 and the root term when either gene is unannotated.
+func (s *Scorer) EdgeScore(g1, g2 int32) (score int, dcp TermID) {
+	t1s, t2s := s.a.Terms(g1), s.a.Terms(g2)
 	if len(t1s) == 0 || len(t2s) == 0 {
 		return 0, 0
 	}
@@ -193,10 +315,8 @@ func EdgeScore(d *DAG, a *Annotations, g1, g2 int32) (score int, dcp TermID) {
 	bestTerm := TermID(0)
 	for _, t1 := range t1s {
 		for _, t2 := range t2s {
-			cp, depth := d.DeepestCommonParent(t1, t2)
-			s := depth - d.TermDistance(t1, t2)
-			if s > best {
-				best, bestTerm = s, cp
+			if p := s.pair(t1, t2); p.score > best {
+				best, bestTerm = p.score, p.dcp
 			}
 		}
 	}
@@ -215,9 +335,8 @@ type ClusterScore struct {
 // ScoreCluster annotates and scores every edge among the cluster's vertices
 // (using the host graph for adjacency) and returns the cluster summary. The
 // AEES of an edgeless cluster is 0.
-func ScoreCluster(d *DAG, a *Annotations, hasEdge func(u, v int32) bool, vertices []int32) ClusterScore {
+func (s *Scorer) ScoreCluster(hasEdge func(u, v int32) bool, vertices []int32) ClusterScore {
 	var cs ClusterScore
-	termCount := map[TermID]int{}
 	sum := 0
 	cs.MaxEdgeScore = -1 << 30
 	for i := 0; i < len(vertices); i++ {
@@ -226,12 +345,12 @@ func ScoreCluster(d *DAG, a *Annotations, hasEdge func(u, v int32) bool, vertice
 			if !hasEdge(u, v) {
 				continue
 			}
-			s, dcp := EdgeScore(d, a, u, v)
-			sum += s
+			sc, dcp := s.EdgeScore(u, v)
+			sum += sc
 			cs.Edges++
-			termCount[dcp]++
-			if s > cs.MaxEdgeScore {
-				cs.MaxEdgeScore = s
+			s.tally(dcp)
+			if sc > cs.MaxEdgeScore {
+				cs.MaxEdgeScore = sc
 			}
 		}
 	}
@@ -240,24 +359,33 @@ func ScoreCluster(d *DAG, a *Annotations, hasEdge func(u, v int32) bool, vertice
 		return cs
 	}
 	cs.AEES = float64(sum) / float64(cs.Edges)
-	// Deterministic dominant-term selection: highest count, lowest id.
-	type tc struct {
-		t TermID
-		c int
-	}
-	all := make([]tc, 0, len(termCount))
-	for t, c := range termCount {
-		all = append(all, tc{t, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].t < all[j].t
-	})
-	cs.DominantTerm = all[0].t
-	cs.DominantCount = all[0].c
+	cs.DominantTerm, cs.DominantCount = s.dominant()
 	return cs
+}
+
+// tally counts one edge annotated by term t.
+func (s *Scorer) tally(t TermID) {
+	if s.count == nil {
+		s.count = make([]int32, s.d.NumTerms())
+	}
+	if s.count[t] == 0 {
+		s.counted = append(s.counted, t)
+	}
+	s.count[t]++
+}
+
+// dominant returns the most counted term, ties to the lowest id, with its
+// count, and resets the tally for the next cluster.
+func (s *Scorer) dominant() (TermID, int) {
+	best, bestCount := TermID(0), int32(0)
+	for _, t := range s.counted {
+		if c := s.count[t]; c > bestCount || (c == bestCount && t < best) {
+			best, bestCount = t, c
+		}
+		s.count[t] = 0
+	}
+	s.counted = s.counted[:0]
+	return best, int(bestCount)
 }
 
 // GenerateSpec configures the synthetic GO-like DAG.
@@ -305,7 +433,9 @@ func Generate(spec GenerateSpec) *DAG {
 					ps = append(ps, cand)
 				}
 			}
-			sort.Slice(ps, func(a, b int) bool { return ps[a] < ps[b] })
+			if len(ps) == 2 && ps[1] < ps[0] {
+				ps[0], ps[1] = ps[1], ps[0]
+			}
 			parents = append(parents, ps)
 			cur = append(cur, id)
 		}
@@ -318,15 +448,26 @@ func Generate(spec GenerateSpec) *DAG {
 	return d
 }
 
-// LeafAtDepth returns some term at exactly the given depth (the first found),
-// or the deepest term if none is that deep.
+// LeafAtDepth returns a term drawn uniformly from those at exactly the
+// given depth, or the deepest term (drawing nothing from rng) if none is
+// that deep.
 func (d *DAG) LeafAtDepth(depth int, rng *rand.Rand) TermID {
+	return d.pickLeaf(d.termsAtDepth(depth), rng)
+}
+
+// termsAtDepth lists, in id order, the terms at exactly the given depth.
+func (d *DAG) termsAtDepth(depth int) []TermID {
 	var at []TermID
 	for t := 0; t < d.NumTerms(); t++ {
 		if int(d.depth[t]) == depth {
 			at = append(at, TermID(t))
 		}
 	}
+	return at
+}
+
+// pickLeaf is LeafAtDepth over a termsAtDepth list.
+func (d *DAG) pickLeaf(at []TermID, rng *rand.Rand) TermID {
 	if len(at) == 0 {
 		best := TermID(0)
 		for t := 0; t < d.NumTerms(); t++ {
@@ -348,8 +489,9 @@ func AnnotateModules(d *DAG, numGenes int, modules [][]int32, moduleDepth int, s
 	rng := rand.New(rand.NewSource(seed))
 	a := NewAnnotations(numGenes)
 	annotated := make([]bool, numGenes)
+	at := d.termsAtDepth(moduleDepth)
 	for _, mod := range modules {
-		mt := d.LeafAtDepth(moduleDepth, rng)
+		mt := d.pickLeaf(at, rng)
 		kids := d.Children(mt)
 		for _, g := range mod {
 			// Module term or one of its children: DCP of any member pair is

@@ -103,8 +103,9 @@ func TestDeepestCommonParent(t *testing.T) {
 		{4, 6, 4, 2}, // ancestor relationship: DCP is the ancestor
 		{6, 6, 6, 3}, // same term
 	}
+	s := NewScorer(d, nil)
 	for _, c := range cases {
-		got, depth := d.DeepestCommonParent(c.t1, c.t2)
+		got, depth := s.DeepestCommonParent(c.t1, c.t2)
 		if got != c.wantTerm || depth != c.wantDepth {
 			t.Fatalf("DCP(%d,%d) = (%d,%d), want (%d,%d)", c.t1, c.t2, got, depth, c.wantTerm, c.wantDepth)
 		}
@@ -123,8 +124,9 @@ func TestTermDistance(t *testing.T) {
 		{3, 5, 4}, // 3-1-0-2-5
 		{6, 3, 3}, // 6-4-1-3
 	}
+	s := NewScorer(d, nil)
 	for _, c := range cases {
-		if got := d.TermDistance(c.t1, c.t2); got != c.want {
+		if got := s.TermDistance(c.t1, c.t2); got != c.want {
 			t.Fatalf("dist(%d,%d) = %d, want %d", c.t1, c.t2, got, c.want)
 		}
 	}
@@ -153,16 +155,17 @@ func TestEdgeScore(t *testing.T) {
 	a.Annotate(1, 4)
 	a.Annotate(2, 5)
 	// genes 0,1 share DCP 1 (depth 1), breadth dist(3,4)=2 → score -1.
-	s, dcp := EdgeScore(d, a, 0, 1)
+	sc := NewScorer(d, a)
+	s, dcp := sc.EdgeScore(0, 1)
 	if s != -1 || dcp != 1 {
 		t.Fatalf("score = %d dcp = %d", s, dcp)
 	}
 	// genes 0,2: DCP root (0), dist(3,5)=4 → -4.
-	if s, _ := EdgeScore(d, a, 0, 2); s != -4 {
+	if s, _ := sc.EdgeScore(0, 2); s != -4 {
 		t.Fatalf("score = %d, want -4", s)
 	}
 	// Unannotated gene: score 0.
-	if s, _ := EdgeScore(d, a, 0, 3); s != 0 {
+	if s, _ := sc.EdgeScore(0, 3); s != 0 {
 		t.Fatalf("unannotated score = %d", s)
 	}
 }
@@ -173,7 +176,7 @@ func TestEdgeScoreSameDeepTerm(t *testing.T) {
 	a.Annotate(0, 7)
 	a.Annotate(1, 7)
 	// Identical deep terms: DCP depth 7, breadth 0 → +7.
-	if s, dcp := EdgeScore(d, a, 0, 1); s != 7 || dcp != 7 {
+	if s, dcp := NewScorer(d, a).EdgeScore(0, 1); s != 7 || dcp != 7 {
 		t.Fatalf("score = %d dcp = %d", s, dcp)
 	}
 }
@@ -185,7 +188,7 @@ func TestEdgeScorePicksBestPair(t *testing.T) {
 	a.Annotate(0, 5) // deep
 	a.Annotate(1, 5)
 	// Pair (5,5) scores 5; pair (1,5) scores 1-4=-3. Max wins.
-	if s, _ := EdgeScore(d, a, 0, 1); s != 5 {
+	if s, _ := NewScorer(d, a).EdgeScore(0, 1); s != 5 {
 		t.Fatalf("score = %d, want 5", s)
 	}
 }
@@ -197,7 +200,7 @@ func TestScoreCluster(t *testing.T) {
 		a.Annotate(g, 5)
 	}
 	full := func(u, v int32) bool { return true }
-	cs := ScoreCluster(d, a, full, []int32{0, 1, 2})
+	cs := NewScorer(d, a).ScoreCluster(full, []int32{0, 1, 2})
 	if cs.Edges != 3 {
 		t.Fatalf("edges = %d", cs.Edges)
 	}
@@ -216,7 +219,7 @@ func TestScoreClusterNoEdges(t *testing.T) {
 	d := chain(3)
 	a := NewAnnotations(2)
 	none := func(u, v int32) bool { return false }
-	cs := ScoreCluster(d, a, none, []int32{0, 1})
+	cs := NewScorer(d, a).ScoreCluster(none, []int32{0, 1})
 	if cs.Edges != 0 || cs.AEES != 0 || cs.MaxEdgeScore != 0 {
 		t.Fatalf("empty cluster score: %+v", cs)
 	}
@@ -264,9 +267,10 @@ func TestAnnotateModulesSeparatesSignalFromNoise(t *testing.T) {
 	modules := [][]int32{{0, 1, 2, 3, 4}, {5, 6, 7, 8}}
 	a := AnnotateModules(d, 50, modules, 8, 3)
 	full := func(u, v int32) bool { return true }
-	modScore := ScoreCluster(d, a, full, modules[0])
+	s := NewScorer(d, a)
+	modScore := s.ScoreCluster(full, modules[0])
 	bg := []int32{20, 21, 22, 23, 24}
-	bgScore := ScoreCluster(d, a, full, bg)
+	bgScore := s.ScoreCluster(full, bg)
 	if modScore.AEES <= bgScore.AEES {
 		t.Fatalf("module AEES %v not above background AEES %v", modScore.AEES, bgScore.AEES)
 	}
@@ -286,22 +290,23 @@ func TestAnnotateModulesSeparatesSignalFromNoise(t *testing.T) {
 func TestDCPQuick(t *testing.T) {
 	d := Generate(GenerateSpec{Depth: 7, Branch: 3, Seed: 11})
 	n := int32(d.NumTerms())
+	s := NewScorer(d, nil)
 	f := func(x, y uint16) bool {
 		t1 := TermID(int32(x) % n)
 		t2 := TermID(int32(y) % n)
-		cp, depth := d.DeepestCommonParent(t1, t2)
+		cp, depth := s.DeepestCommonParent(t1, t2)
 		if depth < 0 || d.Depth(cp) != depth {
 			return false
 		}
 		if !d.Ancestors(t1)[cp] || !d.Ancestors(t2)[cp] {
 			return false
 		}
-		dist := d.TermDistance(t1, t2)
-		if dist != d.TermDistance(t2, t1) {
+		dist := s.TermDistance(t1, t2)
+		if dist != s.TermDistance(t2, t1) {
 			return false
 		}
 		// Shortest path is no longer than going through the DCP.
-		viaDCP := d.TermDistance(t1, cp) + d.TermDistance(cp, t2)
+		viaDCP := s.TermDistance(t1, cp) + s.TermDistance(cp, t2)
 		return dist <= viaDCP
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
