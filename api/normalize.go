@@ -228,8 +228,8 @@ func (r *Request) validate() error {
 // uses it as the cache namespace, so two requests with equal fingerprints
 // share network, order, filter, cluster and score artifacts; in particular
 // requests that differ only in correlation parameters share one resolved
-// matrix, which is what lets the engine coalesce their sweeps into a
-// single kernel pass. The identity is the source text: two edge lists that
+// matrix, so only their sweeps are computed apart. The identity is the
+// source text: two edge lists that
 // parse to the same graph but differ in whitespace fingerprint differently
 // (and merely compute twice — never incorrectly). Call on a normalized
 // request; normalization-irrelevant spellings of the same source would

@@ -3,7 +3,6 @@ package parsample
 import (
 	"context"
 	"strings"
-	"time"
 
 	"parsample/api"
 	"parsample/internal/expr"
@@ -245,16 +244,6 @@ func (p *Pipeline) Resident(req *api.Request) bool {
 	}
 	return p.eng.NetworkResident((&resolvedInput{name: fp}).input(norm))
 }
-
-// BatchWindow returns the engine's current cross-request sweep-batch
-// window.
-func (p *Pipeline) BatchWindow() time.Duration { return p.eng.BatchWindow() }
-
-// SetBatchWindow atomically adjusts the sweep-batch window at runtime.
-// The serving tier widens it under sustained load (more coalescing, less
-// kernel work per admitted request) and restores it when pressure drops;
-// in-flight batches keep the window they opened with.
-func (p *Pipeline) SetBatchWindow(d time.Duration) { p.eng.SetBatchWindow(d) }
 
 // sourceStoreBytes is the byte budget of one Pipeline's resolved sources.
 // They pin real memory (parsed graphs, synthesized matrices) outside the

@@ -15,8 +15,8 @@ import (
 // hashes data identity (the network source and inline ontology) and never
 // run parameters (thresholds, p-cuts, precision, workers, deadlines). A run
 // parameter that leaks into the fingerprint splits the cache namespace —
-// requests that should share artifacts stop sharing, batched sweeps stop
-// coalescing — and once the persistent artifact tier lands, the wrong key
+// requests that should share artifacts stop sharing — and once the
+// persistent artifact tier lands, the wrong key
 // is corruption on disk, not just a cold cache.
 //
 // The analyzer tracks which struct fields reach the hash inside the

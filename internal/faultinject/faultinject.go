@@ -2,8 +2,8 @@
 // in the serving and engine code call Eval, and a test (or an operator, via
 // the PARSAMPLE_FAILPOINTS environment variable or the daemon's -failpoints
 // flag) arms a site with an error, a delay, or a panic. The point is to make
-// the failure paths of the resilience layer — store put failures, batcher
-// leader handoff, kernel tile claims, SSE writes — exercisable on a stock
+// the failure paths of the resilience layer — store put failures, source
+// resolution, kernel tile claims, SSE writes — exercisable on a stock
 // binary, under -race, with no rebuild.
 //
 // Cost discipline: when nothing is armed, Eval is one atomic load and a
@@ -15,7 +15,6 @@
 //	pipeline.store.get     every store request (before lookup): stage
 //	                       artifacts and resolved network sources alike
 //	pipeline.store.put     after a successful compute, before insertion
-//	pipeline.batcher.lead  the sweep-batch leader, before running the kernel
 //	parsample.resolve      every source-store miss, before the source is
 //	                       materialized (synthesis, parsing, ontology)
 //	diskstore.write        mid-snapshot, after half the blob is on disk
@@ -63,8 +62,8 @@ const (
 type Spec struct {
 	Mode Mode
 	// Err is the error returned by ModeError sites; nil selects ErrInjected.
-	// Tests use this to inject specific sentinels (e.g. context.Canceled to
-	// exercise the batcher's leader-cancelled retry path).
+	// Tests use it to inject a specific sentinel that callers match with
+	// errors.Is.
 	Err error
 	// Delay is the ModeDelay sleep.
 	Delay time.Duration

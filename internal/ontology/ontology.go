@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // TermID identifies a term in the DAG. The root is always term 0.
@@ -485,9 +486,17 @@ func (d *DAG) pickLeaf(at []TermID, rng *rand.Rand) TermID {
 // and every other gene receives 1–2 random shallow terms. This reproduces the
 // property the paper's validation relies on: real co-expression clusters are
 // enriched for deep common ancestry, noise clusters are not.
+//
+// The draws are recorded in order, then laid out per gene in one backing
+// array, so each gene's term list is what Annotate would have built from the
+// same draws without a slice allocation per gene.
 func AnnotateModules(d *DAG, numGenes int, modules [][]int32, moduleDepth int, seed int64) *Annotations {
+	type draw struct {
+		g int32
+		t TermID
+	}
 	rng := rand.New(rand.NewSource(seed))
-	a := NewAnnotations(numGenes)
+	draws := make([]draw, 0, 2*numGenes)
 	annotated := make([]bool, numGenes)
 	at := d.termsAtDepth(moduleDepth)
 	for _, mod := range modules {
@@ -500,7 +509,7 @@ func AnnotateModules(d *DAG, numGenes int, modules [][]int32, moduleDepth int, s
 			if len(kids) > 0 && rng.Float64() < 0.5 {
 				t = kids[rng.Intn(len(kids))]
 			}
-			a.Annotate(g, t)
+			draws = append(draws, draw{g, t})
 			annotated[g] = true
 		}
 	}
@@ -517,8 +526,31 @@ func AnnotateModules(d *DAG, numGenes int, modules [][]int32, moduleDepth int, s
 		}
 		k := 1 + rng.Intn(2)
 		for i := 0; i < k; i++ {
-			a.Annotate(int32(g), shallow[rng.Intn(len(shallow))])
+			draws = append(draws, draw{int32(g), shallow[rng.Intn(len(shallow))]})
 		}
+	}
+	// Gene g's terms live in back[start[g]:end[g]], first draw first, with
+	// repeats dropped as Annotate drops them.
+	start := make([]int32, numGenes+1)
+	for _, dr := range draws {
+		start[dr.g+1]++
+	}
+	for g := 0; g < numGenes; g++ {
+		start[g+1] += start[g]
+	}
+	end := append([]int32(nil), start[:numGenes]...)
+	back := make([]TermID, len(draws))
+	for _, dr := range draws {
+		if !slices.Contains(back[start[dr.g]:end[dr.g]], dr.t) {
+			back[end[dr.g]] = dr.t
+			end[dr.g]++
+		}
+	}
+	// Every gene drew at least one term. Each list is capped, so an Annotate
+	// on the result copies before it appends.
+	a := NewAnnotations(numGenes)
+	for g := range a.terms {
+		a.terms[g] = back[start[g]:end[g]:end[g]]
 	}
 	return a
 }

@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -279,6 +280,58 @@ func TestAnnotateModulesSeparatesSignalFromNoise(t *testing.T) {
 	}
 	if bgScore.AEES > 2 {
 		t.Fatalf("background AEES %v too high", bgScore.AEES)
+	}
+}
+
+// TestAnnotateModulesMatchesOracle: the one-backing-array layout gives
+// every gene the term list, in order, that per-gene Annotate calls build
+// from the same draws — with modules that overlap, repeat a gene, sit at a
+// depth with no terms, or hit a leaf with no children — and an Annotate on
+// the result leaves the neighbouring genes alone.
+func TestAnnotateModulesMatchesOracle(t *testing.T) {
+	cases := []struct {
+		name    string
+		d       *DAG
+		genes   int
+		modules [][]int32
+		depth   int
+	}{
+		{"synth-like", Generate(GenerateSpec{Depth: 10, Branch: 3, Seed: 3}), 400, [][]int32{{0, 1, 2, 3, 4, 5}, {10, 11, 12, 13}, {40, 41, 42}}, 6},
+		{"overlap-and-repeat", Generate(GenerateSpec{Depth: 6, Branch: 2, Seed: 5}), 60, [][]int32{{0, 1, 2, 2, 3}, {2, 3, 4}, {3, 3, 3}}, 4},
+		{"too-deep", Generate(GenerateSpec{Depth: 5, Branch: 2, Seed: 8}), 30, [][]int32{{0, 1, 2}, {5, 6}}, 99},
+		{"chain-leaf", chain(4), 20, [][]int32{{0, 1, 2, 3}}, 3},
+		{"no-modules", chain(5), 25, nil, 2},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			got := AnnotateModules(c.d, c.genes, c.modules, c.depth, seed)
+			want := oracleAnnotateModules(c.d, c.genes, c.modules, c.depth, seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: annotations differ from the oracle", c.name, seed)
+			}
+			got.Annotate(0, TermID(c.d.NumTerms()-1))
+			for g := int32(1); g < int32(c.genes); g++ {
+				if !reflect.DeepEqual(got.Terms(g), want.Terms(g)) {
+					t.Fatalf("%s seed %d: Annotate on gene 0 changed gene %d", c.name, seed, g)
+				}
+			}
+		}
+	}
+}
+
+// TestAnnotateModulesAllocatesPerCall: a 2,048-gene synthesized request's
+// annotation table takes a handful of allocations, not one per gene.
+func TestAnnotateModulesAllocatesPerCall(t *testing.T) {
+	d := Generate(GenerateSpec{Depth: 10, Branch: 3, Seed: 2})
+	modules := make([][]int32, 16)
+	for i := range modules {
+		for j := 0; j < 20; j++ {
+			modules[i] = append(modules[i], int32(i*20+j))
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() { AnnotateModules(d, 2048, modules, 6, 3) })
+	if allocs > 32 {
+		t.Fatalf("AnnotateModules made %.0f allocations for 2048 genes, want ≤ 32", allocs)
 	}
 }
 

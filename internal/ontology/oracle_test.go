@@ -1,6 +1,9 @@
 package ontology
 
-import "sort"
+import (
+	"math/rand"
+	"sort"
+)
 
 // The map-based scoring below is the reference the Scorer is checked
 // against: each DCP builds both terms' ancestor sets, each distance runs a
@@ -131,4 +134,42 @@ func oracleScoreCluster(d *DAG, a *Annotations, hasEdge func(u, v int32) bool, v
 	cs.DominantTerm = all[0].t
 	cs.DominantCount = all[0].c
 	return cs
+}
+
+// oracleAnnotateModules is the reference AnnotateModules: the same draws in
+// the same order, each added through Annotate, so every gene gets its own
+// growing slice.
+func oracleAnnotateModules(d *DAG, numGenes int, modules [][]int32, moduleDepth int, seed int64) *Annotations {
+	rng := rand.New(rand.NewSource(seed))
+	a := NewAnnotations(numGenes)
+	annotated := make([]bool, numGenes)
+	at := d.termsAtDepth(moduleDepth)
+	for _, mod := range modules {
+		mt := d.pickLeaf(at, rng)
+		kids := d.Children(mt)
+		for _, g := range mod {
+			t := mt
+			if len(kids) > 0 && rng.Float64() < 0.5 {
+				t = kids[rng.Intn(len(kids))]
+			}
+			a.Annotate(g, t)
+			annotated[g] = true
+		}
+	}
+	var shallow []TermID
+	for t := 0; t < d.NumTerms(); t++ {
+		if d.Depth(TermID(t)) <= 3 {
+			shallow = append(shallow, TermID(t))
+		}
+	}
+	for g := 0; g < numGenes; g++ {
+		if annotated[g] {
+			continue
+		}
+		k := 1 + rng.Intn(2)
+		for i := 0; i < k; i++ {
+			a.Annotate(int32(g), shallow[rng.Intn(len(shallow))])
+		}
+	}
+	return a
 }

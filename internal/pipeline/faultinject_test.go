@@ -11,13 +11,12 @@ import (
 
 	"parsample/internal/expr"
 	"parsample/internal/faultinject"
-	"parsample/internal/graph"
 )
 
 // The failpoint tests exercise DESIGN.md §8's failure discipline on the
-// two sites whose failures are hardest to reach organically: a store put
-// that fails after a successful compute, and a batch leader that dies
-// mid-handoff. Goroutine hygiene is enforced package-wide by TestMain
+// two failures hardest to reach organically: a store put that fails after
+// a successful compute, and a network-stage sweep that errors or panics
+// mid-kernel. Goroutine hygiene is enforced package-wide by TestMain
 // (store_test.go): a strand leaked by any of these paths fails the run.
 // faultinject state is process-global, so none of these tests may use
 // t.Parallel.
@@ -160,102 +159,47 @@ func TestStoreComputePanicContained(t *testing.T) {
 	}
 }
 
-// TestBatcherLeaderFailpointFollowersRetry is the "batcher leader failure
-// mid-sweep" drill: the first batch leader dies at the handoff failpoint
-// with context.Canceled — the one error class followers treat as
-// not-their-own — so every waiter whose context is live must retry, a new
-// leader must form, and every request must still receive exactly the
-// network a direct build produces. Afterward the store must hold the real
-// artifacts (unpoisoned) and serve repeats as hits.
-func TestBatcherLeaderFailpointFollowersRetry(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	m := batcherMatrix(t)
-	e := New(Config{Workers: 1, BatchWindow: 200 * time.Millisecond})
-	optsFor := func(i int) expr.NetworkOptions {
-		return expr.NetworkOptions{MinAbsR: 0.4 + 0.1*float64(i), MaxP: 0.05}
-	}
-	faultinject.Enable("pipeline.batcher.lead",
-		faultinject.Spec{Mode: faultinject.ModeError, Err: context.Canceled, Count: 1})
-
-	const n = 3
-	got := make([]*graph.Graph, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = e.Network(context.Background(), batcherInput(m, optsFor(i)))
-		}(i)
-	}
-	wg.Wait()
-
-	if fired := faultinject.Fired("pipeline.batcher.lead"); fired != 1 {
-		t.Fatalf("leader failpoint fired %d times, want 1", fired)
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d failed after leader death: %v (followers must retry and re-lead)", i, errs[i])
-		}
-		want := expr.BuildNetwork(m, optsFor(i))
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("request %d: retried network differs from direct build (%d vs %d edges)", i, got[i].M(), want.M())
-		}
-	}
-	// Unpoisoned store: every repeat is a warm hit, no recompute.
-	before := e.Stats()
-	for i := 0; i < n; i++ {
-		if _, err := e.Network(context.Background(), batcherInput(m, optsFor(i))); err != nil {
-			t.Fatalf("warm repeat %d: %v", i, err)
-		}
-	}
-	after := e.Stats()
-	if after.Hits != before.Hits+n {
-		t.Errorf("warm repeats produced %d hits, want %d", after.Hits-before.Hits, n)
-	}
-	if after.Misses != before.Misses {
-		t.Errorf("warm repeats recomputed (%d new misses): store was poisoned", after.Misses-before.Misses)
-	}
-}
-
-// TestBatcherLeaderNonRetriableErrorPropagates: any injected error other
-// than the two cancellation sentinels is the batch's own failure and must
-// reach every waiter verbatim — no retry loop, no hang.
+// TestBatcherLeaderNonRetriableErrorPropagates (the name predates the
+// network stage's plain sweep): an error injected at a sweep tile claim
+// reaches the Network caller verbatim and is not cached; the next build
+// recomputes cleanly and equals a direct build.
 func TestBatcherLeaderNonRetriableErrorPropagates(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	m := batcherMatrix(t)
-	e := New(Config{Workers: 1, BatchWindow: 100 * time.Millisecond})
-	faultinject.Enable("pipeline.batcher.lead", faultinject.Spec{Mode: faultinject.ModeError, Count: 1})
+	m := networkMatrix(t)
+	e := New(Config{Workers: 1})
+	opts := expr.NetworkOptions{MinAbsR: 0.5, MaxP: 0.05}
+	faultinject.Enable("expr.sweep.tile", faultinject.Spec{Mode: faultinject.ModeError, Count: 1})
 
-	_, err := e.Network(context.Background(), batcherInput(m, expr.NetworkOptions{MinAbsR: 0.5, MaxP: 0.05}))
+	_, err := e.Network(context.Background(), matrixInput(m, opts))
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	// The failure was not cached; the next build recomputes cleanly.
-	g, err := e.Network(context.Background(), batcherInput(m, expr.NetworkOptions{MinAbsR: 0.5, MaxP: 0.05}))
+	g, err := e.Network(context.Background(), matrixInput(m, opts))
 	if err != nil {
-		t.Fatalf("rebuild after injected leader error: %v", err)
+		t.Fatalf("rebuild after injected sweep error: %v", err)
 	}
-	if want := expr.BuildNetwork(m, expr.NetworkOptions{MinAbsR: 0.5, MaxP: 0.05}); !reflect.DeepEqual(g, want) {
+	if want := expr.BuildNetwork(m, opts); !reflect.DeepEqual(g, want) {
 		t.Error("rebuilt network differs from direct build")
 	}
 }
 
-// TestBatcherLeaderPanicContained: a leader panic mid-kernel must be
-// contained into an error and delivered to every waiter — a leader death
-// may never strand a follower on its channel (that would be both a hang
-// and a goroutine leak; TestMain enforces the latter).
+// TestBatcherLeaderPanicContained (the name predates the network stage's
+// plain sweep): a panic at a sweep tile claim comes back to the Network
+// caller as a contained error, strands no goroutine (TestMain enforces
+// that), and the next build succeeds.
 func TestBatcherLeaderPanicContained(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	m := batcherMatrix(t)
-	e := New(Config{Workers: 1, BatchWindow: 100 * time.Millisecond})
-	faultinject.Enable("pipeline.batcher.lead", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
+	m := networkMatrix(t)
+	e := New(Config{Workers: 1})
+	opts := expr.NetworkOptions{MinAbsR: 0.6, MaxP: 0.05}
+	faultinject.Enable("expr.sweep.tile", faultinject.Spec{Mode: faultinject.ModePanic, Count: 1})
 
-	_, err := e.Network(context.Background(), batcherInput(m, expr.NetworkOptions{MinAbsR: 0.6, MaxP: 0.05}))
+	_, err := e.Network(context.Background(), matrixInput(m, opts))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want a contained panic error", err)
 	}
-	if _, err := e.Network(context.Background(), batcherInput(m, expr.NetworkOptions{MinAbsR: 0.6, MaxP: 0.05})); err != nil {
+	if _, err := e.Network(context.Background(), matrixInput(m, opts)); err != nil {
 		t.Fatalf("rebuild after contained panic: %v", err)
 	}
 }

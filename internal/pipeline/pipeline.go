@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parsample/internal/analysis"
@@ -253,13 +254,6 @@ type Config struct {
 	// (≤ 0 → GOMAXPROCS). Dependency resolution never holds a worker slot,
 	// so nested stages cannot deadlock the budget.
 	Workers int
-	// BatchWindow holds a matrix-backed network build open for this long so
-	// concurrent builds over the same input that differ only in admission
-	// parameters coalesce into one batched sweep (see sweepBatcher). Zero
-	// means no wait: the leader closes its batch at once. Results are
-	// identical at any width; the window only trades a little first-build
-	// latency for shared kernel work.
-	BatchWindow time.Duration
 	// CacheDir, when set, enables the persistent artifact tier: computed
 	// artifacts are written behind to content-addressed snapshot blobs
 	// under this directory, and store misses probe it before computing
@@ -277,7 +271,7 @@ type Config struct {
 type Engine struct {
 	store  *Store
 	sem    chan struct{}
-	sweeps *sweepBatcher
+	sweeps atomic.Int64 // correlation sweeps computed by the network stage
 }
 
 // New creates an engine. A Config.CacheDir that cannot be created or
@@ -299,9 +293,8 @@ func NewWithDisk(cfg Config) (*Engine, error) {
 		w = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		store:  NewStore(cfg.MaxBytes),
-		sem:    make(chan struct{}, w),
-		sweeps: newSweepBatcher(cfg.BatchWindow),
+		store: NewStore(cfg.MaxBytes),
+		sem:   make(chan struct{}, w),
 	}
 	if cfg.CacheDir != "" {
 		d, err := diskstore.Open(diskstore.Config{Dir: cfg.CacheDir, MaxBytes: cfg.DiskBytes})
@@ -320,22 +313,13 @@ func (e *Engine) Close() {
 	e.store.Close()
 }
 
-// Stats returns the artifact store counters plus the sweep batcher's.
+// Stats returns the artifact store counters plus the computed-sweep count.
 func (e *Engine) Stats() StoreStats {
 	st := e.store.Stats()
-	st.SweepBatches = e.sweeps.batches.Load()
-	st.SweepRequests = e.sweeps.requests.Load()
+	st.SweepBatches = e.sweeps.Load()
+	st.SweepRequests = st.SweepBatches
 	return st
 }
-
-// BatchWindow returns the current sweep-coalescing window.
-func (e *Engine) BatchWindow() time.Duration { return e.sweeps.Window() }
-
-// SetBatchWindow atomically adjusts the sweep-coalescing window at
-// runtime. The serving tier widens it under sustained load (wider window →
-// more concurrent sweeps share one kernel pass) and restores it when
-// pressure drops; results are identical at any width.
-func (e *Engine) SetBatchWindow(d time.Duration) { e.sweeps.SetWindow(d) }
 
 // NetworkResident reports whether the input's network-stage artifact would
 // be served without computing: adopted input graphs always are, and
@@ -387,15 +371,17 @@ func get[T any](ctx context.Context, e *Engine, key Key, compute func(context.Co
 	return v.(T), nil
 }
 
-// stage runs one computed stage: deps resolves the stage's inputs without
-// a worker slot, so nested stages cannot deadlock the budget, and kernel
-// then runs under one. deps hands its results to kernel through variables
-// both closures capture.
+// stage runs one computed stage: deps (nil when the stage has none)
+// resolves the stage's inputs without a worker slot, so nested stages
+// cannot deadlock the budget, and kernel then runs under one. deps hands
+// its results to kernel through variables both closures capture.
 func stage[T any](ctx context.Context, e *Engine, key Key, deps func(context.Context) error, kernel func(context.Context) (T, error)) (T, error) {
 	return get(ctx, e, key, func(ctx context.Context) (T, error) {
 		var zero T
-		if err := deps(ctx); err != nil {
-			return zero, err
+		if deps != nil {
+			if err := deps(ctx); err != nil {
+				return zero, err
+			}
 		}
 		release, err := e.slot(ctx)
 		if err != nil {
@@ -418,11 +404,9 @@ func (e *Engine) Network(ctx context.Context, in Input) (*graph.Graph, error) {
 	if in.Matrix == nil {
 		return nil, fmt.Errorf("pipeline: input %q has neither a network nor a matrix", in.Name)
 	}
-	// The batcher takes its own worker slot around the kernel and coalesces
-	// concurrent same-matrix builds; identical keys never reach it — the
-	// store's singleflight merged them already.
-	return get(ctx, e, in.key(StageNetwork, Original), func(ctx context.Context) (*graph.Graph, error) {
-		return e.sweeps.build(ctx, e, in)
+	return stage(ctx, e, in.key(StageNetwork, Original), nil, func(ctx context.Context) (*graph.Graph, error) {
+		e.sweeps.Add(1)
+		return expr.BuildNetworkContext(ctx, in.Matrix, in.Net)
 	})
 }
 

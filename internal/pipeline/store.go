@@ -68,10 +68,10 @@ type StoreStats struct {
 	BytesBudget int64 `json:"bytes_budget"`
 	// Inflight is the number of computations currently running.
 	Inflight int `json:"inflight"`
-	// SweepBatches counts correlation-sweep kernel invocations through the
-	// engine's batcher; SweepRequests counts the network builds those
-	// invocations served. Requests/Batches > 1 means cross-request
-	// coalescing is paying off. Populated by Engine.Stats, not the Store.
+	// SweepBatches and SweepRequests both count the correlation sweeps the
+	// engine's network stage computed, so they are always equal; the pair
+	// stays for readers of the two JSON fields. Populated by Engine.Stats,
+	// not the Store.
 	SweepBatches  int64 `json:"sweep_batches"`
 	SweepRequests int64 `json:"sweep_requests"`
 	// DiskHits counts artifacts loaded and integrity-verified from the

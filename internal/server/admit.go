@@ -294,9 +294,9 @@ func clampRetry(sec float64) int {
 const (
 	// degradeNone: normal operation.
 	degradeNone = iota
-	// degradeCoalesce: sustained pressure — widen the sweep-batch window
-	// so concurrent cold sweeps coalesce harder. Everything still admitted.
-	degradeCoalesce
+	// degradeQueued: sustained pressure — a queue is forming or most of
+	// the budget is in use. Reported in /statsz; everything still admitted.
+	degradeQueued
 	// degradeShedCold: near saturation — cold synthesis requests (whose
 	// artifacts are not resident) are shed with 503 degraded before any
 	// cached work is turned away.
@@ -324,7 +324,7 @@ func (g *admitGate) level() int {
 	case g.queued > g.cfg.QueueLimit/2:
 		return degradeShedCold
 	case g.queued > 0 || g.inUse > 0.75*g.cfg.Capacity:
-		return degradeCoalesce
+		return degradeQueued
 	default:
 		return degradeNone
 	}
@@ -359,7 +359,6 @@ type admitStats struct {
 	Rejected      rejectedCounts `json:"rejected"`
 	Shed          shedCounts     `json:"shed"`
 	Level         int            `json:"level"`
-	BatchWindowMS float64        `json:"batchWindowMs"`
 }
 
 // rejectedCounts is the rejection breakdown by structured error class.

@@ -29,7 +29,6 @@ func RunDaemon(args []string) error {
 		workers   = fs.Int("workers", 0, "max concurrently executing stage kernels (0: GOMAXPROCS)")
 		datasets  = fs.String("datasets", "", "comma-separated datasets to serve, pre-built at startup (YNG,MID,UNT,CRE); empty serves all, built lazily")
 		maxBodyMB = fs.Int64("max-body-mb", 64, "request body limit in MiB")
-		batchWin  = fs.Duration("batch-window", 2*time.Millisecond, "how long a correlation-network build waits to coalesce concurrent same-data sweeps into one batched kernel pass (0: no wait)")
 		capacity  = fs.Float64("capacity-units", 0, "admission budget in cost units concurrently in flight (0: 2000; see api.EstimateCost)")
 		queueLim  = fs.Int("queue-limit", 0, "max requests queued at the admission gate before 429s (0: 64)")
 		clientRt  = fs.Float64("client-rate", 0, "per-client fair-share refill in cost units/second (0: capacity/2)")
@@ -54,9 +53,6 @@ func RunDaemon(args []string) error {
 	}
 	if *workers > 0 {
 		opts = append(opts, parsample.WithWorkers(*workers))
-	}
-	if *batchWin > 0 {
-		opts = append(opts, parsample.WithBatchWindow(*batchWin))
 	}
 	if *datasets != "" {
 		names := strings.Split(*datasets, ",")

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -399,10 +400,10 @@ func TestSyncAndJobResponsesIdentical(t *testing.T) {
 
 // TestDegradationShedsColdBeforeWarm: at rung 2 a cold synthesis request
 // is shed 503 degraded while the resident repeat of a prior request would
-// still be priced at the floor. Also checks the batch-window widening
-// side effect of rung ≥ 1 and its restoration.
+// still be priced at the floor, and cold requests admit again once the
+// pressure drops.
 func TestDegradationShedsColdBeforeWarm(t *testing.T) {
-	p := parsample.New(parsample.WithBatchWindow(2 * time.Millisecond))
+	p := parsample.New()
 	srv := New(neutralFairness(Config{Pipeline: p, CapacityUnits: 4, QueueLimit: 4}))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -436,10 +437,6 @@ func TestDegradationShedsColdBeforeWarm(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	srv.applyPressure()
-	if w := p.BatchWindow(); w != 16*time.Millisecond {
-		t.Errorf("batch window under pressure = %v, want 16ms (8× the configured 2ms)", w)
-	}
 
 	// A cold synthesis request (unseen seed) is shed with 503 degraded.
 	resp, body := post(t, ts.URL+"/v1/pipeline", synthBody(192, 24, 52, ""))
@@ -453,15 +450,10 @@ func TestDegradationShedsColdBeforeWarm(t *testing.T) {
 		t.Error("503 degraded carried no Retry-After header")
 	}
 
-	// Drop the pressure; the window must restore and cold requests admit
-	// again.
+	// Drop the pressure; cold requests admit again.
 	cancelW()
 	waiters.Wait()
 	relFill()
-	srv.applyPressure()
-	if w := p.BatchWindow(); w != 2*time.Millisecond {
-		t.Errorf("batch window after pressure = %v, want the configured 2ms", w)
-	}
 	if resp, body := post(t, ts.URL+"/v1/pipeline", synthBody(192, 24, 52, "")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold request after recovery: %d (%s)", resp.StatusCode, body)
 	}
@@ -600,7 +592,7 @@ func TestGateTokenBucketRefills(t *testing.T) {
 }
 
 // TestCostHeaders: a synchronous response reports the admission estimate
-// and measured compute; the warm repeat reports ~zero actual cost.
+// and the measured cost; the warm repeat reports ~zero actual cost.
 func TestCostHeaders(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, body := post(t, ts.URL+"/v1/pipeline", synthBody(192, 24, 61, ""))
@@ -617,6 +609,34 @@ func TestCostHeaders(t *testing.T) {
 	}
 	if act := warm.Header.Get(CostActualHeader); act != "0.0" {
 		t.Errorf("warm actual cost = %q, want 0.0 (no stage computed)", act)
+	}
+}
+
+// TestCostActualIsRunWallTime: the actual cost of a miss is the run's wall
+// time, so it can never exceed the round trip the client observed. Every
+// store lookup is delayed, which makes each stage's inclusive duration
+// carry its dependencies' delays too: a sum over stages would count that
+// nested work more than once and overshoot the round trip.
+func TestCostActualIsRunWallTime(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	ts, _ := newTestServer(t)
+	faultinject.Enable("pipeline.store.get", faultinject.Spec{Mode: faultinject.ModeDelay, Delay: 40 * time.Millisecond})
+
+	start := time.Now()
+	resp, body := post(t, ts.URL+"/v1/pipeline", synthBody(192, 24, 62, ""))
+	roundTripMS := float64(time.Since(start).Microseconds()) / 1000
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	}
+	if c := resp.Header.Get(CacheHeader); c != "miss" {
+		t.Fatalf("cache = %q, want miss", c)
+	}
+	actual, err := strconv.ParseFloat(resp.Header.Get(CostActualHeader), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if actual <= 0 || actual > roundTripMS {
+		t.Errorf("actual cost = %.1f units, want in (0, %.1f], the client's round trip in ms", actual, roundTripMS)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"parsample"
@@ -69,8 +68,9 @@ type Config struct {
 // computed.
 const CacheHeader = "X-Parsample-Cache"
 
-// Cost headers: the admission-time estimate and the measured compute of a
-// synchronous run, both in cost units. They travel as headers for the
+// Cost headers: the admission-time estimate and the measured cost of a
+// synchronous run (its wall milliseconds after admission when a stage
+// computed, 0 otherwise), both in cost units. They travel as headers for the
 // same reason CacheHeader does — response bodies are a pure function of
 // the normalized request, and cost is server state, not result.
 const (
@@ -97,9 +97,7 @@ type Server struct {
 	jobs    *jobStore
 	mux     *http.ServeMux
 
-	gate       *admitGate
-	baseWindow time.Duration // the batch window degradation restores to
-	lastLevel  atomic.Int32  // last applied degradation rung
+	gate *admitGate
 }
 
 // New creates a Server over cfg.Pipeline.
@@ -121,7 +119,6 @@ func New(cfg Config) *Server {
 			ClientRate:  cfg.ClientRateUnits,
 			ClientBurst: cfg.ClientBurstUnits,
 		}),
-		baseWindow: cfg.Pipeline.BatchWindow(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/pipeline", s.handlePipeline)
@@ -143,7 +140,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handlePipeline is POST /v1/pipeline: one synchronous end-to-end run,
 // behind the admission gate (priced by api.EstimateCost, discounted when
 // the request's artifacts are resident). Its observer only tallies cache
-// provenance and computed time for the response headers.
+// provenance for the response headers. The actual cost of a miss is the
+// run's wall time after admission: stage durations are inclusive of their
+// dependencies, so summing them would count nested work more than once.
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	norm, adm, ok := s.accept(w, r, classInteractive)
 	if !ok {
@@ -153,16 +152,16 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 
 	warm := true
 	anyDisk := false
-	var computedMS float64
+	start := time.Now()
 	resp, err := s.run(r.Context(), requestRun, norm, func(e pipeline.TraceEntry) {
 		switch e.Source {
 		case pipeline.Computed:
 			warm = false
-			computedMS += float64(e.Duration.Microseconds()) / 1000
 		case pipeline.Disk:
 			anyDisk = true
 		}
 	})
+	runMS := float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		writeError(w, err)
 		return
@@ -170,16 +169,16 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	// Provenance precedence: any computed stage makes the request a miss;
 	// otherwise any persistent-tier load reports "disk" (the warm-restart
 	// signature); otherwise everything came from memory — "hit".
-	cache := "miss"
+	cache, actualMS := "miss", runMS
 	if warm {
-		cache = "hit"
+		cache, actualMS = "hit", 0
 		if anyDisk {
 			cache = "disk"
 		}
 	}
 	w.Header().Set(CacheHeader, cache)
 	w.Header().Set(CostEstimateHeader, formatUnits(adm.estimate))
-	w.Header().Set(CostActualHeader, formatUnits(computedMS))
+	w.Header().Set(CostActualHeader, formatUnits(actualMS))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -296,7 +295,6 @@ func (s *Server) admit(r *http.Request, norm *api.Request, class classID) (*admi
 	if !warm && norm.Network.Synthesis != nil &&
 		s.gate.level() >= degradeShedCold && !s.gate.queueFull(units) {
 		s.gate.countShedCold()
-		s.applyPressure()
 		ae := api.Errorf(api.CodeDegraded,
 			"server is shedding cold synthesis requests under load; retry after %ds", degradedRetryAfterSec)
 		ae.RetryAfterSec = degradedRetryAfterSec
@@ -308,36 +306,9 @@ func (s *Server) admit(r *http.Request, norm *api.Request, class classID) (*admi
 	}
 	release, ae := s.gate.Admit(r.Context(), client, class, units)
 	if ae != nil {
-		s.applyPressure()
 		return nil, ae
 	}
-	s.applyPressure()
-	return &admission{
-		release: func() {
-			release()
-			s.applyPressure()
-		},
-		estimate: est.Units,
-		units:    units,
-	}, nil
-}
-
-// applyPressure re-derives the degradation rung from gate pressure and
-// applies its batch-window side effect: rung ≥ 1 widens the engine's
-// sweep-batch window 8× (concurrent cold sweeps coalesce harder, cutting
-// kernel work per admitted request), rung 0 restores the configured
-// window. A pipeline configured with a zero window keeps it — the
-// operator's choice outranks the ladder.
-func (s *Server) applyPressure() {
-	lvl := int32(s.gate.level())
-	if s.lastLevel.Swap(lvl) == lvl || s.baseWindow <= 0 {
-		return
-	}
-	if lvl >= degradeCoalesce {
-		s.p.SetBatchWindow(8 * s.baseWindow)
-	} else {
-		s.p.SetBatchWindow(s.baseWindow)
-	}
+	return &admission{release: release, estimate: est.Units, units: units}, nil
 }
 
 func formatUnits(u float64) string {
@@ -359,7 +330,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	}
 	adm := s.gate.stats()
 	adm.Level = s.gate.level()
-	adm.BatchWindowMS = float64(s.p.BatchWindow().Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, statsz{Store: s.p.Stats(), Jobs: s.jobs.counts(), Admission: adm})
 }
 

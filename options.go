@@ -18,7 +18,6 @@ type pipelineSettings struct {
 	cacheBytes     int64
 	workers        int
 	datasets       []string // nil: every built-in dataset is served
-	batchWindow    time.Duration
 	cacheDir       string
 	diskCacheBytes int64
 }
@@ -36,17 +35,11 @@ func WithWorkers(n int) Option {
 	return func(s *pipelineSettings) { s.workers = n }
 }
 
-// WithBatchWindow holds each matrix-backed network build open for d so
-// concurrent requests over the same data that differ only in correlation
-// parameters (thresholds, p-cut, sign gate) ride ONE batched sweep instead
-// of paying a full O(genes²) pass each. Responses are byte-identical with
-// or without batching; the window only trades up to d of added cold-build
-// latency for shared kernel work under concurrent load. The default (0 or
-// omitted) means no wait: a build shares its sweep only with builds that
-// arrive while it is being set up. Servers typically want a few
-// milliseconds (`parsample serve -batch-window` defaults to 2ms).
-func WithBatchWindow(d time.Duration) Option {
-	return func(s *pipelineSettings) { s.batchWindow = d }
+// WithBatchWindow is accepted for compatibility and ignored: the engine
+// starts each correlation sweep as soon as its network is requested, and
+// never holds it back to share a pass with other requests (DESIGN.md §7).
+func WithBatchWindow(time.Duration) Option {
+	return func(*pipelineSettings) {}
 }
 
 // WithCacheDir enables the persistent artifact tier: expensive stage

@@ -264,11 +264,10 @@ func New(opts ...Option) *Pipeline {
 		o(&s)
 	}
 	p := &Pipeline{eng: pipeline.New(pipeline.Config{
-		MaxBytes:    s.cacheBytes,
-		Workers:     s.workers,
-		BatchWindow: s.batchWindow,
-		CacheDir:    s.cacheDir,
-		DiskBytes:   s.diskCacheBytes,
+		MaxBytes:  s.cacheBytes,
+		Workers:   s.workers,
+		CacheDir:  s.cacheDir,
+		DiskBytes: s.diskCacheBytes,
 	}), sources: pipeline.NewStore(sourceStoreBytes)}
 	if s.datasets != nil {
 		p.datasets = make(map[string]bool, len(s.datasets))
