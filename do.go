@@ -249,15 +249,19 @@ func (p *Pipeline) Resident(req *api.Request) bool {
 // They pin real memory (parsed graphs, synthesized matrices) outside the
 // engine's artifact budget; an evicted source is simply re-parsed or
 // re-synthesized on its next use, and one larger than the whole budget is
-// served but not retained (the store's oversized policy).
-const sourceStoreBytes = 64 << 20
+// served but not retained (the store's oversized policy). A retained source
+// pays only when a request that differs in a later stage (a threshold, a
+// sampler) follows it, and traffic of distinct synthesized sources never
+// hits, so the budget is small: the last ten or so 4096×100 matrices
+// (3.3 MB each).
+const sourceStoreBytes = 32 << 20
 
 // resolve materializes the normalized request's source through the
 // fingerprint-keyed source store, which deduplicates concurrent identical
 // resolutions, contains a panicking one and never caches a failure. Each
 // source is charged pipeline.EntryBytes plus the memory it owns: its
-// matrix or its parsed graph. Dataset sources are process-global and own
-// nothing.
+// matrix or its parsed graph, and a synthesized or inline ontology.
+// Dataset sources are process-global and own nothing.
 func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInput, error) {
 	key := norm.Fingerprint()
 	v, _, err := p.sources.Do(ctx, pipeline.Key{Input: key}, func(context.Context) (any, int64, error) {
@@ -275,6 +279,11 @@ func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInp
 		}
 		if norm.Network.EdgeList != "" {
 			b += pipeline.GraphBytes(ri.g)
+		}
+		if ri.dag != nil && norm.Network.Dataset == "" {
+			// A dataset's ontology belongs to the pipeline; a synthesized
+			// or inline one is built for this entry and lives with it.
+			b += ri.dag.Bytes() + ri.ann.Bytes()
 		}
 		return ri, b, nil
 	})

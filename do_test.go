@@ -321,12 +321,24 @@ func TestDoResolvesSourceOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syn := synthRequest().Network.Synthesis
-	matrixBytes := 8 * int64(syn.Genes) * int64(syn.Samples)
+	norm, err := synthRequest().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := norm.Network.Synthesis
+	m, err := expr.Synthesize(expr.SyntheticSpec{
+		Genes: syn.Genes, Samples: syn.Samples, Modules: *syn.Modules, ModuleSize: *syn.ModuleSize, Noise: *syn.Noise, Seed: syn.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag := ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: syn.Seed + 1})
+	ann := ontology.AnnotateModules(dag, syn.Genes, m.Modules, 6, syn.Seed+2)
+	wantBytes := pipeline.EntryBytes + 8*int64(syn.Genes)*int64(syn.Samples) + dag.Bytes() + ann.Bytes()
 	st := p.sources.Stats()
-	if st.Misses != 1 || st.Entries != 1 || st.BytesUsed != pipeline.EntryBytes+matrixBytes {
+	if st.Misses != 1 || st.Entries != 1 || st.BytesUsed != wantBytes {
 		t.Fatalf("source store after %d identical requests: %+v, want 1 miss and 1 entry of %d bytes",
-			n, st, pipeline.EntryBytes+matrixBytes)
+			n, st, wantBytes)
 	}
 
 	req := synthRequest()
@@ -357,6 +369,36 @@ func TestDoResolvesSourceOnce(t *testing.T) {
 	}
 	if got, want := p.sources.Stats().BytesUsed-used, pipeline.EntryBytes+pipeline.GraphBytes(g); got != want {
 		t.Fatalf("edge-list source charged %d bytes, want %d", got, want)
+	}
+
+	// An inline ontology is built for its edge-list source and charged
+	// with it.
+	var dagBuf, annBuf bytes.Buffer
+	if err := ontology.WriteDAG(&dagBuf, dag); err != nil {
+		t.Fatal(err)
+	}
+	if err := ontology.WriteAnnotations(&annBuf, ann); err != nil {
+		t.Fatal(err)
+	}
+	inlineDAG, err := ontology.ReadDAG(strings.NewReader(dagBuf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlineAnn, err := ontology.ReadAnnotations(strings.NewReader(annBuf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used = p.sources.Stats().BytesUsed
+	if _, err := p.Do(context.Background(), &api.Request{
+		Network: api.NetworkSource{EdgeList: buf.String()},
+		Filter:  api.FilterSpec{Algorithm: api.AlgorithmNone},
+		Score:   api.ScoreSpec{DAG: dagBuf.String(), Annotations: annBuf.String()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := pipeline.EntryBytes + pipeline.GraphBytes(g) + inlineDAG.Bytes() + inlineAnn.Bytes()
+	if got := p.sources.Stats().BytesUsed - used; got != want {
+		t.Fatalf("edge-list source with an inline ontology charged %d bytes, want %d", got, want)
 	}
 }
 

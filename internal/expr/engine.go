@@ -25,7 +25,8 @@ import (
 //     with zero genes. The Pearson correlation of any two genes is then
 //     exactly the dot product of their standardized rows; Spearman is the
 //     same dot product after replacing each row by its average-tied ranks
-//     before standardizing.
+//     before standardizing. A row is ranked by the AVX2 compare-and-count
+//     kernel where it can be, and by sorting otherwise (spearman.go).
 //  2. Threshold inversion. PValue(r, n) is monotone non-increasing in |r|,
 //     so the per-build pair test "p ≤ MaxP" is equivalent to "|r| ≥ r*"
 //     where r* is the smallest |r| whose p-value clears MaxP. r* is found

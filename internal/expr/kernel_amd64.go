@@ -20,3 +20,10 @@ func x86HasAVX2FMA() bool
 //
 //go:noescape
 func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64)
+
+// rankCountAVX is ranker.rankCount's AVX2 kernel: for each of the n values
+// at x (n a positive multiple of 4), out[i] = lt + (eq+1)/2, where lt
+// counts the values below x[i] and eq those equal to it.
+//
+//go:noescape
+func rankCountAVX(x, out *float64, n int)

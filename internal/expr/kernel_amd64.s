@@ -145,3 +145,95 @@ loop:
 	MOVQ         DX, hi+80(FP)
 	VZEROUPPER
 	RET
+
+// func rankCountAVX(x, out *float64, n int)
+// x (SI), out (DI), n > 0 a multiple of 4 (CX, in bytes). Per group of 4 queries
+// x[i..i+3] (Y0-Y3, BX = 8i): lane sums of x[j] < q (LT_OQ, Y4-Y7) and x[j] == q
+// (EQ_OQ, Y8-Y11) over j, as masks (−1) subtracted from zeroed counters. The
+// unpack/VPERM2I128 reduction turns Y4-Y7 into [lt0..lt3] and Y8-Y11 into
+// [eq0..eq3]; 2lt+eq+1 < 2⁵² is ORed into the mantissa of 2⁵², 2⁵² subtracted,
+// and the result halved, all exact.
+TEXT ·rankCountAVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ out+8(FP), DI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ BX, BX
+
+group:
+	VBROADCASTSD (SI)(BX*1), Y0
+	VBROADCASTSD 8(SI)(BX*1), Y1
+	VBROADCASTSD 16(SI)(BX*1), Y2
+	VBROADCASTSD 24(SI)(BX*1), Y3
+	VPXOR        Y4, Y4, Y4
+	VPXOR        Y5, Y5, Y5
+	VPXOR        Y6, Y6, Y6
+	VPXOR        Y7, Y7, Y7
+	VPXOR        Y8, Y8, Y8
+	VPXOR        Y9, Y9, Y9
+	VPXOR        Y10, Y10, Y10
+	VPXOR        Y11, Y11, Y11
+	XORQ         AX, AX
+
+count:
+	VMOVUPD (SI)(AX*1), Y12
+	VCMPPD  $0x11, Y0, Y12, Y13
+	VCMPPD  $0x00, Y0, Y12, Y14
+	VPSUBQ  Y13, Y4, Y4
+	VPSUBQ  Y14, Y8, Y8
+	VCMPPD  $0x11, Y1, Y12, Y15
+	VCMPPD  $0x00, Y1, Y12, Y13
+	VPSUBQ  Y15, Y5, Y5
+	VPSUBQ  Y13, Y9, Y9
+	VCMPPD  $0x11, Y2, Y12, Y14
+	VCMPPD  $0x00, Y2, Y12, Y15
+	VPSUBQ  Y14, Y6, Y6
+	VPSUBQ  Y15, Y10, Y10
+	VCMPPD  $0x11, Y3, Y12, Y13
+	VCMPPD  $0x00, Y3, Y12, Y14
+	VPSUBQ  Y13, Y7, Y7
+	VPSUBQ  Y14, Y11, Y11
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     count
+
+	VPUNPCKLQDQ Y5, Y4, Y12
+	VPUNPCKHQDQ Y5, Y4, Y13
+	VPADDQ      Y13, Y12, Y12
+	VPUNPCKLQDQ Y7, Y6, Y13
+	VPUNPCKHQDQ Y7, Y6, Y14
+	VPADDQ      Y14, Y13, Y13
+	VPERM2I128  $0x20, Y13, Y12, Y14
+	VPERM2I128  $0x31, Y13, Y12, Y15
+	VPADDQ      Y15, Y14, Y4
+	VPUNPCKLQDQ Y9, Y8, Y12
+	VPUNPCKHQDQ Y9, Y8, Y13
+	VPADDQ      Y13, Y12, Y12
+	VPUNPCKLQDQ Y11, Y10, Y13
+	VPUNPCKHQDQ Y11, Y10, Y14
+	VPADDQ      Y14, Y13, Y13
+	VPERM2I128  $0x20, Y13, Y12, Y14
+	VPERM2I128  $0x31, Y13, Y12, Y15
+	VPADDQ      Y15, Y14, Y8
+	VPADDQ      Y4, Y4, Y4
+	VPADDQ      Y8, Y4, Y4
+	VPBROADCASTQ rankOne<>(SB), Y12
+	VPADDQ      Y12, Y4, Y4
+	VBROADCASTSD rankTwo52<>(SB), Y13
+	VPOR        Y13, Y4, Y4
+	VSUBPD      Y13, Y4, Y4
+	VBROADCASTSD rankHalf<>(SB), Y14
+	VMULPD      Y14, Y4, Y4
+	VMOVUPD     Y4, (DI)(BX*1)
+	ADDQ        $32, BX
+	CMPQ        BX, CX
+	JLT         group
+	VZEROUPPER
+	RET
+
+DATA rankOne<>+0(SB)/8, $1
+GLOBL rankOne<>(SB), RODATA|NOPTR, $8
+DATA rankTwo52<>+0(SB)/8, $0x4330000000000000
+GLOBL rankTwo52<>(SB), RODATA|NOPTR, $8
+DATA rankHalf<>+0(SB)/8, $0x3fe0000000000000
+GLOBL rankHalf<>(SB), RODATA|NOPTR, $8

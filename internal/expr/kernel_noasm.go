@@ -2,9 +2,9 @@
 
 package expr
 
-// Non-amd64 builds always use the portable block kernel; the stubs below
-// exist only to satisfy the dispatch site and are unreachable while
-// useAVXKernels is false.
+// Non-amd64 builds always use the portable block kernel and rank by
+// sorting; the stubs below exist only to satisfy the dispatch sites and are
+// unreachable while useAVXKernels is false.
 
 var useAVXKernels = false
 
@@ -12,4 +12,8 @@ func x86HasAVX2FMA() bool { return false }
 
 func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64) {
 	panic("expr: kernel6x16AVX unavailable on this architecture")
+}
+
+func rankCountAVX(x, out *float64, n int) {
+	panic("expr: rankCountAVX unavailable on this architecture")
 }

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -268,5 +270,156 @@ func TestThresholdSweepMonotone(t *testing.T) {
 func TestThresholdSweepEmpty(t *testing.T) {
 	if pts := ThresholdSweep(NewMatrix(5, 5), nil, NetworkOptions{MaxP: 0.05, Workers: 1}); pts != nil {
 		t.Fatal("empty thresholds should give nil")
+	}
+}
+
+// rankRows is the differential corpus for the count kernel: for every n,
+// heavy ties, continuous values, a constant row, ±0 mixed with ±Inf,
+// denormals and huge values, and rows with one or several NaNs (which the
+// count path must hand to the sort).
+func rankRows(n int, rng *rand.Rand) [][]float64 {
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	specials := []float64{0, negZero, inf, -inf, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		2 * math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	gen := []func(i int) float64{
+		func(int) float64 { return float64(rng.Intn(n/4 + 1)) },
+		func(int) float64 { return rng.NormFloat64() },
+		func(int) float64 { return 3.5 },
+		func(int) float64 { return specials[rng.Intn(len(specials))] },
+		func(i int) float64 { return float64(i%3) * math.SmallestNonzeroFloat64 },
+	}
+	var rows [][]float64
+	for _, f := range gen {
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = f(i)
+		}
+		rows = append(rows, row)
+	}
+	for _, nans := range []int{1, 3} {
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = float64(rng.Intn(5))
+		}
+		for range nans {
+			row[rng.Intn(n)] = math.NaN()
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// checkRanks ranks x with rk (whatever path rankInto picks) and fails
+// unless every rank equals the sort ranker's bit for bit.
+func checkRanks(t *testing.T, rk *ranker, x []float64) {
+	t.Helper()
+	got := make([]float64, len(x))
+	want := make([]float64, len(x))
+	rk.rankInto(got, x)
+	var oracle ranker
+	oracle.rankSort(want, x)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d row %v: rank[%d] = %v, sort ranker %v", len(x), x, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRankCountMatchesRanker pins the count kernel to the sort ranker, bit
+// for bit, on each ISA, for n = 1..300 and either side of rankCountMax,
+// reusing one ranker's scratch across every length. On the AVX2 leg it
+// also checks that a NaN-free row in range took the count path.
+func TestRankCountMatchesRanker(t *testing.T) {
+	withKernelISA(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		var rk ranker
+		lengths := []int{}
+		for n := 1; n <= 300; n++ {
+			lengths = append(lengths, n)
+		}
+		lengths = append(lengths, rankCountMax-1, rankCountMax, rankCountMax+1)
+		for _, n := range lengths {
+			for _, x := range rankRows(n, rng) {
+				checkRanks(t, &rk, x)
+			}
+		}
+		if !useAVXKernels {
+			return
+		}
+		x := rankRows(7, rng)[1]
+		if !rk.rankCount(make([]float64, len(x)), x) {
+			t.Fatal("rankCount refused a NaN-free row")
+		}
+		x[3] = math.NaN()
+		if rk.rankCount(make([]float64, len(x)), x) {
+			t.Fatal("rankCount accepted a row holding NaN")
+		}
+	})
+}
+
+// FuzzRankMatchesRanker decodes a row from the fuzz bytes and pins
+// rankInto to the sort ranker bit for bit. An even first byte reads one
+// value per byte from a small palette (ties, ±0, ±Inf, denormals, NaN); an
+// odd one reads raw float64 bits, 8 bytes a value.
+func FuzzRankMatchesRanker(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 2, 3, 250, 251, 9, 9, 9})
+	f.Add([]byte{0, 252, 253, 254, 255, 0, 128, 7})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	palette := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		math.NaN(), 0}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var x []float64
+		if data[0]%2 == 0 {
+			for _, b := range data[1:] {
+				v := float64(int8(b)) / 4
+				if int(b) >= 256-len(palette) {
+					v = palette[int(b)-(256-len(palette))]
+				}
+				x = append(x, v)
+			}
+		} else {
+			for i := 1; i+8 <= len(data); i += 8 {
+				x = append(x, math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
+			}
+		}
+		var rk ranker
+		checkRanks(t, &rk, x)
+	})
+}
+
+// BenchmarkRankRows times the sort ranker against the count kernel per
+// row of normal values, at lengths up to the API's 2048-sample cap; the
+// crossover sets rankCountMax.
+func BenchmarkRankRows(b *testing.B) {
+	const rows = 64
+	for _, n := range []int{16, 64, 100, 256, 512, 768, 1024, 2048} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		xs := make([][]float64, rows)
+		for i := range xs {
+			xs[i] = make([]float64, n)
+			for j := range xs[i] {
+				xs[i][j] = rng.NormFloat64()
+			}
+		}
+		dst := make([]float64, n)
+		b.Run(fmt.Sprintf("n=%d/sort", n), func(b *testing.B) {
+			var rk ranker
+			for i := 0; b.Loop(); i++ {
+				rk.rankSort(dst, xs[i%rows])
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/count", n), func(b *testing.B) {
+			if !useAVXKernels {
+				b.Skip("no AVX2 count kernel on this machine")
+			}
+			var rk ranker
+			for i := 0; b.Loop(); i++ {
+				rk.rankCount(dst, xs[i%rows])
+			}
+		})
 	}
 }
