@@ -172,8 +172,8 @@ func TestFingerprintCoversDataNotParameters(t *testing.T) {
 
 	// Correlation parameters are run parameters too (they live in the
 	// network-stage artifact key): requests differing only in thresholds,
-	// sign gate or precision share one fingerprint — which is what lets
-	// the engine share one resolved matrix between them.
+	// sign gate or precision share one fingerprint, and the network key
+	// tells their networks apart.
 	r = synthReq()
 	minR, maxP := 0.5, 0.01
 	r.Network.Correlation = &CorrelationSpec{Statistic: "spearman", MinAbsR: &minR, MaxP: &maxP, Negative: true, Precision: "float32"}

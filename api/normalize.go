@@ -226,10 +226,10 @@ func (r *Request) validate() error {
 // parameters — correlation thresholds, filter variant, cluster knobs,
 // seeds — are carried in the engine's artifact keys instead). The pipeline
 // uses it as the cache namespace, so two requests with equal fingerprints
-// share network, order, filter, cluster and score artifacts; in particular
-// requests that differ only in correlation parameters share one resolved
-// matrix, so only their sweeps are computed apart. The identity is the
-// source text: two edge lists that
+// share network, order, filter, cluster and score artifacts. Correlation
+// parameters are left out because the network-stage key carries them:
+// requests that differ only there build their own networks under one
+// namespace. The identity is the source text: two edge lists that
 // parse to the same graph but differ in whitespace fingerprint differently
 // (and merely compute twice — never incorrectly). Call on a normalized
 // request; normalization-irrelevant spellings of the same source would

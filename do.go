@@ -3,8 +3,10 @@ package parsample
 import (
 	"context"
 	"strings"
+	"sync"
 
 	"parsample/api"
+	"parsample/internal/datasets"
 	"parsample/internal/expr"
 	"parsample/internal/faultinject"
 	"parsample/internal/graph"
@@ -39,9 +41,9 @@ func ParseOrdering(s string) (Ordering, bool) {
 
 // Do executes one wire-form request end to end on the pipeline: it
 // normalizes and validates req (returning an *api.Error with code
-// bad_request on schema violations), resolves the network source (cached
-// by content fingerprint, so repeated requests skip parsing and
-// synthesis), runs the stage graph, and assembles the response. The
+// bad_request on schema violations), runs the stage graph — a stage that
+// misses materializes the network source, at most once per request, so
+// warm repeats skip parsing and synthesis — and assembles the response. The
 // response is a pure function of the normalized request — repeated calls
 // return byte-identical JSON — and concurrent identical requests compute
 // each stage once (the engine's singleflight). ctx cancels the run
@@ -51,12 +53,12 @@ func (p *Pipeline) Do(ctx context.Context, req *api.Request) (*api.Response, err
 	if err != nil {
 		return nil, err
 	}
-	ri, err := p.resolve(ctx, norm)
+	pin, done, err := p.source(norm)
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 
-	pin := ri.input(norm)
 	v := pipeline.Original
 	if norm.Filter.Algorithm != api.AlgorithmNone {
 		alg, ok := ParseAlgorithm(norm.Filter.Algorithm)
@@ -152,39 +154,23 @@ func (p *Pipeline) NetworkFromSource(ctx context.Context, src api.NetworkSource)
 	if err != nil {
 		return nil, err
 	}
-	ri, err := p.resolve(ctx, norm)
+	in, done, err := p.source(norm)
 	if err != nil {
 		return nil, err
 	}
-	return p.eng.Network(ctx, ri.input(norm))
+	defer done()
+	return p.eng.Network(ctx, in)
 }
 
 // ------------------------------------------------------------ resolution
 
-// resolvedInput is a materialized network source: the data a pipeline.Input
-// carries, keyed by the request fingerprint. It is pure data — correlation
-// options are per-request run parameters (netOptionsFrom), NOT part of the
-// resolved source, so requests that differ only in thresholds or precision
-// share one entry (and one synthesized matrix) here.
-type resolvedInput struct {
-	name   string
-	g      *graph.Graph
-	matrix *expr.Matrix
-	dag    *ontology.DAG
-	ann    *ontology.Annotations
-}
-
-// input is the engine input of a normalized request over this source: the
-// source's data under its fingerprint, plus the request's correlation and
-// clustering options and its two seed streams.
-func (ri *resolvedInput) input(norm *api.Request) pipeline.Input {
+// input is the engine input of a normalized request, without its source
+// data: the request fingerprint as the cache namespace, the request's
+// correlation and clustering options and its two seed streams.
+func input(norm *api.Request) pipeline.Input {
 	return pipeline.Input{
-		Name:       ri.name,
-		G:          ri.g,
-		Matrix:     ri.matrix,
+		Name:       norm.Fingerprint(),
 		Net:        netOptionsFrom(norm),
-		DAG:        ri.dag,
-		Ann:        ri.ann,
 		MCODE:      mcodeParamsFrom(norm),
 		OrderSeed:  splitSeed(norm.Filter.Seed, seedPurposeOrder),
 		FilterSeed: splitSeed(norm.Filter.Seed, seedPurposeSampler),
@@ -220,140 +206,113 @@ func mcodeParamsFrom(norm *api.Request) mcode.Params {
 }
 
 // Resident reports whether req's expensive artifacts are already warm in
-// this Pipeline: the source is resolved (parsed or synthesized) and — for
-// matrix-backed sources, whose dominant cost is the O(genes²·samples)
-// correlation sweep — the network artifact is resident in the engine
-// store. The serving tier's admission gate uses this to discount the cost
-// of warm repeats and, under degradation, to shed cold synthesis work
-// before cached work. The probe is read-only: it touches neither store's
-// LRU order and materializes nothing. A false from a malformed request is
-// fine — admission re-validates via Do.
+// this Pipeline: for a dataset source, that the dataset is built; for any
+// other source, that its network artifact — the parsed edge list or the
+// O(genes²·samples) correlation sweep — is resident in the engine store or
+// its disk tier. The serving tier's admission gate uses this to discount
+// the cost of warm repeats and, under degradation, to shed cold synthesis
+// work before cached work. The probe is read-only: it touches no LRU order
+// and builds nothing. A false from a malformed request is fine — admission
+// re-validates via Do.
 func (p *Pipeline) Resident(req *api.Request) bool {
 	norm, err := req.Normalized()
 	if err != nil {
 		return false
 	}
-	fp := norm.Fingerprint()
-	if !p.sources.Contains(pipeline.Key{Input: fp}) {
-		return false
+	if name := norm.Network.Dataset; name != "" {
+		return p.serves(name) && datasets.Built(name)
 	}
-	if norm.Network.Synthesis == nil {
-		// Graph-backed sources: the parse/dataset build is the cost; once
-		// resolved the network stage is a cheap pass-through.
-		return true
-	}
-	return p.eng.NetworkResident((&resolvedInput{name: fp}).input(norm))
+	return p.eng.NetworkResident(input(norm))
 }
 
-// sourceStoreBytes is the byte budget of one Pipeline's resolved sources.
-// They pin real memory (parsed graphs, synthesized matrices) outside the
-// engine's artifact budget; an evicted source is simply re-parsed or
-// re-synthesized on its next use, and one larger than the whole budget is
-// served but not retained (the store's oversized policy). A retained source
-// pays only when a request that differs in a later stage (a threshold, a
-// sampler) follows it, and traffic of distinct synthesized sources never
-// hits, so the budget is small: the last ten or so 4096×100 matrices
-// (3.3 MB each).
-const sourceStoreBytes = 32 << 20
-
-// resolve materializes the normalized request's source through the
-// fingerprint-keyed source store, which deduplicates concurrent identical
-// resolutions, contains a panicking one and never caches a failure. Each
-// source is charged pipeline.EntryBytes plus the memory it owns: its
-// matrix or its parsed graph, and a synthesized or inline ontology.
-// Dataset sources are process-global and own nothing.
-func (p *Pipeline) resolve(ctx context.Context, norm *api.Request) (*resolvedInput, error) {
-	key := norm.Fingerprint()
-	v, _, err := p.sources.Do(ctx, pipeline.Key{Input: key}, func(context.Context) (any, int64, error) {
-		// Failpoint: every source-store miss (DESIGN.md §8).
-		if err := faultinject.Eval("parsample.resolve"); err != nil {
-			return nil, 0, err
-		}
-		ri, err := p.materialize(key, norm)
-		if err != nil {
-			return nil, 0, err
-		}
-		b := pipeline.EntryBytes
-		if m := ri.matrix; m != nil {
-			b += 8 * int64(m.Genes) * int64(m.Samples)
-		}
-		if norm.Network.EdgeList != "" {
-			b += pipeline.GraphBytes(ri.g)
-		}
-		if ri.dag != nil && norm.Network.Dataset == "" {
-			// A dataset's ontology belongs to the pipeline; a synthesized
-			// or inline one is built for this entry and lives with it.
-			b += ri.dag.Bytes() + ri.ann.Bytes()
-		}
-		return ri, b, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*resolvedInput), nil
-}
-
-// materialize builds the resolved input for one source (the cache-miss
-// path of resolve).
-func (p *Pipeline) materialize(key string, norm *api.Request) (*resolvedInput, error) {
-	ri := &resolvedInput{name: key}
-	switch {
-	case norm.Network.Dataset != "":
-		ds, ok := p.datasetFor(norm.Network.Dataset)
+// source is the engine input of a normalized request with its source
+// attached. A served dataset is adopted (G, DAG, Ann). Any other source
+// gets a loader that materializes it at most once, when the first stage
+// that misses asks for it; concurrent requests for one fingerprint share
+// the loader of the first of them until that one calls done, so eight
+// identical cold requests synthesize once even when different requests
+// lead the network and score stages. Nothing outlives the requests.
+func (p *Pipeline) source(norm *api.Request) (in pipeline.Input, done func(), err error) {
+	in = input(norm)
+	if name := norm.Network.Dataset; name != "" {
+		ds, ok := p.datasetFor(name)
 		if !ok {
-			return nil, api.Errorf(api.CodeBadRequest, "dataset %q is not served by this pipeline (have %s)",
-				norm.Network.Dataset, p.servedDatasets())
+			return in, nil, api.Errorf(api.CodeBadRequest, "dataset %q is not served by this pipeline (have %s)",
+				name, p.servedDatasets())
 		}
-		ri.g, ri.dag, ri.ann = ds.G, ds.DAG, ds.Ann
-	case norm.Network.EdgeList != "":
+		in.G, in.DAG, in.Ann = ds.G, ds.DAG, ds.Ann
+		return in, func() {}, nil
+	}
+	load := sync.OnceValues(func() (pipeline.Data, error) {
+		// Failpoint: every source materialization (DESIGN.md §8).
+		if err := faultinject.Eval("parsample.resolve"); err != nil {
+			return pipeline.Data{}, err
+		}
+		return materialize(norm)
+	})
+	l, shared := p.loaders.LoadOrStore(in.Name, load)
+	in.Load = l.(func() (pipeline.Data, error))
+	if shared {
+		return in, func() {}, nil
+	}
+	// Only the request that stored an entry deletes it, so the entry under
+	// in.Name is still this one.
+	return in, func() { p.loaders.Delete(in.Name) }, nil
+}
+
+// materialize builds an edge-list or synthesized source.
+func materialize(norm *api.Request) (pipeline.Data, error) {
+	var d pipeline.Data
+	if norm.Network.EdgeList != "" {
 		g, err := graph.ReadEdgeList(strings.NewReader(norm.Network.EdgeList))
 		if err != nil {
-			return nil, api.Errorf(api.CodeBadRequest, "edge list: %v", err)
+			return d, api.Errorf(api.CodeBadRequest, "edge list: %v", err)
 		}
-		ri.g = g
+		d.G = g
 		if norm.Score.DAG != "" {
 			dag, err := ontology.ReadDAG(strings.NewReader(norm.Score.DAG))
 			if err != nil {
-				return nil, api.Errorf(api.CodeBadRequest, "ontology dag: %v", err)
+				return d, api.Errorf(api.CodeBadRequest, "ontology dag: %v", err)
 			}
 			ann, err := ontology.ReadAnnotations(strings.NewReader(norm.Score.Annotations))
 			if err != nil {
-				return nil, api.Errorf(api.CodeBadRequest, "annotations: %v", err)
+				return d, api.Errorf(api.CodeBadRequest, "annotations: %v", err)
 			}
 			if ann.NumGenes() < g.N() {
-				return nil, api.Errorf(api.CodeBadRequest, "annotations cover %d genes but the network has %d", ann.NumGenes(), g.N())
+				return d, api.Errorf(api.CodeBadRequest, "annotations cover %d genes but the network has %d", ann.NumGenes(), g.N())
 			}
 			for gene := range int32(ann.NumGenes()) {
 				for _, t := range ann.Terms(gene) {
 					if int(t) >= dag.NumTerms() {
-						return nil, api.Errorf(api.CodeBadRequest, "annotations: gene %d names term %d but the ontology has %d terms", gene, t, dag.NumTerms())
+						return d, api.Errorf(api.CodeBadRequest, "annotations: gene %d names term %d but the ontology has %d terms", gene, t, dag.NumTerms())
 					}
 				}
 			}
-			ri.dag, ri.ann = dag, ann
+			d.DAG, d.Ann = dag, ann
 		}
-	default: // synthesis (Normalized guarantees exactly one source)
-		s := norm.Network.Synthesis
-		syn, err := expr.Synthesize(expr.SyntheticSpec{
-			Genes:      s.Genes,
-			Samples:    s.Samples,
-			Modules:    *s.Modules,
-			ModuleSize: *s.ModuleSize,
-			Noise:      *s.Noise,
-			Seed:       s.Seed,
-		})
-		if err != nil {
-			return nil, api.Errorf(api.CodeBadRequest, "synthesize: %v", err)
-		}
-		ri.matrix = syn.M
-		if *s.Ontology {
-			// A matching ontology over the planted modules, so scoring has
-			// ground truth (same derivation as internal/datasets and the
-			// `parsample pipeline -synth` front end: decorrelated seeds for
-			// DAG shape and annotation placement).
-			ri.dag = ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: s.Seed + 1})
-			ri.ann = ontology.AnnotateModules(ri.dag, s.Genes, syn.Modules, 6, s.Seed+2)
-		}
+		return d, nil
 	}
-	return ri, nil
+	// Synthesis (Normalized guarantees exactly one source).
+	s := norm.Network.Synthesis
+	syn, err := expr.Synthesize(expr.SyntheticSpec{
+		Genes:      s.Genes,
+		Samples:    s.Samples,
+		Modules:    *s.Modules,
+		ModuleSize: *s.ModuleSize,
+		Noise:      *s.Noise,
+		Seed:       s.Seed,
+	})
+	if err != nil {
+		return d, api.Errorf(api.CodeBadRequest, "synthesize: %v", err)
+	}
+	d.Matrix = syn.M
+	if *s.Ontology {
+		// A matching ontology over the planted modules, so scoring has
+		// ground truth (same derivation as internal/datasets and the
+		// `parsample pipeline -synth` front end: decorrelated seeds for
+		// DAG shape and annotation placement).
+		d.DAG = ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: s.Seed + 1})
+		d.Ann = ontology.AnnotateModules(d.DAG, s.Genes, syn.Modules, 6, s.Seed+2)
+	}
+	return d, nil
 }

@@ -301,12 +301,14 @@ func TestParseNames(t *testing.T) {
 	}
 }
 
-// Eight concurrent identical cold requests resolve their synthesized
-// source once, the source store charges it its matrix plus the per-entry
-// charge, and a request that differs only in its correlation thresholds
-// reuses the resolved source while building its own network. A parsed edge
-// list is charged its graph.
+// Eight concurrent identical cold requests materialize their synthesized
+// source once, though the network and score stages it feeds may be led by
+// different requests, and a request that differs only in its correlation
+// thresholds builds its own network.
 func TestDoResolvesSourceOnce(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	// A zero delay counts every materialization and changes nothing else.
+	faultinject.Enable("parsample.resolve", faultinject.Spec{Mode: faultinject.ModeDelay})
 	p := New()
 	const n = 8
 	errs := make(chan error, n)
@@ -321,24 +323,8 @@ func TestDoResolvesSourceOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	norm, err := synthRequest().Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn := norm.Network.Synthesis
-	m, err := expr.Synthesize(expr.SyntheticSpec{
-		Genes: syn.Genes, Samples: syn.Samples, Modules: *syn.Modules, ModuleSize: *syn.ModuleSize, Noise: *syn.Noise, Seed: syn.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dag := ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: syn.Seed + 1})
-	ann := ontology.AnnotateModules(dag, syn.Genes, m.Modules, 6, syn.Seed+2)
-	wantBytes := pipeline.EntryBytes + 8*int64(syn.Genes)*int64(syn.Samples) + dag.Bytes() + ann.Bytes()
-	st := p.sources.Stats()
-	if st.Misses != 1 || st.Entries != 1 || st.BytesUsed != wantBytes {
-		t.Fatalf("source store after %d identical requests: %+v, want 1 miss and 1 entry of %d bytes",
-			n, st, wantBytes)
+	if got := faultinject.Hits("parsample.resolve"); got != 1 {
+		t.Fatalf("%d identical requests materialized their source %d times, want once", n, got)
 	}
 
 	req := synthRequest()
@@ -348,63 +334,14 @@ func TestDoResolvesSourceOnce(t *testing.T) {
 	if _, err := p.Do(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.sources.Stats(); st.Misses != 1 || st.Hits == 0 {
-		t.Fatalf("a threshold-only change resolved the source again: %+v", st)
-	}
 	if p.Stats().Misses == misses {
 		t.Fatal("a threshold-only change reused the old network")
 	}
-
-	g := graph.Path(5)
-	var buf bytes.Buffer
-	if err := WriteNetwork(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	used := p.sources.Stats().BytesUsed
-	if _, err := p.Do(context.Background(), &api.Request{
-		Network: api.NetworkSource{EdgeList: buf.String()},
-		Filter:  api.FilterSpec{Algorithm: api.AlgorithmNone},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := p.sources.Stats().BytesUsed-used, pipeline.EntryBytes+pipeline.GraphBytes(g); got != want {
-		t.Fatalf("edge-list source charged %d bytes, want %d", got, want)
-	}
-
-	// An inline ontology is built for its edge-list source and charged
-	// with it.
-	var dagBuf, annBuf bytes.Buffer
-	if err := ontology.WriteDAG(&dagBuf, dag); err != nil {
-		t.Fatal(err)
-	}
-	if err := ontology.WriteAnnotations(&annBuf, ann); err != nil {
-		t.Fatal(err)
-	}
-	inlineDAG, err := ontology.ReadDAG(strings.NewReader(dagBuf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inlineAnn, err := ontology.ReadAnnotations(strings.NewReader(annBuf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	used = p.sources.Stats().BytesUsed
-	if _, err := p.Do(context.Background(), &api.Request{
-		Network: api.NetworkSource{EdgeList: buf.String()},
-		Filter:  api.FilterSpec{Algorithm: api.AlgorithmNone},
-		Score:   api.ScoreSpec{DAG: dagBuf.String(), Annotations: annBuf.String()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := pipeline.EntryBytes + pipeline.GraphBytes(g) + inlineDAG.Bytes() + inlineAnn.Bytes()
-	if got := p.sources.Stats().BytesUsed - used; got != want {
-		t.Fatalf("edge-list source with an inline ontology charged %d bytes, want %d", got, want)
-	}
 }
 
-// A panic while resolving a source fails only its own request: the error
-// names the panic without a goroutine stack, nothing is cached, and the
-// next identical request resolves the source afresh.
+// A panic while materializing a source fails only its own request: the
+// error names the panic without a goroutine stack, nothing is cached, and
+// the next identical request materializes the source afresh.
 func TestDoResolvePanicContained(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	p := New()
@@ -422,8 +359,8 @@ func TestDoResolvePanicContained(t *testing.T) {
 	if _, err := p.Do(context.Background(), synthRequest()); err != nil {
 		t.Fatalf("the request after a resolve panic: %v", err)
 	}
-	if st := p.sources.Stats(); st.Misses != 2 || st.Entries != 1 {
-		t.Fatalf("source store %+v, want the source resolved twice and cached once", st)
+	if got := faultinject.Hits("parsample.resolve"); got != 2 {
+		t.Fatalf("source materialized %d times, want twice: the panicked attempt and the retry", got)
 	}
 }
 
@@ -463,5 +400,71 @@ func TestDoStageKeysShareUpstreamArtifacts(t *testing.T) {
 	}
 	if src, ok := got[pipeline.StageOrder]; ok && src != pipeline.Hit {
 		t.Fatalf("haircut change: order %v, want it reused", src)
+	}
+
+	// A parsed edge list is a stored network artifact like a swept one.
+	edges := &api.Request{
+		Network: api.NetworkSource{EdgeList: planted(t)},
+		Filter:  api.FilterSpec{Algorithm: "chordal-nocomm", Ordering: "HD", P: 2, Seed: 3},
+	}
+	if got := sources(edges); got[pipeline.StageNetwork] != pipeline.Computed {
+		t.Fatalf("cold edge list: stage sources %v, want network computed", got)
+	}
+	edges.Filter.Seed++
+	got = sources(edges)
+	if got[pipeline.StageNetwork] != pipeline.Hit || got[pipeline.StageFilter] != pipeline.Computed {
+		t.Fatalf("edge list filter.seed change: stage sources %v, want network hit, filter computed", got)
+	}
+}
+
+// planted is a modular edge list in the wire format.
+func planted(t *testing.T) string {
+	t.Helper()
+	g := graph.PlantedModules(300, 200, graph.ModuleSpec{
+		Count: 5, MinSize: 6, MaxSize: 8, Density: 0.8, NoiseDeg: 0.4, Window: 3,
+	}, 13)
+	var buf bytes.Buffer
+	if err := WriteNetwork(&buf, g.G); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// A parsed edge list is snapshotted like a swept network: after a restart
+// on the same cache directory, the edge-list request is resident, its
+// network stage loads from disk, and the response is byte-identical.
+func TestDoEdgeListNetworkFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	req := &api.Request{
+		Network: api.NetworkSource{EdgeList: planted(t)},
+		Filter:  api.FilterSpec{Algorithm: api.AlgorithmNone},
+	}
+	p := New(WithCacheDir(dir))
+	if p.Resident(req) {
+		t.Fatal("an edge list no request has parsed is resident")
+	}
+	cold, _ := traceDo(t, p, req)
+	p.Close()
+
+	restarted := New(WithCacheDir(dir))
+	defer restarted.Close()
+	if !restarted.Resident(req) {
+		t.Fatal("the edge-list network is not resident after a restart on its cache directory")
+	}
+	warm, entries := traceDo(t, restarted, req)
+	var network pipeline.Source = -1
+	for _, e := range entries {
+		if e.Key.Stage == pipeline.StageNetwork {
+			network = e.Source
+			break
+		}
+	}
+	if network != pipeline.Disk {
+		t.Fatalf("edge-list network after a restart: %v, want disk", network)
+	}
+	b1, _ := json.Marshal(cold)
+	b2, _ := json.Marshal(warm)
+	if !bytes.Equal(b1, b2) {
+		t.Fatal("disk-warm response differs from the cold one")
 	}
 }

@@ -118,6 +118,13 @@ func cached(spec Spec) *Dataset {
 	return actual.(*Dataset)
 }
 
+// Built reports whether the named dataset is already built and cached,
+// without building it.
+func Built(name string) bool {
+	_, ok := cache.Load(name)
+	return ok
+}
+
 // YNG returns the young-mice network (GSE5078 analogue). Cached.
 func YNG() *Dataset { return cached(yngSpec) }
 

@@ -11,10 +11,12 @@ import (
 // threshold comparison per candidate pair — the O(genes²·samples) kernel
 // work is shared — so k concurrent requests that differ only in their
 // filter parameters cost barely more than one (the <1.3× criterion in
-// bench_test.go). internal/pipeline's sweep coalescer rides this to merge
-// concurrent requests over the same dataset into a single kernel
-// invocation; ThresholdSweep's bucket-after-one-loose-sweep remains the
-// better shape when every threshold shares one sign gate and p-cut.
+// bench_test.go). BuildNetworkContext is this sweep with a single rule;
+// no serving path passes more than one, since the engine's network stage
+// sweeps each request's network on its own. The multi-rule form is kept
+// for the k-rule batch-ratio benchmarks. ThresholdSweep's
+// bucket-after-one-loose-sweep remains the better shape when every
+// threshold shares one sign gate and p-cut.
 
 // SweepSpec is one admission rule of a batched sweep. Unlike
 // NetworkOptions, fields are literal: no negative-means-default sentinels
@@ -37,8 +39,7 @@ func (o NetworkOptions) SweepSpec() SweepSpec {
 // one thresholded correlation network per spec, each identical to the
 // BuildNetworkContext result for the corresponding options. base supplies
 // the statistic, precision and worker count; its own threshold fields are
-// ignored in favor of the specs. This is the kernel under the pipeline's
-// cross-request sweep coalescer.
+// ignored in favor of the specs.
 func BatchBuildNetworksContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([]*graph.Graph, error) {
 	outs, err := batchScoredContext(ctx, m, base, specs)
 	if err != nil {

@@ -134,8 +134,8 @@ func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 	})
 }
 
-// TestBatchBuildNetworksMatchesBuildNetwork pins the graph-level form the
-// pipeline coalescer consumes.
+// TestBatchBuildNetworksMatchesBuildNetwork pins the graph-level form of a
+// multi-rule sweep: each network equals its own single-rule build.
 func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
 	syn, err := Synthesize(SyntheticSpec{Genes: 200, Samples: 20, Modules: 3, ModuleSize: 12, Noise: 0.25, Seed: 3})
 	if err != nil {

@@ -12,11 +12,11 @@
 //
 // Site catalog (DESIGN.md §8):
 //
-//	pipeline.store.get     every store request (before lookup): stage
-//	                       artifacts and resolved network sources alike
+//	pipeline.store.get     every artifact-store request (before lookup)
 //	pipeline.store.put     after a successful compute, before insertion
-//	parsample.resolve      every source-store miss, before the source is
-//	                       materialized (synthesis, parsing, ontology)
+//	parsample.resolve      every source materialization (synthesis,
+//	                       parsing, ontology), inside the first stage of a
+//	                       request that misses and needs the source
 //	diskstore.write        mid-snapshot, after half the blob is on disk
 //	expr.sweep.tile        every correlation-sweep tile claim
 //	server.sse.write       every SSE frame write

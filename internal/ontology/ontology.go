@@ -42,24 +42,6 @@ func (d *DAG) Parents(t TermID) []TermID { return d.parents[t] }
 // Children returns the child terms of t.
 func (d *DAG) Children(t TermID) []TermID { return d.children[t] }
 
-// Bytes estimates the DAG's resident size: a parent and a child list
-// header per term, their term ids and the depth table.
-func (d *DAG) Bytes() int64 {
-	return 4*int64(len(d.depth)) + termListsBytes(d.parents) + termListsBytes(d.children)
-}
-
-// termListsBytes estimates the resident size of per-item term lists: one
-// slice header each plus the capacity behind it. Lists that share one
-// backing array must be capped at their own end, as NewDAG's child lists
-// and AnnotateModules' gene lists are, or it counts the shared tail again.
-func termListsBytes(lists [][]TermID) int64 {
-	b := 24 * int64(len(lists))
-	for _, l := range lists {
-		b += 4 * int64(cap(l))
-	}
-	return b
-}
-
 // MaxDepth returns the depth of the deepest term.
 func (d *DAG) MaxDepth() int {
 	mx := int32(0)
@@ -151,10 +133,6 @@ func (a *Annotations) Terms(g int32) []TermID { return a.terms[g] }
 
 // NumGenes returns the number of genes in the table.
 func (a *Annotations) NumGenes() int { return len(a.terms) }
-
-// Bytes estimates the table's resident size: a term list header per gene
-// and the term ids behind it.
-func (a *Annotations) Bytes() int64 { return termListsBytes(a.terms) }
 
 // Scorer computes edge enrichment scores and cluster summaries against one
 // DAG and annotation table. It memoizes every term pair it scores under the

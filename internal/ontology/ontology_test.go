@@ -335,30 +335,6 @@ func TestAnnotateModulesAllocatesPerCall(t *testing.T) {
 	}
 }
 
-// TestBytes: a DAG's estimate counts two list headers, the list entries and
-// a depth per term; an AnnotateModules table, whose lists share one capped
-// backing array, counts each gene's terms once.
-func TestBytes(t *testing.T) {
-	d, err := NewDAG([][]TermID{{}, {0}, {0}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 terms: 2·4 headers of 24 bytes, 4 parent and 4 child links, 4 depths.
-	if got, want := d.Bytes(), int64(2*4*24+4*4+4*4+4*4); got != want {
-		t.Fatalf("DAG.Bytes() = %d, want %d", got, want)
-	}
-	g := Generate(GenerateSpec{Depth: 10, Branch: 3, Seed: 2})
-	const genes = 2048
-	a := AnnotateModules(g, genes, [][]int32{{0, 1, 2, 3}, {9, 10, 11}}, 6, 3)
-	want := int64(24 * genes)
-	for gene := range int32(genes) {
-		want += 4 * int64(len(a.Terms(gene)))
-	}
-	if got := a.Bytes(); got != want {
-		t.Fatalf("Annotations.Bytes() = %d, want %d", got, want)
-	}
-}
-
 // Property: the DCP is an ancestor of both terms with non-negative depth
 // (the root is always a fallback), its depth equals the reported depth, and
 // term distance is symmetric and bounded by the path through the DCP.

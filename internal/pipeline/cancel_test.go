@@ -78,7 +78,7 @@ func bigMatrix(t *testing.T) *expr.Matrix {
 // store without a poisoned entry, and a later request with a live context
 // computes the artifact from scratch.
 func TestCancelMidBuildNetwork(t *testing.T) {
-	in := Input{Name: "big", Matrix: bigMatrix(t), Net: expr.DefaultNetworkOptions()}
+	in := Input{Name: "big", Load: loadMatrix(bigMatrix(t)), Net: expr.DefaultNetworkOptions()}
 
 	start := time.Now()
 	if _, err := New(Config{}).Network(context.Background(), in); err != nil {
@@ -163,7 +163,7 @@ func TestCancelMidParallelFilter(t *testing.T) {
 // any kernel.
 func TestCancelledBeforeStart(t *testing.T) {
 	e := New(Config{})
-	in := Input{Name: "big2", Matrix: bigMatrix(t), Net: expr.DefaultNetworkOptions()}
+	in := Input{Name: "big2", Load: loadMatrix(bigMatrix(t)), Net: expr.DefaultNetworkOptions()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	elapsed := watchdog(t, time.Second, func() {

@@ -25,7 +25,12 @@ func networkMatrix(t *testing.T) *expr.Matrix {
 }
 
 func matrixInput(m *expr.Matrix, opts expr.NetworkOptions) Input {
-	return Input{Name: "network-test", Matrix: m, Net: opts}
+	return Input{Name: "network-test", Load: loadMatrix(m), Net: opts}
+}
+
+// loadMatrix is the loader of an input whose source is the matrix m.
+func loadMatrix(m *expr.Matrix) func() (Data, error) {
+	return func() (Data, error) { return Data{Matrix: m}, nil }
 }
 
 // TestSweepBatcherCoalescesConcurrentSweeps (the name predates the

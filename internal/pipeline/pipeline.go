@@ -77,19 +77,19 @@ type stageDef struct {
 	decode func([]byte) (any, int64, error)
 }
 
-// EntryBytes is the fixed resident charge of one stored artifact on top of
+// entryBytes is the fixed resident charge of one stored artifact on top of
 // its payload estimate: the entry, its key, its LRU element and the
 // artifact's headers, about half a kilobyte measured on the heap. Without
 // it an empty cluster, score or match list would cost nothing and the byte
 // budget could never evict it.
-const EntryBytes int64 = 512
+const entryBytes int64 = 512
 
 // def builds a table row from a stage's typed size and codec functions;
-// the row's size adds EntryBytes to the payload estimate. encode runs on
+// the row's size adds entryBytes to the payload estimate. encode runs on
 // the disk tier's write-behind goroutine, so a wrong-typed value is an
 // error there, never a panic.
 func def[T any](name string, size func(T) int64, enc func(T) []byte, dec func([]byte) (T, error)) stageDef {
-	charge := func(t T) int64 { return EntryBytes + size(t) }
+	charge := func(t T) int64 { return entryBytes + size(t) }
 	return stageDef{
 		name: name,
 		size: func(v any) int64 { return charge(v.(T)) },
@@ -112,7 +112,7 @@ func def[T any](name string, size func(T) int64, enc func(T) []byte, dec func([]
 
 // stages is the stage table, indexed by Stage.
 var stages = [...]stageDef{
-	StageNetwork: def("network", GraphBytes, snapshot.EncodeGraph, snapshot.DecodeGraph),
+	StageNetwork: def("network", graphBytes, snapshot.EncodeGraph, snapshot.DecodeGraph),
 	StageOrder:   def("order", orderBytes, snapshot.EncodeOrder, snapshot.DecodeOrder),
 	StageFilter:  def("filter", filteredBytes, snapshot.EncodeFiltered, snapshot.DecodeFiltered),
 	StageCluster: def("cluster", clustersBytes, snapshot.EncodeClusters, snapshot.DecodeClusters),
@@ -181,14 +181,20 @@ type Input struct {
 	// to carry the same Graph/Matrix/DAG/Ann. The four evaluation datasets
 	// use their paper names; file-driven callers use the file path.
 	Name string
-	// G is the network. When nil, Matrix must be set and the network stage
-	// builds the correlation network from it.
+	// G is an adopted network, served by the network stage as is. When nil,
+	// Load must be set.
 	G *graph.Graph
-	// Matrix is the genes × samples expression matrix (used when G is nil).
-	Matrix *expr.Matrix
-	// Net configures correlation-network construction from Matrix.
+	// Load materializes the input's source (used when G is nil). Only a
+	// stage that misses calls it, outside its worker slot: the network stage
+	// stores Data.G as its artifact, or sweeps Data.Matrix under Net, and
+	// the score stage takes Data.DAG and Data.Ann when DAG is nil. Callers
+	// make it return one result however often it is called (sync.OnceValues):
+	// the loader of one request serves all of its stages.
+	Load func() (Data, error)
+	// Net configures correlation-network construction from a loaded Matrix.
 	Net expr.NetworkOptions
-	// DAG and Ann are the ontology side; required by Score and Match.
+	// DAG and Ann are the ontology side; required by Score and Match unless
+	// Load supplies them.
 	DAG *ontology.DAG
 	Ann *ontology.Annotations
 	// MCODE configures clustering. The zero value selects the paper's
@@ -199,6 +205,15 @@ type Input struct {
 	// historical driver behavior); parsample.Pipeline derives decorrelated
 	// streams per its documented contract.
 	OrderSeed, FilterSeed int64
+}
+
+// Data is an input's materialized source: a parsed network or an
+// expression matrix, and the ontology that comes with it, if any.
+type Data struct {
+	G      *graph.Graph
+	Matrix *expr.Matrix
+	DAG    *ontology.DAG
+	Ann    *ontology.Annotations
 }
 
 // FromDataset adapts one of the paper's evaluation datasets, using the
@@ -322,13 +337,13 @@ func (e *Engine) Stats() StoreStats {
 }
 
 // NetworkResident reports whether the input's network-stage artifact would
-// be served without computing: adopted input graphs always are, and
-// matrix-backed networks are when resident in the store or published in
-// the persistent tier (a disk load is a read, not a sweep — warm-restart
+// be served without computing: adopted input graphs always are, and loaded
+// networks (swept or parsed) are when resident in the store or published
+// in the persistent tier (a disk load is a read, not a sweep — warm-restart
 // requests admit at warm cost). This is the admission layer's cold/warm
 // probe — a resident network makes a request cheap regardless of its
 // declared dimensions — and deliberately does not touch LRU order or the
-// disk access stamps.
+// disk access stamps, nor call Load.
 func (e *Engine) NetworkResident(in Input) bool {
 	if in.G != nil {
 		return true
@@ -393,7 +408,8 @@ func stage[T any](ctx context.Context, e *Engine, key Key, deps func(context.Con
 }
 
 // Network returns the input's network: Input.G when set, otherwise the
-// correlation network built from Input.Matrix under Input.Net.
+// loaded source's parsed network, or the correlation network built from its
+// matrix under Input.Net.
 func (e *Engine) Network(ctx context.Context, in Input) (*graph.Graph, error) {
 	if in.G != nil {
 		// Adopted input network: nothing to compute or cache, but traced
@@ -401,12 +417,19 @@ func (e *Engine) Network(ctx context.Context, in Input) (*graph.Graph, error) {
 		traceRecord(ctx, in.key(StageNetwork, Original), Hit, 0, nil)
 		return in.G, nil
 	}
-	if in.Matrix == nil {
-		return nil, fmt.Errorf("pipeline: input %q has neither a network nor a matrix", in.Name)
+	if in.Load == nil {
+		return nil, fmt.Errorf("pipeline: input %q has neither a network nor a source", in.Name)
 	}
-	return stage(ctx, e, in.key(StageNetwork, Original), nil, func(ctx context.Context) (*graph.Graph, error) {
+	var d Data
+	return stage(ctx, e, in.key(StageNetwork, Original), func(context.Context) (err error) {
+		d, err = in.Load()
+		return err
+	}, func(ctx context.Context) (*graph.Graph, error) {
+		if d.G != nil {
+			return d.G, nil
+		}
 		e.sweeps.Add(1)
-		return expr.BuildNetworkContext(ctx, in.Matrix, in.Net)
+		return expr.BuildNetworkContext(ctx, d.Matrix, in.Net)
 	})
 }
 
@@ -466,19 +489,27 @@ func (e *Engine) Clusters(ctx context.Context, in Input, v Variant) ([]mcode.Clu
 
 // Scored returns the variant's clusters scored against the input ontology.
 func (e *Engine) Scored(ctx context.Context, in Input, v Variant) ([]analysis.ScoredCluster, error) {
-	if in.DAG == nil || in.Ann == nil {
-		return nil, fmt.Errorf("pipeline: input %q has no ontology to score against", in.Name)
-	}
+	dag, ann := in.DAG, in.Ann
 	var cs []mcode.Cluster
 	var g *graph.Graph
 	return stage(ctx, e, in.key(StageScore, v), func(ctx context.Context) (err error) {
+		if dag == nil && in.Load != nil {
+			var d Data
+			if d, err = in.Load(); err != nil {
+				return err
+			}
+			dag, ann = d.DAG, d.Ann
+		}
+		if dag == nil || ann == nil {
+			return fmt.Errorf("pipeline: input %q has no ontology to score against", in.Name)
+		}
 		if cs, err = e.Clusters(ctx, in, v); err != nil {
 			return err
 		}
 		g, err = e.Graph(ctx, in, v)
 		return err
 	}, func(ctx context.Context) ([]analysis.ScoredCluster, error) {
-		return analysis.ScoreClustersContext(ctx, in.DAG, in.Ann, g, cs)
+		return analysis.ScoreClustersContext(ctx, dag, ann, g, cs)
 	})
 }
 
@@ -536,17 +567,17 @@ func (e *Engine) Warm(ctx context.Context, in Input, vs ...Variant) error {
 
 // ------------------------------------------------------------ byte estimates
 
-// GraphBytes estimates a CSR graph's resident size: offsets plus both
+// graphBytes estimates a CSR graph's resident size: offsets plus both
 // directions of the neighbor arena. No pipeline kernel builds dense
 // adjacency rows on a stored graph (mcode.FindClusters only reads it).
-func GraphBytes(g *graph.Graph) int64 {
+func graphBytes(g *graph.Graph) int64 {
 	n, m := int64(g.N()), int64(g.M())
 	return 4*(n+1) + 8*m
 }
 
 func orderBytes(ord []int32) int64 { return int64(4 * len(ord)) }
 
-func filteredBytes(r *sampling.Result) int64 { return GraphBytes(r.Subgraph) }
+func filteredBytes(r *sampling.Result) int64 { return graphBytes(r.Subgraph) }
 
 // clustersBytes estimates a cluster list's resident size.
 func clustersBytes(cs []mcode.Cluster) int64 {

@@ -202,7 +202,7 @@ func TestKeyDiscipline(t *testing.T) {
 	}
 }
 
-// Every stored artifact is charged EntryBytes, so artifacts whose payload
+// Every stored artifact is charged entryBytes, so artifacts whose payload
 // estimate is zero — the empty cluster list of a 3-vertex path — still
 // fill the byte budget and get evicted instead of piling up unbounded.
 func TestEmptyArtifactsChargedPerEntry(t *testing.T) {
@@ -220,9 +220,9 @@ func TestEmptyArtifactsChargedPerEntry(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if int64(st.Entries) > budget/EntryBytes || st.BytesUsed > budget || st.Evictions == 0 {
+	if int64(st.Entries) > budget/entryBytes || st.BytesUsed > budget || st.Evictions == 0 {
 		t.Fatalf("%d entries, %d bytes used, %d evictions: want at most %d entries within the %d-byte budget",
-			st.Entries, st.BytesUsed, st.Evictions, budget/EntryBytes, budget)
+			st.Entries, st.BytesUsed, st.Evictions, budget/entryBytes, budget)
 	}
 }
 

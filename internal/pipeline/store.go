@@ -98,13 +98,14 @@ type StoreStats struct {
 	DiskBytesBudget int64 `json:"disk_bytes_budget"`
 }
 
-// Store is the keyed artifact store behind the Engine — and, without a disk
-// tier, behind parsample.Pipeline's resolved network sources: a memoization
-// map with singleflight deduplication (concurrent requests for one key
-// compute once), LRU eviction under a byte budget, hit/miss/inflight
-// counters, and an optional persistent second tier (AttachDisk). Lookup order is
-// memory → disk → compute: a disk load is checksum-verified and promoted
-// into the memory LRU; a computed artifact is written behind to disk.
+// Store is the keyed artifact store behind the Engine, and the only memo on
+// parsample.Pipeline's request path (network sources are materialized
+// inside the stages that miss, never stored): a memoization map with
+// singleflight deduplication (concurrent requests for one key compute
+// once), LRU eviction under a byte budget, hit/miss/inflight counters, and
+// an optional persistent second tier (AttachDisk). Lookup order is memory →
+// disk → compute: a disk load is checksum-verified and promoted into the
+// memory LRU; a computed artifact is written behind to disk.
 //
 // Failure discipline: only successful computations are inserted. A compute
 // that returns an error — in particular a context cancellation — leaves no

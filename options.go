@@ -76,7 +76,7 @@ func WithDatasets(names ...string) Option {
 // WithDatasets restriction. The bool is false when the name is unknown or
 // not served by this pipeline.
 func (p *Pipeline) datasetFor(name string) (*datasets.Dataset, bool) {
-	if p.datasets != nil && !p.datasets[name] {
+	if !p.serves(name) {
 		return nil, false
 	}
 	switch name {
@@ -91,6 +91,10 @@ func (p *Pipeline) datasetFor(name string) (*datasets.Dataset, bool) {
 	}
 	return nil, false
 }
+
+// serves reports whether the WithDatasets restriction admits name (it
+// does not check that name is a dataset).
+func (p *Pipeline) serves(name string) bool { return p.datasets == nil || p.datasets[name] }
 
 // servedDatasets names the datasets this pipeline serves, sorted, for error
 // messages.

@@ -54,6 +54,7 @@ package parsample
 import (
 	"context"
 	"io"
+	"sync"
 
 	"parsample/internal/analysis"
 	"parsample/internal/chordal"
@@ -246,7 +247,7 @@ func BuildCorrelationNetworkContext(ctx context.Context, m *Matrix, opts Network
 type Pipeline struct {
 	eng      *pipeline.Engine
 	datasets map[string]bool // WithDatasets restriction; nil serves all
-	sources  *pipeline.Store // api.Request fingerprint → *resolvedInput
+	loaders  sync.Map        // api.Request fingerprint → source loader of a running request
 }
 
 // New creates a Pipeline. With no options it serves every built-in dataset
@@ -268,7 +269,7 @@ func New(opts ...Option) *Pipeline {
 		Workers:   s.workers,
 		CacheDir:  s.cacheDir,
 		DiskBytes: s.diskCacheBytes,
-	}), sources: pipeline.NewStore(sourceStoreBytes)}
+	})}
 	if s.datasets != nil {
 		p.datasets = make(map[string]bool, len(s.datasets))
 		for _, n := range s.datasets {
