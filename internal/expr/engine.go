@@ -34,16 +34,18 @@ import (
 //     fraction betacf never runs inside the pair loop.
 //  3. Tiling. The triangular pair sweep is blocked into square row tiles,
 //     a multiple of 48 rows tall (whole 6-row blocks and whole 16-gene
-//     panels) and sized so two tiles of float32 panels sit in L1/L2.
+//     panels; 96 with the AVX-512 kernel, whole panel pairs) and sized so
+//     two tiles of float32 panels sit in L1/L2.
 //     Workers claim tile pairs from an atomic counter, so load balancing
 //     is dynamic (the triangle makes static striding uneven) and each
 //     claimed tile's panels stay hot across its inner loop.
 //  4. Outer-product micro-kernel with in-register candidate masks. Inside a
-//     tile pair, six rows are correlated against one 16-gene panel per
-//     kernel call (kernel.go: AVX2+FMA when the CPU has it, a portable
-//     6×16 kernel otherwise); the kernel compares its 96 coefficients
-//     lane-wise against the loosest admission threshold of each sign minus
-//     a sound error band and returns a 96-bit candidate mask. Only the set
+//     tile pair, six rows are correlated against two adjacent 16-gene
+//     panels per AVX-512F kernel call, or one panel per call of the AVX2+FMA
+//     or portable 6×16 kernel (kernel.go; CPUID picks the level); the
+//     kernel compares its coefficients lane-wise against the loosest
+//     admission threshold of each sign minus a sound error band and
+//     returns a 96-bit candidate mask per panel. Only the set
 //     bits the tile pair owns (blockKeep: above the diagonal, inside the
 //     ragged last tile) are decided by the canonical scalar dot over the
 //     float64 arena, so the admitted edge set and every reported
@@ -244,7 +246,9 @@ const tileBlock = 48
 // comfortably in L1d+L2 and every panel loaded for a block is reused
 // against the whole opposing tile. The height is a multiple of tileBlock,
 // so tiles start on a panel and only the final ragged tile has a partial
-// row block or a partial panel.
+// row block or a partial panel. With the AVX-512 kernel, which sweeps two
+// panels per call, it is a multiple of 2·tileBlock, so no full tile ends
+// on an odd panel that would fall back to the AVX2 kernel.
 func tileRows(samples int) int {
 	const maxTile = 5 * tileBlock
 	if samples <= 0 {
@@ -252,10 +256,14 @@ func tileRows(samples int) int {
 		// per-pair functions); any tile height works.
 		return maxTile
 	}
+	quantum := tileBlock
+	if kernelISA == isaAVX512 {
+		quantum = 2 * tileBlock
+	}
 	const tileBytes = 32 << 10
-	t := tileBytes / (samples * 4)
-	t -= t % tileBlock
-	return min(max(t, tileBlock), maxTile)
+	t := min(tileBytes/(samples*4), maxTile)
+	t -= t % quantum
+	return max(t, quantum)
 }
 
 // sweep runs the blocked triangular pair sweep with the given worker count
@@ -433,13 +441,14 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 	c.pairs += pairs
 }
 
-// sweepBlockTiled walks the tile pair in 6-row blocks against 16-gene
-// panels through the float32 kernel and admits canonically only the owned
-// pairs whose bit is set in the returned candidate mask. On a diagonal
-// tile (diag, lo1 == lo2) a row block's partners start at the panel
-// holding its first row's successor. In the ragged last tile a partial
-// row block repeats its last row; blockKeep drops the repeats with the
-// pairs on or below the diagonal, and the padding genes of the last panel.
+// sweepBlockTiled walks the tile pair in 6-row blocks against pairs of
+// 16-gene panels through the float32 kernels (kernel6x32, and kernel6x16
+// for an odd last panel) and admits canonically only the owned pairs whose
+// bit is set in a returned candidate mask. On a diagonal tile (diag,
+// lo1 == lo2) a row block's partners start at the panel holding its first
+// row's successor. In the ragged last tile a partial row block repeats its
+// last row; blockKeep drops the repeats with the pairs on or below the
+// diagonal, and the padding genes of the last panel.
 func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
 	n := e.samples
 	var rows [blockRows]int
@@ -451,15 +460,26 @@ func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector
 		if diag {
 			q = (g1 + 1) / panelGenes * panelGenes
 		}
-		for ; q < hi2; q += panelGenes {
+		for ; q+panelGenes < hi2; q += 2 * panelGenes {
+			alo, ahi, blo, bhi := kernel6x32(e.p32, &rows, q*n, n, e.pos32, e.neg32)
+			c.admitMask(g1, q, hi2, diag, alo, ahi)
+			c.admitMask(g1, q+panelGenes, hi2, diag, blo, bhi)
+		}
+		if q < hi2 {
 			lo, hi := kernel6x16(e.p32, &rows, q*n, n, e.pos32, e.neg32)
-			if lo|hi == 0 {
-				continue
-			}
-			klo, khi := blockKeep(g1, q, hi2, diag)
-			maskPairs(lo&klo, hi&khi, func(i, k int) { c.admit(g1+i, q+k) })
+			c.admitMask(g1, q, hi2, diag, lo, hi)
 		}
 	}
+}
+
+// admitMask admits the owned pairs (g1+i, q+c) set in the candidate mask
+// of the row block at g1 against the panel at gene q.
+func (c *collector) admitMask(g1, q, hi2 int, diag bool, lo, hi uint64) {
+	if lo|hi == 0 {
+		return
+	}
+	klo, khi := blockKeep(g1, q, hi2, diag)
+	maskPairs(lo&klo, hi&khi, func(i, k int) { c.admit(g1+i, q+k) })
 }
 
 // sweepBlockDense is the pre-blocking engine: canonical dot for every

@@ -5,24 +5,40 @@ import (
 	"math/bits"
 )
 
-// The outer-product micro-kernel of the all-pairs sweep.
+// The outer-product micro-kernels of the all-pairs sweep.
 //
-// One kernel call correlates six standardized rows against the sixteen
-// genes of one panel of the float32 arena (arena.go): 96 dot products from
-// one pass over the samples. The arena is panel-major — panel p holds genes
-// 16p..16p+15 k-major, so sample k of the whole panel is 16 consecutive
-// floats (64 bytes) and sample k of one gene sits 64 bytes after sample
-// k−1 in whatever panel holds it. Per sample, the AVX2+FMA kernel
-// (kernel_amd64.s, detected at runtime) loads the panel's 16 values as two
-// YMM vectors, broadcasts each of the six rows' values, and issues 12 FMAs
+// One kernel6x16 call correlates six standardized rows against the
+// sixteen genes of one panel of the float32 arena (arena.go): 96 dot
+// products from one pass over the samples. The arena is panel-major —
+// panel p holds genes 16p..16p+15 k-major, so sample k of the whole panel
+// is 16 consecutive floats (64 bytes) and sample k of one gene sits 64
+// bytes after sample k−1 in whatever panel holds it. Per sample, the
+// AVX2+FMA kernel (kernel_amd64.s) loads the panel's 16 values as two YMM
+// vectors, broadcasts each of the six rows' values, and issues 12 FMAs
 // into 12 accumulators that stay in registers for the whole call; the
 // portable Go kernel below has the same 6×16 shape and contract.
 //
-// Mask contract: bit 16·i + c of the 96-bit mask (lo holds rows 0–3, hi
-// rows 4–5) is set iff the coefficient r of (row i, panel gene c)
-// satisfies r ≥ pos || −r ≥ neg; NaN sets no bit. The kernel compares its
-// accumulators lane by lane — there is no horizontal reduction — and
-// returns only the mask.
+// kernel6x32 correlates the same six rows against two adjacent panels.
+// On AVX-512F machines it is one call of the 6×32 ZMM kernel: per sample
+// 2 panel loads, 6 broadcasts and 12 FMAs into 12 ZMM accumulators, twice
+// the AVX2 kernel's work per instruction. Twelve independent accumulator
+// chains are what keep the FMA units busy: an FMA has a latency of about
+// four cycles and two issue per cycle, so at least eight chains must be in
+// flight, and a 6×16 ZMM kernel's six chains leave it latency-bound.
+// Elsewhere kernel6x32 is two kernel6x16 calls, and so is the odd last
+// panel of a row block on every machine.
+//
+// The kernels are selected once, by CPUID (kernelISA); no option, flag or
+// environment variable changes the choice.
+//
+// Mask contract: bit 16·i + c of a panel's 96-bit mask (lo holds rows
+// 0–3, hi rows 4–5) is set iff the coefficient r of (row i, panel gene c)
+// satisfies r ≥ pos || −r ≥ neg; NaN sets no bit. The kernels compare
+// their accumulators lane by lane — there is no horizontal reduction —
+// and return only the masks. Each lane of the AVX-512 kernel is the AVX2
+// kernel's FMA chain, fma(a[k], b[k][c], acc) in sample order from 0, and
+// it compares with the same GE_OQ and LE_OQ predicates into opmask
+// registers, so its masks equal the AVX2 kernel's bit for bit.
 //
 // The block kernel is a PREFILTER, never a decider. Whatever ISA produced
 // a block coefficient, a pair is admitted or rejected only by the
@@ -33,6 +49,34 @@ import (
 // AVX2 — recheckBand32 bounds the block-vs-canonical error, so no
 // admissible pair can be filtered out. See DESIGN.md §7 for the bound
 // derivation.
+
+// isa is a block-kernel implementation level; each level includes the
+// kernels of the levels below it.
+type isa uint8
+
+const (
+	isaGeneric isa = iota // portable Go kernels
+	isaAVX2               // AVX2+FMA kernel6x16 and rankCountAVX
+	isaAVX512             // plus the AVX-512F kernel6x32
+)
+
+// kernelISA is the active level: the highest this machine supports. It is
+// a variable, not a constant, so tests can force each lower level and
+// differential-test the implementations against each other.
+var kernelISA = detectISA()
+
+// detectISA reports the highest kernel level the CPU and OS support. The
+// AVX-512 level also runs the AVX2 kernel (odd panels, ranks), so it
+// requires both.
+func detectISA() isa {
+	switch {
+	case !x86HasAVX2FMA():
+		return isaGeneric
+	case x86HasAVX512F():
+		return isaAVX512
+	}
+	return isaAVX2
+}
 
 const (
 	blockRows  = 6  // rows per micro-kernel call
@@ -46,7 +90,7 @@ const (
 // float32 (roundDown32), so the float32 compare nominates a superset of
 // what a float64 compare of the same coefficient would.
 func kernel6x16(p []float32, rows *[blockRows]int, q, n int, pos, neg float32) (lo, hi uint64) {
-	if !useAVXKernels || n == 0 {
+	if kernelISA < isaAVX2 || n == 0 {
 		return kernel6x16Generic(p, rows, q, n, pos, neg)
 	}
 	// The assembly reads 16·n floats from each base; these bounds checks
@@ -57,6 +101,26 @@ func kernel6x16(p []float32, rows *[blockRows]int, q, n int, pos, neg float32) (
 		_ = p[off+last]
 	}
 	return kernel6x16AVX(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &p[rows[4]], &p[rows[5]],
+		&p[q], n, pos, -neg)
+}
+
+// kernel6x32 is kernel6x16 against the two adjacent panels whose sample 0
+// starts at offsets q and q + 16·n, returning the first panel's mask in
+// lo0, hi0 and the second's in lo1, hi1.
+func kernel6x32(p []float32, rows *[blockRows]int, q, n int, pos, neg float32) (lo0, hi0, lo1, hi1 uint64) {
+	if kernelISA < isaAVX512 || n == 0 {
+		lo0, hi0 = kernel6x16(p, rows, q, n, pos, neg)
+		lo1, hi1 = kernel6x16(p, rows, q+panelGenes*n, n, pos, neg)
+		return lo0, hi0, lo1, hi1
+	}
+	// The assembly reads 16·n floats from each panel and 16·(n−1) + 1
+	// from each row base; these bounds checks keep every read inside p.
+	last := panelGenes * (n - 1)
+	_ = p[q+panelGenes*n+last+panelGenes-1]
+	for _, off := range rows {
+		_ = p[off+last]
+	}
+	return kernel6x32AVX512(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &p[rows[4]], &p[rows[5]],
 		&p[q], n, pos, -neg)
 }
 
@@ -157,7 +221,10 @@ func recheckBand32(samples int) float64 {
 // KernelISA names the active block-kernel implementation, for /statsz,
 // benchmarks, and BENCH_*.json provenance.
 func KernelISA() string {
-	if useAVXKernels {
+	switch kernelISA {
+	case isaAVX512:
+		return "avx512f"
+	case isaAVX2:
 		return "avx2-fma"
 	}
 	return "generic"

@@ -31,6 +31,34 @@ TEXT ·x86HasAVX2FMA(SB), NOSPLIT, $0-1
 done:
 	RET
 
+// func x86HasAVX512F() bool: CPUID.1:ECX reports OSXSAVE (bit 27), XGETBV(0)
+// shows the OS saving SSE, AVX, opmask and both halves of the ZMM state
+// (XCR0 bits 1, 2, 5, 6, 7), and CPUID.7.0:EBX reports AVX512F (bit 16).
+TEXT ·x86HasAVX512F(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JL    done
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $(1<<27), CX
+	JZ    done
+	XORL  CX, CX
+	XGETBV
+	ANDL  $0xe6, AX
+	CMPL  AX, $0xe6
+	JNE   done
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $(1<<16), BX
+	JZ    done
+	MOVB  $1, ret+0(FP)
+done:
+	RET
+
 // func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64)
 // Rows a0-a5 (SI, R8-R12) × panel b (DI), n ≥ 1; Y(2i), Y(2i+1) = row i × genes 0-7, 8-15.
 // Lane masks r ≥ pos (GE_OQ) | r ≤ mneg (LE_OQ), NaN none; rows 2j, 2j+1 pack to bytes,
@@ -143,6 +171,133 @@ loop:
 	ORQ          BX, AX
 	MOVQ         AX, lo+72(FP)
 	MOVQ         DX, hi+80(FP)
+	VZEROUPPER
+	RET
+
+// func kernel6x32AVX512(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo0, hi0, lo1, hi1 uint64)
+// Rows a0-a5 (SI, R8-R12) × the panels at b (DI) and b + 64n (DX), n ≥ 1; Z(2i), Z(2i+1) =
+// row i × panel 0, panel 1. Each lane is the AVX2 kernel's FMA chain, so the coefficients
+// are equal bit for bit. Lane masks r ≥ pos (GE_OQ) | r ≤ mneg (LE_OQ) go to K1; KMOVW
+// moves row i's 16 bits to bit 16(i mod 4) of lo (rows 0-3) or hi (rows 4-5) of its panel.
+TEXT ·kernel6x32AVX512(SB), NOSPLIT, $0-104
+	MOVQ   a0+0(FP), SI
+	MOVQ   a1+8(FP), R8
+	MOVQ   a2+16(FP), R9
+	MOVQ   a3+24(FP), R10
+	MOVQ   a4+32(FP), R11
+	MOVQ   a5+40(FP), R12
+	MOVQ   b+48(FP), DI
+	MOVQ   n+56(FP), CX
+	SHLQ   $6, CX
+	LEAQ   (DI)(CX*1), DX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	XORQ   AX, AX
+
+loop512:
+	VMOVUPS      (DI)(AX*1), Z12
+	VMOVUPS      (DX)(AX*1), Z13
+	VBROADCASTSS (SI)(AX*1), Z14
+	VFMADD231PS  Z12, Z14, Z0
+	VFMADD231PS  Z13, Z14, Z1
+	VBROADCASTSS (R8)(AX*1), Z15
+	VFMADD231PS  Z12, Z15, Z2
+	VFMADD231PS  Z13, Z15, Z3
+	VBROADCASTSS (R9)(AX*1), Z14
+	VFMADD231PS  Z12, Z14, Z4
+	VFMADD231PS  Z13, Z14, Z5
+	VBROADCASTSS (R10)(AX*1), Z15
+	VFMADD231PS  Z12, Z15, Z6
+	VFMADD231PS  Z13, Z15, Z7
+	VBROADCASTSS (R11)(AX*1), Z14
+	VFMADD231PS  Z12, Z14, Z8
+	VFMADD231PS  Z13, Z14, Z9
+	VBROADCASTSS (R12)(AX*1), Z15
+	VFMADD231PS  Z12, Z15, Z10
+	VFMADD231PS  Z13, Z15, Z11
+	ADDQ         $64, AX
+	CMPQ         AX, CX
+	JLT          loop512
+	VBROADCASTSS pos+64(FP), Z12
+	VBROADCASTSS mneg+68(FP), Z13
+	VCMPPS       $0x1D, Z12, Z0, K1
+	VCMPPS       $0x12, Z13, Z0, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, BX
+	VCMPPS       $0x1D, Z12, Z2, K1
+	VCMPPS       $0x12, Z13, Z2, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $16, AX
+	ORQ          AX, BX
+	VCMPPS       $0x1D, Z12, Z4, K1
+	VCMPPS       $0x12, Z13, Z4, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $32, AX
+	ORQ          AX, BX
+	VCMPPS       $0x1D, Z12, Z6, K1
+	VCMPPS       $0x12, Z13, Z6, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $48, AX
+	ORQ          AX, BX
+	VCMPPS       $0x1D, Z12, Z8, K1
+	VCMPPS       $0x12, Z13, Z8, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, SI
+	VCMPPS       $0x1D, Z12, Z10, K1
+	VCMPPS       $0x12, Z13, Z10, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $16, AX
+	ORQ          AX, SI
+	VCMPPS       $0x1D, Z12, Z1, K1
+	VCMPPS       $0x12, Z13, Z1, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, R8
+	VCMPPS       $0x1D, Z12, Z3, K1
+	VCMPPS       $0x12, Z13, Z3, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $16, AX
+	ORQ          AX, R8
+	VCMPPS       $0x1D, Z12, Z5, K1
+	VCMPPS       $0x12, Z13, Z5, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $32, AX
+	ORQ          AX, R8
+	VCMPPS       $0x1D, Z12, Z7, K1
+	VCMPPS       $0x12, Z13, Z7, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $48, AX
+	ORQ          AX, R8
+	VCMPPS       $0x1D, Z12, Z9, K1
+	VCMPPS       $0x12, Z13, Z9, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, R9
+	VCMPPS       $0x1D, Z12, Z11, K1
+	VCMPPS       $0x12, Z13, Z11, K2
+	KORW         K1, K2, K1
+	KMOVW        K1, AX
+	SHLQ         $16, AX
+	ORQ          AX, R9
+	MOVQ         BX, lo0+72(FP)
+	MOVQ         SI, hi0+80(FP)
+	MOVQ         R8, lo1+88(FP)
+	MOVQ         R9, hi1+96(FP)
 	VZEROUPPER
 	RET
 

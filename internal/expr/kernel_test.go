@@ -2,6 +2,7 @@ package expr
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,19 +11,18 @@ import (
 	"testing"
 )
 
-// withKernelISA runs f once per available block-kernel implementation
-// (generic always; AVX2+FMA when this machine has it), restoring the
-// detected default afterwards. Differential coverage of both paths is what
-// lets CI on any machine vouch for the other.
+// withKernelISA runs f once per block-kernel level this machine supports
+// (generic always; AVX2+FMA and AVX-512F when the CPU has them), as a
+// subtest named by KernelISA, restoring the detected level afterwards.
+// Differential coverage of every level is what lets CI on any machine
+// vouch for the others.
 func withKernelISA(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	saved := useAVXKernels
-	defer func() { useAVXKernels = saved }()
-	useAVXKernels = false
-	t.Run("generic", f)
-	if saved {
-		useAVXKernels = true
-		t.Run("avx2-fma", f)
+	saved := kernelISA
+	defer func() { kernelISA = saved }()
+	for level := isaGeneric; level <= saved; level++ {
+		kernelISA = level
+		t.Run(KernelISA(), f)
 	}
 }
 
@@ -214,17 +214,17 @@ func TestKernelMaskMatchesScalarCompare(t *testing.T) {
 	})
 }
 
-// TestKernelGenericMatchesAVX is the differential test of the two kernel
-// implementations on ragged shapes (partial last panels, row blocks that
-// straddle panels): with useAVXKernels forced off and on, every mask bit
+// TestKernelGenericMatchesAVX is the differential test of the generic and
+// AVX2 kernels on ragged shapes (partial last panels, row blocks that
+// straddle panels): with the level forced to each, every mask bit
 // of a pair g1 < g2 must agree unless the pair's canonical
 // coefficient lies within the recheck band of a bound — the only place
 // two sound prefilters may differ.
 func TestKernelGenericMatchesAVX(t *testing.T) {
-	if !useAVXKernels {
+	if kernelISA < isaAVX2 {
 		t.Skip("no AVX2+FMA on this machine")
 	}
-	defer func() { useAVXKernels = true }()
+	defer func(saved isa) { kernelISA = saved }(kernelISA)
 	pos, neg := roundDown32(0.3), roundDown32(0.35)
 	set := 0
 	for _, genes := range []int{7, 17, 49, 101} {
@@ -237,9 +237,9 @@ func TestKernelGenericMatchesAVX(t *testing.T) {
 					rows[i] = offset32(min(g1+i, genes-1), samples)
 				}
 				for q := 0; q < genes; q += panelGenes {
-					useAVXKernels = false
+					kernelISA = isaGeneric
 					glo, ghi := kernel6x16(ar.p32, &rows, q*samples, samples, pos, neg)
-					useAVXKernels = true
+					kernelISA = isaAVX2
 					alo, ahi := kernel6x16(ar.p32, &rows, q*samples, samples, pos, neg)
 					klo, khi := blockKeep(g1, q, genes, true) // the matrix as one diagonal tile
 					set += bits.OnesCount64(alo&klo) + bits.OnesCount64(ahi&khi)
@@ -257,6 +257,195 @@ func TestKernelGenericMatchesAVX(t *testing.T) {
 	if set < 1000 {
 		t.Fatalf("only %d candidate bits: the comparison is nearly vacuous", set)
 	}
+}
+
+// pairMasks runs kernel6x32 at the given level.
+func pairMasks(level isa, p []float32, rows *[blockRows]int, q, n int, pos, neg float32) [4]uint64 {
+	kernelISA = level
+	var m [4]uint64
+	m[0], m[1], m[2], m[3] = kernel6x32(p, rows, q, n, pos, neg)
+	return m
+}
+
+// pairBit reports the mask bit of row i against gene c (0..31) of the
+// panel pair.
+func pairBit(m [4]uint64, i, c int) bool {
+	if c < panelGenes {
+		return maskBit(m[0], m[1], i, c)
+	}
+	return maskBit(m[2], m[3], i, c-panelGenes)
+}
+
+// requireAVX512MatchesAVX2 fails unless the AVX-512 kernel's four mask
+// words equal the AVX2 kernel's (two 6×16 calls) bit for bit, and returns
+// the masks.
+func requireAVX512MatchesAVX2(t *testing.T, p []float32, rows *[blockRows]int, q, n int, pos, neg float32, what string) [4]uint64 {
+	t.Helper()
+	want := pairMasks(isaAVX2, p, rows, q, n, pos, neg)
+	if got := pairMasks(isaAVX512, p, rows, q, n, pos, neg); got != want {
+		t.Fatalf("%s bounds (%g,%g): AVX-512 masks %016x, AVX2 %016x", what, pos, neg, got, want)
+	}
+	return want
+}
+
+// float32Order maps a float32 onto a monotone integer scale (±0 both map
+// to 0), and orderFloat32 maps it back.
+func float32Order(f float32) int64 {
+	b := int64(math.Float32bits(f))
+	if b&(1<<31) != 0 {
+		return -(b &^ (1 << 31))
+	}
+	return b
+}
+
+func orderFloat32(x int64) float32 {
+	if x < 0 {
+		return math.Float32frombits(uint32(-x) | 1<<31)
+	}
+	return math.Float32frombits(uint32(x))
+}
+
+// laneCoefficient recovers the AVX2 kernel's float32 coefficient of row i
+// against gene c of the panel pair from its masks alone: the largest
+// float32 v with r ≥ v, by bisection over the float32 order. It reports
+// false for a NaN coefficient, which clears no bound.
+func laneCoefficient(p []float32, rows *[blockRows]int, q, n, i, c int) (float32, bool) {
+	inf := float32(math.Inf(1))
+	ge := func(x int64) bool { return pairBit(pairMasks(isaAVX2, p, rows, q, n, orderFloat32(x), inf), i, c) }
+	lo, hi := float32Order(-inf), float32Order(inf)
+	switch {
+	case !ge(lo):
+		return 0, false
+	case ge(hi):
+		return inf, true
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; ge(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return orderFloat32(lo), true
+}
+
+// TestKernelAVX512MatchesAVX2 pins the 6×32 AVX-512 kernel to two calls
+// of the AVX2 kernel, mask for mask, for n = 1..140 over row blocks inside
+// one panel, straddling two, and repeating the last gene (as a partial row
+// block does), against the panel pair at gene 0 and the pair at gene 16,
+// whose second panel holds padding genes. Three row mixes: multiples of
+// 1/8 (every coefficient exact, so bounds can equal one), normal values,
+// and normal values sprinkled with NaN, ±Inf, ±0, denormals and
+// overflowing magnitudes. Besides fixed bounds (+Inf included), each mix
+// bounds at coefficients the AVX2 kernel computed, recovered from its masks:
+// r ≥ r₂ and r ≤ r₂ both hold only if the AVX-512 lane equals r₂ exactly.
+func TestKernelAVX512MatchesAVX2(t *testing.T) {
+	if kernelISA < isaAVX512 {
+		t.Skip("no AVX-512F on this machine: the AVX-512 kernel cannot run here")
+	}
+	defer func(saved isa) { kernelISA = saved }(kernelISA)
+	const genes = 40 // panels 0-2; genes 40-47 pad the last one
+	inf := float32(math.Inf(1))
+	specials := []float32{float32(math.NaN()), inf, -inf, 0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), math.Float32frombits(0x007fffff), -math.Float32frombits(0x00400000),
+		math.MaxFloat32, -3e19}
+	rng := rand.New(rand.NewSource(13))
+	set := 0
+	for n := 1; n <= 140; n++ {
+		for mix := range 3 {
+			rows := make([][]float64, genes)
+			for g := range rows {
+				rows[g] = make([]float64, n)
+				for k := range rows[g] {
+					switch {
+					case mix == 0:
+						rows[g][k] = float64(rng.Intn(9)-4) / 8
+					case mix == 2 && rng.Intn(12) == 0:
+						rows[g][k] = float64(specials[rng.Intn(len(specials))])
+					default:
+						rows[g][k] = float64(float32(rng.NormFloat64() / math.Sqrt(float64(n))))
+					}
+				}
+			}
+			p := rawArena(rows, n).p32
+			for _, g1 := range []int{0, 12, 36} {
+				var rb [blockRows]int
+				for i := range rb {
+					rb[i] = offset32(min(g1+i, genes-1), n)
+				}
+				for _, q := range []int{0, panelGenes} {
+					what := fmt.Sprintf("n=%d mix %d rows %d.. panels at %d", n, mix, g1, q)
+					bounds := [][2]float32{{0.3, 0.6}, {0.6, 0.3}, {0.2, inf}, {inf, 0.2}, {inf, inf}, {0, inf}, {-0.1, -0.1}}
+					for _, lane := range [][2]int{{1, 5}, {5, 23}, {3, 31}} {
+						if r, ok := laneCoefficient(p, &rb, q*n, n, lane[0], lane[1]); ok {
+							bounds = append(bounds, [2]float32{r, inf}, [2]float32{inf, -r}, [2]float32{r, -r})
+						}
+					}
+					for _, bd := range bounds {
+						m := requireAVX512MatchesAVX2(t, p, &rb, q*n, n, bd[0], bd[1], what)
+						for _, w := range m {
+							set += bits.OnesCount64(w)
+						}
+					}
+				}
+			}
+		}
+	}
+	if set < 100000 {
+		t.Fatalf("only %d candidate bits: the comparison is nearly vacuous", set)
+	}
+}
+
+// FuzzKernelAVX512MatchesAVX2 pins the AVX-512 kernel to the AVX2 kernel
+// mask for mask over raw float32 bits (a signaling NaN reaches the arena
+// quieted, as any NaN from fill would). Byte 0 picks n (1..64, low six
+// bits) and the panel pair (top bit: genes 0-31, or 16-47 whose last 8
+// are padding), byte 1 the first row of the block, bytes 2-9 the bounds
+// pos and neg, and the rest, read as little-endian float32 words and
+// cycled, fills the 40 genes sample by sample.
+func FuzzKernelAVX512MatchesAVX2(f *testing.F) {
+	if kernelISA < isaAVX512 {
+		f.Skip("no AVX-512F on this machine: the AVX-512 kernel cannot run here")
+	}
+	word := func(ws ...uint32) []byte {
+		var out []byte
+		for _, w := range ws {
+			out = binary.LittleEndian.AppendUint32(out, w)
+		}
+		return out
+	}
+	// Value word counts prime to 16, so the two panels differ; the last
+	// seed's coefficients all equal its pos bound.
+	f.Add(append([]byte{7, 12}, word(0x3e99999a, 0x3f19999a, 0x3f000000, 0xbf000000, 0x3e800000, 0x3f400000, 0x3dcccccd)...))
+	f.Add(append([]byte{0x80 | 33, 36}, word(0x3e800000, 0x7f800000, 0x7fc00000, 0x7f800000, 0xff800000, 0x00000001, 0x80400000, 0x3f800000, 0x3f19999a)...))
+	f.Add(append([]byte{63, 3}, word(0x00000000, 0x00000000, 0x7f7fffff, 0x5f000000, 0x3f800000)...))
+	f.Add(append([]byte{0, 0}, word(0x3e800000, 0x7f800000, 0x3f000000)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const genes = 40
+		if len(data) < 14 {
+			return
+		}
+		defer func(saved isa) { kernelISA = saved }(kernelISA)
+		n := 1 + int(data[0]&63)
+		q := panelGenes * int(data[0]>>7)
+		pos := math.Float32frombits(binary.LittleEndian.Uint32(data[2:]))
+		neg := math.Float32frombits(binary.LittleEndian.Uint32(data[6:]))
+		vals := data[10:]
+		words := len(vals) / 4
+		rows := make([][]float64, genes)
+		for g := range rows {
+			rows[g] = make([]float64, n)
+			for k := range rows[g] {
+				w := (g*n + k) % words
+				rows[g][k] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[4*w:])))
+			}
+		}
+		var rb [blockRows]int
+		for i := range rb {
+			rb[i] = offset32(min(int(data[1])%genes+i, genes-1), n)
+		}
+		requireAVX512MatchesAVX2(t, rawArena(rows, n).p32, &rb, q*n, n, pos, neg, fmt.Sprintf("n=%d panels at %d", n, q))
+	})
 }
 
 // normalMatrix is a genes×samples matrix of independent N(0,1) values.
@@ -473,15 +662,12 @@ func TestFloat32BoundsRoundDown(t *testing.T) {
 }
 
 func TestKernelISANames(t *testing.T) {
-	saved := useAVXKernels
-	defer func() { useAVXKernels = saved }()
-	useAVXKernels = false
-	if got := KernelISA(); got != "generic" {
-		t.Fatalf("KernelISA() = %q, want generic", got)
-	}
-	useAVXKernels = true
-	if got := KernelISA(); got != "avx2-fma" {
-		t.Fatalf("KernelISA() = %q, want avx2-fma", got)
+	defer func(saved isa) { kernelISA = saved }(kernelISA)
+	for level, want := range []string{"generic", "avx2-fma", "avx512f"} {
+		kernelISA = isa(level)
+		if got := KernelISA(); got != want {
+			t.Fatalf("KernelISA() at level %d = %q, want %q", level, got, want)
+		}
 	}
 }
 
@@ -489,8 +675,10 @@ func TestKernelISANames(t *testing.T) {
 // thresholds over standardized arenas at the sample widths the synthesized
 // workloads use — 2040 genes (a ragged last panel) and 4096×100, the
 // synth-cold workload's dominant class — and reports useful multiply-adds
-// (pairs × samples, padding excluded) per nanosecond.
+// (pairs × samples, padding excluded) per nanosecond. Under -v it logs the
+// active kernel level, so a benchmark log shows which kernel it measured.
 func BenchmarkSweepKernel(b *testing.B) {
+	b.Logf("kernel ISA: %s", KernelISA())
 	for _, shape := range []struct{ genes, samples int }{{2040, 64}, {2040, 100}, {4096, 100}} {
 		genes, samples := shape.genes, shape.samples
 		res, err := Synthesize(SyntheticSpec{

@@ -76,7 +76,7 @@ func compareRankPairs(p, q rankPair) int {
 // share the average of their ranks. NaN values rank after every number,
 // each in its own group, in index order.
 func (rk *ranker) rankInto(dst []float64, x []float64) {
-	if useAVXKernels && len(x) <= rankCountMax && rk.rankCount(dst, x) {
+	if kernelISA >= isaAVX2 && len(x) <= rankCountMax && rk.rankCount(dst, x) {
 		return
 	}
 	rk.rankSort(dst, x)

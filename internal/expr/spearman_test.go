@@ -328,7 +328,7 @@ func checkRanks(t *testing.T, rk *ranker, x []float64) {
 
 // TestRankCountMatchesRanker pins the count kernel to the sort ranker, bit
 // for bit, on each ISA, for n = 1..300 and either side of rankCountMax,
-// reusing one ranker's scratch across every length. On the AVX2 leg it
+// reusing one ranker's scratch across every length. On the AVX legs it
 // also checks that a NaN-free row in range took the count path.
 func TestRankCountMatchesRanker(t *testing.T) {
 	withKernelISA(t, func(t *testing.T) {
@@ -344,7 +344,7 @@ func TestRankCountMatchesRanker(t *testing.T) {
 				checkRanks(t, &rk, x)
 			}
 		}
-		if !useAVXKernels {
+		if kernelISA < isaAVX2 {
 			return
 		}
 		x := rankRows(7, rng)[1]
@@ -413,7 +413,7 @@ func BenchmarkRankRows(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/count", n), func(b *testing.B) {
-			if !useAVXKernels {
+			if kernelISA < isaAVX2 {
 				b.Skip("no AVX2 count kernel on this machine")
 			}
 			var rk ranker

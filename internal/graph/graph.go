@@ -188,6 +188,27 @@ func (g *Graph) ForEachEdge(fn func(u, v int32)) {
 	}
 }
 
+// EdgesEqual reports whether edges, normalized (U < V) and strictly
+// ascending by CompareEdges, is exactly g's edge list, the list Edges
+// returns. It allocates nothing.
+func (g *Graph) EdgesEqual(edges []Edge) bool {
+	if len(edges) != g.m {
+		return false
+	}
+	i := 0
+	for u := 0; u+1 < len(g.off); u++ {
+		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
+			if int32(u) < v {
+				if edges[i] != (Edge{int32(u), v}) {
+					return false
+				}
+				i++
+			}
+		}
+	}
+	return true
+}
+
 // String returns a short diagnostic description of the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d}", g.N(), g.M())

@@ -15,7 +15,7 @@ func chordalSequential(ctx context.Context, g *graph.Graph, opts Options) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return sequentialResult(ChordalSeq, g.N(), cr.Edges, cr.Ops, 0), nil
+	return sequentialResult(ChordalSeq, g, cr.Edges, cr.Ops, 0), nil
 }
 
 // localChordal computes the maximal chordal subgraph of the edges fully

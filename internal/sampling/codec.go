@@ -23,7 +23,7 @@ import (
 //
 // Decoding treats the bytes as untrusted: every edge must be normalized
 // (0 ≤ U < V) and a rankResult's edges strictly ascending. Endpoints are
-// checked against the vertex universe where it is known — mergeRanks and
+// checked against the vertex universe where it is known — mergeParts and
 // the chordal-comm receiver.
 
 // Payload kinds owned by this package.

@@ -91,7 +91,7 @@ func forestFireSequential(ctx context.Context, g *graph.Graph, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	return sequentialResult(ForestFireSeq, g.N(), edges, ops, 0), nil
+	return sequentialResult(ForestFireSeq, g, edges, ops, 0), nil
 }
 
 // defaultForwardProb is Leskovec's recommended forward-burning probability.

@@ -68,7 +68,7 @@ func randomWalkSequential(ctx context.Context, g *graph.Graph, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	return sequentialResult(RandomWalkSeq, g.N(), edges, ops, restarts), nil
+	return sequentialResult(RandomWalkSeq, g, edges, ops, restarts), nil
 }
 
 // randomWalkParallel partitions the network like the chordal samplers; each

@@ -149,13 +149,27 @@ func (r *Result) Graph(n int) *graph.Graph {
 }
 
 // sequentialResult wraps a one-rank run's edges, which may repeat, as a
-// Result.
-func sequentialResult(alg Algorithm, n int, edges []graph.Edge, ops, restarts int64) *Result {
-	res := &Result{Algorithm: alg, Subgraph: graph.FromEdges(n, edges)}
+// Result over g's vertex universe. The run hands over edges; they are
+// sorted and deduplicated in place.
+func sequentialResult(alg Algorithm, g *graph.Graph, edges []graph.Edge, ops, restarts int64) *Result {
+	graph.SortEdges(edges)
+	res := &Result{Algorithm: alg, Subgraph: keptSubgraph(g, slices.Compact(edges))}
 	res.Stats.P = 1
 	res.Stats.RankOps = []int64{ops}
 	res.Stats.Restarts = restarts
 	return res
+}
+
+// keptSubgraph is the CSR subgraph over g's vertex universe of the kept
+// edges, which are normalized and strictly ascending. A filter that kept
+// every edge of g returns g itself instead of a second, identical CSR: a
+// Graph is immutable (its lazily built dense rows are guarded by a
+// sync.Once), so the result may share it.
+func keptSubgraph(g *graph.Graph, kept []graph.Edge) *graph.Graph {
+	if g.EdgesEqual(kept) {
+		return g
+	}
+	return graph.FromSortedEdges(g.N(), kept)
 }
 
 // Run applies the given filter to g.
@@ -258,7 +272,7 @@ func runRanks(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options, 
 	if runErr != nil {
 		return nil, runErr
 	}
-	return mergeRanks(alg, g.N(), parts, border, cm)
+	return mergeParts(alg, g, parts, border, cm)
 }
 
 // gatherParts ends a rank's run: it gathers every rank's partial result to
@@ -276,17 +290,19 @@ func gatherParts(r comm.Rank, mine rankResult, parts []rankResult) error {
 	return nil
 }
 
-// mergeRanks unions the per-rank edge lists sequentially into one CSR
-// subgraph (the paper notes the duplicate removal is done during the
+// mergeParts unions the per-rank edge lists sequentially into one CSR
+// subgraph of g (the paper notes the duplicate removal is done during the
 // sequential analysis phase), counts duplicates, and copies the runtime's
 // accounting (per-rank ops, virtual clocks, point-to-point and gather
-// traffic) into the result stats. n is the vertex universe of the input
-// graph. Every rank list is strictly ascending (newRankResult, and the
-// rankResult decoder for a remote rank), so a k-way merge yields the
-// union already sorted and the CSR is built without a sort. A remote
-// rank's payload is untrusted: its decoder guarantees 0 ≤ U < V, and an
-// edge beyond n is an error here, not a panic.
-func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Comm) (*Result, error) {
+// traffic) into the result stats. Every rank list is strictly ascending
+// (newRankResult, and the rankResult decoder for a remote rank), so a
+// k-way merge yields the union already sorted and the CSR is built without
+// a sort, or not at all when the union is g's whole edge list
+// (keptSubgraph). A remote rank's payload is untrusted: its decoder
+// guarantees 0 ≤ U < V, and an edge beyond g's vertices is an error here,
+// not a panic.
+func mergeParts(alg Algorithm, g *graph.Graph, parts []rankResult, border int, cm comm.Comm) (*Result, error) {
+	n := g.N()
 	total := 0
 	res := &Result{Algorithm: alg, BorderEdges: border}
 	cm.FillStats(&res.Stats)
@@ -300,7 +316,7 @@ func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Co
 		total += len(pr.edges)
 	}
 	merged := mergeSorted(parts, total)
-	res.Subgraph = graph.FromSortedEdges(n, merged)
+	res.Subgraph = keptSubgraph(g, merged)
 	res.DuplicateBorderEdges = total - len(merged)
 	res.Stats.SerialOps = int64(total)
 	return res, nil

@@ -2,10 +2,12 @@ package sampling
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parsample/internal/chordal"
+	"parsample/internal/comm"
 	"parsample/internal/graph"
 )
 
@@ -353,5 +355,72 @@ func TestCommQuickChordalSubsets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mergeRanks merges partial results over an n-vertex universe with no
+// input edges to share, for the merge tests that build rank lists by hand.
+func mergeRanks(alg Algorithm, n int, parts []rankResult, border int, cm comm.Comm) (*Result, error) {
+	return mergeParts(alg, graph.NewBuilder(n).Build(), parts, border, cm)
+}
+
+// cliquesGraph is n vertices in consecutive disjoint cliques of 3 to 8
+// vertices, the shape of a planted-module correlation network: chordal,
+// and every parallel chordal filter keeps all of it at any P, cliques that
+// straddle a block border included.
+func cliquesGraph(n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n)
+	for lo := 0; lo < n; {
+		hi := min(lo+3+rng.Intn(6), n)
+		for u := lo; u < hi; u++ {
+			for v := u + 1; v < hi; v++ {
+				b.AddEdge(int32(u), int32(v))
+			}
+		}
+		lo = hi
+	}
+	return b.Build()
+}
+
+// A filter that keeps every edge returns its input graph itself, not a
+// second CSR; one that drops an edge returns a distinct graph whose CSR is
+// the Builder's over the kept edges.
+func TestFullKeepSharesInputGraph(t *testing.T) {
+	csrEqual := func(a, b *graph.Graph) bool {
+		ao, an := a.CSR()
+		bo, bn := b.CSR()
+		return slices.Equal(ao, bo) && slices.Equal(an, bn)
+	}
+	chordalG := cliquesGraph(300, 4)
+	if !chordal.IsChordal(chordalG) {
+		t.Fatal("test graph is not chordal")
+	}
+	wantCSR := graph.FromEdges(chordalG.N(), chordalG.Edges())
+	check := func(alg Algorithm, p int) {
+		res := mustRun(t, alg, chordalG, Options{P: p})
+		if res.Subgraph != chordalG || !csrEqual(res.Subgraph, wantCSR) {
+			t.Fatalf("%v P=%d on a chordal graph: kept %d of %d edges in a separate graph", alg, p, res.Subgraph.M(), chordalG.M())
+		}
+	}
+	check(ChordalSeq, 1)
+	for _, alg := range []Algorithm{ChordalNoComm, ChordalComm} {
+		for _, p := range []int{1, 2, 4, 8} {
+			check(alg, p)
+		}
+	}
+
+	g := graph.Gnm(300, 1500, 9)
+	seq := mustRun(t, ChordalSeq, g, Options{})
+	want := graph.FromEdges(g.N(), chordal.MaximalSubgraph(g, graph.NaturalOrder(g.N())).Edges)
+	if seq.Subgraph == g || seq.Subgraph.M() >= g.M() || !csrEqual(seq.Subgraph, want) {
+		t.Fatalf("chordal-seq on a non-chordal graph: %d of %d edges, CSR equal to the Builder's: %v",
+			seq.Subgraph.M(), g.M(), csrEqual(seq.Subgraph, want))
+	}
+	for _, alg := range []Algorithm{ChordalNoComm, ChordalComm, RandomWalkSeq, ForestFirePar} {
+		res := mustRun(t, alg, g, Options{P: 4})
+		if res.Subgraph == g || res.Subgraph.M() >= g.M() || !csrEqual(res.Subgraph, graph.FromEdges(g.N(), res.Subgraph.Edges())) {
+			t.Fatalf("%v on a non-chordal graph: kept %d of %d edges, shared %v", alg, res.Subgraph.M(), g.M(), res.Subgraph == g)
+		}
 	}
 }
