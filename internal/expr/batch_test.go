@@ -67,7 +67,7 @@ func referencePairs(t *testing.T, m *Matrix, opts NetworkOptions) []ScoredEdge {
 	t.Helper()
 	opts = opts.withDefaults()
 	ar := testArena(t, m, opts.Kind)
-	return bruteForcePairs(newEngine(ar, []SweepSpec{opts.SweepSpec()}))[0]
+	return bruteForcePairs(testEngine(t, ar, []SweepSpec{opts.SweepSpec()}))[0]
 }
 
 // TestFloat32EdgeSetsByteIdenticalToFloat64 is the sweep's contract: for

@@ -99,22 +99,40 @@ func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, spe
 	if err := ar.fill(ctx, m, base.Kind); err != nil {
 		return nil, err
 	}
-	return newEngine(ar, specs).sweep(ctx, base.Workers)
+	e, err := newEngine(ctx, ar, specs)
+	if err != nil {
+		return nil, err
+	}
+	return e.sweep(ctx, base.Workers)
 }
 
-// newEngine sets up the sweep of a filled arena under the given specs.
-func newEngine(ar *buildArena, specs []SweepSpec) *engine {
+// newEngine sets up the sweep of a filled arena under the given specs: it
+// picks the prefilter (setCandidateBounds) and packs the arena copy that
+// prefilter reads, and no other. On cancellation it returns ctx.Err().
+func newEngine(ctx context.Context, ar *buildArena, specs []SweepSpec) (*engine, error) {
 	samples := ar.shape.samples
 	e := &engine{
 		genes:   ar.shape.genes,
 		samples: samples,
 		z64:     ar.z64,
-		p32:     ar.p32,
 		tile:    tileRows(samples),
 		specs:   resolveSpecs(specs, samples),
 	}
-	e.setCandidateBounds()
-	return e
+	e.setCandidateBounds(ar.maxAbs)
+	var err error
+	switch {
+	case e.dense:
+	case e.quant:
+		err = ar.pack8(ctx)
+		e.p8, e.rowSum = ar.p8, ar.rowSum
+	default:
+		err = ar.pack32(ctx)
+		e.p32 = ar.p32
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // engine is one all-pairs sweep over a standardized row arena.
@@ -122,12 +140,16 @@ type engine struct {
 	genes, samples int
 	z64            []float64 // genes×samples, zero-mean unit-norm rows (admission oracle)
 	p32            []float32 // the same rows in float32, panel-major (prefilter; arena.go)
+	p8             []byte    // or quantized to int8 in quads (int8 prefilter; quant.go)
+	rowSum         []int32   // each gene's sum of int8 values
 	tile           int       // rows per tile
 	specs          []resolvedSpec
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
 	negCand        float64 // block r ≤ -negCand does too (+Inf: no negative spec)
 	pos32, neg32   float32 // posCand, negCand rounded down to float32
+	posQ, negQ     int64   // int8 path: D ≥ posQ or D ≤ −negQ makes a candidate
 	dense          bool    // a threshold sits inside its band: skip the prefilter
+	quant          bool    // the int8 prefilter runs instead of the float32 one
 }
 
 // resolvedSpec is one admission rule with its p-value cut folded into the
@@ -162,7 +184,12 @@ func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
 // only double the work, so the sweep falls back to the dense canonical
 // path — exactly the pre-blocking engine. The kernel compares against the
 // bounds rounded down to float32, which can only nominate more pairs.
-func (e *engine) setCandidateBounds() {
+//
+// On VNNI machines the int8 prefilter replaces the float32 one when the
+// rows fit its integer range (n ≤ quantMaxSamples, max|z| = maxAbs > 0)
+// and both thresholds minus the wider int8 band stay selective; posQ and
+// negQ are then its integer bounds (quant.go).
+func (e *engine) setCandidateBounds(maxAbs float64) {
 	band := recheckBand32(e.samples)
 	pos, neg := math.Inf(1), math.Inf(1)
 	for _, sp := range e.specs {
@@ -178,6 +205,17 @@ func (e *engine) setCandidateBounds() {
 	e.pos32 = roundDown32(e.posCand)
 	e.neg32 = roundDown32(e.negCand)
 	e.dense = e.posCand <= 0 || e.negCand <= 0
+	if e.dense || kernelISA < isaVNNI && !int8Portable || e.samples > quantMaxSamples || !(maxAbs > 0) {
+		return
+	}
+	s := maxAbs / quantLevels
+	band8 := quantBand(e.samples, s)
+	if !quantSelective(pos, neg, band8, e.samples) {
+		return
+	}
+	e.quant = true
+	e.posQ = quantBound(pos, band8, s*s)
+	e.negQ = quantBound(neg, band8, s*s)
 }
 
 // standardizeInto builds the flat arena of standardized expression rows:
@@ -186,15 +224,18 @@ func (e *engine) setCandidateBounds() {
 // For SpearmanCorr each row is first replaced by its average-tied ranks.
 // Zero-variance rows become all-zero and therefore correlate to 0 with
 // everything, matching Pearson's and Spearman's degenerate-input behavior.
-// ctx is polled roughly every 256Ki written elements, so the interval
-// tracks row cost instead of row count.
-func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind CorrelationKind) error {
+// It returns the largest |z| written, ignoring NaN (the int8 grid's
+// scale; a row with a NaN sample is NaN throughout). ctx is polled
+// roughly every 256Ki written elements, so the interval tracks row cost
+// instead of row count.
+func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind CorrelationKind) (float64, error) {
 	s := m.Samples
 	pollEvery := 1 + (1<<18)/(s+1)
 	var rk ranker
+	var maxAbs float64
 	for g := 0; g < m.Genes; g++ {
 		if g%pollEvery == 0 && ctx.Err() != nil {
-			return ctx.Err()
+			return 0, ctx.Err()
 		}
 		src := m.Row(g)
 		dst := z[g*s : (g+1)*s]
@@ -207,11 +248,14 @@ func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind Correlati
 			sum += v
 		}
 		mean := sum / float64(s)
-		var ss float64
+		var ss, maxDev float64
 		for i, v := range src {
 			d := v - mean
 			dst[i] = d
 			ss += d * d
+			if a := math.Abs(d); a > maxDev {
+				maxDev = a
+			}
 		}
 		if ss == 0 {
 			// ss is a sum of squares, so ss == 0 forces every deviation
@@ -223,15 +267,20 @@ func standardizeInto(ctx context.Context, z []float64, m *Matrix, kind Correlati
 		for i := range dst {
 			dst[i] *= inv
 		}
+		// Rounding is monotone, so the largest |dst[i]| is exactly
+		// maxDev·inv; NaN fails the compare.
+		if a := maxDev * inv; a > maxAbs {
+			maxAbs = a
+		}
 	}
-	return nil
+	return maxAbs, nil
 }
 
 // standardizedRows is standardizeInto over a freshly allocated arena, for
 // tests and one-shot callers; the engine itself pools arenas (arena.go).
 func standardizedRows(ctx context.Context, m *Matrix, kind CorrelationKind) ([]float64, error) {
 	z := make([]float64, m.Genes*m.Samples)
-	if err := standardizeInto(ctx, z, m, kind); err != nil {
+	if _, err := standardizeInto(ctx, z, m, kind); err != nil {
 		return nil, err
 	}
 	return z, nil
@@ -257,7 +306,7 @@ func tileRows(samples int) int {
 		return maxTile
 	}
 	quantum := tileBlock
-	if kernelISA == isaAVX512 {
+	if kernelISA >= isaAVX512 {
 		quantum = 2 * tileBlock
 	}
 	const tileBytes = 32 << 10
@@ -399,19 +448,17 @@ func (c *collector) beginBlock(pairs int64) {
 
 // admit decides pair (g1, g2) with the canonical float64 dot kernel —
 // whatever block kernel nominated it — and appends it to every spec it
-// clears. This single admission point is what keeps edge sets and
-// coefficients bit-identical across ISAs.
+// clears: r ≥ thresh, or −r ≥ thresh for a negative spec (thresh ≥ 0, so
+// no r is both). A NaN coefficient clears no spec. This single admission
+// point is what keeps edge sets and coefficients bit-identical across
+// ISAs.
 func (c *collector) admit(g1, g2 int) {
 	e := c.e
 	s := e.samples
 	r := dot(e.z64[g1*s:(g1+1)*s], e.z64[g2*s:(g2+1)*s])
 	for si := range e.specs {
 		sp := &e.specs[si]
-		if r < 0 {
-			if !sp.negative || -r < sp.thresh {
-				continue
-			}
-		} else if r < sp.thresh {
+		if !(r >= sp.thresh || sp.negative && -r >= sp.thresh) {
 			continue
 		}
 		c.out[si] = append(c.out[si], ScoredEdge{U: int32(g1), V: int32(g2), R: r})
@@ -433,9 +480,12 @@ func (e *engine) sweepBlock(ti, tj int, c *collector) {
 		pairs = int64(hi1-lo1) * int64(hi2-lo2)
 	}
 	c.beginBlock(pairs)
-	if e.dense {
+	switch {
+	case e.dense:
 		e.sweepBlockDense(lo1, hi1, lo2, hi2, ti == tj, c)
-	} else {
+	case e.quant:
+		e.sweepBlockInt8(lo1, hi1, lo2, hi2, ti == tj, c)
+	default:
 		e.sweepBlockTiled(lo1, hi1, lo2, hi2, ti == tj, c)
 	}
 	c.pairs += pairs
@@ -468,6 +518,34 @@ func (e *engine) sweepBlockTiled(lo1, hi1, lo2, hi2 int, diag bool, c *collector
 		if q < hi2 {
 			lo, hi := kernel6x16(e.p32, &rows, q*n, n, e.pos32, e.neg32)
 			c.admitMask(g1, q, hi2, diag, lo, hi)
+		}
+	}
+}
+
+// sweepBlockInt8 is sweepBlockTiled over the int8 panels, with the row
+// block's bounds on D′ (rowBounds). Every call is a full 6×32
+// kernel6x32Int8; when its second panel starts at or past hi2 — another
+// tile's, or the spare zero panel — its mask is dropped.
+func (e *engine) sweepBlockInt8(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
+	nq := quads(e.samples)
+	var rows [blockRows]int
+	var b quantBounds
+	for g1 := lo1; g1 < hi1; g1 += blockRows {
+		for i := range rows {
+			g := min(g1+i, hi1-1)
+			rows[i] = offset8(g, nq)
+			b[i], b[blockRows+i] = rowBounds(e.posQ, e.negQ, e.rowSum[g])
+		}
+		q := lo2
+		if diag {
+			q = (g1 + 1) / panelGenes * panelGenes
+		}
+		for ; q < hi2; q += 2 * panelGenes {
+			alo, ahi, blo, bhi := kernel6x32Int8(e.p8, &rows, offset8(q, nq), nq, &b)
+			c.admitMask(g1, q, hi2, diag, alo, ahi)
+			if q+panelGenes < hi2 {
+				c.admitMask(g1, q+panelGenes, hi2, diag, blo, bhi)
+			}
 		}
 	}
 }

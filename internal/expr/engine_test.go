@@ -46,7 +46,7 @@ func referenceNetwork(m *Matrix, opts NetworkOptions) map[graph.Edge]bool {
 			if !opts.Negative && r < 0 {
 				continue
 			}
-			if math.Abs(r) < opts.MinAbsR {
+			if !(math.Abs(r) >= opts.MinAbsR) { // a NaN coefficient is never an edge
 				continue
 			}
 			if PValue(r, m.Samples) > opts.MaxP {
@@ -371,5 +371,30 @@ func TestThresholdSweepSpearman(t *testing.T) {
 	direct := BuildNetwork(res.M, opts)
 	if pts[2].Edges != direct.M() {
 		t.Fatalf("sweep at 0.95 has %d edges, direct build %d", pts[2].Edges, direct.M())
+	}
+}
+
+// TestNaNCoefficientIsNeverAnEdge puts one NaN sample in gene 3 of a
+// 40×10 matrix, which makes every Pearson coefficient of gene 3 NaN, and
+// checks that gene 3 gets no edge in a dense sweep (MinAbsR 0, MaxP 1:
+// every other pair is admitted) or a prefiltered one (MinAbsR 0.5), at
+// every kernel level, and that the other genes keep the oracle's edges.
+func TestNaNCoefficientIsNeverAnEdge(t *testing.T) {
+	m := normalMatrix(40, 10, 17)
+	m.Set(3, 4, math.NaN())
+	for _, opts := range []NetworkOptions{
+		{Kind: PearsonCorr, MinAbsR: 0, MaxP: 1, Negative: true},
+		{Kind: PearsonCorr, MinAbsR: 0.5, MaxP: 1, Negative: true},
+	} {
+		want := referenceNetwork(m, opts)
+		withKernelISA(t, func(t *testing.T) {
+			g := BuildNetwork(m, opts)
+			if d := g.Degree(3); d != 0 {
+				t.Fatalf("MinAbsR %v: gene 3 has %d edges, want 0", opts.MinAbsR, d)
+			}
+			if g.M() != len(want) {
+				t.Fatalf("MinAbsR %v: engine %d edges, reference %d", opts.MinAbsR, g.M(), len(want))
+			}
+		})
 	}
 }

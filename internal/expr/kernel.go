@@ -28,12 +28,22 @@ import (
 // Elsewhere kernel6x32 is two kernel6x16 calls, and so is the odd last
 // panel of a row block on every machine.
 //
-// The kernels are selected once, by CPUID (kernelISA); no option, flag or
-// environment variable changes the choice.
+// On AVX-512 VNNI machines a sweep whose thresholds leave room for it
+// runs the int8 kernel6x32Int8 instead (quant.go): the same 6×32 shape
+// over a byte copy of the rows quantized onto one global scale, with 12
+// VPDPBUSD per 4 samples, and integer bounds widened by the quantization
+// band. It returns the same masks to the same canonical recheck.
+//
+// The kernels are selected once, by CPUID (kernelISA), and the int8 path
+// per sweep by a fixed rule on its thresholds and shape
+// (engine.setCandidateBounds); no option, flag or environment variable
+// changes either choice.
 //
 // Mask contract: bit 16·i + c of a panel's 96-bit mask (lo holds rows
 // 0–3, hi rows 4–5) is set iff the coefficient r of (row i, panel gene c)
-// satisfies r ≥ pos || −r ≥ neg; NaN sets no bit. The kernels compare
+// satisfies r ≥ pos || −r ≥ neg; NaN sets no bit. (The int8 kernels
+// compare an exact integer dot against per-row integer bounds instead;
+// see quant.go.) The float32 kernels compare
 // their accumulators lane by lane — there is no horizontal reduction —
 // and return only the masks. Each lane of the AVX-512 kernel is the AVX2
 // kernel's FMA chain, fma(a[k], b[k][c], acc) in sample order from 0, and
@@ -58,6 +68,7 @@ const (
 	isaGeneric isa = iota // portable Go kernels
 	isaAVX2               // AVX2+FMA kernel6x16 and rankCountAVX
 	isaAVX512             // plus the AVX-512F kernel6x32
+	isaVNNI               // plus the AVX-512 VNNI int8 kernel6x32Int8
 )
 
 // kernelISA is the active level: the highest this machine supports. It is
@@ -67,15 +78,18 @@ var kernelISA = detectISA()
 
 // detectISA reports the highest kernel level the CPU and OS support. The
 // AVX-512 level also runs the AVX2 kernel (odd panels, ranks), so it
-// requires both.
+// requires both, and the VNNI level falls back to the float32 kernels
+// whenever its int8 band is too wide, so it requires all three.
 func detectISA() isa {
 	switch {
 	case !x86HasAVX2FMA():
 		return isaGeneric
-	case x86HasAVX512F():
-		return isaAVX512
+	case !x86HasAVX512F():
+		return isaAVX2
+	case x86HasVNNI():
+		return isaVNNI
 	}
-	return isaAVX2
+	return isaAVX512
 }
 
 const (
@@ -222,6 +236,8 @@ func recheckBand32(samples int) float64 {
 // benchmarks, and BENCH_*.json provenance.
 func KernelISA() string {
 	switch kernelISA {
+	case isaVNNI:
+		return "avx512vnni"
 	case isaAVX512:
 		return "avx512f"
 	case isaAVX2:

@@ -59,6 +59,23 @@ TEXT ·x86HasAVX512F(SB), NOSPLIT, $0-1
 done:
 	RET
 
+// func x86HasVNNI() bool: CPUID.7.0:ECX reports AVX512_VNNI (bit 11). The
+// caller checks AVX512F and its XCR0 state first (x86HasAVX512F).
+TEXT ·x86HasVNNI(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JL    done
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $(1<<11), CX
+	JZ    done
+	MOVB  $1, ret+0(FP)
+done:
+	RET
+
 // func kernel6x16AVX(a0, a1, a2, a3, a4, a5, b *float32, n int, pos, mneg float32) (lo, hi uint64)
 // Rows a0-a5 (SI, R8-R12) × panel b (DI), n ≥ 1; Y(2i), Y(2i+1) = row i × genes 0-7, 8-15.
 // Lane masks r ≥ pos (GE_OQ) | r ≤ mneg (LE_OQ), NaN none; rows 2j, 2j+1 pack to bytes,
@@ -298,6 +315,130 @@ loop512:
 	MOVQ         SI, hi0+80(FP)
 	MOVQ         R8, lo1+88(FP)
 	MOVQ         R9, hi1+96(FP)
+	VZEROUPPER
+	RET
+
+// func kernel6x32VNNI(a0, a1, a2, a3, a4, a5, b *byte, nq int, bounds *[12]int32) (lo0, hi0, lo1, hi1 uint64)
+// Rows a0-a5 (SI, R8-R12) × the int8 panels at b (DI) and b + 64nq (DX), nq ≥ 1 quads of
+// 4 samples, every base stepping 64 bytes per quad; Z(2i), Z(2i+1) = row i × panel 0,
+// panel 1. Per quad each panel is loaded XOR 0x80 (u8 = q + 128) and each row's dword is
+// the signed embedded broadcast of VPDPBUSD, so lane c of Z(2i+p) sums (q_c + 128)·q_row,
+// exactly (|sum| < 2³¹ for nq ≤ 16384). Lane masks D′ ≥ bounds[i] (NLT) | D′ ≤ bounds[6+i]
+// (LE) go to K1 and are laid out as in kernel6x32AVX512.
+TEXT ·kernel6x32VNNI(SB), NOSPLIT, $0-104
+	MOVQ          a0+0(FP), SI
+	MOVQ          a1+8(FP), R8
+	MOVQ          a2+16(FP), R9
+	MOVQ          a3+24(FP), R10
+	MOVQ          a4+32(FP), R11
+	MOVQ          a5+40(FP), R12
+	MOVQ          b+48(FP), DI
+	MOVQ          nq+56(FP), CX
+	MOVQ          bounds+64(FP), R13
+	SHLQ          $6, CX
+	LEAQ          (DI)(CX*1), DX
+	MOVL          $0x80808080, AX
+	VPBROADCASTD  AX, Z14
+	VPXORD        Z0, Z0, Z0
+	VPXORD        Z1, Z1, Z1
+	VPXORD        Z2, Z2, Z2
+	VPXORD        Z3, Z3, Z3
+	VPXORD        Z4, Z4, Z4
+	VPXORD        Z5, Z5, Z5
+	VPXORD        Z6, Z6, Z6
+	VPXORD        Z7, Z7, Z7
+	VPXORD        Z8, Z8, Z8
+	VPXORD        Z9, Z9, Z9
+	VPXORD        Z10, Z10, Z10
+	VPXORD        Z11, Z11, Z11
+	XORQ          AX, AX
+
+loopVNNI:
+	VPXORD        (DI)(AX*1), Z14, Z12
+	VPXORD        (DX)(AX*1), Z14, Z13
+	VPDPBUSD.BCST (SI)(AX*1), Z12, Z0
+	VPDPBUSD.BCST (SI)(AX*1), Z13, Z1
+	VPDPBUSD.BCST (R8)(AX*1), Z12, Z2
+	VPDPBUSD.BCST (R8)(AX*1), Z13, Z3
+	VPDPBUSD.BCST (R9)(AX*1), Z12, Z4
+	VPDPBUSD.BCST (R9)(AX*1), Z13, Z5
+	VPDPBUSD.BCST (R10)(AX*1), Z12, Z6
+	VPDPBUSD.BCST (R10)(AX*1), Z13, Z7
+	VPDPBUSD.BCST (R11)(AX*1), Z12, Z8
+	VPDPBUSD.BCST (R11)(AX*1), Z13, Z9
+	VPDPBUSD.BCST (R12)(AX*1), Z12, Z10
+	VPDPBUSD.BCST (R12)(AX*1), Z13, Z11
+	ADDQ          $64, AX
+	CMPQ          AX, CX
+	JLT           loopVNNI
+	VPCMPD.BCST   $5, 0(R13), Z0, K1
+	VPCMPD.BCST   $2, 24(R13), Z0, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, BX
+	VPCMPD.BCST   $5, 4(R13), Z2, K1
+	VPCMPD.BCST   $2, 28(R13), Z2, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $16, AX
+	ORQ           AX, BX
+	VPCMPD.BCST   $5, 8(R13), Z4, K1
+	VPCMPD.BCST   $2, 32(R13), Z4, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $32, AX
+	ORQ           AX, BX
+	VPCMPD.BCST   $5, 12(R13), Z6, K1
+	VPCMPD.BCST   $2, 36(R13), Z6, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $48, AX
+	ORQ           AX, BX
+	VPCMPD.BCST   $5, 16(R13), Z8, K1
+	VPCMPD.BCST   $2, 40(R13), Z8, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, SI
+	VPCMPD.BCST   $5, 20(R13), Z10, K1
+	VPCMPD.BCST   $2, 44(R13), Z10, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $16, AX
+	ORQ           AX, SI
+	VPCMPD.BCST   $5, 0(R13), Z1, K1
+	VPCMPD.BCST   $2, 24(R13), Z1, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, R8
+	VPCMPD.BCST   $5, 4(R13), Z3, K1
+	VPCMPD.BCST   $2, 28(R13), Z3, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $16, AX
+	ORQ           AX, R8
+	VPCMPD.BCST   $5, 8(R13), Z5, K1
+	VPCMPD.BCST   $2, 32(R13), Z5, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $32, AX
+	ORQ           AX, R8
+	VPCMPD.BCST   $5, 12(R13), Z7, K1
+	VPCMPD.BCST   $2, 36(R13), Z7, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $48, AX
+	ORQ           AX, R8
+	VPCMPD.BCST   $5, 16(R13), Z9, K1
+	VPCMPD.BCST   $2, 40(R13), Z9, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, R9
+	VPCMPD.BCST   $5, 20(R13), Z11, K1
+	VPCMPD.BCST   $2, 44(R13), Z11, K2
+	KORW          K1, K2, K1
+	KMOVW         K1, AX
+	SHLQ          $16, AX
+	ORQ           AX, R9
+	MOVQ          BX, lo0+72(FP)
+	MOVQ          SI, hi0+80(FP)
+	MOVQ          R8, lo1+88(FP)
+	MOVQ          R9, hi1+96(FP)
 	VZEROUPPER
 	RET
 

@@ -12,28 +12,37 @@ import (
 )
 
 // withKernelISA runs f once per block-kernel level this machine supports
-// (generic always; AVX2+FMA and AVX-512F when the CPU has them), as a
-// subtest named by KernelISA, restoring the detected level afterwards.
-// Differential coverage of every level is what lets CI on any machine
-// vouch for the others.
+// (generic always; AVX2+FMA, AVX-512F and AVX-512 VNNI when the CPU has
+// them), as a subtest named by KernelISA, restoring the detected level
+// afterwards. Below the VNNI level it also runs f as "generic-int8", with
+// the int8 path open to the portable int8 kernel, so every machine covers
+// quantization, the int8 bounds and the int8 sweep. Differential coverage
+// of every level is what lets CI on any machine vouch for the others.
 func withKernelISA(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	saved := kernelISA
-	defer func() { kernelISA = saved }()
+	defer func() { kernelISA, int8Portable = saved, false }()
 	for level := isaGeneric; level <= saved; level++ {
 		kernelISA = level
 		t.Run(KernelISA(), f)
 	}
+	if saved < isaVNNI {
+		kernelISA, int8Portable = isaGeneric, true
+		t.Run("generic-int8", f)
+	}
 }
 
 // rawArena packs genes×n raw (unstandardized) rows into an unpooled
-// arena exactly as fill lays out standardized ones, so kernel tests can
-// choose the float64 rows the float32 panels are rounded from.
+// arena's float32 panels exactly as pack32 lays out standardized ones, so
+// kernel tests can choose the float64 rows the float32 panels are rounded
+// from.
 func rawArena(rows [][]float64, n int) *buildArena {
 	ar := newArena(arenaKey{genes: len(rows), samples: n})
 	for g, row := range rows {
 		copy(ar.z64[g*n:(g+1)*n], row)
-		put32(ar.p32, g, n, row)
+	}
+	if err := ar.pack32(context.Background()); err != nil {
+		panic(err)
 	}
 	return ar
 }
@@ -113,14 +122,28 @@ func TestBlockDotMatchesCanonical(t *testing.T) {
 	})
 }
 
-// testArena fills an unpooled arena of m's shape.
+// testArena fills an unpooled arena of m's shape and packs its float32
+// panels.
 func testArena(t *testing.T, m *Matrix, kind CorrelationKind) *buildArena {
 	t.Helper()
 	ar := newArena(arenaKey{genes: m.Genes, samples: m.Samples})
 	if err := ar.fill(t.Context(), m, kind); err != nil {
 		t.Fatal(err)
 	}
+	if err := ar.pack32(t.Context()); err != nil {
+		t.Fatal(err)
+	}
 	return ar
+}
+
+// testEngine is newEngine over ar, failing the test on error.
+func testEngine(t testing.TB, ar *buildArena, specs []SweepSpec) *engine {
+	t.Helper()
+	e, err := newEngine(context.Background(), ar, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestRecheckBandSoundOnStandardizedRows checks the band inequality the
@@ -503,7 +526,7 @@ func TestTiledSweepMatchesBruteForce(t *testing.T) {
 			m := normalMatrix(genes, 9, int64(genes))
 			ar := testArena(t, m, PearsonCorr)
 			for _, ss := range specSets {
-				e := newEngine(ar, ss.specs)
+				e := testEngine(t, ar, ss.specs)
 				e.tile = tileBlock
 				if e.dense != ss.dense {
 					t.Fatalf("%s: dense = %v, want %v", ss.name, e.dense, ss.dense)
@@ -524,53 +547,105 @@ func TestTiledSweepMatchesBruteForce(t *testing.T) {
 	})
 }
 
-// TestArenaPaddingStaysZero poisons a pooled arena, panel padding
-// included, and checks that fill rewrites every row of both arenas, lays
-// every gene out at offset32 with a 16-float step per sample, zeroes the
-// padding genes of the last panel, and that the sweep over the refilled
-// arena still matches the brute-force rule.
+// TestArenaPaddingStaysZero poisons a pooled arena — both kernel copies,
+// panel padding, the int8 spare panel and row sums included — and checks
+// that fill rewrites every row of z64 and that each pack rewrites its
+// copy: pack32 lays every gene out at offset32 with a 16-float step per
+// sample and zeroes the padding genes of the last panel; pack8 writes
+// quant8 of every sample at offset8 in 64-byte quads, zero past the last
+// sample, in the padding genes and in the spare panel, with each gene's
+// sum. The sweeps over the refilled arena, through the float32 prefilter
+// (|r| ≥ 0.4) and the int8 one (|r| ≥ 0.75, the int8 path opened on any
+// machine), must still match the brute-force rule.
 func TestArenaPaddingStaysZero(t *testing.T) {
+	defer func(saved bool) { int8Portable = saved }(int8Portable)
+	int8Portable = true
 	m := randomMatrix(29, 13, 3, 4)
+	n, nq := m.Samples, quads(m.Samples)
 	for _, kind := range []CorrelationKind{PearsonCorr, SpearmanCorr} {
 		ar := arenaFor(m.Genes, m.Samples)
 		want64, err := standardizedRows(t.Context(), m, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fillPack := func() {
+			t.Helper()
+			if err := ar.fill(t.Context(), m, kind); err != nil {
+				t.Fatal(err)
+			}
+			if err := ar.pack32(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ar.pack8(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fillPack()
 		for i := range ar.z64 {
 			ar.z64[i] = math.NaN()
 		}
 		for i := range ar.p32 {
 			ar.p32[i] = 1e3
 		}
-		if err := ar.fill(t.Context(), m, kind); err != nil {
-			t.Fatal(err)
+		for i := range ar.p8 {
+			ar.p8[i] = 0x5a
 		}
+		for i := range ar.rowSum {
+			ar.rowSum[i] = -7
+		}
+		fillPack()
 		if !slices.Equal(ar.z64, want64) {
 			t.Fatalf("%v: refilled z64 differs from standardizedRows", kind)
 		}
-		if want := 2 * panelGenes * m.Samples; len(ar.p32) != want {
+		if want := 2 * panelGenes * n; len(ar.p32) != want {
 			t.Fatalf("%v: p32 holds %d floats, want %d (two panels)", kind, len(ar.p32), want)
 		}
-		for g := 0; g < 2*panelGenes; g++ {
-			for k := 0; k < m.Samples; k++ {
+		if want := 3 * quadBytes * nq; len(ar.p8) != want {
+			t.Fatalf("%v: p8 holds %d bytes, want %d (two panels and the spare)", kind, len(ar.p8), want)
+		}
+		inv := quantLevels / ar.maxAbs
+		for g := 0; g < 3*panelGenes; g++ {
+			var sum int32
+			for k := 0; k < quadSamples*nq; k++ {
+				want8 := int32(0)
+				if g < m.Genes && k < n {
+					want8 = quant8(ar.z64[g*n+k], inv)
+				}
+				sum += want8
+				if v := int8(ar.p8[offset8(g, nq)+quadBytes*(k/quadSamples)+k%quadSamples]); int32(v) != want8 {
+					t.Fatalf("%v: p8 gene %d sample %d = %d, want %d", kind, g, k, v, want8)
+				}
+				if g >= 2*panelGenes || k >= n {
+					continue
+				}
 				want := float32(0)
 				if g < m.Genes {
-					want = float32(ar.z64[g*m.Samples+k])
+					want = float32(ar.z64[g*n+k])
 				}
-				if v := ar.p32[offset32(g, m.Samples)+panelGenes*k]; v != want {
+				if v := ar.p32[offset32(g, n)+panelGenes*k]; v != want {
 					t.Fatalf("%v: p32 gene %d sample %d = %v, want %v", kind, g, k, v, want)
 				}
 			}
+			if g < m.Genes && ar.rowSum[g] != sum {
+				t.Fatalf("%v: rowSum[%d] = %d, want %d", kind, g, ar.rowSum[g], sum)
+			}
 		}
-		e := newEngine(ar, []SweepSpec{{MinAbsR: 0.4, MaxP: 1, Negative: true}})
-		e.tile = tileBlock
-		got, err := e.sweep(t.Context(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := bruteForcePairs(e); !slices.Equal(sortedCopy(got[0]), want[0]) || len(want[0]) == 0 {
-			t.Fatalf("%v: sweep over refilled arena %d pairs, brute force %d", kind, len(got[0]), len(want[0]))
+		for _, tc := range []struct {
+			thresh float64
+			quant  bool
+		}{{0.4, false}, {0.75, true}} {
+			e := testEngine(t, ar, []SweepSpec{{MinAbsR: tc.thresh, MaxP: 1, Negative: true}})
+			if e.quant != tc.quant {
+				t.Fatalf("%v |r| ≥ %v: int8 path %v, want %v", kind, tc.thresh, e.quant, tc.quant)
+			}
+			e.tile = tileBlock
+			got, err := e.sweep(t.Context(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteForcePairs(e); !slices.Equal(sortedCopy(got[0]), want[0]) || len(want[0]) == 0 {
+				t.Fatalf("%v |r| ≥ %v: sweep over refilled arena %d pairs, brute force %d", kind, tc.thresh, len(got[0]), len(want[0]))
+			}
 		}
 		ar.release()
 	}
@@ -603,7 +678,7 @@ func TestSweepBoundaryPairs(t *testing.T) {
 			}
 			want := referencePairs(t, m, opts)
 			withKernelISA(t, func(t *testing.T) {
-				e := newEngine(testArena(t, m, opts.Kind), []SweepSpec{opts.SweepSpec()})
+				e := testEngine(t, testArena(t, m, opts.Kind), []SweepSpec{opts.SweepSpec()})
 				e.tile = tileBlock
 				got, err := e.sweep(t.Context(), 2)
 				if err != nil {
@@ -654,7 +729,7 @@ func TestFloat32BoundsRoundDown(t *testing.T) {
 		{{MinAbsR: 0.95, MaxP: 0.0005}},
 		{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}},
 	} {
-		e := newEngine(ar, specs)
+		e := testEngine(t, ar, specs)
 		if float64(e.pos32) > e.posCand || float64(e.neg32) > e.negCand {
 			t.Fatalf("float32 bounds (%v, %v) above float64 bounds (%v, %v)", e.pos32, e.neg32, e.posCand, e.negCand)
 		}
@@ -663,7 +738,7 @@ func TestFloat32BoundsRoundDown(t *testing.T) {
 
 func TestKernelISANames(t *testing.T) {
 	defer func(saved isa) { kernelISA = saved }(kernelISA)
-	for level, want := range []string{"generic", "avx2-fma", "avx512f"} {
+	for level, want := range []string{"generic", "avx2-fma", "avx512f", "avx512vnni"} {
 		kernelISA = isa(level)
 		if got := KernelISA(); got != want {
 			t.Fatalf("KernelISA() at level %d = %q, want %q", level, got, want)
@@ -691,7 +766,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 		if err := ar.fill(context.Background(), res.M, PearsonCorr); err != nil {
 			b.Fatal(err)
 		}
-		e := newEngine(ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
+		e := testEngine(b, ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
 		b.Run(fmt.Sprintf("%dx%d", genes, samples), func(b *testing.B) {
 			iters := 0
 			for b.Loop() {
