@@ -22,7 +22,9 @@ import (
 //     unit L2 norm once, into a pooled flat row-major float64 arena
 //     (arena.go), and rounded once into a float32 copy laid out in
 //     panel-major order: panels of 16 genes, k-major, the last panel padded
-//     with zero genes. The Pearson correlation of any two genes is then
+//     with zero genes — or, when the int8 prefilter runs (quant.go),
+//     quantized once into an int8 copy of the same panels in 4-sample
+//     quads. The Pearson correlation of any two genes is then
 //     exactly the dot product of their standardized rows; Spearman is the
 //     same dot product after replacing each row by its average-tied ranks
 //     before standardizing. A row is ranked by the AVX2 compare-and-count
