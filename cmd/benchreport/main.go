@@ -49,7 +49,8 @@ type report struct {
 	KernelISA string             `json:"kernel_isa"`
 	NsPerOp   map[string]float64 `json:"ns_per_op"`
 	// BatchedSweepRatioK4 is batched(k=4 specs) / single-spec wall time on
-	// 2048×64 — the cross-request coalescing overhead (acceptance: <1.3).
+	// 2048×64: what bucketing four rules out of one sweep under the
+	// loosest of them costs over one rule (acceptance: <1.3).
 	BatchedSweepRatioK4 float64 `json:"batched_sweep_ratio_k4"`
 	// WarmRestartSpeedup is cold-recompute / warm-restart-from-disk wall
 	// time for the 4096×100 reference request served by a fresh process

@@ -2,21 +2,18 @@ package expr
 
 import (
 	"context"
+	"math"
 
 	"parsample/internal/graph"
 )
 
-// Batched sweeps: one standardize+tile pass over a matrix evaluating many
-// admission rules at once. The marginal cost of an extra rule is one
-// threshold comparison per candidate pair — the O(genes²·samples) kernel
-// work is shared — so k concurrent requests that differ only in their
-// filter parameters cost barely more than one (the <1.3× criterion in
-// bench_test.go). BuildNetworkContext is this sweep with a single rule;
-// no serving path passes more than one, since the engine's network stage
-// sweeps each request's network on its own. The multi-rule form is kept
-// for the k-rule batch-ratio benchmarks. ThresholdSweep's
-// bucket-after-one-loose-sweep remains the better shape when every
-// threshold shares one sign gate and p-cut.
+// Many admission rules over one matrix: one sweep under the loosest rule,
+// then a bucket per rule. A pair's admission depends only on its canonical
+// coefficient, which does not depend on the rule, so each bucket is
+// exactly that rule's own sweep. ThresholdSweep takes this path; no
+// serving path does, since every served network sweeps one rule
+// (BuildNetworkContext). The exported batch form is kept for the
+// batch-ratio benchmarks.
 
 // SweepSpec is one admission rule of a batched sweep. Unlike
 // NetworkOptions, fields are literal: no negative-means-default sentinels
@@ -27,33 +24,42 @@ type SweepSpec struct {
 	Negative bool    // admit strong negative correlations too
 }
 
-// SweepSpec extracts o's admission rule with its default sentinels
-// resolved, for batching alongside other rules that share o's statistic
-// and precision.
-func (o NetworkOptions) SweepSpec() SweepSpec {
-	o = o.withDefaults()
-	return SweepSpec{MinAbsR: o.MinAbsR, MaxP: o.MaxP, Negative: o.Negative}
-}
-
 // BatchBuildNetworksContext evaluates every spec in one sweep and returns
 // one thresholded correlation network per spec, each identical to the
 // BuildNetworkContext result for the corresponding options. base supplies
-// the statistic, precision and worker count; its own threshold fields are
-// ignored in favor of the specs.
+// the statistic and worker count; its own threshold fields are ignored in
+// favor of the specs.
 func BatchBuildNetworksContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([]*graph.Graph, error) {
-	outs, err := batchScoredContext(ctx, m, base, specs)
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	rules := make([]rule, len(specs))
+	loose := rule{pos: math.Inf(1), neg: math.Inf(1)}
+	for i, sp := range specs {
+		rules[i] = sp.rule(m.Samples)
+		loose.pos = min(loose.pos, rules[i].pos)
+		loose.neg = min(loose.neg, rules[i].neg)
+	}
+	scored, err := sweepMatrix(ctx, m, base, loose)
 	if err != nil {
 		return nil, err
 	}
-	gs := make([]*graph.Graph, len(outs))
-	for i, scored := range outs {
-		// Per-spec poll: CSR construction is O(edges) per spec and runs
-		// after the sweep's own polling has ended.
+	gs := make([]*graph.Graph, len(rules))
+	edges := make([]graph.Edge, 0, len(scored))
+	for i, ru := range rules {
+		// Per-spec poll: bucketing and CSR construction are O(edges) per
+		// spec and run after the sweep's own polling has ended.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		edges = edges[:0]
+		for _, se := range scored {
+			if ru.admits(se.R) {
+				edges = append(edges, graph.Edge{U: se.U, V: se.V})
+			}
+		}
 		b := graph.NewBuilder(m.Genes)
-		b.AddEdges(toEdges(scored))
+		b.AddEdges(edges)
 		gs[i] = b.Build()
 	}
 	return gs, nil

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -65,9 +66,8 @@ func diffOptions() map[string]NetworkOptions {
 // resolved thresholds for every pair g1 < g2.
 func referencePairs(t *testing.T, m *Matrix, opts NetworkOptions) []ScoredEdge {
 	t.Helper()
-	opts = opts.withDefaults()
 	ar := testArena(t, m, opts.Kind)
-	return bruteForcePairs(testEngine(t, ar, []SweepSpec{opts.SweepSpec()}))[0]
+	return bruteForcePairs(testEngine(t, ar, opts.rule(m.Samples)))
 }
 
 // TestFloat32EdgeSetsByteIdenticalToFloat64 is the sweep's contract: for
@@ -96,38 +96,48 @@ func TestFloat32EdgeSetsByteIdenticalToFloat64(t *testing.T) {
 }
 
 // TestBatchSweepMatchesIndependentSweeps is the batched-sweep property
-// test: one batchScoredContext pass over k specs returns exactly what k
-// independent scoredPairs runs return, per spec, on every ISA.
+// test: one BatchBuildNetworksContext call over k specs returns exactly
+// the k networks that k independent BuildNetworkContext runs return, on
+// every ISA. The first set mixes sign gates and ends in a dense spec that
+// drags the loose sweep onto the dense path; in the second the sign-gated
+// spec is tighter than the positive-only one, so the loose rule's
+// negative threshold sits above its positive one.
 func TestBatchSweepMatchesIndependentSweeps(t *testing.T) {
 	mats := diffMatrices(t)
-	specsOpts := []NetworkOptions{
-		{Kind: PearsonCorr, MinAbsR: 0.95, MaxP: 0.0005},
-		{Kind: PearsonCorr, MinAbsR: 0.8, MaxP: 0.01},
-		{Kind: PearsonCorr, MinAbsR: 0.5, MaxP: 0.1, Negative: true},
-		{Kind: PearsonCorr, MinAbsR: 0.3, MaxP: 0.5},
-		{Kind: PearsonCorr, MinAbsR: 0, MaxP: 0.9}, // dense spec drags the whole batch onto the dense path
-	}
-	specs := make([]SweepSpec, len(specsOpts))
-	for i, o := range specsOpts {
-		specs[i] = o.SweepSpec()
+	specSets := map[string][]SweepSpec{
+		"mixed": {
+			{MinAbsR: 0.95, MaxP: 0.0005},
+			{MinAbsR: 0.8, MaxP: 0.01},
+			{MinAbsR: 0.5, MaxP: 0.1, Negative: true},
+			{MinAbsR: 0.3, MaxP: 0.5},
+			{MinAbsR: 0, MaxP: 0.9},
+		},
+		"asymmetric": {
+			{MinAbsR: 0.3, MaxP: 1},
+			{MinAbsR: 0.6, MaxP: 1, Negative: true},
+		},
 	}
 	withKernelISA(t, func(t *testing.T) {
 		for mname, m := range mats {
-			base := NetworkOptions{Kind: PearsonCorr, Workers: 2}
-			outs, err := batchScoredContext(context.Background(), m, base, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(outs) != len(specs) {
-				t.Fatalf("%s: got %d outputs for %d specs", mname, len(outs), len(specs))
-			}
-			for i, o := range specsOpts {
-				o.Workers = 2
-				want := sortedPairs(m, o)
-				sortScored(outs[i])
-				if !reflect.DeepEqual(outs[i], want) {
-					t.Errorf("%s spec %d: batched sweep diverges from independent sweep (%d vs %d edges)",
-						mname, i, len(outs[i]), len(want))
+			for sname, specs := range specSets {
+				base := NetworkOptions{Kind: PearsonCorr, Workers: 2}
+				gs, err := BatchBuildNetworksContext(t.Context(), m, base, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gs) != len(specs) {
+					t.Fatalf("%s/%s: got %d networks for %d specs", mname, sname, len(gs), len(specs))
+				}
+				for i, sp := range specs {
+					o := NetworkOptions{Kind: PearsonCorr, MinAbsR: sp.MinAbsR, MaxP: sp.MaxP, Negative: sp.Negative, Workers: 2}
+					want, err := BuildNetworkContext(t.Context(), m, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gs[i], want) {
+						t.Errorf("%s/%s spec %d: batched network diverges from independent build (%d vs %d edges)",
+							mname, sname, i, gs[i].M(), want.M())
+					}
 				}
 			}
 		}
@@ -145,7 +155,10 @@ func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
 		{Kind: SpearmanCorr, MinAbsR: 0.9, MaxP: 0.001},
 		{Kind: SpearmanCorr, MinAbsR: 0.7, MaxP: 0.05, Negative: true},
 	}
-	specs := []SweepSpec{specsOpts[0].SweepSpec(), specsOpts[1].SweepSpec()}
+	specs := []SweepSpec{
+		{MinAbsR: 0.9, MaxP: 0.001},
+		{MinAbsR: 0.7, MaxP: 0.05, Negative: true},
+	}
 	base := NetworkOptions{Kind: SpearmanCorr}
 	gs, err := BatchBuildNetworksContext(context.Background(), syn.M, base, specs)
 	if err != nil {
@@ -168,9 +181,9 @@ func TestBatchSweepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, err := batchScoredContext(ctx, syn.M, NetworkOptions{}, []SweepSpec{{MinAbsR: 0.5, MaxP: 1}})
-	if err == nil || outs != nil {
-		t.Fatalf("cancelled batch: outs=%v err=%v, want nil + error", outs, err)
+	gs, err := BatchBuildNetworksContext(ctx, syn.M, NetworkOptions{}, []SweepSpec{{MinAbsR: 0.5, MaxP: 1}})
+	if !errors.Is(err, context.Canceled) || gs != nil {
+		t.Fatalf("cancelled batch: gs=%v err=%v, want nil + %v", gs, err, context.Canceled)
 	}
 }
 

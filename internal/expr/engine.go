@@ -13,8 +13,10 @@ import (
 	"parsample/internal/graph"
 )
 
-// This file is the all-pairs correlation engine behind BuildNetwork,
-// ThresholdSweep and the batched multi-spec sweeps (batch.go). Four
+// This file is the all-pairs correlation engine behind BuildNetwork and,
+// through one loose sweep bucketed per rule, ThresholdSweep and
+// BatchBuildNetworksContext (batch.go). Each sweep applies one admission
+// rule: a positive and a negative threshold on the coefficient. Four
 // transformations take the per-pair cost from "two-pass Pearson plus an
 // incomplete-beta p-value" down to a fraction of a SIMD dot product:
 //
@@ -45,8 +47,8 @@ import (
 //     tile pair, six rows are correlated against two adjacent 16-gene
 //     panels per AVX-512F kernel call, or one panel per call of the AVX2+FMA
 //     or portable 6×16 kernel (kernel.go; CPUID picks the level); the
-//     kernel compares its coefficients lane-wise against the loosest
-//     admission threshold of each sign minus a sound error band and
+//     kernel compares its coefficients lane-wise against the rule's
+//     threshold of each sign minus a sound error band and
 //     returns a 96-bit candidate mask per panel. Only the set
 //     bits the tile pair owns (blockKeep: above the diagonal, inside the
 //     ragged last tile) are decided by the canonical scalar dot over the
@@ -64,61 +66,67 @@ type ScoredEdge struct {
 	R    float64
 }
 
-// scoredPairs computes the selected correlation for every gene pair and
-// returns the pairs passing the option thresholds, U < V, in unspecified
-// order: its callers canonicalize anyway (BuildNetwork's Builder
-// counting-sorts, ThresholdSweep buckets into Builders). The pair set and
-// every coefficient are independent of Workers.
-func scoredPairs(m *Matrix, opts NetworkOptions) []ScoredEdge {
-	out, _ := scoredPairsContext(context.Background(), m, opts)
-	return out
+// rule is one admission rule with its p-value cut folded in: a pair with
+// canonical coefficient r is admitted iff r ≥ pos || −r ≥ neg. neg is +Inf
+// without a sign gate, and a NaN coefficient clears neither side.
+type rule struct{ pos, neg float64 }
+
+func (ru rule) admits(r float64) bool { return r >= ru.pos || -r >= ru.neg }
+
+// rule folds sp's p-value ceiling into a critical |r| (criticalR) so the
+// pair loop is pure comparisons; a negative MinAbsR counts as 0.
+func (sp SweepSpec) rule(samples int) rule {
+	th := max(sp.MinAbsR, 0, criticalR(sp.MaxP, samples))
+	if sp.Negative {
+		return rule{pos: th, neg: th}
+	}
+	return rule{pos: th, neg: math.Inf(1)}
 }
 
-// scoredPairsContext is the cancellable engine sweep for a single
-// admission rule: the one-spec case of the batched sweep.
+// rule is o's admission rule, default sentinels resolved.
+func (o NetworkOptions) rule(samples int) rule {
+	o = o.withDefaults()
+	return SweepSpec{MinAbsR: o.MinAbsR, MaxP: o.MaxP, Negative: o.Negative}.rule(samples)
+}
+
+// scoredPairsContext sweeps m under opts' admission rule and returns the
+// admitted pairs, U < V, in unspecified order: its callers canonicalize
+// anyway (graph.Builder counting-sorts). The pair set and every
+// coefficient are independent of Workers.
 func scoredPairsContext(ctx context.Context, m *Matrix, opts NetworkOptions) ([]ScoredEdge, error) {
-	outs, err := batchScoredContext(ctx, m, opts, []SweepSpec{opts.SweepSpec()})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+	return sweepMatrix(ctx, m, opts, opts.rule(m.Samples))
 }
 
-// batchScoredContext runs ONE standardize+sweep pass over m evaluating
-// every admission spec, returning unsorted admitted pairs per spec. base
-// supplies statistic and workers (its Precision is ignored); workers poll
-// ctx at every tile-pair claim (a claim is ~ms of dot products, so
-// cancellation lands promptly) and row standardization polls between
-// rows. On cancellation the partial result is discarded and ctx.Err()
-// returned.
-func batchScoredContext(ctx context.Context, m *Matrix, base NetworkOptions, specs []SweepSpec) ([][]ScoredEdge, error) {
-	base = base.withDefaults()
-	if len(specs) == 0 {
-		return nil, nil
-	}
+// sweepMatrix runs ONE standardize+sweep pass over m under ru, with opts'
+// statistic and worker count (its thresholds and Precision are ignored).
+// Workers poll ctx at every tile-pair claim (a claim is ~ms of dot
+// products, so cancellation lands promptly) and row standardization polls
+// between rows. On cancellation the partial result is discarded and
+// ctx.Err() returned.
+func sweepMatrix(ctx context.Context, m *Matrix, opts NetworkOptions, ru rule) ([]ScoredEdge, error) {
 	ar := arenaFor(m.Genes, m.Samples)
 	defer ar.release()
-	if err := ar.fill(ctx, m, base.Kind); err != nil {
+	if err := ar.fill(ctx, m, opts.Kind); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(ctx, ar, specs)
+	e, err := newEngine(ctx, ar, ru)
 	if err != nil {
 		return nil, err
 	}
-	return e.sweep(ctx, base.Workers)
+	return e.sweep(ctx, opts.Workers)
 }
 
-// newEngine sets up the sweep of a filled arena under the given specs: it
-// picks the prefilter (setCandidateBounds) and packs the arena copy that
-// prefilter reads, and no other. On cancellation it returns ctx.Err().
-func newEngine(ctx context.Context, ar *buildArena, specs []SweepSpec) (*engine, error) {
+// newEngine sets up the sweep of a filled arena under ru: it picks the
+// prefilter (setCandidateBounds) and packs the arena copy that prefilter
+// reads, and no other. On cancellation it returns ctx.Err().
+func newEngine(ctx context.Context, ar *buildArena, ru rule) (*engine, error) {
 	samples := ar.shape.samples
 	e := &engine{
 		genes:   ar.shape.genes,
 		samples: samples,
 		z64:     ar.z64,
 		tile:    tileRows(samples),
-		specs:   resolveSpecs(specs, samples),
+		rule:    ru,
 	}
 	e.setCandidateBounds(ar.maxAbs)
 	var err error
@@ -145,47 +153,22 @@ type engine struct {
 	p8             []byte    // or quantized to int8 in quads (int8 prefilter; quant.go)
 	rowSum         []int32   // each gene's sum of int8 values
 	tile           int       // rows per tile
-	specs          []resolvedSpec
+	rule           rule
 	posCand        float64 // block r ≥ posCand makes a pair a candidate
-	negCand        float64 // block r ≤ -negCand does too (+Inf: no negative spec)
+	negCand        float64 // block r ≤ -negCand does too (+Inf: no sign gate)
 	pos32, neg32   float32 // posCand, negCand rounded down to float32
 	posQ, negQ     int64   // int8 path: D ≥ posQ or D ≤ −negQ makes a candidate
 	dense          bool    // a threshold sits inside its band: skip the prefilter
 	quant          bool    // the int8 prefilter runs instead of the float32 one
 }
 
-// resolvedSpec is one admission rule with its p-value cut folded into the
-// threshold: admit when |r| ≥ thresh, negative r only when negative.
-type resolvedSpec struct {
-	thresh   float64
-	negative bool
-}
-
-// resolveSpecs folds each spec's p-value ceiling into a critical |r| so
-// the pair loop is pure comparisons.
-func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
-	rs := make([]resolvedSpec, len(specs))
-	for i, sp := range specs {
-		th := sp.MinAbsR
-		if th < 0 {
-			th = 0
-		}
-		if rc := criticalR(sp.MaxP, samples); rc > th {
-			th = rc
-		}
-		rs[i] = resolvedSpec{thresh: th, negative: sp.Negative}
-	}
-	return rs
-}
-
-// setCandidateBounds derives the block-kernel prefilter bounds: the lowest
-// admission threshold over all specs (positive side) and over the
-// negative-gated specs (negative side), each widened by the float32
-// recheck band so no admissible pair can be filtered out. When a widened
-// bound reaches zero the prefilter admits (almost) everything and would
-// only double the work, so the sweep falls back to the dense canonical
-// path — exactly the pre-blocking engine. The kernel compares against the
-// bounds rounded down to float32, which can only nominate more pairs.
+// setCandidateBounds derives the block-kernel prefilter bounds: the rule's
+// two thresholds, each widened by the float32 recheck band so no
+// admissible pair can be filtered out. When a widened bound reaches zero
+// the prefilter admits (almost) everything and would only double the
+// work, so the sweep falls back to the dense canonical path — exactly the
+// pre-blocking engine. The kernel compares against the bounds rounded
+// down to float32, which can only nominate more pairs.
 //
 // On VNNI machines the int8 prefilter replaces the float32 one when the
 // rows fit its integer range (n ≤ quantMaxSamples, max|z| = maxAbs > 0)
@@ -193,15 +176,7 @@ func resolveSpecs(specs []SweepSpec, samples int) []resolvedSpec {
 // negQ are then its integer bounds (quant.go).
 func (e *engine) setCandidateBounds(maxAbs float64) {
 	band := recheckBand32(e.samples)
-	pos, neg := math.Inf(1), math.Inf(1)
-	for _, sp := range e.specs {
-		if sp.thresh < pos {
-			pos = sp.thresh
-		}
-		if sp.negative && sp.thresh < neg {
-			neg = sp.thresh
-		}
-	}
+	pos, neg := e.rule.pos, e.rule.neg
 	e.posCand = pos - band
 	e.negCand = neg - band
 	e.pos32 = roundDown32(e.posCand)
@@ -318,18 +293,17 @@ func tileRows(samples int) int {
 }
 
 // sweep runs the blocked triangular pair sweep with the given worker count
-// and returns the retained edges per spec in unspecified order. Workers
-// poll ctx at every tile-pair claim; a cancelled sweep joins its workers
-// and returns ctx.Err().
-func (e *engine) sweep(ctx context.Context, workers int) ([][]ScoredEdge, error) {
+// and returns the admitted edges in unspecified order. Workers poll ctx at
+// every tile-pair claim; a cancelled sweep joins its workers and returns
+// ctx.Err().
+func (e *engine) sweep(ctx context.Context, workers int) ([]ScoredEdge, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nspec := len(e.specs)
 	tiles := (e.genes + e.tile - 1) / e.tile
 	totalPairs := int64(tiles) * int64(tiles+1) / 2
 	if totalPairs == 0 {
-		return make([][]ScoredEdge, nspec), ctx.Err()
+		return nil, ctx.Err()
 	}
 	if int64(workers) > totalPairs {
 		workers = int(totalPairs)
@@ -354,7 +328,7 @@ func (e *engine) sweep(ctx context.Context, workers int) ([][]ScoredEdge, error)
 					fail(fmt.Errorf("expr: sweep worker panicked: %v", r))
 				}
 			}()
-			c := newCollector(e)
+			c := &collector{e: e}
 			cols[w] = c
 			for ctx.Err() == nil {
 				k := next.Add(1) - 1
@@ -379,19 +353,15 @@ func (e *engine) sweep(ctx context.Context, workers int) ([][]ScoredEdge, error)
 	if werr != nil {
 		return nil, werr
 	}
-	outs := make([][]ScoredEdge, nspec)
-	for si := range outs {
-		total := 0
-		for _, c := range cols {
-			total += len(c.out[si])
-		}
-		merged := make([]ScoredEdge, 0, total)
-		for _, c := range cols {
-			merged = append(merged, c.out[si]...)
-		}
-		outs[si] = merged
+	total := 0
+	for _, c := range cols {
+		total += len(c.out)
 	}
-	return outs, nil
+	merged := make([]ScoredEdge, 0, total)
+	for _, c := range cols {
+		merged = append(merged, c.out...)
+	}
+	return merged, nil
 }
 
 // decodeTilePair maps a linear index k in [0, T(T+1)/2) to the k-th tile
@@ -415,23 +385,14 @@ func decodeTilePair(k int64, tiles int) (int, int) {
 	return i, j
 }
 
-// collector accumulates one worker's admitted edges per spec. Each output
-// slice is grown ahead of a tile pair using the admit rate observed over
-// the tiles already swept, so dense tiles stop re-growing the slice
-// append by append.
+// collector accumulates one worker's admitted edges. The output slice is
+// grown ahead of a tile pair using the admit rate observed over the tiles
+// already swept, so dense tiles stop re-growing the slice append by
+// append.
 type collector struct {
-	e      *engine
-	out    [][]ScoredEdge
-	pairs  int64   // pairs examined so far
-	admits []int64 // admissions so far, per spec
-}
-
-func newCollector(e *engine) *collector {
-	return &collector{
-		e:      e,
-		out:    make([][]ScoredEdge, len(e.specs)),
-		admits: make([]int64, len(e.specs)),
-	}
+	e     *engine
+	out   []ScoredEdge
+	pairs int64 // pairs examined so far
 }
 
 // beginBlock reserves capacity for a tile pair of the given pair count
@@ -441,30 +402,21 @@ func (c *collector) beginBlock(pairs int64) {
 	if c.pairs == 0 {
 		return
 	}
-	for si := range c.out {
-		if est := int(float64(c.admits[si]) / float64(c.pairs) * float64(pairs)); est > 0 {
-			c.out[si] = slices.Grow(c.out[si], est+est/4+1)
-		}
+	if est := int(float64(len(c.out)) / float64(c.pairs) * float64(pairs)); est > 0 {
+		c.out = slices.Grow(c.out, est+est/4+1)
 	}
 }
 
 // admit decides pair (g1, g2) with the canonical float64 dot kernel —
-// whatever block kernel nominated it — and appends it to every spec it
-// clears: r ≥ thresh, or −r ≥ thresh for a negative spec (thresh ≥ 0, so
-// no r is both). A NaN coefficient clears no spec. This single admission
-// point is what keeps edge sets and coefficients bit-identical across
-// ISAs.
+// whatever block kernel nominated it — and appends it if the engine's
+// rule admits it. This single admission point is what keeps edge sets and
+// coefficients bit-identical across ISAs.
 func (c *collector) admit(g1, g2 int) {
 	e := c.e
 	s := e.samples
 	r := dot(e.z64[g1*s:(g1+1)*s], e.z64[g2*s:(g2+1)*s])
-	for si := range e.specs {
-		sp := &e.specs[si]
-		if !(r >= sp.thresh || sp.negative && -r >= sp.thresh) {
-			continue
-		}
-		c.out[si] = append(c.out[si], ScoredEdge{U: int32(g1), V: int32(g2), R: r})
-		c.admits[si]++
+	if e.rule.admits(r) {
+		c.out = append(c.out, ScoredEdge{U: int32(g1), V: int32(g2), R: r})
 	}
 }
 
@@ -564,9 +516,9 @@ func (c *collector) admitMask(g1, q, hi2 int, diag bool, lo, hi uint64) {
 
 // sweepBlockDense is the pre-blocking engine: canonical dot for every
 // pair of rows [lo1, hi1) against partners [lo2, hi2) (above the diagonal
-// when diag). Used when some admission threshold is within its recheck
-// band of zero, where the prefilter would nominate (nearly) every pair and
-// the block kernel would only add work.
+// when diag). Used when either threshold of the rule is within its
+// recheck band of zero, where the prefilter would nominate (nearly) every
+// pair and the block kernel would only add work.
 func (e *engine) sweepBlockDense(lo1, hi1, lo2, hi2 int, diag bool, c *collector) {
 	for g1 := lo1; g1 < hi1; g1++ {
 		start := lo2

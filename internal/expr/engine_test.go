@@ -20,10 +20,10 @@ func correlate(kind CorrelationKind, x, y []float64) float64 {
 	return Pearson(x, y)
 }
 
-// sortedPairs is scoredPairs in canonical (U, V) order, so runs can be
-// compared pair by pair.
+// sortedPairs is scoredPairsContext in canonical (U, V) order, so runs
+// can be compared pair by pair.
 func sortedPairs(m *Matrix, opts NetworkOptions) []ScoredEdge {
-	out := scoredPairs(m, opts)
+	out, _ := scoredPairsContext(context.Background(), m, opts)
 	sortScored(out)
 	return out
 }
@@ -143,7 +143,10 @@ func TestCorrelatedPairsDeterministic(t *testing.T) {
 func TestCorrelatedPairsScores(t *testing.T) {
 	m := randomMatrix(80, 20, 3, 7)
 	for _, kind := range []CorrelationKind{PearsonCorr, SpearmanCorr} {
-		scored := scoredPairs(m, NetworkOptions{Kind: kind, MinAbsR: 0.3, MaxP: 0.2})
+		scored, err := scoredPairsContext(t.Context(), m, NetworkOptions{Kind: kind, MinAbsR: 0.3, MaxP: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(scored) == 0 {
 			t.Fatalf("%v: no pairs retained", kind)
 		}
@@ -293,8 +296,8 @@ func TestBuildNetworkDegenerateShapes(t *testing.T) {
 	if g := BuildNetwork(NewMatrix(0, 5), DefaultNetworkOptions()); g.N() != 0 || g.M() != 0 {
 		t.Fatalf("zero-gene network: n=%d m=%d", g.N(), g.M())
 	}
-	if pairs := scoredPairs(NewMatrix(3, 0), NetworkOptions{}); len(pairs) != 0 {
-		t.Fatalf("zero-sample pairs = %d", len(pairs))
+	if pairs, err := scoredPairsContext(t.Context(), NewMatrix(3, 0), NetworkOptions{}); err != nil || len(pairs) != 0 {
+		t.Fatalf("zero-sample pairs = %d, err %v", len(pairs), err)
 	}
 }
 
@@ -367,11 +370,7 @@ func TestThresholdSweepSpearman(t *testing.T) {
 			t.Fatalf("edge count not monotone: %+v", pts)
 		}
 	}
-	opts.MinAbsR = 0.95
-	direct := BuildNetwork(res.M, opts)
-	if pts[2].Edges != direct.M() {
-		t.Fatalf("sweep at 0.95 has %d edges, direct build %d", pts[2].Edges, direct.M())
-	}
+	requireSweepMatchesBuilds(t, res.M, pts, opts)
 }
 
 // TestNaNCoefficientIsNeverAnEdge puts one NaN sample in gene 3 of a

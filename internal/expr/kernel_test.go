@@ -137,9 +137,9 @@ func testArena(t *testing.T, m *Matrix, kind CorrelationKind) *buildArena {
 }
 
 // testEngine is newEngine over ar, failing the test on error.
-func testEngine(t testing.TB, ar *buildArena, specs []SweepSpec) *engine {
+func testEngine(t testing.TB, ar *buildArena, ru rule) *engine {
 	t.Helper()
-	e, err := newEngine(context.Background(), ar, specs)
+	e, err := newEngine(context.Background(), ar, ru)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +486,8 @@ func normalMatrix(genes, samples int, seed int64) *Matrix {
 // bruteForcePairs is the engine's admission rule applied to every pair
 // g1 < g2 with the canonical dot over the arena: the set the tiled sweep
 // must return.
-func bruteForcePairs(e *engine) [][]ScoredEdge {
-	outs := make([][]ScoredEdge, len(e.specs))
-	c := &collector{e: e, out: outs, admits: make([]int64, len(e.specs))}
+func bruteForcePairs(e *engine) []ScoredEdge {
+	c := &collector{e: e}
 	for g1 := 0; g1 < e.genes; g1++ {
 		for g2 := g1 + 1; g2 < e.genes; g2++ {
 			c.admit(g1, g2)
@@ -506,41 +505,40 @@ func sortedCopy(edges []ScoredEdge) []ScoredEdge {
 // TestTiledSweepMatchesBruteForce runs the tiled sweep on 48-row tiles
 // over gene counts on and off multiples of 6, 16 and 48 (ragged last
 // tiles, partial row blocks and panels, diagonal tiles of every size) and
-// checks the admitted pairs per spec against the brute-force rule: every
-// pair once, U < V, no self pair. The spec sets cover asymmetric
-// positive/negative thresholds, no negative spec, and loose specs that put
-// the engine on its dense fallback.
+// checks the admitted pairs per rule against the brute-force rule: every
+// pair once, U < V, no self pair. The rules cover asymmetric
+// positive/negative thresholds, no sign gate, a p-value cut, and a zero
+// threshold that puts the engine on its dense fallback.
 func TestTiledSweepMatchesBruteForce(t *testing.T) {
-	specSets := []struct {
+	const samples = 9
+	inf := math.Inf(1)
+	rules := []struct {
 		name  string
-		specs []SweepSpec
+		ru    rule
 		dense bool
 	}{
-		{"positive", []SweepSpec{{MinAbsR: 0.5, MaxP: 1}}, false},
-		{"asymmetric", []SweepSpec{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}}, false},
-		{"negative", []SweepSpec{{MinAbsR: 0.45, MaxP: 0.2, Negative: true}}, false},
-		{"dense", []SweepSpec{{MinAbsR: 0, MaxP: 1}, {MinAbsR: 0.7, MaxP: 1}}, true},
+		{"positive", rule{pos: 0.5, neg: inf}, false},
+		{"asymmetric", rule{pos: 0.3, neg: 0.6}, false},
+		{"negative", SweepSpec{MinAbsR: 0.45, MaxP: 0.2, Negative: true}.rule(samples), false},
+		{"dense", rule{pos: 0, neg: inf}, true},
 	}
 	withKernelISA(t, func(t *testing.T) {
 		for _, genes := range []int{1, 2, 5, 6, 7, 11, 15, 16, 17, 23, 47, 48, 49, 50, 97, 101} {
-			m := normalMatrix(genes, 9, int64(genes))
+			m := normalMatrix(genes, samples, int64(genes))
 			ar := testArena(t, m, PearsonCorr)
-			for _, ss := range specSets {
-				e := testEngine(t, ar, ss.specs)
+			for _, rc := range rules {
+				e := testEngine(t, ar, rc.ru)
 				e.tile = tileBlock
-				if e.dense != ss.dense {
-					t.Fatalf("%s: dense = %v, want %v", ss.name, e.dense, ss.dense)
+				if e.dense != rc.dense {
+					t.Fatalf("%s: dense = %v, want %v", rc.name, e.dense, rc.dense)
 				}
 				got, err := e.sweep(context.Background(), 2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := bruteForcePairs(e)
-				for si := range want {
-					g := sortedCopy(got[si])
-					if !slices.Equal(g, want[si]) {
-						t.Fatalf("genes=%d %s spec %d: sweep %d pairs, brute force %d", genes, ss.name, si, len(g), len(want[si]))
-					}
+				if g := sortedCopy(got); !slices.Equal(g, want) {
+					t.Fatalf("genes=%d %s: sweep %d pairs, brute force %d", genes, rc.name, len(g), len(want))
 				}
 			}
 		}
@@ -634,7 +632,7 @@ func TestArenaPaddingStaysZero(t *testing.T) {
 			thresh float64
 			quant  bool
 		}{{0.4, false}, {0.75, true}} {
-			e := testEngine(t, ar, []SweepSpec{{MinAbsR: tc.thresh, MaxP: 1, Negative: true}})
+			e := testEngine(t, ar, SweepSpec{MinAbsR: tc.thresh, MaxP: 1, Negative: true}.rule(n))
 			if e.quant != tc.quant {
 				t.Fatalf("%v |r| ≥ %v: int8 path %v, want %v", kind, tc.thresh, e.quant, tc.quant)
 			}
@@ -643,8 +641,8 @@ func TestArenaPaddingStaysZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := bruteForcePairs(e); !slices.Equal(sortedCopy(got[0]), want[0]) || len(want[0]) == 0 {
-				t.Fatalf("%v |r| ≥ %v: sweep over refilled arena %d pairs, brute force %d", kind, tc.thresh, len(got[0]), len(want[0]))
+			if want := bruteForcePairs(e); !slices.Equal(sortedCopy(got), want) || len(want) == 0 {
+				t.Fatalf("%v |r| ≥ %v: sweep over refilled arena %d pairs, brute force %d", kind, tc.thresh, len(got), len(want))
 			}
 		}
 		ar.release()
@@ -678,13 +676,13 @@ func TestSweepBoundaryPairs(t *testing.T) {
 			}
 			want := referencePairs(t, m, opts)
 			withKernelISA(t, func(t *testing.T) {
-				e := testEngine(t, testArena(t, m, opts.Kind), []SweepSpec{opts.SweepSpec()})
+				e := testEngine(t, testArena(t, m, opts.Kind), opts.rule(samples))
 				e.tile = tileBlock
 				got, err := e.sweep(t.Context(), 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if g := sortedCopy(got[0]); !slices.Equal(g, want) {
+				if g := sortedCopy(got); !slices.Equal(g, want) {
 					t.Fatalf("genes=%d samples=%d: sweep %d pairs, brute force %d", genes, samples, len(g), len(want))
 				}
 			})
@@ -725,11 +723,11 @@ func TestFloat32BoundsRoundDown(t *testing.T) {
 		}
 	}
 	ar := newArena(arenaKey{genes: 4, samples: 100})
-	for _, specs := range [][]SweepSpec{
-		{{MinAbsR: 0.95, MaxP: 0.0005}},
-		{{MinAbsR: 0.3, MaxP: 1}, {MinAbsR: 0.6, MaxP: 1, Negative: true}},
+	for _, ru := range []rule{
+		SweepSpec{MinAbsR: 0.95, MaxP: 0.0005}.rule(100),
+		{pos: 0.3, neg: 0.6},
 	} {
-		e := testEngine(t, ar, specs)
+		e := testEngine(t, ar, ru)
 		if float64(e.pos32) > e.posCand || float64(e.neg32) > e.negCand {
 			t.Fatalf("float32 bounds (%v, %v) above float64 bounds (%v, %v)", e.pos32, e.neg32, e.posCand, e.negCand)
 		}
@@ -766,7 +764,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 		if err := ar.fill(context.Background(), res.M, PearsonCorr); err != nil {
 			b.Fatal(err)
 		}
-		e := testEngine(b, ar, []SweepSpec{DefaultNetworkOptions().SweepSpec()})
+		e := testEngine(b, ar, DefaultNetworkOptions().rule(samples))
 		b.Run(fmt.Sprintf("%dx%d", genes, samples), func(b *testing.B) {
 			iters := 0
 			for b.Loop() {

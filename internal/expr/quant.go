@@ -54,7 +54,7 @@ const (
 	quantLevels     = 127                      // q ∈ [−127, 127]
 	quantMaxSamples = 1 << 16                  // 255·127·n < 2³¹
 	// quantNever is an integer bound no dot reaches: a threshold of +Inf
-	// (no negative spec) or the unattainable criticalR sentinel.
+	// (no sign gate) or the unattainable criticalR sentinel.
 	quantNever = int64(1) << 40
 )
 
@@ -126,7 +126,7 @@ func rowBounds(pos, neg int64, sum int32) (ge, le int32) {
 const quantMinZ = 2.5
 
 // quantSelective reports whether the int8 bounds for the thresholds pos
-// and neg (+Inf: no negative spec) stay selective for rows of n samples
+// and neg (+Inf: no sign gate) stay selective for rows of n samples
 // at the given band.
 func quantSelective(pos, neg, band float64, samples int) bool {
 	rn := math.Sqrt(float64(samples))

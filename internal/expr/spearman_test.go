@@ -237,6 +237,23 @@ func TestCorrelateDispatch(t *testing.T) {
 	}
 }
 
+// requireSweepMatchesBuilds checks every sweep point's edge count and
+// maximum degree against a direct BuildNetwork at that point's threshold.
+func requireSweepMatchesBuilds(t *testing.T, m *Matrix, pts []SweepPoint, opts NetworkOptions) {
+	t.Helper()
+	for _, pt := range pts {
+		opts.MinAbsR = pt.MinAbsR
+		direct := BuildNetwork(m, opts)
+		if pt.Edges != direct.M() || pt.MaxDegree != direct.MaxDegree() {
+			t.Fatalf("negative=%v sweep at %v: %d edges, max degree %d; direct build %d, %d",
+				opts.Negative, pt.MinAbsR, pt.Edges, pt.MaxDegree, direct.M(), direct.MaxDegree())
+		}
+	}
+}
+
+// TestThresholdSweepMonotone sweeps Pearson thresholds with and without
+// the sign gate over a modular matrix whose first gene in each module is
+// negated, so the gate changes every point below 1.
 func TestThresholdSweepMonotone(t *testing.T) {
 	res, err := Synthesize(SyntheticSpec{
 		Genes: 200, Samples: 30, Modules: 3, ModuleSize: 8, Noise: 0.15, Seed: 4,
@@ -244,26 +261,37 @@ func TestThresholdSweepMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thresholds := []float64{0.80, 0.90, 0.95, 0.99}
-	sweepOpts := DefaultNetworkOptions()
-	sweepOpts.Workers = 4
-	pts := ThresholdSweep(res.M, thresholds, sweepOpts)
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Edge count decreases monotonically with the threshold.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Edges > pts[i-1].Edges {
-			t.Fatalf("edge count not monotone: %+v", pts)
+	for _, mod := range res.Modules {
+		g := int(mod[0])
+		for s := 0; s < res.M.Samples; s++ {
+			res.M.Set(g, s, -res.M.At(g, s))
 		}
 	}
-	// The 0.95 network matches a direct BuildNetwork at 0.95.
-	direct := BuildNetwork(res.M, NetworkOptions{MinAbsR: 0.95, MaxP: 0.0005})
-	if pts[2].Edges != direct.M() {
-		t.Fatalf("sweep at 0.95 has %d edges, direct build %d", pts[2].Edges, direct.M())
-	}
-	if pts[0].Edges == 0 {
-		t.Fatal("0.80 threshold should keep module edges")
+	thresholds := []float64{0.80, 0.90, 0.95, 0.99}
+	var positiveEdges int
+	for _, negative := range []bool{false, true} {
+		sweepOpts := DefaultNetworkOptions()
+		sweepOpts.Workers = 4
+		sweepOpts.Negative = negative
+		pts := ThresholdSweep(res.M, thresholds, sweepOpts)
+		if len(pts) != 4 {
+			t.Fatalf("points = %d", len(pts))
+		}
+		// Edge count decreases monotonically with the threshold.
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Edges > pts[i-1].Edges {
+				t.Fatalf("edge count not monotone: %+v", pts)
+			}
+		}
+		requireSweepMatchesBuilds(t, res.M, pts, NetworkOptions{MaxP: 0.0005, Negative: negative})
+		if pts[0].Edges == 0 {
+			t.Fatal("0.80 threshold should keep module edges")
+		}
+		if !negative {
+			positiveEdges = pts[0].Edges
+		} else if pts[0].Edges <= positiveEdges {
+			t.Fatalf("sign gate added no edge at 0.80: %d with, %d without", pts[0].Edges, positiveEdges)
+		}
 	}
 }
 

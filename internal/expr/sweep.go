@@ -1,7 +1,7 @@
 package expr
 
 import (
-	"math"
+	"context"
 
 	"parsample/internal/graph"
 )
@@ -21,46 +21,27 @@ type SweepPoint struct {
 //
 // opts selects the correlation statistic, p-value cut, worker count and
 // sign handling; its MinAbsR is ignored (the sweep's own thresholds
-// replace it). All pair correlations are computed once by the standardized
-// engine at the loosest threshold and every sweep point buckets the
-// retained coefficients — no correlation is ever recomputed per point.
+// replace it, a negative one counting as 0). The points are one
+// BatchBuildNetworksContext call: one engine sweep at the loosest
+// threshold, bucketed per point, so no correlation is computed twice.
 func ThresholdSweep(m *Matrix, thresholds []float64, opts NetworkOptions) []SweepPoint {
 	if len(thresholds) == 0 {
 		return nil
 	}
-	// Loosest threshold first: compute the superset edge set once. The
-	// floor is clamped to 0 — a negative |ρ| floor admits the same pairs
-	// as 0, and a negative MinAbsR would be misread by scoredPairs as the
-	// use-the-default sentinel, silently shrinking the superset.
-	opts.MinAbsR = thresholds[0]
-	for _, t := range thresholds {
-		if t < opts.MinAbsR {
-			opts.MinAbsR = t
-		}
+	opts = opts.withDefaults()
+	specs := make([]SweepSpec, len(thresholds))
+	for i, t := range thresholds {
+		specs[i] = SweepSpec{MinAbsR: t, MaxP: opts.MaxP, Negative: opts.Negative}
 	}
-	if opts.MinAbsR < 0 {
-		opts.MinAbsR = 0
-	}
-	scored := scoredPairs(m, opts) // bucketed into Builders; no need for sorted output
-	out := make([]SweepPoint, 0, len(thresholds))
-	for _, t := range thresholds {
-		b := graph.NewBuilder(m.Genes)
-		for _, se := range scored {
-			r := se.R
-			if opts.Negative {
-				r = math.Abs(r)
-			}
-			if r >= t {
-				b.AddEdge(se.U, se.V)
-			}
-		}
-		g := b.Build()
-		out = append(out, SweepPoint{
-			MinAbsR:   t,
+	gs, _ := BatchBuildNetworksContext(context.Background(), m, opts, specs)
+	out := make([]SweepPoint, len(gs))
+	for i, g := range gs {
+		out[i] = SweepPoint{
+			MinAbsR:   thresholds[i],
 			Edges:     g.M(),
 			Density:   graph.Density(g),
 			MaxDegree: g.MaxDegree(),
-		})
+		}
 	}
 	return out
 }
