@@ -26,6 +26,28 @@ import (
 	"parsample/internal/sampling"
 )
 
+// mustCluster runs MCODE with the paper's defaults on g; it fails the
+// benchmark on an error.
+func mustCluster(b *testing.B, g *graph.Graph) []mcode.Cluster {
+	b.Helper()
+	cs, err := mcode.FindClustersContext(b.Context(), g, mcode.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cs
+}
+
+// mustBuildNetwork builds the correlation network of m; it fails the
+// benchmark on an error.
+func mustBuildNetwork(b *testing.B, m *expr.Matrix, opts expr.NetworkOptions) *graph.Graph {
+	b.Helper()
+	g, err := expr.BuildNetworkContext(b.Context(), m, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
 // BenchmarkFig04AEESByOrdering regenerates Figure 4 (AEES per cluster across
 // the ORIG/HD/LD/NO/RCM variants of YNG and MID).
 func BenchmarkFig04AEESByOrdering(b *testing.B) {
@@ -200,7 +222,7 @@ func BenchmarkAblationSamplersYNG(b *testing.B) {
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sampling.Run(alg, ds.G, sampling.Options{Order: ord, P: 8, Seed: 1}); err != nil {
+				if _, err := sampling.RunContext(b.Context(), alg, ds.G, sampling.Options{Order: ord, P: 8, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,7 +240,7 @@ func BenchmarkAblationWallClockParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sampling.Run(sampling.ChordalNoComm, ds.G, sampling.Options{Order: ord, P: p}); err != nil {
+				if _, err := sampling.RunContext(b.Context(), sampling.ChordalNoComm, ds.G, sampling.Options{Order: ord, P: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,7 +370,11 @@ func BenchmarkChordalMaximalSubgraph(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := chordal.MaximalSubgraph(g, ord); len(res.Edges) == 0 {
+				res, err := chordal.MaximalSubgraphContext(b.Context(), g, ord)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Edges) == 0 {
 					b.Fatal("empty chordal subgraph")
 				}
 			}
@@ -379,7 +405,7 @@ func BenchmarkParallelChordal(b *testing.B) {
 					var res *sampling.Result
 					for i := 0; i < b.N; i++ {
 						var err error
-						if res, err = sampling.Run(alg, in.g, sampling.Options{Order: in.order, P: p}); err != nil {
+						if res, err = sampling.RunContext(b.Context(), alg, in.g, sampling.Options{Order: in.order, P: p}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -414,7 +440,7 @@ func BenchmarkMCODEClusters(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mcode.FindClusters(g, mcode.DefaultParams())
+				mustCluster(b, g)
 			}
 		})
 	}
@@ -427,7 +453,7 @@ func BenchmarkMCODEClusters(b *testing.B) {
 func BenchmarkFindClustersChordal(b *testing.B) {
 	for _, ds := range []*datasets.Dataset{datasets.YNG(), datasets.CRE()} {
 		ord := graph.Order(ds.G, graph.LowDegree, ds.Seed)
-		res, err := sampling.Run(sampling.ChordalSeq, ds.G, sampling.Options{Order: ord, P: 1, Seed: ds.Seed})
+		res, err := sampling.RunContext(b.Context(), sampling.ChordalSeq, ds.G, sampling.Options{Order: ord, P: 1, Seed: ds.Seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -435,7 +461,7 @@ func BenchmarkFindClustersChordal(b *testing.B) {
 		b.Run(ds.Name+"/chordal-seq/LD", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mcode.FindClusters(g, mcode.DefaultParams())
+				mustCluster(b, g)
 			}
 		})
 	}
@@ -457,7 +483,7 @@ func BenchmarkFindClustersGrid(b *testing.B) {
 			if slices.Contains(experiments.DistAlgorithms, alg) {
 				p = 4
 			}
-			res, err := sampling.Run(alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed})
+			res, err := sampling.RunContext(b.Context(), alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -468,13 +494,13 @@ func BenchmarkFindClustersGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range graphs {
-			mcode.FindClusters(g, mcode.DefaultParams())
+			mustCluster(b, g)
 		}
 	}
 }
 
 // BenchmarkBuildNetwork times the correlation front end — the z-scored,
-// panel-blocked all-pairs engine behind expr.BuildNetwork — for both
+// panel-blocked all-pairs engine behind expr.BuildNetworkContext — for both
 // statistics on the two reference matrix shapes. The 4096×100 Pearson
 // case is the acceptance metric for the vectorized kernel (≥3× over the
 // scalar tiled engine). The paper's 0.95 cases take the int8 prefilter on
@@ -498,7 +524,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dx%d", kind, shape.genes, shape.samples), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if g := expr.BuildNetwork(res.M, opts); g.M() == 0 {
+					if g := mustBuildNetwork(b, res.M, opts); g.M() == 0 {
 						b.Fatal("empty network")
 					}
 				}
@@ -511,7 +537,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 		b.Run(fmt.Sprintf("pearson-r0.3/%dx%d", shape.genes, shape.samples), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if g := expr.BuildNetwork(res.M, low); g.M() == 0 {
+				if g := mustBuildNetwork(b, res.M, low); g.M() == 0 {
 					b.Fatal("empty network")
 				}
 			}
@@ -598,7 +624,7 @@ func BenchmarkAblationOrderings(b *testing.B) {
 		b.Run(o.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sampling.Run(sampling.ChordalSeq, ds.G, sampling.Options{Order: ord}); err != nil {
+				if _, err := sampling.RunContext(b.Context(), sampling.ChordalSeq, ds.G, sampling.Options{Order: ord}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -90,6 +90,7 @@ const serverBody = `{
 func main() {
 	out := flag.String("o", "BENCH_10.json", "output path ('-' for stdout)")
 	flag.Parse()
+	ctx := context.Background()
 
 	r := report{
 		ID:        "BENCH_10",
@@ -112,7 +113,11 @@ func main() {
 		name := fmt.Sprintf("build_network/pearson/%dx%d", shape.genes, shape.samples)
 		r.NsPerOp[name] = nsPerOp(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if g := expr.BuildNetwork(syn.M, opts); g.M() == 0 {
+				g, err := expr.BuildNetworkContext(b.Context(), syn.M, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.M() == 0 {
 					b.Fatal("empty network")
 				}
 			}
@@ -123,7 +128,7 @@ func main() {
 			r.NsPerOp["batched_sweep/2048x64/k=4"] = batched
 			r.BatchedSweepRatioK4 = batched / single
 
-			enc, dec := snapshotCodec(syn)
+			enc, dec := snapshotCodec(ctx, syn)
 			r.NsPerOp["snapshot/encode_graph/2048x64"] = enc
 			r.NsPerOp["snapshot/decode_graph/2048x64"] = dec
 		}
@@ -254,8 +259,11 @@ func batchedSweep(syn *expr.SyntheticResult) (single, batched float64) {
 // reference network: encode is what the write-behind goroutine pays per
 // spill, decode is the integrity-verified load a warm restart pays instead
 // of a kernel.
-func snapshotCodec(syn *expr.SyntheticResult) (encNs, decNs float64) {
-	g := expr.BuildNetwork(syn.M, expr.DefaultNetworkOptions())
+func snapshotCodec(ctx context.Context, syn *expr.SyntheticResult) (encNs, decNs float64) {
+	g, err := expr.BuildNetworkContext(ctx, syn.M, expr.DefaultNetworkOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 	if g.M() == 0 {
 		log.Fatal("empty network for snapshot codec bench")
 	}

@@ -227,7 +227,7 @@ func main() {
 			fmt.Fprintf(out, "%-9s %4dx%-3d edges=%6d density=%.5f module-recall=%.2f build=%.3fs\n",
 				r.Kind, r.Genes, r.Samples, r.Edges, r.Density, r.ModuleEdgeRecall, r.BuildSeconds)
 		}
-		pts, err := experiments.CorrelationCliff()
+		pts, err := experiments.CorrelationCliff(ctx)
 		if err != nil {
 			return err
 		}

@@ -43,6 +43,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -474,7 +475,7 @@ func (g *generator) phaseBurst() phaseReport {
 // phaseSlowLoris: SSE consumers that subscribe to a job's event stream
 // and never read, leaving the server's per-write deadline to shed them.
 func (g *generator) phaseSlowLoris() phaseReport {
-	before, _ := g.statsz()
+	before, errBefore := g.statsz()
 	// A job with enough work to emit several frames.
 	resp, err := g.client.Post(g.cfg.addr+"/v1/jobs", "application/json", strings.NewReader(g.body(g.cfg.seed+777)))
 	if err != nil {
@@ -515,9 +516,11 @@ func (g *generator) phaseSlowLoris() phaseReport {
 		}()
 	}
 	wg.Wait()
-	after, _ := g.statsz()
+	after, errAfter := g.statsz()
 	extra := map[string]any{"consumers": consumers, "jobID": ji.ID}
-	if before != nil && after != nil {
+	if err := errors.Join(errBefore, errAfter); err != nil {
+		extra["error"] = "statsz: " + err.Error()
+	} else {
 		extra["sseShedDelta"] = after.Admission.Shed.SSESlowConsumers - before.Admission.Shed.SSESlowConsumers
 	}
 	return phaseReport{Phase: "slowloris", Statuses: map[string]int{}, Extra: extra}

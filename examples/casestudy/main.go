@@ -68,7 +68,10 @@ func main() {
 
 	// Match filtered clusters back to originals and report the best AEES
 	// improvement — the Figure 9 case study.
-	matches := analysis.MatchClusters(g, origScored, fg, filtScored)
+	matches, err := analysis.MatchClustersContext(ctx, g, origScored, fg, filtScored)
+	if err != nil {
+		log.Fatal(err)
+	}
 	bestGain := 0.0
 	var best analysis.Match
 	for _, m := range matches {

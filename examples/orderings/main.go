@@ -60,8 +60,12 @@ func main() {
 			}
 		}
 		recall := analysis.ModuleRecovery(ds.Modules, clusters, 0.5)
+		ms, err := analysis.MatchClustersContext(ctx, ds.G, origScored, fg, scored)
+		if err != nil {
+			log.Fatal(err)
+		}
 		best := 0.0
-		for _, m := range analysis.MatchClusters(ds.G, origScored, fg, scored) {
+		for _, m := range ms {
 			if m.Overlap.NodeFrac > best {
 				best = m.Overlap.NodeFrac
 			}

@@ -59,6 +59,13 @@ func main() {
 	}
 
 	// Sanity: the filtered graph is chordal when run sequentially.
-	seq := parsample.MaximalChordalSubgraph(g, parsample.HighDegree, 1)
-	fmt.Printf("sequential subgraph chordal: %v\n", parsample.IsChordal(seq))
+	seq, err := parsample.FilterContext(ctx, g, parsample.FilterOptions{
+		Algorithm: parsample.ChordalSeq,
+		Ordering:  parsample.HighDegree,
+		Seed:      1,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("sequential subgraph chordal: %v\n", parsample.IsChordal(seq.Subgraph))
 }

@@ -18,10 +18,11 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := experiments.DefaultScalingConfig()
 
 	// The full sweep table, exactly what `experiments -fig scaling` prints.
-	rows, err := experiments.Scaling(context.Background(), cfg)
+	rows, err := experiments.Scaling(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	ord := graph.Order(net.G, graph.Natural, net.Seed)
 	for _, p := range cfg.Processors {
 		t0 := time.Now()
-		res, err := sampling.Run(sampling.ChordalNoComm, net.G, sampling.Options{
+		res, err := sampling.RunContext(ctx, sampling.ChordalNoComm, net.G, sampling.Options{
 			Order: ord, P: p, Seed: net.Seed, Model: &cfg.Model,
 		})
 		if err != nil {

@@ -20,18 +20,12 @@ type ScoredCluster struct {
 	Score   ontology.ClusterScore
 }
 
-// ScoreClusters annotates every cluster against the ontology using the host
-// graph g for cluster-internal adjacency.
-func ScoreClusters(d *ontology.DAG, a *ontology.Annotations, g *graph.Graph, clusters []mcode.Cluster) []ScoredCluster {
-	out, _ := ScoreClustersContext(context.Background(), d, a, g, clusters)
-	return out
-}
-
-// ScoreClustersContext is ScoreClusters with cooperative cancellation,
-// polling ctx between clusters (one cluster score walks every internal edge
-// pair's annotation sets — the unit of work worth bounding). One
-// ontology.Scorer serves the whole call, so a term pair that recurs across
-// edges and clusters is scored once.
+// ScoreClustersContext annotates every cluster against the ontology using
+// the host graph g for cluster-internal adjacency. It polls ctx between
+// clusters (one cluster score walks every internal edge pair's annotation
+// sets — the unit of work worth bounding). One ontology.Scorer serves the
+// whole call, so a term pair that recurs across edges and clusters is
+// scored once.
 func ScoreClustersContext(ctx context.Context, d *ontology.DAG, a *ontology.Annotations, g *graph.Graph, clusters []mcode.Cluster) ([]ScoredCluster, error) {
 	out := make([]ScoredCluster, len(clusters))
 	sc := ontology.NewScorer(d, a)
@@ -107,17 +101,11 @@ type Match struct {
 	Overlap    Overlap
 }
 
-// MatchClusters computes, for every filtered cluster, the original cluster
-// with the highest node overlap (ties broken by edge overlap). gOrig and
-// gFilt are the host graphs used for edge overlap.
-func MatchClusters(gOrig *graph.Graph, orig []ScoredCluster, gFilt *graph.Graph, filt []ScoredCluster) []Match {
-	out, _ := MatchClustersContext(context.Background(), gOrig, orig, gFilt, filt)
-	return out
-}
-
-// MatchClustersContext is MatchClusters with cooperative cancellation,
-// polling ctx per filtered cluster (each one is compared against every
-// original cluster — the quadratic unit of the match table).
+// MatchClustersContext computes, for every filtered cluster, the original
+// cluster with the highest node overlap (ties broken by edge overlap).
+// gOrig and gFilt are the host graphs used for edge overlap. It polls ctx
+// per filtered cluster (each one is compared against every original
+// cluster — the quadratic unit of the match table).
 func MatchClustersContext(ctx context.Context, gOrig *graph.Graph, orig []ScoredCluster, gFilt *graph.Graph, filt []ScoredCluster) ([]Match, error) {
 	out := make([]Match, len(filt))
 	for fi, fc := range filt {

@@ -9,6 +9,17 @@ import (
 	"parsample/internal/ontology"
 )
 
+// mustMatch runs MatchClustersContext under the test's context and fails
+// the test on an error.
+func mustMatch(t *testing.T, gOrig *graph.Graph, orig []ScoredCluster, gFilt *graph.Graph, filt []ScoredCluster) []Match {
+	t.Helper()
+	out, err := MatchClustersContext(t.Context(), gOrig, orig, gFilt, filt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestNodeOverlap(t *testing.T) {
 	a := []int32{1, 2, 3, 4}
 	b := []int32{3, 4, 5, 6}
@@ -128,7 +139,7 @@ func TestMatchClustersBestOverlap(t *testing.T) {
 		buildScored([]int32{6, 9}, 1),    // partial match with orig 1
 		buildScored([]int32{4, 5}, 0),    // matches nothing
 	}
-	matches := MatchClusters(g, orig, g, filt)
+	matches := mustMatch(t, g, orig, g, filt)
 	if matches[0].OriginalID != 0 || matches[0].Overlap.NodeFrac != 1 {
 		t.Fatalf("match[0] = %+v", matches[0])
 	}
@@ -150,7 +161,7 @@ func TestQuadrantCountsAndLostFound(t *testing.T) {
 		buildScored([]int32{0, 1, 2, 3}, 5), // TP (full overlap, high AEES)
 		buildScored([]int32{4, 5, 6}, 4),    // found, FN (no overlap, high AEES)
 	}
-	matches := MatchClusters(g, orig, g, filt)
+	matches := mustMatch(t, g, orig, g, filt)
 	counts := QuadrantCounts(filt, matches, ByNode, DefaultAEESThreshold, DefaultOverlapThreshold)
 	if counts.TP != 1 || counts.FN != 1 || counts.FP != 0 || counts.TN != 0 {
 		t.Fatalf("counts = %+v", counts)
@@ -168,7 +179,7 @@ func TestQuadrantCountsByEdge(t *testing.T) {
 	g := graph.Complete(6)
 	orig := []ScoredCluster{buildScored([]int32{0, 1, 2, 3}, 5)}
 	filt := []ScoredCluster{buildScored([]int32{0, 1, 2, 3}, 5)}
-	matches := MatchClusters(g, orig, g, filt)
+	matches := mustMatch(t, g, orig, g, filt)
 	counts := QuadrantCounts(filt, matches, ByEdge, 3, 0.5)
 	if counts.TP != 1 {
 		t.Fatalf("edge-based counts = %+v", counts)
@@ -181,7 +192,7 @@ func TestScoreClusters(t *testing.T) {
 	a := ontology.AnnotateModules(d, 10, modules, 6, 2)
 	g := graph.Complete(10)
 	clusters := []mcode.Cluster{{Vertices: []int32{0, 1, 2, 3}}, {Vertices: []int32{5, 6, 7}}}
-	scored := ScoreClusters(d, a, g, clusters)
+	scored := mustScore(t, d, a, g, clusters)
 	if len(scored) != 2 {
 		t.Fatal("wrong count")
 	}

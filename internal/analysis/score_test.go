@@ -12,7 +12,18 @@ import (
 	"parsample/internal/sampling"
 )
 
-// scoringInput is one ScoreClusters call: a filtered host graph, its MCODE
+// mustScore runs ScoreClustersContext under the test's context and fails
+// the test on an error.
+func mustScore(tb testing.TB, d *ontology.DAG, a *ontology.Annotations, g *graph.Graph, clusters []mcode.Cluster) []ScoredCluster {
+	tb.Helper()
+	out, err := ScoreClustersContext(tb.Context(), d, a, g, clusters)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// scoringInput is one ScoreClustersContext call: a filtered host graph, its MCODE
 // clusters, and the ontology they are scored against.
 type scoringInput struct {
 	name     string
@@ -27,12 +38,15 @@ type scoringInput struct {
 func filteredInput(tb testing.TB, name string, g *graph.Graph, alg sampling.Algorithm, p int, seed int64, dag *ontology.DAG, ann *ontology.Annotations) scoringInput {
 	tb.Helper()
 	ord := graph.Order(g, graph.HighDegree, seed)
-	res, err := sampling.Run(alg, g, sampling.Options{Order: ord, P: p, Seed: seed})
+	res, err := sampling.RunContext(tb.Context(), alg, g, sampling.Options{Order: ord, P: p, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	fg := res.Graph(g.N())
-	clusters := mcode.FindClusters(fg, mcode.DefaultParams())
+	clusters, err := mcode.FindClustersContext(tb.Context(), fg, mcode.DefaultParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if len(clusters) == 0 {
 		tb.Fatalf("%s: no clusters", name)
 	}
@@ -57,7 +71,10 @@ func synthInput(tb testing.TB) scoringInput {
 	}
 	dag := ontology.Generate(ontology.GenerateSpec{Depth: 10, Branch: 3, Seed: seed + 1})
 	ann := ontology.AnnotateModules(dag, 2048, syn.Modules, 6, seed+2)
-	g := expr.BuildNetwork(syn.M, expr.DefaultNetworkOptions())
+	g, err := expr.BuildNetworkContext(tb.Context(), syn.M, expr.DefaultNetworkOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return filteredInput(tb, "synth/2048x64/chordal-nocomm/HD", g, sampling.ChordalNoComm, 4, seed, dag, ann)
 }
 
@@ -67,7 +84,7 @@ func synthInput(tb testing.TB) scoringInput {
 // serial run.
 func TestScoreClustersSharedDAGConcurrent(t *testing.T) {
 	in := yngInput(t)
-	want := ScoreClusters(in.dag, in.ann, in.g, in.clusters)
+	want := mustScore(t, in.dag, in.ann, in.g, in.clusters)
 	const workers, rounds = 4, 3
 	var wg sync.WaitGroup
 	results := make([][][]ScoredCluster, workers)
@@ -76,7 +93,12 @@ func TestScoreClustersSharedDAGConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range rounds {
-				results[w] = append(results[w], ScoreClusters(in.dag, in.ann, in.g, in.clusters))
+				got, err := ScoreClustersContext(t.Context(), in.dag, in.ann, in.g, in.clusters)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[w] = append(results[w], got)
 			}
 		}()
 	}
@@ -97,14 +119,14 @@ func TestScoreClustersSharedDAGConcurrent(t *testing.T) {
 
 var scoredSink []ScoredCluster
 
-// BenchmarkScoreClusters times one ScoreClusters call over the filtered
+// BenchmarkScoreClusters times one ScoreClustersContext call over the filtered
 // clusters of a synthesized request and of a dataset cell.
 func BenchmarkScoreClusters(b *testing.B) {
 	for _, in := range []scoringInput{synthInput(b), yngInput(b)} {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				scoredSink = ScoreClusters(in.dag, in.ann, in.g, in.clusters)
+				scoredSink = mustScore(b, in.dag, in.ann, in.g, in.clusters)
 			}
 		})
 	}

@@ -18,6 +18,8 @@
 //   - fingerprint: run parameters leaking into the cache-identity hash.
 //   - poolrelease: sync.Pool.Put reachable before spawned workers are
 //     joined.
+//   - errdrop: an error result of this module's own functions discarded
+//     with the blank identifier in shipped code.
 //
 // Suppression: a finding is silenced by a directive on the flagged line or
 // the line directly above it, with a mandatory reason:
@@ -47,6 +49,7 @@ func Suite() []*analysis.Analyzer {
 		NonDeterm,
 		Fingerprint,
 		PoolRelease,
+		ErrDrop,
 	}
 }
 

@@ -133,7 +133,13 @@ func heapPop(h []int32) []int32 {
 	return h
 }
 
-// MaximalSubgraph extracts a maximal chordal subgraph of g using the
+// cancelStride is how many vertex commits pass between context polls in the
+// DSW loop. A commit processes one vertex's whole neighborhood, so 256
+// commits bound the poll interval to a few hundred microseconds of work
+// while keeping the check off the per-edge path.
+const cancelStride = 256
+
+// MaximalSubgraphContext extracts a maximal chordal subgraph of g using the
 // Dearing–Shier–Warner traversal, O(E·d) for maximum degree d.
 //
 // Each unvisited vertex u carries a candidate set B(u): visited neighbors w
@@ -152,19 +158,8 @@ func heapPop(h []int32) []int32 {
 // order must be a permutation of 0..g.N()-1; it supplies both the starting
 // bias and tie-breaking, which is how the paper's Natural / HighDegree /
 // LowDegree / RCM perturbations enter the algorithm.
-func MaximalSubgraph(g *graph.Graph, order []int32) *Result {
-	res, _ := MaximalSubgraphContext(context.Background(), g, order)
-	return res
-}
-
-// cancelStride is how many vertex commits pass between context polls in the
-// DSW loop. A commit processes one vertex's whole neighborhood, so 256
-// commits bound the poll interval to a few hundred microseconds of work
-// while keeping the check off the per-edge path.
-const cancelStride = 256
-
-// MaximalSubgraphContext is MaximalSubgraph with cooperative cancellation:
-// the traversal polls ctx every cancelStride committed vertices and returns
+//
+// The traversal polls ctx every cancelStride committed vertices and returns
 // (nil, ctx.Err()) once it observes cancellation. A nil error means the
 // extraction ran to completion.
 func MaximalSubgraphContext(ctx context.Context, g *graph.Graph, order []int32) (*Result, error) {

@@ -10,6 +10,17 @@ import (
 
 func natural(g *graph.Graph) []int32 { return graph.NaturalOrder(g.N()) }
 
+// mustMaximal runs MaximalSubgraphContext under the test's context and
+// fails the test on an error.
+func mustMaximal(tb testing.TB, g *graph.Graph, order []int32) *Result {
+	tb.Helper()
+	res, err := MaximalSubgraphContext(tb.Context(), g, order)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestIsChordalBasics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -108,7 +119,7 @@ func TestMaximalSubgraphOnChordalInput(t *testing.T) {
 		graph.Cycle(3),
 	}
 	for _, g := range inputs {
-		res := MaximalSubgraph(g, natural(g))
+		res := mustMaximal(t, g, natural(g))
 		if len(res.Edges) != g.M() {
 			t.Fatalf("chordal input lost edges: got %d, want %d", len(res.Edges), g.M())
 		}
@@ -120,7 +131,7 @@ func TestMaximalSubgraphCycle(t *testing.T) {
 	// in the original so the cycle must be cut once).
 	for _, n := range []int{4, 5, 8, 13} {
 		g := graph.Cycle(n)
-		res := MaximalSubgraph(g, natural(g))
+		res := mustMaximal(t, g, natural(g))
 		if len(res.Edges) != n-1 {
 			t.Fatalf("C%d: chordal subgraph has %d edges, want %d", n, len(res.Edges), n-1)
 		}
@@ -133,7 +144,7 @@ func TestMaximalSubgraphCycle(t *testing.T) {
 func TestMaximalSubgraphAlwaysChordal(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := graph.Gnm(80, 240, seed)
-		res := MaximalSubgraph(g, natural(g))
+		res := mustMaximal(t, g, natural(g))
 		sub := graph.FromEdges(g.N(), res.Edges)
 		if !IsChordal(sub) {
 			t.Fatalf("seed %d: result not chordal", seed)
@@ -150,7 +161,7 @@ func TestMaximalSubgraphAlwaysChordal(t *testing.T) {
 func TestMaximalSubgraphIsMaximal(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.Gnm(25, 70, seed)
-		res := MaximalSubgraph(g, natural(g))
+		res := mustMaximal(t, g, natural(g))
 		sub := graph.FromEdges(g.N(), res.Edges)
 		if !IsMaximalChordalSubgraph(g, sub) {
 			t.Fatalf("seed %d: subgraph not maximal", seed)
@@ -160,7 +171,7 @@ func TestMaximalSubgraphIsMaximal(t *testing.T) {
 
 func TestMaximalSubgraphVisitOrderPEO(t *testing.T) {
 	g := graph.Gnm(60, 200, 3)
-	res := MaximalSubgraph(g, natural(g))
+	res := mustMaximal(t, g, natural(g))
 	sub := graph.FromEdges(g.N(), res.Edges)
 	// Reverse of visit order is a PEO of the subgraph.
 	rev := make([]int32, len(res.VisitOrder))
@@ -179,7 +190,7 @@ func TestMaximalSubgraphOrderSensitivity(t *testing.T) {
 	sizes := map[string]int{}
 	for _, o := range graph.AllOrderings {
 		ord := graph.Order(g, o, 0)
-		res := MaximalSubgraph(g, ord)
+		res := mustMaximal(t, g, ord)
 		if !IsChordal(graph.FromEdges(g.N(), res.Edges)) {
 			t.Fatalf("%v: not chordal", o)
 		}
@@ -190,11 +201,11 @@ func TestMaximalSubgraphOrderSensitivity(t *testing.T) {
 
 func TestMaximalSubgraphEmptyAndTiny(t *testing.T) {
 	g := graph.FromEdges(0, nil)
-	if res := MaximalSubgraph(g, nil); len(res.Edges) != 0 {
+	if res := mustMaximal(t, g, nil); len(res.Edges) != 0 {
 		t.Fatal("empty graph should give empty subgraph")
 	}
 	g1 := graph.FromEdges(3, nil) // no edges
-	res := MaximalSubgraph(g1, natural(g1))
+	res := mustMaximal(t, g1, natural(g1))
 	if len(res.Edges) != 0 || len(res.VisitOrder) != 3 {
 		t.Fatal("edgeless graph mishandled")
 	}
@@ -208,7 +219,7 @@ func TestMaximalSubgraphPreservesCliques(t *testing.T) {
 	}, 5)
 	g := pr.G
 	mod := pr.Modules[0]
-	sub := graph.FromEdges(g.N(), MaximalSubgraph(g, natural(g)).Edges)
+	sub := graph.FromEdges(g.N(), mustMaximal(t, g, natural(g)).Edges)
 	missing := 0
 	for i := 0; i < len(mod); i++ {
 		for j := i + 1; j < len(mod); j++ {
@@ -234,7 +245,7 @@ func TestMaximalSubgraphQuick(t *testing.T) {
 		m := rng.Intn(n * (n - 1) / 2)
 		g := graph.Gnm(n, m, seed)
 		ord := graph.Order(g, graph.RandomOrder, seed+1)
-		res := MaximalSubgraph(g, ord)
+		res := mustMaximal(t, g, ord)
 		sub := graph.FromEdges(n, res.Edges)
 		if !IsChordal(sub) {
 			return false
@@ -260,7 +271,7 @@ func TestMaximalityQuick(t *testing.T) {
 		m := rng.Intn(n*(n-1)/2 + 1)
 		g := graph.Gnm(n, m, seed)
 		ord := graph.Order(g, graph.RandomOrder, seed+7)
-		res := MaximalSubgraph(g, ord)
+		res := mustMaximal(t, g, ord)
 		return IsMaximalChordalSubgraph(g, graph.FromEdges(n, res.Edges))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -270,7 +281,7 @@ func TestMaximalityQuick(t *testing.T) {
 
 func TestOpsCounterPositive(t *testing.T) {
 	g := graph.Gnm(50, 150, 2)
-	res := MaximalSubgraph(g, natural(g))
+	res := mustMaximal(t, g, natural(g))
 	if res.Ops <= 0 {
 		t.Fatal("ops counter should be positive for non-trivial input")
 	}
@@ -282,12 +293,12 @@ func BenchmarkMaximalSubgraphGnm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaximalSubgraph(g, ord)
+		mustMaximal(b, g, ord)
 	}
 }
 
 func BenchmarkIsChordal(b *testing.B) {
-	g := graph.FromEdges(5000, MaximalSubgraph(graph.Gnm(5000, 15000, 1), graph.NaturalOrder(5000)).Edges)
+	g := graph.FromEdges(5000, mustMaximal(b, graph.Gnm(5000, 15000, 1), graph.NaturalOrder(5000)).Edges)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -339,7 +350,7 @@ func TestFillInZeroIffChordalQuick(t *testing.T) {
 // result has small fill-in relative to the original network.
 func TestFillInOfFilterOutput(t *testing.T) {
 	g := graph.Gnm(200, 700, 3)
-	sub := graph.FromEdges(200, MaximalSubgraph(g, graph.NaturalOrder(200)).Edges)
+	sub := graph.FromEdges(200, mustMaximal(t, g, graph.NaturalOrder(200)).Edges)
 	if FillInCount(sub) != 0 {
 		t.Fatal("sequential chordal output must have zero fill-in")
 	}
@@ -352,7 +363,7 @@ func TestFillInOfFilterOutput(t *testing.T) {
 // as sparse ones.
 func TestDensePathInvariants(t *testing.T) {
 	g := graph.Gnm(120, 5000, 11) // mean degree 83
-	res := MaximalSubgraph(g, natural(g))
+	res := mustMaximal(t, g, natural(g))
 	sub := graph.FromEdges(g.N(), res.Edges)
 	if !IsChordal(sub) {
 		t.Fatal("dense input produced a non-chordal subgraph")

@@ -61,7 +61,7 @@ func TestLexBFSAgreesWithMCSQuick(t *testing.T) {
 		if IsChordal(g) != IsChordalLexBFS(g) {
 			return false
 		}
-		sub := graph.FromEdges(n, MaximalSubgraph(g, graph.NaturalOrder(n)).Edges)
+		sub := graph.FromEdges(n, mustMaximal(t, g, graph.NaturalOrder(n)).Edges)
 		return IsChordalLexBFS(sub)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

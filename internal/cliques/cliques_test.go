@@ -10,6 +10,17 @@ import (
 	"parsample/internal/graph"
 )
 
+// mustChordalSubgraph is the DSW maximal chordal subgraph of g under the
+// natural order; it fails the test on an error.
+func mustChordalSubgraph(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	res, err := chordal.MaximalSubgraphContext(t.Context(), g, graph.NaturalOrder(g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graph.FromEdges(g.N(), res.Edges)
+}
+
 func TestMaximalCliquesKn(t *testing.T) {
 	cs := MaximalCliques(graph.Complete(5), 0)
 	if len(cs) != 1 || len(cs[0]) != 5 {
@@ -84,7 +95,7 @@ func TestChordalAgreesWithBKQuick(t *testing.T) {
 		n := 5 + rng.Intn(25)
 		m := rng.Intn(3 * n)
 		g := graph.Gnm(n, m, seed)
-		sub := graph.FromEdges(n, chordal.MaximalSubgraph(g, graph.NaturalOrder(n)).Edges)
+		sub := mustChordalSubgraph(t, g)
 		a := ChordalMaximalCliques(sub)
 		b := MaximalCliques(sub, 0)
 		return reflect.DeepEqual(a, b)
@@ -98,7 +109,7 @@ func TestCliqueCountBoundChordal(t *testing.T) {
 	// A chordal graph has at most n maximal cliques.
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.Gnm(60, 200, seed)
-		sub := graph.FromEdges(60, chordal.MaximalSubgraph(g, graph.NaturalOrder(60)).Edges)
+		sub := mustChordalSubgraph(t, g)
 		cs := ChordalMaximalCliques(sub)
 		if len(cs) > 60 {
 			t.Fatalf("chordal graph with %d > n maximal cliques", len(cs))
@@ -113,7 +124,7 @@ func TestCliqueRetentionChordalFilterBeatsRandom(t *testing.T) {
 		Count: 6, MinSize: 5, MaxSize: 7, Density: 0.9, NoiseDeg: 0.4, Window: 3,
 	}, 9)
 	g := pr.G
-	sub := graph.FromEdges(g.N(), chordal.MaximalSubgraph(g, graph.NaturalOrder(g.N())).Edges)
+	sub := mustChordalSubgraph(t, g)
 	chordalRet := CliqueRetention(g, sub, 3)
 
 	// Random subgraph with the same edge count.

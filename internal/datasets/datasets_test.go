@@ -57,7 +57,10 @@ func TestModulesAreClusterable(t *testing.T) {
 	// The original UNT/CRE networks must yield MCODE clusters (the paper
 	// finds clusters in all original networks).
 	for _, ds := range []*Dataset{UNT(), CRE()} {
-		clusters := mcode.FindClusters(ds.G, mcode.DefaultParams())
+		clusters, err := mcode.FindClustersContext(t.Context(), ds.G, mcode.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(clusters) < 5 {
 			t.Fatalf("%s: only %d clusters found in original network", ds.Name, len(clusters))
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -12,21 +13,32 @@ import (
 	"parsample/internal/sampling"
 )
 
+// mustScored is ScoredClusters under the test's context; it fails the test
+// on an error.
+func mustScored(t *testing.T, ds *datasets.Dataset, g *graph.Graph) []analysis.ScoredCluster {
+	t.Helper()
+	sc, err := ScoredClusters(t.Context(), ds, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // directFig4 regenerates Figure 4 exactly the way the pre-engine drivers
 // did: straight kernel composition (Filter + ScoredClusters), no cache.
 func directFig4(t *testing.T) []Fig4Row {
 	t.Helper()
 	var rows []Fig4Row
 	for _, ds := range []*datasets.Dataset{datasets.YNG(), datasets.MID()} {
-		for _, sc := range ScoredClusters(ds, ds.G) {
+		for _, sc := range mustScored(t, ds, ds.G) {
 			rows = append(rows, Fig4Row{ds.Name, "ORIG", sc.Cluster.ID, len(sc.Cluster.Vertices), sc.Score.AEES})
 		}
 		for _, o := range graph.AllOrderings {
-			fn, err := Filter(ds, o, sampling.ChordalSeq, 1)
+			fn, err := Filter(t.Context(), ds, o, sampling.ChordalSeq, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sc := range ScoredClusters(ds, fn.G) {
+			for _, sc := range mustScored(t, ds, fn.G) {
 				rows = append(rows, Fig4Row{ds.Name, o.String(), sc.Cluster.ID, len(sc.Cluster.Vertices), sc.Score.AEES})
 			}
 		}
@@ -54,7 +66,7 @@ func TestFig4EngineMatchesDirectByteIdentical(t *testing.T) {
 	}
 }
 
-// The engine's match tables agree with the direct MatchClusters composition
+// The engine's match tables agree with the direct MatchClustersContext composition
 // (the artifact behind Figures 5-9 and the lost/found table).
 func TestMatchesEngineMatchesDirect(t *testing.T) {
 	ds := datasets.YNG()
@@ -64,14 +76,27 @@ func TestMatchesEngineMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := Filter(ds, o, sampling.ChordalSeq, 1)
+		fn, err := Filter(ctx, ds, o, sampling.ChordalSeq, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := analysis.MatchClusters(ds.G, ScoredClusters(ds, ds.G), fn.G, ScoredClusters(ds, fn.G))
+		direct, err := analysis.MatchClustersContext(ctx, ds.G, mustScored(t, ds, ds.G), fn.G, mustScored(t, ds, fn.G))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(ms, direct) {
 			t.Fatalf("%s: engine match table differs from direct", o)
 		}
+	}
+}
+
+// The direct-path oracle reports cancellation instead of scoring nothing.
+func TestScoredClustersCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ds := datasets.YNG()
+	if sc, err := ScoredClusters(ctx, ds, ds.G); !errors.Is(err, context.Canceled) || sc != nil {
+		t.Fatalf("ScoredClusters = %d clusters, %v; want none and context.Canceled", len(sc), err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 func TestFilterPipeline(t *testing.T) {
 	ds := datasets.YNG()
-	fn, err := Filter(ds, graph.HighDegree, sampling.ChordalSeq, 1)
+	fn, err := Filter(t.Context(), ds, graph.HighDegree, sampling.ChordalSeq, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

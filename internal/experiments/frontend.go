@@ -21,7 +21,7 @@ type CorrelationFrontEndRow struct {
 	Edges            int
 	Density          float64
 	ModuleEdgeRecall float64 // fraction of planted within-module pairs kept
-	BuildSeconds     float64 // wall time of BuildNetwork on this machine
+	BuildSeconds     float64 // wall time of BuildNetworkContext on this machine
 }
 
 // frontEndSpec is the synthetic microarray used by the front-end studies:
@@ -80,8 +80,9 @@ func CorrelationFrontEnd(ctx context.Context) ([]CorrelationFrontEndRow, error) 
 }
 
 // CorrelationCliff sweeps the |ρ| threshold over one all-pairs pass,
-// reproducing the edge-count cliff that motivates the paper's 0.95 cut.
-func CorrelationCliff() ([]expr.SweepPoint, error) {
+// reproducing the edge-count cliff that motivates the paper's 0.95 cut. A
+// failed or cancelled sweep returns its error.
+func CorrelationCliff(ctx context.Context) ([]expr.SweepPoint, error) {
 	syn, err := expr.Synthesize(frontEndSpec)
 	if err != nil {
 		return nil, err
@@ -91,5 +92,5 @@ func CorrelationCliff() ([]expr.SweepPoint, error) {
 	// implies |ρ| ≳ 0.43) up past the paper's cut: the low end floods with
 	// coincidental correlations, the high end erases module edges.
 	thresholds := []float64{0.45, 0.60, 0.80, 0.90, 0.95, 0.99}
-	return expr.ThresholdSweep(syn.M, thresholds, opts), nil
+	return expr.ThresholdSweepContext(ctx, syn.M, thresholds, opts)
 }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"parsample/internal/faultinject"
 )
 
 func TestCorrelationFrontEnd(t *testing.T) {
@@ -35,8 +38,11 @@ func TestCorrelationFrontEnd(t *testing.T) {
 	}
 }
 
+// TestCorrelationCliff checks the threshold cliff, then arms the sweep's
+// tile failpoint: the figure returns the injected error, not empty points.
+// faultinject state is process-global — no t.Parallel here.
 func TestCorrelationCliff(t *testing.T) {
-	pts, err := CorrelationCliff()
+	pts, err := CorrelationCliff(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,5 +56,11 @@ func TestCorrelationCliff(t *testing.T) {
 	}
 	if pts[0].Edges == 0 {
 		t.Fatal("loosest threshold kept no edges")
+	}
+
+	t.Cleanup(faultinject.Reset)
+	faultinject.Enable("expr.sweep.tile", faultinject.Spec{Mode: faultinject.ModeError})
+	if pts, err := CorrelationCliff(t.Context()); !errors.Is(err, faultinject.ErrInjected) || pts != nil {
+		t.Fatalf("armed sweep: %d points, err = %v; want none and ErrInjected", len(pts), err)
 	}
 }

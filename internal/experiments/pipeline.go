@@ -89,9 +89,9 @@ type FilteredNet struct {
 // processor count — the direct, uncached kernel path. The figure drivers go
 // through the engine instead; this entry point remains as the independent
 // reference the engine-vs-direct determinism test compares against.
-func Filter(ds *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p int) (*FilteredNet, error) {
+func Filter(ctx context.Context, ds *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p int) (*FilteredNet, error) {
 	ord := graph.Order(ds.G, o, ds.Seed)
-	res, err := sampling.Run(alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed})
+	res, err := sampling.RunContext(ctx, alg, ds.G, sampling.Options{Order: ord, P: p, Seed: ds.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,10 @@ func Filter(ds *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p in
 
 // ScoredClusters runs MCODE on g and scores every cluster against the
 // dataset's ontology (direct path, see Filter).
-func ScoredClusters(ds *datasets.Dataset, g *graph.Graph) []analysis.ScoredCluster {
-	clusters := mcode.FindClusters(g, mcode.DefaultParams())
-	return analysis.ScoreClusters(ds.DAG, ds.Ann, g, clusters)
+func ScoredClusters(ctx context.Context, ds *datasets.Dataset, g *graph.Graph) ([]analysis.ScoredCluster, error) {
+	clusters, err := mcode.FindClustersContext(ctx, g, mcode.DefaultParams())
+	if err != nil {
+		return nil, err
+	}
+	return analysis.ScoreClustersContext(ctx, ds.DAG, ds.Ann, g, clusters)
 }

@@ -10,7 +10,7 @@ import (
 // Many admission rules over one matrix: one sweep under the loosest rule,
 // then a bucket per rule. A pair's admission depends only on its canonical
 // coefficient, which does not depend on the rule, so each bucket is
-// exactly that rule's own sweep. ThresholdSweep takes this path; no
+// exactly that rule's own sweep. ThresholdSweepContext takes this path; no
 // serving path does, since every served network sweeps one rule
 // (BuildNetworkContext). The exported batch form is kept for the
 // batch-ratio benchmarks.

@@ -165,9 +165,9 @@ func TestBatchBuildNetworksMatchesBuildNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, o := range specsOpts {
-		want := BuildNetwork(syn.M, o)
+		want := mustBuild(t, syn.M, o)
 		if !reflect.DeepEqual(gs[i], want) {
-			t.Errorf("spec %d: batched network differs from BuildNetwork (%d vs %d edges)", i, gs[i].M(), want.M())
+			t.Errorf("spec %d: batched network differs from BuildNetworkContext (%d vs %d edges)", i, gs[i].M(), want.M())
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"parsample/internal/graph"
 )
 
-// This file is the all-pairs correlation engine behind BuildNetwork and,
-// through one loose sweep bucketed per rule, ThresholdSweep and
+// This file is the all-pairs correlation engine behind BuildNetworkContext
+// and, through one loose sweep bucketed per rule, ThresholdSweepContext and
 // BatchBuildNetworksContext (batch.go). Each sweep applies one admission
 // rule: a positive and a negative threshold on the coefficient. Four
 // transformations take the per-pair cost from "two-pass Pearson plus an

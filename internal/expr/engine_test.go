@@ -34,7 +34,7 @@ func sortScored(out []ScoredEdge) {
 	})
 }
 
-// referenceNetwork is the pre-engine BuildNetwork path, kept verbatim as the
+// referenceNetwork is the pre-engine network build, kept verbatim as the
 // differential oracle: per-pair two-pass correlation, |r| floor, then the
 // exact Student-t p-value for every surviving pair.
 func referenceNetwork(m *Matrix, opts NetworkOptions) map[graph.Edge]bool {
@@ -56,6 +56,28 @@ func referenceNetwork(m *Matrix, opts NetworkOptions) map[graph.Edge]bool {
 		}
 	}
 	return edges
+}
+
+// mustBuild runs BuildNetworkContext under the test's context and fails
+// the test on an error.
+func mustBuild(tb testing.TB, m *Matrix, opts NetworkOptions) *graph.Graph {
+	tb.Helper()
+	g, err := BuildNetworkContext(tb.Context(), m, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// mustSweep runs ThresholdSweepContext under the test's context and fails
+// the test on an error.
+func mustSweep(t *testing.T, m *Matrix, thresholds []float64, opts NetworkOptions) []SweepPoint {
+	t.Helper()
+	pts, err := ThresholdSweepContext(t.Context(), m, thresholds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 func randomMatrix(genes, samples int, modules int, seed int64) *Matrix {
@@ -92,7 +114,7 @@ func TestBuildNetworkMatchesReference(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					m := randomMatrix(120, 12, 4, seed)
 					want := referenceNetwork(m, tc.opts)
-					g := BuildNetwork(m, tc.opts)
+					g := mustBuild(t, m, tc.opts)
 					if g.M() != len(want) {
 						t.Fatalf("seed %d: engine %d edges, reference %d", seed, g.M(), len(want))
 					}
@@ -230,8 +252,8 @@ func TestNetworkOptionsSentinels(t *testing.T) {
 
 	// MinAbsR = 0 is now requestable: admission is by p-value alone.
 	m := randomMatrix(40, 10, 2, 9)
-	loose := BuildNetwork(m, NetworkOptions{MinAbsR: 0, MaxP: 0.05})
-	floored := BuildNetwork(m, NetworkOptions{MinAbsR: 0.99, MaxP: 0.05})
+	loose := mustBuild(t, m, NetworkOptions{MinAbsR: 0, MaxP: 0.05})
+	floored := mustBuild(t, m, NetworkOptions{MinAbsR: 0.99, MaxP: 0.05})
 	if loose.M() <= floored.M() {
 		t.Fatalf("p-only network (%d edges) should exceed |r| ≥ 0.99 network (%d)", loose.M(), floored.M())
 	}
@@ -243,7 +265,7 @@ func TestNetworkOptionsSentinels(t *testing.T) {
 		dup.Set(1, s, 2*float64(s)+1) // exactly correlated with gene 0
 		dup.Set(2, s, math.Sin(float64(s)))
 	}
-	exact := BuildNetwork(dup, NetworkOptions{MinAbsR: 0, MaxP: 0})
+	exact := mustBuild(t, dup, NetworkOptions{MinAbsR: 0, MaxP: 0})
 	if !exact.HasEdge(0, 1) {
 		t.Fatal("perfect correlation must survive MaxP = 0")
 	}
@@ -290,10 +312,10 @@ func TestStandardizedRowsProperties(t *testing.T) {
 // TestBuildNetworkDegenerateShapes guards the tileRows guard: matrices
 // with zero samples or zero genes must build an empty network, not panic.
 func TestBuildNetworkDegenerateShapes(t *testing.T) {
-	if g := BuildNetwork(NewMatrix(10, 0), DefaultNetworkOptions()); g.N() != 10 || g.M() != 0 {
+	if g := mustBuild(t, NewMatrix(10, 0), DefaultNetworkOptions()); g.N() != 10 || g.M() != 0 {
 		t.Fatalf("zero-sample network: n=%d m=%d", g.N(), g.M())
 	}
-	if g := BuildNetwork(NewMatrix(0, 5), DefaultNetworkOptions()); g.N() != 0 || g.M() != 0 {
+	if g := mustBuild(t, NewMatrix(0, 5), DefaultNetworkOptions()); g.N() != 0 || g.M() != 0 {
 		t.Fatalf("zero-gene network: n=%d m=%d", g.N(), g.M())
 	}
 	if pairs, err := scoredPairsContext(t.Context(), NewMatrix(3, 0), NetworkOptions{}); err != nil || len(pairs) != 0 {
@@ -341,8 +363,8 @@ func TestDotMatchesNaive(t *testing.T) {
 // superset pass to |r| ≥ 0.95).
 func TestThresholdSweepNegativeThreshold(t *testing.T) {
 	m := randomMatrix(60, 15, 2, 6)
-	pts := ThresholdSweep(m, []float64{-0.1, 0.5}, NetworkOptions{MaxP: 0.1})
-	direct := BuildNetwork(m, NetworkOptions{MinAbsR: 0.5, MaxP: 0.1})
+	pts := mustSweep(t, m, []float64{-0.1, 0.5}, NetworkOptions{MaxP: 0.1})
+	direct := mustBuild(t, m, NetworkOptions{MinAbsR: 0.5, MaxP: 0.1})
 	if pts[1].Edges != direct.M() {
 		t.Fatalf("sweep at 0.5 has %d edges, direct build %d", pts[1].Edges, direct.M())
 	}
@@ -361,7 +383,7 @@ func TestThresholdSweepSpearman(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := NetworkOptions{Kind: SpearmanCorr, MaxP: 0.0005}
-	pts := ThresholdSweep(res.M, []float64{0.7, 0.85, 0.95}, opts)
+	pts := mustSweep(t, res.M, []float64{0.7, 0.85, 0.95}, opts)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -387,7 +409,7 @@ func TestNaNCoefficientIsNeverAnEdge(t *testing.T) {
 	} {
 		want := referenceNetwork(m, opts)
 		withKernelISA(t, func(t *testing.T) {
-			g := BuildNetwork(m, opts)
+			g := mustBuild(t, m, opts)
 			if d := g.Degree(3); d != 0 {
 				t.Fatalf("MinAbsR %v: gene 3 has %d edges, want 0", opts.MinAbsR, d)
 			}

@@ -203,25 +203,18 @@ func (o NetworkOptions) withDefaults() NetworkOptions {
 	return o
 }
 
-// BuildNetwork computes all-pairs correlations of the expression matrix and
-// returns the thresholded correlation network. The work runs on the
-// standardized-row engine (see engine.go): rows are z-scored once, each
+// BuildNetworkContext computes all-pairs correlations of the expression
+// matrix and returns the thresholded correlation network. The work runs on
+// the standardized-row engine (see engine.go): rows are z-scored once, each
 // pair costs one dot product, the p-value threshold is inverted into a
 // critical |r| ahead of the sweep, and cache-blocked row tiles are
 // dispatched to workers from an atomic counter. The admission rule is the
 // per-pair test (Pearson or Spearman, then PValue against the thresholds)
 // exactly; only the floating-point evaluation order of each coefficient
 // differs, so admission can deviate solely for a pair whose correlation
-// sits within an ulp of the threshold. The result does not depend on Workers.
-func BuildNetwork(m *Matrix, opts NetworkOptions) *graph.Graph {
-	g, _ := BuildNetworkContext(context.Background(), m, opts)
-	return g
-}
-
-// BuildNetworkContext is BuildNetwork with cooperative cancellation: the
-// engine's standardization and tile sweep poll ctx (see engine.go) and the
+// sits within an ulp of the threshold. The result does not depend on
+// Workers. The engine's standardization and tile sweep poll ctx, and the
 // build returns (nil, ctx.Err()) promptly once cancellation is observed.
-// The edge set of a completed build is identical to BuildNetwork's.
 func BuildNetworkContext(ctx context.Context, m *Matrix, opts NetworkOptions) (*graph.Graph, error) {
 	scored, err := scoredPairsContext(ctx, m, opts)
 	if err != nil {

@@ -259,7 +259,7 @@ func TestBuildNetworkRecoversModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := BuildNetwork(res.M, DefaultNetworkOptions())
+	g := mustBuild(t, res.M, DefaultNetworkOptions())
 	if g.N() != 300 {
 		t.Fatalf("network n = %d", g.N())
 	}
@@ -292,9 +292,9 @@ func TestBuildNetworkWorkerCountIrrelevant(t *testing.T) {
 	})
 	opts := DefaultNetworkOptions()
 	opts.Workers = 1
-	g1 := BuildNetwork(res.M, opts)
+	g1 := mustBuild(t, res.M, opts)
 	opts.Workers = 8
-	g8 := BuildNetwork(res.M, opts)
+	g8 := mustBuild(t, res.M, opts)
 	if g1.M() != g8.M() {
 		t.Fatalf("worker count changed result: %d vs %d edges", g1.M(), g8.M())
 	}
@@ -312,13 +312,13 @@ func TestBuildNetworkNegativeOption(t *testing.T) {
 		m.Set(0, s, float64(s))
 		m.Set(1, s, -float64(s))
 	}
-	gPos := BuildNetwork(m, DefaultNetworkOptions())
+	gPos := mustBuild(t, m, DefaultNetworkOptions())
 	if gPos.HasEdge(0, 1) {
 		t.Fatal("negative correlation admitted without Negative option")
 	}
 	negOpts := DefaultNetworkOptions()
 	negOpts.Negative = true
-	gNeg := BuildNetwork(m, negOpts)
+	gNeg := mustBuild(t, m, negOpts)
 	if !gNeg.HasEdge(0, 1) {
 		t.Fatal("negative correlation not admitted with Negative option")
 	}
@@ -331,6 +331,6 @@ func BenchmarkBuildNetwork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildNetwork(res.M, DefaultNetworkOptions())
+		mustBuild(b, res.M, DefaultNetworkOptions())
 	}
 }

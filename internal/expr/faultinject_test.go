@@ -21,7 +21,8 @@ func faultMatrix(t *testing.T) *Matrix {
 }
 
 // TestSweepTileFailpointError: an armed expr.sweep.tile error site aborts
-// the sweep with the injected error; disarmed, the same build succeeds.
+// the sweep with the injected error, for a single build and for a
+// threshold sweep; disarmed, the same build succeeds.
 // faultinject state is process-global — no t.Parallel here.
 func TestSweepTileFailpointError(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
@@ -38,8 +39,15 @@ func TestSweepTileFailpointError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuild after exhausted failpoint: %v", err)
 	}
-	if want := BuildNetwork(m, opts); g.M() != want.M() {
+	if want := mustBuild(t, m, opts); g.M() != want.M() {
 		t.Fatalf("rebuilt network has %d edges, want %d", g.M(), want.M())
+	}
+
+	// The threshold sweep runs the same engine: it returns the injected
+	// error, not empty or zero-edge points.
+	faultinject.Enable("expr.sweep.tile", faultinject.Spec{Mode: faultinject.ModeError, Count: 1})
+	if pts, err := ThresholdSweepContext(context.Background(), m, []float64{0.5, 0.8}, opts); !errors.Is(err, faultinject.ErrInjected) || pts != nil {
+		t.Fatalf("sweep = %+v, %v; want no points and ErrInjected", pts, err)
 	}
 }
 

@@ -238,12 +238,12 @@ func TestCorrelateDispatch(t *testing.T) {
 }
 
 // requireSweepMatchesBuilds checks every sweep point's edge count and
-// maximum degree against a direct BuildNetwork at that point's threshold.
+// maximum degree against a direct BuildNetworkContext at that point's threshold.
 func requireSweepMatchesBuilds(t *testing.T, m *Matrix, pts []SweepPoint, opts NetworkOptions) {
 	t.Helper()
 	for _, pt := range pts {
 		opts.MinAbsR = pt.MinAbsR
-		direct := BuildNetwork(m, opts)
+		direct := mustBuild(t, m, opts)
 		if pt.Edges != direct.M() || pt.MaxDegree != direct.MaxDegree() {
 			t.Fatalf("negative=%v sweep at %v: %d edges, max degree %d; direct build %d, %d",
 				opts.Negative, pt.MinAbsR, pt.Edges, pt.MaxDegree, direct.M(), direct.MaxDegree())
@@ -273,7 +273,7 @@ func TestThresholdSweepMonotone(t *testing.T) {
 		sweepOpts := DefaultNetworkOptions()
 		sweepOpts.Workers = 4
 		sweepOpts.Negative = negative
-		pts := ThresholdSweep(res.M, thresholds, sweepOpts)
+		pts := mustSweep(t, res.M, thresholds, sweepOpts)
 		if len(pts) != 4 {
 			t.Fatalf("points = %d", len(pts))
 		}
@@ -296,7 +296,7 @@ func TestThresholdSweepMonotone(t *testing.T) {
 }
 
 func TestThresholdSweepEmpty(t *testing.T) {
-	if pts := ThresholdSweep(NewMatrix(5, 5), nil, NetworkOptions{MaxP: 0.05, Workers: 1}); pts != nil {
+	if pts := mustSweep(t, NewMatrix(5, 5), nil, NetworkOptions{MaxP: 0.05, Workers: 1}); pts != nil {
 		t.Fatal("empty thresholds should give nil")
 	}
 }

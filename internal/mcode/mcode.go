@@ -315,18 +315,11 @@ func (s *weightScratch) weight(v int32) float64 {
 	return float64(k) * density
 }
 
-// FindClusters runs MCODE complex prediction on g and returns clusters
-// passing the score/size filters, highest score first. g is only read.
-func FindClusters(g *graph.Graph, p Params) []Cluster {
-	clusters, _ := FindClustersContext(context.Background(), g, p)
-	return clusters
-}
-
-// FindClustersContext is FindClusters with cooperative cancellation: the
-// dominant vertex-weight pass polls ctx in every worker and the seed-growth
-// loop polls between seeds, so cancellation returns promptly with ctx.Err()
-// and no partial cluster list. A completed run is identical to
-// FindClusters.
+// FindClustersContext runs MCODE complex prediction on g and returns
+// clusters passing the score/size filters, highest score first. g is only
+// read. The dominant vertex-weight pass polls ctx in every worker and the
+// seed-growth loop polls between seeds, so cancellation returns promptly
+// with ctx.Err() and no partial cluster list.
 func FindClustersContext(ctx context.Context, g *graph.Graph, p Params) ([]Cluster, error) {
 	p = p.withDefaults()
 	n := g.N()

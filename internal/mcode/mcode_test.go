@@ -34,6 +34,17 @@ func vertexWeights(g *graph.Graph) []float64 {
 	return w
 }
 
+// mustFind runs FindClustersContext under the test's context and fails the
+// test on an error.
+func mustFind(tb testing.TB, g *graph.Graph, p Params) []Cluster {
+	tb.Helper()
+	cs, err := FindClustersContext(tb.Context(), g, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cs
+}
+
 func TestCoreNumbersBasics(t *testing.T) {
 	// K5: all vertices have core 4.
 	for _, c := range coreNumbers(graph.Complete(5)) {
@@ -149,7 +160,7 @@ func TestFindClustersPlantedClique(t *testing.T) {
 	pr := graph.PlantedModules(150, 80, graph.ModuleSpec{
 		Count: 1, MinSize: 6, MaxSize: 6, Density: 1, NoiseDeg: 0.5,
 	}, 4)
-	clusters := FindClusters(pr.G, DefaultParams())
+	clusters := mustFind(t, pr.G, DefaultParams())
 	if len(clusters) == 0 {
 		t.Fatal("no clusters found")
 	}
@@ -172,7 +183,7 @@ func TestFindClustersMultipleModules(t *testing.T) {
 	pr := graph.PlantedModules(400, 200, graph.ModuleSpec{
 		Count: 5, MinSize: 7, MaxSize: 9, Density: 0.95, NoiseDeg: 0.5,
 	}, 9)
-	clusters := FindClusters(pr.G, DefaultParams())
+	clusters := mustFind(t, pr.G, DefaultParams())
 	if len(clusters) < 4 {
 		t.Fatalf("found %d clusters, want ≥ 4 of 5 planted", len(clusters))
 	}
@@ -196,7 +207,7 @@ func TestFindClustersMultipleModules(t *testing.T) {
 
 func TestFindClustersSparseGraphNone(t *testing.T) {
 	// A tree has no dense region: no clusters at default thresholds.
-	if cs := FindClusters(graph.Path(50), DefaultParams()); len(cs) != 0 {
+	if cs := mustFind(t, graph.Path(50), DefaultParams()); len(cs) != 0 {
 		t.Fatalf("path produced %d clusters", len(cs))
 	}
 }
@@ -204,10 +215,10 @@ func TestFindClustersSparseGraphNone(t *testing.T) {
 func TestFindClustersScoreFilter(t *testing.T) {
 	// A K4 alone: score = 4·1 = 4 ≥ 3 => kept; with MinScore 5 it is dropped.
 	g := graph.Complete(4)
-	if cs := FindClusters(g, Params{MinScore: 3, MinSize: 4}); len(cs) != 1 {
+	if cs := mustFind(t, g, Params{MinScore: 3, MinSize: 4}); len(cs) != 1 {
 		t.Fatalf("K4 clusters = %d, want 1", len(cs))
 	}
-	if cs := FindClusters(g, Params{MinScore: 5, MinSize: 4}); len(cs) != 0 {
+	if cs := mustFind(t, g, Params{MinScore: 5, MinSize: 4}); len(cs) != 0 {
 		t.Fatalf("K4 with MinScore 5 gave %d clusters", len(cs))
 	}
 }
@@ -269,7 +280,7 @@ func TestRegroupSplitsComponent(t *testing.T) {
 
 func TestClusterEdgeSetAndScore(t *testing.T) {
 	g := graph.Complete(5)
-	cs := FindClusters(g, DefaultParams())
+	cs := mustFind(t, g, DefaultParams())
 	if len(cs) != 1 {
 		t.Fatalf("K5 clusters = %d", len(cs))
 	}
@@ -296,7 +307,7 @@ func BenchmarkFindClusters(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FindClusters(pr.G, DefaultParams())
+		mustFind(b, pr.G, DefaultParams())
 	}
 }
 
@@ -314,11 +325,11 @@ func TestFluffExpandsComplex(t *testing.T) {
 	b.AddEdge(5, 1)
 	g := b.Build()
 
-	plain := FindClusters(g, DefaultParams())
+	plain := mustFind(t, g, DefaultParams())
 	if len(plain) != 1 {
 		t.Fatalf("plain clusters = %d", len(plain))
 	}
-	fluffed := FindClusters(g, Params{Fluff: true})
+	fluffed := mustFind(t, g, Params{Fluff: true})
 	if len(fluffed) != 1 {
 		t.Fatalf("fluffed clusters = %d", len(fluffed))
 	}
@@ -351,8 +362,8 @@ func TestFluffThresholdDefault(t *testing.T) {
 
 func TestFluffVerySTrictThresholdNoChange(t *testing.T) {
 	g := graph.Complete(5)
-	plain := FindClusters(g, DefaultParams())
-	strict := FindClusters(g, Params{Fluff: true, FluffDensityThreshold: 1.1})
+	plain := mustFind(t, g, DefaultParams())
+	strict := mustFind(t, g, Params{Fluff: true, FluffDensityThreshold: 1.1})
 	if len(plain) != len(strict) || len(plain[0].Vertices) != len(strict[0].Vertices) {
 		t.Fatal("impossible threshold changed the result")
 	}
@@ -364,7 +375,7 @@ func TestFluffVerySTrictThresholdNoChange(t *testing.T) {
 // worklist haircut and the per-worker weight scratch: every seed grows its
 // complex and haircuts it in rounds, and every vertex weight goes through a
 // Localizer-built neighborhood graph, a fresh core peel and a Subgraph of
-// the top core. FindClusters must reproduce it exactly. (The old scoring also
+// the top core. FindClustersContext must reproduce it exactly. (The old scoring also
 // had a dense-row AND-popcount path, which counts the same edges.)
 
 func referenceCoreNumbers(g *graph.Graph) []int {
@@ -719,7 +730,7 @@ func randomTree(n int, seed int64) *graph.Graph {
 // filtered returns ds's network after alg under the given ordering.
 func filtered(t testing.TB, ds *datasets.Dataset, o graph.Ordering, alg sampling.Algorithm, p int) *graph.Graph {
 	t.Helper()
-	res, err := sampling.Run(alg, ds.G, sampling.Options{Order: graph.Order(ds.G, o, ds.Seed), P: p, Seed: ds.Seed})
+	res, err := sampling.RunContext(t.Context(), alg, ds.G, sampling.Options{Order: graph.Order(ds.G, o, ds.Seed), P: p, Seed: ds.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,7 +828,7 @@ func TestFindClustersMatchesReference(t *testing.T) {
 				if in.sets == weightsOnly || in.sets == cheapSets && pc.name != "default" && pc.name != "no-haircut" && pc.name != "vwp=-0.1" {
 					continue
 				}
-				if d := diffClusters(FindClusters(g, pc.p), referenceSeedLoop(g, want, pc.p)); d != "" {
+				if d := diffClusters(mustFind(t, g, pc.p), referenceSeedLoop(g, want, pc.p)); d != "" {
 					t.Fatalf("%s: %s", pc.name, d)
 				}
 			}
@@ -833,12 +844,12 @@ func TestCoreNumbersMatchesReference(t *testing.T) {
 	}
 }
 
-// FindClusters never touches the graph it reads: no dense rows appear.
+// FindClustersContext never touches the graph it reads: no dense rows appear.
 func TestFindClustersLeavesGraphUnmodified(t *testing.T) {
 	g := graph.Complete(8)
-	FindClusters(g, DefaultParams())
+	mustFind(t, g, DefaultParams())
 	if g.Row(0) != nil {
-		t.Fatal("FindClusters built dense adjacency rows")
+		t.Fatal("FindClustersContext built dense adjacency rows")
 	}
 }
 
@@ -880,7 +891,7 @@ func FuzzFindClustersMatchesReference(f *testing.F) {
 		if d := diffWeights(vertexWeights(g), referenceVertexWeights(g)); d != "" {
 			t.Fatal(d)
 		}
-		if d := diffClusters(FindClusters(g, p), referenceFindClusters(g, p)); d != "" {
+		if d := diffClusters(mustFind(t, g, p), referenceFindClusters(g, p)); d != "" {
 			t.Fatalf("params %+v: %s", p, d)
 		}
 	})

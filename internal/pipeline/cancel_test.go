@@ -74,7 +74,7 @@ func bigMatrix(t *testing.T) *expr.Matrix {
 	return syn.M
 }
 
-// Cancelling mid-BuildNetwork returns promptly with ctx.Err(), leaves the
+// Cancelling mid-BuildNetworkContext returns promptly with ctx.Err(), leaves the
 // store without a poisoned entry, and a later request with a live context
 // computes the artifact from scratch.
 func TestCancelMidBuildNetwork(t *testing.T) {
@@ -106,7 +106,7 @@ func TestCancelMidBuildNetwork(t *testing.T) {
 	}
 }
 
-// Cancelling mid-FindClusters (the MCODE vertex-weight pass on a dense
+// Cancelling mid-FindClustersContext (the MCODE vertex-weight pass on a dense
 // generator graph) returns promptly with ctx.Err() and does not poison the
 // store.
 func TestCancelMidFindClusters(t *testing.T) {

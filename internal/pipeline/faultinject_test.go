@@ -179,7 +179,7 @@ func TestBatcherLeaderNonRetriableErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuild after injected sweep error: %v", err)
 	}
-	if want := expr.BuildNetwork(m, opts); !reflect.DeepEqual(g, want) {
+	if want := mustBuild(t, m, opts); !reflect.DeepEqual(g, want) {
 		t.Error("rebuilt network differs from direct build")
 	}
 }

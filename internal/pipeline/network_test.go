@@ -24,6 +24,17 @@ func networkMatrix(t *testing.T) *expr.Matrix {
 	return syn.M
 }
 
+// mustBuild is the direct expr.BuildNetworkContext build the network stage
+// is compared against; it fails the test on an error.
+func mustBuild(t *testing.T, m *expr.Matrix, opts expr.NetworkOptions) *graph.Graph {
+	t.Helper()
+	g, err := expr.BuildNetworkContext(t.Context(), m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func matrixInput(m *expr.Matrix, opts expr.NetworkOptions) Input {
 	return Input{Name: "network-test", Load: loadMatrix(m), Net: opts}
 }
@@ -72,7 +83,7 @@ func TestSweepBatcherCoalescesConcurrentSweeps(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		want := expr.BuildNetwork(m, optsFor(i))
+		want := mustBuild(t, m, optsFor(i))
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("request %d: engine network differs from direct build (%d vs %d edges)", i, got[i].M(), want.M())
 		}
@@ -95,7 +106,7 @@ func TestSweepBatcherDisabledCountsDirectBuilds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := expr.BuildNetwork(m, in.Net)
+		want := mustBuild(t, m, in.Net)
 		if !reflect.DeepEqual(g, want) {
 			t.Errorf("minAbsR=%v: engine network differs from direct build", minR)
 		}

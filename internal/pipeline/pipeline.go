@@ -1,7 +1,7 @@
 // Package pipeline is the typed stage-graph engine behind the paper's
 // end-to-end pipeline:
 //
-//	expression matrix ─BuildNetwork→ correlation network ─Order→ vertex order
+//	expression matrix ─Network→ correlation network ─Order→ vertex order
 //	  ─Filter→ sampled network ─Cluster→ MCODE complexes ─Score→ AEES
 //	  ─Match→ original-vs-filtered match table
 //
@@ -514,7 +514,7 @@ func (e *Engine) Scored(ctx context.Context, in Input, v Variant) ([]analysis.Sc
 }
 
 // Matches returns the match table of a filtered variant's scored clusters
-// against the original network's (analysis.MatchClusters).
+// against the original network's (analysis.MatchClustersContext).
 func (e *Engine) Matches(ctx context.Context, in Input, v Variant) ([]analysis.Match, error) {
 	if v.IsOriginal() {
 		return nil, fmt.Errorf("pipeline: Matches of the original against itself (input %q)", in.Name)
@@ -569,7 +569,7 @@ func (e *Engine) Warm(ctx context.Context, in Input, vs ...Variant) error {
 
 // graphBytes estimates a CSR graph's resident size: offsets plus both
 // directions of the neighbor arena. No pipeline kernel builds dense
-// adjacency rows on a stored graph (mcode.FindClusters only reads it).
+// adjacency rows on a stored graph (mcode.FindClustersContext only reads it).
 func graphBytes(g *graph.Graph) int64 {
 	n, m := int64(g.N()), int64(g.M())
 	return 4*(n+1) + 8*m

@@ -52,12 +52,19 @@ func TestEngineMatchesDirectKernels(t *testing.T) {
 
 	// Direct path, replicating the pre-engine drivers.
 	ord := graph.Order(ds.G, graph.HighDegree, ds.Seed)
-	res, err := sampling.Run(sampling.ChordalSeq, ds.G, sampling.Options{Order: ord, P: 1, Seed: ds.Seed})
+	res, err := sampling.RunContext(ctx, sampling.ChordalSeq, ds.G, sampling.Options{Order: ord, P: 1, Seed: ds.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	directG := res.Graph(ds.G.N())
-	directSC := analysis.ScoreClusters(ds.DAG, ds.Ann, directG, mcode.FindClusters(directG, mcode.DefaultParams()))
+	directCl, err := mcode.FindClustersContext(ctx, directG, mcode.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	directSC, err := analysis.ScoreClustersContext(ctx, ds.DAG, ds.Ann, directG, directCl)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if fg.M() != directG.M() || fg.N() != directG.N() {
 		t.Fatalf("filtered graph differs: engine %d/%d, direct %d/%d", fg.N(), fg.M(), directG.N(), directG.M())
@@ -74,7 +81,10 @@ func TestEngineMatchesDirectKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directMS := analysis.MatchClusters(ds.G, orig, directG, directSC)
+	directMS, err := analysis.MatchClustersContext(ctx, ds.G, orig, directG, directSC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(ms, directMS) {
 		t.Fatalf("match tables differ")
 	}

@@ -121,7 +121,7 @@ func TestWrongPayloadTypeFailsJob(t *testing.T) {
 			gather: func(vals []any) { vals[1] = borderMsg{} }},
 			"want a partial result"},
 	} {
-		res, err := Run(tc.alg, g, Options{P: 2, Comm: tc.cm})
+		res, err := RunContext(t.Context(), tc.alg, g, Options{P: 2, Comm: tc.cm})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: res=%v err=%v, want an error containing %q", tc.name, res, err, tc.want)
 		}
@@ -151,7 +151,7 @@ func TestChordalCommRejectsHostileBorderEdges(t *testing.T) {
 			}
 			return m
 		}}
-		res, err := Run(ChordalComm, g, Options{P: 2, Comm: cm})
+		res, err := RunContext(t.Context(), ChordalComm, g, Options{P: 2, Comm: cm})
 		if !tampered {
 			t.Fatal("no border chunk reached the receiver; pick a graph with border edges")
 		}

@@ -43,7 +43,7 @@ func TestChordalCommDenseBordersNoDeadlock(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := Run(ChordalComm, g, Options{P: 4})
+		res, err := RunContext(t.Context(), ChordalComm, g, Options{P: 4})
 		done <- outcome{res, err}
 	}()
 	select {

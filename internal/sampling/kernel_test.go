@@ -20,11 +20,15 @@ import (
 func pairRuleNoComm(g *graph.Graph, opts Options) (*Result, error) {
 	pt := graph.BlockPartition(opts.Order, opts.P)
 	_, border := pt.InternalEdgeCount(g)
-	return runRanks(context.Background(), ChordalNoComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
+	ctx := context.Background()
+	return runRanks(ctx, ChordalNoComm, g, opts, pt, border, func(r comm.Rank) (rankResult, error) {
 		rank := r.ID()
 		block := pt.Parts[rank]
 		sub, toGlobal := g.CompactSubgraph(block)
-		cr := chordal.MaximalSubgraph(sub, graph.NaturalOrder(sub.N()))
+		cr, err := chordal.MaximalSubgraphContext(ctx, sub, graph.NaturalOrder(sub.N()))
+		if err != nil {
+			return rankResult{}, err
+		}
 		edges, ops := cr.Edges, cr.Ops
 		for i, e := range edges {
 			edges[i] = graph.NormEdge(toGlobal[e.U], toGlobal[e.V])

@@ -172,19 +172,13 @@ func keptSubgraph(g *graph.Graph, kept []graph.Edge) *graph.Graph {
 	return graph.FromSortedEdges(g.N(), kept)
 }
 
-// Run applies the given filter to g.
-func Run(alg Algorithm, g *graph.Graph, opts Options) (*Result, error) {
-	return RunContext(context.Background(), alg, g, opts)
-}
-
-// RunContext is Run with cooperative cancellation. Sequential filters poll
-// ctx inside their traversal loops; parallel filters additionally tie the
+// RunContext applies the given filter to g. Sequential filters poll ctx
+// inside their traversal loops; parallel filters additionally tie the
 // simulated runtime to ctx (comm.Comm.AbortOnCancel), so ranks blocked in
 // receives or the gather unwind promptly when ctx is cancelled. A
-// cancelled run returns (nil, ctx.Err()) and leaks no goroutines; a
-// completed run is identical to Run (the determinism contract is
-// unaffected — ctx only decides whether the run finishes, never what it
-// computes).
+// cancelled run returns (nil, ctx.Err()) and leaks no goroutines; the
+// determinism contract is unaffected — ctx only decides whether the run
+// finishes, never what it computes.
 func RunContext(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Order == nil {
 		opts.Order = graph.NaturalOrder(g.N())

@@ -13,22 +13,33 @@ import (
 
 func mustRun(t *testing.T, alg Algorithm, g *graph.Graph, opts Options) *Result {
 	t.Helper()
-	res, err := Run(alg, g, opts)
+	res, err := RunContext(t.Context(), alg, g, opts)
 	if err != nil {
-		t.Fatalf("Run(%v): %v", alg, err)
+		t.Fatalf("RunContext(%v): %v", alg, err)
+	}
+	return res
+}
+
+// mustChordal is the sequential DSW kernel on g under order; it fails the
+// test on an error.
+func mustChordal(t *testing.T, g *graph.Graph, order []int32) *chordal.Result {
+	t.Helper()
+	res, err := chordal.MaximalSubgraphContext(t.Context(), g, order)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
 
 func TestRunRejectsBadOrder(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := Run(ChordalSeq, g, Options{Order: []int32{0, 0, 1, 2}}); err == nil {
+	if _, err := RunContext(t.Context(), ChordalSeq, g, Options{Order: []int32{0, 0, 1, 2}}); err == nil {
 		t.Fatal("want error for invalid order")
 	}
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	if _, err := Run(Algorithm(42), graph.Path(3), Options{}); err == nil {
+	if _, err := RunContext(t.Context(), Algorithm(42), graph.Path(3), Options{}); err == nil {
 		t.Fatal("want error for unknown algorithm")
 	}
 	if Algorithm(42).String() == "" {
@@ -52,7 +63,7 @@ func TestChordalSeqMatchesChordalPackage(t *testing.T) {
 	g := graph.Gnm(120, 400, 3)
 	ord := graph.Order(g, graph.HighDegree, 0)
 	res := mustRun(t, ChordalSeq, g, Options{Order: ord})
-	want := chordal.MaximalSubgraph(g, ord)
+	want := mustChordal(t, g, ord)
 	if res.Subgraph.M() != len(want.Edges) {
 		t.Fatalf("got %d edges, want %d", res.Subgraph.M(), len(want.Edges))
 	}
@@ -173,7 +184,7 @@ func TestCommKeepsMoreOrEqualBorderStructure(t *testing.T) {
 	baseline := 0
 	for r := 0; r < p; r++ {
 		sub, _ := g.CompactSubgraph(pt.Parts[r])
-		cr := chordal.MaximalSubgraph(sub, graph.NaturalOrder(sub.N()))
+		cr := mustChordal(t, sub, graph.NaturalOrder(sub.N()))
 		baseline += len(cr.Edges)
 	}
 	for _, alg := range []Algorithm{ChordalComm, ChordalNoComm} {
@@ -315,7 +326,7 @@ func TestNoCommQuick(t *testing.T) {
 		m := rng.Intn(3*n + 1)
 		p := 1 + rng.Intn(6)
 		g := graph.Gnm(n, m, seed)
-		res, err := Run(ChordalNoComm, g, Options{P: p, Seed: seed})
+		res, err := RunContext(t.Context(), ChordalNoComm, g, Options{P: p, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -341,7 +352,7 @@ func TestCommQuickChordalSubsets(t *testing.T) {
 		m := rng.Intn(3 * n)
 		p := 2 + rng.Intn(3)
 		g := graph.Gnm(n, m, seed)
-		res, err := Run(ChordalComm, g, Options{P: p})
+		res, err := RunContext(t.Context(), ChordalComm, g, Options{P: p})
 		if err != nil {
 			return false
 		}
@@ -412,7 +423,7 @@ func TestFullKeepSharesInputGraph(t *testing.T) {
 
 	g := graph.Gnm(300, 1500, 9)
 	seq := mustRun(t, ChordalSeq, g, Options{})
-	want := graph.FromEdges(g.N(), chordal.MaximalSubgraph(g, graph.NaturalOrder(g.N())).Edges)
+	want := graph.FromEdges(g.N(), mustChordal(t, g, graph.NaturalOrder(g.N())).Edges)
 	if seq.Subgraph == g || seq.Subgraph.M() >= g.M() || !csrEqual(seq.Subgraph, want) {
 		t.Fatalf("chordal-seq on a non-chordal graph: %d of %d edges, CSR equal to the Builder's: %v",
 			seq.Subgraph.M(), g.M(), csrEqual(seq.Subgraph, want))

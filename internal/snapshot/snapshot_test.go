@@ -188,7 +188,7 @@ func TestFilteredGoldenBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Gnm(80, 240, 5)
-	want, err := sampling.Run(sampling.ChordalComm, g, sampling.Options{P: 4, Seed: 1})
+	want, err := sampling.RunContext(t.Context(), sampling.ChordalComm, g, sampling.Options{P: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

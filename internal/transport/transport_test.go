@@ -451,7 +451,7 @@ func TestDistributedMatchesSimulated(t *testing.T) {
 	for _, alg := range algs {
 		for _, p := range []int{2, 4, 8} {
 			label := fmt.Sprintf("%s/P=%d", alg, p)
-			sim, err := sampling.Run(alg, g, sampling.Options{P: p, Seed: 20120521})
+			sim, err := sampling.RunContext(ctx, alg, g, sampling.Options{P: p, Seed: 20120521})
 			if err != nil {
 				t.Fatalf("%s simulated: %v", label, err)
 			}
@@ -496,7 +496,7 @@ func TestWorkerFailureMidGatherv(t *testing.T) {
 	// The workers survive the drill: the same job runs clean afterwards
 	// and still matches the simulator.
 	faultinject.Disable("transport.send.rank2")
-	sim, err := sampling.Run(job.Alg, g, sampling.Options{P: job.P, Seed: job.Seed})
+	sim, err := sampling.RunContext(ctx, job.Alg, g, sampling.Options{P: job.P, Seed: job.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestP1RunsLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := sampling.Run(sampling.ChordalNoComm, g, sampling.Options{P: 1, Seed: 5})
+	sim, err := sampling.RunContext(t.Context(), sampling.ChordalNoComm, g, sampling.Options{P: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,14 +194,6 @@ func FilterContext(ctx context.Context, g *Graph, opts FilterOptions) (*Result, 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// MaximalChordalSubgraph extracts a maximal chordal subgraph of g under the
-// given ordering and returns it as a CSR graph built from the DSW edge
-// list.
-func MaximalChordalSubgraph(g *Graph, o Ordering, seed int64) *Graph {
-	res := chordal.MaximalSubgraph(g, graph.Order(g, o, seed))
-	return graph.FromEdges(g.N(), res.Edges)
-}
-
 // IsChordal reports whether g is a chordal graph.
 func IsChordal(g *Graph) bool { return chordal.IsChordal(g) }
 

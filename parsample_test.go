@@ -70,7 +70,11 @@ func TestFacadeSeedStreamsIndependent(t *testing.T) {
 
 func TestFacadeChordalHelpers(t *testing.T) {
 	g := graph.Cycle(9)
-	sub := MaximalChordalSubgraph(g, Natural, 0)
+	res, err := FilterContext(t.Context(), g, FilterOptions{Algorithm: ChordalSeq, Ordering: Natural})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := res.Subgraph
 	if !IsChordal(sub) {
 		t.Fatal("maximal chordal subgraph is not chordal")
 	}
